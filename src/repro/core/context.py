@@ -596,12 +596,14 @@ def outer_update(
     else:
 
         def fn():
-            for i in rows:
-                a_ik = col_panel[i]
-                for j in cols:
-                    ctx.backend.srgemm_outer(
-                        state.blocks[(i, j)], a_ik, row_panel[j], semiring=ctx.semiring
-                    )
+            # One grid product, as the one kernel launch it is charged as.
+            ctx.backend.srgemm_grid(
+                [[state.blocks[(i, j)] for j in cols] for i in rows],
+                [col_panel[i] for i in rows],
+                [row_panel[j] for j in cols],
+                semiring=ctx.semiring,
+                phase="outer",
+            )
 
     return state.stream.kernel(
         b * len(rows),

@@ -91,6 +91,38 @@ def _lookahead_diag(state: RankState, k: int, row_panel, col_panel):
     )
 
 
+def _lookahead_strip(state: RankState, k: int, axis: ir.Axis, idxs: list, row_panel, col_panel):
+    """Numerics of a look-ahead panel kernel (either residency): the
+    (k+1) block row (a 1 x nc grid) or column (nr x 1) as one grid
+    product in the panel phase."""
+    ctx = state.ctx
+    if axis == "row":
+        a = col_panel[k + 1]
+
+        def fn():
+            ctx.backend.srgemm_grid(
+                [[state.blocks[(k + 1, j)] for j in idxs]],
+                [a],
+                [row_panel[j] for j in idxs],
+                semiring=ctx.semiring,
+                phase="panel",
+            )
+
+    else:
+        bmat = row_panel[k + 1]
+
+        def fn():
+            ctx.backend.srgemm_grid(
+                [[state.blocks[(i, k + 1)]] for i in idxs],
+                [col_panel[i] for i in idxs],
+                [bmat],
+                semiring=ctx.semiring,
+                phase="panel",
+            )
+
+    return fn
+
+
 def _lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_panel):
     """Kernel: apply OuterUpdate(k) to the (k+1) block row or column
     (local index ∉ {k, k+1}):
@@ -111,46 +143,31 @@ def _lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_pan
     if not idxs:
         return None
 
+    if not ctx.config.track_paths:
+        fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
+    elif axis == "row":
+        a, a_nxt = col_panel[k + 1]
+
+        def fn():
+            for j in idxs:
+                ctx.backend.srgemm_accumulate_paths(
+                    state.blocks[(k + 1, j)], state.nxt[(k + 1, j)], a, a_nxt, row_panel[j]
+                )
+
+    else:
+        bmat = row_panel[k + 1]
+
+        def fn():
+            for i in idxs:
+                a, a_nxt = col_panel[i]
+                ctx.backend.srgemm_accumulate_paths(
+                    state.blocks[(i, k + 1)], state.nxt[(i, k + 1)], a, a_nxt, bmat
+                )
+
     if axis == "row":
-        if ctx.config.track_paths:
-            a, a_nxt = col_panel[k + 1]
-
-            def fn():
-                for j in idxs:
-                    ctx.backend.srgemm_accumulate_paths(
-                        state.blocks[(k + 1, j)], state.nxt[(k + 1, j)], a, a_nxt, row_panel[j]
-                    )
-
-        else:
-            a = col_panel[k + 1]
-
-            def fn():
-                for j in idxs:
-                    ctx.backend.srgemm_panel(
-                        state.blocks[(k + 1, j)], a, row_panel[j], semiring=ctx.semiring
-                    )
-
         m, n = b, b * len(idxs)
         label = f"LookaheadRow({k + 1})"
     else:
-        bmat = row_panel[k + 1]
-        if ctx.config.track_paths:
-
-            def fn():
-                for i in idxs:
-                    a, a_nxt = col_panel[i]
-                    ctx.backend.srgemm_accumulate_paths(
-                        state.blocks[(i, k + 1)], state.nxt[(i, k + 1)], a, a_nxt, bmat
-                    )
-
-        else:
-
-            def fn():
-                for i in idxs:
-                    ctx.backend.srgemm_panel(
-                        state.blocks[(i, k + 1)], col_panel[i], bmat, semiring=ctx.semiring
-                    )
-
         m, n = b * len(idxs), b
         label = f"LookaheadCol({k + 1})"
 
@@ -228,14 +245,7 @@ def _staged_lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, 
         idxs = state.local_cols(exclude=(k, k + 1))
         if not idxs:
             return None
-        a = col_panel[k + 1]
-
-        def fn():
-            for j in idxs:
-                ctx.backend.srgemm_panel(
-                    state.blocks[(k + 1, j)], a, row_panel[j], semiring=ctx.semiring
-                )
-
+        fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
         # Target strip + the A(k,j) operand strip up; updated strip down.
         s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
         s.h2d(2 * b, b * len(idxs), label=f"h2d:lookahead_row{k + 1}")
@@ -246,14 +256,7 @@ def _staged_lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, 
     idxs = state.local_rows(exclude=(k, k + 1))
     if not idxs:
         return None
-    bmat = row_panel[k + 1]
-
-    def fn():
-        for i in idxs:
-            ctx.backend.srgemm_panel(
-                state.blocks[(i, k + 1)], col_panel[i], bmat, semiring=ctx.semiring
-            )
-
+    fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
     s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
     s.h2d(b * len(idxs), 2 * b, label=f"h2d:lookahead_col{k + 1}")
     s.kernel(b * len(idxs), b, b, f"LookaheadCol({k + 1})", maybe(ctx, fn),

@@ -19,20 +19,22 @@ Metric families: ``kernel.srgemm`` aggregates every fused/phase
 product; the phase-specialized entries additionally count under
 ``kernel.srgemm_diag`` / ``kernel.srgemm_panel`` /
 ``kernel.srgemm_outer``, so per-phase flop splits are visible when the
-schedule dispatches per phase.  ``kernel.wall_seconds`` accumulates
-*physical* wall-clock time inside inner kernel calls - the signal the
-``profile --kernel-backend`` sweep uses to compare real backend speed
-(simulated time is backend-invariant by design).
+schedule dispatches per phase.  A grid call (``srgemm_grid``) counts as
+the ``nr x nc`` per-tile calls it stands for, in the same families.
+``kernel.wall_seconds`` accumulates *physical* wall-clock time inside
+inner kernel calls - the signal the ``profile --kernel-backend`` sweep
+uses to compare real backend speed (simulated time is
+backend-invariant by design).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..semiring.backends.base import KernelBackend
+from ..semiring.backends.base import KernelBackend, validate_grid
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .metrics import MetricsRegistry
 
@@ -56,17 +58,18 @@ class MeteredBackend(KernelBackend):
         self.modeled_cost_scale = inner.modeled_cost_scale
         registry.label("kernel.backend", inner.name)
 
-    def _count(self, family: str, m: int, n: int, k: int) -> None:
-        self.registry.counter(f"kernel.{family}.calls").inc()
+    def _count(self, family: str, m: int, n: int, k: int, calls: int = 1) -> None:
+        """``calls`` kernel calls that together perform 2mnk flops."""
+        self.registry.counter(f"kernel.{family}.calls").inc(calls)
         self.registry.counter(f"kernel.{family}.flops").inc(2.0 * m * n * k)
         self.registry.counter("kernel.flops").inc(2.0 * m * n * k)
 
-    def _count_product(self, phase: Optional[str], m: int, n: int, k: int) -> None:
-        """One product call: always the aggregate ``srgemm`` family,
-        plus the phase family when dispatched through a phase entry."""
-        self._count("srgemm", m, n, k)
+    def _count_product(self, phase: Optional[str], m: int, n: int, k: int, calls: int = 1) -> None:
+        """Product calls: always the aggregate ``srgemm`` family, plus
+        the phase family when dispatched through a phase entry."""
+        self._count("srgemm", m, n, k, calls)
         if phase is not None:
-            self.registry.counter(f"kernel.{phase}.calls").inc()
+            self.registry.counter(f"kernel.{phase}.calls").inc(calls)
             self.registry.counter(f"kernel.{phase}.flops").inc(2.0 * m * n * k)
 
     def _timed(self, fn, *args, **kwargs):
@@ -122,6 +125,35 @@ class MeteredBackend(KernelBackend):
     ) -> np.ndarray:
         self._count_product("srgemm_outer", c.shape[0], c.shape[1], a.shape[1])
         return self._timed(self.inner.srgemm_outer, c, a, b, semiring=semiring, k_chunk=k_chunk)
+
+    def srgemm_grid(
+        self,
+        c_tiles: Sequence[Sequence[np.ndarray]],
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+        phase: str = "outer",
+    ) -> Sequence[Sequence[np.ndarray]]:
+        """Forward the whole grid to ``inner``'s grid entry (so a metered
+        run keeps the one-native-call path), counting what the per-tile
+        loop would have: one call and 2mnk flops per tile under
+        ``kernel.srgemm`` and the phase family, and one wall accrual.
+        (Flop counts are integers, so the lump sum is bit-identical to
+        the tile-by-tile one.)"""
+        entry = validate_grid(c_tiles, a_rows, b_cols, phase)
+        calls = len(a_rows) * len(b_cols)
+        if not calls:
+            return c_tiles
+        self._count_product(
+            entry,
+            sum(a.shape[0] for a in a_rows),
+            sum(b.shape[1] for b in b_cols),
+            a_rows[0].shape[1],
+            calls,
+        )
+        return self._timed(
+            self.inner.srgemm_grid, c_tiles, a_rows, b_cols, semiring=semiring, phase=phase
+        )
 
     def panel_row_update(
         self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS

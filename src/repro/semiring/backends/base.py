@@ -46,6 +46,20 @@ unchanged.  Call sites (``core/executor.py``, ``core/blocked.py``,
 and the verify/obs wrappers forward each entry to the matching inner
 entry so specialization survives composition.
 
+Grid entry
+----------
+``srgemm_grid(c_tiles, a_rows, b_cols, phase=...)`` is the batched
+form of the phase entries: ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` over an
+``nr × nc`` grid of *independent* accumulator tiles - what one rank's
+OuterUpdate (or look-ahead panel strip) does inside a single simulated
+kernel launch.  The default is the loop over the per-tile phase entry,
+so every backend and wrapper is total over it; a backend that can run
+the whole grid in one native call overrides it (``cnative``).  The
+aliasing contract extends tile-wise: no operand may share memory with
+any tile, and tiles must be pairwise disjoint.  That disjointness, plus
+the exactness of a comparison ⊕, is why the order tiles are visited in
+cannot change the result.
+
 Equivalence contract
 --------------------
 For float64 inputs a backend must match the reference backend
@@ -58,14 +72,28 @@ reduced-precision compute path advertises its tolerance via ``rtol``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..minplus import MIN_PLUS, Semiring
 from .tuning import KernelTiling, kernel_byte_budget, tune_kernel_tiling
 
-__all__ = ["KernelBackend", "validate_pair", "validate_accumulate"]
+__all__ = [
+    "KernelBackend",
+    "GRID_PHASE_ENTRIES",
+    "validate_pair",
+    "validate_accumulate",
+    "validate_grid",
+]
+
+#: ``phase`` of :meth:`KernelBackend.srgemm_grid` -> the per-tile entry
+#: the default implementation (and every fallback) loops over.
+GRID_PHASE_ENTRIES = {
+    "diag": "srgemm_diag",
+    "panel": "srgemm_panel",
+    "outer": "srgemm_outer",
+}
 
 
 def validate_pair(a: np.ndarray, b: np.ndarray) -> None:
@@ -82,6 +110,24 @@ def validate_accumulate(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     n = b.shape[1]
     if c.shape != (m, n):
         raise ValueError(f"accumulator shape {c.shape} does not match product shape {(m, n)}")
+
+
+def validate_grid(c_tiles, a_rows, b_cols, phase: str) -> str:
+    """Structure checks shared by every ``srgemm_grid``: one tile row
+    per row operand, one tile per column operand in each row.  Returns
+    the name of the per-tile entry ``phase`` selects.  (Per-tile shapes
+    are checked by whatever runs the tile.)"""
+    entry = GRID_PHASE_ENTRIES.get(phase)
+    if entry is None:
+        raise ValueError(f"unknown grid phase {phase!r}; expected one of {sorted(GRID_PHASE_ENTRIES)}")
+    if len(c_tiles) != len(a_rows):
+        raise ValueError(f"grid has {len(c_tiles)} tile rows for {len(a_rows)} row operands")
+    for i, c_row in enumerate(c_tiles):
+        if len(c_row) != len(b_cols):
+            raise ValueError(
+                f"grid row {i} has {len(c_row)} tiles for {len(b_cols)} column operands"
+            )
+    return entry
 
 
 class KernelBackend:
@@ -210,6 +256,28 @@ class KernelBackend:
         """MinPlus outer-product phase - the bulk of the flops and the
         most profitable phase to specialize."""
         return self.srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
+
+    def srgemm_grid(
+        self,
+        c_tiles: Sequence[Sequence[np.ndarray]],
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+        phase: str = "outer",
+    ) -> Sequence[Sequence[np.ndarray]]:
+        """Grid product ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` in place
+        over ``nr × nc`` independent tiles; returns ``c_tiles``.
+
+        ``phase`` (``"diag"`` / ``"panel"`` / ``"outer"``) names the
+        per-tile entry the grid stands for.  No operand may alias a
+        tile and tiles must be pairwise disjoint (see the module docs);
+        under that contract the visiting order is unobservable.
+        """
+        entry = getattr(self, validate_grid(c_tiles, a_rows, b_cols, phase))
+        for a, c_row in zip(a_rows, c_tiles):
+            for b, c in zip(b_cols, c_row):
+                entry(c, a, b, semiring=semiring)
+        return c_tiles
 
     def panel_row_update(
         self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS

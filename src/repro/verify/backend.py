@@ -25,7 +25,12 @@ __all__ = ["ChecksummedBackend"]
 class ChecksummedBackend(KernelBackend):
     """Delegates every kernel to ``runtime.inner`` inside a guarded
     predict → run → re-checksum → repair cycle (see
-    :class:`~repro.verify.runtime.VerifyRuntime`)."""
+    :class:`~repro.verify.runtime.VerifyRuntime`).
+
+    ``srgemm_grid`` is deliberately *not* overridden: checksums are
+    predicted, compared and repaired per tile, so a verified grid is the
+    base-class loop over the guarded phase entries above - one inner
+    kernel call per tile, never the inner backend's one-call grid."""
 
     available = True
 

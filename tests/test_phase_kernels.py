@@ -9,17 +9,29 @@ bit-identical to the reference fused kernel, and the observability /
 verification wrappers (:class:`MeteredBackend`,
 :class:`ChecksummedBackend`) must compose over the phase entries
 transparently, alone or stacked.
+
+The grid entry (``srgemm_grid``) is the batched form of those phase
+entries; its contract is that it is *unobservable*: every backend, and
+every wrapper stack, must produce the bits (and the counters) of the
+per-tile loop it stands for, whichever path - one native call or the
+fallback loop - the backend takes for a given set of operands.
 """
 
 from __future__ import annotations
 
+import subprocess
+import warnings
+
 import numpy as np
 import pytest
 
+import repro
 from repro.obs.metered import MeteredBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MIN_PLUS, SEMIRINGS, srgemm_diag, srgemm_outer, srgemm_panel
-from repro.semiring.backends import available_backends, get_backend
+from repro.semiring.backends import CNativeBackend, available_backends, get_backend
+from repro.semiring.backends import cnative as cnative_mod
+from repro.semiring.backends.base import GRID_PHASE_ENTRIES
 from repro.semiring.closure import closure_by_squaring, floyd_warshall
 from repro.verify.backend import ChecksummedBackend
 from repro.verify.runtime import VerifyRuntime
@@ -193,3 +205,311 @@ class TestWrapperComposition:
             getattr(wrapped, phase)(c.copy(), a, b)
         assert runtime.counters["ops_checked"] == len(PHASES)
         assert runtime.counters.get("sdc_detected", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# The grid entry
+# ---------------------------------------------------------------------------
+
+#: The semirings ``cnative`` compiles (the grid's one-call path).
+COMPILED_SEMIRINGS = ["min_plus", "max_plus", "max_min", "min_max"]
+GRID_PHASES = sorted(GRID_PHASE_ENTRIES)
+GRID_SHAPES = [(3, 4), (1, 5), (5, 1), (1, 1)]
+
+
+def _grid(nr, nc, dtype=np.float64, b=8, seed=0, inf=True):
+    """``(c_tiles, a_rows, b_cols)`` of b x b tiles, a third of the
+    entries ``inf`` (the identity real solves feed in)."""
+    rng = np.random.default_rng([seed, nr, nc])
+
+    def tile():
+        t = rng.uniform(0.0, 10.0, (b, b))
+        if inf:
+            t[rng.uniform(size=(b, b)) < 0.3] = np.inf
+        return t.astype(dtype)
+
+    return (
+        [[tile() for _ in range(nc)] for _ in range(nr)],
+        [tile() for _ in range(nr)],
+        [tile() for _ in range(nc)],
+    )
+
+
+def _copy_tiles(c_tiles):
+    return [[c.copy() for c in c_row] for c_row in c_tiles]
+
+
+def _tile_loop(backend, c_tiles, a_rows, b_cols, semiring, phase):
+    """The per-tile loop a grid call stands for; returns fresh tiles."""
+    out = _copy_tiles(c_tiles)
+    entry = getattr(backend, GRID_PHASE_ENTRIES[phase])
+    for a, c_row in zip(a_rows, out):
+        for b, c in zip(b_cols, c_row):
+            entry(c, a, b, semiring=semiring)
+    return out
+
+
+def _assert_tiles_equal(got, want, msg):
+    assert len(got) == len(want), msg
+    for g_row, w_row in zip(got, want):
+        assert len(g_row) == len(w_row), msg
+        for g, w in zip(g_row, w_row):
+            np.testing.assert_array_equal(g, w, err_msg=msg)
+
+
+class _CallSpy:
+    """Counts calls through one backend entry (instance-level patch)."""
+
+    def __init__(self, monkeypatch, backend, entry):
+        self.calls = 0
+        inner = getattr(backend, entry)
+
+        def spy(*args, **kwargs):
+            self.calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(backend, entry, spy)
+
+
+class TestGridEntry:
+    @pytest.mark.parametrize("phase", GRID_PHASES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("sr_name", COMPILED_SEMIRINGS)
+    def test_grid_matches_per_tile_loop(self, sr_name, dtype, phase):
+        sr = SEMIRINGS[sr_name]
+        reference = get_backend("reference")
+        for nr, nc in GRID_SHAPES:
+            c_tiles, a_rows, b_cols = _grid(nr, nc, dtype)
+            want_ref = _tile_loop(reference, c_tiles, a_rows, b_cols, sr, phase)
+            for name, backend in available_backends().items():
+                msg = f"{name} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
+                got = _copy_tiles(c_tiles)
+                assert backend.srgemm_grid(got, a_rows, b_cols, semiring=sr, phase=phase) is got
+                # Unobservable: the bits of this backend's own tile loop...
+                _assert_tiles_equal(
+                    got, _tile_loop(backend, c_tiles, a_rows, b_cols, sr, phase), msg
+                )
+                # ...which for exact backends are the reference's bits.
+                if backend.rtol == 0.0:
+                    _assert_tiles_equal(got, want_ref, msg)
+
+    @pytest.mark.parametrize("nr,nc", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_grids_are_noops(self, nr, nc):
+        _, a_rows, b_cols = _grid(nr, nc)
+        c_tiles = [[] for _ in range(nr)]
+        for name, backend in available_backends().items():
+            assert backend.srgemm_grid(c_tiles, a_rows, b_cols) == c_tiles, name
+        reg = MetricsRegistry()
+        MeteredBackend(reg, get_backend("reference")).srgemm_grid(c_tiles, a_rows, b_cols)
+        assert not any(key.startswith("kernel.") for key in reg.flat())  # as the empty loop
+
+    def test_uncovered_semiring_takes_the_loop(self):
+        # plus_times is not compiled: only allclose, and only via the loop.
+        sr = SEMIRINGS["plus_times"]
+        c_tiles, a_rows, b_cols = _grid(2, 3, inf=False)
+        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, sr, "outer")
+        for name, backend in available_backends().items():
+            got = backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, semiring=sr)
+            for g_row, w_row in zip(got, want):
+                for g, w in zip(g_row, w_row):
+                    np.testing.assert_allclose(g, w, rtol=max(backend.rtol, 1e-12), err_msg=name)
+
+    def test_grid_structure_is_validated(self):
+        c_tiles, a_rows, b_cols = _grid(2, 3)
+        for name, backend in available_backends().items():
+            with pytest.raises(ValueError, match="tile rows"):
+                backend.srgemm_grid(c_tiles[:1], a_rows, b_cols)
+            with pytest.raises(ValueError, match="column operands"):
+                backend.srgemm_grid([row[:2] for row in c_tiles], a_rows, b_cols)
+            with pytest.raises(ValueError, match="unknown grid phase"):
+                backend.srgemm_grid(c_tiles, a_rows, b_cols, phase="fused")
+
+    def test_mismatched_tile_shape_raises_like_validate_accumulate(self):
+        c_tiles, a_rows, b_cols = _grid(2, 3)
+        c_tiles[1][2] = np.zeros((8, 7))
+        for name, backend in available_backends().items():
+            with pytest.raises(ValueError, match="accumulator shape"):
+                backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        c_tiles, a_rows, b_cols = _grid(2, 3)
+        b_cols[1] = np.zeros((7, 8))
+        for name, backend in available_backends().items():
+            with pytest.raises(ValueError, match="inner dimensions differ"):
+                backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+
+
+needs_cnative = pytest.mark.skipif(
+    "cnative" not in available_backends(), reason="no C compiler on PATH"
+)
+
+
+@needs_cnative
+class TestCNativeGridPaths:
+    """Which path ``cnative`` takes is decided by what it can observe
+    about the operands - and is never visible in the result."""
+
+    def _run(self, monkeypatch, c_tiles, a_rows, b_cols, phase="outer"):
+        """Grid call on cnative; returns (result tiles, per-tile calls)."""
+        backend = get_backend("cnative")
+        spy = _CallSpy(monkeypatch, backend, GRID_PHASE_ENTRIES[phase])
+        got = backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, phase=phase)
+        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
+        _assert_tiles_equal(got, want, "cnative grid")
+        return got, spy.calls
+
+    @pytest.mark.parametrize("phase", GRID_PHASES)
+    def test_uniform_contiguous_grid_is_one_native_call(self, monkeypatch, phase):
+        _, calls = self._run(monkeypatch, *_grid(3, 4), phase=phase)
+        assert calls == 0
+
+    def test_wrong_dtype_tile_falls_back(self, monkeypatch):
+        c_tiles, a_rows, b_cols = _grid(2, 3)
+        c_tiles[0][1] = c_tiles[0][1].astype(np.float32)
+        _, calls = self._run(monkeypatch, c_tiles, a_rows, b_cols)
+        assert calls == 6
+
+    def test_read_only_operand_falls_back(self, monkeypatch):
+        c_tiles, a_rows, b_cols = _grid(2, 3)
+        a_rows[1].setflags(write=False)
+        _, calls = self._run(monkeypatch, c_tiles, a_rows, b_cols)
+        assert calls == 6
+
+    def test_ragged_grid_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        heights, widths, k = (8, 5), (8, 3, 6), 8
+        a_rows = [rng.uniform(0, 10, (m, k)) for m in heights]
+        b_cols = [rng.uniform(0, 10, (k, n)) for n in widths]
+        c_tiles = [[rng.uniform(0, 10, (m, n)) for n in widths] for m in heights]
+        _, calls = self._run(monkeypatch, c_tiles, a_rows, b_cols)
+        assert calls == 6
+
+    def test_non_contiguous_tile_falls_back_and_writes_through(self, monkeypatch):
+        # Tiles that are views into one matrix: the column-sliced ones
+        # are strided, so the grid takes the loop - and the loop's staged
+        # copy must land back in the parent matrix.
+        c_tiles, a_rows, b_cols = _grid(2, 2)
+        parent = np.block(c_tiles)
+        views = [[parent[i * 8 : (i + 1) * 8, j * 8 : (j + 1) * 8] for j in range(2)]
+                 for i in range(2)]
+        assert not views[0][0].flags.c_contiguous
+        backend = get_backend("cnative")
+        spy = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        backend.srgemm_grid(views, a_rows, b_cols)
+        assert spy.calls == 4
+        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
+        np.testing.assert_array_equal(parent, np.block(want))
+
+    def test_async_solve_makes_no_per_tile_outer_calls(self, monkeypatch):
+        w = repro.graphs.uniform_random_dense(128, seed=12)
+        config = repro.SolveConfig(
+            variant="async", block_size=16, kernel_backend="cnative", n_nodes=2, ranks_per_node=2
+        )
+        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        backend = get_backend("cnative")
+        outer = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        grid = _CallSpy(monkeypatch, backend, "_native_grid")
+        got = repro.solve(w, config)
+        assert outer.calls == 0
+        # OuterUpdate + the two look-ahead strips, per rank per iteration.
+        assert grid.calls > 8
+        np.testing.assert_array_equal(got.dist, want.dist)
+        assert got.makespan == want.makespan
+
+
+@needs_cnative
+class TestCNativeKernelCache:
+    """``$REPRO_CNATIVE_CACHE`` may outlive a kernel text."""
+
+    TILE = "void srgemm_min_plus_f64(void) {}\n"  # a library without our symbols
+
+    def _build(self, source, lib_path):
+        src = lib_path.with_suffix(".c")
+        src.write_text(source)
+        subprocess.run(
+            [cnative_mod.find_c_compiler(), "-shared", "-fPIC", "-o", str(lib_path), str(src)],
+            check=True,
+        )
+
+    def _exact(self, backend):
+        c_tiles, a_rows, b_cols = _grid(2, 2)
+        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
+        _assert_tiles_equal(backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols), want, "")
+        _assert_tiles_equal(_tile_loop(backend, c_tiles, a_rows, b_cols, MIN_PLUS, "outer"), want, "")
+
+    def test_object_of_another_kernel_text_is_not_reused(self, tmp_path, monkeypatch):
+        # The name every earlier version cached under, holding a library
+        # that lacks srgemm_grid: reusing it was an AttributeError.
+        monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
+        self._build(self.TILE, tmp_path / "srgemm.so")
+        backend = CNativeBackend()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._exact(backend)
+        assert backend._kernels  # compiled its own object beside the stale one
+        assert len(list(tmp_path.glob("srgemm-*.so"))) == 1
+
+    def test_missing_symbol_degrades_to_tiled(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
+        self._build(self.TILE, tmp_path / f"srgemm-{cnative_mod._source_tag()}.so")
+        backend = CNativeBackend()
+        with pytest.warns(RuntimeWarning, match="lacks a symbol"):
+            self._exact(backend)
+        assert backend._kernels is False
+
+
+class TestGridWrapperComposition:
+    @staticmethod
+    def _counters(wrapped):
+        """Every counter the stack keeps, wall time aside."""
+        out = {}
+        layer = wrapped
+        while layer is not None:
+            if isinstance(layer, MeteredBackend):
+                out.update({k: v for k, v in layer.registry.flat().items()
+                            if k != "kernel.wall_seconds"})
+                assert layer.registry.flat().get("kernel.wall_seconds", 0.0) > 0.0
+            if isinstance(layer, ChecksummedBackend):
+                out.update({f"verify.{k}": v for k, v in layer.runtime.counters.items()})
+            layer = getattr(layer, "inner", None)
+        return out
+
+    @pytest.mark.parametrize("wrapper", ["checksummed", "metered", "stacked"])
+    @pytest.mark.parametrize("phase", GRID_PHASES)
+    def test_wrapped_grid_matches_wrapped_tile_loop(self, wrapper, phase):
+        c_tiles, a_rows, b_cols = _grid(3, 2, b=12)
+        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
+        for name, inner in available_backends().items():
+            if inner.rtol != 0.0:
+                continue
+            looped, gridded = _wrap(wrapper, inner), _wrap(wrapper, inner)
+            _assert_tiles_equal(
+                _tile_loop(looped, c_tiles, a_rows, b_cols, MIN_PLUS, phase), want, name
+            )
+            got = gridded.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, phase=phase)
+            _assert_tiles_equal(got, want, f"{wrapper}({name}).grid[{phase}]")
+            assert self._counters(gridded) == self._counters(looped), f"{wrapper}({name})"
+
+    def test_metered_grid_counts_tiles_in_phase_family(self):
+        reg = MetricsRegistry()
+        c_tiles, a_rows, b_cols = _grid(3, 2)
+        MeteredBackend(reg, get_backend("reference")).srgemm_grid(
+            c_tiles, a_rows, b_cols, phase="panel"
+        )
+        flat = reg.flat()
+        assert flat["kernel.srgemm.calls"] == 6
+        assert flat["kernel.srgemm_panel.calls"] == 6
+        assert flat["kernel.srgemm_panel.flops"] == 6 * 2.0 * 8 * 8 * 8
+        assert flat["kernel.flops"] == 6 * 2.0 * 8 * 8 * 8
+        assert "kernel.srgemm_outer.calls" not in flat
+
+    @needs_cnative
+    def test_metered_keeps_the_one_call_path_checksummed_does_not(self, monkeypatch):
+        inner = get_backend("cnative")
+        spy = _CallSpy(monkeypatch, inner, "srgemm_outer")
+        c_tiles, a_rows, b_cols = _grid(3, 2)
+        _wrap("metered", inner).srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        assert spy.calls == 0
+        # Checksums are per tile, so a verified grid is the guarded loop.
+        checked = _wrap("checksummed", inner)
+        checked.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        assert spy.calls == 6
+        assert checked.runtime.counters["ops_checked"] == 6
