@@ -13,9 +13,6 @@ Public API highlights
 - :mod:`repro.core` - blocked / baseline / pipelined / offload Floyd-Warshall.
 - :mod:`repro.machine` - Summit-like machine model.
 - :mod:`repro.perfmodel` - the paper's analytic performance models.
-
-The original keyword entry point :func:`repro.apsp` still works but is
-deprecated in favor of :func:`repro.solve`.
 """
 
 from .errors import (
@@ -51,8 +48,6 @@ __all__ = [
     "QueryServer",
     "save_artifact",
     "load_artifact",
-    # legacy entry point (deprecated)
-    "apsp",
     # errors
     "ArtifactError",
     "CheckpointError",
@@ -71,20 +66,6 @@ __all__ = [
 ]
 
 
-def _deprecated_apsp(*args, **kwargs):
-    """The pre-1.1 keyword entry point, now a shim over the engine."""
-    import warnings
-
-    warnings.warn(
-        "repro.apsp() is deprecated; use repro.solve(graph, repro.SolveConfig(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .core import apsp as _engine
-
-    return _engine(*args, **kwargs)
-
-
 def __getattr__(name):  # lazy imports keep `import repro` light
     if name in ("solve", "submit", "SolveConfig", "ObsSinks", "resolve_machine"):
         from . import api
@@ -100,8 +81,6 @@ def __getattr__(name):  # lazy imports keep `import repro` light
         import importlib
 
         return getattr(importlib.import_module(".serve", __name__), name)
-    if name == "apsp":
-        return _deprecated_apsp
     if name in ("ApspResult", "Variant"):
         from . import core
 

@@ -3,7 +3,7 @@
 The paper's motivation is analytics ("relationship mining problems
 become computing Apsp in a large and dense graph"); this module is the
 consumer side: metrics computed from a distance matrix (as returned by
-:func:`repro.apsp`), vectorized and oracle-tested against networkx.
+:func:`repro.solve`), vectorized and oracle-tested against networkx.
 
 All functions take the dense ``dist`` matrix (``inf`` = unreachable,
 zero diagonal) and treat the graph as directed unless noted.

@@ -30,9 +30,6 @@ Typical use::
                             ranks_per_node=4)
     result = repro.solve(w, cfg)
     print(result.makespan, result.report.summary())
-
-The legacy ``repro.apsp(...)`` keyword API keeps working behind a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -234,20 +231,23 @@ def solve(graph, config: Optional[SolveConfig] = None, **overrides):
     # Fail on unusable sinks in milliseconds, not after the solve.
     config.obs.validate()
 
-    from .core.driver import apsp as _engine
-    from .core.grid import ProcessGrid
-
-    grid = None
-    if config.grid is not None:
-        pr, pc = config.grid
-        grid = ProcessGrid(pr, pc)
+    from .core.driver import plan_from_config, run_private
 
     # Anything that escapes the engine without being a ReproError is a
     # bug, not a modeled failure: wrap it in InternalError (distinct
     # exit code 14) carrying the offending config as replayable
     # scenario JSON.  The fuzzer and real users share this path.
     try:
-        result = _solve_engine(_engine, graph, config, grid)
+        machine = resolve_machine(config.machine)
+        result = run_private(
+            plan_from_config(graph, config, machine),
+            machine,
+            dim_scale=config.dim_scale,
+            trace=config.trace or config.obs.trace_out is not None,
+            stragglers=dict(config.stragglers) if config.stragglers else None,
+            metrics=config.obs.enabled,
+        )
+        _write_sinks(config, result)
     except ReproError:
         raise
     except Exception as exc:
@@ -255,38 +255,7 @@ def solve(graph, config: Optional[SolveConfig] = None, **overrides):
     return result
 
 
-def _solve_engine(_engine, graph, config: SolveConfig, grid):
-    result = _engine(
-        graph,
-        variant=config.variant,
-        block_size=config.block_size,
-        machine=resolve_machine(config.machine),
-        n_nodes=config.n_nodes,
-        ranks_per_node=config.ranks_per_node,
-        grid=grid,
-        dim_scale=config.dim_scale,
-        diag_on_gpu=config.diag_on_gpu,
-        n_streams=config.n_streams,
-        ring_segments=config.ring_segments,
-        mx_blocks=config.mx_blocks,
-        nx_blocks=config.nx_blocks,
-        collect_result=config.collect,
-        validate=config.validate,
-        trace=config.trace or config.obs.trace_out is not None,
-        check_negative_cycles=config.check_negative_cycles,
-        compute_numerics=config.compute_numerics,
-        stragglers=dict(config.stragglers) if config.stragglers else None,
-        track_paths=config.track_paths,
-        exploit_sparsity=config.exploit_sparsity,
-        kernel_backend=config.kernel_backend,
-        fault_plan=config.fault_plan,
-        checkpoint_interval=config.checkpoint_interval,
-        recv_timeout=config.recv_timeout,
-        fault_seed=config.fault_seed,
-        verify=config.verify,
-        metrics=config.obs.enabled,
-    )
-
+def _write_sinks(config: SolveConfig, result) -> None:
     if config.obs.metrics_out is not None:
         payload = {"run": _run_header(result.report)}
         payload.update(result.metrics.as_dict())
@@ -301,7 +270,6 @@ def _solve_engine(_engine, graph, config: SolveConfig, grid):
             run_name=f"repro {result.report.variant} "
             f"n={result.report.n_virtual:g} b={result.report.block_size}",
         )
-    return result
 
 
 def serve(source, config=None, **kwargs):

@@ -3,7 +3,7 @@
 In-memory, single process, vectorized.  This is simultaneously:
 
 * the oracle every distributed variant is verified against,
-* the single-rank fast path of the public :func:`repro.apsp` API, and
+* the single-rank fast path of the public :func:`repro.solve` API, and
 * the reference structure (DiagUpdate / PanelUpdate / MinPlus outer
   product) that the distributed rank programs mirror step for step.
 

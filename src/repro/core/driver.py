@@ -1,27 +1,30 @@
-"""The public entry point: run a distributed APSP on the simulated cluster.
+"""The solve engine: plan, supervise and assemble one distributed APSP.
 
-:func:`apsp` assembles the whole stack - cluster, MPI world, process
-grid, placement, rank programs - runs the discrete-event simulation,
-gathers the distance matrix, and returns it together with a
-:class:`~repro.core.report.PerfReport`.
+Every solve - ``repro.solve``, the keyword engine :func:`apsp`, and each
+job of the multi-tenant scheduler (:mod:`repro.sched`) - goes through
+the same stages:
 
-The pipeline is factored into reusable stages so the multi-tenant
-scheduler (:mod:`repro.sched`) can drive the same machinery over a
-*shared* simulated machine:
-
-* :func:`plan_run` - pure planning: validate arguments, resolve grid /
-  placement / block size / variant config / fault plan into a
-  :class:`RunPlan` (no simulation objects touched);
+* :func:`plan_run` (:func:`plan_from_config` from a ``SolveConfig``) -
+  pure planning: validate arguments, resolve grid / placement / block
+  size / variant config / fault plan into a :class:`RunPlan` (no
+  simulation objects touched);
 * :class:`MachineHandles` - the simulated machine (environment,
-  cluster, cost model, tracer).  :func:`apsp` constructs a private one
-  by default but accepts injected handles, which is how N concurrent
-  jobs share one cluster;
+  cluster, cost model, tracer): private to one solve, or one set
+  shared by N concurrent jobs;
+* :func:`run_solve` - the one supervisor, a generator: open the context
+  (:func:`open_solve`), run the epoch/recovery loop, assemble the
+  result, release the memory charges.  What differs between a private
+  machine and a shared one is only how the solve *waits on its world*
+  (:class:`SolveWorld`); :func:`run_private` pumps the generator with
+  ``env.run``, the scheduler's runner ``yield from``s it as a process;
 * :func:`make_state_builders` - the per-rank state construction and
   HBM/DRAM accounting closures;
 * :func:`build_result` - collection, validation, report and
   certificate assembly after the simulated run.
 
-Typical use::
+Typical use (through the public API this is
+``repro.solve(w, repro.SolveConfig(...))``; ``result.save(path)`` then
+persists the solve as a serving artifact - see :mod:`repro.serve`)::
 
     from repro.core import apsp
     from repro.graphs import uniform_random_dense
@@ -30,11 +33,6 @@ Typical use::
     result = apsp(w, block_size=32, variant="async", n_nodes=4,
                   ranks_per_node=4)
     print(result.report.summary())
-    dist = result.dist
-
-(Through the public API this is ``repro.solve(w, repro.SolveConfig(...))``;
-``result.save(path)`` then persists the solve as a serving artifact -
-see :mod:`repro.serve`.)
 """
 
 from __future__ import annotations
@@ -82,11 +80,15 @@ __all__ = [
     "ApspResult",
     "MachineHandles",
     "RunPlan",
+    "SolveWorld",
     "apsp",
     "build_result",
     "make_state_builders",
     "placement_for_variant",
+    "plan_from_config",
     "plan_run",
+    "run_private",
+    "run_solve",
     "default_block_size",
 ]
 
@@ -372,6 +374,35 @@ def plan_run(
     )
 
 
+#: SolveConfig fields that plan_run takes under the same name.
+_PLAN_FIELDS = (
+    "variant", "block_size", "n_nodes", "ranks_per_node", "diag_on_gpu",
+    "n_streams", "ring_segments", "mx_blocks", "nx_blocks", "validate",
+    "check_negative_cycles", "compute_numerics", "track_paths",
+    "exploit_sparsity", "kernel_backend", "fault_plan", "checkpoint_interval",
+    "recv_timeout", "fault_seed", "verify",
+)
+
+
+def plan_from_config(weights, config, machine: MachineSpec) -> RunPlan:
+    """The one :class:`~repro.api.SolveConfig` -> :class:`RunPlan`
+    mapping, shared by ``repro.solve`` and the cluster scheduler
+    (``submit`` and the resilience re-plan ladder) so both plan - and
+    price - a config identically.  ``machine`` is the resolved
+    :class:`~repro.machine.spec.MachineSpec` (the fleet's, for a job)."""
+    grid = None
+    if config.grid is not None:
+        pr, pc = config.grid
+        grid = ProcessGrid(pr, pc)
+    return plan_run(
+        weights,
+        machine=machine,
+        grid=grid,
+        collect_result=config.collect,
+        **{name: getattr(config, name) for name in _PLAN_FIELDS},
+    )
+
+
 def make_state_builders(
     ctx: FwContext, rp: RunPlan
 ) -> tuple[Callable, Callable]:
@@ -446,14 +477,12 @@ def build_result(
     states: list[RankState],
     elapsed: float,
     run_config: SolverConfig,
-    *,
-    obs=None,
-    injector=None,
-    tracer: Optional[Tracer] = None,
 ) -> ApspResult:
     """Assemble the :class:`ApspResult` of a completed simulated run:
     gather + negative-cycle check, oracle validation, PerfReport,
     verification certificate and the finalized metrics catalog."""
+    obs, tracer = ctx.obs, ctx.tracer
+    injector = None if ctx.faults is None else ctx.faults.injector
     config = rp.config
     semiring = rp.semiring
     dist = None
@@ -562,7 +591,6 @@ def apsp(
     fault_seed: int = 0,
     verify: str = "off",
     metrics: bool = False,
-    handles: Optional[MachineHandles] = None,
 ) -> ApspResult:
     """Solve all-pairs shortest paths on the simulated cluster.
 
@@ -639,12 +667,6 @@ def apsp(
         instrumentation hook on its zero-cost path; on, the hooks only
         read simulated clocks and operand shapes, so makespans are
         identical either way.
-    handles:
-        Injected :class:`MachineHandles` (shared simulated machine).
-        ``None`` (the default) constructs a private machine, which is
-        the historical single-job behavior.  Injected handles must span
-        at least ``n_nodes`` nodes; ``dim_scale``/``trace`` are then
-        governed by the handles, not these arguments.
 
     Raises
     ------
@@ -681,121 +703,200 @@ def apsp(
         fault_seed=fault_seed,
         verify=verify,
     )
+    return run_private(rp, machine, dim_scale=dim_scale, trace=trace,
+                       stragglers=stragglers, metrics=metrics)
 
-    if handles is None:
-        handles = MachineHandles.create(machine, n_nodes, dim_scale=dim_scale, trace=trace)
-    elif len(handles.cluster) < n_nodes:
-        raise ConfigurationError(
-            f"injected machine has {len(handles.cluster)} nodes; run needs {n_nodes}"
-        )
-    env = handles.env
-    cluster = handles.cluster
-    cost = handles.cost
-    tracer = handles.tracer
+
+def run_private(rp: RunPlan, machine: MachineSpec, *, dim_scale: float = 1.0,
+                trace: bool = False, stragglers: Optional[dict[int, float]] = None,
+                metrics: bool = False) -> ApspResult:
+    """Run a planned solve to completion on a machine of its own: pump
+    :func:`run_solve`, mapping each yielded wait - ``None`` (drain the
+    heap) or an event (run until it is processed) - to ``env.run``.  No
+    extra process and no extra event, so the simulation is
+    event-for-event the rank programs' own."""
+    handles = MachineHandles.create(machine, rp.n_nodes, dim_scale=dim_scale, trace=trace)
     if stragglers:
-        cluster.set_stragglers(stragglers)
-    n_ranks = rp.n_ranks
-    mpi = SimMPI(env, cluster, [rp.placement.node_of(r) for r in range(n_ranks)],
-                 tracer)
-    ctx = FwContext(env, cluster, mpi, rp.grid, rp.placement, rp.config, rp.nb,
-                    tracer)
-    config = rp.config
-    if config.verify != "off":
+        handles.cluster.set_stragglers(stragglers)
+    supervisor = run_solve(SolveWorld(handles), rp, metrics=metrics)
+    try:
+        wait = next(supervisor)
+        while True:
+            handles.env.run(until=wait)
+            wait = next(supervisor)
+    except StopIteration as stop:
+        return stop.value
+
+
+class SolveWorld:
+    """How a solve waits on its world - the one thing ``repro.solve``
+    and the fleet runner genuinely do differently.
+
+    This default is the **private heap**: the solve owns every event,
+    so "the epoch is over" and "the interrupts have landed" both mean
+    *the heap is drained* (a yielded ``None``), after which ranks still
+    without a status are blocked on a dead peer and get interrupted.
+    Draining also runs into the not-yet-due watchdog of a later crash
+    and consumes it (docs/FAULTS.md).  On a shared heap other jobs own
+    events too: :class:`repro.sched.runner.FleetWorld` waits on events
+    and carries the job bookkeeping.  Which applies follows from who
+    built the machine, never from a config field.
+    """
+
+    #: Logical->physical node remap (fleet resilience); None = identity.
+    node_map = None
+    #: The solve's FaultRuntime.  Preset = resume a previous attempt's
+    #: (fleet retries); open_solve leaves the one it armed here.
+    faults_rt = None
+    #: The exception a kill from outside (a fleet deadline) left behind;
+    #: raised at the next epoch boundary.
+    killed = None
+
+    def __init__(self, handles: MachineHandles):
+        self.env = handles.env
+        self.cluster = handles.cluster
+        self.tracer = handles.tracer
+
+    def wait_epoch(self, procs: list, status: dict):
+        """Generator: return once every just-spawned rank has a status."""
+        yield None
+        # Ranks deadlocked on a peer that died (no recv_timeout armed)
+        # never reach a status; declare them failed and drain again.
+        stuck = [p for p in procs if p.is_alive]
+        for p in stuck:
+            p.interrupt(RankFailure("rank stalled after peer failure"))
+        if stuck:
+            yield None
+
+    def rank_settled(self, rank: int) -> None:
+        """``rank`` just recorded its status (called from its process)."""
+
+    def epoch_over(self) -> bool:
+        """A waking crash watchdog asks: has my epoch already ended?"""
+        return False
+
+    def settle(self):
+        """Generator: return once the teardown's interrupts have landed."""
+        yield None
+
+    def epoch_failed(self, failures: dict, restarts: int) -> None:
+        """An epoch ended with ``failures`` (``restarts`` so far)."""
+
+
+def open_solve(world: SolveWorld, rp: RunPlan, metrics: bool = False):
+    """Open the per-solve context on ``world``'s machine: a private MPI
+    world and :class:`FwContext`, then - in this order - the ABFT
+    backend, the metering backend (``ctx.obs``) and the fault injector /
+    :class:`~repro.faults.FaultRuntime` (``ctx.faults``)."""
+    env, tracer = world.env, world.tracer
+    nodes = [rp.placement.node_of(r) for r in range(rp.n_ranks)]
+    if world.node_map is not None:
+        # Resilience remap: the attempt runs on healthy physical nodes,
+        # not the (possibly quarantined) ones the placement names.
+        nodes = [world.node_map[n] for n in nodes]
+    mpi = SimMPI(env, world.cluster, nodes, tracer)
+    ctx = FwContext(env, world.cluster, mpi, rp.grid, rp.placement, rp.config,
+                    rp.nb, tracer)
+    ctx.node_map = world.node_map
+    if rp.config.verify != "off":
         from ..verify import ChecksummedBackend, VerifyRuntime
 
         ctx.verify = VerifyRuntime(
-            config.verify, ctx.backend, semiring=semiring, seed=fault_seed
+            rp.config.verify, ctx.backend, semiring=rp.semiring, seed=rp.fault_seed
         )
         ctx.backend = ChecksummedBackend(ctx.verify)
-    obs = None
     if metrics:
         from ..obs import MeteredBackend, MetricsRegistry
 
-        obs = MetricsRegistry()
-        ctx.obs = obs
-        mpi.obs = obs
+        ctx.obs = mpi.obs = obs = MetricsRegistry()
         # Outermost wrapper: meter exactly what the run executes
         # (including checksummed kernels); preserves modeled_cost_scale,
         # so kernel durations - and makespans - are unchanged.
         ctx.backend = MeteredBackend(obs, ctx.backend)
-    plan = rp.plan
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan, tracer)
+    if rp.plan is not None:
+        if world.faults_rt is None:
+            world.faults_rt = FaultRuntime(FaultInjector(rp.plan), CheckpointStore())
+        # A preset runtime is a retry attempt: it carries the injector
+        # (one-shot fault state - an nth-match or OOM that already fired
+        # must not fire again) and the checkpoint store to resume from.
+        ctx.faults = world.faults_rt
+        injector = ctx.faults.injector
+        injector.tracer = tracer
+        # Fault isolation: the injector arms this solve's transport
+        # only, so on a shared cluster a NIC-degradation window or a
+        # message fault can never leak into a concurrent job's traffic.
         injector.attach(mpi)
         mpi.injector = injector
-        cluster.injector = injector
-        ctx.faults = FaultRuntime(injector, CheckpointStore())
+    return ctx
 
+
+def run_solve(world: SolveWorld, rp: RunPlan, *, metrics: bool = False):
+    """Generator, the one solve supervisor: open the context,
+    distribute, run the epoch loop, assemble the :class:`ApspResult`,
+    release the HBM/DRAM charges.  :func:`run_private` pumps it on a
+    private heap; :func:`repro.sched.runner.job_process` ``yield
+    from``s it as a process on the shared one."""
+    ctx = open_solve(world, rp, metrics)
     rp.distribute()
-    locals_ = rp.locals_
-    nxt_locals = rp.nxt_locals
-
     build_states, teardown_states = make_state_builders(ctx, rp)
-
-    run_config = config
-    if ctx.faults is None:
-        states = build_states(config, locals_, nxt_locals)
-        program = program_for_config(config)
-        procs = [env.process(program(state), name=f"rank{state.me}") for state in states]
-        env.run()
-        for p in procs:
-            if not p.processed or not p.ok:  # pragma: no cover - defensive
-                raise RuntimeError(f"rank program {p.name} did not complete cleanly")
-        elapsed = env.now
-    else:
-        states, elapsed, run_config = _run_with_recovery(
-            ctx, plan, injector, config, locals_, nxt_locals,
-            build_states, teardown_states, program_for_config,
-        )
-
-    return build_result(
-        ctx, rp, states, elapsed, run_config,
-        obs=obs, injector=injector, tracer=tracer,
-    )
+    started = world.env.now
+    states, end, run_config = yield from _epoch_loop(world, ctx, rp, build_states, teardown_states)
+    try:
+        return build_result(ctx, rp, states, end - started, run_config)
+    finally:
+        teardown_states(states)
 
 
-def _run_with_recovery(
-    ctx: FwContext,
-    plan: FaultPlan,
-    injector: FaultInjector,
-    config: SolverConfig,
-    locals_,
-    nxt_locals,
-    build_states,
-    teardown_states,
-    program_for,
-):
-    """Epoch loop of a fault-armed run.
+def _epoch_error(failures: dict) -> Optional[BaseException]:
+    """What a finally-failed world raises, most specific first (None
+    when every failure is a lost, i.e. interrupted, rank)."""
+    for st in failures.values():
+        if isinstance(st[1], (SilentCorruptionError, CommTimeoutError, GpuOutOfMemory)):
+            return st[1]
+    for st in failures.values():
+        if st[0] == "error":
+            return st[1]
+    return None
+
+
+def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
+                build_states, teardown_states):
+    """The epoch/recovery loop (a generator; ``world`` supplies the waits).
 
     Spawns every rank program under a supervisor, detects rank
     failures - injected crashes (delivered by watchdog processes as
     :class:`~repro.sim.engine.Interrupt`), exhausted receive retries,
-    mid-solve :class:`~repro.errors.GpuOutOfMemory`, and worlds that
-    deadlocked because a dead peer will never send - and restarts the
-    world from the newest *consistent* checkpoint (one every rank
-    crossed) until the sweep completes or ``plan.max_restarts`` is
-    spent.  Replay is bit-exact: the simulation kernel is
-    deterministic and the tropical updates recompute identical minima
-    from identical operands (see docs/FAULTS.md).
+    mid-solve :class:`~repro.errors.GpuOutOfMemory`, silent corruption,
+    and worlds that deadlocked because a dead peer will never send -
+    and restarts the world from the newest *consistent* checkpoint (one
+    every rank crossed) until the sweep completes or
+    ``plan.max_restarts`` is spent.  Replay is bit-exact: the
+    simulation kernel is deterministic and the tropical updates
+    recompute identical minima from identical operands (see
+    docs/FAULTS.md).  An unarmed run (``rp.plan is None``) is the same
+    loop with no snapshot and no watchdogs; its first failure is final.
 
-    Returns ``(states, elapsed, run_config)`` where ``elapsed`` is the
-    latest *rank completion* time - stale watchdog/receive-deadline
-    timers may push ``env.now`` past the real makespan - and
-    ``run_config`` differs from ``config`` only after OOM degradation
-    to the offload variant.
+    Returns ``(states, end, run_config)`` where ``end`` is the latest
+    *rank completion* time - stale watchdog/receive-deadline timers may
+    push ``env.now`` past the real makespan - and ``run_config`` differs
+    from ``rp.config`` only after OOM degradation to the offload variant.
     """
     env = ctx.env
-    n_ranks = ctx.mpi.size
+    plan = rp.plan
+    config = rp.config
+    n_ranks = rp.n_ranks
     rt = ctx.faults
-    store = rt.store
+    injector = None if rt is None else rt.injector
     track_paths = config.track_paths
+    locals_, nxt_locals = rp.locals_, rp.nxt_locals
 
-    # Free initial snapshot (pre-run, so no time is charged): restart
-    # is possible even before the first periodic checkpoint.
-    for r in range(n_ranks):
-        store.save(0, r, locals_[r], None if nxt_locals is None else nxt_locals[r])
-        rt.last_saved[r] = 0
+    resumed = rt is not None and rt.resumed
+    if rt is not None and not resumed:
+        # Free initial snapshot (pre-run, so no time is charged): restart
+        # is possible even before the first periodic checkpoint.
+        for r in range(n_ranks):
+            rt.store.save(0, r, locals_[r], None if nxt_locals is None else nxt_locals[r])
+            rt.last_saved[r] = 0
 
     run_config = config
     fired_crashes: set[int] = set()
@@ -803,139 +904,160 @@ def _run_with_recovery(
     while True:
         if ctx.verify is not None:
             ctx.verify.begin_epoch()
-        start_k = rt.start_k
-        if restarts == 0:
+        start_k = 0 if rt is None else rt.start_k
+        if restarts == 0 and not resumed:
             blocks_by_rank = locals_
             nxt_by_rank = nxt_locals
         else:
-            blocks_by_rank = [store.restore(start_k, r) for r in range(n_ranks)]
+            blocks_by_rank = [rt.store.restore(start_k, r) for r in range(n_ranks)]
             nxt_by_rank = (
-                [store.restore_nxt(start_k, r) for r in range(n_ranks)]
+                [rt.store.restore_nxt(start_k, r) for r in range(n_ranks)]
                 if track_paths
                 else None
             )
         try:
             states = build_states(run_config, blocks_by_rank, nxt_by_rank)
         except GpuOutOfMemory as oom_exc:
-            if run_config.offload or not plan.oom_degrade:
+            if plan is None or run_config.offload or not plan.oom_degrade:
                 raise
             run_config = _degrade_to_offload(ctx, injector, config, oom_exc)
             states = build_states(run_config, blocks_by_rank, nxt_by_rank)
-        for state in states:
-            factor = injector.compute_factor(state.me)
-            if factor != 1.0:
-                state.gpu.compute_multiplier = max(state.gpu.compute_multiplier, factor)
+        try:
+            if injector is not None:
+                for state in states:
+                    factor = injector.compute_factor(state.me)
+                    if factor != 1.0:
+                        state.gpu.compute_multiplier = max(
+                            state.gpu.compute_multiplier, factor
+                        )
 
-        program = program_for(run_config)
-        status: dict[int, tuple[str, object]] = {}
+            program = program_for_config(run_config)
+            status: dict[int, tuple[str, object]] = {}
 
-        def supervised(state, start_k=start_k, program=program, status=status):
-            try:
-                yield from program(state, start_k=start_k)
-                status[state.me] = ("done", env.now)
-            except Interrupt as exc:
-                status[state.me] = ("crashed", exc)
-            except CommTimeoutError as exc:
-                status[state.me] = ("timeout", exc)
-            except GpuOutOfMemory as exc:
-                status[state.me] = ("oom", exc)
-            except SilentCorruptionError as exc:
-                status[state.me] = ("sdc", exc)
+            def supervised(state, start_k=start_k, program=program, status=status):
+                try:
+                    yield from program(state, start_k=start_k)
+                    status[state.me] = ("done", env.now)
+                except Interrupt as exc:
+                    status[state.me] = ("crashed", exc)
+                except CommTimeoutError as exc:
+                    status[state.me] = ("timeout", exc)
+                except GpuOutOfMemory as exc:
+                    status[state.me] = ("oom", exc)
+                except SilentCorruptionError as exc:
+                    status[state.me] = ("sdc", exc)
+                except Exception as exc:  # noqa: BLE001 - isolation: a bug is a status too
+                    status[state.me] = ("error", exc)
+                world.rank_settled(state.me)
 
-        procs = [env.process(supervised(state), name=f"rank{state.me}") for state in states]
+            procs = [
+                env.process(supervised(state), name=f"rank{state.me}") for state in states
+            ]
 
-        def crash_watchdog(idx, crash, proc):
-            if crash.at > env.now:
-                yield env.timeout(crash.at - env.now)
-            fired_crashes.add(idx)
-            if proc.is_alive:
-                injector.count("faults.crashes")
-                proc.interrupt(
-                    RankFailure(
-                        f"rank {crash.rank} lost at t={env.now:.6g}",
-                        rank=crash.rank,
-                        at=env.now,
+            def crash_watchdog(idx, crash, proc):
+                if crash.at > env.now:
+                    yield env.timeout(crash.at - env.now)
+                if world.epoch_over():
+                    return
+                fired_crashes.add(idx)
+                if proc.is_alive:
+                    injector.count("faults.crashes")
+                    proc.interrupt(
+                        RankFailure(
+                            f"rank {crash.rank} lost at t={env.now:.6g}",
+                            rank=crash.rank,
+                            at=env.now,
+                        )
                     )
+
+            watchdogs = []
+            for idx, crash in enumerate(plan.crashes if plan is not None else ()):
+                if idx in fired_crashes or crash.at < env.now:
+                    continue
+                watchdogs.append(
+                    env.process(crash_watchdog(idx, crash, procs[crash.rank]),
+                                name=f"crash@r{crash.rank}")
                 )
 
-        watchdogs = []
-        for idx, crash in enumerate(plan.crashes):
-            if idx in fired_crashes or crash.at < env.now:
-                continue
-            watchdogs.append(
-                env.process(crash_watchdog(idx, crash, procs[crash.rank]),
-                            name=f"crash@r{crash.rank}")
-            )
+            def kill_strays():
+                # Kill watchdogs and stray async relays of the dead epoch;
+                # defuse so their Interrupt failures don't abort env.run().
+                for wd in watchdogs:
+                    if wd.is_alive:
+                        wd.defuse()
+                        wd.interrupt()
+                for state in states:
+                    for ev in state.pending:
+                        if getattr(ev, "is_alive", False):
+                            ev.defuse()
+                            ev.interrupt()
 
-        env.run()
-        # Ranks deadlocked on a peer that died (no recv_timeout armed)
-        # never reach a status; declare them failed and drain again.
-        stuck = [p for state, p in zip(states, procs) if state.me not in status]
-        for p in stuck:
-            if p.is_alive:
-                p.interrupt(RankFailure("rank stalled after peer failure"))
-        if stuck:
-            env.run()
+            yield from world.wait_epoch(procs, status)
 
-        if len(status) == n_ranks and all(st[0] == "done" for st in status.values()):
-            return states, max(st[1] for st in status.values()), run_config
+            if world.killed is not None:
+                kill_strays()
+                raise world.killed
 
-        # ---- failure: tear the epoch down and restart -------------------
-        restarts += 1
-        failures = {r: st for r, st in status.items() if st[0] != "done"}
-        if restarts > plan.max_restarts:
-            for st in failures.values():
-                if isinstance(st[1], (SilentCorruptionError, CommTimeoutError, GpuOutOfMemory)):
-                    raise st[1]
-            raise RankFailure(
-                f"world failed {restarts} times (restart budget {plan.max_restarts}); "
-                f"failed ranks: {sorted(failures)}"
-            )
-        injector.count("faults.restarts")
+            if len(status) == n_ranks and all(st[0] == "done" for st in status.values()):
+                return states, max(st[1] for st in status.values()), run_config
 
-        oom_failures = [st[1] for st in failures.values() if st[0] == "oom"]
-        if oom_failures and not run_config.offload:
-            if not plan.oom_degrade:
-                raise oom_failures[0]
-            run_config = _degrade_to_offload(ctx, injector, config, oom_failures[0])
+            # ---- failure: tear the epoch down and restart -------------------
+            failures = {r: st for r, st in status.items() if st[0] != "done"}
+            if plan is not None:
+                restarts += 1
+            world.epoch_failed(failures, restarts)
+            if plan is None or restarts > plan.max_restarts:
+                exc = _epoch_error(failures)
+                if exc is not None:
+                    raise exc
+                if plan is None:  # pragma: no cover - defensive
+                    # No fault was injected, yet ranks had to be
+                    # interrupted: a deadlocked schedule, i.e. a bug.
+                    raise RuntimeError(
+                        f"rank programs {sorted(failures)} did not complete cleanly"
+                    )
+                raise RankFailure(
+                    f"world failed {restarts} times (restart budget {plan.max_restarts}); "
+                    f"failed ranks: {sorted(failures)}"
+                )
+            injector.count("faults.restarts")
 
-        # Kill watchdogs and stray async relays of the dead epoch;
-        # defuse so their Interrupt failures don't abort env.run().
-        for wd in watchdogs:
-            if wd.is_alive:
-                wd.defuse()
-                wd.interrupt()
-        for state in states:
-            for ev in state.pending:
-                if getattr(ev, "is_alive", False):
-                    ev.defuse()
-                    ev.interrupt()
-        env.run()
+            oom_failures = [st[1] for st in failures.values() if st[0] == "oom"]
+            if oom_failures and not run_config.offload:
+                if not plan.oom_degrade:
+                    raise oom_failures[0]
+                run_config = _degrade_to_offload(ctx, injector, config, oom_failures[0])
 
-        k0 = store.consistent_k(n_ranks)
-        if store.crc_rejections:
-            injector.counters["faults.crc_rejections"] = float(store.crc_rejections)
-        if k0 is None:  # pragma: no cover - the k=0 snapshot always exists
-            raise CheckpointError("no consistent checkpoint to restart from")
-        progress = max((state.cur_k for state in states), default=-1)
-        injector.count("faults.replayed_iters", max(0, progress - k0))
-        teardown_states(states)
-        injector.reset_world()
-        rt.start_k = k0
-        for r in range(n_ranks):
-            rt.last_saved[r] = max(rt.last_saved.get(r, 0), k0)
-        # Charge the restore: each rank reads its snapshot back from the
-        # host-side store in parallel, so the slowest read gates restart.
-        restore_cost = 0.0
-        for state in states:
-            rows = len(state.local_rows())
-            cols = len(state.local_cols())
-            dur = ctx.cost.checkpoint_time(rows * ctx.b, cols * ctx.b)
-            if track_paths:
-                dur *= 3
-            restore_cost = max(restore_cost, dur)
-        env.run(until=env.timeout(restore_cost))
-        injector.count("faults.restore_time", restore_cost)
+            kill_strays()
+            yield from world.settle()
+
+            k0 = rt.store.consistent_k(n_ranks)
+            if rt.store.crc_rejections:
+                injector.counters["faults.crc_rejections"] = float(rt.store.crc_rejections)
+            if k0 is None:  # pragma: no cover - the k=0 snapshot always exists
+                raise CheckpointError("no consistent checkpoint to restart from")
+            progress = max((state.cur_k for state in states), default=-1)
+            injector.count("faults.replayed_iters", max(0, progress - k0))
+            teardown_states(states)
+            injector.reset_world()
+            rt.start_k = k0
+            for r in range(n_ranks):
+                rt.last_saved[r] = max(rt.last_saved.get(r, 0), k0)
+            # Charge the restore: each rank reads its snapshot back from the
+            # host-side store in parallel, so the slowest read gates restart.
+            restore_cost = 0.0
+            for state in states:
+                rows = len(state.local_rows())
+                cols = len(state.local_cols())
+                dur = ctx.cost.checkpoint_time(rows * ctx.b, cols * ctx.b)
+                if track_paths:
+                    dur *= 3
+                restore_cost = max(restore_cost, dur)
+            yield env.timeout(restore_cost)
+            injector.count("faults.restore_time", restore_cost)
+        except BaseException:
+            teardown_states(states)  # idempotent: release whatever is still charged
+            raise
 
 
 def _degrade_to_offload(

@@ -7,7 +7,7 @@ Two complementary tools:
 * :func:`next_hop_from_distances` / :func:`reconstruct_path` - rebuild
   next-hops from *any* valid distance matrix plus the weights.  This is
   the piece that composes with the distributed solver: run
-  :func:`repro.apsp` for the distances, then generate paths locally
+  :func:`repro.solve` for the distances, then generate paths locally
   without having had to carry parent matrices through the cluster.
 """
 

@@ -87,10 +87,6 @@ class SimCluster:
         self.cost = cost if cost is not None else CostModel(machine)
         self.tracer = tracer
         self.nodes = [SimNode(env, machine, self.cost, i, tracer) for i in range(n_nodes)]
-        #: Armed by the driver with a
-        #: :class:`~repro.faults.injector.FaultInjector`; None keeps
-        #: transfers on the zero-overhead path.
-        self.injector = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -109,13 +105,11 @@ class SimCluster:
         MPI layer) then enqueues it at the destination rank.  Returns
         the simulated transfer duration (excluding queueing).
 
-        ``injector`` scopes NIC-degradation windows to the calling
-        job's fault injector; when omitted, the cluster-wide injector
-        (armed by the single-job driver) applies.
+        ``injector`` is the calling solve's fault injector (None when
+        unarmed): NIC-degradation windows apply to that solve's traffic
+        only, never to a concurrent job's.
         """
         node = self.nodes[src_node]
-        if injector is None:
-            injector = self.injector
         if src_node == dst_node:
             channel = node.intra_channel
             duration = self.cost.intranode_transfer_time(nbytes_virtual)

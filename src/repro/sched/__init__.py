@@ -2,7 +2,8 @@
 
 The one-job engine (:func:`repro.solve` / :func:`repro.core.driver.apsp`)
 solves a single APSP on a private simulated machine.  This subpackage
-turns the same machinery into a *shared-cluster job runtime*: a
+runs the same supervisor (:func:`repro.core.driver.run_solve`) as a
+*shared-cluster job runtime*: a
 :class:`ClusterScheduler` owns one simulated machine, admits first-class
 :class:`~repro.sched.job.Job` objects against perf-model capacity
 predictions, arbitrates contended GPUs and NICs by priority-weighted

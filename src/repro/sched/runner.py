@@ -1,11 +1,11 @@
-"""The per-job runtime: one coroutine that runs a whole solve.
+"""The per-job runtime: one solve as a process on the shared heap.
 
-:func:`job_process` is the scheduled-world counterpart of the driver's
-``apsp()`` body and ``_run_with_recovery`` epoch loop, rewritten as a
-*process on the shared environment*: it can never call ``env.run()``
-(other jobs own events on the same heap), so epoch completion is an
-event all supervised rank programs count down on, and world-failure
-detection uses a grace timer instead of heap exhaustion.
+:func:`job_process` runs the same supervisor as ``repro.solve`` -
+:func:`repro.core.driver.run_solve` - and only swaps in how the solve
+*waits on its world* (:class:`FleetWorld`): a job can never call
+``env.run()`` (other jobs own events on the same heap), so epoch
+completion is an event all supervised rank programs count down on, and
+world-failure detection uses a grace timer instead of heap exhaustion.
 
 Isolation contract (pinned by ``tests/test_sched.py``):
 
@@ -14,8 +14,7 @@ Isolation contract (pinned by ``tests/test_sched.py``):
   bugs, becomes a per-rank status, never an unhandled process failure
   that would abort the fleet's ``env.run()``;
 * a job's :class:`~repro.faults.FaultInjector` is attached to the
-  job's private :class:`~repro.mpi.comm.SimMPI` only - the shared
-  ``cluster.injector`` slot stays ``None`` - so message drop /
+  job's private :class:`~repro.mpi.comm.SimMPI` only, so message drop /
   duplication / corruption / NIC-degradation windows never touch a
   concurrent job's traffic;
 * a crash or OOM that exhausts the job's restart budget fails *that
@@ -30,23 +29,14 @@ hardware would.
 
 from __future__ import annotations
 
-from ..core.context import FwContext
-from ..core.driver import _degrade_to_offload, build_result, make_state_builders
-from ..core.programs import program_for_config
-from ..errors import (
-    CheckpointError,
-    CommTimeoutError,
-    GpuOutOfMemory,
-    RankFailure,
-    SilentCorruptionError,
-)
-from ..faults import CheckpointStore, FaultInjector, FaultRuntime
-from ..mpi.comm import SimMPI
-from ..sim.engine import Event, Interrupt
+from ..core.driver import SolveWorld, run_solve
+from ..errors import RankFailure
+from ..sim.engine import Event
 from ..sim.trace import ScopedTracer
 from .job import JobStatus
+from .resilience import failed_devices
 
-__all__ = ["job_process"]
+__all__ = ["FleetWorld", "job_process"]
 
 
 def job_process(scheduler, job):
@@ -58,368 +48,96 @@ def job_process(scheduler, job):
     env = scheduler.env
     job.status = JobStatus.RUNNING
     job.started_at = env.now
+    world = FleetWorld(scheduler, job)
     try:
-        yield from _run_job(scheduler, job)
+        job.result = yield from run_solve(
+            world, job.rp, metrics=job.config is not None and job.config.obs.enabled
+        )
         job.status = JobStatus.DONE
     except Exception as exc:  # noqa: BLE001 - the job's failure is the job's alone
         job.error = exc
         job.status = JobStatus.FAILED
-        if job.finished_at is None:
-            job.finished_at = env.now
     finally:
+        # A finished epoch's done-event fires at the timestamp its last
+        # rank settled, so ``now`` is the completion (or failure) time.
+        job.finished_at = env.now
         job.procs = []
+        if scheduler.resilience is not None:
+            job.faults_rt = world.faults_rt  # a retry attempt resumes from it
         scheduler._on_job_finished(job)
 
 
-def _run_job(scheduler, job):
-    rp = job.rp
-    handles = scheduler.handles
-    env = handles.env
-    fleet_tracer = handles.tracer
-    tracer = (
-        ScopedTracer(fleet_tracer, f"{job.name}.") if fleet_tracer is not None else None
-    )
-    node_map = job.node_map
-    nodes = [rp.placement.node_of(r) for r in range(rp.n_ranks)]
-    if node_map is not None:
-        # Resilience remap: the attempt runs on healthy physical nodes,
-        # not the (possibly quarantined) ones the placement names.
-        nodes = [node_map[n] for n in nodes]
-    mpi = SimMPI(env, handles.cluster, nodes, tracer)
-    ctx = FwContext(env, handles.cluster, mpi, rp.grid, rp.placement, rp.config,
-                    rp.nb, tracer)
-    ctx.node_map = node_map
-    config = rp.config
-    if config.verify != "off":
-        from ..verify import ChecksummedBackend, VerifyRuntime
+class FleetWorld(SolveWorld):
+    """One job's view of the *shared* heap (see
+    :class:`~repro.core.driver.SolveWorld`), plus the bookkeeping the
+    fleet reads off a running job.
 
-        ctx.verify = VerifyRuntime(
-            config.verify, ctx.backend, semiring=rp.semiring, seed=rp.fault_seed
-        )
-        ctx.backend = ChecksummedBackend(ctx.verify)
-    obs = None
-    if job.config is not None and job.config.obs.enabled:
-        from ..obs import MeteredBackend, MetricsRegistry
-
-        obs = MetricsRegistry()
-        ctx.obs = obs
-        mpi.obs = obs
-        ctx.backend = MeteredBackend(obs, ctx.backend)
-    injector = None
-    if rp.plan is not None:
-        if job.faults_rt is not None:
-            # Retry attempt: the persisted runtime carries the injector
-            # (one-shot fault state - an nth-match or OOM that already
-            # fired must not fire again) and the checkpoint store the
-            # attempt resumes from.
-            ctx.faults = job.faults_rt
-            injector = ctx.faults.injector
-            injector.tracer = tracer
-            injector.attach(mpi)
-            mpi.injector = injector
-        else:
-            injector = FaultInjector(rp.plan, tracer)
-            injector.attach(mpi)
-            # Fault isolation: the injector arms this job's transport
-            # only.  cluster.injector stays None, so a NIC-degradation
-            # window or a message fault can never leak into a
-            # concurrent job's traffic.
-            mpi.injector = injector
-            ctx.faults = FaultRuntime(injector, CheckpointStore())
-            if scheduler.resilience is not None:
-                job.faults_rt = ctx.faults
-
-    rp.distribute()
-    build_states, teardown_states = make_state_builders(ctx, rp)
-
-    if ctx.faults is None:
-        states, end = yield from _run_clean(scheduler, job, ctx, rp, build_states,
-                                            teardown_states)
-        run_config = config
-    else:
-        states, end, run_config = yield from _run_epochs(
-            scheduler, job, ctx, rp, injector, build_states, teardown_states,
-        )
-
-    job.finished_at = end
-    try:
-        job.result = build_result(
-            ctx, rp, states, end - job.started_at, run_config,
-            obs=obs, injector=injector, tracer=tracer,
-        )
-    finally:
-        teardown_states(states)
-
-
-def _spawn_epoch(scheduler, job, env, program, states, start_k=None):
-    """Spawn every rank program supervised; returns (status, done_ev).
-
-    ``done_ev`` fires once *every* rank has a status.  The first
-    failure status arms a one-shot reaper that, after the scheduler's
-    ``failure_grace``, interrupts the epoch's still-blocked ranks -
-    the shared-world substitute for the single-job driver's "heap
-    drained, interrupt the stuck" detection (a dead peer will never
-    send, so blocked receives would otherwise hang the job forever
-    without stalling the fleet).
+    ``wait_epoch`` is a done-event that fires once *every* rank has a
+    status.  The first failure status arms a one-shot reaper that,
+    after the scheduler's ``failure_grace`` (+ the plan's
+    ``recv_timeout``), interrupts the epoch's still-blocked ranks - the
+    shared-world substitute for "heap drained, interrupt the stuck" (a
+    dead peer will never send, so blocked receives would otherwise hang
+    the job forever without stalling the fleet).
     """
-    n_ranks = len(states)
-    status: dict[int, tuple[str, object]] = {}
-    done_ev = Event(env)
-    reaper_armed = [False]
-    procs = []
 
-    def reaper(grace):
-        yield env.timeout(grace)
-        if done_ev.triggered:
+    def __init__(self, scheduler, job):
+        super().__init__(scheduler.handles)
+        self.scheduler = scheduler
+        self.job = job
+        if self.tracer is not None:
+            self.tracer = ScopedTracer(self.tracer, f"{job.name}.")
+        self.node_map = job.node_map
+        self.faults_rt = job.faults_rt
+
+    @property
+    def killed(self):
+        """Set by the deadline watchdog (which also interrupts the ranks)."""
+        return self.job.killed
+
+    def wait_epoch(self, procs, status):
+        self.procs = self.job.procs = procs  # the fleet kicks / kills these
+        self.status = status
+        self.done = Event(self.env)
+        self.reaper_armed = False
+        yield self.done
+
+    def rank_settled(self, rank) -> None:
+        if len(self.status) == len(self.procs):
+            if not self.done.triggered:
+                self.done.succeed()
+        elif self.status[rank][0] != "done" and not self.reaper_armed:
+            self.reaper_armed = True
+            grace = self.scheduler.failure_grace
+            plan = self.job.rp.plan
+            if plan is not None and plan.recv_timeout:
+                grace += plan.recv_timeout
+            self.env.process(self._reaper(grace, self.done, self.procs),
+                             name=f"{self.job.name}.reaper")
+
+    def _reaper(self, grace, done, procs):
+        yield self.env.timeout(grace)
+        if done.triggered:
             return
         for p in procs:
             if p.is_alive:
                 p.interrupt(RankFailure("rank stalled after peer failure"))
 
-    def supervised(state):
-        try:
-            if start_k is None:
-                yield from program(state)
-            else:
-                yield from program(state, start_k=start_k)
-            status[state.me] = ("done", env.now)
-        except Interrupt as exc:
-            status[state.me] = ("crashed", exc)
-        except CommTimeoutError as exc:
-            status[state.me] = ("timeout", exc)
-        except GpuOutOfMemory as exc:
-            status[state.me] = ("oom", exc)
-        except SilentCorruptionError as exc:
-            status[state.me] = ("sdc", exc)
-        except Exception as exc:  # noqa: BLE001 - isolation: bugs stay in-job
-            status[state.me] = ("error", exc)
-        if len(status) == n_ranks:
-            if not done_ev.triggered:
-                done_ev.succeed()
-        elif status[state.me][0] != "done" and not reaper_armed[0]:
-            reaper_armed[0] = True
-            grace = scheduler.failure_grace
-            plan = job.rp.plan
-            if plan is not None and plan.recv_timeout:
-                grace += plan.recv_timeout
-            env.process(reaper(grace), name=f"{job.name}.reaper")
+    def epoch_over(self) -> bool:
+        return self.done.triggered
 
-    procs.extend(
-        env.process(supervised(state), name=f"rank{state.me}") for state in states
-    )
-    job.procs = procs
-    return status, done_ev, procs
+    def settle(self):
+        # A zero-length timeout yields just past the urgent interrupt
+        # deliveries at this timestamp (a private heap drains instead).
+        yield self.env.timeout(0.0)
 
-
-def _attribute_failures(scheduler, job, rp, failures):
-    """Blame this epoch's rank failures on physical devices (resilience
-    armed only; deadline kills are the watchdog's doing, not a device's)."""
-    if scheduler.resilience is None or job.killed is not None:
-        return
-    from .resilience import failed_devices
-
-    job.fault_devices.extend(
-        failed_devices(
-            rp, failures, scheduler.admission.gpus_per_node, job.node_map
-        )
-    )
-
-
-def _epoch_error(failures):
-    """The exception a failed epoch surfaces, most-specific first
-    (mirrors the restart-budget re-raise in ``_run_with_recovery``)."""
-    for st in failures.values():
-        if isinstance(st[1], (SilentCorruptionError, CommTimeoutError, GpuOutOfMemory)):
-            return st[1]
-    for st in failures.values():
-        if st[0] == "error":
-            return st[1]
-    return None
-
-
-def _run_clean(scheduler, job, ctx, rp, build_states, teardown_states):
-    """One un-armed epoch: no fault plan, so any failure is final."""
-    env = ctx.env
-    states = build_states(rp.config, rp.locals_, rp.nxt_locals)
-    try:
-        program = program_for_config(rp.config)
-        status, done_ev, _ = _spawn_epoch(scheduler, job, env, program, states)
-        yield done_ev
-        if job.killed is not None:
-            raise job.killed
-        failures = {r: st for r, st in status.items() if st[0] != "done"}
-        if failures:
-            _attribute_failures(scheduler, job, rp, failures)
-            exc = _epoch_error(failures)
-            if exc is None:
-                first = min(failures)
-                exc = failures[first][1]
-                if not isinstance(exc, Exception):
-                    exc = RankFailure(f"rank {first} failed: {exc}")
-            raise exc
-    except BaseException:
-        teardown_states(states)
-        raise
-    return states, max(st[1] for st in status.values())
-
-
-def _run_epochs(scheduler, job, ctx, rp, injector, build_states, teardown_states):
-    """The fault-armed epoch loop, shared-world edition.
-
-    Logic mirrors :func:`repro.core.driver._run_with_recovery` step for
-    step (free k=0 snapshot, restore, OOM degradation, crash
-    watchdogs, restart budget, consistent-checkpoint selection, restore
-    cost) with two substitutions: epoch completion is an event, and
-    stuck-rank detection is the grace reaper of :func:`_spawn_epoch`.
-    """
-    env = ctx.env
-    plan = rp.plan
-    config = rp.config
-    n_ranks = ctx.mpi.size
-    rt = ctx.faults
-    store = rt.store
-    track_paths = config.track_paths
-    locals_, nxt_locals = rp.locals_, rp.nxt_locals
-
-    if not rt.resumed:
-        for r in range(n_ranks):
-            store.save(0, r, locals_[r], None if nxt_locals is None else nxt_locals[r])
-            rt.last_saved[r] = 0
-
-    run_config = config
-    fired_crashes: set[int] = set()
-    restarts = 0
-    while True:
-        if ctx.verify is not None:
-            ctx.verify.begin_epoch()
-        start_k = rt.start_k
-        if restarts == 0 and not rt.resumed:
-            blocks_by_rank = locals_
-            nxt_by_rank = nxt_locals
-        else:
-            blocks_by_rank = [store.restore(start_k, r) for r in range(n_ranks)]
-            nxt_by_rank = (
-                [store.restore_nxt(start_k, r) for r in range(n_ranks)]
-                if track_paths
-                else None
-            )
-        try:
-            states = build_states(run_config, blocks_by_rank, nxt_by_rank)
-        except GpuOutOfMemory as oom_exc:
-            if run_config.offload or not plan.oom_degrade:
-                raise
-            run_config = _degrade_to_offload(ctx, injector, config, oom_exc)
-            states = build_states(run_config, blocks_by_rank, nxt_by_rank)
-        for state in states:
-            factor = injector.compute_factor(state.me)
-            if factor != 1.0:
-                state.gpu.compute_multiplier = max(state.gpu.compute_multiplier, factor)
-
-        program = program_for_config(run_config)
-        status, done_ev, procs = _spawn_epoch(
-            scheduler, job, env, program, states, start_k=start_k
-        )
-
-        def crash_watchdog(idx, crash, proc):
-            if crash.at > env.now:
-                yield env.timeout(crash.at - env.now)
-            if done_ev.triggered:
-                return
-            fired_crashes.add(idx)
-            if proc.is_alive:
-                injector.count("faults.crashes")
-                proc.interrupt(
-                    RankFailure(
-                        f"rank {crash.rank} lost at t={env.now:.6g}",
-                        rank=crash.rank,
-                        at=env.now,
-                    )
-                )
-
-        watchdogs = []
-        for idx, crash in enumerate(plan.crashes):
-            if idx in fired_crashes or crash.at < env.now:
-                continue
-            watchdogs.append(
-                env.process(crash_watchdog(idx, crash, procs[crash.rank]),
-                            name=f"crash@r{crash.rank}")
-            )
-
-        yield done_ev
-
-        if job.killed is not None:
-            for wd in watchdogs:
-                if wd.is_alive:
-                    wd.defuse()
-                    wd.interrupt()
-            for state in states:
-                for ev in state.pending:
-                    if getattr(ev, "is_alive", False):
-                        ev.defuse()
-                        ev.interrupt()
-            teardown_states(states)
-            raise job.killed
-
-        if all(st[0] == "done" for st in status.values()):
-            return states, max(st[1] for st in status.values()), run_config
-
-        # ---- failure: tear the epoch down and restart -------------------
-        restarts += 1
+    def epoch_failed(self, failures, restarts) -> None:
+        """Record the restart and blame this epoch's rank failures on
+        physical devices (resilience armed only; deadline kills are the
+        watchdog's doing and never get here)."""
+        job = self.job
         job.restarts = restarts
-        failures = {r: st for r, st in status.items() if st[0] != "done"}
-        _attribute_failures(scheduler, job, rp, failures)
-        if restarts > plan.max_restarts:
-            exc = _epoch_error(failures)
-            teardown_states(states)
-            if exc is not None:
-                raise exc
-            raise RankFailure(
-                f"world failed {restarts} times (restart budget {plan.max_restarts}); "
-                f"failed ranks: {sorted(failures)}"
-            )
-        injector.count("faults.restarts")
-
-        oom_failures = [st[1] for st in failures.values() if st[0] == "oom"]
-        if oom_failures and not run_config.offload:
-            if not plan.oom_degrade:
-                teardown_states(states)
-                raise oom_failures[0]
-            run_config = _degrade_to_offload(ctx, injector, config, oom_failures[0])
-
-        for wd in watchdogs:
-            if wd.is_alive:
-                wd.defuse()
-                wd.interrupt()
-        for state in states:
-            for ev in state.pending:
-                if getattr(ev, "is_alive", False):
-                    ev.defuse()
-                    ev.interrupt()
-        # Let the interrupts land (the single-job driver drains the
-        # whole heap here; on a shared heap a zero-length timeout yields
-        # just past the urgent interrupt deliveries at this timestamp).
-        yield env.timeout(0.0)
-
-        k0 = store.consistent_k(n_ranks)
-        if store.crc_rejections:
-            injector.counters["faults.crc_rejections"] = float(store.crc_rejections)
-        if k0 is None:  # pragma: no cover - the k=0 snapshot always exists
-            teardown_states(states)
-            raise CheckpointError("no consistent checkpoint to restart from")
-        progress = max((state.cur_k for state in states), default=-1)
-        injector.count("faults.replayed_iters", max(0, progress - k0))
-        teardown_states(states)
-        injector.reset_world()
-        rt.start_k = k0
-        for r in range(n_ranks):
-            rt.last_saved[r] = max(rt.last_saved.get(r, 0), k0)
-        restore_cost = 0.0
-        for state in states:
-            rows = len(state.local_rows())
-            cols = len(state.local_cols())
-            dur = ctx.cost.checkpoint_time(rows * ctx.b, cols * ctx.b)
-            if track_paths:
-                dur *= 3
-            restore_cost = max(restore_cost, dur)
-        yield env.timeout(restore_cost)
-        injector.count("faults.restore_time", restore_cost)
+        if self.scheduler.resilience is not None:
+            job.fault_devices.extend(failed_devices(
+                job.rp, failures, self.scheduler.admission.gpus_per_node, job.node_map
+            ))

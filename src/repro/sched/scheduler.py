@@ -16,7 +16,8 @@ The moving parts:
 * **arbitration** (:mod:`repro.sched.arbiter`) - contended resources
   grant by priority-weighted fair share instead of FIFO;
 * **execution** (:mod:`repro.sched.runner`) - each admitted job is one
-  supervised coroutine; failures are isolated per job;
+  process running the driver's solve supervisor; failures are isolated
+  per job;
 * **observability** - fleet metrics (utilization, queue depth, per-job
   p50/p99 latency) in a :class:`~repro.obs.metrics.MetricsRegistry`,
   and job-tagged spans in one fleet tracer whose Chrome-trace export
@@ -45,11 +46,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..api import SolveConfig, resolve_machine
-from ..core.driver import MachineHandles, plan_run
-from ..core.grid import ProcessGrid
+from ..core.driver import MachineHandles, plan_from_config
 from ..errors import (
     AdmissionError,
     ConfigurationError,
@@ -236,7 +234,7 @@ class ClusterScheduler:
                     f"retry must be a RetryPolicy or its object form, "
                     f"got {type(retry).__name__}"
                 )
-        rp = self._plan(np.asarray(graph), config)
+        rp = plan_from_config(graph, config, self.machine)
         job = Job(
             job_id=self._next_id,
             name=name or f"job{self._next_id}",
@@ -261,41 +259,6 @@ class ClusterScheduler:
         else:
             self._admit_or_queue(job)
         return JobHandle(self, job)
-
-    def _plan(self, weights, config: SolveConfig):
-        """Resolve a :class:`~repro.core.driver.RunPlan` from a config
-        (shared by :meth:`submit` and the resilience re-plan ladder, so
-        both price jobs identically)."""
-        grid = None
-        if config.grid is not None:
-            pr, pc = config.grid
-            grid = ProcessGrid(pr, pc)
-        return plan_run(
-            weights,
-            variant=config.variant,
-            block_size=config.block_size,
-            machine=self.machine,
-            n_nodes=config.n_nodes,
-            ranks_per_node=config.ranks_per_node,
-            grid=grid,
-            diag_on_gpu=config.diag_on_gpu,
-            n_streams=config.n_streams,
-            ring_segments=config.ring_segments,
-            mx_blocks=config.mx_blocks,
-            nx_blocks=config.nx_blocks,
-            collect_result=config.collect,
-            validate=config.validate,
-            check_negative_cycles=config.check_negative_cycles,
-            compute_numerics=config.compute_numerics,
-            track_paths=config.track_paths,
-            exploit_sparsity=config.exploit_sparsity,
-            kernel_backend=config.kernel_backend,
-            fault_plan=config.fault_plan,
-            checkpoint_interval=config.checkpoint_interval,
-            recv_timeout=config.recv_timeout,
-            fault_seed=config.fault_seed,
-            verify=config.verify,
-        )
 
     def _arrival(self, job: Job):
         yield self.env.timeout(job.submit_at - self.env.now)
@@ -581,13 +544,13 @@ class ClusterScheduler:
             n_nodes=n_nodes, variant=variant, grid=None, fault_plan=plan
         )
         try:
-            new_rp = self._plan(np.asarray(job.weights), new_config)
+            new_rp = plan_from_config(job.weights, new_config, self.machine)
         except ReproError:
             # e.g. the offload block-size floor: retry with the tuner's
             # choice (checkpoints are dropped - the blocking changes).
             try:
                 new_config = new_config.replace(block_size=None)
-                new_rp = self._plan(np.asarray(job.weights), new_config)
+                new_rp = plan_from_config(job.weights, new_config, self.machine)
             except ReproError:
                 return False
         self.obs.counter("fleet.resilience.replans").inc()

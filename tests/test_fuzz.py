@@ -217,7 +217,7 @@ class TestExecutor:
         def boom(*a, **k):
             raise ValueError("kaboom")
 
-        monkeypatch.setattr(driver, "apsp", boom)
+        monkeypatch.setattr(driver, "run_private", boom)
         out = run_scenario(small_scenario())
         assert out.status == "error" and out.exit_code == 14
         assert out.error_type == "InternalError"
@@ -569,7 +569,7 @@ class TestInternalErrorWrapping:
         def boom(*a, **k):
             raise RuntimeError("wild pointer")
 
-        monkeypatch.setattr(driver, "apsp", boom)
+        monkeypatch.setattr(driver, "run_private", boom)
         graph = GraphSpec(kind="uniform", n=8, seed=0).build()
         config = SolveConfig(variant="async", block_size=4, fault_plan=())
         with pytest.raises(InternalError) as info:

@@ -256,7 +256,6 @@ class World:
             injector = FaultInjector(fault_plan, None)
             injector.attach(mpi)
             mpi.injector = injector
-            cluster.injector = injector
             self.ctx.faults = FaultRuntime(injector, CheckpointStore())
         if blocks_by_rank is None:
             blocks_by_rank = distribute(padded, B, self.grid)

@@ -3,8 +3,7 @@
 Covers the facade's contract: ``solve()`` equals the engine, the
 frozen ``SolveConfig``, each ``from_env`` precedence rule (explicit >
 environment > default) for the two environment knobs, sink validation
-before solving (exit code 12), and the legacy ``repro.apsp``
-deprecation shim.
+before solving (exit code 12), and the public export list.
 """
 
 from __future__ import annotations
@@ -177,12 +176,6 @@ class TestSinkValidation:
 
 
 class TestDeprecatedEntryPoint:
-    def test_repro_apsp_warns_and_works(self, graph):
-        with pytest.warns(DeprecationWarning, match="repro.solve"):
-            result = repro.apsp(graph, variant="baseline", **CLUSTER)
-        reference = apsp(graph, variant="baseline", **CLUSTER)
-        assert result.report.elapsed == reference.report.elapsed
-
     def test_engine_path_does_not_warn(self, graph):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -190,6 +183,7 @@ class TestDeprecatedEntryPoint:
 
     def test_public_all_exports(self):
         for name in ("solve", "SolveConfig", "ObsSinks", "ApspResult", "Variant",
-                     "FaultPlan", "SinkError", "apsp"):
+                     "FaultPlan", "SinkError"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+        assert not hasattr(repro, "apsp")  # the deprecated shim is gone
