@@ -14,7 +14,13 @@ escalation ladder):
 """
 
 from .backend import ChecksummedBackend
-from .checksums import block_checksums, checksums_match, predicted_accumulate, predicted_merge
+from .checksums import (
+    block_checksums,
+    checksums_match,
+    predicted_accumulate,
+    predicted_accumulate_grid,
+    predicted_merge,
+)
 from .runtime import VERIFY_MODES, VerifyRuntime
 
 __all__ = [
@@ -24,5 +30,6 @@ __all__ = [
     "block_checksums",
     "checksums_match",
     "predicted_accumulate",
+    "predicted_accumulate_grid",
     "predicted_merge",
 ]

@@ -11,7 +11,7 @@ makespans, are bit-identical with verification on or off.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,10 +27,13 @@ class ChecksummedBackend(KernelBackend):
     predict → run → re-checksum → repair cycle (see
     :class:`~repro.verify.runtime.VerifyRuntime`).
 
-    ``srgemm_grid`` is deliberately *not* overridden: checksums are
-    predicted, compared and repaired per tile, so a verified grid is the
-    base-class loop over the guarded phase entries above - one inner
-    kernel call per tile, never the inner backend's one-call grid."""
+    ``srgemm_grid`` runs that cycle over the whole grid at once
+    (:meth:`~repro.verify.runtime.VerifyRuntime.accumulate_grid`): the
+    tiles' checksums are taken, predicted and compared as stacked
+    arrays around **one** ``inner.srgemm_grid`` call, so a verified
+    solve keeps the inner backend's one-call grid; a flagged tile is
+    still repaired on its own.  A grid that is not uniform in shape and
+    dtype takes the loop over the guarded phase entries instead."""
 
     available = True
 
@@ -84,6 +87,16 @@ class ChecksummedBackend(KernelBackend):
         k_chunk: Optional[int] = None,
     ) -> np.ndarray:
         return self.runtime.accumulate(c, a, b, semiring, k_chunk=k_chunk, entry="srgemm_outer")
+
+    def srgemm_grid(
+        self,
+        c_tiles: Sequence[Sequence[np.ndarray]],
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+        phase: str = "outer",
+    ) -> Sequence[Sequence[np.ndarray]]:
+        return self.runtime.accumulate_grid(c_tiles, a_rows, b_cols, semiring, phase)
 
     def panel_row_update(
         self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS

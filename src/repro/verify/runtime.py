@@ -26,19 +26,25 @@ documented in docs/FAULTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SilentCorruptionError
 from ..semiring.backends import get_backend
+from ..semiring.backends.base import validate_grid
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .checksums import (
     Checksums,
     block_checksums,
     checksums_match,
+    checksums_mismatch,
     predicted_accumulate,
+    predicted_accumulate_grid,
     predicted_merge,
+    stack_checksums,
+    stack_tiles,
+    uniform_tiles,
 )
 
 __all__ = ["VerifyRuntime", "VERIFY_MODES"]
@@ -56,8 +62,10 @@ class _Guard:
     arr: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    sent_pos: np.ndarray  # sampled flat indices for the sentinel
-    sent_vals: np.ndarray  # last sentinel readings at those positions
+    # Sentinel state, ``full`` mode only: sampled flat indices and the
+    # last readings at those positions.
+    sent_pos: Optional[np.ndarray] = None
+    sent_vals: Optional[np.ndarray] = None
 
 
 class VerifyRuntime:
@@ -98,17 +106,24 @@ class VerifyRuntime:
 
     def register_rank(self, rank: int, blocks: Dict[Tuple[int, int], np.ndarray]) -> None:
         """(Re)register a rank's resident blocks: record their current
-        checksums and seed the sentinel baselines.  Called at every rank
-        program build, so restarts re-anchor on the restored arrays."""
+        checksums and, in ``full`` mode, seed the sentinel baselines.
+        Called at every rank program build, so restarts re-anchor on the
+        restored arrays."""
         for old_id in self._rank_ids.pop(rank, []):
             self._tiles.pop(old_id, None)
+        keys = sorted(blocks)
+        arrs = [blocks[key] for key in keys]
+        if arrs and uniform_tiles(arrs):
+            sums = zip(*stack_checksums(stack_tiles(arrs), self.semiring))
+        else:
+            sums = (block_checksums(arr, self.semiring) for arr in arrs)
         ids: List[int] = []
-        for key in sorted(blocks):
-            arr = blocks[key]
-            row, col = block_checksums(arr, self.semiring)
-            rng = np.random.default_rng([self.seed, rank, key[0], key[1]])
-            pos = rng.integers(arr.size, size=min(self.sentinel_samples, arr.size))
-            guard = _Guard(rank, key, arr, row, col, pos, arr.flat[pos].copy())
+        for key, arr, (row, col) in zip(keys, arrs, sums):
+            guard = _Guard(rank, key, arr, row, col)
+            if self.mode == "full":
+                rng = np.random.default_rng([self.seed, rank, key[0], key[1]])
+                guard.sent_pos = rng.integers(arr.size, size=min(self.sentinel_samples, arr.size))
+                guard.sent_vals = arr.flat[guard.sent_pos].copy()
             self._tiles[id(arr)] = guard
             ids.append(id(arr))
         self._rank_ids[rank] = ids
@@ -180,18 +195,94 @@ class VerifyRuntime:
         actual = block_checksums(c, semiring)
         if not checksums_match(predicted, actual):
             self._count("sdc_detected")
-            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring)
+            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, entry)
         if guard is not None:
             guard.row, guard.col = actual
         else:
             self._transient[id(c)] = actual
         return c
 
-    def _repair_accumulate(self, guard, c, c_pre, pre, a, b, semiring) -> Checksums:
+    def accumulate_grid(
+        self,
+        c_tiles: Sequence[Sequence[np.ndarray]],
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring,
+        phase: str = "outer",
+    ) -> Sequence[Sequence[np.ndarray]]:
+        """Guarded grid product: what :meth:`accumulate` does for one
+        tile, for every tile of ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]``, in a
+        constant number of array operations around **one**
+        ``inner.srgemm_grid`` call.
+
+        Every tile is still pre-compared against its stored sums,
+        snapshotted, predicted, post-compared and individually
+        repairable.  Order when several tiles flag: all pre-op compares
+        in row-major order, then all post-op compares in row-major
+        order (the first recorded escalation wins, as everywhere).
+
+        The snapshot is a kernel temporary like any other (DESIGN
+        decision 6): the grid is walked in bands of whole tile rows
+        whose snapshot fits ``inner.resolved_byte_budget()``.  A grid
+        whose tiles, row operands or column operands are not each of one
+        shape and dtype takes the per-tile guarded loop instead."""
+        entry = validate_grid(c_tiles, a_rows, b_cols, phase)
+        tiles = [c for c_row in c_tiles for c in c_row]
+        if not tiles:
+            return c_tiles
+        if not (uniform_tiles(tiles) and uniform_tiles(a_rows) and uniform_tiles(b_cols)):
+            for a, c_row in zip(a_rows, c_tiles):
+                for b, c in zip(b_cols, c_row):
+                    self.accumulate(c, a, b, semiring, entry=entry)
+            return c_tiles
+        step = max(1, self.inner.resolved_byte_budget() // (len(b_cols) * tiles[0].nbytes))
+        for r0 in range(0, len(a_rows), step):
+            band = slice(r0, r0 + step)
+            self._accumulate_band(c_tiles[band], a_rows[band], b_cols, semiring, phase, entry)
+        return c_tiles
+
+    def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, entry) -> None:
+        """One guarded cycle over a uniform grid (a band of whole tile
+        rows of the caller's)."""
+        tiles = [c for c_row in c_tiles for c in c_row]
+        guards = [self._tiles.get(id(c)) for c in tiles]
+        snap = stack_tiles(tiles)  # the batched view and the repair pre-image
+        pre = pre_row, pre_col = stack_checksums(snap, semiring)
+        # Pre-op: stored sums against contents (an untracked tile stands
+        # in for itself); the exact per-tile verdict stays _precheck's.
+        stored = (
+            stack_tiles([g.row if g is not None else r for g, r in zip(guards, pre_row)]),
+            stack_tiles([g.col if g is not None else c for g, c in zip(guards, pre_col)]),
+        )
+        for t in np.flatnonzero(checksums_mismatch(stored, pre)):
+            self._precheck(guards[t], (pre_row[t], pre_col[t]), entry)
+        predicted = predicted_accumulate_grid(
+            pre, stack_tiles(a_rows), stack_tiles(b_cols), semiring, self.inner.compute_dtype
+        )
+        self.inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+        self._count("ops_checked", len(tiles))
+        actual = stack_checksums(stack_tiles(tiles), semiring)
+        sums = list(zip(*actual))
+        for t in np.flatnonzero(checksums_mismatch(predicted, actual)):
+            self._count("sdc_detected")
+            i, j = divmod(int(t), len(b_cols))
+            sums[t] = self._repair_accumulate(
+                guards[t], tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
+                semiring, entry,
+            )
+        # Per-tile sums are views into this band's stacked sums.
+        for c, guard, tile_sums in zip(tiles, guards, sums):
+            if guard is not None:
+                guard.row, guard.col = tile_sums
+            else:
+                self._transient[id(c)] = tile_sums
+
+    def _repair_accumulate(self, guard, c, c_pre, pre, a, b, semiring, op: str) -> Checksums:
         """Localized repair: rebuild the flagged tile from its operands
         with the reference backend, then re-verify against a full-width
         prediction (the reference never narrows, so the reduced-precision
-        prediction no longer applies)."""
+        prediction no longer applies).  ``op`` is the guarded entry the
+        mismatch was caught in, named by a persisting escalation."""
         np.copyto(c, c_pre)
         self.reference.srgemm_accumulate(c, a, b, semiring=semiring)
         predicted = predicted_accumulate(pre, a, b, semiring, None)
@@ -203,7 +294,7 @@ class VerifyRuntime:
                 "post-op checksum mismatch persisted after reference repair "
                 "(operands themselves are suspect)",
                 guard,
-                "srgemm_accumulate",
+                op,
             )
         return actual
 
@@ -245,7 +336,8 @@ class VerifyRuntime:
         operand for both the prediction and the repair."""
         guard = self._tiles.get(id(panel))
         pre = block_checksums(panel, semiring)
-        self._precheck(guard, pre, f"panel_{axis}_update")
+        op = f"panel_{axis}_update"
+        self._precheck(guard, pre, op)
         p_pre = panel.copy()
         if axis == "row":
             operands = (diag, p_pre)
@@ -258,7 +350,7 @@ class VerifyRuntime:
         actual = block_checksums(panel, semiring)
         if not checksums_match(predicted, actual):
             self._count("sdc_detected")
-            actual = self._repair_accumulate(guard, panel, p_pre, pre, *operands, semiring)
+            actual = self._repair_accumulate(guard, panel, p_pre, pre, *operands, semiring, op)
         if guard is not None:
             guard.row, guard.col = actual
         return panel

@@ -502,14 +502,60 @@ class TestGridWrapperComposition:
         assert "kernel.srgemm_outer.calls" not in flat
 
     @needs_cnative
-    def test_metered_keeps_the_one_call_path_checksummed_does_not(self, monkeypatch):
+    def test_metered_keeps_the_one_call_path_checksummed_too(self, monkeypatch):
         inner = get_backend("cnative")
-        spy = _CallSpy(monkeypatch, inner, "srgemm_outer")
+        per_tile = [_CallSpy(monkeypatch, inner, entry) for entry in PHASES]
+        native = _CallSpy(monkeypatch, inner, "_native_grid")
+        grid = _CallSpy(monkeypatch, inner, "srgemm_grid")
         c_tiles, a_rows, b_cols = _grid(3, 2)
         _wrap("metered", inner).srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
-        assert spy.calls == 0
-        # Checksums are per tile, so a verified grid is the guarded loop.
+        assert (grid.calls, native.calls) == (1, 1)
+        # The guarded cycle runs over the whole grid around one inner call.
         checked = _wrap("checksummed", inner)
         checked.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
-        assert spy.calls == 6
-        assert checked.runtime.counters["ops_checked"] == 6
+        assert (grid.calls, native.calls) == (2, 2)
+        assert [spy.calls for spy in per_tile] == [0, 0, 0, 0]
+        assert checked.runtime.counters == {"ops_checked": 6}
+
+    @needs_cnative
+    def test_armed_async_solve_makes_one_native_call_per_grid(self, monkeypatch):
+        w = repro.graphs.uniform_random_dense(128, seed=12)
+        config = repro.SolveConfig(
+            variant="async", block_size=16, kernel_backend="cnative", n_nodes=2, ranks_per_node=2
+        )
+        want = repro.solve(w, config)
+        backend = get_backend("cnative")
+        native = _CallSpy(monkeypatch, backend, "_native_grid")
+        # Per-tile calls made while a grid call is on the stack (panel
+        # updates and the look-ahead diag legitimately call them outside).
+        calls = {"grid": 0, "tile_in_grid": 0}
+        in_grid = []
+        grid_entry = backend.srgemm_grid
+
+        def grid_spy(*args, **kwargs):
+            calls["grid"] += 1
+            in_grid.append(True)
+            try:
+                return grid_entry(*args, **kwargs)
+            finally:
+                in_grid.pop()
+
+        monkeypatch.setattr(backend, "srgemm_grid", grid_spy)
+        for entry in ("srgemm_outer", "srgemm_panel"):
+            tile_entry = getattr(backend, entry)
+
+            def tile_spy(*args, _tile_entry=tile_entry, **kwargs):
+                calls["tile_in_grid"] += bool(in_grid)
+                return _tile_entry(*args, **kwargs)
+
+            monkeypatch.setattr(backend, entry, tile_spy)
+        got = repro.solve(
+            w, config.replace(verify="checksum", obs=repro.ObsSinks(metrics=True))
+        )
+        assert calls["grid"] > 8
+        assert native.calls == calls["grid"]
+        assert calls["tile_in_grid"] == 0
+        assert got.certificate["passed"] and got.certificate["sdc_detected"] == 0
+        assert got.metrics.flat()["kernel.srgemm_outer.calls"] > calls["grid"]
+        np.testing.assert_array_equal(got.dist, want.dist)
+        assert got.makespan == want.makespan

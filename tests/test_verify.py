@@ -10,7 +10,10 @@ across variants, modes, and seeds - each detected and either repaired
 in place or escalated to checkpoint/restart, final distances bit-exact
 against the fault-free oracle), localized repair of corrupted ooG
 staging buffers, the monotonicity sentinel, certificate determinism,
-and the CLI exit codes for the two new error classes.
+the CLI exit codes for the two new error classes, and the guarded grid
+(``VerifyRuntime.accumulate_grid``: bit-for-bit the per-tile guarded
+loop - tiles, stored sums, counters - with per-tile localisation,
+deferred escalation, the non-uniform fallback and the row-band walk).
 """
 
 from __future__ import annotations
@@ -28,13 +31,17 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, MemoryFault
 from repro.graphs import uniform_random_dense
-from repro.semiring import MIN_PLUS, PLUS_TIMES
-from repro.semiring.backends import get_backend
+from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
+from repro.semiring.backends import available_backends, get_backend
+from repro.semiring.backends.base import GRID_PHASE_ENTRIES
+from repro.semiring.backends.reference import ReferenceBackend
 from repro.verify import (
+    ChecksummedBackend,
     VerifyRuntime,
     block_checksums,
     checksums_match,
     predicted_accumulate,
+    predicted_accumulate_grid,
     predicted_merge,
 )
 
@@ -145,6 +152,27 @@ class TestChecksumAlgebra:
             pre, np.empty((4, 0)), np.empty((0, 4)), MIN_PLUS
         )
         assert checksums_match(predicted, pre)
+
+    @pytest.mark.parametrize("compute_dtype", [None, np.float32])
+    def test_grid_prediction_is_the_per_tile_prediction(self, compute_dtype):
+        """One algebra: the stacked form over an nr x nc grid returns,
+        tile for tile, the one-tile prediction (its 1 x 1 case)."""
+        rng = np.random.default_rng(16)
+        nr, nc, m, n, k = 3, 2, 5, 7, 4
+        c = self._rand(rng, (nr, nc, m, n), 0.2)
+        a = self._rand(rng, (nr, m, k), 0.2)
+        b = self._rand(rng, (nc, k, n), 0.2)
+        tiles = c.reshape(nr * nc, m, n)  # row-major over the grid
+        pre = (MIN_PLUS.plus_reduce(tiles, axis=2), MIN_PLUS.plus_reduce(tiles, axis=1))
+        rows, cols = predicted_accumulate_grid(pre, a, b, MIN_PLUS, compute_dtype)
+        assert rows.shape == (nr * nc, m) and cols.shape == (nr * nc, n)
+        for i in range(nr):
+            for j in range(nc):
+                want = predicted_accumulate(
+                    block_checksums(c[i, j], MIN_PLUS), a[i], b[j], MIN_PLUS, compute_dtype
+                )
+                assert checksums_match(want, (rows[i * nc + j], cols[i * nc + j]))
+                assert (rows.dtype, cols.dtype) == (want[0].dtype, want[1].dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +389,311 @@ class TestSentinel:
         vrt.register_rank(0, {(0, 0): np.ones((4, 4))})
         vrt.sentinel_check(0, 0)
         assert vrt.counters.get("sentinel_samples", 0) == 0
+        # ...and seeds no sentinel state it would never read.
+        assert next(iter(vrt._tiles.values())).sent_pos is None
+
+    @pytest.mark.parametrize("mode", ["checksum", "full"])
+    def test_registration_sums_are_the_per_block_sums(self, mode):
+        """Registration checksums come from one stacked pass when the
+        rank's blocks are uniform, block by block when they are not -
+        the same sums either way; ``full``-mode sentinel positions keep
+        their per-block seeding."""
+        rng = np.random.default_rng(23)
+        for shapes in ([(8, 8)] * 4, [(8, 8), (8, 3), (3, 8), (3, 3)]):
+            blocks = {
+                (t // 2, t % 2): rng.uniform(1.0, 9.0, size=sh) for t, sh in enumerate(shapes)
+            }
+            vrt = VerifyRuntime(mode, get_backend("reference"), semiring=MIN_PLUS, seed=5)
+            vrt.register_rank(3, blocks)
+            assert vrt.counters["blocks_tracked"] == 4
+            for key, arr in blocks.items():
+                guard = vrt._tiles[id(arr)]
+                assert (guard.rank, guard.key) == (3, key)
+                assert checksums_match((guard.row, guard.col), block_checksums(arr, MIN_PLUS))
+                if mode == "full":
+                    pos = np.random.default_rng([5, 3, *key]).integers(arr.size, size=4)
+                    np.testing.assert_array_equal(guard.sent_pos, pos)
+                    np.testing.assert_array_equal(guard.sent_vals, arr.flat[pos])
+
+
+# ---------------------------------------------------------------------------
+# The guarded grid
+# ---------------------------------------------------------------------------
+COMPARISON_SEMIRINGS = ["min_plus", "max_plus", "max_min", "min_max"]
+GRID_SHAPES = [(3, 4), (1, 5), (5, 1), (1, 1)]
+
+
+def _grid_case(nr, nc, dtype=np.float64, seed=0, b=8, inf=True):
+    """``(c_tiles, a_rows, b_cols)`` of b x b tiles, ~30% ``inf``."""
+    rng = np.random.default_rng(seed + 31 * nr + nc)
+
+    def tile(m=b, n=b):
+        t = rng.uniform(0.5, 9.0, (m, n))
+        if inf:
+            t[rng.random((m, n)) < 0.3] = np.inf
+        return t.astype(dtype)
+
+    return (
+        [[tile() for _ in range(nc)] for _ in range(nr)],
+        [tile() for _ in range(nr)],
+        [tile() for _ in range(nc)],
+    )
+
+
+def _copy_tiles(c_tiles):
+    return [[c.copy() for c in c_row] for c_row in c_tiles]
+
+
+def _guarded(inner, c_tiles, semiring=MIN_PLUS, tracked=lambda i, j: True):
+    """A fresh checksum-mode runtime over ``inner`` with private copies
+    of ``c_tiles``; tiles with ``tracked(i, j)`` are registered as rank
+    2's resident blocks, the rest stay untracked (``_transient``)."""
+    vrt = VerifyRuntime("checksum", inner, semiring=semiring)
+    tiles = _copy_tiles(c_tiles)
+    vrt.register_rank(
+        2,
+        {(i, j): c for i, c_row in enumerate(tiles) for j, c in enumerate(c_row) if tracked(i, j)},
+    )
+    return vrt, tiles
+
+
+def _tile_loop(vrt, tiles, a_rows, b_cols, semiring, phase):
+    """The per-tile guarded loop a guarded grid stands for."""
+    for a, c_row in zip(a_rows, tiles):
+        for b, c in zip(b_cols, c_row):
+            vrt.accumulate(c, a, b, semiring, entry=GRID_PHASE_ENTRIES[phase])
+
+
+def _assert_same_array(got, want, msg):
+    assert got.dtype == want.dtype and got.shape == want.shape, msg
+    np.testing.assert_array_equal(got, want, err_msg=msg)
+
+
+def _assert_same_state(got, want, msg):
+    """``(runtime, tiles)`` pairs agree on everything the guard keeps:
+    tile contents, stored sums of tracked tiles, ``_transient`` sums of
+    untracked ones, and every counter."""
+    (g_vrt, g_tiles), (w_vrt, w_tiles) = got, want
+    assert g_vrt.counters == w_vrt.counters, msg
+    assert len(g_vrt._transient) == len(w_vrt._transient), msg
+    for g_row, w_row in zip(g_tiles, w_tiles):
+        for g, w in zip(g_row, w_row):
+            _assert_same_array(g, w, msg)
+            g_guard, w_guard = g_vrt._tiles.get(id(g)), w_vrt._tiles.get(id(w))
+            if w_guard is None:
+                assert g_guard is None, msg
+                g_sums, w_sums = g_vrt._transient[id(g)], w_vrt._transient[id(w)]
+            else:
+                assert (g_guard.rank, g_guard.key) == (w_guard.rank, w_guard.key), msg
+                g_sums, w_sums = (g_guard.row, g_guard.col), (w_guard.row, w_guard.col)
+            _assert_same_array(g_sums[0], w_sums[0], msg)
+            _assert_same_array(g_sums[1], w_sums[1], msg)
+
+
+class _CorruptsTarget(ReferenceBackend):
+    """Reference numerics, except that the product into ``target`` (by
+    identity) comes out with one entry pushed below every true value -
+    a downward flip both min-checksums see.  Every phase entry and both
+    panel updates of the reference funnel into ``srgemm_accumulate``."""
+
+    target = None
+
+    def srgemm_accumulate(self, c, a, b, semiring=MIN_PLUS, k_chunk=None):
+        super().srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
+        if c is self.target:
+            c[1, 2] = -1.0
+        return c
+
+
+def _spy(monkeypatch, obj, name):
+    calls = []
+    real = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, spy)
+    return calls
+
+
+class TestGuardedGrid:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
+    @pytest.mark.parametrize("backend", ["reference", "tiled", "tiled-f32", "cnative"])
+    def test_grid_is_the_per_tile_guarded_loop_bit_for_bit(self, backend, sr_name, dtype):
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend unavailable")
+        inner, sr = get_backend(backend), SEMIRINGS[sr_name]
+        for phase in GRID_PHASE_ENTRIES:
+            for nr, nc in GRID_SHAPES:
+                msg = f"{backend} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
+                c_tiles, a_rows, b_cols = _grid_case(nr, nc, dtype)
+                # A mix of resident blocks and untracked (staging) tiles.
+                tracked = lambda i, j: (i + j) % 3 != 1  # noqa: E731
+                looped = _guarded(inner, c_tiles, sr, tracked)
+                gridded = _guarded(inner, c_tiles, sr, tracked)
+                for _ in range(2):  # second pass: sums stored by the first are the baseline
+                    _tile_loop(*looped, a_rows, b_cols, sr, phase)
+                    out = gridded[0].accumulate_grid(gridded[1], a_rows, b_cols, sr, phase)
+                    assert out is gridded[1]
+                    _assert_same_state(gridded, looped, msg)
+                assert gridded[0].counters["ops_checked"] == 2 * nr * nc, msg
+                assert set(gridded[0].counters) == {"blocks_tracked", "ops_checked"}, msg
+                gridded[0].raise_pending()
+
+    def test_one_corrupt_tile_is_found_and_repaired_alone(self):
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        want = get_backend("reference").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        inner = _CorruptsTarget()
+        faulty = _copy_tiles(c_tiles)
+        inner.target = faulty[1][2]
+        inner.srgemm_grid(faulty, a_rows, b_cols)  # what the guard is up against
+        vrt, tiles = _guarded(inner, c_tiles)
+        inner.target = tiles[1][2]
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        vrt.raise_pending()  # repaired in place: nothing escalates
+        assert vrt.counters == {
+            "blocks_tracked": nr * nc, "ops_checked": nr * nc, "sdc_detected": 1, "repaired": 1,
+        }
+        for i in range(nr):
+            for j in range(nc):
+                np.testing.assert_array_equal(tiles[i][j], want[i][j])
+                assert np.array_equal(tiles[i][j], faulty[i][j]) == ((i, j) != (1, 2))
+                guard = vrt._tiles[id(tiles[i][j])]
+                want_sums = block_checksums(want[i][j], MIN_PLUS)
+                assert checksums_match((guard.row, guard.col), want_sums)
+
+    def test_at_rest_flip_flags_that_block_and_defers(self):
+        c_tiles, a_rows, b_cols = _grid_case(3, 4, inf=False)
+        vrt, tiles = _guarded(get_backend("reference"), c_tiles)
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        tiles[2][1][3, 4] *= -1.0  # resident corruption between two grids
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)  # returns: escalation is deferred
+        assert vrt.counters == {
+            "blocks_tracked": 12, "ops_checked": 24, "sdc_detected": 1, "escalated": 1,
+        }
+        with pytest.raises(SilentCorruptionError, match="resident corruption") as info:
+            vrt.raise_pending()
+        assert (info.value.rank, info.value.block, info.value.op) == (2, (2, 1), "srgemm_outer")
+        # Stored sums were resynced: the same upset is not re-detected.
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        vrt.raise_pending()
+        assert vrt.counters["sdc_detected"] == 1 and vrt.counters["ops_checked"] == 36
+
+    @pytest.mark.parametrize("case", ["ragged", "mixed-dtype"])
+    def test_non_uniform_grid_takes_the_per_tile_guarded_path(self, case, monkeypatch):
+        rng = np.random.default_rng(41)
+        if case == "ragged":  # the last block row/column of a padded-free matrix
+            ms, ns, k = (8, 8, 3), (8, 5), 8
+            a_rows = [rng.uniform(0.5, 9.0, (m, k)) for m in ms]
+            b_cols = [rng.uniform(0.5, 9.0, (k, n)) for n in ns]
+            c_tiles = [[rng.uniform(0.5, 9.0, (m, n)) for n in ns] for m in ms]
+        else:
+            c_tiles, a_rows, b_cols = _grid_case(3, 2)
+            c_tiles[1][1] = c_tiles[1][1].astype(np.float32)
+        inner = ReferenceBackend()
+        grid_calls = _spy(monkeypatch, inner, "srgemm_grid")
+        tile_calls = _spy(monkeypatch, inner, "srgemm_outer")
+        looped, gridded = _guarded(inner, c_tiles), _guarded(inner, c_tiles)
+        _tile_loop(*looped, a_rows, b_cols, MIN_PLUS, "outer")
+        del tile_calls[:]
+        ChecksummedBackend(gridded[0]).srgemm_grid(gridded[1], a_rows, b_cols)
+        assert (len(grid_calls), len(tile_calls)) == (0, 6)
+        _assert_same_state(gridded, looped, case)
+
+    def test_small_byte_budget_walks_row_bands(self, monkeypatch):
+        """The snapshot is a budgeted kernel temporary: below one tile
+        row's bytes the grid is walked a tile row at a time, each band
+        its own guarded cycle around its own inner grid call."""
+        nr, nc = 4, 3
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        whole = _guarded(ReferenceBackend(), c_tiles)
+        whole[0].accumulate_grid(whole[1], a_rows, b_cols, MIN_PLUS)
+        for budget, bands in ((1, nr), (2 * nc * 8 * 8 * 8, 2), (nr * nc * 8 * 8 * 8, 1)):
+            inner = ReferenceBackend(byte_budget=budget)
+            grid_calls = _spy(monkeypatch, inner, "srgemm_grid")
+            banded = _guarded(inner, c_tiles)
+            banded[0].accumulate_grid(banded[1], a_rows, b_cols, MIN_PLUS)
+            assert len(grid_calls) == bands
+            _assert_same_state(banded, whole, f"budget {budget}")
+        # A corrupt tile in a later band is still found and repaired alone.
+        inner = _CorruptsTarget(byte_budget=1)
+        vrt, tiles = _guarded(inner, c_tiles)
+        inner.target = tiles[3][0]
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        assert (vrt.counters["sdc_detected"], vrt.counters["repaired"]) == (1, 1)
+        for got_row, want_row in zip(tiles, whole[1]):
+            for got, want in zip(got_row, want_row):
+                np.testing.assert_array_equal(got, want)
+                guard = vrt._tiles[id(got)]
+                assert checksums_match((guard.row, guard.col), block_checksums(want, MIN_PLUS))
+
+    def test_flag_order_is_pre_op_compares_then_post_op_compares(self):
+        """Several tiles flag in one grid (one band): every pre-op
+        compare (row-major) is recorded before any post-op compare
+        (row-major), and the first recorded escalation is the one
+        raised.  The per-tile loop interleaves them tile by tile, so it
+        would name tile (0, 0) here; counters agree either way."""
+        c_tiles, a_rows, b_cols = _grid_case(2, 3, inf=False)
+        inner = _CorruptsTarget()
+        vrt, tiles = _guarded(inner, c_tiles)
+        vrt.reference = inner  # the repair is corrupt too: post-op mismatch persists
+        inner.target = tiles[0][0]
+        tiles[1][2][0, 0] *= -1.0  # at rest, later in row-major order
+        tiles[0][1][0, 0] *= -1.0  # at rest, earlier
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS, "panel")
+        assert vrt.counters == {
+            "blocks_tracked": 6, "ops_checked": 6, "sdc_detected": 3, "escalated": 3,
+        }
+        with pytest.raises(SilentCorruptionError, match="resident corruption") as info:
+            vrt.raise_pending()
+        assert (info.value.block, info.value.op) == ((0, 1), "srgemm_panel")
+
+    @pytest.mark.parametrize(
+        "op", ["srgemm_outer", "panel_row_update", "panel_col_update", "grid:srgemm_panel"]
+    )
+    def test_persisting_mismatch_names_the_op_that_ran(self, op):
+        """Inner result *and* reference repair corrupt: the escalation
+        carries the guarded entry that was called, not the fused kernel
+        the repair happens to use."""
+        c_tiles, a_rows, b_cols = _grid_case(2, 2, inf=False)
+        inner = _CorruptsTarget()
+        vrt, tiles = _guarded(inner, c_tiles)
+        vrt.reference = inner
+        inner.target = tiles[1][0]
+        checked = ChecksummedBackend(vrt)
+        if op == "srgemm_outer":
+            checked.srgemm_outer(tiles[1][0], a_rows[1], b_cols[0])
+        elif op.startswith("panel"):
+            getattr(checked, op)(tiles[1][0], a_rows[1])
+        else:
+            checked.srgemm_grid(tiles, a_rows, b_cols, phase="panel")
+        assert vrt.counters["sdc_detected"] == 1 and "repaired" not in vrt.counters
+        with pytest.raises(SilentCorruptionError, match="persisted after reference repair") as info:
+            vrt.raise_pending()
+        assert (info.value.rank, info.value.block) == (2, (1, 0))
+        assert info.value.op == op.removeprefix("grid:")
+
+    @pytest.mark.parametrize("variant", ["baseline", "async", "offload"])
+    def test_verified_solve_on_the_default_backend(self, w48, oracle, variant):
+        """End to end on whatever ``$REPRO_SRGEMM_BACKEND`` selects (CI
+        runs this class a second time under ``tiled``, where the inner
+        grid entry is the base-class loop): a resident-block flip is
+        detected, recovered and the result stays bit-exact."""
+        clean = run(w48, variant, verify="checksum")
+        assert clean.verification["sdc_detected"] == 0
+        assert clean.makespan == PRE_FAULT_MAKESPANS[variant]
+        r = run(
+            w48, variant, verify="checksum",
+            fault_plan=["memflip:rank=1,k=3", "policy:ckpt=2"], fault_seed=4,
+        )
+        cert = r.verification
+        assert cert["passed"] and cert["sdc_detected"] >= 1
+        assert cert["repaired"] + cert["escalated"] >= 1
+        for got in (clean.dist, r.dist):
+            np.testing.assert_array_equal(got, oracle)
 
 
 # ---------------------------------------------------------------------------
