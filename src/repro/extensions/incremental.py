@@ -9,12 +9,21 @@ Maintains an APSP solution under edge updates:
 * weight *increases* and deletions may invalidate arbitrarily many
   paths; they are detected and answered with a (blocked) recompute.
 
+The algorithm itself - validation, classification, batch coalescing,
+the refuse-before-write negative-cycle check, the counters - is
+:class:`repro.serve.incremental.RankOneUpdater`, the same code the
+serving layer's :class:`~repro.serve.ArtifactPatcher` runs over tiles
+at rest.  :class:`IncrementalApsp` is that updater over an in-memory
+store, re-solving with :func:`repro.core.blocked_fw`; the two are
+pinned against each other by
+``tests/test_serve.py::TestIncremental::test_cross_store_equivalence``
+and refusals by ``tests/test_extensions.py::TestIncrementalApsp``.
+
 The class keeps counters so callers can see how many updates took the
 fast path - the economics that make incremental APSP attractive for
 the paper's knowledge-graph use case.  Pass an
 :class:`~repro.obs.metrics.MetricsRegistry` as ``metrics=`` to surface
-them as ``serve.incremental.*`` counters, the same family the serving
-layer's :class:`~repro.serve.incremental.ArtifactPatcher` emits.
+them as ``serve.incremental.*`` counters.
 """
 
 from __future__ import annotations
@@ -22,14 +31,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.blocked import blocked_fw
-from ..errors import NegativeCycleError
-from ..semiring.minplus import INF
+from ..serve.artifact import MemoryArtifact
+from ..serve.cache import BlockCache
+from ..serve.incremental import RankOneUpdater
+from ..serve.query import QueryEngine
 
 __all__ = ["IncrementalApsp"]
 
 
-class IncrementalApsp:
+class IncrementalApsp(RankOneUpdater):
     """An APSP solution that tracks a mutating graph.
+
+    ``update_edge`` / ``insert_edge`` / ``remove_edge`` /
+    ``batch_update`` and the ``fast_updates`` / ``recomputes`` counters
+    are the updater's.  Bad vertices or weights raise
+    :class:`~repro.errors.QueryError` (a ``ValueError``) and a negative
+    cycle :class:`~repro.errors.NegativeCycleError`, both with
+    ``weights`` and ``dist`` untouched.
 
     Parameters
     ----------
@@ -38,7 +56,7 @@ class IncrementalApsp:
         (``float32`` stays ``float32``); everything else is promoted
         to ``float64`` so +inf can mark absent edges.
     block_size:
-        Tile size for the blocked recompute path.
+        Tile size for the store and the blocked recompute path.
     backend:
         SrGemm kernel backend (name or instance) for recomputes;
         ``None`` resolves through the :mod:`repro.semiring.backends`
@@ -47,7 +65,7 @@ class IncrementalApsp:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; updates
         increment ``serve.incremental.fast_updates`` /
-        ``serve.incremental.recomputes``.
+        ``serve.incremental.recomputes`` / ``.dirty_blocks``.
     """
 
     def __init__(self, weights: np.ndarray, block_size: int = 64, *,
@@ -60,118 +78,30 @@ class IncrementalApsp:
             raise ValueError(f"weights must be square, got {w.shape}")
         self.block_size = block_size
         self.backend = backend
-        self.metrics = metrics
-        self.weights = w
-        self.dist = self._solve()
-        self.fast_updates = 0
-        self.recomputes = 0
+        store = MemoryArtifact(self._solve(w).astype(dtype, copy=False),
+                               block_size=min(block_size, len(w)), graph=w)
+        super().__init__(store, QueryEngine(store, BlockCache()), metrics=metrics)
 
-    def _solve(self) -> np.ndarray:
-        """A blocked recompute, cast back to the tracked dtype (the
-        kernels work in the semiring's own dtype)."""
-        dist = blocked_fw(self.weights, min(self.block_size, self.n),
+    def _solve(self, graph: np.ndarray) -> np.ndarray:
+        """A blocked recompute (the kernels work in the semiring's own
+        dtype; callers cast back to the tracked one)."""
+        return blocked_fw(graph, min(self.block_size, len(graph)),
                           backend=self.backend)
-        return dist.astype(self.weights.dtype, copy=False)
-
-    def _count(self, fast: bool) -> None:
-        if fast:
-            self.fast_updates += 1
-        else:
-            self.recomputes += 1
-        if self.metrics is not None:
-            name = "fast_updates" if fast else "recomputes"
-            self.metrics.counter(f"serve.incremental.{name}").inc()
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.artifact.n
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The current weight matrix."""
+        return self.artifact.load_graph()
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The maintained distance matrix (a copy: point reads should
+        use :meth:`distance`)."""
+        return self.artifact.dist()
 
     def distance(self, src: int, dst: int) -> float:
-        return float(self.dist[src, dst])
-
-    def update_edge(self, u: int, v: int, weight: float) -> bool:
-        """Set the weight of edge (u, v); returns True when the O(n²)
-        fast path sufficed, False when a full recompute ran."""
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-        if u == v:
-            if weight < 0:
-                raise NegativeCycleError(u, weight)
-            return True  # self-loops never shorten simple paths
-        old = self.weights[u, v]
-        self.weights[u, v] = weight
-        if weight <= old:
-            self._absorb_decrease(u, v, weight)
-            self._count(fast=True)
-            return True
-        # Increase: only expensive if some shortest path used (u, v).
-        if not self._edge_on_some_path(u, v, old):
-            self._count(fast=True)
-            return True
-        self.dist = self._solve()
-        self._count(fast=False)
-        return False
-
-    def insert_edge(self, u: int, v: int, weight: float) -> bool:
-        """Add (or cheapen) an edge; always the fast path."""
-        return self.update_edge(u, v, min(weight, float(self.weights[u, v])))
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Delete an edge (set to +inf); recomputes if it carried any
-        shortest path."""
-        return self.update_edge(u, v, INF)
-
-    def batch_update(self, updates: list[tuple[int, int, float]]) -> int:
-        """Apply many edge updates, coalescing recomputes.
-
-        Decreases are absorbed immediately (each O(n²)); increases are
-        staged, and at most *one* recompute runs at the end if any
-        staged increase actually carried a shortest path.  Returns the
-        number of updates that needed the recompute (0 when everything
-        took the fast path).
-        """
-        expensive = 0
-        staged_increase = False
-        for u, v, weight in updates:
-            n = self.n
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-            if u == v:
-                if weight < 0:
-                    raise NegativeCycleError(u, weight)
-                continue
-            old = float(self.weights[u, v])
-            self.weights[u, v] = weight
-            if weight <= old:
-                self._absorb_decrease(u, v, weight)
-                self._count(fast=True)
-            else:
-                if self._edge_on_some_path(u, v, old):
-                    staged_increase = True
-                    expensive += 1
-                else:
-                    self._count(fast=True)
-        if staged_increase:
-            self.dist = self._solve()
-            self._count(fast=False)
-        return expensive
-
-    # -- internals -------------------------------------------------------
-    def _absorb_decrease(self, u: int, v: int, c: float) -> None:
-        """dist ← dist ⊕ (dist[:, u] + c + dist[v, :]) - every pair can
-        route through the cheapened edge."""
-        via = self.dist[:, u, None] + (c + self.dist[None, v, :])
-        np.minimum(self.dist, via, out=self.dist)
-        neg = np.diagonal(self.dist) < 0
-        if neg.any():
-            w = int(np.flatnonzero(neg)[0])
-            raise NegativeCycleError(w, float(self.dist[w, w]))
-
-    def _edge_on_some_path(self, u: int, v: int, old_weight: float) -> bool:
-        """Did any pair's shortest distance equal a route through
-        (u, v) at its old weight?"""
-        if not np.isfinite(old_weight):
-            return False
-        via = self.dist[:, u, None] + (old_weight + self.dist[None, v, :])
-        return bool(np.any(np.isclose(via, self.dist) & np.isfinite(self.dist)))
+        return self.engine.distance(src, dst)

@@ -38,7 +38,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -253,7 +253,9 @@ class Artifact:
             raise ArtifactError(
                 self.path, f"graph must be ({self.n}, {self.n}), got {weights.shape}"
             )
-        np.savez_compressed(self.path / GRAPH_NAME, weights=weights)
+        _atomic_write(
+            self.path / GRAPH_NAME, lambda fh: np.savez_compressed(fh, weights=weights)
+        )
         self._graph_cache = np.array(weights)
 
     def flush(self) -> None:
@@ -416,11 +418,17 @@ class MemoryArtifact:
         )
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, write: Callable[[BinaryIO], Any]) -> None:
+    """``write(fh)`` into a temp file beside ``path``, then rename it
+    over ``path``: a failed write leaves the old file as it was."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        write(fh)
     os.replace(tmp, path)
+
+
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    _atomic_write(path, lambda fh: fh.write(payload))
 
 
 def _solve_header_from(result) -> dict:

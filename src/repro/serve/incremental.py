@@ -1,50 +1,56 @@
-"""Incremental artifact patching: edge updates without a re-solve.
+"""Incremental APSP under edge updates: one rank-1 (min,+) core.
 
-The block-at-rest form of :class:`repro.extensions.IncrementalApsp`
-(the paper's knowledge-graph future-work item), with the same update
-economics:
+The paper's knowledge-graph future-work item, written once.
+:class:`RankOneUpdater` is the whole algorithm, over any store with the
+artifact interface (:class:`~repro.serve.Artifact` on disk,
+:class:`~repro.serve.MemoryArtifact` in memory) read through a
+:class:`~repro.serve.QueryEngine`:
 
 * a weight *decrease* / insertion is absorbed by one rank-1 (min,+)
   outer product - ``dist' = dist ⊕ dist[:, u] ⊗ (c ⊗ dist[v, :])`` -
-  applied tile by tile, and **only dirtied tiles are rewritten**
-  (content-addressing makes an unchanged tile a no-op);
-* a weight *increase* / deletion first checks whether any shortest
-  path actually used the edge (one read-only sweep); if none did the
-  update is free, otherwise the patch is *invalid* and a full re-solve
-  is scheduled through the existing
-  :class:`~repro.sched.ClusterScheduler` - the artifact's own solve
-  header (variant, cluster shape) configures the job.
+  applied tile by tile in the store dtype, and **only dirtied tiles are
+  rewritten** (content-addressing makes an unchanged tile a no-op);
+* a weight *increase* / deletion first checks, in float64, whether any
+  shortest path actually used the edge (one read-only sweep); if none
+  did the update is free, otherwise the patch is *invalid* and one
+  re-solve replaces every tile;
+* an update is **refused before anything is written**: bad vertices or
+  weights raise :class:`~repro.errors.QueryError`, a decrease that would
+  close a negative cycle raises
+  :class:`~repro.errors.NegativeCycleError`, and the store (tiles, graph,
+  cached graph array) is exactly what it was.  A refusal inside a batch
+  commits the updates before it and applies nothing after.
 
-Counters surface as ``serve.incremental.*`` metrics (fast updates,
-recomputes, dirtied/rewritten tiles) so the economics are observable,
-and the patcher's answers are pinned bit-exact against
-:class:`~repro.extensions.IncrementalApsp` by ``tests/test_serve.py``.
+Two thin subclasses say how a re-solve is obtained:
+:class:`ArtifactPatcher` (here) submits one
+:class:`~repro.sched.ClusterScheduler` job configured from the
+artifact's own solve header; :class:`repro.extensions.IncrementalApsp`
+runs ``blocked_fw`` over an in-memory store.  Counters surface as
+``serve.incremental.*`` metrics, and the two are pinned bit-exact
+against each other and against a fresh solve by
+``tests/test_serve.py::TestIncremental::test_cross_store_equivalence``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from ..errors import NegativeCycleError, QueryError
 from ..semiring.minplus import INF
 
-__all__ = ["ArtifactPatcher"]
+__all__ = ["RankOneUpdater", "ArtifactPatcher"]
 
 
-class ArtifactPatcher:
-    """Applies edge updates to an artifact through a query engine."""
+class RankOneUpdater:
+    """Applies edge updates to an artifact through a query engine;
+    subclasses provide ``_solve(graph) -> dist`` for invalid patches."""
 
-    def __init__(self, artifact, engine, *, metrics=None,
-                 kernel_backend: Optional[str] = None, scheduler=None,
-                 scheduler_factory=None):
+    def __init__(self, artifact, engine, *, metrics=None):
         self.artifact = artifact
         self.engine = engine
         self.metrics = metrics
-        self.kernel_backend = kernel_backend
-        self._scheduler = scheduler
-        self._scheduler_factory = scheduler_factory
         self.fast_updates = 0
         self.recomputes = 0
         self.dirty_blocks = 0
@@ -52,36 +58,14 @@ class ArtifactPatcher:
     # -- public update surface --------------------------------------------
     def update_edge(self, u: int, v: int, weight: float) -> bool:
         """Set the weight of edge (u, v); True when the O(n²) tile
-        patch sufficed, False when a re-solve was scheduled."""
-        u = self.engine._check_vertex(u, "edge source")
-        v = self.engine._check_vertex(v, "edge target")
-        weight = self._check_weight(weight)
-        graph = self.artifact.load_graph()
-        if u == v:
-            if weight < 0:
-                raise NegativeCycleError(u, weight)
-            self._count_fast()
-            return True  # self-loops never shorten simple paths
-        old = float(graph[u, v])
-        graph[u, v] = weight
-        if weight <= old:
-            self._absorb_decrease(u, v, weight)
-            self._count_fast()
-            self._persist_graph(graph)
-            return True
-        if not self._edge_on_some_path(u, v, old):
-            self._count_fast()
-            self._persist_graph(graph)
-            return True
-        self._recompute(graph)
-        return False
+        patch sufficed, False when a re-solve ran."""
+        return self.batch_update([(u, v, weight)]) == 0
 
     def insert_edge(self, u: int, v: int, weight: float) -> bool:
         """Add (or cheapen) an edge; always the fast path."""
-        graph = self.artifact.load_graph()
-        u = self.engine._check_vertex(u, "edge source")
-        v = self.engine._check_vertex(v, "edge target")
-        return self.update_edge(u, v, min(float(weight), float(graph[u, v])))
+        u, v, weight = self._check_edge(u, v, weight)
+        return self.update_edge(
+            u, v, min(weight, float(self.artifact.load_graph()[u, v])))
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete an edge (set to +inf); re-solves if it carried any
@@ -92,123 +76,127 @@ class ArtifactPatcher:
         """Apply many edge updates, coalescing re-solves: decreases are
         absorbed immediately, increases are staged, and at most *one*
         re-solve runs at the end.  Returns the number of updates that
-        needed it (0 = everything took the fast path)."""
+        needed it (0 = everything took the fast path).  A refused update
+        raises with every update before it committed."""
         graph = self.artifact.load_graph()
         expensive = 0
-        staged = False
-        for u, v, weight in updates:
-            u = self.engine._check_vertex(u, "edge source")
-            v = self.engine._check_vertex(v, "edge target")
-            weight = self._check_weight(weight)
-            if u == v:
-                if weight < 0:
-                    raise NegativeCycleError(u, weight)
-                continue
-            old = float(graph[u, v])
-            graph[u, v] = weight
-            if weight <= old:
-                self._absorb_decrease(u, v, weight)
-                self._count_fast()
-            elif self._edge_on_some_path(u, v, old):
-                staged = True
-                expensive += 1
-            else:
-                self._count_fast()
-        if staged:
-            self._recompute(graph)
-        else:
-            self._persist_graph(graph)
+        edited = False
+        try:
+            for u, v, weight in updates:
+                u, v, weight = self._check_edge(u, v, weight)
+                if u == v:
+                    if weight < 0:
+                        raise NegativeCycleError(u, weight)
+                    continue  # shortens no simple path: a no-op, not counted
+                old = float(graph[u, v])
+                if weight <= old:
+                    self._absorb_decrease(u, v, weight)
+                    self._count("fast_updates")
+                elif self._edge_on_some_path(u, v, old):
+                    expensive += 1
+                else:
+                    self._count("fast_updates")
+                graph[u, v] = weight  # accepted: only now may the graph change
+                edited = True
+        finally:  # also on a refusal: the prefix before it is committed
+            if expensive:
+                self._recompute(graph)
+            elif edited:
+                self.artifact.rewrite_graph(graph)
         return expensive
 
     # -- internals --------------------------------------------------------
-    def _check_weight(self, weight) -> float:
+    def _check_edge(self, u, v, weight) -> tuple[int, int, float]:
+        u = self.engine._check_vertex(u, "edge source")
+        v = self.engine._check_vertex(v, "edge target")
         try:
             weight = float(weight)
         except (TypeError, ValueError):
             raise QueryError(f"edge weight must be a number, got {weight!r}") from None
         if np.isnan(weight) or weight == -np.inf:
             raise QueryError(f"edge weight must not be NaN or -inf, got {weight}")
-        return weight
+        return u, v, weight
 
-    def _count_fast(self) -> None:
-        self.fast_updates += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.incremental.fast_updates").inc()
+    def _count(self, name: str, k: int = 1) -> None:
+        setattr(self, name, getattr(self, name) + k)
+        if self.metrics is not None and k:
+            self.metrics.counter(f"serve.incremental.{name}").inc(k)
+
+    def _tiles(self) -> Iterator[tuple[int, int, slice, slice]]:
+        art = self.artifact
+        b = art.block_size
+        for bi, bj in art.block_keys():
+            yield (bi, bj, slice(bi * b, min(art.n, (bi + 1) * b)),
+                   slice(bj * b, min(art.n, (bj + 1) * b)))
 
     def _absorb_decrease(self, u: int, v: int, c: float) -> None:
         """dist ← dist ⊕ (dist[:, u] + c + dist[v, :]), tile by tile,
         rewriting only the tiles the cheaper edge actually changed."""
         art = self.artifact
-        col_u = self.engine.col(u).astype(art.dtype, copy=True)  # pre-update snapshot
-        row_v = self.engine.row(v).astype(art.dtype, copy=True)
+        col_u = self.engine.col(u).astype(art.dtype, copy=False)  # pre-update snapshots
+        row_v = self.engine.row(v).astype(art.dtype, copy=False)
         shifted = (np.asarray(c, dtype=art.dtype) + row_v).astype(art.dtype)
-        b = art.block_size
+        # The candidate matrix's diagonal: every cycle through the new
+        # edge.  A negative one refuses the update before any tile moves.
+        cycle = col_u + shifted
+        neg = np.flatnonzero(cycle < 0)
+        if neg.size:
+            raise NegativeCycleError(int(neg[0]), float(cycle[neg[0]]))
         dirtied = 0
-        for bi, bj in art.block_keys():
-            si = slice(bi * b, min(art.n, (bi + 1) * b))
-            sj = slice(bj * b, min(art.n, (bj + 1) * b))
+        for bi, bj, si, sj in self._tiles():
             candidate = col_u[si, None] + shifted[None, sj]
             tile = self.engine.block(bi, bj)
             if not np.any(candidate < tile):
                 continue
-            patched = np.minimum(tile, candidate).astype(art.dtype)
-            art.rewrite_block(bi, bj, patched)
+            art.rewrite_block(bi, bj, np.minimum(tile, candidate).astype(art.dtype))
             self.engine.invalidate(bi, bj)
             dirtied += 1
-            if bi == bj:
-                local = np.diagonal(patched)
-                neg = local < 0
-                if neg.any():
-                    w = bi * b + int(np.flatnonzero(neg)[0])
-                    art.flush()
-                    raise NegativeCycleError(w, float(local[neg][0]))
         art.flush()
-        self.dirty_blocks += dirtied
-        if self.metrics is not None and dirtied:
-            self.metrics.counter("serve.incremental.dirty_blocks").inc(dirtied)
+        self._count("dirty_blocks", dirtied)
 
     def _edge_on_some_path(self, u: int, v: int, old_weight: float) -> bool:
         """Did any pair's shortest distance equal a route through
         (u, v) at its old weight?  Read-only tile sweep."""
         if not np.isfinite(old_weight):
             return False
-        art = self.artifact
         col_u = self.engine.col(u).astype(np.float64)
-        row_v = self.engine.row(v).astype(np.float64)
-        shifted = old_weight + row_v
-        b = art.block_size
-        for bi, bj in art.block_keys():
-            si = slice(bi * b, min(art.n, (bi + 1) * b))
-            sj = slice(bj * b, min(art.n, (bj + 1) * b))
+        shifted = old_weight + self.engine.row(v).astype(np.float64)
+        for bi, bj, si, sj in self._tiles():
             tile = np.asarray(self.engine.block(bi, bj), dtype=np.float64)
             via = col_u[si, None] + shifted[None, sj]
             if bool(np.any(np.isclose(via, tile) & np.isfinite(tile))):
                 return True
         return False
 
-    def _persist_graph(self, graph: np.ndarray) -> None:
-        self.artifact.rewrite_graph(graph)
-
     def _recompute(self, graph: np.ndarray) -> None:
-        """The patch is invalid: schedule a fresh solve of the updated
-        graph through the cluster scheduler and rewrite every changed
-        tile from its result."""
-        dist = self._solve(graph)
+        """The patch is invalid: re-solve the updated graph and rewrite
+        every changed tile from the result."""
         art = self.artifact
-        dist = np.asarray(dist, dtype=art.dtype)
-        b = art.block_size
-        for bi, bj in art.block_keys():
-            tile = np.ascontiguousarray(
-                dist[bi * b : min(art.n, (bi + 1) * b),
-                     bj * b : min(art.n, (bj + 1) * b)]
-            )
-            art.rewrite_block(bi, bj, tile)
+        dist = np.asarray(self._solve(graph), dtype=art.dtype)
+        for bi, bj, si, sj in self._tiles():
+            art.rewrite_block(bi, bj, np.ascontiguousarray(dist[si, sj]))
             self.engine.invalidate(bi, bj)
-        self._persist_graph(graph)
+        art.rewrite_graph(graph)
         art.flush()
-        self.recomputes += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.incremental.recomputes").inc()
+        self._count("recomputes")
+
+    def _solve(self, graph: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class ArtifactPatcher(RankOneUpdater):
+    """The updater behind :class:`~repro.serve.QueryServer`: an invalid
+    patch is re-solved by one job on the cluster scheduler."""
+
+    def __init__(self, artifact, engine, *, metrics=None,
+                 kernel_backend: Optional[str] = None, scheduler=None):
+        super().__init__(artifact, engine, metrics=metrics)
+        self.kernel_backend = kernel_backend
+        self._scheduler = scheduler
+
+    # Bound in this class's own namespace as well: benchmarks/e2e patches
+    # ``vars(ArtifactPatcher)["update_edge"]`` to span each update.
+    update_edge = RankOneUpdater.update_edge
 
     def _solve(self, graph: np.ndarray) -> np.ndarray:
         from ..api import SolveConfig
@@ -232,18 +220,10 @@ class ArtifactPatcher:
         if self.kernel_backend is not None:
             fields["kernel_backend"] = self.kernel_backend
         config = SolveConfig(**fields)
-        scheduler = self._resolve_scheduler(config)
-        handle = scheduler.submit(graph, config, name="serve-resolve")
-        return handle.result().dist
-
-    def _resolve_scheduler(self, config):
         if self._scheduler is None:
-            if self._scheduler_factory is not None:
-                self._scheduler = self._scheduler_factory(config)
-            else:
-                from ..sched import ClusterScheduler
+            from ..sched import ClusterScheduler
 
-                self._scheduler = ClusterScheduler(
-                    machine=config.machine, n_nodes=config.n_nodes
-                )
-        return self._scheduler
+            self._scheduler = ClusterScheduler(
+                machine=config.machine, n_nodes=config.n_nodes
+            )
+        return self._scheduler.submit(graph, config, name="serve-resolve").result().dist

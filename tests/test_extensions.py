@@ -161,6 +161,40 @@ class TestIncrementalApsp:
         with pytest.raises(ValueError):
             IncrementalApsp(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [
+        (0, 1, float("nan")), (0, 1, float("-inf")), (0, 1, "heavy"),
+        (0, 24, 1.0), (0.5, 1, 1.0),
+        (3, 3, -1.0),      # negative self-loop
+        (2, 7, -1e6),      # a decrease that closes a negative cycle
+    ])
+    def test_refused_update_leaves_state_untouched(self, dense24, bad):
+        inc = IncrementalApsp(dense24)
+        inc.update_edge(2, 7, 0.01)
+        weights, dist = inc.weights.copy(), inc.dist.copy()
+        error = NegativeCycleError if bad in [(3, 3, -1.0), (2, 7, -1e6)] else ValueError
+        for call in (inc.update_edge, inc.insert_edge,
+                     lambda *edge: inc.batch_update([edge, (4, 5, 0.01)])):
+            with pytest.raises(error):
+                call(*bad)
+        if bad[:2] != (0, 1) and error is ValueError:  # a bad vertex
+            with pytest.raises(ValueError):
+                inc.remove_edge(*bad[:2])
+        assert np.array_equal(inc.weights, weights)
+        assert np.array_equal(inc.dist, dist, equal_nan=True)
+        assert not np.isnan(inc.dist).any()
+        assert (inc.fast_updates, inc.recomputes) == (1, 0)
+
+    def test_mid_batch_refusal_commits_the_prefix(self, dense24):
+        inc = IncrementalApsp(dense24)
+        base = inc.dist
+        with pytest.raises(NegativeCycleError):
+            inc.batch_update([(2, 7, 0.01), (6, 6, 0.0), (7, 2, -1e6), (4, 5, 0.01)])
+        assert inc.weights[2, 7] == 0.01
+        assert inc.weights[7, 2] == dense24[7, 2] and inc.weights[4, 5] == dense24[4, 5]
+        expected = np.minimum(base, base[:, 2, None] + (0.01 + base[None, 7, :]))
+        assert np.array_equal(inc.dist, expected)
+        assert (inc.fast_updates, inc.recomputes) == (1, 0)  # the self-loop is not counted
+
     @given(st.integers(0, 10**6), st.integers(5, 12), st.integers(3, 12))
     @settings(max_examples=20, deadline=None)
     def test_batch_update_property(self, seed, n, n_updates):

@@ -144,6 +144,24 @@ class TestCorruption:
         with pytest.raises(ArtifactError):
             art.dist()
 
+    def test_failed_graph_rewrite_keeps_old_graph(self, artifact_dir, solved, monkeypatch):
+        # The graph payload goes through a temp file + rename like the
+        # manifest: a write that dies half way leaves the old one loadable.
+        w, _ = solved
+        art = load_artifact(artifact_dir)
+
+        def torn_savez(file, **arrays):
+            fh = open(file, "wb") if isinstance(file, (str, os.PathLike)) else file
+            fh.write(b"PK\x03\x04 half a zip")
+            fh.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            art.rewrite_graph(np.zeros_like(w))
+        monkeypatch.undo()
+        np.testing.assert_array_equal(load_artifact(artifact_dir).load_graph(), w)
+
     def test_verification_can_be_disabled(self, artifact_dir, solved):
         # verify_blocks=False serves whatever bytes are on disk.
         _, res = solved
@@ -497,6 +515,202 @@ class TestIncremental:
             srv.update_edge(0, 1, float("nan"))
         with pytest.raises(QueryError):
             srv.update_edge(0, 1, float("-inf"))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["dyadic", "generic"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_cross_store_equivalence(self, tmp_path, dtype, exact):
+        """One update stream through the dense IncrementalApsp, an
+        in-memory server and an on-disk server: same answers, same
+        counters, same distances after every step.
+
+        The three differ only in where tiles live and in how a re-solve
+        is obtained (``blocked_fw`` vs a scheduler job), and those two
+        solvers agree to the ULP, not the bit.  With weights on a 1/64
+        grid every (min,+) sum is exact, so all three must then agree
+        bit for bit with each other and with a fresh solve; with generic
+        weights the two servers still must, and the dense one to the
+        dtype's tolerance.
+        """
+        from repro.extensions import IncrementalApsp
+
+        n, b = 30, 8  # ragged edge tiles: 30 = 3 * 8 + 6
+        everything = np.arange(n)
+        w = erdos_renyi(n, 0.3, seed=6)
+        if exact:
+            w = np.ceil(w * 64) / 64
+        w = w.astype(dtype)
+        res = repro.solve(w, variant="async", block_size=b, **CLUSTER)
+        path = tmp_path / "art"
+        res.save(path, block_size=b, graph=w)
+        dense = IncrementalApsp(w, block_size=b)
+        mem = repro.serve(res, graph=w, block_size=b)
+        disk = repro.serve(path)
+        assert disk.dtype == mem.dtype == dense.dist.dtype == dtype
+
+        def fresh():
+            return repro.solve(
+                dense.weights, variant="async", block_size=b, **CLUSTER).dist
+
+        def check(resolved=False):
+            served = disk.submatrix(everything, everything)
+            np.testing.assert_array_equal(mem.submatrix(everything, everything), served)
+            for srv in (mem, disk):
+                np.testing.assert_array_equal(srv.artifact.load_graph(), dense.weights)
+                assert srv.stats()["incremental"] == mem.stats()["incremental"]
+                assert (srv.patcher.fast_updates, srv.patcher.recomputes) == (
+                    dense.fast_updates, dense.recomputes)
+            if exact:
+                np.testing.assert_array_equal(dense.dist, served)
+                assert dense.dirty_blocks == disk.patcher.dirty_blocks
+                np.testing.assert_array_equal(served, fresh())
+            else:
+                np.testing.assert_allclose(
+                    dense.dist, served, rtol=1e-12 if dtype == np.float64 else 1e-6)
+                if resolved:
+                    np.testing.assert_array_equal(served, fresh())
+            return served
+
+        def apply(op, *args):
+            got = [getattr(store, op)(*args) for store in (dense, mem, disk)]
+            assert got[0] == got[1] == got[2], (op, args, got)
+            return got[0]
+
+        def edges(mask):
+            real = np.isfinite(dense.weights) & ~np.eye(n, dtype=bool)
+            return [(int(u), int(v)) for u, v in np.argwhere(real & mask)]
+
+        def carrying():  # the cheapest edge is the shortest path between its ends
+            real = np.where(np.eye(n, dtype=bool), np.inf, dense.weights)
+            return tuple(map(int, np.unravel_index(np.argmin(real), real.shape)))
+
+        dist = check()
+        assert apply("update_edge", 0, 17, 0.015625) is True           # decrease
+        assert apply("update_edge", 5, 5, 2.0) is True                  # self-loop
+        dist = check()
+        slack = edges(dense.weights > dist + 0.5)                       # off every path
+        u, v = slack[0]
+        assert apply("update_edge", u, v, float(dense.weights[u, v]) + 1.0) is True
+        absent = np.argwhere(np.isinf(dense.weights))
+        u, v = map(int, absent[len(absent) // 2])
+        assert apply("insert_edge", u, v, 0.25) is True                 # new edge
+        assert apply("insert_edge", u, v, 3.0) is True                  # keeps 0.25
+        assert apply("remove_edge", *map(int, absent[0])) is True       # was absent
+        check()
+        assert dense.recomputes == 0 and dense.fast_updates == 5
+        u, v = carrying()
+        assert apply("update_edge", u, v, 512.0) is False               # invalidating
+        check(resolved=True)
+        assert apply("remove_edge", *carrying()) is False
+        dist = check(resolved=True)
+        slack = edges(dense.weights > dist + 0.5)
+        (fu, fv), (cu, cv) = slack[-1], carrying()
+        batch = [
+            (3, 21, 0.03125),                                           # decrease
+            (7, 7, 0.0),                                                # self-loop
+            (cu, cv, 768.0),                                            # staged increase
+            (fu, fv, float(dense.weights[fu, fv]) + 2.0),               # free increase
+            (22, 4, 0.0625),                                            # decrease
+        ]
+        assert apply("batch_update", batch) == 1
+        check(resolved=True)
+        assert (dense.fast_updates, dense.recomputes) == (8, 3)
+        assert apply("update_edge", 11, 2, 0.125) is True               # patch after it
+        final = check()
+        disk.close()
+        np.testing.assert_array_equal(
+            repro.serve(path).submatrix(everything, everything), final)
+
+    @staticmethod
+    def _files(path):
+        return {str(f.relative_to(path)): f.read_bytes()
+                for f in sorted(path.rglob("*")) if f.is_file()}
+
+    def test_refused_update_leaves_artifact_untouched(self, tmp_path):
+        w, res, srv, path = self._served(tmp_path)
+        srv.update_edge(0, 17, 1e-3)
+        srv.close()
+        before = self._files(path)
+        base = repro.serve(path).submatrix(range(30), range(30))
+        srv = repro.serve(path)
+        refused = [
+            (NegativeCycleError, srv.update_edge, (0, 17, -1e6)),  # closes a cycle
+            (NegativeCycleError, srv.update_edge, (3, 3, -1.0)),
+            (NegativeCycleError, srv.insert_edge, (17, 0, -1e6)),
+            (NegativeCycleError, srv.batch_update, ([(0, 17, -1e6), (1, 2, 0.5)],)),
+            (QueryError, srv.update_edge, (0, 1, float("nan"))),
+            (QueryError, srv.update_edge, (0, 30, 1.0)),
+            (QueryError, srv.insert_edge, (0, 1, float("-inf"))),
+            (QueryError, srv.remove_edge, (-1, 1)),
+        ]
+        for error, call, args in refused:
+            with pytest.raises(error):
+                call(*args)
+            assert srv.artifact.load_graph()[0, 17] == 1e-3  # cached graph too
+            np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), base)
+        assert srv.stats()["incremental"] == {
+            "fast_updates": 0, "recomputes": 0, "dirty_blocks": 0}
+        srv.close()
+        # Nothing was written: same files, same bytes, same answers.
+        assert self._files(path) == before
+        srv = repro.serve(path)
+        np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), base)
+        # The artifact is not bricked: a valid update still lands, as the
+        # rank-1 patch of what was there and ULP-close to a fresh solve.
+        assert srv.update_edge(4, 9, 2e-3) is True
+        srv.close()
+        got = repro.serve(path).submatrix(range(30), range(30))
+        np.testing.assert_array_equal(
+            got, np.minimum(base, base[:, 4, None] + (2e-3 + base[None, 9, :])))
+        w2 = load_artifact(path).load_graph()
+        assert (w2[0, 17], w2[4, 9]) == (1e-3, 2e-3)
+        ref = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["patched", "resolved"])
+    def test_mid_batch_refusal_commits_the_prefix(self, tmp_path, staged):
+        w, res, srv, path = self._served(tmp_path)
+        prefix = [(0, 17, 1e-3), (5, 5, 1.0), (4, 9, 2e-3)]
+        if staged:  # the cheapest edge carries a path: the prefix needs a re-solve
+            finite = np.isfinite(w) & ~np.eye(len(w), dtype=bool)
+            u, v = map(int, np.argwhere(finite)[np.argmin(w[finite])])
+            prefix.append((u, v, 1e5))
+        with pytest.raises(NegativeCycleError):
+            srv.batch_update(prefix + [(9, 4, -1e6), (1, 2, 1e-3)])
+        assert srv.stats()["incremental"]["fast_updates"] == 2
+        assert srv.stats()["incremental"]["recomputes"] == int(staged)
+        srv.close()
+        # On disk: exactly the prefix, in the graph and in the tiles.
+        w2 = w.copy()
+        for u, v, c in prefix:
+            if u != v:
+                w2[u, v] = c
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.load_graph(), w2)
+        if staged:
+            expected = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
+        else:
+            expected = res.dist
+            for u, v, c in ((0, 17, 1e-3), (4, 9, 2e-3)):
+                expected = np.minimum(
+                    expected, expected[:, u, None] + (c + expected[None, v, :]))
+        np.testing.assert_array_equal(reopened.dist(), expected)
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory"])
+    def test_self_loop_rule(self, tmp_path, on_disk):
+        # One rule at every site: a non-negative self-loop is a no-op that
+        # returns True and is not counted; a negative one is refused.
+        w, res, srv, path = self._served(tmp_path)
+        if not on_disk:
+            srv = repro.serve(res, graph=w, block_size=8)
+        assert srv.update_edge(3, 3, 0.0) is True
+        assert srv.insert_edge(3, 3, 5.0) is True
+        assert srv.batch_update([(3, 3, 1.0), (4, 4, 0.0)]) == 0
+        with pytest.raises(NegativeCycleError):
+            srv.batch_update([(3, 3, 1.0), (4, 4, -0.5)])
+        assert srv.stats()["incremental"] == {
+            "fast_updates": 0, "recomputes": 0, "dirty_blocks": 0}
+        np.testing.assert_array_equal(srv.artifact.load_graph(), w)
+        np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), res.dist)
 
 
 class TestServeConfig:
