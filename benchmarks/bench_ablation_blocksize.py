@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from common import write_table
 
-from repro.core import apsp
+from repro import solve
 from repro.machine import SUMMIT, CostModel
 from repro.perfmodel import recommend_block_size
 
@@ -28,7 +28,7 @@ RPN = 8
 def run_one(b_virt: int) -> float:
     nb = round(N_VIRT / b_virt)
     w = np.zeros((nb, nb), dtype=np.float32)
-    res = apsp(
+    res = solve(
         w,
         variant="async",
         block_size=1,
@@ -36,7 +36,7 @@ def run_one(b_virt: int) -> float:
         ranks_per_node=RPN,
         dim_scale=float(b_virt),
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
     )
     return res.report.elapsed
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from common import B_VIRT, write_table
 
-from repro.core import apsp
+from repro import solve
 
 NB = 24
 NODES, RPN = 4, 4
@@ -30,7 +30,7 @@ BUFFER_BLOCKS = (1, 2, 4)
 
 def run_one(variant: str, mx: int):
     w = np.zeros((NB, NB), dtype=np.float32)
-    res = apsp(
+    res = solve(
         w,
         variant=variant,
         block_size=1,
@@ -38,7 +38,7 @@ def run_one(variant: str, mx: int):
         ranks_per_node=RPN,
         dim_scale=B_VIRT,
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
         check_negative_cycles=False,
         mx_blocks=mx,
         nx_blocks=mx,

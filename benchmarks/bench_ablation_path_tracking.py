@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 from common import write_table
 
-from repro.core import apsp
+from repro import solve
 
 
 def run_one(track):
     w = np.zeros((48, 48), dtype=np.float32)
     # Path tracking needs real numerics; keep the physical size tiny.
-    return apsp(
+    return solve(
         w,
         variant="async",
         block_size=1,
@@ -27,7 +27,7 @@ def run_one(track):
         ranks_per_node=4,
         dim_scale=768.0,
         track_paths=track,
-        collect_result=False,
+        collect=False,
     ).report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from common import write_table
 
-from repro.core import apsp
+from repro import solve
 from repro.graphs import banded_graph, erdos_renyi, ring_of_cliques
 
 GRAPHS = {
@@ -26,7 +26,7 @@ GRAPHS = {
 
 
 def run_one(w, sparse):
-    return apsp(
+    return solve(
         w,
         variant="async",
         block_size=6,

@@ -20,7 +20,7 @@ import time
 import numpy as np
 from common import write_table
 
-from repro.core import apsp
+from repro import solve
 from repro.graphs import uniform_random_dense
 
 N = 192
@@ -37,7 +37,7 @@ def run_one(w: np.ndarray, b: int, mode: str) -> tuple[float, float]:
     elapsed = None
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        res = apsp(
+        res = solve(
             w,
             variant="async",
             block_size=b,

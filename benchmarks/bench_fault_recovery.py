@@ -16,7 +16,7 @@ import numpy as np
 
 from common import B_VIRT, write_table
 
-from repro.core import apsp
+from repro import solve
 
 NODES = 4
 RPN = 4
@@ -26,7 +26,7 @@ INTERVALS = (1, 2, 4, 8)
 
 def run_one(fault_plan=None, checkpoint_interval=None):
     w = np.zeros((NB, NB), dtype=np.float32)
-    return apsp(
+    return solve(
         w,
         variant="baseline",
         block_size=1,
@@ -34,7 +34,7 @@ def run_one(fault_plan=None, checkpoint_interval=None):
         ranks_per_node=RPN,
         dim_scale=B_VIRT,
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
     )

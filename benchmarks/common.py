@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import apsp
+from repro import solve
 from repro.core.report import PerfReport
 
 #: The paper's block size; hollow sweeps use dim_scale = B_VIRT so one
@@ -42,7 +42,7 @@ def hollow_apsp(
     """Run one hollow simulation of ``nb`` block rows (virtual
     n = nb * scale) and return its report."""
     w = np.zeros((nb, nb), dtype=np.float32)
-    res = apsp(
+    res = solve(
         w,
         variant=variant,
         block_size=1,
@@ -50,7 +50,7 @@ def hollow_apsp(
         ranks_per_node=ranks_per_node,
         dim_scale=scale,
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
         **kw,
     )
     return res.report

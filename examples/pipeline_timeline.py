@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import apsp, oog_srgemm_plan, run_oog_pipeline
+from repro import solve
+from repro.core import oog_srgemm_plan, run_oog_pipeline
 from repro.machine import SUMMIT, CostModel, SimCluster
 from repro.semiring import INF
 from repro.sim import Environment, Tracer, render_gantt
@@ -55,7 +56,7 @@ def show_distributed_schedules() -> None:
     print("=" * 72)
     w = np.zeros((24, 24), dtype=np.float32)
     for variant in ("baseline", "pipelined"):
-        res = apsp(
+        res = solve(
             w,
             variant=variant,
             block_size=1,
@@ -63,7 +64,7 @@ def show_distributed_schedules() -> None:
             ranks_per_node=2,
             dim_scale=768.0,
             compute_numerics=False,
-            collect_result=False,
+            collect=False,
             trace=True,
         )
         tr = res.tracer

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import apsp, blocked_fw
+from repro import solve
+from repro.core import blocked_fw
 from repro.graphs import erdos_renyi
 from repro.semiring import INF, MAX_MIN, MIN_MAX, MIN_PLUS, OR_AND
 
 
 def distributed(matrix, semiring):
-    return apsp(
+    return solve(
         matrix,
         variant="async",
         block_size=8,

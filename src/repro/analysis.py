@@ -150,7 +150,7 @@ def reachability_components(dist: np.ndarray) -> np.ndarray:
 
 def hop_counts(next_hops: np.ndarray) -> np.ndarray:
     """Edge counts of the shortest paths encoded by a next-hop matrix
-    (as produced by ``apsp(..., track_paths=True)`` or
+    (as produced by ``repro.solve(..., track_paths=True)`` or
     :func:`repro.extensions.floyd_warshall_with_paths`); -1 where
     unreachable, 0 on the diagonal."""
     nxt = np.asarray(next_hops)

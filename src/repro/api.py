@@ -38,10 +38,10 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional
 
 from .errors import ConfigurationError, InternalError, ReproError
-from .obs.sinks import ObsSinks, check_sink_path
+from .obs.sinks import ObsSinks
 
 __all__ = [
     "ObsSinks",
@@ -53,26 +53,29 @@ __all__ = [
     "config_to_jsonable",
 ]
 
-# Back-compat alias: ObsSinks and its path validation now live in
-# repro.obs.sinks, shared with ServeConfig (repro/serve/config.py) and
-# the sched CLI instead of duplicated per config class.
-_check_sink_path = check_sink_path
-
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Frozen configuration of one distributed APSP solve.
 
-    Field-for-field the vocabulary of the engine
-    (:func:`repro.core.driver.apsp`), minus the sprawl: construct one,
-    derive variations with :meth:`replace`, and hand it to
-    :func:`solve`.
+    The one declaration of the solve vocabulary - the engine
+    (:func:`repro.core.driver.plan_run`) reads these fields directly:
+    construct one, derive variations with :meth:`replace`, and hand it
+    to :func:`solve` or :func:`submit`.
     """
 
     # -- algorithm ----------------------------------------------------------
     variant: str = "async"
     block_size: Optional[int] = None
+    #: The semiring SrGemm runs over: a
+    #: :class:`~repro.semiring.Semiring` or its ``SEMIRINGS`` name.
+    semiring: Any = "min_plus"
+    #: Carry next-hop pointer blocks through the distributed sweep;
+    #: ``result.next_hops`` is then the full pointer matrix.  (min,+)
+    #: only; not supported by the offload variants.
     track_paths: bool = False
+    #: Skip all-infinite blocks in panel broadcasts and outer products
+    #: (fill-in re-checked every iteration).  Requires real numerics.
     exploit_sparsity: bool = False
     #: SrGemm kernel backend name; None defers to
     #: ``$REPRO_SRGEMM_BACKEND`` then ``"reference"`` (see
@@ -85,7 +88,16 @@ class SolveConfig:
     ranks_per_node: Optional[int] = None
     #: Process grid as ``(pr, pc)``; None picks the near-square grid.
     grid: Optional[tuple[int, int]] = None
+    #: Explicit :class:`~repro.core.RankPlacement` (paper §3.4); None
+    #: picks the variant's policy (contiguous, or the K_r ≈ K_c tiling
+    #: for reordering/async).
+    placement: Any = None
+    #: Virtual/physical scaling of all costs (see
+    #: :class:`~repro.machine.cost.CostModel`); 1.0 simulates the
+    #: physical matrix literally.
     dim_scale: float = 1.0
+    #: ``{node_id: factor}`` NIC slowdowns modeling contended links or
+    #: slow nodes (the paper's §3.3 motivation for the async ring).
     stragglers: Optional[Mapping[int, float]] = None
 
     # -- schedule details ---------------------------------------------------
@@ -109,7 +121,11 @@ class SolveConfig:
     check_negative_cycles: bool = True
 
     # -- outputs ------------------------------------------------------------
+    #: Gather the distributed blocks into ``result.dist``; False leaves
+    #: it None (timing-only runs).
     collect: bool = True
+    #: False runs the simulation hollow - every cost charged, no
+    #: arithmetic done - so it needs ``collect=False, validate=False``.
     compute_numerics: bool = True
     trace: bool = False
     obs: ObsSinks = field(default_factory=ObsSinks)
@@ -157,19 +173,27 @@ def config_to_jsonable(config: SolveConfig) -> dict:
     This is the replay vocabulary shared by the scenario fuzzer
     (:mod:`repro.fuzz`) and the :class:`~repro.errors.InternalError`
     crash dump: a :class:`~repro.machine.spec.MachineSpec` collapses to
-    its preset name, a :class:`~repro.faults.FaultPlan` to its JSON
-    document, and ``ObsSinks`` to its field dict, so the result feeds
-    straight back into :meth:`SolveConfig.replace` /
-    ``repro-apsp fuzz replay``.
+    its preset name, a :class:`~repro.semiring.Semiring` to its
+    registry name, a :class:`~repro.faults.FaultPlan` to its JSON
+    document, a placement to ``{qr, qc, rank_to_node}`` and
+    ``ObsSinks`` to its field dict, so the result feeds straight back
+    into :meth:`SolveConfig.replace` / ``repro-apsp fuzz replay``.
     """
+    from .core.placement import RankPlacement
     from .faults.plan import FaultPlan
     from .machine.spec import MachineSpec
+    from .semiring.minplus import Semiring
 
     out: dict[str, Any] = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.name == "machine" and isinstance(value, MachineSpec):
             value = value.name
+        elif f.name == "semiring" and isinstance(value, Semiring):
+            value = value.name
+        elif f.name == "placement" and isinstance(value, RankPlacement):
+            value = {"qr": value.qr, "qc": value.qc,
+                     "rank_to_node": list(value.rank_to_node)}
         elif f.name == "fault_plan" and isinstance(value, FaultPlan):
             value = json.loads(value.to_json())
         elif f.name == "fault_plan" and isinstance(value, (tuple, list)):
@@ -204,6 +228,19 @@ def resolve_machine(machine: Any):
     )
 
 
+def resolve_config(config: Optional[SolveConfig], overrides: dict) -> SolveConfig:
+    """``config`` (default-constructed when None) with ``overrides``
+    applied - the shared prologue of :func:`solve` and
+    :meth:`~repro.sched.ClusterScheduler.submit`."""
+    if config is None:
+        config = SolveConfig()
+    if not isinstance(config, SolveConfig):
+        raise ConfigurationError(
+            f"config must be a SolveConfig, got {type(config).__name__}"
+        )
+    return config.replace(**overrides) if overrides else config
+
+
 def solve(graph, config: Optional[SolveConfig] = None, **overrides):
     """Solve all-pairs shortest paths: the public one-call entry point.
 
@@ -220,18 +257,11 @@ def solve(graph, config: Optional[SolveConfig] = None, **overrides):
     solve (:class:`~repro.errors.SinkError` on unusable paths) and
     written after it.
     """
-    if config is None:
-        config = SolveConfig()
-    if not isinstance(config, SolveConfig):
-        raise ConfigurationError(
-            f"config must be a SolveConfig, got {type(config).__name__}"
-        )
-    if overrides:
-        config = config.replace(**overrides)
+    config = resolve_config(config, overrides)
     # Fail on unusable sinks in milliseconds, not after the solve.
     config.obs.validate()
 
-    from .core.driver import plan_from_config, run_private
+    from .core.driver import plan_run, run_private
 
     # Anything that escapes the engine without being a ReproError is a
     # bug, not a modeled failure: wrap it in InternalError (distinct
@@ -240,7 +270,7 @@ def solve(graph, config: Optional[SolveConfig] = None, **overrides):
     try:
         machine = resolve_machine(config.machine)
         result = run_private(
-            plan_from_config(graph, config, machine),
+            plan_run(graph, config, machine),
             machine,
             dim_scale=config.dim_scale,
             trace=config.trace or config.obs.trace_out is not None,
@@ -320,15 +350,7 @@ def submit(graph, config: Optional[SolveConfig] = None, *, scheduler=None,
     resilience-armed scheduler - ``ClusterScheduler(resilience=True)``
     or a :class:`~repro.sched.ResiliencePolicy`; see docs/RESILIENCE.md.
     """
-    if config is None:
-        config = SolveConfig()
-    if not isinstance(config, SolveConfig):
-        raise ConfigurationError(
-            f"config must be a SolveConfig, got {type(config).__name__}"
-        )
-    if overrides:
-        config = config.replace(**overrides)
-
+    config = resolve_config(config, overrides)
     if scheduler is None:
         from .sched import ClusterScheduler
 
@@ -356,7 +378,3 @@ def _run_header(report) -> dict:
         "machine": report.machine,
         "makespan": report.makespan,
     }
-
-
-# Re-exported for callers that only import repro.api.
-Sequence, Union  # noqa: B018 - silence unused-import linters minimally

@@ -55,6 +55,8 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_cluster_args(p: argparse.ArgumentParser) -> None:
+    from .machine import MACHINES
+
     p.add_argument("--nodes", type=int, default=1, help="number of simulated nodes")
     p.add_argument(
         "--ranks-per-node", type=int, default=4, help="MPI ranks per node (paper: 12)"
@@ -62,12 +64,15 @@ def _add_cluster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--machine",
         default="summit",
-        choices=["summit", "frontier-like", "workstation"],
+        choices=list(MACHINES),
         help="machine preset (hardware constants)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.variants import Variant
+
+    variants = [v.value for v in Variant]
     parser = argparse.ArgumentParser(
         prog="repro-apsp",
         description="Distributed multi-GPU Floyd-Warshall APSP on a simulated cluster "
@@ -82,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--variant",
         default="async",
-        choices=["baseline", "pipelined", "reordering", "async", "offload",
-                 "offload-pipelined"],
+        choices=variants,
     )
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--density", type=float, default=1.0, help="edge probability")
@@ -310,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbuild.add_argument(
         "--variant",
         default="async",
-        choices=["baseline", "pipelined", "reordering", "async", "offload",
-                 "offload-pipelined"],
+        choices=variants,
     )
     sbuild.add_argument("--seed", type=int, default=0)
     sbuild.add_argument("--density", type=float, default=1.0, help="edge probability")
@@ -663,12 +666,12 @@ def cmd_placement(args: argparse.Namespace) -> int:
 def cmd_sched(args: argparse.Namespace) -> int:
     import json
 
-    from .api import _check_sink_path
+    from .obs.sinks import check_sink_path
     from .sched import load_job_mix, run_job_mix
 
     for path in (args.report_json, args.metrics_out, args.trace_out):
         if path is not None:
-            _check_sink_path(path)
+            check_sink_path(path)
     spec = load_job_mix(args.spec)
     if args.no_resilience:
         spec = dict(spec)

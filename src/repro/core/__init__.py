@@ -10,7 +10,7 @@ from .distribution import (
     local_matrix_elems,
     pad_to_blocks,
 )
-from .driver import ApspResult, apsp, default_block_size, placement_for_variant
+from .driver import ApspResult, default_block_size, placement_for_variant
 from .executor import (
     GpuResident,
     HostResident,
@@ -44,7 +44,6 @@ from .report import PerfReport, min_pernode_volume_bytes
 from .variants import VARIANT_DESCRIPTIONS, Variant, variant_config
 
 __all__ = [
-    "apsp",
     "ApspResult",
     "Variant",
     "variant_config",

@@ -1,11 +1,10 @@
 """The solve engine: plan, supervise and assemble one distributed APSP.
 
-Every solve - ``repro.solve``, the keyword engine :func:`apsp`, and each
-job of the multi-tenant scheduler (:mod:`repro.sched`) - goes through
-the same stages:
+Every solve - ``repro.solve`` and each job of the multi-tenant
+scheduler (:mod:`repro.sched`) - goes through the same stages:
 
-* :func:`plan_run` (:func:`plan_from_config` from a ``SolveConfig``) -
-  pure planning: validate arguments, resolve grid / placement / block
+* :func:`plan_run` - pure planning: validate a
+  :class:`~repro.api.SolveConfig`, resolve grid / placement / block
   size / variant config / fault plan into a :class:`RunPlan` (no
   simulation objects touched);
 * :class:`MachineHandles` - the simulated machine (environment,
@@ -22,23 +21,16 @@ the same stages:
 * :func:`build_result` - collection, validation, report and
   certificate assembly after the simulated run.
 
-Typical use (through the public API this is
-``repro.solve(w, repro.SolveConfig(...))``; ``result.save(path)`` then
-persists the solve as a serving artifact - see :mod:`repro.serve`)::
-
-    from repro.core import apsp
-    from repro.graphs import uniform_random_dense
-
-    w = uniform_random_dense(256, seed=0)
-    result = apsp(w, block_size=32, variant="async", n_nodes=4,
-                  ranks_per_node=4)
-    print(result.report.summary())
+The public entry point is ``repro.solve(w, repro.SolveConfig(...))``
+(:mod:`repro.api`), which is ``run_private(plan_run(w, config,
+machine), machine, ...)``; ``result.save(path)`` then persists the
+solve as a serving artifact - see :mod:`repro.serve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -55,10 +47,10 @@ from ..errors import (
 from ..faults import CheckpointStore, FaultInjector, FaultPlan, FaultRuntime, resolve_fault_plan
 from ..machine.cluster import SimCluster
 from ..machine.cost import CostModel
-from ..machine.spec import SUMMIT, MachineSpec
+from ..machine.spec import MachineSpec
 from ..mpi.comm import SimMPI
 from ..semiring.closure import check_no_negative_cycle
-from ..semiring.minplus import MIN_PLUS, Semiring
+from ..semiring.minplus import MIN_PLUS, SEMIRINGS, Semiring
 from ..sim.engine import Environment, Interrupt
 from ..sim.trace import Tracer
 from .blocked import blocked_fw
@@ -76,16 +68,17 @@ from .programs import program_for_config
 from .report import PerfReport
 from .variants import Variant, variant_config
 
+if TYPE_CHECKING:
+    from ..api import SolveConfig
+
 __all__ = [
     "ApspResult",
     "MachineHandles",
     "RunPlan",
     "SolveWorld",
-    "apsp",
     "build_result",
     "make_state_builders",
     "placement_for_variant",
-    "plan_from_config",
     "plan_run",
     "run_private",
     "run_solve",
@@ -182,7 +175,7 @@ def placement_for_variant(
 class MachineHandles:
     """The simulated machine of one (or many) runs.
 
-    :func:`apsp` builds a private set by default; the cluster scheduler
+    :func:`run_private` builds a private set; the cluster scheduler
     builds one set and injects it into every job so N concurrent solves
     contend for the same simulated GPUs and NICs.
     """
@@ -253,97 +246,92 @@ class RunPlan:
             self.nxt_locals = distribute(nxt_global, self.b, self.grid)
 
 
-def plan_run(
-    weights: np.ndarray,
-    *,
-    variant: Union[str, Variant] = Variant.ASYNC,
-    block_size: Optional[int] = None,
-    machine: MachineSpec = SUMMIT,
-    n_nodes: int = 1,
-    ranks_per_node: Optional[int] = None,
-    grid: Optional[ProcessGrid] = None,
-    placement: Optional[RankPlacement] = None,
-    semiring: Semiring = MIN_PLUS,
-    diag_on_gpu: bool = True,
-    n_streams: int = 3,
-    ring_segments: int = 1,
-    mx_blocks: int = 2,
-    nx_blocks: int = 2,
-    collect_result: bool = True,
-    validate: bool = False,
-    check_negative_cycles: bool = True,
-    compute_numerics: bool = True,
-    track_paths: bool = False,
-    exploit_sparsity: bool = False,
-    kernel_backend: Optional[str] = None,
-    fault_plan: Union[FaultPlan, Sequence[str], str, None] = None,
-    checkpoint_interval: Optional[int] = None,
-    recv_timeout: Optional[float] = None,
-    fault_seed: int = 0,
-    verify: str = "off",
-) -> RunPlan:
-    """Resolve run arguments into a :class:`RunPlan` (pure planning)."""
+def plan_run(weights: np.ndarray, config: "SolveConfig", machine: MachineSpec) -> RunPlan:
+    """Resolve a :class:`~repro.api.SolveConfig` into a :class:`RunPlan`
+    (pure planning).  ``repro.solve`` and the cluster scheduler
+    (``submit`` and the resilience re-plan ladder) both plan - and
+    price - a config through here.  ``machine`` is the resolved
+    :class:`~repro.machine.spec.MachineSpec` (the fleet's, for a job)."""
     w = np.asarray(weights)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ConfigurationError(f"weights must be square, got {w.shape}")
     n = w.shape[0]
-    var = Variant.parse(variant)
+    var = Variant.parse(config.variant)
+    semiring = config.semiring
+    if isinstance(semiring, str):
+        if semiring not in SEMIRINGS:
+            raise ConfigurationError(
+                f"unknown semiring {semiring!r}; known: {sorted(SEMIRINGS)}"
+            )
+        semiring = SEMIRINGS[semiring]
+    elif not isinstance(semiring, Semiring):
+        raise ConfigurationError(
+            f"semiring must be a Semiring or its name, got {type(semiring).__name__}"
+        )
 
+    n_nodes = config.n_nodes
+    ranks_per_node = config.ranks_per_node
     if ranks_per_node is None:
         ranks_per_node = 2 * machine.node.gpus_per_node
     n_ranks = n_nodes * ranks_per_node
-    if grid is None:
-        pr, pc = near_square_factors(n_ranks)
-        grid = ProcessGrid(pr, pc)
-    elif grid.size != n_ranks:
-        raise ConfigurationError(
-            f"grid {grid.pr}x{grid.pc} has {grid.size} ranks but "
-            f"{n_nodes} nodes x {ranks_per_node} ranks/node = {n_ranks}"
-        )
+    if config.grid is None:
+        grid = ProcessGrid(*near_square_factors(n_ranks))
+    else:
+        grid = ProcessGrid(*config.grid)
+        if grid.size != n_ranks:
+            raise ConfigurationError(
+                f"grid {grid.pr}x{grid.pc} has {grid.size} ranks but "
+                f"{n_nodes} nodes x {ranks_per_node} ranks/node = {n_ranks}"
+            )
+    placement = config.placement
     if placement is None:
         placement = placement_for_variant(var, grid, ranks_per_node)
+    elif not isinstance(placement, RankPlacement):
+        raise ConfigurationError(
+            f"placement must be a RankPlacement, got {type(placement).__name__}"
+        )
     if placement.n_nodes != n_nodes:
         raise ConfigurationError(
             f"placement spans {placement.n_nodes} nodes, run requested {n_nodes}"
         )
 
-    b = block_size if block_size is not None else default_block_size(n, grid)
+    b = config.block_size if config.block_size is not None else default_block_size(n, grid)
     padded, n_orig = pad_to_blocks(w, b, semiring)
     nb = padded.shape[0] // b
 
-    if not compute_numerics and (validate or collect_result):
+    if not config.compute_numerics and (config.validate or config.collect):
         raise ConfigurationError(
             "compute_numerics=False runs the simulation hollow; the result "
-            "matrix is meaningless - pass collect_result=False, validate=False"
+            "matrix is meaningless - pass collect=False, validate=False"
         )
-    config = variant_config(
+    solver_config = variant_config(
         var,
         SolverConfig(
             block_size=b,
             semiring=semiring,
-            diag_on_gpu=diag_on_gpu,
-            n_streams=n_streams,
-            mx_blocks=mx_blocks,
-            nx_blocks=nx_blocks,
-            ring_segments=ring_segments,
-            track_paths=track_paths,
-            exploit_sparsity=exploit_sparsity,
-            compute_numerics=compute_numerics,
-            kernel_backend=kernel_backend,
-            verify=verify,
+            diag_on_gpu=config.diag_on_gpu,
+            n_streams=config.n_streams,
+            mx_blocks=config.mx_blocks,
+            nx_blocks=config.nx_blocks,
+            ring_segments=config.ring_segments,
+            track_paths=config.track_paths,
+            exploit_sparsity=config.exploit_sparsity,
+            compute_numerics=config.compute_numerics,
+            kernel_backend=config.kernel_backend,
+            verify=config.verify,
         ),
     )
-    if track_paths and not compute_numerics:
+    if config.track_paths and not config.compute_numerics:
         raise ConfigurationError("track_paths requires compute_numerics=True")
 
-    plan = resolve_fault_plan(fault_plan, seed=fault_seed)
-    if checkpoint_interval is not None or recv_timeout is not None:
-        overrides: dict[str, object] = {}
-        if checkpoint_interval is not None:
-            overrides["checkpoint_interval"] = checkpoint_interval
-        if recv_timeout is not None:
-            overrides["recv_timeout"] = recv_timeout
-        plan = (plan if plan is not None else FaultPlan(seed=fault_seed)).replace(**overrides)
+    plan = resolve_fault_plan(config.fault_plan, seed=config.fault_seed)
+    overrides = {
+        name: getattr(config, name)
+        for name in ("checkpoint_interval", "recv_timeout")
+        if getattr(config, name) is not None
+    }
+    if overrides:
+        plan = (plan if plan is not None else FaultPlan(seed=config.fault_seed)).replace(**overrides)
         if not plan.armed():
             plan = None
     if plan is not None:
@@ -353,7 +341,7 @@ def plan_run(
 
     return RunPlan(
         var=var,
-        config=config,
+        config=solver_config,
         grid=grid,
         placement=placement,
         b=b,
@@ -366,40 +354,11 @@ def plan_run(
         w=w,
         padded=padded,
         plan=plan,
-        track_paths=track_paths,
-        collect_result=collect_result,
-        validate=validate,
-        check_negative_cycles=check_negative_cycles,
-        fault_seed=fault_seed,
-    )
-
-
-#: SolveConfig fields that plan_run takes under the same name.
-_PLAN_FIELDS = (
-    "variant", "block_size", "n_nodes", "ranks_per_node", "diag_on_gpu",
-    "n_streams", "ring_segments", "mx_blocks", "nx_blocks", "validate",
-    "check_negative_cycles", "compute_numerics", "track_paths",
-    "exploit_sparsity", "kernel_backend", "fault_plan", "checkpoint_interval",
-    "recv_timeout", "fault_seed", "verify",
-)
-
-
-def plan_from_config(weights, config, machine: MachineSpec) -> RunPlan:
-    """The one :class:`~repro.api.SolveConfig` -> :class:`RunPlan`
-    mapping, shared by ``repro.solve`` and the cluster scheduler
-    (``submit`` and the resilience re-plan ladder) so both plan - and
-    price - a config identically.  ``machine`` is the resolved
-    :class:`~repro.machine.spec.MachineSpec` (the fleet's, for a job)."""
-    grid = None
-    if config.grid is not None:
-        pr, pc = config.grid
-        grid = ProcessGrid(pr, pc)
-    return plan_run(
-        weights,
-        machine=machine,
-        grid=grid,
+        track_paths=config.track_paths,
         collect_result=config.collect,
-        **{name: getattr(config, name) for name in _PLAN_FIELDS},
+        validate=config.validate,
+        check_negative_cycles=config.check_negative_cycles,
+        fault_seed=config.fault_seed,
     )
 
 
@@ -557,154 +516,6 @@ def build_result(
                       fault_counters=dict(injector.counters) if injector is not None else None,
                       verification=verification,
                       metrics=obs)
-
-
-def apsp(
-    weights: np.ndarray,
-    *,
-    variant: Union[str, Variant] = Variant.ASYNC,
-    block_size: Optional[int] = None,
-    machine: MachineSpec = SUMMIT,
-    n_nodes: int = 1,
-    ranks_per_node: Optional[int] = None,
-    grid: Optional[ProcessGrid] = None,
-    placement: Optional[RankPlacement] = None,
-    dim_scale: float = 1.0,
-    semiring: Semiring = MIN_PLUS,
-    diag_on_gpu: bool = True,
-    n_streams: int = 3,
-    ring_segments: int = 1,
-    mx_blocks: int = 2,
-    nx_blocks: int = 2,
-    collect_result: bool = True,
-    validate: bool = False,
-    trace: bool = False,
-    check_negative_cycles: bool = True,
-    compute_numerics: bool = True,
-    stragglers: Optional[dict[int, float]] = None,
-    track_paths: bool = False,
-    exploit_sparsity: bool = False,
-    kernel_backend: Optional[str] = None,
-    fault_plan: Union[FaultPlan, Sequence[str], str, None] = None,
-    checkpoint_interval: Optional[int] = None,
-    recv_timeout: Optional[float] = None,
-    fault_seed: int = 0,
-    verify: str = "off",
-    metrics: bool = False,
-) -> ApspResult:
-    """Solve all-pairs shortest paths on the simulated cluster.
-
-    Parameters
-    ----------
-    weights:
-        Square weight matrix; ``semiring.zero`` (+inf) marks a missing
-        edge.  The diagonal should be 0 (it is not forced).
-    variant:
-        One of ``baseline | pipelined | reordering | async | offload |
-        offload-pipelined`` (the paper's legends plus the pipelined
-        Me-ParallelFw the schedule IR unlocks), or a :class:`Variant`.
-    block_size:
-        Block size ``b``; defaults to :func:`default_block_size`.
-    machine, n_nodes, ranks_per_node:
-        Cluster shape.  ``ranks_per_node`` defaults to 2 ranks per GPU
-        (the paper's launch configuration).
-    grid, placement:
-        Explicit process grid / rank placement; defaults to the
-        near-square grid and the variant's placement policy.
-    dim_scale:
-        Virtual/physical scaling of all costs (see
-        :class:`~repro.machine.cost.CostModel`).  1.0 simulates the
-        physical matrix literally.
-    validate:
-        Recompute with the sequential blocked oracle and raise
-        :class:`~repro.errors.ValidationError` on mismatch.
-    trace:
-        Record spans for Gantt rendering / overlap analysis.
-    stragglers:
-        ``{node_id: factor}`` NIC slowdowns modeling contended links or
-        slow nodes (the paper's §3.3 motivation for the asynchronous
-        ring broadcast).
-    exploit_sparsity:
-        Skip all-infinite blocks in panel broadcasts and outer products
-        (structured-sparsity future work; fill-in re-checked every
-        iteration).  Requires real numerics.
-    track_paths:
-        Carry next-hop pointer blocks through the distributed sweep
-        (distributed shortest-path generation, the paper's future
-        work); the result's ``next_hops`` is then the full pointer
-        matrix.  (min,+) only; not supported by the offload variant.
-    kernel_backend:
-        SrGemm kernel backend name (see
-        :mod:`repro.semiring.backends`); None resolves the process
-        default.  The validation oracle runs on the same backend, so
-        validation isolates schedule bugs from kernel differences.
-    fault_plan:
-        A :class:`~repro.faults.FaultPlan`, CLI-style spec string(s)
-        (see :mod:`repro.faults.plan`), or None to consult
-        ``$REPRO_FAULT_PLAN``.  An armed plan routes the run through
-        the fault injector and the checkpoint/restart recovery loop;
-        unarmed runs are event-for-event identical to runs without
-        this feature.
-    checkpoint_interval, recv_timeout, fault_seed:
-        Recovery-policy shortcuts layered over ``fault_plan``
-        (equivalent to a ``policy:`` spec).
-    verify:
-        ABFT verification level (:mod:`repro.verify`): ``"off"`` (zero
-        cost), ``"checksum"`` (guarded SrGemm ops with localized
-        repair), or ``"full"`` (adds the per-iteration monotonicity
-        sentinel and a residual audit in the certificate).  The
-        certificate lands in ``result.verification`` /
-        ``report.verification``; a failing certificate raises
-        :class:`~repro.errors.VerificationError`, and unrepairable
-        corruption without a restart path raises
-        :class:`~repro.errors.SilentCorruptionError`.  Sampling is
-        seeded by ``fault_seed``, so certificates are deterministic.
-    metrics:
-        Arm the observability layer (:mod:`repro.obs`): a
-        :class:`~repro.obs.metrics.MetricsRegistry` is attached to the
-        run (``ctx.obs`` / ``mpi.obs``) and lands on
-        ``result.metrics``.  Off (the default) keeps every
-        instrumentation hook on its zero-cost path; on, the hooks only
-        read simulated clocks and operand shapes, so makespans are
-        identical either way.
-
-    Raises
-    ------
-    GpuOutOfMemory
-        For non-offload variants whose per-rank matrix does not fit in
-        (virtual) HBM - use ``variant="offload"`` (or arm a fault plan
-        with ``oom_degrade``, which restarts under offload).
-    """
-    rp = plan_run(
-        weights,
-        variant=variant,
-        block_size=block_size,
-        machine=machine,
-        n_nodes=n_nodes,
-        ranks_per_node=ranks_per_node,
-        grid=grid,
-        placement=placement,
-        semiring=semiring,
-        diag_on_gpu=diag_on_gpu,
-        n_streams=n_streams,
-        ring_segments=ring_segments,
-        mx_blocks=mx_blocks,
-        nx_blocks=nx_blocks,
-        collect_result=collect_result,
-        validate=validate,
-        check_negative_cycles=check_negative_cycles,
-        compute_numerics=compute_numerics,
-        track_paths=track_paths,
-        exploit_sparsity=exploit_sparsity,
-        kernel_backend=kernel_backend,
-        fault_plan=fault_plan,
-        checkpoint_interval=checkpoint_interval,
-        recv_timeout=recv_timeout,
-        fault_seed=fault_seed,
-        verify=verify,
-    )
-    return run_private(rp, machine, dim_scale=dim_scale, trace=trace,
-                       stragglers=stragglers, metrics=metrics)
 
 
 def run_private(rp: RunPlan, machine: MachineSpec, *, dim_scale: float = 1.0,

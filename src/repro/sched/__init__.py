@@ -1,8 +1,7 @@
 """Multi-tenant cluster scheduling: jobs, admission, fair share.
 
-The one-job engine (:func:`repro.solve` / :func:`repro.core.driver.apsp`)
-solves a single APSP on a private simulated machine.  This subpackage
-runs the same supervisor (:func:`repro.core.driver.run_solve`) as a
+The one-job engine (:func:`repro.solve`) solves a single APSP on a
+private simulated machine.  This subpackage runs the same supervisor (:func:`repro.core.driver.run_solve`) as a
 *shared-cluster job runtime*: a
 :class:`ClusterScheduler` owns one simulated machine, admits first-class
 :class:`~repro.sched.job.Job` objects against perf-model capacity

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..api import SolveConfig, resolve_machine
-from ..core.driver import MachineHandles, plan_from_config
+from ..api import SolveConfig, resolve_config, resolve_machine
+from ..core.driver import MachineHandles, plan_run
 from ..errors import (
     AdmissionError,
     ConfigurationError,
@@ -184,14 +184,7 @@ class ClusterScheduler:
         the job's arrival (kill + :class:`~repro.errors.DeadlineExceeded`,
         exit code 16).  Both need a resilience-armed scheduler.
         """
-        if config is None:
-            config = SolveConfig()
-        if not isinstance(config, SolveConfig):
-            raise ConfigurationError(
-                f"config must be a SolveConfig, got {type(config).__name__}"
-            )
-        if overrides:
-            config = config.replace(**overrides)
+        config = resolve_config(config, overrides)
         config.obs.validate()
         if resolve_machine(config.machine).name != self.machine.name:
             raise ConfigurationError(
@@ -234,7 +227,7 @@ class ClusterScheduler:
                     f"retry must be a RetryPolicy or its object form, "
                     f"got {type(retry).__name__}"
                 )
-        rp = plan_from_config(graph, config, self.machine)
+        rp = plan_run(graph, config, self.machine)
         job = Job(
             job_id=self._next_id,
             name=name or f"job{self._next_id}",
@@ -524,7 +517,7 @@ class ClusterScheduler:
         if not a.feasible:
             return False  # keep the shape; queue until reinstatement
         variant = job.config.variant
-        if a.feasibility == "needs-offload" and not job.config.offload:
+        if a.feasibility == "needs-offload" and not rp.config.offload:
             variant = "offload"
         plan = rp.plan
         if plan is not None:
@@ -540,17 +533,19 @@ class ClusterScheduler:
                     and (f.dst is None or f.dst < nr)
                 ),
             )
+        # grid and placement span the old node count: re-derive both.
         new_config = job.config.replace(
-            n_nodes=n_nodes, variant=variant, grid=None, fault_plan=plan
+            n_nodes=n_nodes, variant=variant, grid=None, placement=None,
+            fault_plan=plan,
         )
         try:
-            new_rp = plan_from_config(job.weights, new_config, self.machine)
+            new_rp = plan_run(job.weights, new_config, self.machine)
         except ReproError:
             # e.g. the offload block-size floor: retry with the tuner's
             # choice (checkpoints are dropped - the blocking changes).
             try:
                 new_config = new_config.replace(block_size=None)
-                new_rp = plan_from_config(job.weights, new_config, self.machine)
+                new_rp = plan_run(job.weights, new_config, self.machine)
             except ReproError:
                 return False
         self.obs.counter("fleet.resilience.replans").inc()

@@ -21,7 +21,7 @@ from repro.analysis import (
     reachability_components,
     summarize,
 )
-from repro.core import apsp
+from repro import solve
 from repro.errors import ValidationError
 from repro.extensions import floyd_warshall_with_paths
 from repro.graphs import erdos_renyi, grid_road_network
@@ -134,10 +134,10 @@ class TestHopCounts:
         assert hops[1, 0] == -1
 
     def test_distributed_flow(self):
-        """apsp(track_paths=True) -> hop_counts composes."""
+        """solve(track_paths=True) -> hop_counts composes."""
         w = grid_road_network(3, 3, seed=5)
-        res = apsp(w, variant="async", block_size=3, n_nodes=1, ranks_per_node=2,
-                   track_paths=True)
+        res = solve(w, variant="async", block_size=3, n_nodes=1, ranks_per_node=2,
+                    track_paths=True)
         hops = hop_counts(res.next_hops)
         assert hops[0, 8] >= 2  # opposite corners need at least 2 hops
 

@@ -6,13 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.graphs import uniform_random_dense
 
 
 def run(variant="async", trace=False, **kw):
     w = uniform_random_dense(32, seed=9)
-    return apsp(
+    return solve(
         w,
         variant=variant,
         block_size=kw.pop("block_size", 4),

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ProcessGrid, apsp
+from repro import solve
+from repro.core import ProcessGrid
 from repro.errors import ConfigurationError, GpuOutOfMemory
 from repro.graphs import (
     banded_graph,
@@ -23,7 +24,7 @@ ALL_VARIANTS = ["baseline", "pipelined", "reordering", "async", "offload"]
 
 
 def check(w, ref=None, **kw):
-    result = apsp(w, **kw)
+    result = solve(w, **kw)
     ref = scipy_floyd_warshall(w) if ref is None else ref
     mask = np.isfinite(ref)
     assert np.allclose(result.dist[mask], ref[mask])
@@ -52,7 +53,7 @@ class TestVariantsAgainstOracle:
             block_size=4,
             n_nodes=2,
             ranks_per_node=3,
-            grid=ProcessGrid(2, 3),
+            grid=(2, 3),
         )
 
     def test_tall_grid(self, variant, dense24):
@@ -62,7 +63,7 @@ class TestVariantsAgainstOracle:
             block_size=4,
             n_nodes=2,
             ranks_per_node=3,
-            grid=ProcessGrid(3, 2),
+            grid=(3, 2),
         )
 
     def test_block_size_one(self, variant):
@@ -100,7 +101,7 @@ class TestVariantsAgainstOracle:
         check(w, variant=variant, block_size=4, n_nodes=2, ranks_per_node=2)
 
     def test_validate_flag(self, variant, dense24):
-        res = apsp(
+        res = solve(
             dense24,
             variant=variant,
             block_size=4,
@@ -111,8 +112,8 @@ class TestVariantsAgainstOracle:
         assert res.dist is not None
 
     def test_virtual_scaling_does_not_change_result(self, variant, dense24):
-        a = apsp(dense24, variant=variant, block_size=4, n_nodes=2, ranks_per_node=2)
-        b = apsp(
+        a = solve(dense24, variant=variant, block_size=4, n_nodes=2, ranks_per_node=2)
+        b = solve(
             dense24,
             variant=variant,
             block_size=4,
@@ -127,7 +128,7 @@ class TestVariantsAgainstOracle:
 class TestVariantSemantics:
     def test_variants_agree_with_each_other(self, sparse30):
         results = [
-            apsp(sparse30, variant=v, block_size=5, n_nodes=2, ranks_per_node=2).dist
+            solve(sparse30, variant=v, block_size=5, n_nodes=2, ranks_per_node=2).dist
             for v in ALL_VARIANTS
         ]
         for other in results[1:]:
@@ -141,7 +142,7 @@ class TestVariantSemantics:
         rng = np.random.default_rng(0)
         adj[rng.random((12, 12)) < 0.2] = True
         np.fill_diagonal(adj, True)
-        res = apsp(
+        res = solve(
             adj,
             variant="async",
             block_size=4,
@@ -159,7 +160,7 @@ class TestVariantSemantics:
         rng = np.random.default_rng(1)
         cap = rng.uniform(1, 100, (12, 12))
         np.fill_diagonal(cap, INF)
-        res = apsp(
+        res = solve(
             cap,
             variant="pipelined",
             block_size=3,
@@ -215,58 +216,58 @@ class TestMemoryWall:
         tiny = scaled_down(SUMMIT, hbm_bytes=2 * 1024, gpus_per_node=2)
         w = uniform_random_dense(32, seed=0)
         with pytest.raises(GpuOutOfMemory):
-            apsp(w, variant="async", block_size=8, n_nodes=1, ranks_per_node=2,
-                 machine=tiny)
+            solve(w, variant="async", block_size=8, n_nodes=1, ranks_per_node=2,
+                  machine=tiny)
 
     def test_offload_crosses_wall(self):
         """The offload variant solves the same problem on the same
         tiny-HBM machine (matrix lives in host DRAM)."""
         tiny = scaled_down(SUMMIT, hbm_bytes=2 * 1024, gpus_per_node=2)
         w = uniform_random_dense(32, seed=0)
-        res = apsp(w, variant="offload", block_size=8, n_nodes=1, ranks_per_node=2,
-                   machine=tiny, mx_blocks=1, nx_blocks=1, n_streams=1)
+        res = solve(w, variant="offload", block_size=8, n_nodes=1, ranks_per_node=2,
+                    machine=tiny, mx_blocks=1, nx_blocks=1, n_streams=1)
         assert np.allclose(res.dist, scipy_floyd_warshall(w))
 
     def test_gpu_peak_reported(self, dense24):
-        res = apsp(dense24, variant="baseline", block_size=4, n_nodes=2,
-                   ranks_per_node=2)
+        res = solve(dense24, variant="baseline", block_size=4, n_nodes=2,
+                    ranks_per_node=2)
         assert res.report.gpu_peak_bytes > 0
 
     def test_offload_uses_less_hbm(self, dense24):
-        a = apsp(dense24, variant="baseline", block_size=4, n_nodes=2,
-                 ranks_per_node=2, dim_scale=1000.0, collect_result=False)
-        b = apsp(dense24, variant="offload", block_size=4, n_nodes=2,
-                 ranks_per_node=2, dim_scale=1000.0, collect_result=False,
-                 mx_blocks=1, nx_blocks=1)
+        a = solve(dense24, variant="baseline", block_size=4, n_nodes=2,
+                  ranks_per_node=2, dim_scale=1000.0, collect=False)
+        b = solve(dense24, variant="offload", block_size=4, n_nodes=2,
+                  ranks_per_node=2, dim_scale=1000.0, collect=False,
+                  mx_blocks=1, nx_blocks=1)
         assert b.report.gpu_peak_bytes < a.report.gpu_peak_bytes
 
 
 class TestDriverValidation:
     def test_nonsquare_weights_rejected(self):
         with pytest.raises(ConfigurationError):
-            apsp(np.zeros((3, 4)))
+            solve(np.zeros((3, 4)))
 
     def test_grid_size_mismatch(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, n_nodes=2, ranks_per_node=2, grid=ProcessGrid(3, 3))
+            solve(dense24, n_nodes=2, ranks_per_node=2, grid=(3, 3))
 
     def test_unknown_variant(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, variant="warp-drive")
+            solve(dense24, variant="warp-drive")
 
     def test_hollow_mode_guards(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, compute_numerics=False)  # collect_result defaults True
+            solve(dense24, compute_numerics=False)  # collect defaults True
 
     def test_hollow_mode_runs(self, dense24):
-        res = apsp(
+        res = solve(
             dense24,
             variant="async",
             block_size=4,
             n_nodes=2,
             ranks_per_node=2,
             compute_numerics=False,
-            collect_result=False,
+            collect=False,
         )
         assert res.dist is None
         assert res.report.elapsed > 0
@@ -275,12 +276,12 @@ class TestDriverValidation:
         """Hollow mode must not change the simulated schedule."""
         kw = dict(variant="async", block_size=4, n_nodes=2, ranks_per_node=2,
                   dim_scale=512.0)
-        full = apsp(dense24, collect_result=False, **kw)
-        hollow = apsp(dense24, compute_numerics=False, collect_result=False, **kw)
+        full = solve(dense24, collect=False, **kw)
+        hollow = solve(dense24, compute_numerics=False, collect=False, **kw)
         assert hollow.report.elapsed == pytest.approx(full.report.elapsed)
 
     def test_default_block_size(self, dense24):
-        res = apsp(dense24, n_nodes=1, ranks_per_node=2)
+        res = solve(dense24, n_nodes=1, ranks_per_node=2)
         assert res.report.block_size >= 1
 
     def test_placement_node_mismatch(self, dense24):
@@ -288,12 +289,12 @@ class TestDriverValidation:
 
         pl = tiled_placement(ProcessGrid(2, 2), 1, 2)  # 2 nodes
         with pytest.raises(ConfigurationError):
-            apsp(dense24, n_nodes=4, ranks_per_node=1, grid=ProcessGrid(2, 2),
-                 placement=pl)
+            solve(dense24, n_nodes=4, ranks_per_node=1, grid=(2, 2),
+                  placement=pl)
 
     def test_report_fields(self, dense24):
-        res = apsp(dense24, variant="async", block_size=4, n_nodes=2,
-                   ranks_per_node=2, trace=True)
+        res = solve(dense24, variant="async", block_size=4, n_nodes=2,
+                    ranks_per_node=2, trace=True)
         r = res.report
         assert r.variant == "async"
         assert r.n_physical == 24

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apsp
+from repro import solve
 from repro.errors import NegativeCycleError, ValidationError
 from repro.extensions import (
     NO_HOP,
@@ -71,7 +71,7 @@ class TestNextHopFromDistances:
         """The 'distributed shortest path generation' flow: distances
         from the simulated cluster, paths recovered locally."""
         w = grid_road_network(4, 4, seed=8)
-        dist = apsp(w, variant="async", block_size=4, n_nodes=2, ranks_per_node=2).dist
+        dist = solve(w, variant="async", block_size=4, n_nodes=2, ranks_per_node=2).dist
         nxt = next_hop_from_distances(w, dist)
         for i in (0, 5, 15):
             for j in (0, 3, 12):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.errors import (
     CommTimeoutError,
     ConfigurationError,
@@ -60,7 +60,7 @@ CHAOS_PLAN = (
 
 
 def run(w, variant, **kw):
-    return apsp(w, variant=variant, block_size=B, n_nodes=NODES, ranks_per_node=RPN, **kw)
+    return solve(w, variant=variant, block_size=B, n_nodes=NODES, ranks_per_node=RPN, **kw)
 
 
 @pytest.fixture(scope="module")

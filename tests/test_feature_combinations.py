@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apsp
+from repro import solve
 from repro.extensions import path_length, reconstruct_path
 from repro.graphs import banded_graph, ring_of_cliques, scipy_floyd_warshall
 
 
 def everything_on(w, variant="async", **kw):
-    return apsp(
+    return solve(
         w,
         variant=variant,
         block_size=5,

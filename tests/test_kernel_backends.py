@@ -484,24 +484,24 @@ class TestDriverIntegration:
         assert cfg.kernel_backend == "tiled"
 
     def test_apsp_backend_equivalence(self):
-        from repro.core import apsp
+        from repro import solve
         from repro.graphs import uniform_random_dense
 
         w = uniform_random_dense(48, seed=2)
-        ref = apsp(w, block_size=12, n_nodes=1, ranks_per_node=4, validate=True)
-        tld = apsp(
+        ref = solve(w, block_size=12, n_nodes=1, ranks_per_node=4, validate=True)
+        tld = solve(
             w, block_size=12, n_nodes=1, ranks_per_node=4, validate=True,
             kernel_backend="tiled",
         )
         np.testing.assert_array_equal(ref.dist, tld.dist)
 
     def test_apsp_unknown_backend_raises(self):
-        from repro.core import apsp
+        from repro import solve
         from repro.graphs import uniform_random_dense
 
         w = uniform_random_dense(16, seed=0)
         with pytest.raises(ConfigurationError):
-            apsp(w, block_size=8, n_nodes=1, ranks_per_node=4, kernel_backend="nope")
+            solve(w, block_size=8, n_nodes=1, ranks_per_node=4, kernel_backend="nope")
 
     def test_oog_plan_takes_backend(self):
         from repro.core.oog_srgemm import oog_srgemm_plan, run_oog_pipeline

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.graphs import scipy_floyd_warshall
 from repro.machine import (
     FRONTIER_LIKE,
@@ -65,16 +65,16 @@ class TestEndToEndOnOtherMachines:
         ref = scipy_floyd_warshall(dense24)
         nodes = min(2, machine.max_nodes)
         for variant in ("baseline", "async", "offload"):
-            res = apsp(dense24, variant=variant, block_size=4, n_nodes=nodes,
-                       ranks_per_node=4, machine=machine)
+            res = solve(dense24, variant=variant, block_size=4, n_nodes=nodes,
+                        ranks_per_node=4, machine=machine)
             assert np.allclose(res.dist, ref), (machine.name, variant)
 
     def test_frontier_simulated_faster_than_summit(self):
         w = np.zeros((48, 48), dtype=np.float32)
         kw = dict(block_size=1, n_nodes=4, ranks_per_node=4, dim_scale=768.0,
-                  compute_numerics=False, collect_result=False)
-        t_s = apsp(w, variant="async", machine=SUMMIT, **kw).report.elapsed
-        t_f = apsp(w, variant="async", machine=FRONTIER_LIKE, **kw).report.elapsed
+                  compute_numerics=False, collect=False)
+        t_s = solve(w, variant="async", machine=SUMMIT, **kw).report.elapsed
+        t_f = solve(w, variant="async", machine=FRONTIER_LIKE, **kw).report.elapsed
         assert t_f < t_s
 
     def test_workstation_peak_memory_wall_lower(self):
@@ -86,12 +86,12 @@ class TestEndToEndOnOtherMachines:
         # exceeds the 24 GB cards, while the four ranks together
         # (155 GB) still fit the 256 GB host DRAM.
         with pytest.raises(GpuOutOfMemory):
-            apsp(w, variant="async", block_size=1, n_nodes=1, ranks_per_node=4,
-                 machine=WORKSTATION, dim_scale=1024.0,
-                 compute_numerics=False, collect_result=False)
+            solve(w, variant="async", block_size=1, n_nodes=1, ranks_per_node=4,
+                  machine=WORKSTATION, dim_scale=1024.0,
+                  compute_numerics=False, collect=False)
         # Offload still goes through (panels + tiles only on the GPU).
-        res = apsp(w, variant="offload", block_size=1, n_nodes=1, ranks_per_node=4,
-                   machine=WORKSTATION, dim_scale=1024.0,
-                   compute_numerics=False, collect_result=False,
-                   mx_blocks=8, nx_blocks=8)
+        res = solve(w, variant="offload", block_size=1, n_nodes=1, ranks_per_node=4,
+                    machine=WORKSTATION, dim_scale=1024.0,
+                    compute_numerics=False, collect=False,
+                    mx_blocks=8, nx_blocks=8)
         assert res.report.elapsed > 0

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import ObsSinks, solve
 from repro.graphs import uniform_random_dense
 from repro.obs import (
     MeteredBackend,
@@ -44,8 +44,9 @@ def graph():
     return uniform_random_dense(30, seed=3)
 
 
-def _run(graph, variant, **kw):
-    return apsp(graph, variant=variant, block_size=5, n_nodes=2, ranks_per_node=3, **kw)
+def _run(graph, variant, metrics=False, **kw):
+    return solve(graph, variant=variant, block_size=5, n_nodes=2, ranks_per_node=3,
+                 obs=ObsSinks(metrics=metrics), **kw)
 
 
 class TestZeroCostWhenOff:

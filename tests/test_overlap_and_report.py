@@ -7,13 +7,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.core.report import min_pernode_volume_bytes
 
 
 def hollow_run(variant, nb=48, nodes=8, rpn=4, scale=768.0, trace=False, **kw):
     w = np.zeros((nb, nb), dtype=np.float32)
-    return apsp(
+    return solve(
         w,
         variant=variant,
         block_size=1,
@@ -21,7 +21,7 @@ def hollow_run(variant, nb=48, nodes=8, rpn=4, scale=768.0, trace=False, **kw):
         ranks_per_node=rpn,
         dim_scale=scale,
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
         trace=trace,
         **kw,
     )

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apsp, blocked_fw_paths
+from repro import solve
+from repro.core import blocked_fw_paths
 from repro.errors import ConfigurationError
 from repro.extensions import (
     floyd_warshall_with_paths,
@@ -149,36 +150,36 @@ class TestBlockedFwPaths:
 class TestDistributedPathGeneration:
     @pytest.mark.parametrize("variant", ["baseline", "pipelined", "reordering", "async"])
     def test_paths_across_variants(self, variant, sparse30):
-        res = apsp(sparse30, variant=variant, block_size=5, n_nodes=2,
-                   ranks_per_node=3, track_paths=True)
+        res = solve(sparse30, variant=variant, block_size=5, n_nodes=2,
+                    ranks_per_node=3, track_paths=True)
         assert res.next_hops is not None
         assert_paths_valid(sparse30, res.dist, res.next_hops,
                            sample=[(i, j) for i in range(0, 30, 3) for j in range(30)])
 
     def test_matches_sequential_blocked_paths(self, sparse30):
-        res = apsp(sparse30, variant="async", block_size=5, n_nodes=2,
-                   ranks_per_node=2, track_paths=True)
+        res = solve(sparse30, variant="async", block_size=5, n_nodes=2,
+                    ranks_per_node=2, track_paths=True)
         seq_dist, _ = blocked_fw_paths(sparse30, 5)
         assert np.allclose(np.where(np.isinf(res.dist), -1, res.dist),
                            np.where(np.isinf(seq_dist), -1, seq_dist))
 
     def test_road_network_paths(self):
         w = grid_road_network(5, 5, seed=1)
-        res = apsp(w, variant="pipelined", block_size=5, n_nodes=2,
-                   ranks_per_node=2, track_paths=True)
+        res = solve(w, variant="pipelined", block_size=5, n_nodes=2,
+                    ranks_per_node=2, track_paths=True)
         assert_paths_valid(w, res.dist, res.next_hops)
 
     def test_ring_segments_with_paths(self, sparse30):
-        res = apsp(sparse30, variant="async", block_size=5, n_nodes=2,
-                   ranks_per_node=2, track_paths=True, ring_segments=3)
+        res = solve(sparse30, variant="async", block_size=5, n_nodes=2,
+                    ranks_per_node=2, track_paths=True, ring_segments=3)
         assert_paths_valid(sparse30, res.dist, res.next_hops,
                            sample=[(0, j) for j in range(30)])
 
     def test_pointer_blocks_increase_comm(self, sparse30):
-        plain = apsp(sparse30, variant="baseline", block_size=5, n_nodes=2,
-                     ranks_per_node=2, dim_scale=100.0)
-        tracked = apsp(sparse30, variant="baseline", block_size=5, n_nodes=2,
-                       ranks_per_node=2, dim_scale=100.0, track_paths=True)
+        plain = solve(sparse30, variant="baseline", block_size=5, n_nodes=2,
+                      ranks_per_node=2, dim_scale=100.0)
+        tracked = solve(sparse30, variant="baseline", block_size=5, n_nodes=2,
+                        ranks_per_node=2, dim_scale=100.0, track_paths=True)
         # Column panels + diagonal carry pointer blocks: more bytes.
         total_plain = plain.report.internode_bytes + plain.report.intranode_bytes
         total_tracked = tracked.report.internode_bytes + tracked.report.intranode_bytes
@@ -186,29 +187,29 @@ class TestDistributedPathGeneration:
 
     def test_offload_rejects_tracking(self, sparse30):
         with pytest.raises(ConfigurationError):
-            apsp(sparse30, variant="offload", block_size=5, n_nodes=1,
-                 ranks_per_node=2, track_paths=True)
+            solve(sparse30, variant="offload", block_size=5, n_nodes=1,
+                  ranks_per_node=2, track_paths=True)
 
     def test_non_minplus_rejected(self, sparse30):
         with pytest.raises(ConfigurationError):
-            apsp(np.isfinite(sparse30), variant="baseline", block_size=5,
-                 n_nodes=1, ranks_per_node=2, semiring=MAX_MIN,
-                 track_paths=True, check_negative_cycles=False)
+            solve(np.isfinite(sparse30), variant="baseline", block_size=5,
+                  n_nodes=1, ranks_per_node=2, semiring=MAX_MIN,
+                  track_paths=True, check_negative_cycles=False)
 
     def test_hollow_rejected(self, sparse30):
         with pytest.raises(ConfigurationError):
-            apsp(sparse30, variant="baseline", block_size=5, n_nodes=1,
-                 ranks_per_node=2, track_paths=True, compute_numerics=False,
-                 collect_result=False)
+            solve(sparse30, variant="baseline", block_size=5, n_nodes=1,
+                  ranks_per_node=2, track_paths=True, compute_numerics=False,
+                  collect=False)
 
     def test_no_tracking_returns_none(self, sparse30):
-        res = apsp(sparse30, variant="baseline", block_size=5, n_nodes=1,
-                   ranks_per_node=2)
+        res = solve(sparse30, variant="baseline", block_size=5, n_nodes=1,
+                    ranks_per_node=2)
         assert res.next_hops is None
 
     def test_hbm_footprint_larger_when_tracking(self, sparse30):
-        plain = apsp(sparse30, variant="baseline", block_size=5, n_nodes=2,
-                     ranks_per_node=2, dim_scale=100.0)
-        tracked = apsp(sparse30, variant="baseline", block_size=5, n_nodes=2,
-                       ranks_per_node=2, dim_scale=100.0, track_paths=True)
+        plain = solve(sparse30, variant="baseline", block_size=5, n_nodes=2,
+                      ranks_per_node=2, dim_scale=100.0)
+        tracked = solve(sparse30, variant="baseline", block_size=5, n_nodes=2,
+                        ranks_per_node=2, dim_scale=100.0, track_paths=True)
         assert tracked.report.gpu_peak_bytes > 2 * plain.report.gpu_peak_bytes

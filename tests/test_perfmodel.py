@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.machine import SUMMIT
 from repro.perfmodel import (
     OffloadStageCosts,
@@ -153,7 +153,7 @@ class TestModelAgainstSimulator:
 
     def run_sim(self, variant, nb=48, nodes=4, rpn=4, scale=768.0):
         w = np.zeros((nb, nb), dtype=np.float32)
-        res = apsp(
+        res = solve(
             w,
             variant=variant,
             block_size=1,
@@ -161,7 +161,7 @@ class TestModelAgainstSimulator:
             ranks_per_node=rpn,
             dim_scale=scale,
             compute_numerics=False,
-            collect_result=False,
+            collect=False,
         )
         return res.report
 
@@ -247,9 +247,9 @@ class TestComputeBoundThreshold:
             w = np.zeros((nb, nb), dtype=np.float32)
             t = {}
             for v in ("baseline", "async"):
-                t[v] = apsp(
+                t[v] = solve(
                     w, variant=v, block_size=1, n_nodes=16, ranks_per_node=8,
-                    dim_scale=768.0, compute_numerics=False, collect_result=False,
+                    dim_scale=768.0, compute_numerics=False, collect=False,
                 ).report.elapsed
             gaps[nb * 768] = t["baseline"] / t["async"]
         peak_n = max(gaps, key=gaps.get)

@@ -194,6 +194,27 @@ def test_quarantine_replans_onto_shrunken_fleet():
     assert dist_sha(handle.result().dist) == RECORDED_DIST_SHA[0]
 
 
+def test_replan_clears_explicit_placement():
+    """An explicit placement spans the *old* node count; the re-plan
+    ladder must drop it with the grid, or the job could never shrink
+    (it would sit queued until the quarantine lifts)."""
+    from repro.core import ProcessGrid, tiled_placement
+
+    policy = ResiliencePolicy(health=HealthPolicy(fault_threshold=1, probation=0.01))
+    sched = ClusterScheduler(n_nodes=2, resilience=policy)
+    handle = sched.submit(uniform_random_dense(30, seed=0), variant="async",
+                          grid=(2, 3),
+                          placement=tiled_placement(ProcessGrid(2, 3), 1, 3),
+                          fault_plan=_fatal("crash:rank=1,at=0.00005", 2),
+                          **REAL_KW)
+    report = handle.wait()
+    assert report.status == "done"
+    assert sched.fleet_metrics().flat()["fleet.resilience.replans"] >= 1
+    assert handle._job.config.placement is None
+    assert handle._job.rp.n_nodes == 1
+    assert dist_sha(handle.result().dist) == RECORDED_DIST_SHA[0]
+
+
 def test_probation_reinstates_with_clean_scoreboard():
     policy = ResiliencePolicy(health=HealthPolicy(fault_threshold=1, probation=0.01))
     sched = ClusterScheduler(n_nodes=2, resilience=policy)

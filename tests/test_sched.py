@@ -148,8 +148,8 @@ def test_demand_pricing_matches_builders(variant):
     allocates, or admission would admit jobs the builder OOMs on:
     compare against live per-GPU/per-host allocation counters."""
     handles = MachineHandles.create(SUMMIT, 2)
-    rp = plan_run(uniform_random_dense(30, seed=0), variant=variant,
-                  machine=SUMMIT, **REAL_KW)
+    rp = plan_run(uniform_random_dense(30, seed=0),
+                  SolveConfig(variant=variant, **REAL_KW), SUMMIT)
     demand = demand_of(rp, handles.cost, SUMMIT.node.gpus_per_node)
     mpi = SimMPI(handles.env, handles.cluster,
                  [rp.placement.node_of(r) for r in range(rp.n_ranks)], None)
@@ -515,6 +515,23 @@ def test_run_job_mix_roundtrip(tmp_path):
     assert [r.name for r in reports] == ["mixA", "mixB"]
     assert all(r.status == "done" for r in reports)
     assert sched.fleet_metrics().flat()["fleet.jobs.completed"] == 2.0
+
+
+def test_job_mix_semiring_by_name():
+    """A job mix names its semiring in JSON; the job solves over it."""
+    from repro.core import blocked_fw
+    from repro.semiring import MAX_MIN
+
+    graph = {"kind": "uniform_random_dense", "n": 12, "seed": 3}
+    spec = {"jobs": [{"name": "bottleneck", "graph": graph,
+                      "config": {"semiring": "max_min", "block_size": 3,
+                                 "ranks_per_node": 2,
+                                 "check_negative_cycles": False}}]}
+    sched, reports = run_job_mix(spec)
+    assert reports[0].status == "done"
+    ref = blocked_fw(uniform_random_dense(12, seed=3), 3, semiring=MAX_MIN,
+                     check_negative_cycles=False)
+    np.testing.assert_array_equal(sched.jobs[0].result.dist, ref)
 
 
 def test_load_job_mix_rejects_bad_specs(tmp_path):

@@ -19,10 +19,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core import (
     ProcessGrid,
     RankState,
-    apsp,
     baseline_program,
     collect,
     distribute,
@@ -81,7 +81,7 @@ RECORDED_DIST_SHA = {
 #: (B_VIRT), 4 nodes x 4 ranks, no numerics.
 HOLLOW_KW = dict(
     block_size=1, n_nodes=4, ranks_per_node=4, dim_scale=768.0,
-    compute_numerics=False, collect_result=False, check_negative_cycles=False,
+    compute_numerics=False, collect=False, check_negative_cycles=False,
 )
 RECORDED_HOLLOW_ELAPSED = {
     "baseline": 0.2967301259294111,
@@ -110,7 +110,7 @@ def dist_sha(dist: np.ndarray) -> str:
 class TestVariantMatrix:
     def test_matches_reference_and_recorded_bits(self, variant, seed):
         w = uniform_random_dense(30, seed=seed)
-        result = apsp(w, variant=variant, **REAL_KW)
+        result = solve(w, variant=variant, **REAL_KW)
         ref = scipy_floyd_warshall(w)
         assert np.allclose(result.dist, ref)
         # Bit-exact across all six variants and vs the pre-refactor runs.
@@ -120,14 +120,14 @@ class TestVariantMatrix:
 @pytest.mark.parametrize("variant", PAPER_VARIANTS)
 def test_recorded_makespans_real(variant):
     w = uniform_random_dense(30, seed=0)
-    result = apsp(w, variant=variant, **REAL_KW)
+    result = solve(w, variant=variant, **REAL_KW)
     assert result.report.elapsed == RECORDED_ELAPSED[variant]
 
 
 @pytest.mark.parametrize("variant", PAPER_VARIANTS)
 def test_recorded_makespans_hollow(variant):
     w = np.zeros((24, 24), dtype=np.float32)
-    result = apsp(w, variant=variant, **HOLLOW_KW)
+    result = solve(w, variant=variant, **HOLLOW_KW)
     assert result.report.elapsed == RECORDED_HOLLOW_ELAPSED[variant]
 
 
@@ -136,8 +136,8 @@ def test_offload_pipelined_overlaps_hollow():
     bulk-synchronous offload at paper scale because PanelBcast(k+1)
     rides under the ooGSrGemm tile pipeline."""
     w = np.zeros((24, 24), dtype=np.float32)
-    plain = apsp(w, variant="offload", **HOLLOW_KW)
-    piped = apsp(w, variant="offload-pipelined", **HOLLOW_KW)
+    plain = solve(w, variant="offload", **HOLLOW_KW)
+    piped = solve(w, variant="offload-pipelined", **HOLLOW_KW)
     assert piped.report.elapsed < plain.report.elapsed
 
 
@@ -146,8 +146,8 @@ def test_next_matrix_matches_reference(variant):
     """Next-hop matrices through the executor: every finite pair's
     traced path exists and realizes the reference distance."""
     w = uniform_random_dense(18, seed=4)
-    result = apsp(w, variant=variant, block_size=3, n_nodes=2,
-                  ranks_per_node=2, track_paths=True)
+    result = solve(w, variant=variant, block_size=3, n_nodes=2,
+                   ranks_per_node=2, track_paths=True)
     ref = scipy_floyd_warshall(w)
     assert np.allclose(result.dist, ref)
     nxt = result.next_hops
@@ -312,8 +312,8 @@ class TestStartK:
         assert done.tobytes() == full.tobytes()
 
     def test_start_zero_matches_driver(self, variant):
-        """The manual world is faithful: start_k=0 equals apsp()."""
-        via_driver = apsp(uniform_random_dense(N, seed=0), variant=variant, **REAL_KW)
+        """The manual world is faithful: start_k=0 equals solve()."""
+        via_driver = solve(uniform_random_dense(N, seed=0), variant=variant, **REAL_KW)
         assert World(variant).run(start_k=0).tobytes() == via_driver.dist.tobytes()
 
 
@@ -329,8 +329,8 @@ SMOKE_PLAN = ("crash:rank=1,at=1.5e-4", "policy:timeout=5e-4,ckpt=2")
 def test_crash_checkpoint_resume_smoke(variant):
     w = uniform_random_dense(48, seed=1)
     kw = dict(block_size=8, n_nodes=2, ranks_per_node=2)
-    clean = apsp(w, variant=variant, **kw)
-    faulty = apsp(w, variant=variant, fault_plan=SMOKE_PLAN, **kw)
+    clean = solve(w, variant=variant, **kw)
+    faulty = solve(w, variant=variant, fault_plan=SMOKE_PLAN, **kw)
     assert faulty.fault_counters["faults.crashes"] >= 1
     assert faulty.fault_counters["faults.restarts"] >= 1
     assert faulty.dist.tobytes() == clean.dist.tobytes()

@@ -1,7 +1,8 @@
 """Tests for the public entry point (:mod:`repro.api`).
 
-Covers the facade's contract: ``solve()`` equals the engine, the
-frozen ``SolveConfig``, each ``from_env`` precedence rule (explicit >
+Covers the facade's contract: the frozen ``SolveConfig`` is the whole
+solve vocabulary (semiring and placement included, through ``solve``
+and ``submit`` alike), each ``from_env`` precedence rule (explicit >
 environment > default) for the two environment knobs, sink validation
 before solving (exit code 12), and the public export list.
 """
@@ -10,16 +11,16 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro.api import ObsSinks, SolveConfig, resolve_machine, solve
-from repro.core import apsp
+from repro.api import ObsSinks, SolveConfig, config_to_jsonable, resolve_machine, solve
+from repro.core import ProcessGrid, RankPlacement, blocked_fw, tiled_placement
 from repro.errors import ConfigurationError, SinkError
 from repro.graphs import uniform_random_dense
+from repro.semiring import INF, MAX_MIN
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,63 @@ def graph():
 CLUSTER = dict(block_size=4, n_nodes=2, ranks_per_node=3)
 
 
+def _run_both(graph, config):
+    """The same config through ``repro.solve`` and ``repro.submit``."""
+    return solve(graph, config), repro.submit(graph, config).result()
+
+
 class TestSolveFacade:
-    def test_matches_engine(self, graph):
-        via_engine = apsp(graph, variant="async", **CLUSTER)
-        via_facade = solve(graph, SolveConfig(variant="async", **CLUSTER))
-        assert via_facade.report.elapsed == via_engine.report.elapsed
-        np.testing.assert_array_equal(via_facade.dist, via_engine.dist)
+    @pytest.mark.parametrize("semiring", ["max_min", MAX_MIN])
+    def test_semiring_by_name_and_object(self, semiring):
+        """The bottleneck semiring of test_distributed_variants, set on
+        the config: solve and submit both match the sequential oracle
+        bit for bit."""
+        cap = np.random.default_rng(1).uniform(1, 100, (12, 12))
+        np.fill_diagonal(cap, INF)
+        cfg = SolveConfig(variant="pipelined", block_size=3, n_nodes=2,
+                          ranks_per_node=2, semiring=semiring,
+                          check_negative_cycles=False)
+        ref = blocked_fw(cap, 3, semiring=MAX_MIN, check_negative_cycles=False)
+        for result in _run_both(cap, cfg):
+            np.testing.assert_array_equal(result.dist, ref)
+
+    def test_explicit_placement(self, graph):
+        """A 2x2 intranode tile where async picks 1x4: the run reports
+        the requested tile, its internode volume differs from the
+        default's, and it stays bit-exact - identically under submit."""
+        cfg = SolveConfig(variant="async", block_size=4, n_nodes=2,
+                          ranks_per_node=4, grid=(2, 4))
+        pl = tiled_placement(ProcessGrid(2, 4), 2, 2)
+        default = solve(graph, cfg)
+        ref = blocked_fw(graph, 4)
+        placed, submitted = _run_both(graph, cfg.replace(placement=pl))
+        for result in (placed, submitted):
+            assert (result.report.placement_qr, result.report.placement_qc) == (2, 2)
+            np.testing.assert_array_equal(result.dist, ref)
+        assert submitted.makespan == placed.makespan
+        assert (default.report.placement_qr, default.report.placement_qc) == (1, 4)
+        assert placed.report.internode_bytes != default.report.internode_bytes
+
+    def test_bad_semiring_and_placement_rejected(self, graph):
+        with pytest.raises(ConfigurationError, match="known:.*'min_plus'"):
+            solve(graph, semiring="min_pls")
+        with pytest.raises(ConfigurationError, match="got int"):
+            solve(graph, semiring=3)
+        with pytest.raises(ConfigurationError, match="RankPlacement, got dict"):
+            solve(graph, placement={"qr": 1, "qc": 2})
+        with pytest.raises(ConfigurationError, match="known:"):
+            repro.sched.ClusterScheduler().submit(graph, semiring="nope")
+
+    def test_jsonable_semiring_and_placement(self):
+        pl = tiled_placement(ProcessGrid(3, 2), 1, 2)
+        cfg = SolveConfig(semiring=MAX_MIN, grid=(3, 2), placement=pl)
+        doc = json.loads(json.dumps(config_to_jsonable(cfg)))
+        assert doc["semiring"] == "max_min"
+        assert config_to_jsonable(SolveConfig())["semiring"] == "min_plus"
+        assert config_to_jsonable(SolveConfig())["placement"] is None
+        assert RankPlacement(ProcessGrid(*doc["grid"]), doc["placement"]["qr"],
+                             doc["placement"]["qc"],
+                             tuple(doc["placement"]["rank_to_node"])) == pl
 
     def test_overrides_on_top_of_config(self, graph):
         base = SolveConfig(variant="baseline", **CLUSTER)
@@ -176,14 +228,14 @@ class TestSinkValidation:
 
 
 class TestDeprecatedEntryPoint:
-    def test_engine_path_does_not_warn(self, graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            apsp(graph, variant="baseline", **CLUSTER)
-
     def test_public_all_exports(self):
         for name in ("solve", "SolveConfig", "ObsSinks", "ApspResult", "Variant",
                      "FaultPlan", "SinkError"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
-        assert not hasattr(repro, "apsp")  # the deprecated shim is gone
+
+    def test_keyword_engine_is_gone(self):
+        import repro.core
+
+        assert not hasattr(repro, "apsp")
+        assert not hasattr(repro.core, "apsp")

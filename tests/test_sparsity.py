@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apsp
+from repro import solve
 from repro.errors import ConfigurationError
 from repro.graphs import (
     banded_graph,
@@ -24,7 +24,7 @@ VARIANTS = ("baseline", "pipelined", "reordering", "async")
 
 
 def run(w, variant="baseline", sparse=True, **kw):
-    return apsp(
+    return solve(
         w,
         variant=variant,
         block_size=kw.pop("block_size", 5),
@@ -136,11 +136,11 @@ class TestSavings:
 class TestValidation:
     def test_hollow_rejected(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, variant="baseline", block_size=4, n_nodes=1,
-                 ranks_per_node=2, exploit_sparsity=True,
-                 compute_numerics=False, collect_result=False)
+            solve(dense24, variant="baseline", block_size=4, n_nodes=1,
+                  ranks_per_node=2, exploit_sparsity=True,
+                  compute_numerics=False, collect=False)
 
     def test_offload_rejected(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, variant="offload", block_size=4, n_nodes=1,
-                 ranks_per_node=2, exploit_sparsity=True)
+            solve(dense24, variant="offload", block_size=4, n_nodes=1,
+                  ranks_per_node=2, exploit_sparsity=True)

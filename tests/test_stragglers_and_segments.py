@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import apsp
+from repro import solve
 from repro.errors import ConfigurationError
 from repro.graphs import scipy_floyd_warshall, uniform_random_dense
 from repro.machine import SUMMIT, CostModel, SimCluster
@@ -16,7 +16,7 @@ from repro.sim import Environment
 
 def hollow(variant, nb=32, nodes=16, rpn=8, **kw):
     w = np.zeros((nb, nb), dtype=np.float32)
-    return apsp(
+    return solve(
         w,
         variant=variant,
         block_size=1,
@@ -24,7 +24,7 @@ def hollow(variant, nb=32, nodes=16, rpn=8, **kw):
         ranks_per_node=rpn,
         dim_scale=768.0,
         compute_numerics=False,
-        collect_result=False,
+        collect=False,
         **kw,
     ).report
 
@@ -74,9 +74,9 @@ class TestStragglerInjection:
         assert times["async"] < times["baseline"]
 
     def test_straggler_does_not_change_results(self, dense24):
-        a = apsp(dense24, variant="async", block_size=4, n_nodes=2, ranks_per_node=2)
-        b = apsp(dense24, variant="async", block_size=4, n_nodes=2, ranks_per_node=2,
-                 stragglers={1: 5.0})
+        a = solve(dense24, variant="async", block_size=4, n_nodes=2, ranks_per_node=2)
+        b = solve(dense24, variant="async", block_size=4, n_nodes=2, ranks_per_node=2,
+                  stragglers={1: 5.0})
         assert np.allclose(a.dist, b.dist)
         assert b.report.elapsed > a.report.elapsed
 
@@ -151,14 +151,14 @@ class TestSegmentedRing:
         w = uniform_random_dense(24, seed=5)
         ref = scipy_floyd_warshall(w)
         for seg in (2, 4):
-            res = apsp(w, variant="async", block_size=4, n_nodes=2,
-                       ranks_per_node=3, ring_segments=seg)
+            res = solve(w, variant="async", block_size=4, n_nodes=2,
+                        ranks_per_node=3, ring_segments=seg)
             assert np.allclose(res.dist, ref)
 
     def test_segments_config_validated(self, dense24):
         with pytest.raises(ConfigurationError):
-            apsp(dense24, variant="async", block_size=4, n_nodes=1,
-                 ranks_per_node=2, ring_segments=0)
+            solve(dense24, variant="async", block_size=4, n_nodes=1,
+                  ranks_per_node=2, ring_segments=0)
 
     def test_segments_help_comm_bound_run(self):
         """End to end, segmentation should not hurt (and typically

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cli import _exit_code_for
-from repro.core import apsp
+from repro import solve
 from repro.errors import (
     ConfigurationError,
     SilentCorruptionError,
@@ -62,7 +62,7 @@ PRE_FAULT_MAKESPANS = {
 
 
 def run(w, variant, **kw):
-    return apsp(w, variant=variant, block_size=B, n_nodes=NODES, ranks_per_node=RPN, **kw)
+    return solve(w, variant=variant, block_size=B, n_nodes=NODES, ranks_per_node=RPN, **kw)
 
 
 @pytest.fixture(scope="module")
