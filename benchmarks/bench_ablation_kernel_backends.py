@@ -6,11 +6,9 @@ throughput (wall clock, not the simulator): the same fused
 sweeps, per registered backend, plus the phase-specialized
 ``srgemm_outer`` entry point the bulk of a solve actually dispatches
 through.  It documents the backend ladder: the ``reference`` broadcast
-kernel materializes an ``(m, k_chunk, n)`` slab and reduces it; the
-``tensor`` backend keeps the formulation but reuses buffers; ``tiled``
-bounds a rank-1 scratch by the byte budget; and the compiled family
-(``cnative`` via the system C compiler, ``compiled``/``compiled-ms``
-via numba when installed) fuses the triple loop to native code.
+kernel materializes an ``(m, k_chunk, n)`` slab and reduces it;
+``tiled`` bounds a rank-1 scratch by the byte budget; and ``cnative``
+fuses the triple loop to native code via the system C compiler.
 
 Outputs:
 
@@ -39,7 +37,7 @@ BLOCKS = (64, 128, 256)
 REPEATS = 3
 #: Backends with a natively-compiled inner loop; when any is available
 #: the >=10x-over-reference acceptance criterion is enforced.
-COMPILED_FAMILY = ("cnative", "compiled", "compiled-ms", "cupy")
+COMPILED_FAMILY = ("cnative",)
 
 
 def _bench_entry(backend, entry: str, b: int, rng: np.random.Generator) -> float:

@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="NAME",
-        help="SrGemm kernel backend (see `repro-apsp backends`); default: "
-        "$REPRO_SRGEMM_BACKEND or 'reference'",
+        help="SrGemm kernel backend: reference, cnative, tiled or tiled-f32 "
+        "(see `repro-apsp backends`); default: $REPRO_SRGEMM_BACKEND, else "
+        "'reference'",
     )
     solve.add_argument(
         "--faults",
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sbuild.add_argument("--density", type=float, default=1.0, help="edge probability")
     sbuild.add_argument(
         "--kernel-backend", type=str, default=None, metavar="NAME",
-        help="SrGemm kernel backend for the solve",
+        help="SrGemm kernel backend for the solve (default: "
+        "$REPRO_SRGEMM_BACKEND, else 'reference')",
     )
     sbuild.add_argument(
         "--overwrite", action="store_true",
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     supdate.add_argument(
         "--kernel-backend", type=str, default=None, metavar="NAME",
-        help="SrGemm backend for any escalated re-solve",
+        help="SrGemm backend for any escalated re-solve (default: "
+        "$REPRO_SRGEMM_BACKEND, else 'reference')",
     )
     supdate.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",
@@ -513,7 +516,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def _profile_backends(spec) -> list:
     """Resolve the profile --kernel-backend spec to a backend list.
 
-    ``None`` → [None] (process default, single-backend mode); a single
+    ``None`` → [None] (the default backend, single-backend mode); a single
     name → [name]; a comma list or ``all`` → sweep over the named /
     every available backend.
     """
@@ -598,7 +601,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .machine import MACHINES, CostModel
-    from .perfmodel import min_offload_block_size, tune, tune_kernel_tiling
+    from .perfmodel import min_offload_block_size, tune
+    from .semiring.backends import tune_kernel_tiling
 
     cost = CostModel(MACHINES[args.machine])
     report = tune(cost, args.n, args.nodes, args.ranks_per_node, offload=args.offload)
@@ -615,13 +619,22 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_backends(_: argparse.Namespace) -> int:
-    from .semiring.backends import default_backend_name, registered_backends
+    from .errors import ConfigurationError
+    from .semiring.backends import ENV_BACKEND, default_backend_name, registered_backends
 
     default = default_backend_name()
-    for name, backend in sorted(registered_backends().items()):
+    registry = registered_backends()
+    for name, backend in sorted(registry.items()):
         marker = "*" if name == default else " "
         print(f"{marker} {name:<12s} {backend.describe()}")
     print("\n* = default (override with --kernel-backend or $REPRO_SRGEMM_BACKEND)")
+    if default not in registry:
+        # Every row is printed first: this listing is what one reads to
+        # fix the variable.  The exit code is the one `solve` would give.
+        raise ConfigurationError(
+            f"${ENV_BACKEND}={default!r} names no registered backend; "
+            f"registered: {sorted(registry)}"
+        )
     return 0
 
 

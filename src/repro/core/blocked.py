@@ -9,7 +9,7 @@ In-memory, single process, vectorized.  This is simultaneously:
 
 All SrGemm work dispatches through the pluggable kernel backends of
 :mod:`repro.semiring.backends`; pass ``backend=`` to pick one, or rely
-on the process default / ``REPRO_SRGEMM_BACKEND``.
+on ``REPRO_SRGEMM_BACKEND`` / ``reference``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def blocked_fw(
         so tests can pin that equivalence.
     backend:
         SrGemm kernel backend (name or instance); ``None`` resolves the
-        process default.
+        default (``REPRO_SRGEMM_BACKEND`` / ``reference``).
     """
     padded, n = pad_to_blocks(np.asarray(weights), block_size, semiring)
     dist = np.array(padded, dtype=semiring.dtype, copy=True)

@@ -108,7 +108,7 @@ class SolverConfig:
     #: matrix is then meaningless and must not be collected.
     compute_numerics: bool = True
     #: SrGemm kernel backend name (see :mod:`repro.semiring.backends`);
-    #: None resolves the process default (``REPRO_SRGEMM_BACKEND`` /
+    #: None resolves the default (``REPRO_SRGEMM_BACKEND`` /
     #: ``reference``).  Every SrGemm this run performs - panel updates,
     #: outer products, path kernels, the offload pipeline - goes
     #: through the selected backend.

@@ -70,8 +70,8 @@ class ConfigurationError(ReproError, ValueError):
 
 class BackendUnavailableError(ConfigurationError):
     """A registered SrGemm kernel backend cannot be used because its
-    soft dependency is missing (e.g. the ``compiled`` backend without
-    numba installed)."""
+    soft dependency is missing (e.g. the ``cnative`` backend on a
+    host with no C compiler)."""
 
     def __init__(self, name: str, reason: str):
         self.backend = name

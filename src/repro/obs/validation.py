@@ -393,7 +393,7 @@ def run_profile(
     This is the engine of the ``repro profile`` CLI subcommand; it is
     also directly usable as a library call.  ``kernel_backend`` selects
     the SrGemm backend the instrumented runs execute on (``None``
-    resolves the process default); note fitted constants come from
+    resolves the default backend); note fitted constants come from
     *simulated* busy time, which is backend-invariant by design - the
     physical per-backend speed signal is the ``kernel.wall_seconds``
     counter in each result's metrics registry.

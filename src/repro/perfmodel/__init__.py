@@ -10,18 +10,14 @@ from .costs import (
     refined_comm_cost,
 )
 from .tuning import (
-    DEFAULT_KERNEL_BYTE_BUDGET,
-    KernelTiling,
     TuningReport,
     best_grid,
     compute_bound_threshold,
     best_node_grid,
-    kernel_byte_budget,
     predict_runtime,
     recommend_block_size,
     recommend_streams,
     tune,
-    tune_kernel_tiling,
 )
 
 __all__ = [
@@ -40,8 +36,4 @@ __all__ = [
     "compute_bound_threshold",
     "tune",
     "TuningReport",
-    "KernelTiling",
-    "tune_kernel_tiling",
-    "kernel_byte_budget",
-    "DEFAULT_KERNEL_BYTE_BUDGET",
 ]

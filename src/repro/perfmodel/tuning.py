@@ -11,10 +11,6 @@ would run before committing node-hours:
 * :func:`recommend_streams` - smallest stream count achieving the
   full-overlap bound.
 * :func:`predict_runtime` - Eq. 1 end-to-end prediction for a config.
-* :func:`tune_kernel_tiling` - tile/k-chunk sizes for the SrGemm
-  kernel backends under a byte budget (re-exported from
-  :mod:`repro.semiring.backends.tuning`, which owns the implementation
-  so the kernel layer stays dependency-free).
 """
 
 from __future__ import annotations
@@ -24,12 +20,6 @@ from typing import Optional
 
 from ..core.grid import factor_pairs, near_square_factors
 from ..machine.cost import CostModel
-from ..semiring.backends.tuning import (
-    DEFAULT_KERNEL_BYTE_BUDGET,
-    KernelTiling,
-    kernel_byte_budget,
-    tune_kernel_tiling,
-)
 from .costs import (
     FwCostBreakdown,
     min_offload_block_size,
@@ -48,10 +38,6 @@ __all__ = [
     "compute_bound_threshold",
     "TuningReport",
     "tune",
-    "KernelTiling",
-    "tune_kernel_tiling",
-    "kernel_byte_budget",
-    "DEFAULT_KERNEL_BYTE_BUDGET",
 ]
 
 

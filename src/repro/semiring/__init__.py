@@ -11,9 +11,7 @@ from .backends import (
     available_backends,
     get_backend,
     registered_backends,
-    set_default_backend,
     tune_kernel_tiling,
-    use_backend,
 )
 from .closure import (
     check_no_negative_cycle,
@@ -24,7 +22,6 @@ from .closure import (
     squaring_steps,
 )
 from .kernels import (
-    DEFAULT_K_CHUNK,
     eltwise_plus,
     panel_col_update,
     panel_row_update,
@@ -74,7 +71,6 @@ __all__ = [
     "eltwise_plus",
     "panel_row_update",
     "panel_col_update",
-    "DEFAULT_K_CHUNK",
     "fw_inplace",
     "floyd_warshall",
     "closure_by_squaring",
@@ -87,8 +83,6 @@ __all__ = [
     "fw_inplace_paths",
     "KernelBackend",
     "get_backend",
-    "set_default_backend",
-    "use_backend",
     "registered_backends",
     "available_backends",
     "tune_kernel_tiling",

@@ -9,53 +9,44 @@ everywhere.
 
 Shipped backends
 ----------------
+Each one stays for a reason a caller or a test supplies
+(docs/KERNELS.md §2 has the measurement).
+
 ``reference``
-    The original chunked 3-D broadcast kernel; the equivalence oracle.
-``tiled``
-    Cache-blocked 2-D tiling with in-place accumulation, bounded by a
-    byte budget (the default-budget analogue of CUTLASS tile staging).
-``tiled-f32``
-    The tiled kernel with an opt-in float32 compute path (~2x
-    memory-bandwidth saving, documented ``rtol = 1e-5``).
-``tensor``
-    Buffer-reusing broadcast 3-D tensor kernel (Anjary-style
-    vectorized formulation) with budget-bounded k-chunks.
+    The chunked 3-D broadcast kernel: the equivalence oracle every
+    other backend is tested against, and the builtin default.
 ``cnative``
     Multi-stage C kernel compiled at first use with the system
     ``cc``/``gcc``/``clang`` (ctypes); unavailable when no compiler is
-    on PATH.  The fastest CPU path without numba.
-``compiled``
-    numba-JIT fused triple loop; auto-marked unavailable when numba is
-    not installed.
-``compiled-ms``
-    numba multi-stage kernels: serial diag, ``prange`` row-parallel
-    panel/outer; unavailable without numba.
-``cupy``
-    GPU chunked-broadcast kernel; unavailable without cupy or without
-    a CUDA device, with the reason reported.
+    on PATH.  The fast path every benchmark runs.
+``tiled``
+    Cache-blocked 2-D tiling with in-place accumulation, bounded by a
+    byte budget (the default-budget analogue of CUTLASS tile staging).
+    The only kernel on a host without ``cc``, and ``cnative``'s own
+    fallback (``or_and`` / ``plus_times``, ragged grids, a failed
+    compile).
+``tiled-f32``
+    The tiled kernel with an opt-in float32 compute path (~2x
+    memory-bandwidth saving, documented ``rtol = 1e-5``): the one
+    backend on the ``rtol != 0`` side of the verify tolerance path.
 
 Selection precedence
 --------------------
-explicit ``backend=`` argument  >  :func:`set_default_backend`  >
+explicit ``kernel_backend=`` / ``backend=`` argument  >
 ``REPRO_SRGEMM_BACKEND`` environment variable  >  ``"reference"``.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from ...errors import BackendUnavailableError, ConfigurationError
 from .base import KernelBackend
 from .cnative import CNativeBackend
-from .compiled import HAVE_NUMBA, CompiledBackend
-from .gpu import HAVE_CUPY, CupyBackend
-from .multistage import MultiStageBackend
 from .reference import ReferenceBackend
-from .tensor import TensorBackend
 from .tiled import TiledBackend
 from .tuning import (
     DEFAULT_KERNEL_BYTE_BUDGET,
@@ -69,13 +60,7 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "TiledBackend",
-    "TensorBackend",
     "CNativeBackend",
-    "CompiledBackend",
-    "MultiStageBackend",
-    "CupyBackend",
-    "HAVE_NUMBA",
-    "HAVE_CUPY",
     "KernelTiling",
     "kernel_byte_budget",
     "tune_kernel_tiling",
@@ -87,9 +72,7 @@ __all__ = [
     "registered_backends",
     "available_backends",
     "get_backend",
-    "set_default_backend",
     "default_backend_name",
-    "use_backend",
 ]
 
 #: Environment variable selecting the default backend by name.
@@ -99,7 +82,6 @@ ENV_BACKEND = "REPRO_SRGEMM_BACKEND"
 BUILTIN_DEFAULT_BACKEND = "reference"
 
 _REGISTRY: dict[str, KernelBackend] = {}
-_DEFAULT: Optional[str] = None
 
 
 def register_backend(backend: KernelBackend, overwrite: bool = False) -> KernelBackend:
@@ -125,7 +107,7 @@ def available_backends() -> dict[str, KernelBackend]:
 
 def default_backend_name() -> str:
     """The name :func:`get_backend` resolves when given no name."""
-    return _DEFAULT or os.environ.get(ENV_BACKEND) or BUILTIN_DEFAULT_BACKEND
+    return os.environ.get(ENV_BACKEND) or BUILTIN_DEFAULT_BACKEND
 
 
 def get_backend(name: Union[str, KernelBackend, None] = None) -> KernelBackend:
@@ -149,32 +131,8 @@ def get_backend(name: Union[str, KernelBackend, None] = None) -> KernelBackend:
     return backend
 
 
-def set_default_backend(name: Optional[str]) -> Optional[str]:
-    """Set the process-wide default backend; returns the previous
-    explicit default (None restores env-var/builtin resolution)."""
-    global _DEFAULT
-    if name is not None:
-        get_backend(name)  # validate: must exist and be available
-    previous, _DEFAULT = _DEFAULT, name
-    return previous
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Context manager: temporarily make ``name`` the default backend."""
-    previous = set_default_backend(name)
-    try:
-        yield get_backend(name)
-    finally:
-        set_default_backend(previous)
-
-
 # -- built-in registrations --------------------------------------------------
 register_backend(ReferenceBackend())
 register_backend(TiledBackend())
 register_backend(TiledBackend(compute_dtype=np.float32))  # "tiled-f32"
-register_backend(TensorBackend())
 register_backend(CNativeBackend())
-register_backend(CompiledBackend())
-register_backend(MultiStageBackend())  # "compiled-ms"
-register_backend(CupyBackend())

@@ -3,9 +3,9 @@
 The multi-stage blocked-FW kernel (Lund & Smith; see PAPERS.md)
 expressed as a tiny C translation unit compiled *at first use* with
 whatever ``cc``/``gcc``/``clang`` the host provides, then loaded
-through :mod:`ctypes`.  This is the repo's fastest CPU path where
-numba is not installed: the fused ``i/t/j`` loop with register-blocked
-``j``-strips measures >10x the reference backend at b=256 float64.
+through :mod:`ctypes`.  This is the repo's fastest path: the fused
+``i/t/j`` loop with register-blocked ``j``-strips measures >10x the
+reference backend at b=256 float64.
 
 Phase specialization is a strip-width parameter on one symbol family:
 

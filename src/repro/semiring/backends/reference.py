@@ -9,9 +9,9 @@ re-read once per chunk), which is exactly the inefficiency the tiled
 backend removes; it stays registered as the equivalence oracle every
 other backend is tested against.
 
-The k-chunk is now auto-tuned from the byte budget (the old hardcoded
-``DEFAULT_K_CHUNK = 64`` fell out of the same arithmetic at 128x128
-float64 blocks); an explicit ``k_chunk`` argument still overrides it.
+The k-chunk is auto-tuned from the byte budget (64 at 128x128 float64
+blocks under the default 8 MiB); an explicit ``k_chunk`` argument
+overrides it.
 """
 
 from __future__ import annotations

@@ -5,13 +5,11 @@ staging fixed-size operand tiles through shared memory; the NumPy
 analogue is bounding every kernel temporary by a byte budget sized to
 stay cache-resident.  This module is the pure arithmetic that turns a
 budget plus problem shape into concrete tile / k-chunk sizes - it has
-no dependencies beyond the standard library, so both the kernel
-backends (:mod:`repro.semiring.backends`) and the model-driven tuning
-layer (:mod:`repro.perfmodel.tuning`, which re-exports it) can use it
-without import cycles.
+no dependencies beyond the standard library and :mod:`repro.errors`.
+(The model tuner of the paper's §3.4.2, :mod:`repro.perfmodel.tuning`,
+picks block sizes and grids for a machine and shares no logic with it.)
 
-The budget replaces the old hardcoded ``DEFAULT_K_CHUNK = 64``: the
-reference backend derives its k-chunk so the ``(m, k_chunk, n)``
+The reference backend derives its k-chunk so the ``(m, k_chunk, n)``
 broadcast temporary stays under the budget, and the tiled backend
 derives its ``(m, n)`` tile so the accumulation scratch stays under
 half the budget (the other half is headroom for the alias snapshot the
@@ -25,6 +23,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from ...errors import ConfigurationError
+
 __all__ = [
     "DEFAULT_KERNEL_BYTE_BUDGET",
     "ENV_BYTE_BUDGET",
@@ -34,9 +34,9 @@ __all__ = [
 ]
 
 #: Default bound on any single kernel temporary: 8 MiB keeps the
-#: working set inside a typical L2/L3 slice, and reproduces the old
-#: ``DEFAULT_K_CHUNK = 64`` behaviour exactly at the 128x128 float64
-#: blocks the test suite favours (128 * 64 * 128 * 8 B = 8 MiB).
+#: working set inside a typical L2/L3 slice, and gives the reference
+#: backend a k-chunk of 64 at the 128x128 float64 blocks the test suite
+#: favours (128 * 64 * 128 * 8 B = 8 MiB).
 DEFAULT_KERNEL_BYTE_BUDGET = 8 * 1024 * 1024
 
 #: Environment override for the budget (bytes).
@@ -47,15 +47,23 @@ def kernel_byte_budget(override: Optional[int] = None) -> int:
     """Resolve the kernel temporary byte budget.
 
     Precedence: explicit ``override`` > ``REPRO_SRGEMM_BYTE_BUDGET``
-    environment variable > :data:`DEFAULT_KERNEL_BYTE_BUDGET`.
+    environment variable > :data:`DEFAULT_KERNEL_BYTE_BUDGET`.  A
+    value that is not a positive integer is a
+    :class:`~repro.errors.ConfigurationError` naming where it came from.
     """
-    if override is not None:
-        budget = int(override)
-    else:
-        env = os.environ.get(ENV_BYTE_BUDGET)
-        budget = int(env) if env else DEFAULT_KERNEL_BYTE_BUDGET
+    source, raw = "kernel byte budget", override
+    if raw is None:
+        source, raw = f"${ENV_BYTE_BUDGET}", os.environ.get(ENV_BYTE_BUDGET)
+        if not raw:
+            return DEFAULT_KERNEL_BYTE_BUDGET
+    try:
+        budget = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{source} must be an integer byte count, got {raw!r}"
+        ) from None
     if budget < 1:
-        raise ValueError(f"kernel byte budget must be positive, got {budget}")
+        raise ConfigurationError(f"{source} must be positive, got {budget}")
     return budget
 
 
@@ -89,7 +97,6 @@ def tune_kernel_tiling(
     k: int,
     itemsize: int = 8,
     byte_budget: Optional[int] = None,
-    reduce_planes: int = 0,
 ) -> KernelTiling:
     """Pick tile / k-chunk sizes for an ``(m, n, k)`` SrGemm.
 
@@ -107,17 +114,9 @@ def tune_kernel_tiling(
         the operands arrive as float64.
     byte_budget:
         Optional budget override; see :func:`kernel_byte_budget`.
-    reduce_planes:
-        Number of extra ``(m, n)`` planes the backend keeps alive
-        alongside the ``(m, k_chunk, n)`` broadcast temporary (the
-        tensor backend's reduction output is one such plane).  Their
-        bytes are reserved off the budget *before* sizing ``k_chunk``
-        so the true peak stays bounded.
     """
     if m < 0 or n < 0 or k < 0:
         raise ValueError(f"negative kernel dimensions: ({m}, {n}, {k})")
-    if reduce_planes < 0:
-        raise ValueError(f"reduce_planes must be non-negative, got {reduce_planes}")
     budget = kernel_byte_budget(byte_budget)
     itemsize = max(1, int(itemsize))
 
@@ -128,9 +127,7 @@ def tune_kernel_tiling(
     tile_n = max(1, min(n or 1, cap_elems))
     tile_m = max(1, min(m or 1, cap_elems // tile_n))
 
-    # Broadcast chunk: (m, k_chunk, n) temporary, plus any reserved
-    # reduction planes, within the full budget.
+    # Broadcast chunk: (m, k_chunk, n) temporary within the full budget.
     plane = max(1, (m or 1) * (n or 1) * itemsize)
-    chunk_budget = max(0, budget - reduce_planes * plane)
-    k_chunk = max(1, min(k or 1, chunk_budget // plane))
+    k_chunk = max(1, min(k or 1, budget // plane))
     return KernelTiling(tile_m=tile_m, tile_n=tile_n, k_chunk=k_chunk, byte_budget=budget)

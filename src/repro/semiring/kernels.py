@@ -3,12 +3,10 @@
 These are the compute kernels the paper offloads to the GPU via
 cuASR/CUTLASS (its §2.6/§4.1).  The actual implementations live in the
 pluggable backend registry of :mod:`repro.semiring.backends`
-(``reference`` broadcast oracle, cache-blocked ``tiled``, float32
-``tiled-f32``, numba ``compiled``); the module-level functions here
-keep the historical flat API and simply dispatch to the selected
-backend, so existing call sites pick up a backend switch
-(``backend=`` argument, :func:`repro.semiring.backends.set_default_backend`,
-or the ``REPRO_SRGEMM_BACKEND`` environment variable) transparently.
+(``reference`` broadcast oracle, system-cc ``cnative``, cache-blocked
+``tiled``, float32 ``tiled-f32``); the module-level functions here are
+the flat API and dispatch to the backend their ``backend=`` argument
+selects (``None``: see "Selection precedence" in that package).
 """
 
 from __future__ import annotations
@@ -30,14 +28,7 @@ __all__ = [
     "eltwise_plus",
     "panel_row_update",
     "panel_col_update",
-    "DEFAULT_K_CHUNK",
 ]
-
-#: Historical default k-chunk, kept for backward compatibility.  The
-#: chunk is now auto-tuned per call from a byte budget (see
-#: :mod:`repro.semiring.backends.tuning`); 64 is what that tuner
-#: yields for 128x128 float64 blocks under the default 8 MiB budget.
-DEFAULT_K_CHUNK = 64
 
 BackendArg = Union[str, KernelBackend, None]
 

@@ -221,7 +221,7 @@ class TestExitCodes:
         assert _exit_code_for(GpuOutOfMemory(100, 10, 50)) == 5
         # BackendUnavailableError subclasses ConfigurationError but keeps
         # its own code.
-        assert _exit_code_for(BackendUnavailableError("cupy", "not installed")) == 6
+        assert _exit_code_for(BackendUnavailableError("cnative", "no C compiler")) == 6
         assert _exit_code_for(CommTimeoutError("x", rank=0, src=1, tag=2)) == 7
         assert _exit_code_for(RankFailure("x")) == 8
         assert _exit_code_for(CheckpointError("x")) == 9
@@ -289,6 +289,15 @@ class TestServeQueryCLI:
         rc = main(["query", str(artifact), "--pair", "0,9"])
         assert rc == 0
         assert "d(0, 9) = 0.0001" in capsys.readouterr().out
+
+    def test_update_resolve_with_malformed_budget_exits_2(self, artifact, capsys, monkeypatch):
+        # Raising a tight edge escalates to a re-solve, which reads the budget.
+        assert main(["serve", "update", str(artifact), "--edge", "0,5,0.001"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SRGEMM_BYTE_BUDGET", "abc")
+        assert main(["serve", "update", str(artifact), "--edge", "0,5,50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $REPRO_SRGEMM_BYTE_BUDGET") and "'abc'" in err
 
     def test_missing_artifact_exits_17(self, tmp_path, capsys):
         rc = main(["query", str(tmp_path / "nope"), "--pair", "0,1"])
