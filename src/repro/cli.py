@@ -639,10 +639,11 @@ def cmd_backends(_: argparse.Namespace) -> int:
 
 
 def cmd_variants(_: argparse.Namespace) -> int:
-    from .core.variants import VARIANT_DESCRIPTIONS
+    from .core.variants import VARIANTS
 
-    for v, desc in VARIANT_DESCRIPTIONS.items():
-        print(f"{v.value:<12s} {desc}")
+    for v, row in VARIANTS.items():
+        print(f"{v.value:<18s} {row.schedule.name:<11s} {row.residency.name:<5s} "
+              f"{row.bcast.name:<5s} {row.placement:<11s} {row.description}")
     return 0
 
 

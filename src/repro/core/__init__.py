@@ -1,7 +1,7 @@
 """Distributed Floyd-Warshall variants and the public APSP driver."""
 
 from .blocked import blocked_fw, blocked_fw_inplace, blocked_fw_paths
-from .context import FwContext, RankState, SolverConfig
+from .context import FwContext, RankState
 from .distribution import (
     LocalBlocks,
     block_slice,
@@ -16,17 +16,9 @@ from .executor import (
     HostResident,
     ResidencyPolicy,
     execute_schedule,
-    offload_gpu_footprint,
 )
 from .grid import ProcessGrid, factor_pairs, near_square_factors
 from .oog_srgemm import OogStats, TileTask, oog_srgemm_plan, run_oog_pipeline
-from .programs import (
-    baseline_program,
-    offload_pipelined_program,
-    offload_program,
-    pipelined_program,
-    program_for_config,
-)
 from .schedule import (
     BulkSyncSchedule,
     LookaheadSchedule,
@@ -41,24 +33,17 @@ from .placement import (
     tiled_placement,
 )
 from .report import PerfReport, min_pernode_volume_bytes
-from .variants import VARIANT_DESCRIPTIONS, Variant, variant_config
+from .variants import VARIANTS, Variant
 
 __all__ = [
     "ApspResult",
     "Variant",
-    "variant_config",
-    "VARIANT_DESCRIPTIONS",
-    "SolverConfig",
+    "VARIANTS",
     "FwContext",
     "RankState",
     "blocked_fw",
     "blocked_fw_inplace",
     "blocked_fw_paths",
-    "baseline_program",
-    "pipelined_program",
-    "offload_program",
-    "offload_pipelined_program",
-    "program_for_config",
     "execute_schedule",
     "ScheduleOp",
     "SchedulePolicy",
@@ -67,7 +52,6 @@ __all__ = [
     "ResidencyPolicy",
     "GpuResident",
     "HostResident",
-    "offload_gpu_footprint",
     "run_oog_pipeline",
     "oog_srgemm_plan",
     "TileTask",

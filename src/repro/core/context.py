@@ -1,8 +1,9 @@
 """Shared solver context and per-rank state for the distributed variants.
 
 A :class:`FwContext` holds everything common to one distributed run
-(simulation environment, cluster, MPI world, grid, placement, cost
-model, configuration); a :class:`RankState` holds one rank's view
+(simulation environment, cluster, MPI world, cost model, and the
+:class:`~repro.core.driver.RunPlan`'s grid, placement, policies and
+configuration); a :class:`RankState` holds one rank's view
 (its communicators, its blocks, its GPU binding).  The actual rank
 *programs* are schedule-IR op streams (:mod:`repro.core.schedule`)
 lowered by the single executor (:mod:`repro.core.executor`); the
@@ -14,8 +15,7 @@ mirroring the paper's kernel decomposition (its §2.5.2 list).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -26,19 +26,23 @@ from ..machine.gpu import CudaStream, SimGPU
 from ..machine.host import HostCpu
 from ..mpi.collectives import bcast_tree
 from ..mpi.comm import Comm, SimMPI
-from ..mpi.policy import BcastPolicy, bcast_policy_for
+from ..mpi.policy import BcastPolicy
 from ..semiring.backends import KernelBackend, get_backend
 from ..semiring.closure import fw_inplace, squaring_steps
 from ..semiring.path_kernels import fw_inplace_paths
-from ..semiring.minplus import MIN_PLUS, Semiring
+from ..semiring.minplus import Semiring
 from ..sim.engine import Environment, Event
 from ..sim.trace import Tracer
 from .distribution import LocalBlocks
-from .grid import ProcessGrid
 from .placement import RankPlacement
 
+if TYPE_CHECKING:
+    from ..api import SolveConfig
+    from .driver import RunPlan
+    from .executor import ResidencyPolicy
+    from .schedule import SchedulePolicy
+
 __all__ = [
-    "SolverConfig",
     "FwContext",
     "RankState",
     "Op",
@@ -64,109 +68,6 @@ class Op:
         return (k << 3) | op
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Algorithmic knobs of one distributed Floyd-Warshall run."""
-
-    block_size: int
-    semiring: Semiring = MIN_PLUS
-    #: Pipelined (Alg. 4) vs bulk-synchronous (Alg. 3) schedule.
-    pipelined: bool = False
-    #: PanelBcast algorithm: the library-style binomial tree or the
-    #: bandwidth-optimal ring (§3.3).  DiagBcast always uses the tree.
-    panel_bcast: Literal["tree", "ring"] = "tree"
-    #: Ring relay issued asynchronously (isend) - the +Async behaviour.
-    async_relay: bool = True
-    #: Segments for a pipelined ring PanelBcast (1 = the paper's
-    #: unsegmented ring; >1 = the HPL-style extension).
-    ring_segments: int = 1
-    #: DiagUpdate on the GPU via repeated squaring (§4.2) vs on the host.
-    diag_on_gpu: bool = True
-    #: Offload (Me-ParallelFw): distance matrix in host DRAM, outer
-    #: product through ooGSrGemm (§4.3).
-    offload: bool = False
-    #: Number of cudaStreams for the offload pipeline (§4.4).
-    n_streams: int = 3
-    #: GPU tile of the offload pipeline, in *blocks* per dimension
-    #: (mx = mx_blocks * block_size).
-    mx_blocks: int = 2
-    nx_blocks: int = 2
-    #: Skip all-infinite (empty) blocks in panel broadcasts and outer
-    #: products - the structured-sparsity direction of the paper's
-    #: future work (its supernodal APSP citation).  Fill-in is handled
-    #: naturally: emptiness is re-checked every iteration.  Requires
-    #: real numerics (the data decides what is skippable).
-    exploit_sparsity: bool = False
-    #: Carry next-hop pointer blocks through the sweep (distributed
-    #: shortest-path *generation*, the paper's first future-work item).
-    #: (min,+) only; not supported by the offload schedule.
-    track_paths: bool = False
-    #: When False, the simulation runs "hollow": the full event
-    #: structure (kernels, transfers, messages) executes with modeled
-    #: costs but the real NumPy numerics are skipped.  Benchmarks use
-    #: this to sweep paper-scale block counts cheaply; the result
-    #: matrix is then meaningless and must not be collected.
-    compute_numerics: bool = True
-    #: SrGemm kernel backend name (see :mod:`repro.semiring.backends`);
-    #: None resolves the default (``REPRO_SRGEMM_BACKEND`` /
-    #: ``reference``).  Every SrGemm this run performs - panel updates,
-    #: outer products, path kernels, the offload pipeline - goes
-    #: through the selected backend.
-    kernel_backend: Optional[str] = None
-    #: ABFT verification level (:mod:`repro.verify`): ``"off"`` (the
-    #: default; a ``None`` context slot keeps every hook zero-cost),
-    #: ``"checksum"`` (guarded kernels + localized repair), or
-    #: ``"full"`` (adds the monotonicity sentinel and the certificate's
-    #: residual audit).  Verification runs inside the kernel closures,
-    #: so makespans are identical across modes.
-    verify: str = "off"
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
-        if self.n_streams < 1:
-            raise ConfigurationError(f"n_streams must be >= 1, got {self.n_streams}")
-        if self.mx_blocks < 1 or self.nx_blocks < 1:
-            raise ConfigurationError("offload tile must be at least one block")
-        if self.panel_bcast not in ("tree", "ring"):
-            raise ConfigurationError(f"unknown panel_bcast {self.panel_bcast!r}")
-        if self.ring_segments < 1:
-            raise ConfigurationError(f"ring_segments must be >= 1, got {self.ring_segments}")
-        if self.exploit_sparsity:
-            if not self.compute_numerics:
-                raise ConfigurationError(
-                    "exploit_sparsity needs compute_numerics=True (the data "
-                    "determines which blocks are skippable)"
-                )
-            if self.offload:
-                raise ConfigurationError(
-                    "exploit_sparsity is not supported by the offload schedule"
-                )
-        if self.track_paths:
-            if self.semiring is not MIN_PLUS:
-                raise ConfigurationError("track_paths requires the (min,+) semiring")
-            if self.offload:
-                raise ConfigurationError(
-                    "track_paths is not supported by the offload schedule; "
-                    "use next_hop_from_distances on the collected result instead"
-                )
-        if self.verify not in ("off", "checksum", "full"):
-            raise ConfigurationError(
-                f"verify must be 'off', 'checksum' or 'full', got {self.verify!r}"
-            )
-        if self.verify != "off":
-            if not self.compute_numerics:
-                raise ConfigurationError(
-                    "verification needs compute_numerics=True (hollow runs "
-                    "have no data to checksum)"
-                )
-            if not self.semiring.idempotent_plus:
-                raise ConfigurationError(
-                    "ABFT checksums require an idempotent ⊕ (comparison "
-                    f"semirings); {self.semiring.name} is not"
-                )
-
-
 class FwContext:
     """Everything shared by the rank programs of one run."""
 
@@ -175,33 +76,35 @@ class FwContext:
         env: Environment,
         cluster: SimCluster,
         mpi: SimMPI,
-        grid: ProcessGrid,
-        placement: RankPlacement,
-        config: SolverConfig,
-        nb: int,
+        plan: "RunPlan",
         tracer: Optional[Tracer] = None,
     ):
-        if grid.size != mpi.size:
+        if plan.grid.size != mpi.size:
             raise ConfigurationError("grid size != MPI world size")
         self.env = env
         self.cluster = cluster
         self.mpi = mpi
-        self.grid = grid
-        self.placement = placement
-        self.config = config
-        #: PanelBcast strategy (:mod:`repro.mpi.policy`), resolved from
-        #: the config once so lowering never branches on config strings.
-        self.bcast_policy: BcastPolicy = bcast_policy_for(
-            config.panel_bcast, async_relay=config.async_relay,
-            segments=config.ring_segments,
-        )
-        self.nb = nb
+        self.grid = grid = plan.grid
+        self.placement: RankPlacement = plan.placement
+        #: The caller's :class:`~repro.api.SolveConfig`, read for the
+        #: pass-through options (``track_paths``, ``n_streams``, ...).
+        self.config: "SolveConfig" = plan.config
+        self.b: int = plan.b
+        self.nb: int = plan.nb
+        self.semiring: Semiring = plan.semiring
+        #: The plan's resolved policies (one row of
+        #: :data:`repro.core.variants.VARIANTS`).  OOM degradation swaps
+        #: ``residency`` (and the landed row's ``bcast_policy``) between
+        #: epochs; the schedule shape never changes mid-run.
+        self.schedule: "SchedulePolicy" = plan.schedule
+        self.residency: "ResidencyPolicy" = plan.residency
+        self.bcast_policy: BcastPolicy = plan.bcast
         self.tracer = tracer
         self.cost: CostModel = cluster.cost
         #: Resolved SrGemm kernel backend for this run (resolution
         #: happens once, here, so every rank program and the offload
         #: pipeline agree on one kernel).
-        self.backend: KernelBackend = get_backend(config.kernel_backend)
+        self.backend: KernelBackend = get_backend(plan.config.kernel_backend)
         #: Fault-injection runtime
         #: (:class:`~repro.faults.injector.FaultRuntime`) when the run
         #: is armed; None keeps every hook on its zero-cost path.
@@ -230,24 +133,6 @@ class FwContext:
         #: Unlocalized row/column communicators, by grid row/col index.
         self.row_comms = [Comm(mpi, grid.row_ranks(r), me=None) for r in range(grid.pr)]
         self.col_comms = [Comm(mpi, grid.col_ranks(c), me=None) for c in range(grid.pc)]
-
-    def reconfigure(self, config: SolverConfig) -> None:
-        """Swap the run configuration mid-flight (OOM degradation to
-        the offload variant) and re-resolve the policies derived from
-        it."""
-        self.config = config
-        self.bcast_policy = bcast_policy_for(
-            config.panel_bcast, async_relay=config.async_relay,
-            segments=config.ring_segments,
-        )
-
-    @property
-    def b(self) -> int:
-        return self.config.block_size
-
-    @property
-    def semiring(self) -> Semiring:
-        return self.config.semiring
 
     def node_of(self, rank: int) -> int:
         """The rank's *physical* node: the placement's node id routed

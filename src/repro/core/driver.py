@@ -5,8 +5,8 @@ scheduler (:mod:`repro.sched`) - goes through the same stages:
 
 * :func:`plan_run` - pure planning: validate a
   :class:`~repro.api.SolveConfig`, resolve grid / placement / block
-  size / variant config / fault plan into a :class:`RunPlan` (no
-  simulation objects touched);
+  size / the variant's policies / fault plan into a :class:`RunPlan`
+  (no simulation objects touched);
 * :class:`MachineHandles` - the simulated machine (environment,
   cluster, cost model, tracer): private to one solve, or one set
   shared by N concurrent jobs;
@@ -49,14 +49,16 @@ from ..machine.cluster import SimCluster
 from ..machine.cost import CostModel
 from ..machine.spec import MachineSpec
 from ..mpi.comm import SimMPI
+from ..mpi.policy import BcastPolicy
 from ..semiring.closure import check_no_negative_cycle
 from ..semiring.minplus import MIN_PLUS, SEMIRINGS, Semiring
 from ..sim.engine import Environment, Interrupt
 from ..sim.trace import Tracer
+from ..verify.runtime import VERIFY_MODES
 from .blocked import blocked_fw
-from .context import FwContext, RankState, SolverConfig
-from .distribution import collect, distribute, local_matrix_elems, pad_to_blocks
-from .executor import offload_gpu_footprint
+from .context import FwContext, RankState
+from .distribution import collect, distribute, pad_to_blocks
+from .executor import HOST_RESIDENT, ResidencyPolicy, execute_schedule
 from .grid import ProcessGrid, near_square_factors
 from .placement import (
     RankPlacement,
@@ -64,9 +66,9 @@ from .placement import (
     optimal_placement,
     tiled_placement,
 )
-from .programs import program_for_config
 from .report import PerfReport
-from .variants import Variant, variant_config
+from .schedule import SchedulePolicy
+from .variants import VARIANTS, Variant, offloaded
 
 if TYPE_CHECKING:
     from ..api import SolveConfig
@@ -154,10 +156,10 @@ def default_block_size(n: int, grid: ProcessGrid) -> int:
 def placement_for_variant(
     variant: Variant, grid: ProcessGrid, ranks_per_node: int
 ) -> RankPlacement:
-    """Default placement per variant: launcher-style contiguous for
-    Baseline/Pipelined/Offload/Offload-Pipelined, the optimal
-    K_r ≈ K_c tiling for +Reordering and +Async."""
-    if variant in (Variant.REORDERING, Variant.ASYNC):
+    """Default placement per variant, from the placement column of
+    :data:`~repro.core.variants.VARIANTS`: the optimal K_r ≈ K_c tiling,
+    or launcher-style contiguous packing."""
+    if VARIANTS[variant].placement == "optimal":
         return optimal_placement(grid, ranks_per_node)
     try:
         return contiguous_placement(grid, ranks_per_node)
@@ -211,7 +213,14 @@ class RunPlan:
     """
 
     var: Variant
-    config: SolverConfig
+    #: The caller's config; every option that needs no resolving
+    #: (``track_paths``, ``collect``, ``verify``, ...) is read from it.
+    config: "SolveConfig"
+    #: The variant's row of :data:`~repro.core.variants.VARIANTS`,
+    #: resolved (``bcast`` has ``ring_segments`` applied).
+    schedule: SchedulePolicy
+    residency: ResidencyPolicy
+    bcast: BcastPolicy
     grid: ProcessGrid
     placement: RankPlacement
     b: int
@@ -224,11 +233,6 @@ class RunPlan:
     w: np.ndarray
     padded: np.ndarray
     plan: Optional[FaultPlan] = None
-    track_paths: bool = False
-    collect_result: bool = True
-    validate: bool = False
-    check_negative_cycles: bool = True
-    fault_seed: int = 0
     locals_: Optional[list] = field(default=None, repr=False)
     nxt_locals: Optional[list] = field(default=None, repr=False)
 
@@ -238,7 +242,7 @@ class RunPlan:
         if self.locals_ is not None:
             return
         self.locals_ = distribute(self.padded, self.b, self.grid)
-        if self.track_paths:
+        if self.config.track_paths:
             from ..semiring.path_kernels import NO_HOP, init_next_hops
 
             nxt_global = init_next_hops(self.padded)
@@ -299,30 +303,8 @@ def plan_run(weights: np.ndarray, config: "SolveConfig", machine: MachineSpec) -
     padded, n_orig = pad_to_blocks(w, b, semiring)
     nb = padded.shape[0] // b
 
-    if not config.compute_numerics and (config.validate or config.collect):
-        raise ConfigurationError(
-            "compute_numerics=False runs the simulation hollow; the result "
-            "matrix is meaningless - pass collect=False, validate=False"
-        )
-    solver_config = variant_config(
-        var,
-        SolverConfig(
-            block_size=b,
-            semiring=semiring,
-            diag_on_gpu=config.diag_on_gpu,
-            n_streams=config.n_streams,
-            mx_blocks=config.mx_blocks,
-            nx_blocks=config.nx_blocks,
-            ring_segments=config.ring_segments,
-            track_paths=config.track_paths,
-            exploit_sparsity=config.exploit_sparsity,
-            compute_numerics=config.compute_numerics,
-            kernel_backend=config.kernel_backend,
-            verify=config.verify,
-        ),
-    )
-    if config.track_paths and not config.compute_numerics:
-        raise ConfigurationError("track_paths requires compute_numerics=True")
+    row = VARIANTS[var]
+    _check_options(config, semiring, offload=row.residency is HOST_RESIDENT)
 
     plan = resolve_fault_plan(config.fault_plan, seed=config.fault_seed)
     overrides = {
@@ -341,7 +323,10 @@ def plan_run(weights: np.ndarray, config: "SolveConfig", machine: MachineSpec) -
 
     return RunPlan(
         var=var,
-        config=solver_config,
+        config=config,
+        schedule=row.schedule,
+        residency=row.residency,
+        bcast=row.bcast.segmented(config.ring_segments),
         grid=grid,
         placement=placement,
         b=b,
@@ -354,12 +339,58 @@ def plan_run(weights: np.ndarray, config: "SolveConfig", machine: MachineSpec) -
         w=w,
         padded=padded,
         plan=plan,
-        track_paths=config.track_paths,
-        collect_result=config.collect,
-        validate=config.validate,
-        check_negative_cycles=config.check_negative_cycles,
-        fault_seed=config.fault_seed,
     )
+
+
+def _check_options(config: "SolveConfig", semiring: Semiring, offload: bool) -> None:
+    """The cross-field rules of a :class:`~repro.api.SolveConfig`
+    (``block_size >= 1`` is :func:`pad_to_blocks`'s)."""
+    if not config.compute_numerics and (config.validate or config.collect):
+        raise ConfigurationError(
+            "compute_numerics=False runs the simulation hollow; the result "
+            "matrix is meaningless - pass collect=False, validate=False"
+        )
+    if config.n_streams < 1:
+        raise ConfigurationError(f"n_streams must be >= 1, got {config.n_streams}")
+    if config.mx_blocks < 1 or config.nx_blocks < 1:
+        raise ConfigurationError("offload tile must be at least one block")
+    if config.ring_segments < 1:
+        raise ConfigurationError(f"ring_segments must be >= 1, got {config.ring_segments}")
+    if config.exploit_sparsity:
+        if not config.compute_numerics:
+            raise ConfigurationError(
+                "exploit_sparsity needs compute_numerics=True (the data "
+                "determines which blocks are skippable)"
+            )
+        if offload:
+            raise ConfigurationError(
+                "exploit_sparsity is not supported by the offload schedule"
+            )
+    if config.track_paths:
+        if semiring is not MIN_PLUS:
+            raise ConfigurationError("track_paths requires the (min,+) semiring")
+        if offload:
+            raise ConfigurationError(
+                "track_paths is not supported by the offload schedule; "
+                "use next_hop_from_distances on the collected result instead"
+            )
+        if not config.compute_numerics:
+            raise ConfigurationError("track_paths requires compute_numerics=True")
+    if config.verify not in VERIFY_MODES:
+        raise ConfigurationError(
+            f"verify must be 'off', 'checksum' or 'full', got {config.verify!r}"
+        )
+    if config.verify != "off":
+        if not config.compute_numerics:
+            raise ConfigurationError(
+                "verification needs compute_numerics=True (hollow runs "
+                "have no data to checksum)"
+            )
+        if not semiring.idempotent_plus:
+            raise ConfigurationError(
+                "ABFT checksums require an idempotent ⊕ (comparison "
+                f"semirings); {semiring.name} is not"
+            )
 
 
 def make_state_builders(
@@ -367,19 +398,13 @@ def make_state_builders(
 ) -> tuple[Callable, Callable]:
     """The per-rank state construction / teardown closures of a run.
 
-    ``build_states(cfg, blocks_by_rank, nxt_by_rank)`` constructs every
-    :class:`RankState` and charges its HBM (and, under offload, host
-    DRAM) footprint, rolling the partial charges back on
-    :class:`~repro.errors.GpuOutOfMemory` - the memory accounting where
-    Figure 7's feasibility wall comes from.  ``teardown_states(states)``
-    releases the charges.
+    ``build_states(blocks_by_rank, nxt_by_rank)`` constructs every
+    :class:`RankState` and charges the HBM / host-DRAM footprint of the
+    context's *current* residency
+    (:meth:`~repro.core.executor.ResidencyPolicy.footprint`), rolling
+    the partial charges back on :class:`~repro.errors.GpuOutOfMemory`.
+    ``teardown_states(states)`` releases the charges.
     """
-    cost = ctx.cost
-    grid = rp.grid
-    nb = rp.nb
-    b = rp.b
-    n_ranks = rp.n_ranks
-    track_paths = rp.track_paths
 
     def teardown_states(states: list[RankState]) -> None:
         for state in states:
@@ -390,38 +415,24 @@ def make_state_builders(
                 state.host.dealloc(state.dram_charged)
                 state.dram_charged = 0
 
-    def build_states(cfg: SolverConfig, blocks_by_rank, nxt_by_rank) -> list[RankState]:
+    def build_states(blocks_by_rank, nxt_by_rank) -> list[RankState]:
         states = [
             RankState(ctx, r, blocks_by_rank[r],
                       nxt=None if nxt_by_rank is None else nxt_by_rank[r])
-            for r in range(n_ranks)
+            for r in range(rp.n_ranks)
         ]
-        # -- memory accounting (where Figure 7's feasibility wall comes from)
         try:
             for state in states:
-                elems = local_matrix_elems(state.me, nb, b, grid)
-                rows = len(state.local_rows())
-                cols = len(state.local_cols())
-                assert elems == rows * cols * b * b
-                if cfg.offload:
-                    state.dram_charged = int(cost.bytes_of(rows * b, cols * b))
-                    state.host.alloc(state.dram_charged, "local distance matrix")
-                    state.hbm_charged = state.gpu.alloc(
-                        offload_gpu_footprint(state), f"rank {state.me} offload buffers"
-                    )
-                else:
-                    footprint = (
-                        cost.gpu_bytes(rows * b, cols * b)  # local matrix
-                        + cost.gpu_bytes(b, cols * b)  # received row panel
-                        + cost.gpu_bytes(rows * b, b)  # received column panel
-                        + cost.gpu_bytes(b, b)  # diagonal block
-                    )
-                    if track_paths:
-                        # int64 pointer blocks cost 2x the float32 distances.
-                        footprint *= 3
-                    state.hbm_charged = state.gpu.alloc(
-                        footprint, f"rank {state.me} matrix+panels"
-                    )
+                hbm, dram = ctx.residency.footprint(
+                    ctx.cost, rp.b, len(state.local_rows()), len(state.local_cols()),
+                    rp.config,
+                )
+                if dram:
+                    state.dram_charged = dram
+                    state.host.alloc(dram, "local distance matrix")
+                state.hbm_charged = state.gpu.alloc(
+                    hbm, f"rank {state.me} {ctx.residency.name}-resident buffers"
+                )
         except GpuOutOfMemory:
             teardown_states(states)  # roll back the partial charges
             raise
@@ -435,7 +446,6 @@ def build_result(
     rp: RunPlan,
     states: list[RankState],
     elapsed: float,
-    run_config: SolverConfig,
 ) -> ApspResult:
     """Assemble the :class:`ApspResult` of a completed simulated run:
     gather + negative-cycle check, oracle validation, PerfReport,
@@ -446,13 +456,13 @@ def build_result(
     semiring = rp.semiring
     dist = None
     next_hops = None
-    if rp.collect_result or rp.validate:
+    if config.collect or config.validate:
         dist = collect([s.blocks for s in states], rp.n_orig, rp.b, rp.grid)
-        if rp.track_paths:
+        if config.track_paths:
             next_hops = collect([s.nxt for s in states], rp.n_orig, rp.b, rp.grid)
-        if rp.check_negative_cycles and semiring is MIN_PLUS:
+        if config.check_negative_cycles and semiring is MIN_PLUS:
             check_no_negative_cycle(dist)
-    if rp.validate:
+    if config.validate:
         # The oracle runs on the *unwrapped* kernel: same numerics,
         # minus the checksumming (its temporaries are untracked anyway)
         # and minus the metering (oracle flops are not the run's work).
@@ -470,19 +480,15 @@ def build_result(
                 f"distributed result differs from sequential oracle in {bad} entries"
             )
 
-    var_name = rp.var.value
-    if run_config is not config and run_config.offload:
-        # OOM degradation happened; the schedule shape is preserved, so
-        # a pipelined run lands on offload-pipelined (see
-        # _degrade_to_offload).
-        degraded_to = (
-            Variant.OFFLOAD_PIPELINED if run_config.pipelined else Variant.OFFLOAD
-        )
-        var_name = f"{rp.var.value}->{degraded_to.value}"
+    # The context's residency differs from the plan's only after OOM
+    # degradation (see _degrade_to_offload).
+    landed = rp.var if ctx.residency is rp.residency else offloaded(ctx.schedule)
     report = PerfReport.from_run(
-        var_name, rp.n, ctx.cost, rp.placement, elapsed, ctx.mpi, ctx.cluster,
-        tracer,
+        rp.var.value if landed is rp.var else f"{rp.var.value}->{landed.value}",
+        rp.n, ctx.cost, rp.placement, elapsed, ctx.mpi, ctx.cluster, tracer,
     )
+    report.landed_variant = landed.value
+    report.semiring = semiring.name
     report.block_size = rp.b
     verification = None
     if ctx.verify is not None:
@@ -510,9 +516,9 @@ def build_result(
             bcast_policy=ctx.bcast_policy.name,
         )
         report.metrics = obs.flat()
-    return ApspResult(dist=dist if rp.collect_result else None, report=report,
+    return ApspResult(dist=dist if config.collect else None, report=report,
                       tracer=tracer,
-                      next_hops=next_hops if rp.collect_result else None,
+                      next_hops=next_hops if config.collect else None,
                       fault_counters=dict(injector.counters) if injector is not None else None,
                       verification=verification,
                       metrics=obs)
@@ -606,14 +612,14 @@ def open_solve(world: SolveWorld, rp: RunPlan, metrics: bool = False):
         # not the (possibly quarantined) ones the placement names.
         nodes = [world.node_map[n] for n in nodes]
     mpi = SimMPI(env, world.cluster, nodes, tracer)
-    ctx = FwContext(env, world.cluster, mpi, rp.grid, rp.placement, rp.config,
-                    rp.nb, tracer)
+    ctx = FwContext(env, world.cluster, mpi, rp, tracer)
     ctx.node_map = world.node_map
     if rp.config.verify != "off":
         from ..verify import ChecksummedBackend, VerifyRuntime
 
         ctx.verify = VerifyRuntime(
-            rp.config.verify, ctx.backend, semiring=rp.semiring, seed=rp.fault_seed
+            rp.config.verify, ctx.backend, semiring=rp.semiring,
+            seed=rp.config.fault_seed,
         )
         ctx.backend = ChecksummedBackend(ctx.verify)
     if metrics:
@@ -651,9 +657,9 @@ def run_solve(world: SolveWorld, rp: RunPlan, *, metrics: bool = False):
     rp.distribute()
     build_states, teardown_states = make_state_builders(ctx, rp)
     started = world.env.now
-    states, end, run_config = yield from _epoch_loop(world, ctx, rp, build_states, teardown_states)
+    states, end = yield from _epoch_loop(world, ctx, rp, build_states, teardown_states)
     try:
-        return build_result(ctx, rp, states, end - started, run_config)
+        return build_result(ctx, rp, states, end - started)
     finally:
         teardown_states(states)
 
@@ -687,18 +693,17 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
     docs/FAULTS.md).  An unarmed run (``rp.plan is None``) is the same
     loop with no snapshot and no watchdogs; its first failure is final.
 
-    Returns ``(states, end, run_config)`` where ``end`` is the latest
-    *rank completion* time - stale watchdog/receive-deadline timers may
-    push ``env.now`` past the real makespan - and ``run_config`` differs
-    from ``rp.config`` only after OOM degradation to the offload variant.
+    Returns ``(states, end)`` where ``end`` is the latest *rank
+    completion* time - stale watchdog/receive-deadline timers may push
+    ``env.now`` past the real makespan.  After OOM degradation
+    ``ctx.residency`` is host-resident where ``rp.residency`` was not.
     """
     env = ctx.env
     plan = rp.plan
-    config = rp.config
     n_ranks = rp.n_ranks
     rt = ctx.faults
     injector = None if rt is None else rt.injector
-    track_paths = config.track_paths
+    track_paths = rp.config.track_paths
     locals_, nxt_locals = rp.locals_, rp.nxt_locals
 
     resumed = rt is not None and rt.resumed
@@ -709,7 +714,6 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
             rt.store.save(0, r, locals_[r], None if nxt_locals is None else nxt_locals[r])
             rt.last_saved[r] = 0
 
-    run_config = config
     fired_crashes: set[int] = set()
     restarts = 0
     while True:
@@ -727,12 +731,12 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                 else None
             )
         try:
-            states = build_states(run_config, blocks_by_rank, nxt_by_rank)
+            states = build_states(blocks_by_rank, nxt_by_rank)
         except GpuOutOfMemory as oom_exc:
-            if plan is None or run_config.offload or not plan.oom_degrade:
+            if plan is None or ctx.residency is HOST_RESIDENT or not plan.oom_degrade:
                 raise
-            run_config = _degrade_to_offload(ctx, injector, config, oom_exc)
-            states = build_states(run_config, blocks_by_rank, nxt_by_rank)
+            _degrade_to_offload(ctx, injector, oom_exc)
+            states = build_states(blocks_by_rank, nxt_by_rank)
         try:
             if injector is not None:
                 for state in states:
@@ -742,12 +746,11 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                             state.gpu.compute_multiplier, factor
                         )
 
-            program = program_for_config(run_config)
             status: dict[int, tuple[str, object]] = {}
 
-            def supervised(state, start_k=start_k, program=program, status=status):
+            def supervised(state, start_k=start_k, status=status):
                 try:
-                    yield from program(state, start_k=start_k)
+                    yield from execute_schedule(state, ctx.schedule, ctx.residency, start_k)
                     status[state.me] = ("done", env.now)
                 except Interrupt as exc:
                     status[state.me] = ("crashed", exc)
@@ -810,7 +813,7 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                 raise world.killed
 
             if len(status) == n_ranks and all(st[0] == "done" for st in status.values()):
-                return states, max(st[1] for st in status.values()), run_config
+                return states, max(st[1] for st in status.values())
 
             # ---- failure: tear the epoch down and restart -------------------
             failures = {r: st for r, st in status.items() if st[0] != "done"}
@@ -834,10 +837,10 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
             injector.count("faults.restarts")
 
             oom_failures = [st[1] for st in failures.values() if st[0] == "oom"]
-            if oom_failures and not run_config.offload:
+            if oom_failures and ctx.residency is not HOST_RESIDENT:
                 if not plan.oom_degrade:
                     raise oom_failures[0]
-                run_config = _degrade_to_offload(ctx, injector, config, oom_failures[0])
+                _degrade_to_offload(ctx, injector, oom_failures[0])
 
             kill_strays()
             yield from world.settle()
@@ -872,25 +875,27 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
 
 
 def _degrade_to_offload(
-    ctx: FwContext, injector: FaultInjector, base: SolverConfig, oom_exc: GpuOutOfMemory
-) -> SolverConfig:
-    """Switch a fault-armed run to the offload (Me-ParallelFw) variant
+    ctx: FwContext, injector: FaultInjector, oom_exc: GpuOutOfMemory
+) -> None:
+    """Move a fault-armed run's matrix to host DRAM (Me-ParallelFw)
     after GpuOutOfMemory; re-raises the OOM when the configuration
-    cannot run under offload (track_paths / exploit_sparsity).
+    cannot run host-resident (track_paths / exploit_sparsity).
 
-    The schedule shape is preserved: a pipelined run degrades to
-    ``offload-pipelined``, not ``offload``.  Look-ahead checkpoints
-    already carry the next round's diag/panel updates (the resume
-    prologue of :class:`~repro.core.schedule.LookaheadSchedule` relies
-    on it), so replaying one under the bulk-sync schedule re-applies
-    those updates and re-derives minima in a different association
-    order - breaking bit-exact replay at the ULP level."""
+    The schedule shape is preserved: the run lands on the
+    host-resident :data:`~repro.core.variants.VARIANTS` row *with its
+    schedule* (a look-ahead run on ``offload-pipelined``, not
+    ``offload``) and takes that row's residency and broadcast policy.
+    Look-ahead checkpoints already carry the next round's diag/panel
+    updates (the resume prologue of
+    :class:`~repro.core.schedule.LookaheadSchedule` relies on it), so
+    replaying one under the bulk-sync schedule re-applies those updates
+    and re-derives minima in a different association order - breaking
+    bit-exact replay at the ULP level."""
     try:
-        degraded = variant_config(
-            Variant.OFFLOAD_PIPELINED if base.pipelined else Variant.OFFLOAD, base
-        )
+        _check_options(ctx.config, ctx.semiring, offload=True)
     except ConfigurationError:
         raise oom_exc from None
     injector.count("faults.oom_degraded")
-    ctx.reconfigure(degraded)
-    return degraded
+    row = VARIANTS[offloaded(ctx.schedule)]
+    ctx.residency = row.residency
+    ctx.bcast_policy = row.bcast.segmented(ctx.config.ring_segments)

@@ -7,7 +7,7 @@ op to a small handler; residency-dependent ops (where the distance
 matrix lives: HBM vs host DRAM) go through a :class:`ResidencyPolicy`,
 and ``PanelBcast`` goes through the context's
 :class:`~repro.mpi.policy.BcastPolicy`.  The named variants are just
-policy combinations (:mod:`repro.core.programs`).
+policy combinations (the :data:`repro.core.variants.VARIANTS` table).
 
 Exactness contract: for every pre-refactor variant the executor emits
 the *identical* sequence of sim events (kernels, transfers, messages,
@@ -51,9 +51,7 @@ __all__ = [
     "HostResident",
     "GPU_RESIDENT",
     "HOST_RESIDENT",
-    "residency_policy_for",
     "execute_schedule",
-    "offload_gpu_footprint",
 ]
 
 
@@ -374,35 +372,27 @@ def _outer_tiles(
     return tiles
 
 
-def offload_gpu_footprint(state: RankState) -> int:
-    """Virtual HBM bytes Me-ParallelFw needs on this rank's GPU:
-    the two panels, the diagonal block, and ``s`` tile buffers."""
-    ctx = state.ctx
-    cfg = ctx.config
-    b = ctx.b
-    n_local_rows = len(state.local_rows())
-    n_local_cols = len(state.local_cols())
-    panel_bytes = ctx.cost.gpu_bytes(b * n_local_rows, b) + ctx.cost.gpu_bytes(
-        b, b * n_local_cols
-    )
-    diag_bytes = ctx.cost.gpu_bytes(b, b)
-    tile_bytes = cfg.n_streams * ctx.cost.gpu_bytes(
-        b * cfg.mx_blocks, b * cfg.nx_blocks
-    )
-    return panel_bytes + diag_bytes + tile_bytes
-
-
 # ---------------------------------------------------------------------------
 # Residency policies
 # ---------------------------------------------------------------------------
 
 
 class ResidencyPolicy:
-    """Where the local distance matrix lives - and therefore how each
-    residency-dependent op lowers.  All methods are generators run
-    inside the executor's rank program."""
+    """Where the local distance matrix lives - and therefore what a
+    rank charges for it and how each residency-dependent op lowers.
+    The op methods are generators run inside the executor's rank
+    program."""
 
     name: str = "abstract"
+
+    def footprint(self, cost, b: int, rows: int, cols: int, config) -> tuple[int, int]:
+        """``(hbm_bytes, dram_bytes)`` (virtual) one rank holding
+        ``rows x cols`` local blocks of size ``b`` charges at setup -
+        the one formula behind the driver's state builders (where
+        Figure 7's feasibility wall comes from) and the scheduler's
+        admission pricing.  ``config`` is the run's
+        :class:`~repro.api.SolveConfig`."""
+        raise NotImplementedError
 
     def diag_update(self, state: RankState, k: int):
         """DiagUpdate(k) on the owner; completes before returning."""
@@ -425,6 +415,18 @@ class GpuResident(ResidencyPolicy):
     """Distance matrix in HBM: ops are plain stream kernels."""
 
     name = "gpu"
+
+    def footprint(self, cost, b, rows, cols, config):
+        hbm = (
+            cost.gpu_bytes(rows * b, cols * b)  # local matrix
+            + cost.gpu_bytes(b, cols * b)  # received row panel
+            + cost.gpu_bytes(rows * b, b)  # received column panel
+            + cost.gpu_bytes(b, b)  # diagonal block
+        )
+        if config.track_paths:
+            # int64 pointer blocks cost 2x the float32 distances.
+            hbm *= 3
+        return hbm, 0
 
     def diag_update(self, state, k):
         yield diag_update(state, k)
@@ -474,6 +476,17 @@ class HostResident(ResidencyPolicy):
 
     name = "host"
 
+    def footprint(self, cost, b, rows, cols, config):
+        # HBM holds only the two panels, the diagonal block and ``s``
+        # ooGSrGemm tile buffers; the matrix itself sits in host DRAM.
+        hbm = (
+            cost.gpu_bytes(b * rows, b)
+            + cost.gpu_bytes(b, b * cols)
+            + cost.gpu_bytes(b, b)
+            + config.n_streams * cost.gpu_bytes(b * config.mx_blocks, b * config.nx_blocks)
+        )
+        return hbm, int(cost.bytes_of(rows * b, cols * b))
+
     def diag_update(self, state, k):
         b = state.ctx.b
         state.stream.h2d(b, b, label=f"h2d:diag{k}")
@@ -521,11 +534,6 @@ class HostResident(ResidencyPolicy):
 #: Stateless residency singletons.
 GPU_RESIDENT = GpuResident()
 HOST_RESIDENT = HostResident()
-
-
-def residency_policy_for(offload: bool) -> ResidencyPolicy:
-    """Resolve the memory-residency axis from configuration."""
-    return HOST_RESIDENT if offload else GPU_RESIDENT
 
 
 # ---------------------------------------------------------------------------

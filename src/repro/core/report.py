@@ -36,6 +36,7 @@ def min_pernode_volume_bytes(n_virtual: float, n_nodes: int, itemsize: int) -> f
 class PerfReport:
     """Everything measured about one distributed APSP run."""
 
+    #: Display name; reads ``planned->landed`` after OOM degradation.
     variant: str
     n_virtual: float
     n_physical: int
@@ -69,6 +70,12 @@ class PerfReport:
     #: scalar), present only on ``metrics=True`` runs (the live
     #: registry is on ``ApspResult.metrics``).
     metrics: Optional[dict] = None
+    #: The variant the run finished under, as a parseable
+    #: :class:`~repro.core.variants.Variant` value (differs from the
+    #: planned one only after OOM degradation), and the semiring's
+    #: name: what a serving artifact records to re-solve itself.
+    landed_variant: str = ""
+    semiring: str = "min_plus"
 
     # -- consistent field-name aliases (makespan / certificate) -------------
     @property

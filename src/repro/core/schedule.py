@@ -45,7 +45,6 @@ __all__ = [
     "LookaheadSchedule",
     "BULK_SYNC",
     "LOOKAHEAD",
-    "schedule_policy_for",
 ]
 
 #: Which side of the cross a panel op works on: the k-th block row
@@ -249,8 +248,3 @@ class LookaheadSchedule(SchedulePolicy):
 #: Stateless policy singletons (schedules carry no per-run state).
 BULK_SYNC = BulkSyncSchedule()
 LOOKAHEAD = LookaheadSchedule()
-
-
-def schedule_policy_for(pipelined: bool) -> SchedulePolicy:
-    """Resolve the schedule-shape axis from configuration."""
-    return LOOKAHEAD if pipelined else BULK_SYNC

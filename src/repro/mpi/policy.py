@@ -24,7 +24,7 @@ from ..sim.engine import Event
 from .collectives import bcast_ring, bcast_ring_segmented, bcast_tree
 from .comm import Comm
 
-__all__ = ["BcastPolicy", "TreeBcast", "RingBcast", "bcast_policy_for"]
+__all__ = ["BcastPolicy", "TreeBcast", "RingBcast"]
 
 
 class BcastPolicy:
@@ -44,6 +44,11 @@ class BcastPolicy:
         returns ``(payload, relay_event_or_None)`` on every member."""
         raise NotImplementedError
 
+    def segmented(self, segments: int) -> "BcastPolicy":
+        """This strategy with ``SolveConfig.ring_segments`` applied; a
+        no-op for strategies that do not segment."""
+        return self
+
 
 class TreeBcast(BcastPolicy):
     """Binomial tree: latency-optimal, blocking sends (the library
@@ -57,18 +62,19 @@ class TreeBcast(BcastPolicy):
 
 
 class RingBcast(BcastPolicy):
-    """Ring relay: bandwidth-optimal; with ``async_relay`` the forward
-    is an isend and the member returns as soon as its own copy landed
-    (the ``+Async`` behaviour); ``segments > 1`` pipelines the relay
-    HPL-style."""
+    """Ring relay: bandwidth-optimal; the forward is an isend and the
+    member returns as soon as its own copy landed (the ``+Async``
+    behaviour); ``segments > 1`` pipelines the relay HPL-style."""
 
     name = "ring"
 
-    def __init__(self, async_relay: bool = True, segments: int = 1):
+    def __init__(self, segments: int = 1):
         if segments < 1:
             raise ConfigurationError(f"ring segments must be >= 1, got {segments}")
-        self.async_relay = async_relay
         self.segments = segments
+
+    def segmented(self, segments):
+        return RingBcast(segments)
 
     def bcast(self, comm, root, payload=None, tag=0, nbytes=None):
         relay: Event
@@ -79,18 +85,6 @@ class RingBcast(BcastPolicy):
             )
         else:
             got, relay = yield from bcast_ring(
-                comm, root=root, payload=payload, tag=tag,
-                nbytes=nbytes, async_relay=self.async_relay,
+                comm, root=root, payload=payload, tag=tag, nbytes=nbytes,
             )
         return got, relay
-
-
-def bcast_policy_for(
-    name: str, async_relay: bool = True, segments: int = 1
-) -> BcastPolicy:
-    """Resolve a panel-broadcast policy from configuration fields."""
-    if name == "tree":
-        return TreeBcast()
-    if name == "ring":
-        return RingBcast(async_relay=async_relay, segments=segments)
-    raise ConfigurationError(f"unknown panel_bcast {name!r}")

@@ -1,8 +1,8 @@
 """Admission control: decide *before* a job touches the machine.
 
 The controller prices a job from its resolved
-:class:`~repro.core.driver.RunPlan` alone - the same per-rank HBM/DRAM
-formulas the driver's state builders charge, evaluated symbolically -
+:class:`~repro.core.driver.RunPlan` alone - the per-rank HBM/DRAM
+footprint function the driver's state builders charge -
 plus the §3.4 performance model for makespan, so decisions need zero
 simulated events:
 
@@ -36,7 +36,7 @@ __all__ = ["AdmissionController", "Assessment", "JobDemand", "assess", "demand_o
 class JobDemand:
     """A job's static memory footprint on the shared fleet."""
 
-    #: (node, gpu_index) -> HBM bytes (virtual), mirroring the driver's
+    #: (node, gpu_index) -> HBM bytes (virtual): the sum of the driver's
     #: per-rank charges in :func:`repro.core.driver.make_state_builders`.
     gpu_bytes: dict
     #: node -> host DRAM bytes (offload variants only).
@@ -47,41 +47,20 @@ class JobDemand:
 
 
 def demand_of(rp, cost: CostModel, gpus_per_node: int) -> JobDemand:
-    """Price a :class:`~repro.core.driver.RunPlan`'s memory demand.
-
-    Must stay formula-for-formula identical to the charges in
-    :func:`~repro.core.driver.make_state_builders` /
-    :func:`~repro.core.executor.offload_gpu_footprint` (pinned by
-    ``tests/test_sched.py``), or admission would admit jobs the builder
-    then OOMs on.
-    """
-    cfg = rp.config
-    b = rp.b
+    """Price a :class:`~repro.core.driver.RunPlan`'s memory demand: the
+    plan's residency footprint
+    (:meth:`~repro.core.executor.ResidencyPolicy.footprint`, what the
+    state builders will charge) summed per GPU and per node."""
     gpu: dict = defaultdict(int)
     dram: dict = defaultdict(int)
     for r in range(rp.n_ranks):
         rows = len(rp.grid.local_block_rows(r, rp.nb))
         cols = len(rp.grid.local_block_cols(r, rp.nb))
+        hbm, host = rp.residency.footprint(cost, rp.b, rows, cols, rp.config)
         node = rp.placement.node_of(r)
-        g = rp.placement.local_index(r) % gpus_per_node
-        if cfg.offload:
-            dram[node] += int(cost.bytes_of(rows * b, cols * b))
-            footprint = (
-                cost.gpu_bytes(b * rows, b)
-                + cost.gpu_bytes(b, b * cols)
-                + cost.gpu_bytes(b, b)
-                + cfg.n_streams * cost.gpu_bytes(b * cfg.mx_blocks, b * cfg.nx_blocks)
-            )
-        else:
-            footprint = (
-                cost.gpu_bytes(rows * b, cols * b)
-                + cost.gpu_bytes(b, cols * b)
-                + cost.gpu_bytes(rows * b, b)
-                + cost.gpu_bytes(b, b)
-            )
-            if cfg.track_paths:
-                footprint *= 3
-        gpu[(node, g)] += int(footprint)
+        gpu[(node, rp.placement.local_index(r) % gpus_per_node)] += hbm
+        if host:
+            dram[node] += host
     return JobDemand(gpu_bytes=dict(gpu), dram_bytes=dict(dram))
 
 

@@ -48,6 +48,7 @@ from typing import Optional
 
 from ..api import SolveConfig, resolve_config, resolve_machine
 from ..core.driver import MachineHandles, plan_run
+from ..core.executor import HOST_RESIDENT
 from ..errors import (
     AdmissionError,
     ConfigurationError,
@@ -517,7 +518,7 @@ class ClusterScheduler:
         if not a.feasible:
             return False  # keep the shape; queue until reinstatement
         variant = job.config.variant
-        if a.feasibility == "needs-offload" and not rp.config.offload:
+        if a.feasibility == "needs-offload" and rp.residency is not HOST_RESIDENT:
             variant = "offload"
         plan = rp.plan
         if plan is not None:
@@ -568,7 +569,7 @@ class ClusterScheduler:
                 try:
                     store = reshard(
                         rt.store, k0, rp.n_ranks, new_rp.grid, new_rp.nb,
-                        track_paths=new_rp.track_paths,
+                        track_paths=new_rp.config.track_paths,
                     )
                 except ReproError:
                     store = None

@@ -436,7 +436,12 @@ def _solve_header_from(result) -> dict:
     if report is None:
         return {}
     return {
-        "variant": report.variant,
+        # What a re-solve needs to reproduce this answer: the variant
+        # the run *landed on* (after OOM degradation ``report.variant``
+        # reads ``planned->landed``, which is not a variant name) and
+        # the semiring the distances are a closure under.
+        "variant": report.landed_variant,
+        "semiring": report.semiring,
         "machine": report.machine,
         "n_nodes": report.n_nodes,
         "ranks": report.ranks,

@@ -15,7 +15,9 @@ artifact interface (:class:`~repro.serve.Artifact` on disk,
   did the update is free, otherwise the patch is *invalid* and one
   re-solve replaces every tile;
 * an update is **refused before anything is written**: bad vertices or
-  weights raise :class:`~repro.errors.QueryError`, a decrease that would
+  weights, or an artifact solved under a semiring other than (min,+)
+  (the patch arithmetic below is (min,+) only), raise
+  :class:`~repro.errors.QueryError`, a decrease that would
   close a negative cycle raises
   :class:`~repro.errors.NegativeCycleError`, and the store (tiles, graph,
   cached graph array) is exactly what it was.  A refusal inside a batch
@@ -37,7 +39,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..errors import NegativeCycleError, QueryError
+from ..errors import ArtifactError, ConfigurationError, NegativeCycleError, QueryError
 from ..semiring.minplus import INF
 
 __all__ = ["RankOneUpdater", "ArtifactPatcher"]
@@ -78,6 +80,7 @@ class RankOneUpdater:
         re-solve runs at the end.  Returns the number of updates that
         needed it (0 = everything took the fast path).  A refused update
         raises with every update before it committed."""
+        self.engine.require_min_plus("an edge update")
         graph = self.artifact.load_graph()
         expensive = 0
         edited = False
@@ -200,12 +203,23 @@ class ArtifactPatcher(RankOneUpdater):
 
     def _solve(self, graph: np.ndarray) -> np.ndarray:
         from ..api import SolveConfig
+        from ..core.variants import Variant
 
         header = self.artifact.solve_header
         n = graph.shape[0]
         fields = {"collect": True}
         if header.get("variant"):
-            fields["variant"] = header["variant"]
+            # Artifacts written before the header recorded the landed
+            # variant may hold the report's ``planned->landed`` form.
+            landed = str(header["variant"]).rpartition("->")[2]
+            try:
+                fields["variant"] = Variant.parse(landed).value
+            except ConfigurationError:
+                raise ArtifactError(
+                    self.artifact.path,
+                    f"solve header field 'variant' names no known variant: "
+                    f"{header['variant']!r}",
+                ) from None
         if header.get("machine"):
             fields["machine"] = header["machine"]
         if header.get("n_nodes"):

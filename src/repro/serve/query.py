@@ -22,7 +22,8 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import QueryError
+from ..errors import ArtifactError, QueryError
+from ..semiring.minplus import SEMIRINGS
 
 __all__ = ["QueryEngine", "BatchQuery"]
 
@@ -64,6 +65,26 @@ class QueryEngine:
         self.n = artifact.n
         self.block_size = artifact.block_size
         self.nb = artifact.nb
+        #: Name of the semiring the artifact is a closure under (its
+        #: solve header; manifests written before the key read as
+        #: ``min_plus``).
+        self.semiring: str = artifact.solve_header.get("semiring", "min_plus")
+        if self.semiring not in SEMIRINGS:
+            raise ArtifactError(
+                artifact.path,
+                f"solve header names unknown semiring {self.semiring!r}; "
+                f"known: {sorted(SEMIRINGS)}",
+            )
+
+    def require_min_plus(self, what: str) -> None:
+        """Refuse an operation whose arithmetic is (min,+)-only on an
+        artifact solved under another semiring (reads are semiring-
+        agnostic and never call this)."""
+        if self.semiring != "min_plus":
+            raise QueryError(
+                f"{what} is only defined for (min,+) distances; this artifact "
+                f"was solved under the {self.semiring} semiring"
+            )
 
     # -- tile access ------------------------------------------------------
     def block(self, bi: int, bj: int) -> np.ndarray:
@@ -156,6 +177,7 @@ class QueryEngine:
         unreachable vertices), as ``(vertex, distance)`` sorted by
         distance with ties broken by vertex id - deterministic for any
         tie structure.  Returns fewer than k when fewer are reachable."""
+        self.require_min_plus("k_nearest")
         s = self._check_vertex(s, "source")
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or int(k) < 1:
             raise QueryError(f"k must be a positive integer, got {k!r}")

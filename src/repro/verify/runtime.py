@@ -49,7 +49,7 @@ from .checksums import (
 
 __all__ = ["VerifyRuntime", "VERIFY_MODES"]
 
-#: Valid values of ``SolverConfig.verify`` / the CLI ``--verify`` knob.
+#: Valid values of ``SolveConfig.verify`` / the CLI ``--verify`` knob.
 VERIFY_MODES = ("off", "checksum", "full")
 
 

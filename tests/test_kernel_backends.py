@@ -446,10 +446,17 @@ class TestModeledCostScale:
 
 class TestDriverIntegration:
     def test_solver_config_resolves_backend(self):
-        from repro.core.context import SolverConfig
+        from repro import SolveConfig
+        from repro.core.driver import MachineHandles, SolveWorld, open_solve, plan_run
+        from repro.machine import SUMMIT
 
-        cfg = SolverConfig(block_size=8, kernel_backend="tiled")
-        assert cfg.kernel_backend == "tiled"
+        rp = plan_run(
+            np.zeros((16, 16)),
+            SolveConfig(block_size=8, n_nodes=1, ranks_per_node=4, kernel_backend="tiled"),
+            SUMMIT,
+        )
+        ctx = open_solve(SolveWorld(MachineHandles.create(SUMMIT, 1)), rp)
+        assert ctx.backend.name == "tiled"
 
     def test_apsp_backend_equivalence(self):
         from repro import solve

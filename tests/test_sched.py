@@ -153,11 +153,10 @@ def test_demand_pricing_matches_builders(variant):
     demand = demand_of(rp, handles.cost, SUMMIT.node.gpus_per_node)
     mpi = SimMPI(handles.env, handles.cluster,
                  [rp.placement.node_of(r) for r in range(rp.n_ranks)], None)
-    ctx = FwContext(handles.env, handles.cluster, mpi, rp.grid, rp.placement,
-                    rp.config, rp.nb, None)
+    ctx = FwContext(handles.env, handles.cluster, mpi, rp)
     rp.distribute()
     build_states, teardown_states = make_state_builders(ctx, rp)
-    states = build_states(rp.config, rp.locals_, rp.nxt_locals)
+    states = build_states(rp.locals_, rp.nxt_locals)
     try:
         for (node, g), nbytes in demand.gpu_bytes.items():
             assert handles.cluster.nodes[node].gpus[g].allocated == nbytes

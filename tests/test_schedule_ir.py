@@ -15,26 +15,22 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import solve
+from repro import SolveConfig, solve
+from repro.cli import main as cli_main
 from repro.core import (
-    ProcessGrid,
     RankState,
-    baseline_program,
     collect,
-    distribute,
-    offload_pipelined_program,
-    offload_program,
-    pad_to_blocks,
-    pipelined_program,
-    placement_for_variant,
-    program_for_config,
-    variant_config,
+    contiguous_placement,
+    execute_schedule,
+    optimal_placement,
 )
-from repro.core.context import FwContext, SolverConfig
+from repro.core.context import FwContext
+from repro.core.driver import plan_run
 from repro.core.schedule import (
     BULK_SYNC,
     LOOKAHEAD,
@@ -46,7 +42,7 @@ from repro.core.schedule import (
     PanelUpdate,
     WaitOuter,
 )
-from repro.core.variants import VARIANT_DESCRIPTIONS, Variant
+from repro.core.variants import VARIANTS, Variant
 from repro.errors import ConfigurationError
 from repro.extensions.paths import path_length, reconstruct_path
 from repro.faults import CheckpointStore, FaultPlan
@@ -164,15 +160,46 @@ def test_next_matrix_matches_reference(variant):
                 assert nxt[i, j] == NO_HOP
 
 
-def test_offload_pipelined_is_selectable_everywhere():
-    assert Variant.parse("offload-pipelined") is Variant.OFFLOAD_PIPELINED
-    assert Variant.parse("offload_pipelined") is Variant.OFFLOAD_PIPELINED
-    assert Variant.OFFLOAD_PIPELINED in VARIANT_DESCRIPTIONS
-    cfg = variant_config(Variant.OFFLOAD_PIPELINED, SolverConfig(block_size=4))
-    assert cfg.pipelined and cfg.offload
-    program = program_for_config(cfg)
-    assert program.schedule is LOOKAHEAD
-    assert program.residency.name == "host"
+def _documented_rows() -> dict[str, tuple[str, ...]]:
+    """The "named variants" table of docs/SCHEDULES.md, as printed:
+    variant -> (schedule, residency, bcast, placement)."""
+    text = (Path(__file__).parent.parent / "docs" / "SCHEDULES.md").read_text()
+    table = text.split("## The named variants")[1].split("\n\n")[1]
+    rows = [
+        [cell.strip(" `") for cell in line.strip("|").split("|")]
+        for line in table.strip().splitlines()[2:]
+    ]
+    return {row[0]: tuple(row[1:]) for row in rows}
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_variant_table_row_is_selectable_everywhere(variant, capsys):
+    """docs/SCHEDULES.md's table *is* ``core.variants.VARIANTS``: each
+    variant plans to exactly its documented row, and ``repro-apsp
+    variants`` prints that row."""
+    documented = _documented_rows()
+    assert list(documented) == [v.value for v in Variant] == [v.value for v in VARIANTS]
+    assert Variant.parse(variant.replace("-", "_")) is Variant(variant)
+    # 4 nodes x 4 ranks on a 4x4 grid: contiguous (1x4 tiles) and
+    # optimal (2x2 tiles) placements differ, so the column is observable.
+    rp = plan_run(
+        uniform_random_dense(16, seed=0),
+        SolveConfig(variant=variant, block_size=2, n_nodes=4, ranks_per_node=4),
+        SUMMIT,
+    )
+    placements = {
+        "contiguous": contiguous_placement(rp.grid, 4),
+        "optimal": optimal_placement(rp.grid, 4),
+    }
+    assert placements["contiguous"] != placements["optimal"]
+    kind = next(k for k, p in placements.items() if p == rp.placement)
+    assert (rp.schedule.name, rp.residency.name, rp.bcast.name, kind) == documented[variant]
+
+    assert cli_main(["variants"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(VARIANTS)
+    printed = {line.split()[0]: tuple(line.split()[1:5]) for line in lines}
+    assert printed[variant] == documented[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -238,31 +265,33 @@ class World:
     program/start_k directly."""
 
     def __init__(self, variant: str, blocks_by_rank=None, fault_plan=None):
-        var = Variant.parse(variant)
         self.w = uniform_random_dense(N, seed=0)
-        padded, self.n_orig = pad_to_blocks(self.w, B, SolverConfig(block_size=B).semiring)
-        self.nb = padded.shape[0] // B
-        n_ranks = NODES * RPN
-        pr_pc = ProcessGrid(2, 3)
-        self.grid = pr_pc
-        placement = placement_for_variant(var, self.grid, RPN)
+        rp = plan_run(
+            self.w,
+            SolveConfig(variant=variant, block_size=B, n_nodes=NODES, ranks_per_node=RPN),
+            SUMMIT,
+        )
+        self.n_orig, self.nb, self.grid = rp.n_orig, rp.nb, rp.grid
+        n_ranks = rp.n_ranks
         env = Environment()
         cost = CostModel(SUMMIT)
         cluster = SimCluster(env, SUMMIT, NODES, cost, None)
-        mpi = SimMPI(env, cluster, [placement.node_of(r) for r in range(n_ranks)], None)
-        config = variant_config(var, SolverConfig(block_size=B))
-        self.ctx = FwContext(env, cluster, mpi, self.grid, placement, config, self.nb, None)
+        mpi = SimMPI(env, cluster, [rp.placement.node_of(r) for r in range(n_ranks)], None)
+        self.ctx = FwContext(env, cluster, mpi, rp)
         if fault_plan is not None:
             injector = FaultInjector(fault_plan, None)
             injector.attach(mpi)
             mpi.injector = injector
             self.ctx.faults = FaultRuntime(injector, CheckpointStore())
         if blocks_by_rank is None:
-            blocks_by_rank = distribute(padded, B, self.grid)
+            rp.distribute()
+            blocks_by_rank = rp.locals_
         self.states = [
             RankState(self.ctx, r, blocks_by_rank[r]) for r in range(n_ranks)
         ]
-        self.program = program_for_config(config)
+
+    def program(self, state, start_k: int = 0):
+        return execute_schedule(state, self.ctx.schedule, self.ctx.residency, start_k)
 
     def run(self, start_k: int = 0) -> np.ndarray:
         env = self.ctx.env

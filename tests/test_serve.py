@@ -666,6 +666,89 @@ class TestIncremental:
         ref = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
+    def test_oom_degraded_solve_artifact_can_resolve(self, tmp_path):
+        """The solve header records the variant the run *landed on*, so
+        an artifact saved from an OOM-degraded solve re-solves (it used
+        to die on ``unknown variant 'baseline->offload'``)."""
+        w = uniform_random_dense(48, seed=0)
+        shape = dict(block_size=6, n_nodes=2, ranks_per_node=3)
+        res = repro.solve(w, variant="baseline", **shape,
+                          fault_plan=["oom:rank=2,k=3", "policy:ckpt=2,restarts=3"])
+        assert res.report.variant == "baseline->offload"
+        path = tmp_path / "degraded"
+        res.save(path, graph=w)
+        assert load_artifact(path).solve_header["variant"] == "offload"
+        u, v = map(int, np.argwhere((res.dist == w) & ~np.eye(48, dtype=bool))[0])
+        edited = w.copy()
+        edited[u, v] = 3 * w[u, v]
+        fresh = repro.solve(edited, variant="offload", **shape).dist
+
+        def record(variant):
+            manifest = path / "manifest.json"
+            doc = json.loads(manifest.read_text())
+            doc["solve"]["variant"] = variant
+            manifest.write_text(json.dumps(doc))
+
+        saved = self._files(path)
+        # "baseline->offload" is what artifacts written before this fix hold.
+        for recorded in ("offload", "baseline->offload", "baseline->warp"):
+            for name, payload in saved.items():
+                (path / name).write_bytes(payload)
+            record(recorded)
+            with repro.serve(path) as srv:
+                if recorded.endswith("offload"):
+                    assert srv.update_edge(u, v, 3 * w[u, v]) is False
+                    np.testing.assert_array_equal(srv.artifact.dist(), fresh)
+                else:
+                    with pytest.raises(ArtifactError, match="'variant'.*'baseline->warp'"):
+                        srv.update_edge(u, v, 3 * w[u, v])
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory"])
+    def test_non_min_plus_artifact_refuses_min_plus_arithmetic(self, tmp_path, on_disk):
+        """The semiring is part of the answer's identity: the rank-1
+        patch and k-nearest are (min,+) arithmetic, so on a max_min
+        artifact they refuse before any write (update_edge used to
+        return True and leave d(0, 5) at 9.70 against a fresh solve's
+        19.996); reads keep working."""
+        w = uniform_random_dense(48, seed=1)
+        res = repro.solve(w, semiring="max_min", block_size=8, n_nodes=2, ranks_per_node=2)
+        path = tmp_path / "bottleneck"
+        res.save(path, graph=w)
+        assert load_artifact(path).solve_header["semiring"] == "max_min"
+        before = self._files(path)
+        srv = repro.serve(path) if on_disk else repro.serve(res, graph=w)
+        refused = [
+            (srv.update_edge, (0, 5, 2 * w.max())),
+            (srv.insert_edge, (0, 5, 0.5)),
+            (srv.remove_edge, (0, 5)),
+            (srv.batch_update, ([(0, 5, 0.5)],)),
+            (srv.k_nearest, (0, 3)),
+        ]
+        for call, args in refused:
+            with pytest.raises(QueryError, match="max_min semiring"):
+                call(*args)
+        assert srv.distance(0, 5) == res.dist[0, 5]
+        np.testing.assert_array_equal(srv.batch([(0, 5), (7, 2)]), res.dist[[0, 7], [5, 2]])
+        np.testing.assert_array_equal(srv.submatrix(range(48), range(48)), res.dist)
+        np.testing.assert_array_equal(srv.artifact.load_graph(), w)
+        srv.close()
+        assert self._files(path) == before
+
+    def test_manifest_semiring_key_is_optional_and_checked(self, tmp_path):
+        w, res, srv, path = self._served(tmp_path)
+        srv.close()
+        manifest = path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["solve"].pop("semiring") == "min_plus"
+        manifest.write_text(json.dumps(doc))  # as written before the key existed
+        with repro.serve(path) as srv:
+            assert srv.update_edge(0, 17, 1e-3) is True
+            assert srv.k_nearest(0, 1)[0][1] <= 1e-3
+        doc["solve"]["semiring"] = "min_pls"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="unknown semiring 'min_pls'"):
+            repro.serve(path)
+
     @pytest.mark.parametrize("staged", [False, True], ids=["patched", "resolved"])
     def test_mid_batch_refusal_commits_the_prefix(self, tmp_path, staged):
         w, res, srv, path = self._served(tmp_path)

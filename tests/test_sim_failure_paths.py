@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    FwContext,
-    ProcessGrid,
-    RankState,
-    SolverConfig,
-    placement_for_variant,
-    Variant,
-)
+import numpy as np
+
+from repro import SolveConfig
+from repro.core import FwContext, RankState
+from repro.core.driver import plan_run
 from repro.machine import SUMMIT, CostModel, SimCluster
 from repro.mpi import SimMPI
 from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
@@ -227,11 +224,13 @@ class TestDrainAfterAbortedIteration:
         cost = CostModel(SUMMIT)
         cluster = SimCluster(env, SUMMIT, 2, cost)
         mpi = SimMPI(env, cluster, [0, 0, 1, 1])
-        grid = ProcessGrid(2, 2)
-        placement = placement_for_variant(Variant.BASELINE, grid, 2)
-        ctx = FwContext(env, cluster, mpi, grid, placement,
-                        SolverConfig(block_size=4), nb=2)
-        return RankState(ctx, 0, {})
+        rp = plan_run(
+            np.zeros((8, 8)),
+            SolveConfig(variant="baseline", block_size=4, n_nodes=2,
+                        ranks_per_node=2, grid=(2, 2)),
+            SUMMIT,
+        )
+        return RankState(FwContext(env, cluster, mpi, rp), 0, {})
 
     def test_drain_waits_for_pending_sends(self, env, rank_state):
         rank_state.pending.append(env.timeout(1.0))

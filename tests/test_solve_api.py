@@ -78,6 +78,48 @@ class TestSolveFacade:
         with pytest.raises(ConfigurationError, match="known:"):
             repro.sched.ClusterScheduler().submit(graph, semiring="nope")
 
+    HOLLOW = dict(compute_numerics=False, collect=False)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(block_size=0), r"block size must be >= 1, got 0"),
+        (dict(n_streams=0), r"n_streams must be >= 1, got 0"),
+        (dict(mx_blocks=0), r"offload tile must be at least one block"),
+        (dict(nx_blocks=0), r"offload tile must be at least one block"),
+        (dict(ring_segments=0), r"ring_segments must be >= 1, got 0"),
+        (dict(exploit_sparsity=True, **HOLLOW),
+         r"exploit_sparsity needs compute_numerics=True"),
+        (dict(exploit_sparsity=True, variant="offload"),
+         r"exploit_sparsity is not supported by the offload schedule"),
+        (dict(track_paths=True, semiring="max_min"),
+         r"track_paths requires the \(min,\+\) semiring"),
+        (dict(track_paths=True, variant="offload-pipelined"),
+         r"track_paths is not supported by the offload schedule"),
+        (dict(verify="sometimes"),
+         r"verify must be 'off', 'checksum' or 'full', got 'sometimes'"),
+        (dict(verify="checksum", **HOLLOW),
+         r"verification needs compute_numerics=True"),
+        (dict(verify="checksum", semiring="plus_times"),
+         r"ABFT checksums require an idempotent ⊕ .*plus_times is not"),
+    ])
+    def test_option_rules_refuse_before_any_simulation(
+        self, graph, monkeypatch, fields, message
+    ):
+        """The cross-field rules of the one config, from both entry
+        points, with the planner as the only thing that has run."""
+        sched = repro.sched.ClusterScheduler(n_nodes=2)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a simulation object was built before validation")
+
+        monkeypatch.setattr("repro.core.driver.SimMPI", built)
+        monkeypatch.setattr("repro.core.driver.MachineHandles.create", built)
+        monkeypatch.setattr("repro.sim.engine.Environment.process", built)
+        config = SolveConfig(**{**CLUSTER, **fields})
+        with pytest.raises(ConfigurationError, match=message):
+            solve(graph, config)
+        with pytest.raises(ConfigurationError, match=message):
+            sched.submit(graph, config)
+
     def test_jsonable_semiring_and_placement(self):
         pl = tiled_placement(ProcessGrid(3, 2), 1, 2)
         cfg = SolveConfig(semiring=MAX_MIN, grid=(3, 2), placement=pl)
