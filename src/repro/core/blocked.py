@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..semiring.backends import get_backend
-from ..semiring.closure import check_no_negative_cycle, closure_by_squaring, fw_inplace
+from ..semiring.closure import check_no_negative_cycle, closure_by_squaring
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .distribution import block_slice, pad_to_blocks
 
@@ -81,7 +81,7 @@ def blocked_fw_inplace(
         if diag_via_squaring:
             dist[kk] = closure_by_squaring(dist[kk], semiring=semiring, backend=kernels)
         else:
-            fw_inplace(dist[kk], semiring=semiring)
+            kernels.fw_closure(dist[kk], semiring=semiring)
         # The wide panels below include block (k,k) itself, so the
         # closed diagonal is snapshotted once (b x b) to keep the
         # panel-update operands alias-free; updating block (k,k) along

@@ -28,7 +28,7 @@ from ..mpi.collectives import bcast_tree
 from ..mpi.comm import Comm, SimMPI
 from ..mpi.policy import BcastPolicy
 from ..semiring.backends import KernelBackend, get_backend
-from ..semiring.closure import fw_inplace, squaring_steps
+from ..semiring.closure import squaring_steps
 from ..semiring.path_kernels import fw_inplace_paths
 from ..semiring.minplus import Semiring
 from ..sim.engine import Environment, Event
@@ -256,7 +256,7 @@ def diag_update(state: RankState, k: int) -> Event:
     else:
 
         def fn():
-            fw_inplace(blk, semiring=ctx.semiring)
+            ctx.backend.fw_closure(blk, semiring=ctx.semiring)
 
     if ctx.verify is not None:
         # Checksums do not distribute over the O(b³) closure; the guard

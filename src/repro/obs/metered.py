@@ -167,6 +167,12 @@ class MeteredBackend(KernelBackend):
         self._count("panel_update", panel.shape[0], panel.shape[1], diag.shape[0])
         return self._timed(self.inner.panel_col_update, panel, diag, semiring=semiring)
 
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        """Forwarded so the inner backend's native closure survives
+        metering; the closure is not a product, so no flop family
+        counts it - only the wall accrual."""
+        return self._timed(self.inner.fw_closure, blk, semiring=semiring)
+
     def srgemm_accumulate_paths(
         self,
         c: np.ndarray,

@@ -16,9 +16,10 @@ Each one stays for a reason a caller or a test supplies
     The chunked 3-D broadcast kernel: the equivalence oracle every
     other backend is tested against, and the builtin default.
 ``cnative``
-    Multi-stage C kernel compiled at first use with the system
-    ``cc``/``gcc``/``clang`` (ctypes); unavailable when no compiler is
-    on PATH.  The fast path every benchmark runs.
+    Register-blocked C kernel, one translation unit per (semiring,
+    dtype) compiled at first use with the system ``cc``/``gcc``/``clang``
+    (ctypes); unavailable when no compiler is on PATH.  The fast path
+    every benchmark runs.
 ``tiled``
     Cache-blocked 2-D tiling with in-place accumulation, bounded by a
     byte budget (the default-budget analogue of CUTLASS tile staging).

@@ -18,6 +18,8 @@ The contract
   ``P ← P ⊕ P ⊗ D``.
 * ``srgemm_accumulate_paths(...)`` - the (min,+) variant that carries
   next-hop pointers.
+* ``fw_closure(blk)`` - DiagUpdate: the in-place Floyd-Warshall closure
+  of the pivot block (default: ``closure.fw_inplace``).
 
 Aliasing contract
 -----------------
@@ -297,6 +299,17 @@ class KernelBackend:
         if diag.shape[0] != diag.shape[1] or panel.shape[1] != diag.shape[0]:
             raise ValueError(f"diag {diag.shape} incompatible with column panel {panel.shape}")
         return self.srgemm_panel(panel, panel.copy(), diag, semiring=semiring)
+
+    # -- DiagUpdate closure -----------------------------------------------------
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        """Floyd-Warshall closure of one square block, in place; returns
+        ``blk``.  The default *is* :func:`repro.semiring.closure.fw_inplace`
+        (``blk ← blk ⊕ blk[:, k] ⊗ blk[k, :]`` for each ``k``, every sweep
+        reading the pre-sweep row and column ``k``); an override must
+        produce its bits."""
+        from ..closure import fw_inplace  # closure imports the registry
+
+        return fw_inplace(blk, semiring=semiring)
 
     # -- path tracking -------------------------------------------------------
     def srgemm_accumulate_paths(

@@ -1,69 +1,92 @@
 """Native-compiled SrGemm backend (system C compiler + ctypes).
 
 The multi-stage blocked-FW kernel (Lund & Smith; see PAPERS.md)
-expressed as a tiny C translation unit compiled *at first use* with
+expressed as a small C translation unit compiled *at first use* with
 whatever ``cc``/``gcc``/``clang`` the host provides, then loaded
-through :mod:`ctypes`.  This is the repo's fastest path: the fused
-``i/t/j`` loop with register-blocked ``j``-strips measures >10x the
-reference backend at b=256 float64.
+through :mod:`ctypes`.  This is the repo's fastest path.
 
-Phase specialization is a strip-width parameter on one symbol family:
+The micro-kernel
+----------------
+The tile kernel is register-blocked the way the paper's cuASR/CUTLASS
+kernel is (thread tile held in registers across the ``k`` loop): the
+accumulator is cut into ``MR x NR`` micro-tiles whose values live in a
+*compile-time-sized local array* for the whole ``t`` loop -
 
-* ``srgemm_diag``  - full-width strips (``jb = n``): the diagonal
-  block is small and k-serial, so plain streaming wins;
-* ``srgemm_panel`` / ``srgemm_outer`` - 64-wide ``j``-strips keep the
-  ``C`` row segment register/L1-resident across the whole ``t`` loop
-  (the prototype's measured sweet spot).
+* ``C`` is loaded once and stored once per micro-tile,
+* the ``B`` row segment is loaded once per ``t`` for all ``MR`` rows,
+* each ``t`` step is ``MR`` broadcasts of ``A`` and ``MR * NR`` add+select.
 
-Strip order cannot change results: every compiled semiring has a
-comparison ``⊕``, which is exact under any association.
+``MR`` and ``NR`` must be compile-time constants: with a run-time
+width the compiler cannot prove the accumulator fits the register file
+and re-loads/stores it on every ``t`` step (two loads and a store per
+add+select - the kernel this one replaced, 10 GF/s where this one
+measures 38).  The shape is picked inside the C unit from the
+compiler's own target macros (``_MICRO_TILES``: ``__AVX512F__`` /
+``__AVX2__`` / neither), so a 16-register host gets a tile that does
+not spill; there is nothing to set.  ``m % MR`` / ``n % NR`` edges run
+a plain ``i / t / j`` remainder loop.  DiagUpdate, PanelUpdate and
+OuterUpdate products are all this one body; the phase entries of the
+waist reach it through ``srgemm_accumulate``.
 
-``srgemm_grid`` is one more C symbol: it takes a tile kernel and three
-pointer arrays (tiles, row operands, column operands) and loops the
-kernel over the grid *inside C*, so a rank's whole OuterUpdate costs
-one ctypes call instead of one per tile.  The tile kernel arrives as a
-function pointer, so one symbol serves all eight instantiations and
-calls them out of line: the translation unit - and its cold compile
-time - stays the size of one kernel family (a ``_grid`` twin per
-instantiation measured +0.06 s on a 0.5 s compile).  Tiles are
-disjoint, so the order the grid is walked in cannot change results
-either.  Every array's shape, dtype and layout is checked in Python
-before any pointer is taken; a grid the C entry does not cover (ragged
-shapes, a strided or read-only array, an uncompiled semiring or dtype,
-a failed compile) takes the per-tile loop instead.
+The vectorizer is fragile about micro-tile shape when left to its own
+heuristics (docs/KERNELS.md §2 has the table: the same source went
+from 38 to 2.7 GF/s on a 4x16 tile), so the lane loops carry
+``#pragma omp simd`` and the unit is built with ``-fopenmp-simd``
+(directive parsing only, no OpenMP runtime), which keeps them loops
+until the vectorizer has seen them.
+``benchmarks/bench_ablation_kernel_backends.py`` asserts the result.
+
+One translation unit per (semiring, dtype)
+------------------------------------------
+A unit is a few ``#define`` lines (element type, ``⊗``, ``⊕``'s
+comparison, the micro-tile ladder) in front of one shared body, and
+exports ``srgemm_tile``, ``srgemm_grid`` (the tile kernel looped over a
+grid of independent tiles *inside C*: a rank's whole OuterUpdate is one
+ctypes call), ``srgemm_closure`` (DiagUpdate's Floyd-Warshall k-loop)
+and ``srgemm_target`` (which rung of the ladder the compiler took).
+It is generated, hashed, compiled and bound the first time its pair is
+asked for, as
+``$REPRO_CNATIVE_CACHE/srgemm-<semiring>-<f64|f32>-<hash>.so`` (default
+directory: per-user, under the system temp dir).  A process pays for
+the pairs it runs - a (min,+) float64 solve compiles one kernel
+(0.17 s), not eight (0.54 s) - and an object built from another kernel
+text is never reused, because the text names the file.
+
+Concurrency rule: the source goes to the compiler on stdin and the
+object is written to a ``mkstemp`` name in the cache directory, then
+``os.replace``d onto the final name; only the final name is ever
+loaded.  Any number of processes may cold-start against one directory:
+each loads a complete object, and the directory ends with one ``.so``
+per pair and no temporaries.
 
 Correctness notes:
 
 * **No ``-ffast-math``.**  Distance matrices carry ``inf`` for
   "no edge"; fast-math licenses the compiler to assume no inf/nan and
-  would miscompile the relaxation.  Plain ``-O3 -march=native`` only.
-* The C kernels require C-contiguous operands; non-contiguous
-  accumulators (panel stripes are column slices) are staged through a
-  contiguous copy and written back.
+  would miscompile the relaxation.
+* The select is the unconditional ``(cand BETTER cur) ? cand : cur``
+  everywhere, so micro-tile, remainder loop and closure produce the
+  reference backend's bits under any blocking.
+* Every array's shape, dtype and layout is checked in Python before any
+  pointer is taken.  The C kernels require C-contiguous operands; a
+  non-contiguous accumulator (panel stripes are column slices) is
+  staged through a contiguous copy and written back.
 * Only the four comparison-⊕ semirings on float32/float64 are
-  compiled; anything else falls back to the tiled NumPy path, so the
-  backend is total over ``SEMIRINGS``.
-
-The compiled library is cached under ``$REPRO_CNATIVE_CACHE`` (default:
-a per-user directory under the system temp dir) as
-``srgemm-<source hash>.so``, so recompiles only happen when the kernel
-text changes and a cache directory shared across versions never hands
-out a stale object.  If compilation fails at runtime - or the loaded
-object lacks a symbol - the backend degrades to the tiled path instead
-of erroring.
+  compiled; anything else - and everything, after a failed compile or a
+  loaded object that lacks a symbol, which warn once - takes the tiled
+  NumPy path, so the backend is total over ``SEMIRINGS``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import warnings
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,71 +99,135 @@ __all__ = ["CNativeBackend", "find_c_compiler", "ENV_CNATIVE_CACHE"]
 #: Environment override for the compile cache directory.
 ENV_CNATIVE_CACHE = "REPRO_CNATIVE_CACHE"
 
-#: Register-blocked strip width for panel/outer phases (measured
-#: sweet spot on the prototype; wide enough for full vector lanes,
-#: narrow enough that a C-row strip stays in registers/L1).
-PANEL_JB = 64
-OUTER_JB = 64
-
-#: Strip width per ``srgemm_grid`` phase (0 = full width): a grid call
-#: strips exactly as the per-tile entry it stands for.
-_GRID_PHASE_JB = {"diag": 0, "panel": PANEL_JB, "outer": OUTER_JB}
-
-_C_SOURCE = r"""
-#define DEFINE_SRGEMM(NAME, T, CAND, BETTER)                            \
-void NAME(void *restrict cv, const void *restrict av,                   \
-          const void *restrict bv, long m, long n, long k, long jb) {   \
-    T *restrict c = cv;                                                 \
-    const T *restrict a = av;                                           \
-    const T *restrict b = bv;                                           \
-    if (jb < 1 || jb > n) jb = n > 0 ? n : 1;                           \
-    for (long j0 = 0; j0 < n; j0 += jb) {                               \
-        long j1 = j0 + jb < n ? j0 + jb : n;                            \
-        for (long i = 0; i < m; i++) {                                  \
-            T *restrict crow = c + i * n;                               \
-            const T *restrict arow = a + i * k;                         \
-            for (long t = 0; t < k; t++) {                              \
-                T x = arow[t];                                          \
-                const T *restrict brow = b + t * n;                     \
-                for (long j = j0; j < j1; j++) {                        \
-                    T y = brow[j];                                      \
-                    T cand = (CAND);                                    \
-                    T cur = crow[j];                                    \
-                    /* unconditional select-store vectorizes to        \
-                       vmin/vmax; a guarded store would branch */      \
-                    crow[j] = (cand BETTER cur) ? cand : cur;           \
-                }                                                       \
-            }                                                           \
-        }                                                               \
-    }                                                                   \
+#: Compiled semirings: name -> (``⊗`` of ``x`` and ``y``, the comparison
+#: under which a candidate replaces the current value).
+_SEMIRING_OPS = {
+    "min_plus": ("x + y", "<"),
+    "max_plus": ("x + y", ">"),
+    "max_min": ("x < y ? x : y", ">"),
+    "min_max": ("x > y ? x : y", "<"),
 }
 
-typedef void (*srgemm_tile_fn)(void *restrict, const void *restrict,
-                               const void *restrict, long, long, long, long);
+#: Compiled dtypes: NumPy dtype -> (file-name suffix, C type).
+_DTYPES = {
+    np.dtype(np.float64): ("f64", "double"),
+    np.dtype(np.float32): ("f32", "float"),
+}
 
-/* c[i*nc + j] (+)= a[i] (x) b[j] over uniform (m, n, k) tiles.  One
-   symbol for every instantiation: the tile kernel arrives as a pointer,
-   so it is called out of line and the unit stays one family big. */
-void srgemm_grid(srgemm_tile_fn tile, void *const *c, const void *const *a,
-                 const void *const *b, long nr, long nc,
-                 long m, long n, long k, long jb) {
+#: ``MR x NR`` micro-tile per vector target (first defined macro wins;
+#: None = neither) and dtype suffix.  In every entry the ``MR * NR``
+#: accumulators take exactly half the target's vector registers (16 of
+#: 32 zmm, 8 of 16 ymm / xmm), leaving room for the ``B`` segment, the
+#: broadcast and the candidate, and every shape gives full micro-tiles
+#: at the tile widths the benchmark runs (16, 32, 128).  Chosen by
+#: measurement (docs/KERNELS.md §2) and guarded by
+#: ``benchmarks/bench_ablation_kernel_backends.py``.
+_MICRO_TILES = (
+    ("__AVX512F__", "avx512f", {"f64": (8, 16), "f32": (16, 16)}),
+    ("__AVX2__", "avx2", {"f64": (4, 8), "f32": (4, 16)}),
+    (None, "generic", {"f64": (4, 4), "f32": (4, 8)}),
+)
+
+_C_BODY = r"""
+/* The vector target the micro-tile ladder resolved to. */
+const char *srgemm_target(void) { return SRGEMM_TARGET; }
+
+#define SELECT(cand, cur) (((cand) BETTER (cur)) ? (cand) : (cur))
+
+/* Remainder loop: c[i0:i1, j0:j1] over full k, accumulator in memory. */
+static void srgemm_edge(T *restrict c, const T *restrict a, const T *restrict b,
+                        long i0, long i1, long j0, long j1, long n, long k) {
+    for (long i = i0; i < i1; i++) {
+        T *restrict crow = c + i * n;
+        const T *restrict arow = a + i * k;
+        for (long t = 0; t < k; t++) {
+            T x = arow[t];
+            const T *restrict brow = b + t * n;
+            for (long j = j0; j < j1; j++) {
+                T y = brow[j];
+                T cand = (CAND);
+                crow[j] = SELECT(cand, crow[j]);
+            }
+        }
+    }
+}
+
+/* One MR x NR micro-tile: accumulators are locals for the whole t loop
+   (compile-time MR, NR: they stay in registers), B's row segment is
+   loaded once per t for all MR rows, C is loaded and stored once. */
+static inline void srgemm_micro(T *restrict c, const T *restrict a,
+                                const T *restrict b, long n, long k) {
+    T acc[MR][NR];
+    for (int r = 0; r < MR; r++) {
+        #pragma omp simd
+        for (int q = 0; q < NR; q++) acc[r][q] = c[r * n + q];
+    }
+    for (long t = 0; t < k; t++) {
+        const T *restrict brow = b + t * n;
+        for (int r = 0; r < MR; r++) {
+            T x = a[r * k + t];
+            #pragma omp simd
+            for (int q = 0; q < NR; q++) {
+                T y = brow[q];
+                T cand = (CAND);
+                /* unconditional select vectorizes to vmin/vmax; a
+                   guarded store would branch */
+                acc[r][q] = SELECT(cand, acc[r][q]);
+            }
+        }
+    }
+    for (int r = 0; r < MR; r++) {
+        #pragma omp simd
+        for (int q = 0; q < NR; q++) c[r * n + q] = acc[r][q];
+    }
+}
+
+/* c (m x n) (+)= a (m x k) (x) b (k x n), all C-contiguous. */
+void srgemm_tile(void *restrict cv, const void *restrict av,
+                 const void *restrict bv, long m, long n, long k) {
+    T *restrict c = cv;
+    const T *restrict a = av;
+    const T *restrict b = bv;
+    long mm = m - m % MR, nn = n - n % NR;
+    for (long j = 0; j < nn; j += NR)
+        for (long i = 0; i < mm; i += MR)
+            srgemm_micro(c + i * n + j, a + i * k, b + j, n, k);
+    if (nn < n) srgemm_edge(c, a, b, 0, mm, nn, n, n, k);
+    if (mm < m) srgemm_edge(c, a, b, mm, m, 0, n, n, k);
+}
+
+/* c[i*nc + j] (+)= a[i] (x) b[j] over uniform (m, n, k) tiles. */
+void srgemm_grid(void *const *c, const void *const *a, const void *const *b,
+                 long nr, long nc, long m, long n, long k) {
     for (long i = 0; i < nr; i++)
         for (long j = 0; j < nc; j++)
-            tile(c[i * nc + j], a[i], b[j], m, n, k, jb);
+            srgemm_tile(c[i * nc + j], a[i], b[j], m, n, k);
 }
 
-DEFINE_SRGEMM(srgemm_min_plus_f64, double, x + y, <)
-DEFINE_SRGEMM(srgemm_max_plus_f64, double, x + y, >)
-DEFINE_SRGEMM(srgemm_max_min_f64, double, x < y ? x : y, >)
-DEFINE_SRGEMM(srgemm_min_max_f64, double, x > y ? x : y, <)
-DEFINE_SRGEMM(srgemm_min_plus_f32, float, x + y, <)
-DEFINE_SRGEMM(srgemm_max_plus_f32, float, x + y, >)
-DEFINE_SRGEMM(srgemm_max_min_f32, float, x < y ? x : y, >)
-DEFINE_SRGEMM(srgemm_min_max_f32, float, x > y ? x : y, <)
+/* Floyd-Warshall k-loop on one C-contiguous n x n block.  Column k and
+   row k are snapshotted (into the 2n-element scratch) before each
+   sweep, so every sweep reads the pre-sweep pivots - element for
+   element the rank-1 formulation d (+)= d[:, k] (x) d[k, :], also when
+   d[k, k] would improve its own row and column (a negative diagonal). */
+void srgemm_closure(void *restrict dv, void *restrict scratch, long n) {
+    T *restrict d = dv;
+    T *restrict colk = scratch;
+    T *restrict rowk = colk + n;
+    for (long k = 0; k < n; k++) {
+        for (long i = 0; i < n; i++) colk[i] = d[i * n + k];
+        for (long j = 0; j < n; j++) rowk[j] = d[k * n + j];
+        for (long i = 0; i < n; i++) {
+            T x = colk[i];
+            T *restrict drow = d + i * n;
+            for (long j = 0; j < n; j++) {
+                T y = rowk[j];
+                T cand = (CAND);
+                drow[j] = SELECT(cand, drow[j]);
+            }
+        }
+    }
+}
 """
-
-#: Semirings the C translation unit covers.
-_COMPILED_SEMIRINGS = ("min_plus", "max_plus", "max_min", "min_max")
 
 
 def find_c_compiler() -> Optional[str]:
@@ -152,68 +239,93 @@ def find_c_compiler() -> Optional[str]:
     return None
 
 
-def _source_tag() -> str:
-    return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:12]
+def _unit_source(semiring_name: str, dtype: np.dtype) -> str:
+    """The translation unit of one (semiring, dtype) pair."""
+    times, better = _SEMIRING_OPS[semiring_name]
+    suffix, c_type = _DTYPES[dtype]
+    lines = [f"#define T {c_type}", f"#define CAND {times}", f"#define BETTER {better}"]
+    for i, (macro, target, shapes) in enumerate(_MICRO_TILES):
+        mr, nr = shapes[suffix]
+        guard = "#else" if macro is None else f"#{'elif' if i else 'if'} defined({macro})"
+        lines += [guard, f'#define SRGEMM_TARGET "{target}"', f"#define MR {mr}", f"#define NR {nr}"]
+    lines.append("#endif")
+    return "\n".join(lines) + "\n" + _C_BODY
 
 
 def _cache_dir() -> str:
     override = os.environ.get(ENV_CNATIVE_CACHE)
     if override:
         return override
-    return os.path.join(tempfile.gettempdir(), f"repro-cnative-{os.getuid()}-{_source_tag()}")
+    return os.path.join(tempfile.gettempdir(), f"repro-cnative-{os.getuid()}")
 
 
-def _compile_library(cc: str) -> ctypes.CDLL:
-    """Compile (or reuse) the kernel shared object and load it."""
+def _unit_name(semiring_name: str, dtype: np.dtype, source: str) -> str:
+    """File name of a pair's shared object.  Named by source hash: the
+    cache may outlive a kernel text, and an object built from another
+    text is not this kernel."""
+    tag = hashlib.sha256(source.encode()).hexdigest()[:12]
+    return f"srgemm-{semiring_name}-{_DTYPES[dtype][0]}-{tag}.so"
+
+
+def _compile_unit(cc: str, semiring_name: str, dtype: np.dtype) -> ctypes.CDLL:
+    """Compile (or reuse) one pair's shared object and load it."""
+    source = _unit_source(semiring_name, dtype)
     cache = _cache_dir()
     os.makedirs(cache, exist_ok=True)
-    # Named by source hash: $REPRO_CNATIVE_CACHE may outlive a kernel
-    # text, and an object built from another text lacks our symbols.
-    stem = os.path.join(cache, f"srgemm-{_source_tag()}")
-    lib_path = stem + ".so"
+    lib_path = os.path.join(cache, _unit_name(semiring_name, dtype, source))
     if not os.path.exists(lib_path):
-        src_path = stem + ".c"
-        with open(src_path, "w") as fh:
-            fh.write(_C_SOURCE)
-        base = [cc, "-O3", "-funroll-loops", "-shared", "-fPIC", "-o"]
-        tmp_path = lib_path + ".tmp"
-        for flags in (["-march=native"], []):  # retry portable if -march fails
-            proc = subprocess.run(
-                base[:1] + flags + base[1:] + [tmp_path, src_path],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode == 0:
-                break
-        else:
-            raise RuntimeError(f"cnative kernel compile failed:\n{proc.stderr}")
-        os.replace(tmp_path, lib_path)  # atomic: concurrent compiles race safely
+        # Concurrent cold starts share the directory: build under a name
+        # no other process has, publish atomically, load only lib_path.
+        fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".tmp")
+        os.close(fd)
+        try:
+            base = ["-O3", "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
+            # Tuned first; portable if the host compiler refuses a flag.
+            for flags in (["-march=native", "-fopenmp-simd"], []):
+                proc = subprocess.run(
+                    [cc] + flags + base, input=source, capture_output=True, text=True
+                )
+                if proc.returncode == 0:
+                    break
+            else:
+                raise RuntimeError(f"cnative kernel compile failed:\n{proc.stderr}")
+            os.replace(tmp_path, lib_path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
     return ctypes.CDLL(lib_path)
 
 
-def _bind(lib: ctypes.CDLL) -> dict:
-    """ctypes signatures: ``(semiring, dtype) -> (tile kernel, grid
-    kernel)``, the grid kernel being the library's one ``srgemm_grid``
-    bound to that tile kernel.  Pointers travel as plain addresses
+class _Unit(NamedTuple):
+    """One pair's bound C entries.  Pointers travel as plain addresses
     (``c_void_p``); the callers validate dtype and layout before taking
     them."""
+
+    tile: object  # (c, a, b, m, n, k)
+    grid: object  # (c[], a[], b[], nr, nc, m, n, k)
+    closure: object  # (d, scratch[2n], n)
+    target: str  # vector target the unit was compiled for
+    micro_tile: tuple  # its (MR, NR)
+
+
+def _target_shapes(target: str) -> dict:
+    """``_MICRO_TILES``' shapes (by dtype suffix) for a target name."""
+    return next(shapes for _, name, shapes in _MICRO_TILES if name == target)
+
+
+def _bind(lib: ctypes.CDLL, dtype: np.dtype) -> _Unit:
     try:
-        grid = lib.srgemm_grid
-        tiles = {
-            (sr, np.dtype(np_type)): getattr(lib, f"srgemm_{sr}_{suffix}")
-            for sr in _COMPILED_SEMIRINGS
-            for suffix, np_type in (("f64", np.float64), ("f32", np.float32))
-        }
+        tile, grid, closure = lib.srgemm_tile, lib.srgemm_grid, lib.srgemm_closure
+        target = lib.srgemm_target
     except AttributeError as exc:
         raise RuntimeError(f"cnative kernel library lacks a symbol: {exc}") from None
-    grid.restype = None
-    grid.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long] * 6
-    table = {}
-    for key, tile in tiles.items():
-        tile.restype = None
-        tile.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 4
-        table[key] = (tile, functools.partial(grid, ctypes.cast(tile, ctypes.c_void_p)))
-    return table
+    tile.restype = grid.restype = closure.restype = None
+    tile.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3
+    grid.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 5
+    closure.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long]
+    target.restype, target.argtypes = ctypes.c_char_p, []
+    name = target().decode()
+    return _Unit(tile, grid, closure, name, _target_shapes(name)[_DTYPES[dtype][0]])
 
 
 def _addresses(arrays) -> ctypes.Array:
@@ -228,8 +340,8 @@ def _addresses(arrays) -> ctypes.Array:
 
 
 class CNativeBackend(TiledBackend):
-    """System-cc compiled multi-stage kernel; tiled NumPy fallback for
-    semirings/dtypes the C translation unit does not cover."""
+    """System-cc compiled register-blocked kernel; tiled NumPy fallback
+    for semirings/dtypes no translation unit covers."""
 
     def __init__(self, byte_budget: Optional[int] = None):
         super().__init__(byte_budget=byte_budget, name="cnative")
@@ -238,44 +350,55 @@ class CNativeBackend(TiledBackend):
         self.unavailable_reason = (
             None if self.available else "no C compiler (cc/gcc/clang) on PATH"
         )
-        self._kernels: Optional[dict] = None  # lazy; False = compile failed
+        #: (semiring name, dtype) -> its bound unit, compiled on first use.
+        self._units: dict[tuple, _Unit] = {}
+        #: Set by the first failed compile or bind: every pair then takes
+        #: the tiled path, and ``cc`` is not spawned again.
+        self._degraded = False
 
     # -- lazy compile --------------------------------------------------------
-    def _kernel_for(self, semiring: Semiring, dtype: np.dtype):
-        """The ``(tile, grid)`` C entries for a pair, or None."""
-        if self._kernels is None:
-            try:
-                self._kernels = _bind(_compile_library(self._cc))
-            except (OSError, RuntimeError) as exc:
-                warnings.warn(
-                    f"cnative kernel compilation failed ({exc}); "
-                    "falling back to the tiled NumPy path",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self._kernels = False
-        if not self._kernels:
+    def _unit_for(self, semiring: Semiring, dtype: np.dtype) -> Optional[_Unit]:
+        """The C entries of a pair; None means "not covered"."""
+        unit = self._units.get((semiring.name, dtype))
+        if unit is not None:
+            return unit
+        if (
+            self._degraded
+            or not self.available
+            or semiring.name not in _SEMIRING_OPS
+            or dtype not in _DTYPES
+        ):
             return None
-        return self._kernels.get((semiring.name, dtype))
+        try:
+            unit = _bind(_compile_unit(self._cc, semiring.name, dtype), dtype)
+        except (OSError, RuntimeError) as exc:
+            warnings.warn(
+                f"cnative kernel compilation failed ({exc}); "
+                "falling back to the tiled NumPy path",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self._degraded = True
+            return None
+        self._units[semiring.name, dtype] = unit
+        return unit
 
     # -- dispatch ------------------------------------------------------------
     def _native_accumulate(
-        self, c: np.ndarray, a: np.ndarray, b: np.ndarray, semiring: Semiring, jb: int
-    ) -> Optional[np.ndarray]:
-        """Run the C kernel; None means "not covered, use fallback"."""
-        if not self.available or semiring.name not in _COMPILED_SEMIRINGS:
-            return None
+        self, c: np.ndarray, a: np.ndarray, b: np.ndarray, semiring: Semiring
+    ) -> bool:
+        """Run the C tile kernel; False means "not covered, use fallback"."""
         dtype = c.dtype
-        if dtype not in (np.float64, np.float32) or a.dtype != dtype or b.dtype != dtype:
-            return None
-        kernels = self._kernel_for(semiring, dtype)
-        if kernels is None:
-            return None
+        if a.dtype != dtype or b.dtype != dtype:
+            return False
+        unit = self._unit_for(semiring, dtype)
+        if unit is None:
+            return False
         validate_accumulate(c, a, b)
         m, k = a.shape
         n = b.shape[1]
         if m == 0 or n == 0 or k == 0:
-            return c
+            return True
         a_c = np.ascontiguousarray(a)
         b_c = np.ascontiguousarray(b)
         # Panel stripes hand us column-slice views; the C kernel needs a
@@ -284,23 +407,21 @@ class CNativeBackend(TiledBackend):
         # Addresses are taken per call, never cached: checkpoint restore
         # replaces block arrays, and a stale address is a silent wrong
         # answer.  a_c / b_c / c_c stay referenced until the call returns.
-        kernels[0](c_c.ctypes.data, a_c.ctypes.data, b_c.ctypes.data, m, n, k, jb)
+        unit.tile(c_c.ctypes.data, a_c.ctypes.data, b_c.ctypes.data, m, n, k)
         if c_c is not c:
             np.copyto(c, c_c)
-        return c
+        return True
 
-    def _native_grid(self, c_tiles, a_rows, b_cols, semiring: Semiring, jb: int) -> bool:
+    def _native_grid(self, c_tiles, a_rows, b_cols, semiring: Semiring) -> bool:
         """Run the whole grid in one C call; False means "not covered,
         use the per-tile loop" (which also owns raising on a tile whose
         shape does not match its operands).  Nothing is written before
         every tile has been checked."""
-        if not self.available or semiring.name not in _COMPILED_SEMIRINGS:
-            return False
         if len(a_rows) == 0 or len(b_cols) == 0:
             return False
         a0, b0 = a_rows[0], b_cols[0]
         dtype = a0.dtype
-        if dtype not in (np.float64, np.float32) or a0.ndim != 2 or b0.ndim != 2:
+        if a0.ndim != 2 or b0.ndim != 2:
             return False
         (m, k), n = a0.shape, b0.shape[1]
         if m == 0 or n == 0 or k == 0:
@@ -310,15 +431,17 @@ class CNativeBackend(TiledBackend):
             for arr in arrays:
                 if arr.shape != shape or arr.dtype != dtype or not arr.flags.carray:
                     return False
-        kernels = self._kernel_for(semiring, dtype)
-        if kernels is None:
+        unit = self._unit_for(semiring, dtype)
+        if unit is None:
             return False
-        kernels[1](
+        unit.grid(
             _addresses(flat_tiles), _addresses(a_rows), _addresses(b_cols),
-            len(a_rows), len(b_cols), m, n, k, jb,
+            len(a_rows), len(b_cols), m, n, k,
         )
         return True
 
+    # The phase entries are inherited: each is ``srgemm_accumulate``, so
+    # diag, panel and outer products all run the one native body.
     def srgemm_accumulate(
         self,
         c: np.ndarray,
@@ -327,49 +450,9 @@ class CNativeBackend(TiledBackend):
         semiring: Semiring = MIN_PLUS,
         k_chunk: Optional[int] = None,
     ) -> np.ndarray:
-        out = self._native_accumulate(c, a, b, semiring, OUTER_JB)
-        if out is not None:
-            return out
+        if self._native_accumulate(c, a, b, semiring):
+            return c
         return super().srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
-
-    def srgemm_diag(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        out = self._native_accumulate(c, a, b, semiring, 0)  # full-width strips
-        if out is not None:
-            return out
-        return super().srgemm_diag(c, a, b, semiring=semiring, k_chunk=k_chunk)
-
-    def srgemm_panel(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        out = self._native_accumulate(c, a, b, semiring, PANEL_JB)
-        if out is not None:
-            return out
-        return super().srgemm_panel(c, a, b, semiring=semiring, k_chunk=k_chunk)
-
-    def srgemm_outer(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        out = self._native_accumulate(c, a, b, semiring, OUTER_JB)
-        if out is not None:
-            return out
-        return super().srgemm_outer(c, a, b, semiring=semiring, k_chunk=k_chunk)
 
     def srgemm_grid(
         self,
@@ -380,13 +463,37 @@ class CNativeBackend(TiledBackend):
         phase: str = "outer",
     ) -> Sequence[Sequence[np.ndarray]]:
         validate_grid(c_tiles, a_rows, b_cols, phase)
-        if self._native_grid(c_tiles, a_rows, b_cols, semiring, _GRID_PHASE_JB[phase]):
+        if self._native_grid(c_tiles, a_rows, b_cols, semiring):
             return c_tiles
         return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
 
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        n = blk.shape[0]
+        covered = blk.ndim == 2 and blk.shape[1] == n and n > 0 and blk.flags.writeable
+        unit = self._unit_for(semiring, blk.dtype) if covered else None
+        if unit is None:
+            return super().fw_closure(blk, semiring=semiring)
+        # A block of a larger matrix is a strided view: stage it like a
+        # non-contiguous accumulator.
+        d = blk if blk.flags.c_contiguous else np.ascontiguousarray(blk)
+        scratch = np.empty(2 * n, dtype=blk.dtype)
+        unit.closure(d.ctypes.data, scratch.ctypes.data, n)
+        if d is not blk:
+            np.copyto(blk, d)
+        return blk
+
     def describe(self) -> str:
         cc = os.path.basename(self._cc) if self._cc else "none"
+        # The target is the compiler's choice, so it is read back from
+        # the default pair's unit (compiled here if nothing has yet).
+        unit = self._unit_for(MIN_PLUS, np.dtype(np.float64))
+        if unit is None:
+            tiles = "micro-tile: none compiled"
+        else:
+            tiles = "micro-tile: " + " ".join(
+                f"{suffix}={mr}x{nr}" for suffix, (mr, nr) in _target_shapes(unit.target).items()
+            ) + f" for {unit.target}"
         return (
-            f"system-cc compiled multi-stage C kernel (cc: {cc}, "
-            f"strips: diag=full panel={PANEL_JB} outer={OUTER_JB}); {super().describe()}"
+            f"system-cc compiled register-blocked C kernel (cc: {cc}, {tiles}); "
+            f"{super().describe()}"
         )

@@ -108,6 +108,11 @@ class ChecksummedBackend(KernelBackend):
     ) -> np.ndarray:
         return self.runtime.panel_update(panel, diag, "col", semiring)
 
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        # Guarded at the call site (VerifyRuntime.wrap_closure): checksums
+        # do not distribute over the closure.
+        return self.inner.fw_closure(blk, semiring=semiring)
+
     def srgemm_accumulate_paths(
         self,
         c: np.ndarray,

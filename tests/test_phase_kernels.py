@@ -19,7 +19,9 @@ fallback loop - the backend takes for a given set of operands.
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -31,8 +33,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MIN_PLUS, SEMIRINGS, srgemm_diag, srgemm_outer, srgemm_panel
 from repro.semiring.backends import CNativeBackend, available_backends, get_backend
 from repro.semiring.backends import cnative as cnative_mod
-from repro.semiring.backends.base import GRID_PHASE_ENTRIES
-from repro.semiring.closure import closure_by_squaring, floyd_warshall
+from repro.semiring.backends.base import GRID_PHASE_ENTRIES, KernelBackend
+from repro.semiring.closure import closure_by_squaring, floyd_warshall, fw_inplace
 from repro.verify.backend import ChecksummedBackend
 from repro.verify.runtime import VerifyRuntime
 
@@ -415,11 +417,160 @@ class TestCNativeGridPaths:
         assert got.makespan == want.makespan
 
 
+def _edge_operands(m, n, k, sr, dtype, seed):
+    """Operands the micro-kernel's edges must survive: random values, a
+    third of them the ⊕-identity (``inf`` for the min semirings), plus a
+    whole identity row in ``a`` and column in ``b``."""
+    rng = np.random.default_rng([seed, m, n, k])
+
+    def mat(rows, cols):
+        x = rng.uniform(0.0, 10.0, (rows, cols))
+        x[rng.uniform(size=x.shape) < 0.3] = sr.zero
+        return x
+
+    a, b, c = mat(m, k), mat(k, n), mat(m, n)
+    a[rng.integers(m), :] = sr.zero
+    b[:, rng.integers(n)] = sr.zero
+    return a.astype(dtype), b.astype(dtype), c.astype(dtype)
+
+
+@needs_cnative
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("sr_name", COMPILED_SEMIRINGS)
+class TestCNativeMicroKernel:
+    """The register-blocked kernel is the reference's bits at every
+    ``m % MR`` / ``n % NR`` edge, through the per-tile entries and the
+    grid entry alike."""
+
+    @staticmethod
+    def _setup(sr_name, dtype):
+        sr = SEMIRINGS[sr_name]
+        backend = get_backend("cnative")
+        mr, nr = backend._unit_for(sr, np.dtype(dtype)).micro_tile
+        return sr, backend, get_backend("reference"), mr, nr
+
+    def test_every_edge_shape_matches_reference(self, sr_name, dtype):
+        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        dims = sorted({1, mr - 1, mr, mr + 1, nr - 1, nr, nr + 1, 2 * nr + 3, 129} - {0})
+        for m in dims:
+            for n in dims:
+                for k in (1, 7, 128):
+                    msg = f"{sr_name} {np.dtype(dtype).name} ({m}, {n}, {k})"
+                    a, b, c = _edge_operands(m, n, k, sr, dtype, seed=1)
+                    a2, _, c2 = _edge_operands(m, n, k, sr, dtype, seed=2)
+                    blank = np.full_like(c, sr.zero)  # an all-identity accumulator
+                    want = [reference.srgemm_accumulate(x.copy(), y, b, semiring=sr)
+                            for x, y in ((c, a), (c2, a2), (blank, a))]
+                    np.testing.assert_array_equal(
+                        backend.srgemm_outer(c.copy(), a, b, semiring=sr), want[0], err_msg=msg)
+                    np.testing.assert_array_equal(
+                        backend.srgemm_diag(blank.copy(), a, b, semiring=sr), want[2], err_msg=msg)
+                    got = backend.srgemm_grid([[c.copy()], [c2.copy()]], [a, a2], [b], semiring=sr)
+                    _assert_tiles_equal(got, [[want[0]], [want[1]]], msg)
+
+    def test_non_contiguous_accumulator_is_staged_and_written_back(self, sr_name, dtype):
+        # A panel stripe: a column slice of a wider matrix.
+        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        m, n, k = 2 * mr + 1, 2 * nr + 3, 7  # micro-tiles and both edges
+        a, b, c = _edge_operands(m, n, k, sr, dtype, seed=3)
+        parent = np.full((m, n + 5), 77, dtype=dtype)
+        parent[:, 2 : n + 2] = c
+        stripe = parent[:, 2 : n + 2]
+        assert not stripe.flags.c_contiguous
+        assert backend.srgemm_panel(stripe, a, b, semiring=sr) is stripe
+        np.testing.assert_array_equal(stripe, reference.srgemm_accumulate(c.copy(), a, b, semiring=sr))
+        assert (parent[:, :2] == 77).all() and (parent[:, n + 2 :] == 77).all()
+
+    def test_edge_only_grid(self, sr_name, dtype, monkeypatch):
+        # Tiles narrower than NR and shorter than MR: no micro-tile at
+        # all, still one native call.
+        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        m, n, k = mr - 1, nr - 1, 7
+        a_rows = [_edge_operands(m, n, k, sr, dtype, seed=i)[0] for i in range(3)]
+        b_cols = [_edge_operands(m, n, k, sr, dtype, seed=i)[1] for i in range(4)]
+        c_tiles = [[_edge_operands(m, n, k, sr, dtype, seed=10 * i + j)[2] for j in range(4)]
+                   for i in range(3)]
+        want = _tile_loop(reference, c_tiles, a_rows, b_cols, sr, "outer")
+        spy = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        _assert_tiles_equal(
+            backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, semiring=sr), want, sr_name)
+        assert spy.calls == 0
+
+    def test_native_closure_is_fw_inplace(self, sr_name, dtype):
+        sr, backend, *_ = self._setup(sr_name, dtype)
+        rng = np.random.default_rng(17)
+        # max_plus closes over *longest* paths: flip the signs so its
+        # blocks are as cycle-free as min_plus's positive ones.
+        sign = -1.0 if sr_name == "max_plus" else 1.0
+        for b in (1, 5, 16, 33, 128):
+            dense = sign * rng.uniform(0.0, 10.0, (b, b))
+            sparse = dense.copy()
+            sparse[rng.uniform(size=(b, b)) < 0.6] = sr.zero
+            # A diagonal that improves its own row and column inside the
+            # sweep that reads them (min_plus: negative): the snapshot case.
+            negative = dense.copy()
+            np.fill_diagonal(negative, -sign * rng.uniform(0.0, 1.0, b))
+            for name, block in (("dense", dense), ("sparse", sparse), ("negative", negative)):
+                block = block.astype(dtype)
+                with np.errstate(over="ignore"):  # float32 improving cycles reach ±inf
+                    want = fw_inplace(block.copy(), semiring=sr)
+                got = block.copy()
+                assert backend.fw_closure(got, semiring=sr) is got
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} b={b}")
+                # A block of a larger matrix is a strided view.
+                parent = np.full((b + 3, b + 3), 77, dtype=dtype)
+                parent[1 : b + 1, 2 : b + 2] = block
+                backend.fw_closure(parent[1 : b + 1, 2 : b + 2], semiring=sr)
+                np.testing.assert_array_equal(parent[1 : b + 1, 2 : b + 2], want)
+                assert (parent == 77).sum() >= (b + 3) ** 2 - b * b
+
+
+class TestClosureEntry:
+    """``fw_closure`` is on the waist: the default is ``fw_inplace``, the
+    wrappers forward it, and DiagUpdate goes through it."""
+
+    def test_default_and_wrappers_are_fw_inplace(self):
+        block = _sparse_block(12, seed=5)
+        want = fw_inplace(block.copy())
+
+        class Proxy(KernelBackend):  # knows nothing of the entry (the benchmark's tracer)
+            pass
+
+        for name, backend in {**available_backends(), "proxy": Proxy()}.items():
+            for wrapper in (None, "metered", "checksummed", "stacked"):
+                wrapped = backend if wrapper is None else _wrap(wrapper, backend)
+                got = wrapped.fw_closure(block.copy())
+                np.testing.assert_array_equal(got, want, err_msg=f"{wrapper}({name})")
+
+    @needs_cnative
+    @pytest.mark.parametrize("verify", ["off", "checksum"])
+    def test_diag_update_runs_the_backend_closure(self, monkeypatch, verify):
+        w = repro.graphs.uniform_random_dense(64, seed=4)
+        config = repro.SolveConfig(
+            variant="async", block_size=16, kernel_backend="cnative", n_nodes=2,
+            ranks_per_node=2, verify=verify,
+        )
+        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        spy = _CallSpy(monkeypatch, get_backend("cnative"), "fw_closure")
+        got = repro.solve(w, config)
+        assert spy.calls == 64 // 16
+        np.testing.assert_array_equal(got.dist, want.dist)
+        assert got.makespan == want.makespan
+        np.testing.assert_array_equal(
+            repro.core.blocked_fw(w, 16, backend="cnative"),
+            repro.core.blocked_fw(w, 16, backend="reference"),
+        )
+        assert spy.calls == 2 * (64 // 16)
+
+
 @needs_cnative
 class TestCNativeKernelCache:
-    """``$REPRO_CNATIVE_CACHE`` may outlive a kernel text."""
+    """``$REPRO_CNATIVE_CACHE`` may outlive a kernel text, holds one
+    object per (semiring, dtype) pair actually used, and may be shared
+    by processes that cold-start together."""
 
-    TILE = "void srgemm_min_plus_f64(void) {}\n"  # a library without our symbols
+    TILE = "void srgemm_tile(void) {}\n"  # a library without the other symbols
+    MIN_PLUS_F64 = ("min_plus", np.dtype(np.float64))
 
     def _build(self, source, lib_path):
         src = lib_path.with_suffix(".c")
@@ -428,6 +579,7 @@ class TestCNativeKernelCache:
             [cnative_mod.find_c_compiler(), "-shared", "-fPIC", "-o", str(lib_path), str(src)],
             check=True,
         )
+        src.unlink()
 
     def _exact(self, backend):
         c_tiles, a_rows, b_cols = _grid(2, 2)
@@ -436,24 +588,99 @@ class TestCNativeKernelCache:
         _assert_tiles_equal(_tile_loop(backend, c_tiles, a_rows, b_cols, MIN_PLUS, "outer"), want, "")
 
     def test_object_of_another_kernel_text_is_not_reused(self, tmp_path, monkeypatch):
-        # The name every earlier version cached under, holding a library
-        # that lacks srgemm_grid: reusing it was an AttributeError.
+        # The name every version before the source hash cached under, and
+        # this pair's name under another text's hash - both holding a
+        # library that lacks srgemm_grid: reusing either was an
+        # AttributeError.
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
         self._build(self.TILE, tmp_path / "srgemm.so")
+        self._build(self.TILE, tmp_path / "srgemm-min_plus-f64-000000000000.so")
         backend = CNativeBackend()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self._exact(backend)
-        assert backend._kernels  # compiled its own object beside the stale one
-        assert len(list(tmp_path.glob("srgemm-*.so"))) == 1
+        assert list(backend._units) == [self.MIN_PLUS_F64]  # compiled its own object
+        assert len(list(tmp_path.glob("srgemm-min_plus-f64-*.so"))) == 2  # beside the stale one
 
     def test_missing_symbol_degrades_to_tiled(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
-        self._build(self.TILE, tmp_path / f"srgemm-{cnative_mod._source_tag()}.so")
+        f64 = np.dtype(np.float64)
+        name = cnative_mod._unit_name("min_plus", f64, cnative_mod._unit_source("min_plus", f64))
+        self._build(self.TILE, tmp_path / name)
         backend = CNativeBackend()
         with pytest.warns(RuntimeWarning, match="lacks a symbol"):
             self._exact(backend)
-        assert backend._kernels is False
+        assert backend._degraded and not backend._units
+
+    @staticmethod
+    def _cached(cache):
+        """The cache directory's objects, hashes stripped; anything that
+        is not a published object is a leaked temporary."""
+        names = sorted(p.name for p in cache.iterdir())
+        assert all(name.endswith(".so") for name in names), names
+        return [name.rsplit("-", 1)[0] for name in names]
+
+    def test_one_object_per_pair_used(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
+        backend = CNativeBackend()
+        w = repro.graphs.uniform_random_dense(32, seed=3)
+        config = repro.SolveConfig(variant="async", block_size=8, n_nodes=1, ranks_per_node=2)
+        got = repro.solve(w, config.replace(kernel_backend=backend))
+        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        np.testing.assert_array_equal(got.dist, want.dist)
+        assert self._cached(tmp_path) == ["srgemm-min_plus-f64"]
+        a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
+        backend.srgemm_outer(c, a, b, semiring=SEMIRINGS["max_min"])
+        assert self._cached(tmp_path) == ["srgemm-max_min-f32", "srgemm-min_plus-f64"]
+        assert set(backend._units) == {self.MIN_PLUS_F64, ("max_min", np.dtype(np.float32))}
+
+    def test_failed_compile_warns_once_and_spawns_cc_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
+        spawned = []
+        run = subprocess.run
+
+        def failing_cc(cmd, **kwargs):
+            spawned.append(cmd)
+            return run(["false"], **{**kwargs, "input": None})
+
+        monkeypatch.setattr(cnative_mod.subprocess, "run", failing_cc)
+        backend = CNativeBackend()
+        with pytest.warns(RuntimeWarning, match="compile failed") as caught:
+            self._exact(backend)
+            # Another pair: degraded already, so no second warning or spawn.
+            a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
+            want = get_backend("reference").srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
+            got = backend.srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
+            np.testing.assert_array_equal(got, want)
+        assert len(caught) == 1
+        assert len(spawned) == 2  # one compile: the tuned rung, then the portable one
+        assert list(tmp_path.iterdir()) == []  # the temporary is cleaned up
+
+    def test_concurrent_cold_starts_all_load_the_native_kernel(self, tmp_path):
+        # Processes starting together on one fresh cache used to share
+        # one <stem>.c / <stem>.so.tmp: some lost the rename race, some
+        # loaded a half-written object, and all of those silently ran
+        # the tiled path.
+        script = (
+            "import warnings, numpy as np\n"
+            "from repro.semiring.backends import get_backend\n"
+            "warnings.simplefilter('error')\n"
+            "backend = get_backend('cnative')\n"
+            "tile = np.ones((8, 8))\n"
+            "out = backend.srgemm_outer(np.full((8, 8), 3.0), tile, tile)\n"
+            "assert (out == 2.0).all()\n"
+            "print('native' if backend._units else 'tiled')\n"
+        )
+        env = dict(os.environ, **{cnative_mod.ENV_CNATIVE_CACHE: str(tmp_path)})
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for _ in range(6)
+        ]
+        results = [proc.communicate(timeout=120) + (proc.returncode,) for proc in procs]
+        assert [(out.strip(), err, code) for out, err, code in results] == [("native", "", 0)] * 6
+        assert self._cached(tmp_path) == ["srgemm-min_plus-f64"]
 
 
 class TestGridWrapperComposition:
