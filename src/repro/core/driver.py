@@ -10,12 +10,12 @@ scheduler (:mod:`repro.sched`) - goes through the same stages:
 * :class:`MachineHandles` - the simulated machine (environment,
   cluster, cost model, tracer): private to one solve, or one set
   shared by N concurrent jobs;
-* :func:`run_solve` - the one supervisor, a generator: open the context
-  (:func:`open_solve`), run the epoch/recovery loop, assemble the
-  result, release the memory charges.  What differs between a private
-  machine and a shared one is only how the solve *waits on its world*
-  (:class:`SolveWorld`); :func:`run_private` pumps the generator with
-  ``env.run``, the scheduler's runner ``yield from``s it as a process;
+* :func:`run_solve` - the one supervisor, a simulated process: open the
+  context (:func:`open_solve`), run the epoch/recovery loop - which
+  owns the one dead-world rule (:data:`FAILURE_GRACE`,
+  :func:`kick_deadlocked`) - assemble the result, release the memory
+  charges.  :func:`run_private` runs it on a private machine
+  (:class:`SolveWorld`), the scheduler's runner on the shared one;
 * :func:`make_state_builders` - the per-rank state construction and
   HBM/DRAM accounting closures;
 * :func:`build_result` - collection, validation, report and
@@ -86,6 +86,10 @@ __all__ = [
     "run_solve",
     "default_block_size",
 ]
+
+#: Simulated seconds (plus the plan's ``recv_timeout``) from an epoch's
+#: first rank failure to the interrupt of its still-blocked ranks.
+FAILURE_GRACE = 0.05
 
 
 @dataclass
@@ -527,37 +531,40 @@ def build_result(
 def run_private(rp: RunPlan, machine: MachineSpec, *, dim_scale: float = 1.0,
                 trace: bool = False, stragglers: Optional[dict[int, float]] = None,
                 metrics: bool = False) -> ApspResult:
-    """Run a planned solve to completion on a machine of its own: pump
-    :func:`run_solve`, mapping each yielded wait - ``None`` (drain the
-    heap) or an event (run until it is processed) - to ``env.run``.  No
-    extra process and no extra event, so the simulation is
-    event-for-event the rank programs' own."""
+    """Run a planned solve to completion on a machine of its own:
+    :func:`run_solve` as one process, the heap run until it drains with
+    no rank left to kick (:func:`kick_deadlocked`).  A failed solve's
+    exception propagates out of ``env.run``."""
     handles = MachineHandles.create(machine, rp.n_nodes, dim_scale=dim_scale, trace=trace)
     if stragglers:
         handles.cluster.set_stragglers(stragglers)
-    supervisor = run_solve(SolveWorld(handles), rp, metrics=metrics)
-    try:
-        wait = next(supervisor)
-        while True:
-            handles.env.run(until=wait)
-            wait = next(supervisor)
-    except StopIteration as stop:
-        return stop.value
+    world = SolveWorld(handles)
+    supervisor = handles.env.process(run_solve(world, rp, metrics=metrics), name="solve")
+    handles.env.run()
+    while kick_deadlocked(world.procs):
+        handles.env.run()
+    return supervisor.value
+
+
+def kick_deadlocked(procs) -> bool:
+    """Interrupt the rank processes still alive when the heap drained
+    or a failed epoch's grace ran out: a dead peer will never send.
+    True if any rank was kicked."""
+    kicked = False
+    for p in procs:
+        if p.is_alive:
+            kicked = True
+            p.interrupt(RankFailure("world deadlocked: peer will never send"))
+    return kicked
 
 
 class SolveWorld:
-    """How a solve waits on its world - the one thing ``repro.solve``
-    and the fleet runner genuinely do differently.
+    """The machine a solve runs on - here a private one (``repro.solve``).
 
-    This default is the **private heap**: the solve owns every event,
-    so "the epoch is over" and "the interrupts have landed" both mean
-    *the heap is drained* (a yielded ``None``), after which ranks still
-    without a status are blocked on a dead peer and get interrupted.
-    Draining also runs into the not-yet-due watchdog of a later crash
-    and consumes it (docs/FAULTS.md).  On a shared heap other jobs own
-    events too: :class:`repro.sched.runner.FleetWorld` waits on events
-    and carries the job bookkeeping.  Which applies follows from who
-    built the machine, never from a config field.
+    :class:`repro.sched.runner.FleetWorld` is one job on the shared
+    machine and adds the job bookkeeping.  Failure detection is the
+    epoch loop's, identical in both, so which world applies changes no
+    simulated time.
     """
 
     #: Logical->physical node remap (fleet resilience); None = identity.
@@ -568,33 +575,13 @@ class SolveWorld:
     #: The exception a kill from outside (a fleet deadline) left behind;
     #: raised at the next epoch boundary.
     killed = None
+    #: The current epoch's rank processes (set by the epoch loop).
+    procs = ()
 
     def __init__(self, handles: MachineHandles):
         self.env = handles.env
         self.cluster = handles.cluster
         self.tracer = handles.tracer
-
-    def wait_epoch(self, procs: list, status: dict):
-        """Generator: return once every just-spawned rank has a status."""
-        yield None
-        # Ranks deadlocked on a peer that died (no recv_timeout armed)
-        # never reach a status; declare them failed and drain again.
-        stuck = [p for p in procs if p.is_alive]
-        for p in stuck:
-            p.interrupt(RankFailure("rank stalled after peer failure"))
-        if stuck:
-            yield None
-
-    def rank_settled(self, rank: int) -> None:
-        """``rank`` just recorded its status (called from its process)."""
-
-    def epoch_over(self) -> bool:
-        """A waking crash watchdog asks: has my epoch already ended?"""
-        return False
-
-    def settle(self):
-        """Generator: return once the teardown's interrupts have landed."""
-        yield None
 
     def epoch_failed(self, failures: dict, restarts: int) -> None:
         """An epoch ended with ``failures`` (``restarts`` so far)."""
@@ -648,11 +635,12 @@ def open_solve(world: SolveWorld, rp: RunPlan, metrics: bool = False):
 
 
 def run_solve(world: SolveWorld, rp: RunPlan, *, metrics: bool = False):
-    """Generator, the one solve supervisor: open the context,
-    distribute, run the epoch loop, assemble the :class:`ApspResult`,
-    release the HBM/DRAM charges.  :func:`run_private` pumps it on a
-    private heap; :func:`repro.sched.runner.job_process` ``yield
-    from``s it as a process on the shared one."""
+    """Generator (a simulated process), the one solve supervisor: open
+    the context, distribute, run the epoch loop, assemble the
+    :class:`ApspResult`, release the HBM/DRAM charges.
+    :func:`run_private` runs it on a private heap;
+    :func:`repro.sched.runner.job_process` ``yield from``s it on the
+    shared one."""
     ctx = open_solve(world, rp, metrics)
     rp.distribute()
     build_states, teardown_states = make_state_builders(ctx, rp)
@@ -678,16 +666,18 @@ def _epoch_error(failures: dict) -> Optional[BaseException]:
 
 def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                 build_states, teardown_states):
-    """The epoch/recovery loop (a generator; ``world`` supplies the waits).
+    """The epoch/recovery loop (a generator, inside the supervisor).
 
     Spawns every rank program under a supervisor, detects rank
     failures - injected crashes (delivered by watchdog processes as
     :class:`~repro.sim.engine.Interrupt`), exhausted receive retries,
     mid-solve :class:`~repro.errors.GpuOutOfMemory`, silent corruption,
-    and worlds that deadlocked because a dead peer will never send -
-    and restarts the world from the newest *consistent* checkpoint (one
-    every rank crossed) until the sweep completes or
-    ``plan.max_restarts`` is spent.  Replay is bit-exact: the
+    and worlds that deadlocked because a dead peer will never send (the
+    first failure arms a reaper that interrupts ranks still blocked
+    :data:`FAILURE_GRACE` + ``recv_timeout`` later) - and restarts the
+    world from the newest *consistent* checkpoint (one every rank
+    crossed) until the sweep completes or ``plan.max_restarts`` is
+    spent.  Replay is bit-exact: the
     simulation kernel is deterministic and the tropical updates
     recompute identical minima from identical operands (see
     docs/FAULTS.md).  An unarmed run (``rp.plan is None``) is the same
@@ -705,6 +695,7 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
     injector = None if rt is None else rt.injector
     track_paths = rp.config.track_paths
     locals_, nxt_locals = rp.locals_, rp.nxt_locals
+    grace = FAILURE_GRACE + ((plan.recv_timeout or 0.0) if plan is not None else 0.0)
 
     resumed = rt is not None and rt.resumed
     if rt is not None and not resumed:
@@ -747,8 +738,19 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                         )
 
             status: dict[int, tuple[str, object]] = {}
+            # Fires once every rank has a status; the supervisor waits on it.
+            done = env.event()
+            reaper_armed = False
 
-            def supervised(state, start_k=start_k, status=status):
+            def reaper(done, procs):
+                # Armed by the epoch's first failure: ranks still blocked
+                # after the grace wait on a peer that will never send.
+                yield env.timeout(grace)
+                if not done.triggered:
+                    kick_deadlocked(procs)
+
+            def supervised(state, start_k=start_k, status=status, done=done):
+                nonlocal reaper_armed
                 try:
                     yield from execute_schedule(state, ctx.schedule, ctx.residency, start_k)
                     status[state.me] = ("done", env.now)
@@ -762,16 +764,20 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                     status[state.me] = ("sdc", exc)
                 except Exception as exc:  # noqa: BLE001 - isolation: a bug is a status too
                     status[state.me] = ("error", exc)
-                world.rank_settled(state.me)
+                if len(status) == n_ranks:
+                    done.succeed()
+                elif status[state.me][0] != "done" and not reaper_armed:
+                    reaper_armed = True
+                    env.process(reaper(done, procs), name="reaper")
 
-            procs = [
+            procs = world.procs = [
                 env.process(supervised(state), name=f"rank{state.me}") for state in states
             ]
 
-            def crash_watchdog(idx, crash, proc):
+            def crash_watchdog(idx, crash, proc, done=done):
                 if crash.at > env.now:
                     yield env.timeout(crash.at - env.now)
-                if world.epoch_over():
+                if done.triggered:
                     return
                 fired_crashes.add(idx)
                 if proc.is_alive:
@@ -806,13 +812,13 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                             ev.defuse()
                             ev.interrupt()
 
-            yield from world.wait_epoch(procs, status)
+            yield done
 
             if world.killed is not None:
                 kill_strays()
                 raise world.killed
 
-            if len(status) == n_ranks and all(st[0] == "done" for st in status.values()):
+            if all(st[0] == "done" for st in status.values()):
                 return states, max(st[1] for st in status.values())
 
             # ---- failure: tear the epoch down and restart -------------------
@@ -824,9 +830,10 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                 exc = _epoch_error(failures)
                 if exc is not None:
                     raise exc
-                if plan is None:  # pragma: no cover - defensive
+                if plan is None:
                     # No fault was injected, yet ranks had to be
-                    # interrupted: a deadlocked schedule, i.e. a bug.
+                    # interrupted: a deadlocked schedule, i.e. a bug
+                    # (each entry point wraps it in InternalError).
                     raise RuntimeError(
                         f"rank programs {sorted(failures)} did not complete cleanly"
                     )
@@ -843,7 +850,7 @@ def _epoch_loop(world: SolveWorld, ctx: FwContext, rp: RunPlan,
                 _degrade_to_offload(ctx, injector, oom_failures[0])
 
             kill_strays()
-            yield from world.settle()
+            yield env.timeout(0.0)  # just past the interrupts' delivery
 
             k0 = rt.store.consistent_k(n_ranks)
             if rt.store.crc_rejections:

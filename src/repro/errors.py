@@ -28,8 +28,8 @@ QueryError                   18
 =========================  ====
 
 :class:`InternalError` is the catch-all for *unexpected* exceptions
-escaping :func:`repro.solve` - anything that is not already a
-:class:`ReproError` is a bug, and the wrapper dumps the offending
+escaping :func:`repro.solve` or a scheduled job - anything that is not
+already a :class:`ReproError` is a bug, and the wrapper dumps the offending
 :class:`~repro.api.SolveConfig` as replayable scenario JSON so the
 failure can be reproduced with one call (the fuzzer and real users
 share this path).
@@ -217,8 +217,8 @@ class FaultPlanError(ConfigurationError):
 
 class InternalError(ReproError):
     """An *unexpected* exception escaped the solver - i.e. a bug, not a
-    modeled failure.  The wrapper in :func:`repro.solve` attaches the
-    offending configuration as replayable scenario JSON
+    modeled failure.  :func:`repro.solve` and the scheduler's job
+    runner attach the offending configuration as replayable scenario JSON
     (``scenario_json``) so the exact run can be reproduced (``repro-apsp
     fuzz replay`` accepts the same document), and chains the original
     exception as ``__cause__``."""

@@ -63,7 +63,8 @@ class Job:
     restarts: int = 0
     #: Memory demand reserved at admission (set by the controller).
     demand: Any = field(repr=False, default=None)
-    #: Live rank processes (for deadlocked-world kicks).
+    #: The running epoch's rank processes (for deadline kills and
+    #: drained-heap kicks).
     procs: list = field(repr=False, default_factory=list)
     # -- resilience (all inert unless the scheduler is armed) ---------------
     #: Retry policy (:class:`~repro.sched.resilience.RetryPolicy`);

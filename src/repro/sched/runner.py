@@ -1,11 +1,11 @@
 """The per-job runtime: one solve as a process on the shared heap.
 
 :func:`job_process` runs the same supervisor as ``repro.solve`` -
-:func:`repro.core.driver.run_solve` - and only swaps in how the solve
-*waits on its world* (:class:`FleetWorld`): a job can never call
-``env.run()`` (other jobs own events on the same heap), so epoch
-completion is an event all supervised rank programs count down on, and
-world-failure detection uses a grace timer instead of heap exhaustion.
+:func:`repro.core.driver.run_solve`, with the same failure-detection
+rule - on the scheduler's machine (:class:`FleetWorld`), which only
+adds the job bookkeeping: the job-scoped tracer, ``job.procs`` (what a
+deadline kill or a drained heap interrupts), the deadline ``killed``
+and the restart count with device blame.
 
 Isolation contract (pinned by ``tests/test_sched.py``):
 
@@ -18,8 +18,9 @@ Isolation contract (pinned by ``tests/test_sched.py``):
   duplication / corruption / NIC-degradation windows never touch a
   concurrent job's traffic;
 * a crash or OOM that exhausts the job's restart budget fails *that
-  job* with its per-class exit code; concurrent jobs' numerics are
-  bit-exact with their solo runs.
+  job* with its per-class exit code - a plain bug with
+  :class:`~repro.errors.InternalError`'s, as from ``repro.solve``;
+  concurrent jobs' numerics are bit-exact with their solo runs.
 
 Deliberate non-isolation: an injected *straggler* raises the shared
 GPU's ``compute_multiplier`` - device-level throttling outlives the
@@ -29,9 +30,11 @@ hardware would.
 
 from __future__ import annotations
 
+import json
+
+from ..api import config_to_jsonable
 from ..core.driver import SolveWorld, run_solve
-from ..errors import RankFailure
-from ..sim.engine import Event
+from ..errors import InternalError, ReproError
 from ..sim.trace import ScopedTracer
 from .job import JobStatus
 from .resilience import failed_devices
@@ -55,6 +58,12 @@ def job_process(scheduler, job):
         )
         job.status = JobStatus.DONE
     except Exception as exc:  # noqa: BLE001 - the job's failure is the job's alone
+        if not isinstance(exc, ReproError):
+            # A bug, not a modeled failure: the same InternalError (exit
+            # 14, replayable scenario) that repro.solve raises.
+            cause = exc
+            exc = InternalError(cause, scenario_json=json.dumps(config_to_jsonable(job.config)))
+            exc.__cause__ = cause
         job.error = exc
         job.status = JobStatus.FAILED
     finally:
@@ -68,18 +77,9 @@ def job_process(scheduler, job):
 
 
 class FleetWorld(SolveWorld):
-    """One job's view of the *shared* heap (see
+    """One job on the *shared* machine (see
     :class:`~repro.core.driver.SolveWorld`), plus the bookkeeping the
-    fleet reads off a running job.
-
-    ``wait_epoch`` is a done-event that fires once *every* rank has a
-    status.  The first failure status arms a one-shot reaper that,
-    after the scheduler's ``failure_grace`` (+ the plan's
-    ``recv_timeout``), interrupts the epoch's still-blocked ranks - the
-    shared-world substitute for "heap drained, interrupt the stuck" (a
-    dead peer will never send, so blocked receives would otherwise hang
-    the job forever without stalling the fleet).
-    """
+    fleet reads off a running job."""
 
     def __init__(self, scheduler, job):
         super().__init__(scheduler.handles)
@@ -95,41 +95,14 @@ class FleetWorld(SolveWorld):
         """Set by the deadline watchdog (which also interrupts the ranks)."""
         return self.job.killed
 
-    def wait_epoch(self, procs, status):
-        self.procs = self.job.procs = procs  # the fleet kicks / kills these
-        self.status = status
-        self.done = Event(self.env)
-        self.reaper_armed = False
-        yield self.done
+    @property
+    def procs(self):
+        """The epoch's ranks live on the job: the fleet kicks / kills these."""
+        return self.job.procs
 
-    def rank_settled(self, rank) -> None:
-        if len(self.status) == len(self.procs):
-            if not self.done.triggered:
-                self.done.succeed()
-        elif self.status[rank][0] != "done" and not self.reaper_armed:
-            self.reaper_armed = True
-            grace = self.scheduler.failure_grace
-            plan = self.job.rp.plan
-            if plan is not None and plan.recv_timeout:
-                grace += plan.recv_timeout
-            self.env.process(self._reaper(grace, self.done, self.procs),
-                             name=f"{self.job.name}.reaper")
-
-    def _reaper(self, grace, done, procs):
-        yield self.env.timeout(grace)
-        if done.triggered:
-            return
-        for p in procs:
-            if p.is_alive:
-                p.interrupt(RankFailure("rank stalled after peer failure"))
-
-    def epoch_over(self) -> bool:
-        return self.done.triggered
-
-    def settle(self):
-        # A zero-length timeout yields just past the urgent interrupt
-        # deliveries at this timestamp (a private heap drains instead).
-        yield self.env.timeout(0.0)
+    @procs.setter
+    def procs(self, procs):
+        self.job.procs = procs
 
     def epoch_failed(self, failures, restarts) -> None:
         """Record the restart and blame this epoch's rank failures on

@@ -47,13 +47,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..api import SolveConfig, resolve_config, resolve_machine
-from ..core.driver import MachineHandles, plan_run
+from ..core.driver import MachineHandles, kick_deadlocked, plan_run
 from ..core.executor import HOST_RESIDENT
 from ..errors import (
     AdmissionError,
     ConfigurationError,
     DeadlineExceeded,
-    RankFailure,
     ReproError,
 )
 from .admission import AdmissionController, assess
@@ -76,7 +75,6 @@ class ClusterScheduler:
         dim_scale: float = 1.0,
         trace: bool = False,
         makespan_limit: Optional[float] = None,
-        failure_grace: float = 0.05,
         resilience=None,
     ):
         self.machine = resolve_machine(machine)
@@ -85,9 +83,6 @@ class ClusterScheduler:
         self.handles = MachineHandles.create(
             self.machine, n_nodes, dim_scale=dim_scale, trace=trace
         )
-        #: Simulated seconds between a job's first rank failure and the
-        #: reaper interrupting its still-blocked ranks (see runner).
-        self.failure_grace = failure_grace
         self.arbiter = FairShareArbiter()
         for node in self.handles.cluster.nodes:
             node.nic_tx.arbiter = self.arbiter
@@ -620,29 +615,21 @@ class ClusterScheduler:
     # -- execution ----------------------------------------------------------
     def run(self, until_job: Optional[Job] = None) -> list:
         """Run the shared simulation until every job is terminal (or
-        ``until_job`` is).  Deadlocked worlds - a job whose surviving
-        ranks block on a peer that died without a receive timeout - are
-        kicked (interrupted with :class:`~repro.errors.RankFailure`)
-        once the event heap drains, mirroring the single-job driver's
-        stuck-rank handling.  Returns the fleet's job reports.
+        ``until_job`` is).  A job whose ranks block on a peer that will
+        never send, with no rank failure to arm the grace reaper, is
+        kicked once the event heap drains
+        (:func:`~repro.core.driver.kick_deadlocked`, the same rule as
+        ``repro.solve``).  Returns the fleet's job reports.
         """
         while True:
             self.env.run()
             if until_job is not None and until_job.done:
                 break
             running = [j for j in self.jobs if j.status is JobStatus.RUNNING]
-            if running:
-                kicked = False
-                for j in running:
-                    for p in j.procs:
-                        if p.is_alive:
-                            kicked = True
-                            p.interrupt(
-                                RankFailure("world deadlocked: peer will never send")
-                            )
-                if kicked:
-                    continue
-                break  # pragma: no cover - runner stuck without live ranks
+            if kick_deadlocked(p for j in running for p in j.procs):
+                continue
+            if running:  # pragma: no cover - runner stuck without live ranks
+                break
             if self._queue:
                 if self._drain_queue():
                     continue

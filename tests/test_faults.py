@@ -397,7 +397,8 @@ class TestCheckpointRestart:
 
     def test_crash_without_timeouts_detected_by_deadlock(self, w48, oracle):
         """No recv_timeout armed: the dead peer's partners simply block;
-        the driver notices the drained-but-incomplete world and restarts."""
+        the grace reaper the crash armed interrupts them and the world
+        restarts."""
         r = run(w48, "baseline", fault_plan=["crash:rank=2,at=1.5e-4", "policy:ckpt=2"])
         assert r.fault_counters["faults.crashes"] == 1
         assert r.fault_counters["faults.restarts"] == 1

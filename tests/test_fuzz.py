@@ -581,6 +581,71 @@ class TestInternalErrorWrapping:
         payload = json.loads(err.scenario_json)
         assert payload["variant"] == "async" and payload["block_size"] == 4
 
+    @staticmethod
+    def _plant_rank_program(monkeypatch, program):
+        import repro.core.driver as driver
+
+        monkeypatch.setattr(driver, "execute_schedule", program)
+
+    @staticmethod
+    def _raises_value_error(state, *args):
+        raise ValueError("index out of range in a rank program")
+        yield  # pragma: no cover - makes this a generator
+
+    def test_rank_program_bug_through_submit_is_internal_error(self, monkeypatch):
+        import repro
+
+        self._plant_rank_program(monkeypatch, self._raises_value_error)
+        graph = GraphSpec(kind="uniform", n=8, seed=0).build()
+        shape = dict(variant="async", block_size=4, n_nodes=1, ranks_per_node=2)
+        handle = repro.submit(graph, fault_plan=(), **shape)
+        with pytest.raises(InternalError) as info:
+            handle.result()
+        err = info.value
+        assert err.original_type == "ValueError"
+        assert isinstance(err.__cause__, ValueError)
+        assert handle.report().exit_code == 14
+        # the embedded scenario names the config and replays the bug
+        payload = json.loads(err.scenario_json)
+        assert {k: payload[k] for k in shape} == shape
+        with pytest.raises(InternalError, match="ValueError"):
+            repro.solve(graph, **{k: payload[k] for k in shape})
+
+    def test_fleet_bug_is_reported_by_the_crash_oracle(self, monkeypatch):
+        self._plant_rank_program(monkeypatch, self._raises_value_error)
+        sc = fleet_scenario()
+        out = run_scenario(sc)
+        assert out.status == "error" and out.exit_code == 14
+        assert "InternalError" in out.error
+        assert "crash" in [v.family for v in OracleSuite().check(sc, out)]
+
+    @pytest.mark.parametrize("entry", ["solve", "submit"])
+    def test_unarmed_deadlock_is_internal_error(self, monkeypatch, entry):
+        """A rank program that blocks forever with no fault armed: the
+        drained heap kicks the world and the bug surfaces as
+        InternalError 14 from either entry point - no hang, no bare
+        RuntimeError."""
+        import repro
+
+        def blocks_forever(state, *args):
+            yield state.ctx.env.event()  # nobody will ever trigger it
+
+        self._plant_rank_program(monkeypatch, blocks_forever)
+        graph = GraphSpec(kind="uniform", n=8, seed=0).build()
+        kw = dict(variant="async", block_size=4, n_nodes=1, ranks_per_node=2,
+                  fault_plan=())
+        if entry == "solve":
+            with pytest.raises(InternalError) as info:
+                repro.solve(graph, **kw)
+        else:
+            handle = repro.submit(graph, **kw)
+            report = handle.wait()
+            assert report.status == "failed" and report.exit_code == 14
+            with pytest.raises(InternalError) as info:
+                handle.result()
+        assert info.value.original_type == "RuntimeError"
+        assert "did not complete cleanly" in str(info.value)
+
 
 # ---------------------------------------------------------------------------
 # CLI
