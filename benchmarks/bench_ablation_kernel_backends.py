@@ -16,10 +16,14 @@ arithmetic).  The ``cnative`` micro-kernel is therefore also timed
 *kernel-only* - one pre-marshalled grid call over many tiles - at the
 tile widths the end-to-end benchmark runs, beside the same unit's
 remainder loop alone (tiles one row short of a micro-tile, which the
-micro-kernel cannot take).  That pair is the guard on the micro-tile
-shape: the autovectorizer has turned a well-chosen-looking shape into a
-2.7 GF/s kernel before (docs/KERNELS.md §2), and only a measurement
-notices.
+micro-kernel cannot take), for the float64 and the float32 unit.  That
+pair is the guard on the micro-tile shape and on the width it is
+emitted at: the autovectorizer has turned a well-chosen-looking shape
+into a 2.7 GF/s kernel before, and a compiler that emits the AVX-512
+row at 256 bits spills its accumulators and runs it at remainder-loop
+speed (docs/KERNELS.md §2).  Only a measurement notices either, so
+``test_micro_tile_guard`` - the one test here that needs no
+pytest-benchmark, run by CI's ``kernels`` job - asserts it.
 
 Outputs:
 
@@ -31,8 +35,8 @@ Outputs:
 The shape assertions are the acceptance criteria of the backend work:
 tiled >= reference at b=256, and - whenever a compiled-family backend
 is available - best available >= 20x reference at b=128 and the
-``cnative`` micro-kernel no slower than its own remainder loop at 16-
-and 32-wide tiles.
+``cnative`` micro-kernel ``GUARD_FLOOR`` times its own remainder loop
+at 16- and 32-wide tiles.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 from common import RESULTS_DIR, write_table
 
 from repro.semiring import MIN_PLUS, srgemm_flops
@@ -55,7 +60,14 @@ COMPILED_FAMILY = ("cnative",)
 #: Tile widths of the kernel-only micro-tile guard (the 16- and 32-wide
 #: tiles of the end-to-end workloads).
 GUARD_BLOCKS = (16, 32)
+GUARD_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 GUARD_REPEATS = 7
+#: Least micro-tile / remainder-loop ratio, by the unit's vector target.
+#: Float64 on the AVX-512 host of docs/KERNELS.md §2: a 512-bit build
+#: reads 2.53 / 2.67 at 16^3 / 32^3, a 256-bit one 1.23 / 1.11, an AVX2
+#: build 1.87 / 1.86 and a generic one 1.41 / 1.23, so the floor fails
+#: only a spilled or scalar tile.  The generic row need only not lose.
+GUARD_FLOOR = {"avx512f": 1.5, "avx2": 1.5, "generic": 1.0}
 
 
 def _bench_entry(backend, entry: str, b: int, rng: np.random.Generator) -> float:
@@ -74,17 +86,21 @@ def _bench_entry(backend, entry: str, b: int, rng: np.random.Generator) -> float
     return srgemm_flops(b, b, b) / best / 1e9
 
 
-def _kernel_only(unit, m: int, n: int, k: int, rng: np.random.Generator) -> float:
+def _kernel_only(unit, m: int, n: int, k: int, dtype, rng: np.random.Generator) -> float:
     """Best-of-GUARD_REPEATS GF/s of one ``cnative`` unit over a column
     of ``(m, n, k)`` tiles, addresses marshalled outside the clock.  The
     column cycles through a cache-resident set of tiles (128 KiB), so
     the clock holds arithmetic, not memory traffic; revisiting a tile
     is harmless here (⊕ is idempotent and the C loop is sequential)."""
     tiles = max(1, int(2e7 / srgemm_flops(m, n, k)))
-    distinct = max(1, min(tiles, (128 << 10) // (8 * (m * n + m * k))))
-    c = [rng.uniform(0.0, 10.0, (m, n)) for _ in range(distinct)]
-    a = [rng.uniform(0.0, 10.0, (m, k)) for _ in range(distinct)]
-    b = [rng.uniform(0.0, 10.0, (k, n))]
+    distinct = max(1, min(tiles, (128 << 10) // (dtype.itemsize * (m * n + m * k))))
+
+    def operand(shape):
+        return rng.uniform(0.0, 10.0, shape).astype(dtype)
+
+    c = [operand((m, n)) for _ in range(distinct)]
+    a = [operand((m, k)) for _ in range(distinct)]
+    b = [operand((k, n))]
     cycle = [i % distinct for i in range(tiles)]
     args = (
         _addresses([c[i] for i in cycle]), _addresses([a[i] for i in cycle]), _addresses(b),
@@ -99,15 +115,40 @@ def _kernel_only(unit, m: int, n: int, k: int, rng: np.random.Generator) -> floa
 
 
 def run_micro_tile_guard() -> dict:
-    """{b: (micro-kernel GF/s, remainder-loop GF/s)} for ``cnative``'s
-    (min,+) float64 unit at b x b x b, kernel-only."""
+    """{(dtype name, b): (target, micro-kernel GF/s, remainder-loop GF/s)}
+    for ``cnative``'s (min,+) units at b x b x b, kernel-only."""
     rng = np.random.default_rng(1)
-    unit = get_backend("cnative")._unit_for(MIN_PLUS, np.dtype(np.float64))
-    mr, _ = unit.micro_tile
-    return {
-        b: (_kernel_only(unit, b, b, b, rng), _kernel_only(unit, mr - 1, b, b, rng))
-        for b in GUARD_BLOCKS
-    }
+    backend = get_backend("cnative")
+    guard = {}
+    for dtype in GUARD_DTYPES:
+        unit = backend._unit_for(MIN_PLUS, dtype)
+        mr, _ = unit.micro_tile
+        for b in GUARD_BLOCKS:
+            guard[dtype.name, b] = (
+                unit.target,
+                _kernel_only(unit, b, b, b, dtype, rng),
+                _kernel_only(unit, mr - 1, b, b, dtype, rng),
+            )
+    return guard
+
+
+def assert_micro_tile_guard(guard: dict) -> None:
+    """A micro-tile the vectorizer mishandles, or emits at half the width
+    its accumulators were sized for, runs at (or below) the speed of the
+    plain loop it replaced."""
+    for (dtype, b), (target, micro, rest) in guard.items():
+        floor = GUARD_FLOOR[target]
+        assert micro >= floor * rest, (
+            f"cnative {dtype} micro-tile ({target}) runs {micro:.1f} GF/s at {b}^3, "
+            f"{micro / rest:.2f}x its own remainder loop ({rest:.1f} GF/s), under the "
+            f"{floor}x floor: check the emitted vector width and the _MICRO_TILES shape"
+        )
+
+
+def test_micro_tile_guard():
+    if "cnative" not in available_backends():
+        pytest.skip("cnative needs a C compiler")
+    assert_micro_tile_guard(run_micro_tile_guard())
 
 
 def run_sweep() -> dict:
@@ -143,9 +184,10 @@ def _write_json(rates: dict, guard: dict) -> None:
         )
         / rates[("reference", 256)],
         "cnative_kernel_only": {
-            str(b): {"micro_tile": micro, "remainder_loop": rest}
-            for b, (micro, rest) in guard.items()
+            f"{dtype}@{b}": {"target": target, "micro_tile": micro, "remainder_loop": rest}
+            for (dtype, b), (target, micro, rest) in guard.items()
         },
+        "cnative": get_backend("cnative").describe() if guard else None,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_kernels.json").write_text(
@@ -176,9 +218,10 @@ def test_ablation_kernel_backends(benchmark):
         ["block"] + [f"{n} GF/s" for n in names] + ["best/ref"],
         rows,
         chart="\n".join(
-            f"cnative kernel-only at {b}^3 (best of {GUARD_REPEATS}): micro-tile "
-            f"{micro:.1f} GF/s, remainder loop alone {rest:.1f} GF/s"
-            for b, (micro, rest) in guard.items()
+            f"cnative {dtype} kernel-only at {b}^3 (best of {GUARD_REPEATS}, {target}): "
+            f"micro-tile {micro:.1f} GF/s, remainder loop alone {rest:.1f} GF/s "
+            f"({micro / rest:.2f}x, floor {GUARD_FLOOR[target]}x)"
+            for (dtype, b), (target, micro, rest) in guard.items()
         ),
     )
     _write_json(rates, guard)
@@ -199,10 +242,4 @@ def test_ablation_kernel_backends(benchmark):
             f"best available backend reached only "
             f"{best / rates[('reference', 128)]:.1f}x reference at b=128"
         )
-    # Shape guard: a micro-tile the vectorizer mishandles runs *slower*
-    # than the plain loop it replaced.
-    for b, (micro, rest) in guard.items():
-        assert micro >= rest, (
-            f"cnative micro-tile runs {micro:.1f} GF/s at {b}^3, below its own "
-            f"remainder loop ({rest:.1f} GF/s): re-measure the _MICRO_TILES shape"
-        )
+    assert_micro_tile_guard(guard)

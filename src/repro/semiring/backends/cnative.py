@@ -20,11 +20,18 @@ accumulator is cut into ``MR x NR`` micro-tiles whose values live in a
 width the compiler cannot prove the accumulator fits the register file
 and re-loads/stores it on every ``t`` step (two loads and a store per
 add+select - the kernel this one replaced, 10 GF/s where this one
-measures 38).  The shape is picked inside the C unit from the
-compiler's own target macros (``_MICRO_TILES``: ``__AVX512F__`` /
-``__AVX2__`` / neither), so a 16-register host gets a tile that does
-not spill; there is nothing to set.  ``m % MR`` / ``n % NR`` edges run
-a plain ``i / t / j`` remainder loop.  DiagUpdate, PanelUpdate and
+measures 38 when its AVX-512 row is emitted at 512 bits).  The shape is
+picked inside the C unit from the compiler's own target macros
+(``_MICRO_TILES``: ``__AVX512F__`` / ``__AVX2__`` / neither), so a
+16-register host gets a tile that does not spill; there is nothing to
+set.  A target macro says what the host *can* run, not the width the
+compiler *emits*: gcc's default for most AVX-512 targets is 256-bit
+vectors, which turns the 16 zmm accumulators of the 8x16 tile into 32
+ymm that spill (remainder-loop speed, 14 GF/s).  So the tuned rung of
+the flag ladder (``_RUNGS``) pins ``-mprefer-vector-width=512``; on an
+AVX2 or older target that preference is capped at what the ISA has,
+which is the width its row is sized for.  ``m % MR`` / ``n % NR`` edges
+run a plain ``i / t / j`` remainder loop.  DiagUpdate, PanelUpdate and
 OuterUpdate products are all this one body; the phase entries of the
 waist reach it through ``srgemm_accumulate``.
 
@@ -42,15 +49,21 @@ A unit is a few ``#define`` lines (element type, ``⊗``, ``⊕``'s
 comparison, the micro-tile ladder) in front of one shared body, and
 exports ``srgemm_tile``, ``srgemm_grid`` (the tile kernel looped over a
 grid of independent tiles *inside C*: a rank's whole OuterUpdate is one
-ctypes call), ``srgemm_closure`` (DiagUpdate's Floyd-Warshall k-loop)
-and ``srgemm_target`` (which rung of the ladder the compiler took).
+ctypes call), ``srgemm_closure`` (DiagUpdate's Floyd-Warshall k-loop),
+``srgemm_target`` (which row of the micro-tile ladder the compiler took)
+and ``srgemm_rung`` (the flags it was built with).
 It is generated, hashed, compiled and bound the first time its pair is
 asked for, as
 ``$REPRO_CNATIVE_CACHE/srgemm-<semiring>-<f64|f32>-<hash>.so`` (default
 directory: per-user, under the system temp dir).  A process pays for
 the pairs it runs - a (min,+) float64 solve compiles one kernel
-(0.17 s), not eight (0.54 s) - and an object built from another kernel
-text is never reused, because the text names the file.
+(0.17 s), not eight (0.54 s).  The hash covers everything the object
+is a function of: the unit's text, the flag ladder, and one preprocessor
+probe of the compiler (``__VERSION__``, every ISA macro, the resolved
+``-march``), run once per backend.  An object built from another text,
+with other flags, by another compiler or for another CPU is never
+reused: in a cache shared between hosts a foreign-ISA object would be a
+SIGILL, not a fallback.
 
 Concurrency rule: the source goes to the compiler on stdin and the
 object is written to a ``mkstemp`` name in the cache directory, then
@@ -115,22 +128,44 @@ _DTYPES = {
 }
 
 #: ``MR x NR`` micro-tile per vector target (first defined macro wins;
-#: None = neither) and dtype suffix.  In every entry the ``MR * NR``
-#: accumulators take exactly half the target's vector registers (16 of
-#: 32 zmm, 8 of 16 ymm / xmm), leaving room for the ``B`` segment, the
+#: None = neither), with the vector width in bits it is sized for, by
+#: dtype suffix.  In every entry the ``MR * NR`` accumulators take
+#: exactly half the target's vector registers at that width (16 of 32
+#: zmm, 8 of 16 ymm / xmm), leaving room for the ``B`` segment, the
 #: broadcast and the candidate, and every shape gives full micro-tiles
 #: at the tile widths the benchmark runs (16, 32, 128).  Chosen by
 #: measurement (docs/KERNELS.md §2) and guarded by
 #: ``benchmarks/bench_ablation_kernel_backends.py``.
 _MICRO_TILES = (
-    ("__AVX512F__", "avx512f", {"f64": (8, 16), "f32": (16, 16)}),
-    ("__AVX2__", "avx2", {"f64": (4, 8), "f32": (4, 16)}),
-    (None, "generic", {"f64": (4, 4), "f32": (4, 8)}),
+    ("__AVX512F__", "avx512f", 512, {"f64": (8, 16), "f32": (16, 16)}),
+    ("__AVX2__", "avx2", 256, {"f64": (4, 8), "f32": (4, 16)}),
+    (None, "generic", 128, {"f64": (4, 4), "f32": (4, 8)}),
 )
 
+#: Preferred-width flag of the tuned rung: without it gcc emits the
+#: AVX-512 row at 256 bits, twice the registers its micro-tile fits.
+_WIDTH_FLAG = "-mprefer-vector-width=512"
+
+#: The compiler flag ladder, tuned first; each rung is tried once, in
+#: order, until one compiles.  A compiler that refuses the width flag
+#: (gcc off x86) drops it; one that refuses tuning gets the portable rung.
+_RUNGS = (
+    ("-march=native", _WIDTH_FLAG, "-fopenmp-simd"),
+    ("-march=native", "-fopenmp-simd"),
+    (),
+)
+
+#: Flags of the target probe: the ones every tuned rung has (the width
+#: preference defines no macro), so the probe names the ISA of whichever
+#: tuned rung compiles, and a compiler that refuses them can only build
+#: the portable rung.
+_PROBE_FLAGS = _RUNGS[1]
+
 _C_BODY = r"""
-/* The vector target the micro-tile ladder resolved to. */
+/* The vector target the micro-tile ladder resolved to, and the flags
+   (the rung of the flag ladder) the unit was compiled with. */
 const char *srgemm_target(void) { return SRGEMM_TARGET; }
+const char *srgemm_rung(void) { return SRGEMM_RUNG; }
 
 #define SELECT(cand, cur) (((cand) BETTER (cur)) ? (cand) : (cur))
 
@@ -244,7 +279,7 @@ def _unit_source(semiring_name: str, dtype: np.dtype) -> str:
     times, better = _SEMIRING_OPS[semiring_name]
     suffix, c_type = _DTYPES[dtype]
     lines = [f"#define T {c_type}", f"#define CAND {times}", f"#define BETTER {better}"]
-    for i, (macro, target, shapes) in enumerate(_MICRO_TILES):
+    for i, (macro, target, _, shapes) in enumerate(_MICRO_TILES):
         mr, nr = shapes[suffix]
         guard = "#else" if macro is None else f"#{'elif' if i else 'if'} defined({macro})"
         lines += [guard, f'#define SRGEMM_TARGET "{target}"', f"#define MR {mr}", f"#define NR {nr}"]
@@ -259,20 +294,35 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-cnative-{os.getuid()}")
 
 
-def _unit_name(semiring_name: str, dtype: np.dtype, source: str) -> str:
-    """File name of a pair's shared object.  Named by source hash: the
-    cache may outlive a kernel text, and an object built from another
-    text is not this kernel."""
-    tag = hashlib.sha256(source.encode()).hexdigest()[:12]
+def _target_probe(cc: str) -> str:
+    """What ``cc`` makes of the tuned flags: the predefined macros of an
+    empty unit (``cc -dM -E``: ``__VERSION__``, every ISA macro, the
+    resolved ``-march`` such as ``__sapphirerapids__``), or its complaint
+    if it refuses them.  About 9 ms; part of every object's name."""
+    proc = subprocess.run(
+        [cc, *_PROBE_FLAGS, "-dM", "-E", "-x", "c", "-"],
+        input="", capture_output=True, text=True,
+    )
+    return f"{proc.returncode}\n{proc.stdout}{proc.stderr}"
+
+
+def _unit_name(semiring_name: str, dtype: np.dtype, source: str, probe: str) -> str:
+    """File name of a pair's shared object, hashed from everything the
+    object is a function of: the unit's text, the flag ladder that builds
+    it and the compiler's target probe.  The cache may outlive a kernel
+    text or a compiler, and hosts may share it (an NFS home, a CI cache):
+    an object built any other way is not this kernel."""
+    key = "\0".join((source, repr(_RUNGS), probe))
+    tag = hashlib.sha256(key.encode()).hexdigest()[:12]
     return f"srgemm-{semiring_name}-{_DTYPES[dtype][0]}-{tag}.so"
 
 
-def _compile_unit(cc: str, semiring_name: str, dtype: np.dtype) -> ctypes.CDLL:
+def _compile_unit(cc: str, probe: str, semiring_name: str, dtype: np.dtype) -> ctypes.CDLL:
     """Compile (or reuse) one pair's shared object and load it."""
     source = _unit_source(semiring_name, dtype)
     cache = _cache_dir()
     os.makedirs(cache, exist_ok=True)
-    lib_path = os.path.join(cache, _unit_name(semiring_name, dtype, source))
+    lib_path = os.path.join(cache, _unit_name(semiring_name, dtype, source, probe))
     if not os.path.exists(lib_path):
         # Concurrent cold starts share the directory: build under a name
         # no other process has, publish atomically, load only lib_path.
@@ -280,10 +330,10 @@ def _compile_unit(cc: str, semiring_name: str, dtype: np.dtype) -> ctypes.CDLL:
         os.close(fd)
         try:
             base = ["-O3", "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
-            # Tuned first; portable if the host compiler refuses a flag.
-            for flags in (["-march=native", "-fopenmp-simd"], []):
+            for flags in _RUNGS:
+                rung = f'-DSRGEMM_RUNG="{" ".join(flags)}"'  # what srgemm_rung() reports
                 proc = subprocess.run(
-                    [cc] + flags + base, input=source, capture_output=True, text=True
+                    [cc, *flags, rung, *base], input=source, capture_output=True, text=True
                 )
                 if proc.returncode == 0:
                     break
@@ -305,27 +355,41 @@ class _Unit(NamedTuple):
     grid: object  # (c[], a[], b[], nr, nc, m, n, k)
     closure: object  # (d, scratch[2n], n)
     target: str  # vector target the unit was compiled for
+    rung: str  # the flags it was compiled with
     micro_tile: tuple  # its (MR, NR)
 
 
-def _target_shapes(target: str) -> dict:
-    """``_MICRO_TILES``' shapes (by dtype suffix) for a target name."""
-    return next(shapes for _, name, shapes in _MICRO_TILES if name == target)
+def _target_row(target: str) -> tuple:
+    """``_MICRO_TILES``' (vector bits, shapes by dtype suffix) for a
+    target name."""
+    return next((bits, shapes) for _, name, bits, shapes in _MICRO_TILES if name == target)
+
+
+def _emitted_width(target: str, rung: str) -> str:
+    """The vector width a unit built for ``target`` by ``rung`` emits.
+    The width flag lifts the compiler's preference to 512 bits, capped
+    by the ISA, so with it the target row's own width is what is
+    emitted; without it, the width is the compiler's choice."""
+    if _WIDTH_FLAG in rung.split():
+        return f"{_target_row(target)[0]}-bit"
+    return "the compiler's preferred width"
 
 
 def _bind(lib: ctypes.CDLL, dtype: np.dtype) -> _Unit:
     try:
         tile, grid, closure = lib.srgemm_tile, lib.srgemm_grid, lib.srgemm_closure
-        target = lib.srgemm_target
+        target, rung = lib.srgemm_target, lib.srgemm_rung
     except AttributeError as exc:
         raise RuntimeError(f"cnative kernel library lacks a symbol: {exc}") from None
     tile.restype = grid.restype = closure.restype = None
     tile.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3
     grid.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 5
     closure.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long]
-    target.restype, target.argtypes = ctypes.c_char_p, []
+    for text in (target, rung):
+        text.restype, text.argtypes = ctypes.c_char_p, []
     name = target().decode()
-    return _Unit(tile, grid, closure, name, _target_shapes(name)[_DTYPES[dtype][0]])
+    shape = _target_row(name)[1][_DTYPES[dtype][0]]
+    return _Unit(tile, grid, closure, name, rung().decode(), shape)
 
 
 def _addresses(arrays) -> ctypes.Array:
@@ -352,6 +416,8 @@ class CNativeBackend(TiledBackend):
         )
         #: (semiring name, dtype) -> its bound unit, compiled on first use.
         self._units: dict[tuple, _Unit] = {}
+        #: ``_target_probe`` of ``cc``, run with the first unit asked for.
+        self._probe: Optional[str] = None
         #: Set by the first failed compile or bind: every pair then takes
         #: the tiled path, and ``cc`` is not spawned again.
         self._degraded = False
@@ -370,7 +436,9 @@ class CNativeBackend(TiledBackend):
         ):
             return None
         try:
-            unit = _bind(_compile_unit(self._cc, semiring.name, dtype), dtype)
+            if self._probe is None:
+                self._probe = _target_probe(self._cc)
+            unit = _bind(_compile_unit(self._cc, self._probe, semiring.name, dtype), dtype)
         except (OSError, RuntimeError) as exc:
             warnings.warn(
                 f"cnative kernel compilation failed ({exc}); "
@@ -484,15 +552,19 @@ class CNativeBackend(TiledBackend):
 
     def describe(self) -> str:
         cc = os.path.basename(self._cc) if self._cc else "none"
-        # The target is the compiler's choice, so it is read back from
-        # the default pair's unit (compiled here if nothing has yet).
+        # Target and rung are the compiler's choice, so they are read back
+        # from the default pair's unit (compiled here if nothing has yet).
         unit = self._unit_for(MIN_PLUS, np.dtype(np.float64))
         if unit is None:
             tiles = "micro-tile: none compiled"
         else:
-            tiles = "micro-tile: " + " ".join(
-                f"{suffix}={mr}x{nr}" for suffix, (mr, nr) in _target_shapes(unit.target).items()
-            ) + f" for {unit.target}"
+            shapes = " ".join(
+                f"{suffix}={mr}x{nr}" for suffix, (mr, nr) in _target_row(unit.target)[1].items()
+            )
+            tiles = (
+                f"micro-tile: {shapes} for {unit.target} at {_emitted_width(unit.target, unit.rung)} "
+                f"(rung: {unit.rung or 'portable, no tuning flags'})"
+            )
         return (
             f"system-cc compiled register-blocked C kernel (cc: {cc}, {tiles}); "
             f"{super().describe()}"

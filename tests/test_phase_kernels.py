@@ -19,6 +19,7 @@ fallback loop - the backend takes for a given set of operands.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -588,24 +589,56 @@ class TestCNativeKernelCache:
         _assert_tiles_equal(_tile_loop(backend, c_tiles, a_rows, b_cols, MIN_PLUS, "outer"), want, "")
 
     def test_object_of_another_kernel_text_is_not_reused(self, tmp_path, monkeypatch):
-        # The name every version before the source hash cached under, and
-        # this pair's name under another text's hash - both holding a
-        # library that lacks srgemm_grid: reusing either was an
-        # AttributeError.
+        # The name every version before the source hash cached under, this
+        # pair's name under another text's hash, and its name when the
+        # hash covered the text alone (an object built with other flags,
+        # or on another host sharing the cache) - all holding a library
+        # that lacks srgemm_grid: reusing any was an AttributeError.
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
-        self._build(self.TILE, tmp_path / "srgemm.so")
-        self._build(self.TILE, tmp_path / "srgemm-min_plus-f64-000000000000.so")
+        source = cnative_mod._unit_source(*self.MIN_PLUS_F64)
+        source_only = hashlib.sha256(source.encode()).hexdigest()[:12]
+        stale = ["srgemm.so", "srgemm-min_plus-f64-000000000000.so",
+                 f"srgemm-min_plus-f64-{source_only}.so"]
+        for name in stale:
+            self._build(self.TILE, tmp_path / name)
         backend = CNativeBackend()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self._exact(backend)
         assert list(backend._units) == [self.MIN_PLUS_F64]  # compiled its own object
-        assert len(list(tmp_path.glob("srgemm-min_plus-f64-*.so"))) == 2  # beside the stale one
+        assert len(list(tmp_path.glob("srgemm-min_plus-f64-*.so"))) == 3  # beside the stale ones
+
+    def test_name_covers_flags_and_compiler_target(self, monkeypatch):
+        source = cnative_mod._unit_source(*self.MIN_PLUS_F64)
+        cc = cnative_mod.find_c_compiler()
+        probe = cnative_mod._target_probe(cc)
+        assert "__VERSION__" in probe
+        assert cnative_mod._target_probe(cc) == probe  # else no process would hit the cache
+        name = cnative_mod._unit_name(*self.MIN_PLUS_F64, source, probe)
+        # Another CPU (or compiler) behind the same flags...
+        other_host = probe.replace("__VERSION__", "__VERSION_OF_ANOTHER_CC__")
+        assert cnative_mod._unit_name(*self.MIN_PLUS_F64, source, other_host) != name
+        # ...and the same compiler given another flag ladder.
+        monkeypatch.setattr(cnative_mod, "_RUNGS", cnative_mod._RUNGS[1:])
+        assert cnative_mod._unit_name(*self.MIN_PLUS_F64, source, probe) != name
+
+    def test_describe_names_the_emitted_width_and_rung(self):
+        tuned, untuned, portable = (" ".join(rung) for rung in cnative_mod._RUNGS)
+        width = cnative_mod._emitted_width
+        assert width("avx512f", tuned) == "512-bit"
+        assert width("avx2", tuned) == "256-bit"
+        assert width("avx512f", untuned) == width("generic", portable) == "the compiler's preferred width"
+        backend = get_backend("cnative")
+        unit = backend._unit_for(MIN_PLUS, np.dtype(np.float64))
+        assert unit.rung in (tuned, untuned, portable)
+        assert f"for {unit.target} at {width(unit.target, unit.rung)} (rung: " in backend.describe()
 
     def test_missing_symbol_degrades_to_tiled(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
         f64 = np.dtype(np.float64)
-        name = cnative_mod._unit_name("min_plus", f64, cnative_mod._unit_source("min_plus", f64))
+        probe = cnative_mod._target_probe(cnative_mod.find_c_compiler())
+        name = cnative_mod._unit_name(
+            "min_plus", f64, cnative_mod._unit_source("min_plus", f64), probe)
         self._build(self.TILE, tmp_path / name)
         backend = CNativeBackend()
         with pytest.warns(RuntimeWarning, match="lacks a symbol"):
@@ -634,7 +667,7 @@ class TestCNativeKernelCache:
         assert self._cached(tmp_path) == ["srgemm-max_min-f32", "srgemm-min_plus-f64"]
         assert set(backend._units) == {self.MIN_PLUS_F64, ("max_min", np.dtype(np.float32))}
 
-    def test_failed_compile_warns_once_and_spawns_cc_once(self, tmp_path, monkeypatch):
+    def test_failed_compile_warns_once_never_spawns_again(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
         spawned = []
         run = subprocess.run
@@ -647,13 +680,21 @@ class TestCNativeKernelCache:
         backend = CNativeBackend()
         with pytest.warns(RuntimeWarning, match="compile failed") as caught:
             self._exact(backend)
+            first_pair = len(spawned)
             # Another pair: degraded already, so no second warning or spawn.
             a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
             want = get_backend("reference").srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
             got = backend.srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
             np.testing.assert_array_equal(got, want)
         assert len(caught) == 1
-        assert len(spawned) == 2  # one compile: the tuned rung, then the portable one
+        assert len(spawned) == first_pair
+        probes = [cmd for cmd in spawned if "-dM" in cmd]
+        compiles = [cmd for cmd in spawned if "-dM" not in cmd]
+        assert len(probes) <= 1
+        # Each rung of the ladder once, tuned first.
+        rungs = cnative_mod._RUNGS
+        assert len(compiles) == len(rungs)
+        assert [tuple(cmd[1 : 1 + len(rung)]) for cmd, rung in zip(compiles, rungs)] == list(rungs)
         assert list(tmp_path.iterdir()) == []  # the temporary is cleaned up
 
     def test_concurrent_cold_starts_all_load_the_native_kernel(self, tmp_path):
