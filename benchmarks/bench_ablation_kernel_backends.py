@@ -50,7 +50,7 @@ from common import RESULTS_DIR, write_table
 
 from repro.semiring import MIN_PLUS, srgemm_flops
 from repro.semiring.backends import available_backends, get_backend
-from repro.semiring.backends.cnative import _addresses
+from repro.semiring.backends.cnative import _pointers
 
 BLOCKS = (16, 32, 64, 128, 256)
 REPEATS = 3
@@ -102,10 +102,12 @@ def _kernel_only(unit, m: int, n: int, k: int, dtype, rng: np.random.Generator) 
     a = [operand((m, k)) for _ in range(distinct)]
     b = [operand((k, n))]
     cycle = [i % distinct for i in range(tiles)]
-    args = (
-        _addresses([c[i] for i in cycle]), _addresses([a[i] for i in cycle]), _addresses(b),
-        tiles, 1, m, n, k,
+    pointers = (  # kept referenced across the timed calls
+        _pointers([c[i] for i in cycle], (m, n), dtype),
+        _pointers([a[i] for i in cycle], (m, k), dtype),
+        _pointers(b, (k, n), dtype),
     )
+    args = (*(ptrs.ctypes.data for ptrs in pointers), tiles, 1, m, n, k)
     best = float("inf")
     for _ in range(GUARD_REPEATS + 1):  # the first pass warms the cache
         t0 = time.perf_counter()

@@ -48,6 +48,7 @@ __all__ = [
     "Op",
     "diag_update",
     "diag_bcast",
+    "panel_grid",
     "panel_update_row",
     "panel_update_col",
     "panel_bcast",
@@ -105,6 +106,11 @@ class FwContext:
         #: happens once, here, so every rank program and the offload
         #: pipeline agree on one kernel).
         self.backend: KernelBackend = get_backend(plan.config.kernel_backend)
+        # The byte budget is configuration too: a malformed
+        # $REPRO_SRGEMM_BYTE_BUDGET is a ConfigurationError here, whether
+        # or not this backend's kernels ever read it (cnative's grids and
+        # panel grids do not).
+        self.backend.resolved_byte_budget()
         #: Fault-injection runtime
         #: (:class:`~repro.faults.injector.FaultRuntime`) when the run
         #: is armed; None keeps every hook on its zero-cost path.
@@ -303,11 +309,27 @@ def diag_bcast(state: RankState, k: int, diag: Optional[np.ndarray]):
     return got
 
 
+def panel_grid(ctx: FwContext, panels: list, diag: np.ndarray, axis: str) -> None:
+    """PanelUpdate numerics over a rank's panel blocks as **one** grid
+    product in the panel phase: ``P ← P ⊕ D ⊗ S`` along the pivot row
+    (``axis="row"``, a 1 x n grid) or ``P ← P ⊕ S ⊗ D`` down the pivot
+    column (n x 1).  Each block is both accumulator and operand, so the
+    caller's one copy ``S`` of each is the alias-free operand - the
+    product ``TiledBackend.panel_row_update`` / ``_col_update`` computes
+    per block, through the same tile kernel."""
+    snaps = [p.copy() for p in panels]
+    sr = ctx.semiring
+    if axis == "row":
+        ctx.backend.srgemm_grid([panels], [diag], snaps, semiring=sr, phase="panel")
+    else:
+        ctx.backend.srgemm_grid([[p] for p in panels], snaps, [diag], semiring=sr, phase="panel")
+
+
 def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Event]:
     """Enqueue PanelUpdate of the k-th block row on this rank:
     ``A(k,j) ← A(k,j) ⊕ A(k,k) ⊗ A(k,j)`` for all local j ≠ k, as one
-    aggregated wide kernel.  Returns the completion event (None if no
-    local blocks)."""
+    aggregated wide kernel (one :func:`panel_grid` call).  Returns the
+    completion event (None if no local blocks)."""
     ctx = state.ctx
     cols = state.local_cols(exclude=(k,))
     if ctx.config.exploit_sparsity:
@@ -329,10 +351,7 @@ def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
     else:
 
         def fn():
-            for j in cols:
-                # The block is both accumulator and right operand; the
-                # backend owns the aliasing snapshot.
-                ctx.backend.panel_row_update(state.blocks[(k, j)], diag, semiring=ctx.semiring)
+            panel_grid(ctx, [state.blocks[(k, j)] for j in cols], diag, "row")
 
     return state.stream.kernel(
         b,
@@ -346,7 +365,8 @@ def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
 
 def panel_update_col(state: RankState, k: int, diag: np.ndarray) -> Optional[Event]:
     """Enqueue PanelUpdate of the k-th block column:
-    ``A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)`` for all local i ≠ k."""
+    ``A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)`` for all local i ≠ k, as one
+    aggregated wide kernel."""
     ctx = state.ctx
     rows = state.local_rows(exclude=(k,))
     if ctx.config.exploit_sparsity:
@@ -368,8 +388,7 @@ def panel_update_col(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
     else:
 
         def fn():
-            for i in rows:
-                ctx.backend.panel_col_update(state.blocks[(i, k)], diag, semiring=ctx.semiring)
+            panel_grid(ctx, [state.blocks[(i, k)] for i in rows], diag, "col")
 
     return state.stream.kernel(
         b * len(rows),

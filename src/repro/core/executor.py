@@ -40,6 +40,7 @@ from .context import (
     maybe,
     outer_update,
     panel_bcast,
+    panel_grid,
     panel_update_col,
     panel_update_row,
 )
@@ -188,8 +189,7 @@ def _staged_panel_update(state: RankState, k: int, axis: ir.Axis, diag: np.ndarr
         s.h2d(b, b * len(idxs), label=f"h2d:rowpanel{k}")
 
         def fn():
-            for j in idxs:
-                ctx.backend.panel_row_update(state.blocks[(k, j)], diag, semiring=ctx.semiring)
+            panel_grid(ctx, [state.blocks[(k, j)] for j in idxs], diag, "row")
 
         m, n = b, b * len(idxs)
         label = f"PanelUpdateRow({k})"
@@ -197,8 +197,7 @@ def _staged_panel_update(state: RankState, k: int, axis: ir.Axis, diag: np.ndarr
         s.h2d(b * len(idxs), b, label=f"h2d:colpanel{k}")
 
         def fn():
-            for i in idxs:
-                ctx.backend.panel_col_update(state.blocks[(i, k)], diag, semiring=ctx.semiring)
+            panel_grid(ctx, [state.blocks[(i, k)] for i in idxs], diag, "col")
 
         m, n = b * len(idxs), b
         label = f"PanelUpdateCol({k})"

@@ -155,18 +155,6 @@ class MeteredBackend(KernelBackend):
             self.inner.srgemm_grid, c_tiles, a_rows, b_cols, semiring=semiring, phase=phase
         )
 
-    def panel_row_update(
-        self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
-    ) -> np.ndarray:
-        self._count("panel_update", panel.shape[0], panel.shape[1], diag.shape[1])
-        return self._timed(self.inner.panel_row_update, panel, diag, semiring=semiring)
-
-    def panel_col_update(
-        self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
-    ) -> np.ndarray:
-        self._count("panel_update", panel.shape[0], panel.shape[1], diag.shape[0])
-        return self._timed(self.inner.panel_col_update, panel, diag, semiring=semiring)
-
     def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
         """Forwarded so the inner backend's native closure survives
         metering; the closure is not a product, so no flop family

@@ -62,6 +62,37 @@ any tile, and tiles must be pairwise disjoint.  That disjointness, plus
 the exactness of a comparison ⊕, is why the order tiles are visited in
 cannot change the result.
 
+Guard entries
+-------------
+The ABFT guard (:mod:`repro.verify`) checks a grid product by
+``⊕``-checksums, and both of its array passes are on the waist so a
+backend can run them natively:
+
+* ``tile_sums(tiles, snapshot=...)`` - the stacked row and column
+  ``⊕``-sums of uniform tiles, plus (on request) a stacked copy of them,
+  the guard's repair pre-image;
+* ``predict_sums(pre, a_rows, b_cols)`` - the sums every tile of
+  ``C[i][j] ⊕ A[i] ⊗ B[j]`` must have, from the pre-op sums, without
+  forming the product (why that is exact: :mod:`repro.verify.checksums`).
+
+The defaults are the NumPy formulation (:func:`stack_checksums`,
+:func:`predicted_accumulate_grid`); predictions run at the backend's
+``compute_dtype``, as its kernels do.  An override must return values
+equal (``==``) to the defaults': a comparison ``⊕`` only ever picks one
+of its operands, so any reduction order gives them.
+
+Operand lists
+-------------
+A caller that hands one list of arrays to several entries in a row -
+the guard, within one band: the tiles to ``tile_sums``, ``srgemm_grid``
+and ``tile_sums`` again, the operands to ``predict_sums`` and
+``srgemm_grid`` - may pass an :class:`OperandList` (for a grid's tiles,
+:meth:`OperandList.grid`).  A backend may keep what it derived from the
+list on it (``cnative``: the checked pointer array) and reuse it on the
+list's next visit.  The list lives no longer than that sequence of
+calls, so nothing is cached across them: a checkpoint restore that
+replaces block arrays cannot meet a stale pointer.
+
 Equivalence contract
 --------------------
 For float64 inputs a backend must match the reference backend
@@ -74,7 +105,7 @@ reduced-precision compute path advertises its tolerance via ``rtol``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,11 +114,18 @@ from .tuning import KernelTiling, kernel_byte_budget, tune_kernel_tiling
 
 __all__ = [
     "KernelBackend",
+    "OperandList",
     "GRID_PHASE_ENTRIES",
     "validate_pair",
     "validate_accumulate",
     "validate_grid",
+    "stack_tiles",
+    "stack_checksums",
+    "predicted_accumulate_grid",
 ]
+
+#: Stacked row and column ⊕-sums: ``(rows (T, m), cols (T, n))``.
+Sums = Tuple[np.ndarray, np.ndarray]
 
 #: ``phase`` of :meth:`KernelBackend.srgemm_grid` -> the per-tile entry
 #: the default implementation (and every fallback) loops over.
@@ -130,6 +168,89 @@ def validate_grid(c_tiles, a_rows, b_cols, phase: str) -> str:
                 f"grid row {i} has {len(c_row)} tiles for {len(b_cols)} column operands"
             )
     return entry
+
+
+class OperandList(list):
+    """A list of arrays its caller hands to several entries in a row and
+    leaves unchanged in between (see the module docs); ``bound`` is
+    whatever the last backend it visited kept on it."""
+
+    __slots__ = ("bound", "flat")
+
+    @classmethod
+    def grid(cls, c_tiles) -> "OperandList":
+        """A grid's rows of tiles, whose ``flat`` is its tiles in
+        row-major order - itself an operand list, so whatever a backend
+        keeps for the grid's tiles serves both forms."""
+        rows = cls(c_tiles)
+        rows.flat = cls(c for c_row in c_tiles for c in c_row)
+        return rows
+
+
+# -- the guard entries' NumPy formulation -------------------------------------
+def stack_tiles(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    """A fresh ``(T, *shape)`` copy of ``T`` arrays of one shape and
+    dtype (tiles, or their per-tile checksums)."""
+    return np.concatenate(arrs).reshape(len(arrs), *arrs[0].shape)
+
+
+def stack_checksums(stack: np.ndarray, semiring: Semiring) -> Sums:
+    """Row and column ⊕-sums of every tile of a ``(T, m, n)`` stack:
+    ``(rows (T, m), cols (T, n))``.  Reduces a tile-minor copy so both
+    reductions run over non-trailing axes (see
+    :func:`predicted_accumulate_grid`)."""
+    minor = np.ascontiguousarray(stack.transpose(1, 2, 0))  # (m, n, T)
+    rows = semiring.plus_reduce(minor, axis=1)  # (m, T)
+    cols = semiring.plus_reduce(minor, axis=0)  # (n, T)
+    return np.ascontiguousarray(rows.T), np.ascontiguousarray(cols.T)
+
+
+def _cast(arr: np.ndarray, compute_dtype: Optional[np.dtype]) -> np.ndarray:
+    # Mirror of TiledBackend._cast: only float operands are narrowed.
+    if compute_dtype is None:
+        return arr
+    dt = np.dtype(compute_dtype)
+    if arr.dtype.kind == "f" and arr.dtype != dt:
+        return arr.astype(dt)
+    return arr
+
+
+def predicted_accumulate_grid(
+    pre: Sums,
+    a: np.ndarray,
+    b: np.ndarray,
+    semiring: Semiring,
+    compute_dtype: Optional[np.dtype] = None,
+) -> Sums:
+    """Checksums of every tile ``C[i][j] ⊕ A[i] ⊗ B[j]`` of an
+    ``nr × nc`` grid, from the stacked operands ``a`` ``(nr, m, k)`` and
+    ``b`` ``(nc, k, n)`` and the tiles' stacked pre-op checksums ``pre``
+    = ``(rows (nr·nc, m), cols (nr·nc, n))``, tiles in row-major order.
+
+    ``rowsum(B[j])`` is shared by every tile of column ``j`` and
+    ``colsum(A[i])`` by every tile of row ``i``, so the whole grid costs
+    two skinny ``⊗``-products - the checksum-augmented product of
+    classical ABFT.  Operands are cast to ``compute_dtype`` exactly as a
+    reduced-precision backend casts them.  ``k`` leads the product
+    temporaries: NumPy reduces a leading axis in one vectorised sweep, a
+    short trailing one row by row."""
+    pre_row, pre_col = pre
+    if a.shape[2] == 0:
+        return pre_row.copy(), pre_col.copy()
+    a_k = np.ascontiguousarray(_cast(a, compute_dtype).transpose(2, 0, 1))  # (k, nr, m)
+    b_k = np.ascontiguousarray(_cast(b, compute_dtype).transpose(1, 0, 2))  # (k, nc, n)
+    c_a = semiring.plus_reduce(a_k, axis=2)  # (k, nr): colsum(A[i])
+    r_b = semiring.plus_reduce(b_k, axis=2)  # (k, nc): rowsum(B[j])
+    prod_row = semiring.plus_reduce(
+        semiring.times(a_k[:, :, None, :], r_b[:, None, :, None]), axis=0
+    )  # (nr, nc, m)
+    prod_col = semiring.plus_reduce(
+        semiring.times(c_a[:, :, None, None], b_k[:, None, :, :]), axis=0
+    )  # (nr, nc, n)
+    return (
+        semiring.plus(pre_row, prod_row.reshape(pre_row.shape)),
+        semiring.plus(pre_col, prod_col.reshape(pre_col.shape)),
+    )
 
 
 class KernelBackend:
@@ -310,6 +431,35 @@ class KernelBackend:
         from ..closure import fw_inplace  # closure imports the registry
 
         return fw_inplace(blk, semiring=semiring)
+
+    # -- guard entries -------------------------------------------------------
+    def tile_sums(
+        self,
+        tiles: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+        snapshot: bool = False,
+    ) -> Tuple[Optional[np.ndarray], Sums]:
+        """``(snap, (rows (T, m), cols (T, n)))``: the row and column
+        ⊕-sums of ``T`` non-empty 2-D tiles of one shape and dtype, and,
+        when ``snapshot`` is set, a fresh ``(T, m, n)`` copy of them
+        (else ``snap`` is None)."""
+        stack = stack_tiles(tiles)
+        return (stack if snapshot else None), stack_checksums(stack, semiring)
+
+    def predict_sums(
+        self,
+        pre: Sums,
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+    ) -> Sums:
+        """The :meth:`tile_sums` every tile of ``C[i][j] ⊕ A[i] ⊗ B[j]``
+        must have after this backend's grid product, from the tiles'
+        pre-op sums ``pre`` (tiles in row-major order); row and column
+        operands are each of one shape and dtype."""
+        return predicted_accumulate_grid(
+            pre, stack_tiles(a_rows), stack_tiles(b_cols), semiring, self.compute_dtype
+        )
 
     # -- path tracking -------------------------------------------------------
     def srgemm_accumulate_paths(

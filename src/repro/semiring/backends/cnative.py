@@ -65,6 +65,16 @@ with other flags, by another compiler or for another CPU is never
 reused: in a cache shared between hosts a foreign-ISA object would be a
 SIGILL, not a fallback.
 
+The ABFT guard's two passes (``tile_sums`` / ``predict_sums`` on the
+waist) come from a second unit per pair, ``guard-<semiring>-<f64|f32>-
+<hash>.so`` (``guard_sums``, ``guard_predict``): the same ``#define``
+lines in front of its own body, built by the same machinery at ``-O1``
+(its ``omp simd`` loops run as fast as at ``-O3``, and it compiles in
+60 % of the time) and only when a checksummed run first asks for it, so the
+kernel units' text - and every unarmed compile - is what it was without
+it.  It reads tiles in place through a pointer array and writes the
+repair snapshot in the pass that takes the pre-op sums.
+
 Concurrency rule: the source goes to the compiler on stdin and the
 object is written to a ``mkstemp`` name in the cache directory, then
 ``os.replace``d onto the final name; only the final name is ever
@@ -87,7 +97,8 @@ Correctness notes:
 * Only the four comparison-⊕ semirings on float32/float64 are
   compiled; anything else - and everything, after a failed compile or a
   loaded object that lacks a symbol, which warn once - takes the tiled
-  NumPy path, so the backend is total over ``SEMIRINGS``.
+  NumPy path (the guard: the NumPy entries), so the backend is total
+  over ``SEMIRINGS``.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..minplus import MIN_PLUS, Semiring
-from .base import validate_accumulate, validate_grid
+from .base import OperandList, validate_accumulate, validate_grid
 from .tiled import TiledBackend
 
 __all__ = ["CNativeBackend", "find_c_compiler", "ENV_CNATIVE_CACHE"]
@@ -265,6 +276,96 @@ void srgemm_closure(void *restrict dv, void *restrict scratch, long n) {
 """
 
 
+_GUARD_BODY = r"""
+#include <string.h>
+
+#define SELECT(cand, cur) (((cand) BETTER (cur)) ? (cand) : (cur))
+
+/* rows[t*m + i] = (+)_j tile_t[i, j] and cols[t*n + j] = (+)_i tile_t[i, j]
+   for count C-contiguous m x n tiles, read in place; with snap not NULL
+   each tile is also copied to snap + t*m*n in the same pass. */
+void guard_sums(const void *const *tiles, long count, long m, long n,
+                void *snapv, void *rowsv, void *colsv) {
+    T *snap = snapv, *rows = rowsv, *cols = colsv;
+    for (long t = 0; t < count; t++) {
+        const T *restrict tile = tiles[t];
+        T *restrict row = rows + t * m;
+        T *restrict col = cols + t * n;
+        if (snap) memcpy(snap + t * m * n, tile, (size_t)(m * n) * sizeof(T));
+        for (long j = 0; j < n; j++) col[j] = tile[j];
+        for (long i = 0; i < m; i++) {
+            const T *restrict src = tile + i * n;
+            #pragma omp simd
+            for (long j = 0; j < n; j++) col[j] = SELECT(src[j], col[j]);
+            T acc = src[0];
+            for (long j = 1; j < n; j++) acc = SELECT(src[j], acc);
+            row[i] = acc;
+        }
+    }
+}
+
+/* out[q] = out[q] (+) x (x) v[q] for q < len: one step of a prediction
+   (both use it: (x) commutes in every compiled semiring).  Out of line,
+   so the unit has one vectorized loop body to compile, not two. */
+static __attribute__((noinline)) void fold(T *restrict out, const T *restrict v, T x, long len) {
+    #pragma omp simd
+    for (long q = 0; q < len; q++) {
+        T y = v[q];
+        T cand = (CAND);
+        out[q] = SELECT(cand, out[q]);
+    }
+}
+
+/* Predicted sums of c[i][j] (+)= a[i] (x) b[j] over an nr x nc grid of
+   (m, n, k) tiles, tile t = i*nc + j, from their pre-op sums:
+     rows[t*m + r] = pre_rows[t*m + r] (+) (+)_s a[i][r, s] (x) rowsum(b[j])[s]
+     cols[t*n + q] = pre_cols[t*n + q] (+) (+)_s colsum(a[i])[s] (x) b[j][s, q]
+   scratch holds nr*k*(m + 1) + nc*k elements: each a[i] transposed (the
+   row prediction then runs along contiguous memory), the colsums of the
+   a[i] and the rowsums of the b[j]. */
+void guard_predict(const void *const *av, const void *const *bv, long nr, long nc,
+                   long m, long n, long k, const void *pre_rowsv, const void *pre_colsv,
+                   void *rowsv, void *colsv, void *scratch) {
+    const T *pre_rows = pre_rowsv, *pre_cols = pre_colsv;
+    T *rows = rowsv, *cols = colsv;
+    T *at = scratch;            /* nr x (k x m) */
+    T *ca = at + nr * k * m;    /* nr x k */
+    T *rb = ca + nr * k;        /* nc x k */
+    for (long i = 0; i < nr; i++) {
+        const T *a = av[i];
+        for (long s = 0; s < k; s++) {
+            T acc = a[s];
+            for (long r = 0; r < m; r++) {
+                acc = SELECT(a[r * k + s], acc);
+                at[(i * k + s) * m + r] = a[r * k + s];
+            }
+            ca[i * k + s] = acc;
+        }
+    }
+    for (long j = 0; j < nc; j++) {
+        const T *b = bv[j];
+        for (long s = 0; s < k; s++) {
+            T acc = b[s * n];
+            for (long q = 1; q < n; q++) acc = SELECT(b[s * n + q], acc);
+            rb[j * k + s] = acc;
+        }
+    }
+    for (long i = 0; i < nr; i++) {
+        for (long j = 0; j < nc; j++) {
+            long t = i * nc + j;
+            T *row = rows + t * m, *col = cols + t * n;
+            for (long r = 0; r < m; r++) row[r] = pre_rows[t * m + r];
+            for (long q = 0; q < n; q++) col[q] = pre_cols[t * n + q];
+            for (long s = 0; s < k; s++) {
+                fold(row, at + (i * k + s) * m, rb[j * k + s], m);
+                fold(col, (const T *)bv[j] + s * n, ca[i * k + s], n);
+            }
+        }
+    }
+}
+"""
+
+
 def find_c_compiler() -> Optional[str]:
     """First usable C compiler on PATH, or None."""
     for cand in ("cc", "gcc", "clang"):
@@ -274,17 +375,35 @@ def find_c_compiler() -> Optional[str]:
     return None
 
 
+def _defines(semiring_name: str, dtype: np.dtype) -> list:
+    """The ``#define`` lines every unit of a pair opens with: element
+    type, ``⊗`` and ``⊕``'s comparison."""
+    times, better = _SEMIRING_OPS[semiring_name]
+    return [f"#define T {_DTYPES[dtype][1]}", f"#define CAND {times}", f"#define BETTER {better}"]
+
+
 def _unit_source(semiring_name: str, dtype: np.dtype) -> str:
     """The translation unit of one (semiring, dtype) pair."""
-    times, better = _SEMIRING_OPS[semiring_name]
-    suffix, c_type = _DTYPES[dtype]
-    lines = [f"#define T {c_type}", f"#define CAND {times}", f"#define BETTER {better}"]
+    suffix = _DTYPES[dtype][0]
+    lines = _defines(semiring_name, dtype)
     for i, (macro, target, _, shapes) in enumerate(_MICRO_TILES):
         mr, nr = shapes[suffix]
         guard = "#else" if macro is None else f"#{'elif' if i else 'if'} defined({macro})"
         lines += [guard, f'#define SRGEMM_TARGET "{target}"', f"#define MR {mr}", f"#define NR {nr}"]
     lines.append("#endif")
     return "\n".join(lines) + "\n" + _C_BODY
+
+
+def _guard_source(semiring_name: str, dtype: np.dtype) -> str:
+    """The guard unit of one (semiring, dtype) pair."""
+    return "\n".join(_defines(semiring_name, dtype)) + "\n" + _GUARD_BODY
+
+
+#: Unit kinds: file-name prefix -> (the text of a pair's unit, its
+#: optimization level).  The guard's loops are plain ``omp simd`` loops,
+#: as fast at ``-O1`` as at ``-O3``, where the unit compiles in 60 % of
+#: the time - a cost the first armed solve pays.
+_KINDS = {"srgemm": (_unit_source, "-O3"), "guard": (_guard_source, "-O1")}
 
 
 def _cache_dir() -> str:
@@ -306,7 +425,9 @@ def _target_probe(cc: str) -> str:
     return f"{proc.returncode}\n{proc.stdout}{proc.stderr}"
 
 
-def _unit_name(semiring_name: str, dtype: np.dtype, source: str, probe: str) -> str:
+def _unit_name(
+    semiring_name: str, dtype: np.dtype, source: str, probe: str, kind: str = "srgemm"
+) -> str:
     """File name of a pair's shared object, hashed from everything the
     object is a function of: the unit's text, the flag ladder that builds
     it and the compiler's target probe.  The cache may outlive a kernel
@@ -314,22 +435,25 @@ def _unit_name(semiring_name: str, dtype: np.dtype, source: str, probe: str) -> 
     an object built any other way is not this kernel."""
     key = "\0".join((source, repr(_RUNGS), probe))
     tag = hashlib.sha256(key.encode()).hexdigest()[:12]
-    return f"srgemm-{semiring_name}-{_DTYPES[dtype][0]}-{tag}.so"
+    return f"{kind}-{semiring_name}-{_DTYPES[dtype][0]}-{tag}.so"
 
 
-def _compile_unit(cc: str, probe: str, semiring_name: str, dtype: np.dtype) -> ctypes.CDLL:
-    """Compile (or reuse) one pair's shared object and load it."""
-    source = _unit_source(semiring_name, dtype)
+def _compile_unit(
+    cc: str, probe: str, semiring_name: str, dtype: np.dtype, kind: str = "srgemm"
+) -> ctypes.CDLL:
+    """Compile (or reuse) one pair's shared object of ``kind`` and load it."""
+    unit_source, opt = _KINDS[kind]
+    source = unit_source(semiring_name, dtype)
     cache = _cache_dir()
     os.makedirs(cache, exist_ok=True)
-    lib_path = os.path.join(cache, _unit_name(semiring_name, dtype, source, probe))
+    lib_path = os.path.join(cache, _unit_name(semiring_name, dtype, source, probe, kind))
     if not os.path.exists(lib_path):
         # Concurrent cold starts share the directory: build under a name
         # no other process has, publish atomically, load only lib_path.
         fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".tmp")
         os.close(fd)
         try:
-            base = ["-O3", "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
+            base = [opt, "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
             for flags in _RUNGS:
                 rung = f'-DSRGEMM_RUNG="{" ".join(flags)}"'  # what srgemm_rung() reports
                 proc = subprocess.run(
@@ -338,7 +462,7 @@ def _compile_unit(cc: str, probe: str, semiring_name: str, dtype: np.dtype) -> c
                 if proc.returncode == 0:
                     break
             else:
-                raise RuntimeError(f"cnative kernel compile failed:\n{proc.stderr}")
+                raise RuntimeError(f"cnative {kind} unit compile failed:\n{proc.stderr}")
             os.replace(tmp_path, lib_path)
         finally:
             if os.path.exists(tmp_path):
@@ -392,15 +516,50 @@ def _bind(lib: ctypes.CDLL, dtype: np.dtype) -> _Unit:
     return _Unit(tile, grid, closure, name, rung().decode(), shape)
 
 
-def _addresses(arrays) -> ctypes.Array:
-    """``void *[]`` of the arrays' base addresses.  The caller has
-    checked every array is a ``carray`` (C-contiguous, aligned,
-    writeable - what the writable buffer export below needs) and keeps
-    it alive across the native call.  ``arr.ctypes.data`` would do but
-    builds a helper object per array: 1.0 us against 0.27 us here,
-    which is most of what a grid call spends per tile."""
+class _GuardUnit(NamedTuple):
+    """One pair's bound guard entries (addresses, as in :class:`_Unit`)."""
+
+    sums: object  # (tiles[], count, m, n, snap | NULL, rows, cols)
+    predict: object  # (a[], b[], nr, nc, m, n, k, pre_rows, pre_cols, rows, cols, scratch)
+
+
+def _bind_guard(lib: ctypes.CDLL, dtype: np.dtype) -> _GuardUnit:
+    try:
+        sums, predict = lib.guard_sums, lib.guard_predict
+    except AttributeError as exc:
+        raise RuntimeError(f"cnative guard library lacks a symbol: {exc}") from None
+    sums.restype = predict.restype = None
+    sums.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 3
+    predict.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 5 + [ctypes.c_void_p] * 5
+    return _GuardUnit(sums, predict)
+
+
+def _pointers(arrays, shape: tuple, dtype: np.dtype) -> Optional[np.ndarray]:
+    """The arrays' base addresses as the ``void *[]`` a unit takes (a
+    ``uintp`` array; pass its ``ctypes.data``), or None unless every
+    array is a ``carray`` (C-contiguous, aligned, writeable - what the
+    writable buffer export below needs) of ``shape`` and ``dtype``.  An
+    :class:`~.base.OperandList` keeps the result, and the next entry it
+    is handed to reuses it instead of checking and taking addresses
+    again.  ``arr.ctypes.data`` would do but builds a helper object per
+    array: 1.0 us against 0.27 us here, which is most of what a grid
+    call spends per tile."""
+    key = (shape, dtype)
+    bound = getattr(arrays, "bound", None)
+    if bound is not None and bound[0] == key:
+        return bound[1]
     addressof, from_buffer = ctypes.addressof, ctypes.c_char.from_buffer
-    return (ctypes.c_void_p * len(arrays))(*[addressof(from_buffer(arr)) for arr in arrays])
+    addrs = [
+        addressof(from_buffer(arr))
+        for arr in arrays
+        if arr.shape == shape and arr.dtype == dtype and arr.flags.carray
+    ]
+    if len(addrs) != len(arrays):
+        return None
+    ptrs = np.array(addrs, dtype=np.uintp)
+    if isinstance(arrays, OperandList):
+        arrays.bound = (key, ptrs)
+    return ptrs
 
 
 class CNativeBackend(TiledBackend):
@@ -416,16 +575,26 @@ class CNativeBackend(TiledBackend):
         )
         #: (semiring name, dtype) -> its bound unit, compiled on first use.
         self._units: dict[tuple, _Unit] = {}
+        #: (semiring name, dtype) -> its bound guard unit, compiled when a
+        #: checksummed run first asks for the pair's guard entries.
+        self._guards: dict[tuple, _GuardUnit] = {}
         #: ``_target_probe`` of ``cc``, run with the first unit asked for.
         self._probe: Optional[str] = None
-        #: Set by the first failed compile or bind: every pair then takes
-        #: the tiled path, and ``cc`` is not spawned again.
+        #: Set by the first failed compile or bind, of either kind: every
+        #: pair then takes the NumPy paths, and ``cc`` is not spawned again.
         self._degraded = False
 
     # -- lazy compile --------------------------------------------------------
     def _unit_for(self, semiring: Semiring, dtype: np.dtype) -> Optional[_Unit]:
-        """The C entries of a pair; None means "not covered"."""
-        unit = self._units.get((semiring.name, dtype))
+        """The C kernel entries of a pair; None means "not covered"."""
+        return self._load(self._units, "srgemm", _bind, semiring, dtype)
+
+    def _guard_for(self, semiring: Semiring, dtype: np.dtype) -> Optional[_GuardUnit]:
+        """The C guard entries of a pair; None means "not covered"."""
+        return self._load(self._guards, "guard", _bind_guard, semiring, dtype)
+
+    def _load(self, units: dict, kind: str, bind, semiring: Semiring, dtype: np.dtype):
+        unit = units.get((semiring.name, dtype))
         if unit is not None:
             return unit
         if (
@@ -438,17 +607,17 @@ class CNativeBackend(TiledBackend):
         try:
             if self._probe is None:
                 self._probe = _target_probe(self._cc)
-            unit = _bind(_compile_unit(self._cc, self._probe, semiring.name, dtype), dtype)
+            unit = bind(_compile_unit(self._cc, self._probe, semiring.name, dtype, kind), dtype)
         except (OSError, RuntimeError) as exc:
+            fallback = "the tiled NumPy path" if kind == "srgemm" else "the NumPy guard entries"
             warnings.warn(
-                f"cnative kernel compilation failed ({exc}); "
-                "falling back to the tiled NumPy path",
+                f"cnative {kind} unit compilation failed ({exc}); falling back to {fallback}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             self._degraded = True
             return None
-        self._units[semiring.name, dtype] = unit
+        units[semiring.name, dtype] = unit
         return unit
 
     # -- dispatch ------------------------------------------------------------
@@ -494,18 +663,21 @@ class CNativeBackend(TiledBackend):
         (m, k), n = a0.shape, b0.shape[1]
         if m == 0 or n == 0 or k == 0:
             return False
-        flat_tiles = [c for c_row in c_tiles for c in c_row]
-        for arrays, shape in ((a_rows, (m, k)), (b_cols, (k, n)), (flat_tiles, (m, n))):
-            for arr in arrays:
-                if arr.shape != shape or arr.dtype != dtype or not arr.flags.carray:
-                    return False
+        flat_tiles = getattr(c_tiles, "flat", None)
+        if flat_tiles is None:
+            flat_tiles = [c for c_row in c_tiles for c in c_row]
+        pointers = [
+            _pointers(a_rows, (m, k), dtype),
+            _pointers(b_cols, (k, n), dtype),
+            _pointers(flat_tiles, (m, n), dtype),
+        ]
+        if any(ptrs is None for ptrs in pointers):
+            return False
         unit = self._unit_for(semiring, dtype)
         if unit is None:
             return False
-        unit.grid(
-            _addresses(flat_tiles), _addresses(a_rows), _addresses(b_cols),
-            len(a_rows), len(b_cols), m, n, k,
-        )
+        a_ptrs, b_ptrs, c_ptrs = (ptrs.ctypes.data for ptrs in pointers)
+        unit.grid(c_ptrs, a_ptrs, b_ptrs, len(a_rows), len(b_cols), m, n, k)
         return True
 
     # The phase entries are inherited: each is ``srgemm_accumulate``, so
@@ -534,6 +706,60 @@ class CNativeBackend(TiledBackend):
         if self._native_grid(c_tiles, a_rows, b_cols, semiring):
             return c_tiles
         return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+
+    # -- guard entries -------------------------------------------------------
+    def tile_sums(
+        self,
+        tiles: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+        snapshot: bool = False,
+    ):
+        first = tiles[0]
+        dtype = first.dtype
+        covered = first.ndim == 2 and first.size > 0
+        ptrs = _pointers(tiles, first.shape, dtype) if covered else None
+        unit = self._guard_for(semiring, dtype) if ptrs is not None else None
+        if unit is None:
+            return super().tile_sums(tiles, semiring=semiring, snapshot=snapshot)
+        count, (m, n) = len(tiles), first.shape
+        snap = np.empty((count, m, n), dtype) if snapshot else None
+        rows, cols = np.empty((count, m), dtype), np.empty((count, n), dtype)
+        unit.sums(
+            ptrs.ctypes.data, count, m, n,
+            None if snap is None else snap.ctypes.data, rows.ctypes.data, cols.ctypes.data,
+        )
+        return snap, (rows, cols)
+
+    def predict_sums(
+        self,
+        pre,
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        semiring: Semiring = MIN_PLUS,
+    ):
+        a0, b0 = a_rows[0], b_cols[0]
+        dtype, nr, nc = a0.dtype, len(a_rows), len(b_cols)
+        unit = None
+        if a0.ndim == 2 and b0.ndim == 2 and a0.size > 0 and b0.size > 0:
+            (m, k), n = a0.shape, b0.shape[1]
+            a_ptrs = _pointers(a_rows, (m, k), dtype)
+            b_ptrs = _pointers(b_cols, (k, n), dtype)
+            pre_ok = all(
+                sums.shape == (nr * nc, width) and sums.dtype == dtype and sums.flags.carray
+                for sums, width in zip(pre, (m, n))
+            )
+            if a_ptrs is not None and b_ptrs is not None and pre_ok:
+                unit = self._guard_for(semiring, dtype)
+        if unit is None:
+            return super().predict_sums(pre, a_rows, b_cols, semiring=semiring)
+        rows, cols = np.empty((nr * nc, m), dtype), np.empty((nr * nc, n), dtype)
+        scratch = np.empty(nr * k * (m + 1) + nc * k, dtype)
+        unit.predict(
+            a_ptrs.ctypes.data, b_ptrs.ctypes.data, nr, nc, m, n, k,
+            pre[0].ctypes.data, pre[1].ctypes.data,
+            rows.ctypes.data, cols.ctypes.data, scratch.ctypes.data,
+        )
+        return rows, cols
 
     def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
         n = blk.shape[0]

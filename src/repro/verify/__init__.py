@@ -4,7 +4,8 @@ Three cooperating pieces (see docs/FAULTS.md for the math and the
 escalation ladder):
 
 - :mod:`repro.verify.checksums` — exact ``⊕``-checksum algebra for
-  SrGemm ops on comparison-``⊕`` semirings;
+  SrGemm ops on comparison-``⊕`` semirings (its stacked grid forms are
+  the kernel waist's guard entries, ``tile_sums`` / ``predict_sums``);
 - :mod:`repro.verify.runtime` — per-run verification state: tracked
   blocks, guarded kernels, localized repair, the monotonicity
   sentinel, deferred escalation, and the verification certificate;
@@ -18,7 +19,6 @@ from .checksums import (
     block_checksums,
     checksums_match,
     predicted_accumulate,
-    predicted_accumulate_grid,
     predicted_merge,
 )
 from .runtime import VERIFY_MODES, VerifyRuntime
@@ -30,6 +30,5 @@ __all__ = [
     "block_checksums",
     "checksums_match",
     "predicted_accumulate",
-    "predicted_accumulate_grid",
     "predicted_merge",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import SilentCorruptionError
 from ..semiring.backends import get_backend
-from ..semiring.backends.base import validate_grid
+from ..semiring.backends.base import OperandList, stack_tiles, validate_grid
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .checksums import (
     Checksums,
@@ -40,10 +40,7 @@ from .checksums import (
     checksums_match,
     checksums_mismatch,
     predicted_accumulate,
-    predicted_accumulate_grid,
     predicted_merge,
-    stack_checksums,
-    stack_tiles,
     uniform_tiles,
 )
 
@@ -114,7 +111,7 @@ class VerifyRuntime:
         keys = sorted(blocks)
         arrs = [blocks[key] for key in keys]
         if arrs and uniform_tiles(arrs):
-            sums = zip(*stack_checksums(stack_tiles(arrs), self.semiring))
+            sums = zip(*self.inner.tile_sums(arrs, self.semiring)[1])
         else:
             sums = (block_checksums(arr, self.semiring) for arr in arrs)
         ids: List[int] = []
@@ -236,6 +233,7 @@ class VerifyRuntime:
                     self.accumulate(c, a, b, semiring, entry=entry)
             return c_tiles
         step = max(1, self.inner.resolved_byte_budget() // (len(b_cols) * tiles[0].nbytes))
+        b_cols = OperandList(b_cols)
         for r0 in range(0, len(a_rows), step):
             band = slice(r0, r0 + step)
             self._accumulate_band(c_tiles[band], a_rows[band], b_cols, semiring, phase, entry)
@@ -243,11 +241,20 @@ class VerifyRuntime:
 
     def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, entry) -> None:
         """One guarded cycle over a uniform grid (a band of whole tile
-        rows of the caller's)."""
-        tiles = [c for c_row in c_tiles for c in c_row]
+        rows of the caller's).  Both array passes are the inner backend's
+        guard entries, so a native backend checks at kernel speed; the
+        product in between is still ``inner.srgemm_grid``, which is what
+        the sums check."""
+        inner = self.inner
+        # Each operand list is handed to several entries: let the backend
+        # keep what it derives from one (cnative: its pointer array).
+        c_tiles, a_rows = OperandList.grid(c_tiles), OperandList(a_rows)
+        tiles = c_tiles.flat
         guards = [self._tiles.get(id(c)) for c in tiles]
-        snap = stack_tiles(tiles)  # the batched view and the repair pre-image
-        pre = pre_row, pre_col = stack_checksums(snap, semiring)
+        # The snapshot (the repair pre-image) is taken in the pass that
+        # takes the pre-op sums.
+        snap, pre = inner.tile_sums(tiles, semiring, snapshot=True)
+        pre_row, pre_col = pre
         # Pre-op: stored sums against contents (an untracked tile stands
         # in for itself); the exact per-tile verdict stays _precheck's.
         stored = (
@@ -256,26 +263,25 @@ class VerifyRuntime:
         )
         for t in np.flatnonzero(checksums_mismatch(stored, pre)):
             self._precheck(guards[t], (pre_row[t], pre_col[t]), entry)
-        predicted = predicted_accumulate_grid(
-            pre, stack_tiles(a_rows), stack_tiles(b_cols), semiring, self.inner.compute_dtype
-        )
-        self.inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+        predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
+        inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
         self._count("ops_checked", len(tiles))
-        actual = stack_checksums(stack_tiles(tiles), semiring)
-        sums = list(zip(*actual))
+        _, actual = inner.tile_sums(tiles, semiring)
+        repaired = {}
         for t in np.flatnonzero(checksums_mismatch(predicted, actual)):
             self._count("sdc_detected")
             i, j = divmod(int(t), len(b_cols))
-            sums[t] = self._repair_accumulate(
+            repaired[int(t)] = self._repair_accumulate(
                 guards[t], tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
                 semiring, entry,
             )
         # Per-tile sums are views into this band's stacked sums.
-        for c, guard, tile_sums in zip(tiles, guards, sums):
+        for t, (c, guard, row, col) in enumerate(zip(tiles, guards, *actual)):
+            sums = repaired.get(t, (row, col))
             if guard is not None:
-                guard.row, guard.col = tile_sums
+                guard.row, guard.col = sums
             else:
-                self._transient[id(c)] = tile_sums
+                self._transient[id(c)] = sums
 
     def _repair_accumulate(self, guard, c, c_pre, pre, a, b, semiring, op: str) -> Checksums:
         """Localized repair: rebuild the flagged tile from its operands

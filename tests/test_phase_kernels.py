@@ -24,15 +24,24 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.context import panel_grid
+from repro.graphs import banded_graph, ring_of_cliques
 from repro.obs.metered import MeteredBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MIN_PLUS, SEMIRINGS, srgemm_diag, srgemm_outer, srgemm_panel
-from repro.semiring.backends import CNativeBackend, available_backends, get_backend
+from repro.semiring.backends import (
+    CNativeBackend,
+    ReferenceBackend,
+    TiledBackend,
+    available_backends,
+    get_backend,
+)
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import GRID_PHASE_ENTRIES, KernelBackend
 from repro.semiring.closure import closure_by_squaring, floyd_warshall, fw_inplace
@@ -345,6 +354,87 @@ needs_cnative = pytest.mark.skipif(
 )
 
 
+#: A byte budget below one 8 x 8 panel block: the per-tile panel updates
+#: of the tiled backends then snapshot and update it stripe by stripe.
+SUB_PANEL_BUDGET = 256
+
+_BUDGETED = {
+    "reference": lambda budget: ReferenceBackend(byte_budget=budget),
+    "tiled": lambda budget: TiledBackend(byte_budget=budget),
+    "tiled-f32": lambda budget: TiledBackend(compute_dtype=np.float32, byte_budget=budget),
+    "cnative": lambda budget: CNativeBackend(byte_budget=budget),
+}
+
+
+class TestPanelGrid:
+    """A PanelUpdate is one grid call over a rank's panel blocks
+    (:func:`repro.core.context.panel_grid`), with the blocks' copies as
+    the alias-free operand: the bits of the per-block
+    ``panel_row_update`` / ``panel_col_update`` it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("sr_name", COMPILED_SEMIRINGS)
+    @pytest.mark.parametrize("budget", [None, SUB_PANEL_BUDGET], ids=["budget-default", "budget-sub-panel"])
+    @pytest.mark.parametrize("name", sorted(_BUDGETED))
+    def test_panel_grid_is_the_per_block_panel_update(self, name, budget, sr_name, dtype):
+        if name not in available_backends():
+            pytest.skip(f"{name} backend unavailable")
+        backend = get_backend(name) if budget is None else _BUDGETED[name](budget)
+        sr = SEMIRINGS[sr_name]
+        ctx = SimpleNamespace(backend=backend, semiring=sr)
+        rng = np.random.default_rng([3, len(sr_name)])
+
+        def block():
+            x = rng.uniform(0.0, 10.0, (8, 8))
+            x[rng.uniform(size=(8, 8)) < 0.3] = sr.zero
+            return x.astype(dtype)
+
+        diag = block()
+        for axis in ("row", "col"):
+            panels = [block() for _ in range(5)]
+            want = [p.copy() for p in panels]
+            for p in want:
+                getattr(backend, f"panel_{axis}_update")(p, diag, semiring=sr)
+            panel_grid(ctx, panels, diag, axis)
+            for got, expected in zip(panels, want):
+                np.testing.assert_array_equal(got, expected, err_msg=f"{name} {axis}")
+
+    @pytest.mark.parametrize("variant", ["baseline", "async", "offload"])
+    @pytest.mark.parametrize("name", sorted(_BUDGETED))
+    def test_sparse_solve_matches_the_dense_reference_solve(self, name, variant):
+        """``exploit_sparsity`` drops empty panel blocks from the grid
+        (the staged offload panels take every block); what is left is
+        the dense reference solve, bit for bit on the exact backends."""
+        if name not in available_backends():
+            pytest.skip(f"{name} backend unavailable")
+        config = repro.SolveConfig(variant=variant, block_size=5, n_nodes=2, ranks_per_node=2)
+        for w in (ring_of_cliques(5, 8), banded_graph(40, 2, seed=1)):
+            want = repro.solve(w, config.replace(kernel_backend="reference")).dist
+            got = repro.solve(w, config.replace(
+                exploit_sparsity=variant != "offload", kernel_backend=name,
+            )).dist
+            if get_backend(name).rtol == 0.0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=get_backend(name).rtol)
+
+    def test_metered_solve_counts_panel_updates_as_srgemm_panel(self):
+        """Flops are unchanged; the 24 per-block panel updates this solve
+        made (the ``kernel.panel_update`` family, now retired) count as
+        the tiles of panel-phase grids, beside the 12 look-ahead ones."""
+        w = repro.graphs.uniform_random_dense(64, seed=4)
+        got = repro.solve(w, repro.SolveConfig(
+            variant="async", block_size=16, n_nodes=2, ranks_per_node=2,
+            obs=repro.ObsSinks(metrics=True),
+        )).metrics.flat()
+        tile_flops = 2.0 * 16**3
+        assert got["kernel.flops"] == 491520.0  # recorded before the panel grid
+        assert not any(key.startswith("kernel.panel_update.") for key in got)
+        assert got["kernel.srgemm_panel.calls"] == 12 + 24
+        assert got["kernel.srgemm_panel.flops"] == (12 + 24) * tile_flops
+        assert got["kernel.srgemm.flops"] == got["kernel.flops"]
+
+
 @needs_cnative
 class TestCNativeGridPaths:
     """Which path ``cnative`` takes is decided by what it can observe
@@ -567,8 +657,8 @@ class TestClosureEntry:
 @needs_cnative
 class TestCNativeKernelCache:
     """``$REPRO_CNATIVE_CACHE`` may outlive a kernel text, holds one
-    object per (semiring, dtype) pair actually used, and may be shared
-    by processes that cold-start together."""
+    object per (semiring, dtype) pair and unit kind actually used, and
+    may be shared by processes that cold-start together."""
 
     TILE = "void srgemm_tile(void) {}\n"  # a library without the other symbols
     MIN_PLUS_F64 = ("min_plus", np.dtype(np.float64))
@@ -661,11 +751,32 @@ class TestCNativeKernelCache:
         got = repro.solve(w, config.replace(kernel_backend=backend))
         want = repro.solve(w, config.replace(kernel_backend="reference"))
         np.testing.assert_array_equal(got.dist, want.dist)
+        # An unarmed solve compiles no guard unit...
         assert self._cached(tmp_path) == ["srgemm-min_plus-f64"]
+        # ...and an armed one the guard unit of each pair it checks, once.
+        for _ in range(2):
+            armed = repro.solve(w, config.replace(kernel_backend=backend, verify="checksum"))
+            np.testing.assert_array_equal(armed.dist, want.dist)
+            assert self._cached(tmp_path) == ["guard-min_plus-f64", "srgemm-min_plus-f64"]
         a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
         backend.srgemm_outer(c, a, b, semiring=SEMIRINGS["max_min"])
-        assert self._cached(tmp_path) == ["srgemm-max_min-f32", "srgemm-min_plus-f64"]
+        assert self._cached(tmp_path) == [
+            "guard-min_plus-f64", "srgemm-max_min-f32", "srgemm-min_plus-f64",
+        ]
         assert set(backend._units) == {self.MIN_PLUS_F64, ("max_min", np.dtype(np.float32))}
+        assert set(backend._guards) == {self.MIN_PLUS_F64}
+
+    def test_kernel_unit_text_is_unchanged_by_the_guard_unit(self):
+        """The guard is a second unit, so the kernel units' text - and
+        with it every ``srgemm-*.so`` name and cold compile - is the
+        text it was before the guard existed (hash recorded then)."""
+        digest = hashlib.sha256()
+        for semiring_name in cnative_mod._SEMIRING_OPS:
+            for dtype in cnative_mod._DTYPES:
+                digest.update(cnative_mod._unit_source(semiring_name, dtype).encode())
+        assert digest.hexdigest() == (
+            "48ce483289811b8d2c5a5c4c34563ae0c5b47a3cf171ffd61ca2dadad022ad0f"
+        )
 
     def test_failed_compile_warns_once_never_spawns_again(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))

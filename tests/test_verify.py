@@ -18,6 +18,8 @@ deferred escalation, the non-uniform fallback and the row-band walk).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,13 @@ from repro.errors import (
 from repro.faults import FaultPlan, MemoryFault
 from repro.graphs import uniform_random_dense
 from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
-from repro.semiring.backends import available_backends, get_backend
-from repro.semiring.backends.base import GRID_PHASE_ENTRIES
+from repro.semiring.backends import CNativeBackend, available_backends, get_backend
+from repro.semiring.backends import cnative as cnative_mod
+from repro.semiring.backends.base import (
+    GRID_PHASE_ENTRIES,
+    KernelBackend,
+    predicted_accumulate_grid,
+)
 from repro.semiring.backends.reference import ReferenceBackend
 from repro.verify import (
     ChecksummedBackend,
@@ -41,7 +48,6 @@ from repro.verify import (
     block_checksums,
     checksums_match,
     predicted_accumulate,
-    predicted_accumulate_grid,
     predicted_merge,
 )
 
@@ -517,14 +523,49 @@ def _spy(monkeypatch, obj, name):
     return calls
 
 
+def _spy_native_guard(monkeypatch, backend, sr, dtype):
+    """Count calls into ``backend``'s compiled guard entries for one
+    (semiring, dtype) pair, and record every fall-back to the NumPy
+    defaults on the base class."""
+    native = {"sums": 0, "predict": 0}
+    unit = backend._guard_for(sr, np.dtype(dtype))
+    assert unit is not None, "guard unit did not compile"
+
+    def counted(name, fn):
+        def call(*args):
+            native[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setitem(
+        backend._guards, (sr.name, np.dtype(dtype)),
+        unit._replace(sums=counted("sums", unit.sums), predict=counted("predict", unit.predict)),
+    )
+    numpy_calls = []
+    for entry in ("tile_sums", "predict_sums"):
+        default = getattr(KernelBackend, entry)
+
+        def spy(*args, _default=default, _entry=entry, **kwargs):
+            numpy_calls.append(_entry)
+            return _default(*args, **kwargs)
+
+        monkeypatch.setattr(KernelBackend, entry, spy)
+    return native, numpy_calls
+
+
 class TestGuardedGrid:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
     @pytest.mark.parametrize("backend", ["reference", "tiled", "tiled-f32", "cnative"])
-    def test_grid_is_the_per_tile_guarded_loop_bit_for_bit(self, backend, sr_name, dtype):
+    def test_grid_is_the_per_tile_guarded_loop_bit_for_bit(
+        self, backend, sr_name, dtype, monkeypatch
+    ):
         if backend not in available_backends():
             pytest.skip(f"{backend} backend unavailable")
         inner, sr = get_backend(backend), SEMIRINGS[sr_name]
+        if backend == "cnative":  # the guard's passes must be the native entries
+            native, numpy_calls = _spy_native_guard(monkeypatch, inner, sr, dtype)
         for phase in GRID_PHASE_ENTRIES:
             for nr, nc in GRID_SHAPES:
                 msg = f"{backend} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
@@ -541,6 +582,12 @@ class TestGuardedGrid:
                 assert gridded[0].counters["ops_checked"] == 2 * nr * nc, msg
                 assert set(gridded[0].counters) == {"blocks_tracked", "ops_checked"}, msg
                 gridded[0].raise_pending()
+        if backend == "cnative":
+            # Per phase and shape: two registrations, then per grid pass
+            # the pre-op and post-op sums and one prediction.
+            cases = len(GRID_PHASE_ENTRIES) * len(GRID_SHAPES)
+            assert native == {"sums": cases * (2 + 2 * 2), "predict": cases * 2}
+            assert numpy_calls == []
 
     def test_one_corrupt_tile_is_found_and_repaired_alone(self):
         nr, nc = 3, 4
@@ -694,6 +741,149 @@ class TestGuardedGrid:
         assert cert["repaired"] + cert["escalated"] >= 1
         for got in (clean.dist, r.dist):
             np.testing.assert_array_equal(got, oracle)
+
+
+# ---------------------------------------------------------------------------
+# The native guard unit (cnative's tile_sums / predict_sums)
+# ---------------------------------------------------------------------------
+needs_cnative = pytest.mark.skipif(
+    "cnative" not in available_backends(), reason="no C compiler on PATH"
+)
+
+EDGE_DIMS = (1, 3, 16, 17)
+
+
+def _edge_matrix(rng, shape, sr, dtype, both_infs):
+    """Values with a third of the entries the ⊕-identity and, when
+    ``both_infs``, a tenth its opposite infinity (never both in ⊗ operands
+    of a (x,+) semiring: inf + -inf is not a distance)."""
+    x = rng.uniform(0.5, 9.0, shape)
+    x[rng.random(shape) < 0.3] = sr.zero
+    if both_infs:
+        x[rng.random(shape) < 0.1] = -sr.zero
+    return x.astype(dtype)
+
+
+class _CorruptingCNative(CNativeBackend):
+    """The native kernel, except that the grid product leaves one entry
+    of ``target`` (by identity) below every true value."""
+
+    target = None
+
+    def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer"):
+        super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+        if any(c is self.target for c_row in c_tiles for c in c_row):
+            self.target[1, 2] = -1.0
+        return c_tiles
+
+
+@needs_cnative
+class TestNativeGuard:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
+    def test_native_entries_equal_the_numpy_defaults(self, sr_name, dtype, monkeypatch):
+        sr, backend = SEMIRINGS[sr_name], get_backend("cnative")
+        native, numpy_calls = _spy_native_guard(monkeypatch, backend, sr, dtype)
+        numpy_default = ReferenceBackend()  # the base class's entries
+        mixing_ok = sr_name in ("max_min", "min_max")  # ⊗ selects: no inf - inf
+        rng = np.random.default_rng(7)
+        nr, nc = 2, 3
+        for m in EDGE_DIMS:
+            for n in EDGE_DIMS:
+                tiles = [_edge_matrix(rng, (m, n), sr, dtype, True) for _ in range(nr * nc)]
+                for snapshot in (False, True):
+                    got_snap, got = backend.tile_sums(tiles, sr, snapshot=snapshot)
+                    want_snap, want = numpy_default.tile_sums(tiles, sr, snapshot=snapshot)
+                    for g, w in zip(got, want):
+                        _assert_same_array(g, w, f"{sr_name} sums {m}x{n}")
+                    if snapshot:
+                        _assert_same_array(got_snap, want_snap, f"{sr_name} snapshot {m}x{n}")
+                    else:
+                        assert got_snap is None
+                for k in EDGE_DIMS:
+                    msg = f"{sr_name} {np.dtype(dtype).name} predict ({m}, {n}, {k})"
+                    a_rows = [_edge_matrix(rng, (m, k), sr, dtype, mixing_ok) for _ in range(nr)]
+                    b_cols = [_edge_matrix(rng, (k, n), sr, dtype, mixing_ok) for _ in range(nc)]
+                    got = backend.predict_sums(want, a_rows, b_cols, sr)
+                    expect = numpy_default.predict_sums(want, a_rows, b_cols, sr)
+                    for g, w in zip(got, expect):
+                        _assert_same_array(g, w, msg)
+        cases = len(EDGE_DIMS) ** 2
+        assert native == {"sums": 2 * cases, "predict": cases * len(EDGE_DIMS)}
+        # The reference calls above, and nothing of cnative's, took NumPy.
+        assert numpy_calls.count("tile_sums") == 2 * cases
+        assert numpy_calls.count("predict_sums") == cases * len(EDGE_DIMS)
+
+    def test_corrupt_tile_of_a_native_grid_is_found_and_repaired_alone(self, monkeypatch):
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        want = get_backend("reference").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        inner = _CorruptingCNative()
+        native, numpy_calls = _spy_native_guard(monkeypatch, inner, MIN_PLUS, np.float64)
+        vrt, tiles = _guarded(inner, c_tiles)
+        inner.target = tiles[1][2]
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        vrt.raise_pending()  # repaired in place: nothing escalates
+        assert vrt.counters == {
+            "blocks_tracked": nr * nc, "ops_checked": nr * nc, "sdc_detected": 1, "repaired": 1,
+        }
+        assert native == {"sums": 3, "predict": 1} and numpy_calls == []
+        for i in range(nr):
+            for j in range(nc):
+                np.testing.assert_array_equal(tiles[i][j], want[i][j])
+                guard = vrt._tiles[id(tiles[i][j])]
+                assert checksums_match((guard.row, guard.col), block_checksums(want[i][j], MIN_PLUS))
+
+    @pytest.mark.parametrize("phase", ["outer", "panel"])
+    def test_at_rest_flip_escalates_through_the_native_path(self, phase, monkeypatch):
+        c_tiles, a_rows, b_cols = _grid_case(3, 4, inf=False)
+        inner = get_backend("cnative")
+        native, numpy_calls = _spy_native_guard(monkeypatch, inner, MIN_PLUS, np.float64)
+        vrt, tiles = _guarded(inner, c_tiles)
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS, phase)
+        tiles[2][1][3, 4] *= -1.0  # resident corruption between two grids
+        vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS, phase)
+        assert vrt.counters == {
+            "blocks_tracked": 12, "ops_checked": 24, "sdc_detected": 1, "escalated": 1,
+        }
+        with pytest.raises(SilentCorruptionError, match="resident corruption") as info:
+            vrt.raise_pending()
+        want = (2, (2, 1), f"srgemm_{phase}")
+        assert (info.value.rank, info.value.block, info.value.op) == want
+        assert native["sums"] == 1 + 2 * 2 and numpy_calls == []
+
+    def test_failed_guard_compile_warns_once_and_guards_through_numpy(
+        self, tmp_path, monkeypatch, w48
+    ):
+        monkeypatch.setenv(cnative_mod.ENV_CNATIVE_CACHE, str(tmp_path))
+        config = dict(verify="checksum", kernel_backend="cnative")
+        healthy = run(w48, "async", **config)
+        backend = CNativeBackend()
+        assert backend._unit_for(MIN_PLUS, np.dtype(np.float64)) is not None  # kernel compiled
+        spawned = []
+        real_run = cnative_mod.subprocess.run
+
+        def failing_cc(cmd, **kwargs):
+            spawned.append(cmd)
+            return real_run(["false"], **{**kwargs, "input": None})
+
+        monkeypatch.setattr(cnative_mod.subprocess, "run", failing_cc)
+        config["kernel_backend"] = backend
+        with pytest.warns(RuntimeWarning, match="guard unit compile failed") as caught:
+            degraded = run(w48, "async", **config)
+        assert len(caught) == 1
+        assert len(spawned) == len(cnative_mod._RUNGS)  # each rung once, then never again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = run(w48, "async", **config)
+        assert len(spawned) == len(cnative_mod._RUNGS)
+        assert backend._degraded and not backend._guards
+        # Guarded all the same, through the NumPy entries: same certificate.
+        for r in (degraded, again):
+            assert r.verification == healthy.verification
+            assert r.verification["ops_checked"] > 0
+            np.testing.assert_array_equal(r.dist, healthy.dist)
+        assert sorted(p.name.split("-")[0] for p in tmp_path.iterdir()) == ["srgemm"]
 
 
 # ---------------------------------------------------------------------------
