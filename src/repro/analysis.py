@@ -150,7 +150,8 @@ def reachability_components(dist: np.ndarray) -> np.ndarray:
 
 def hop_counts(next_hops: np.ndarray) -> np.ndarray:
     """Edge counts of the shortest paths encoded by a next-hop matrix
-    (as produced by ``repro.solve(..., track_paths=True)`` or
+    (``result.next_hops`` of ``repro.solve(..., track_paths=True)`` on
+    any grid, one rank included, or the unblocked oracle
     :func:`repro.extensions.floyd_warshall_with_paths`); -1 where
     unreachable, 0 on the diagonal."""
     nxt = np.asarray(next_hops)

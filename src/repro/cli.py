@@ -436,7 +436,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         for key, value in result.verification.items():
             print(f"  {key:<20s} {value}")
     if args.validate:
-        print("validation: OK (matches sequential blocked Floyd-Warshall)")
+        hops = "; next hops start shortest paths" if args.paths else ""
+        print(f"validation: OK (matches sequential blocked Floyd-Warshall{hops})")
     if args.trace and result.tracer is not None:
         print("\nper-category busy time:")
         cats = sorted({s.category for s in result.tracer.spans})

@@ -1,6 +1,6 @@
 """Distributed Floyd-Warshall variants and the public APSP driver."""
 
-from .blocked import blocked_fw, blocked_fw_inplace, blocked_fw_paths
+from .blocked import blocked_fw, blocked_fw_inplace
 from .context import FwContext, RankState
 from .distribution import (
     LocalBlocks,
@@ -43,7 +43,6 @@ __all__ = [
     "RankState",
     "blocked_fw",
     "blocked_fw_inplace",
-    "blocked_fw_paths",
     "execute_schedule",
     "ScheduleOp",
     "SchedulePolicy",

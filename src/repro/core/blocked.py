@@ -22,7 +22,7 @@ from ..semiring.closure import check_no_negative_cycle, closure_by_squaring
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .distribution import block_slice, pad_to_blocks
 
-__all__ = ["blocked_fw", "blocked_fw_inplace", "blocked_fw_paths"]
+__all__ = ["blocked_fw", "blocked_fw_inplace"]
 
 
 def blocked_fw(
@@ -103,64 +103,3 @@ def blocked_fw_inplace(
         # over block k, a full-matrix update is both correct and simpler.
         kernels.srgemm_outer(dist, colk, rowk, semiring=semiring)
     return dist
-
-
-def blocked_fw_paths(
-    weights: np.ndarray,
-    block_size: int,
-    check_negative_cycles: bool = True,
-    backend=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked Floyd-Warshall carrying next-hop pointers ((min,+) only).
-
-    Returns ``(dist, nxt)`` where ``nxt[i, j]`` is the vertex after
-    ``i`` on a shortest i->j path (or -1).  The block structure
-    mirrors Algorithm 2 exactly, with the path-aware kernels of
-    :mod:`repro.semiring.path_kernels`; this is both the sequential
-    oracle for the distributed ``track_paths`` mode and the
-    single-process fast path.
-    """
-    from ..semiring.path_kernels import NO_HOP, fw_inplace_paths, init_next_hops
-
-    kernels = get_backend(backend)
-    padded, n = pad_to_blocks(np.asarray(weights), block_size, MIN_PLUS)
-    dist = np.array(padded, dtype=np.float64, copy=True)
-    nxt = init_next_hops(dist)
-    np.fill_diagonal(nxt, NO_HOP)
-    b = block_size
-    nb = dist.shape[0] // b
-
-    def blk(mat, i, j):
-        return mat[block_slice(b, i, j)]
-
-    for k in range(nb):
-        fw_inplace_paths(blk(dist, k, k), blk(nxt, k, k))
-        diag, diag_nxt = blk(dist, k, k), blk(nxt, k, k)
-        for j in range(nb):
-            if j != k:
-                kernels.srgemm_accumulate_paths(
-                    blk(dist, k, j), blk(nxt, k, j), diag, diag_nxt, blk(dist, k, j).copy()
-                )
-        for i in range(nb):
-            if i != k:
-                kernels.srgemm_accumulate_paths(
-                    blk(dist, i, k),
-                    blk(nxt, i, k),
-                    blk(dist, i, k).copy(),
-                    blk(nxt, i, k).copy(),
-                    diag,
-                )
-        for i in range(nb):
-            if i == k:
-                continue
-            a, a_nxt = blk(dist, i, k), blk(nxt, i, k)
-            for j in range(nb):
-                if j == k:
-                    continue
-                kernels.srgemm_accumulate_paths(
-                    blk(dist, i, j), blk(nxt, i, j), a, a_nxt, blk(dist, k, j)
-                )
-    dist, nxt = dist[:n, :n], nxt[:n, :n]
-    if check_negative_cycles:
-        check_no_negative_cycle(dist)
-    return dist, nxt

@@ -29,7 +29,6 @@ from ..mpi.comm import Comm, SimMPI
 from ..mpi.policy import BcastPolicy
 from ..semiring.backends import KernelBackend, get_backend
 from ..semiring.closure import squaring_steps
-from ..semiring.path_kernels import fw_inplace_paths
 from ..semiring.minplus import Semiring
 from ..sim.engine import Environment, Event
 from ..sim.trace import Tracer
@@ -46,6 +45,8 @@ __all__ = [
     "FwContext",
     "RankState",
     "Op",
+    "payload",
+    "grid_update",
     "diag_update",
     "diag_bcast",
     "panel_grid",
@@ -242,6 +243,53 @@ def _is_empty(ctx: FwContext, blk: np.ndarray) -> bool:
     return bool(np.all(blk == ctx.semiring.zero))
 
 
+def payload(state: RankState, key: tuple[int, int]):
+    """Block ``key`` as a left operand - the diagonal and column-panel
+    broadcast payloads, a grid's row operands: the distance block,
+    paired with its next-hop block when the run tracks paths.  (An
+    update's new first hop is its left operand's, so right operands -
+    row panels - travel as distances only.)"""
+    blk = state.blocks[key]
+    return blk if state.nxt is None else (blk, state.nxt[key])
+
+
+def _split(p) -> tuple:
+    """``(distances, next hops or None)`` of a :func:`payload`."""
+    return p if isinstance(p, tuple) else (p, None)
+
+
+def _copy(p):
+    """A :func:`payload`'s alias-free snapshot."""
+    return tuple(x.copy() for x in p) if isinstance(p, tuple) else p.copy()
+
+
+def _hop_operand(state: RankState, keys: list, a_payloads: list) -> tuple:
+    """``(row operands, hops)`` of a grid over this rank's blocks
+    ``keys`` with row operands ``a_payloads``: the payloads and None on
+    an untracked run; else their distances and the ``hops=`` operand."""
+    if state.nxt is None:
+        return a_payloads, None
+    a_rows, a_hops = zip(*a_payloads)
+    return list(a_rows), ([[state.nxt[key] for key in row] for row in keys], list(a_hops))
+
+
+def grid_update(state: RankState, keys: list, a_payloads: list, b_cols: list, phase: str) -> None:
+    """``A(key) ← A(key) ⊕ A_i ⊗ B_j`` over a grid of this rank's blocks
+    (``keys``: one row of block keys per row operand, one key per
+    column operand in each; each row operand a :func:`payload`) as
+    **one** kernel-waist call, next hops included on a tracked run."""
+    ctx = state.ctx
+    a_rows, hops = _hop_operand(state, keys, a_payloads)
+    ctx.backend.srgemm_grid(
+        [[state.blocks[key] for key in row] for row in keys],
+        a_rows,
+        b_cols,
+        semiring=ctx.semiring,
+        phase=phase,
+        hops=hops,
+    )
+
+
 def diag_update(state: RankState, k: int) -> Event:
     """Enqueue DiagUpdate(k) on the owner's GPU (or host) and return
     the completion event.  Caller must own block (k, k).
@@ -251,18 +299,10 @@ def diag_update(state: RankState, k: int) -> Event:
     equivalent in-place Floyd-Warshall closure.
     """
     ctx = state.ctx
-    blk = state.blocks[(k, k)]
+    blk, hops = _split(payload(state, (k, k)))
 
-    if ctx.config.track_paths:
-        nblk = state.nxt[(k, k)]
-
-        def fn():
-            fw_inplace_paths(blk, nblk)
-
-    else:
-
-        def fn():
-            ctx.backend.fw_closure(blk, semiring=ctx.semiring)
+    def fn():
+        ctx.backend.fw_closure(blk, semiring=ctx.semiring, hops=hops)
 
     if ctx.verify is not None:
         # Checksums do not distribute over the O(b³) closure; the guard
@@ -279,19 +319,14 @@ def diag_update(state: RankState, k: int) -> Event:
     )
 
 
-def diag_bcast(state: RankState, k: int, diag: Optional[np.ndarray]):
-    """Generator: DiagBcast(k) - the owner broadcasts A(k,k) along its
-    process row and its process column (binomial tree; small message on
-    the critical path, §3.3).  Participants must be in P_r(k) or
-    P_c(k); returns the diagonal block.
+def diag_bcast(state: RankState, k: int, diag):
+    """Generator: DiagBcast(k) - the owner broadcasts its :func:`payload`
+    of A(k,k) along its process row and its process column (binomial
+    tree; small message on the critical path, §3.3).  Participants must
+    be in P_r(k) or P_c(k); returns the diagonal payload.
     """
-    ctx = state.ctx
-    grid = ctx.grid
+    grid = state.ctx.grid
     krow, kcol = k % grid.pr, k % grid.pc
-    if diag is not None and ctx.config.track_paths:
-        # Owner ships (distances, next hops) together; the panel
-        # updates downstream need the diagonal's pointers.
-        diag = (diag, state.nxt[(k, k)])
     got = diag
     if state.in_row(k):
         got = yield from bcast_tree(
@@ -309,23 +344,24 @@ def diag_bcast(state: RankState, k: int, diag: Optional[np.ndarray]):
     return got
 
 
-def panel_grid(ctx: FwContext, panels: list, diag: np.ndarray, axis: str) -> None:
-    """PanelUpdate numerics over a rank's panel blocks as **one** grid
-    product in the panel phase: ``P ← P ⊕ D ⊗ S`` along the pivot row
-    (``axis="row"``, a 1 x n grid) or ``P ← P ⊕ S ⊗ D`` down the pivot
-    column (n x 1).  Each block is both accumulator and operand, so the
-    caller's one copy ``S`` of each is the alias-free operand - the
-    product ``TiledBackend.panel_row_update`` / ``_col_update`` computes
-    per block, through the same tile kernel."""
-    snaps = [p.copy() for p in panels]
-    sr = ctx.semiring
+def panel_grid(state: RankState, keys: list, diag, axis: str) -> None:
+    """PanelUpdate numerics over this rank's panel blocks ``keys`` as
+    **one** grid product in the panel phase: ``P ← P ⊕ D ⊗ S`` along the
+    pivot row (``axis="row"``, a 1 x n grid) or ``P ← P ⊕ S ⊗ D`` down
+    the pivot column (n x 1); ``diag`` is the diagonal :func:`payload`.
+    Each block is both accumulator and operand, so a copy ``S`` of each
+    (with its next hops, where it is the left operand) is the alias-free
+    operand - the product ``TiledBackend.panel_row_update`` /
+    ``_col_update`` computes per block, through the same tile kernel."""
     if axis == "row":
-        ctx.backend.srgemm_grid([panels], [diag], snaps, semiring=sr, phase="panel")
+        snaps = [state.blocks[key].copy() for key in keys]
+        grid_update(state, [keys], [diag], snaps, "panel")
     else:
-        ctx.backend.srgemm_grid([[p] for p in panels], snaps, [diag], semiring=sr, phase="panel")
+        snaps = [_copy(payload(state, key)) for key in keys]
+        grid_update(state, [[key] for key in keys], snaps, [_split(diag)[0]], "panel")
 
 
-def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Event]:
+def panel_update_row(state: RankState, k: int, diag) -> Optional[Event]:
     """Enqueue PanelUpdate of the k-th block row on this rank:
     ``A(k,j) ← A(k,j) ⊕ A(k,k) ⊗ A(k,j)`` for all local j ≠ k, as one
     aggregated wide kernel (one :func:`panel_grid` call).  Returns the
@@ -338,20 +374,8 @@ def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
         return None
     b = ctx.b
 
-    if ctx.config.track_paths:
-        d, d_nxt = diag
-
-        def fn():
-            for j in cols:
-                blk = state.blocks[(k, j)]
-                ctx.backend.srgemm_accumulate_paths(
-                    blk, state.nxt[(k, j)], d, d_nxt, blk.copy()
-                )
-
-    else:
-
-        def fn():
-            panel_grid(ctx, [state.blocks[(k, j)] for j in cols], diag, "row")
+    def fn():
+        panel_grid(state, [(k, j) for j in cols], diag, "row")
 
     return state.stream.kernel(
         b,
@@ -363,7 +387,7 @@ def panel_update_row(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
     )
 
 
-def panel_update_col(state: RankState, k: int, diag: np.ndarray) -> Optional[Event]:
+def panel_update_col(state: RankState, k: int, diag) -> Optional[Event]:
     """Enqueue PanelUpdate of the k-th block column:
     ``A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)`` for all local i ≠ k, as one
     aggregated wide kernel."""
@@ -375,20 +399,8 @@ def panel_update_col(state: RankState, k: int, diag: np.ndarray) -> Optional[Eve
         return None
     b = ctx.b
 
-    if ctx.config.track_paths:
-        d = diag[0]  # right-multiplication: the panel's own hops carry over
-
-        def fn():
-            for i in rows:
-                blk = state.blocks[(i, k)]
-                ctx.backend.srgemm_accumulate_paths(
-                    blk, state.nxt[(i, k)], blk.copy(), state.nxt[(i, k)].copy(), d
-                )
-
-    else:
-
-        def fn():
-            panel_grid(ctx, [state.blocks[(i, k)] for i in rows], diag, "col")
+    def fn():
+        panel_grid(state, [(i, k) for i in rows], diag, "col")
 
     return state.stream.kernel(
         b * len(rows),
@@ -430,20 +442,13 @@ def panel_bcast(state: RankState, k: int):
         }
     col_payload = None
     if state.in_col(k):
-        if ctx.config.track_paths:
-            # Column panels are the left operand: their next-hop blocks
-            # ride along (the communication cost of path generation).
-            col_payload = {
-                i: (state.blocks[(i, k)], state.nxt[(i, k)])
-                for i in state.local_rows(exclude=(k,))
-                if not (sparse and _is_empty(ctx, state.blocks[(i, k)]))
-            }
-        else:
-            col_payload = {
-                i: state.blocks[(i, k)]
-                for i in state.local_rows(exclude=(k,))
-                if not (sparse and _is_empty(ctx, state.blocks[(i, k)]))
-            }
+        # Column panels are the left operand: their next-hop blocks ride
+        # along on a tracked run (the communication cost of paths).
+        col_payload = {
+            i: payload(state, (i, k))
+            for i in state.local_rows(exclude=(k,))
+            if not (sparse and _is_empty(ctx, state.blocks[(i, k)]))
+        }
 
     policy = ctx.bcast_policy
     row_panel, relay1 = yield from policy.bcast(
@@ -463,8 +468,8 @@ def panel_bcast(state: RankState, k: int):
 def outer_update(
     state: RankState,
     k: int,
-    row_panel: dict[int, np.ndarray],
-    col_panel: dict[int, np.ndarray],
+    row_panel: dict,
+    col_panel: dict,
     skip_rows: tuple[int, ...] = (),
     skip_cols: tuple[int, ...] = (),
 ) -> Optional[Event]:
@@ -487,27 +492,15 @@ def outer_update(
         return None
     b = ctx.b
 
-    if ctx.config.track_paths:
-
-        def fn():
-            for i in rows:
-                a_ik, a_nxt = col_panel[i]
-                for j in cols:
-                    ctx.backend.srgemm_accumulate_paths(
-                        state.blocks[(i, j)], state.nxt[(i, j)], a_ik, a_nxt, row_panel[j]
-                    )
-
-    else:
-
-        def fn():
-            # One grid product, as the one kernel launch it is charged as.
-            ctx.backend.srgemm_grid(
-                [[state.blocks[(i, j)] for j in cols] for i in rows],
-                [col_panel[i] for i in rows],
-                [row_panel[j] for j in cols],
-                semiring=ctx.semiring,
-                phase="outer",
-            )
+    def fn():
+        # One grid product, as the one kernel launch it is charged as.
+        grid_update(
+            state,
+            [[(i, j) for j in cols] for i in rows],
+            [col_panel[i] for i in rows],
+            [row_panel[j] for j in cols],
+            "outer",
+        )
 
     return state.stream.kernel(
         b * len(rows),

@@ -483,6 +483,10 @@ def build_result(
             raise ValidationError(
                 f"distributed result differs from sequential oracle in {bad} entries"
             )
+        if next_hops is not None:
+            from ..graphs.validation import check_next_hops
+
+            check_next_hops(rp.w, dist, next_hops)
 
     # The context's residency differs from the plan's only after OOM
     # degradation (see _degrade_to_offload).

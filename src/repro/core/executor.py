@@ -37,12 +37,14 @@ from .context import (
     RankState,
     diag_bcast,
     diag_update,
+    grid_update,
     maybe,
     outer_update,
     panel_bcast,
     panel_grid,
     panel_update_col,
     panel_update_row,
+    payload,
 )
 from .oog_srgemm import TileTask, run_oog_pipeline
 
@@ -61,25 +63,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _lookahead_fill(state: RankState, k: int, axis: str, row_panel, col_panel, idxs=()):
+    """Numerics of a look-ahead kernel (either residency), as one grid
+    product: block (k+1, k+1) (``axis="diag"``, a 1 x 1 grid in the diag
+    phase), or the (k+1) block row (``"row"``, 1 x nc) or column
+    (``"col"``, nr x 1) over local indices ``idxs`` in the panel phase."""
+    k1 = k + 1
+    if axis == "diag":
+        return lambda: grid_update(state, [[(k1, k1)]], [col_panel[k1]], [row_panel[k1]], "diag")
+    if axis == "row":
+        return lambda: grid_update(
+            state, [[(k1, j) for j in idxs]], [col_panel[k1]], [row_panel[j] for j in idxs], "panel"
+        )
+    return lambda: grid_update(
+        state, [[(i, k1)] for i in idxs], [col_panel[i] for i in idxs], [row_panel[k1]], "panel"
+    )
+
+
 def _lookahead_diag(state: RankState, k: int, row_panel, col_panel):
     """Kernel: apply OuterUpdate(k) to block (k+1, k+1) only."""
     ctx = state.ctx
-    blk = state.blocks[(k + 1, k + 1)]
-    bmat = row_panel[k + 1]
-
-    if ctx.config.track_paths:
-        a, a_nxt = col_panel[k + 1]
-        nblk = state.nxt[(k + 1, k + 1)]
-
-        def fn():
-            ctx.backend.srgemm_accumulate_paths(blk, nblk, a, a_nxt, bmat)
-
-    else:
-        a = col_panel[k + 1]
-
-        def fn():
-            ctx.backend.srgemm_diag(blk, a, bmat, semiring=ctx.semiring)
-
+    fn = _lookahead_fill(state, k, "diag", row_panel, col_panel)
     return state.stream.kernel(
         ctx.b,
         ctx.b,
@@ -88,38 +92,6 @@ def _lookahead_diag(state: RankState, k: int, row_panel, col_panel):
         maybe(ctx, fn),
         cost_scale=ctx.backend.modeled_cost_scale,
     )
-
-
-def _lookahead_strip(state: RankState, k: int, axis: ir.Axis, idxs: list, row_panel, col_panel):
-    """Numerics of a look-ahead panel kernel (either residency): the
-    (k+1) block row (a 1 x nc grid) or column (nr x 1) as one grid
-    product in the panel phase."""
-    ctx = state.ctx
-    if axis == "row":
-        a = col_panel[k + 1]
-
-        def fn():
-            ctx.backend.srgemm_grid(
-                [[state.blocks[(k + 1, j)] for j in idxs]],
-                [a],
-                [row_panel[j] for j in idxs],
-                semiring=ctx.semiring,
-                phase="panel",
-            )
-
-    else:
-        bmat = row_panel[k + 1]
-
-        def fn():
-            ctx.backend.srgemm_grid(
-                [[state.blocks[(i, k + 1)]] for i in idxs],
-                [col_panel[i] for i in idxs],
-                [bmat],
-                semiring=ctx.semiring,
-                phase="panel",
-            )
-
-    return fn
 
 
 def _lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_panel):
@@ -142,27 +114,7 @@ def _lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_pan
     if not idxs:
         return None
 
-    if not ctx.config.track_paths:
-        fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
-    elif axis == "row":
-        a, a_nxt = col_panel[k + 1]
-
-        def fn():
-            for j in idxs:
-                ctx.backend.srgemm_accumulate_paths(
-                    state.blocks[(k + 1, j)], state.nxt[(k + 1, j)], a, a_nxt, row_panel[j]
-                )
-
-    else:
-        bmat = row_panel[k + 1]
-
-        def fn():
-            for i in idxs:
-                a, a_nxt = col_panel[i]
-                ctx.backend.srgemm_accumulate_paths(
-                    state.blocks[(i, k + 1)], state.nxt[(i, k + 1)], a, a_nxt, bmat
-                )
-
+    fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
     if axis == "row":
         m, n = b, b * len(idxs)
         label = f"LookaheadRow({k + 1})"
@@ -189,7 +141,7 @@ def _staged_panel_update(state: RankState, k: int, axis: ir.Axis, diag: np.ndarr
         s.h2d(b, b * len(idxs), label=f"h2d:rowpanel{k}")
 
         def fn():
-            panel_grid(ctx, [state.blocks[(k, j)] for j in idxs], diag, "row")
+            panel_grid(state, [(k, j) for j in idxs], diag, "row")
 
         m, n = b, b * len(idxs)
         label = f"PanelUpdateRow({k})"
@@ -197,7 +149,7 @@ def _staged_panel_update(state: RankState, k: int, axis: ir.Axis, diag: np.ndarr
         s.h2d(b * len(idxs), b, label=f"h2d:colpanel{k}")
 
         def fn():
-            panel_grid(ctx, [state.blocks[(i, k)] for i in idxs], diag, "col")
+            panel_grid(state, [(i, k) for i in idxs], diag, "col")
 
         m, n = b * len(idxs), b
         label = f"PanelUpdateCol({k})"
@@ -217,13 +169,7 @@ def _staged_lookahead_diag(state: RankState, k: int, row_panel, col_panel) -> No
     ctx = state.ctx
     b = ctx.b
     s = state.stream
-    blk = state.blocks[(k + 1, k + 1)]
-    a = col_panel[k + 1]
-    bmat = row_panel[k + 1]
-
-    def fn():
-        ctx.backend.srgemm_diag(blk, a, bmat, semiring=ctx.semiring)
-
+    fn = _lookahead_fill(state, k, "diag", row_panel, col_panel)
     s.h2d(b, 3 * b, label=f"h2d:lookahead_diag{k + 1}")
     s.kernel(b, b, b, f"LookaheadDiag({k + 1})", maybe(ctx, fn),
              cost_scale=ctx.backend.modeled_cost_scale)
@@ -242,7 +188,7 @@ def _staged_lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, 
         idxs = state.local_cols(exclude=(k, k + 1))
         if not idxs:
             return None
-        fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
+        fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
         # Target strip + the A(k,j) operand strip up; updated strip down.
         s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
         s.h2d(2 * b, b * len(idxs), label=f"h2d:lookahead_row{k + 1}")
@@ -253,7 +199,7 @@ def _staged_lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, 
     idxs = state.local_rows(exclude=(k, k + 1))
     if not idxs:
         return None
-    fn = _lookahead_strip(state, k, axis, idxs, row_panel, col_panel)
+    fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
     s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
     s.h2d(b * len(idxs), 2 * b, label=f"h2d:lookahead_col{k + 1}")
     s.kernel(b * len(idxs), b, b, f"LookaheadCol({k + 1})", maybe(ctx, fn),
@@ -573,7 +519,7 @@ def _op_diag_update(state, residency, env, op):
     env.diag = None
     if state.owns_diag(op.k):
         yield from residency.diag_update(state, op.k)
-        env.diag = state.blocks[(op.k, op.k)]
+        env.diag = payload(state, (op.k, op.k))
 
 
 def _op_diag_bcast(state, residency, env, op):

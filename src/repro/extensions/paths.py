@@ -3,7 +3,9 @@
 Two complementary tools:
 
 * :func:`floyd_warshall_with_paths` - Floyd-Warshall that also carries
-  a next-hop matrix, so paths come out of the sweep directly.
+  a next-hop matrix, so paths come out of the sweep directly.  It is
+  unblocked and independent of the kernel backends: the oracle the
+  distributed ``track_paths`` solve is tested against.
 * :func:`next_hop_from_distances` / :func:`reconstruct_path` - rebuild
   next-hops from *any* valid distance matrix plus the weights.  This is
   the piece that composes with the distributed solver: run
@@ -18,6 +20,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
+from ..semiring.path_kernels import NO_HOP
+from ..serve.query import check_vertex
 
 __all__ = [
     "floyd_warshall_with_paths",
@@ -26,9 +30,6 @@ __all__ = [
     "path_length",
     "NO_HOP",
 ]
-
-#: Sentinel for "no next hop" (unreachable or i == j).
-NO_HOP = -1
 
 
 def floyd_warshall_with_paths(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,26 +81,35 @@ def next_hop_from_distances(weights: np.ndarray, dist: np.ndarray) -> np.ndarray
 
 def reconstruct_path(nxt: np.ndarray, src: int, dst: int) -> Optional[list[int]]:
     """Vertex sequence of a shortest src->dst path, or None if
-    unreachable.  Guards against malformed next-hop matrices with a
-    step bound."""
+    unreachable.  A vertex that is not an int in ``[0, n)`` is a
+    :class:`~repro.errors.QueryError`; a malformed next-hop matrix (a
+    cycle, a hop outside the graph) is a :class:`ValidationError`."""
+    n = nxt.shape[0]
+    src = check_vertex(src, n, "source")
+    dst = check_vertex(dst, n, "target")
     if src == dst:
         return [src]
     if nxt[src, dst] == NO_HOP:
         return None
     path = [src]
     cur = src
-    for _ in range(nxt.shape[0] + 1):
+    for _ in range(n + 1):
         cur = int(nxt[cur, dst])
+        if cur == NO_HOP:
+            return None
+        if not 0 <= cur < n:
+            raise ValidationError(f"next-hop matrix names vertex {cur} of {n} while tracing {src}->{dst}")
         path.append(cur)
         if cur == dst:
             return path
-        if cur == NO_HOP:
-            return None
     raise ValidationError(f"next-hop matrix cycles while tracing {src}->{dst}")
 
 
 def path_length(weights: np.ndarray, path: list[int]) -> float:
-    """Sum of edge weights along a vertex sequence."""
+    """Sum of edge weights along a vertex sequence (each an int in
+    ``[0, n)``, else :class:`~repro.errors.QueryError`)."""
+    n = weights.shape[0]
+    path = [check_vertex(v, n) for v in path]
     if len(path) < 2:
         return 0.0
     total = 0.0

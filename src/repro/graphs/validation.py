@@ -14,12 +14,14 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from ..errors import ValidationError
+from ..semiring.path_kernels import NO_HOP
 
 __all__ = [
     "validate_weights",
     "scipy_floyd_warshall",
     "assert_matches_oracle",
     "check_apsp_invariants",
+    "check_next_hops",
 ]
 
 
@@ -98,3 +100,41 @@ def check_apsp_invariants(weights: np.ndarray, dist: np.ndarray) -> None:
         np.minimum(relaxed, relaxed[:, k, None] + relaxed[None, k, :], out=relaxed)
     if not np.allclose(np.where(np.isinf(dist), 0, dist), np.where(np.isinf(relaxed), 0, relaxed)):
         raise ValidationError("APSP result is not a fixed point of relaxation")
+
+
+def check_next_hops(weights: np.ndarray, dist: np.ndarray, nxt: np.ndarray) -> None:
+    """Next hops that agree with the distances, in one vectorised pass:
+
+    1. :data:`~repro.semiring.path_kernels.NO_HOP` marks exactly the
+       diagonal and the unreachable pairs;
+    2. every other ``nxt[i, j] = h`` is an edge out of ``i``
+       (``w[i, h]`` finite, ``h != i``) ...
+    3. ... that starts a shortest path: ``w[i, h] + dist[h, j]`` is
+       close to ``dist[i, j]``.
+
+    Raises :class:`ValidationError` naming the first bad pair.
+    """
+    n = dist.shape[0]
+    if nxt.shape != dist.shape:
+        raise ValidationError(f"next-hop shape {nxt.shape} != distance shape {dist.shape}")
+    needs_hop = np.isfinite(dist)
+    np.fill_diagonal(needs_hop, False)
+    misplaced = (nxt == NO_HOP) == needs_hop
+    if misplaced.any():
+        i, j = np.argwhere(misplaced)[0]
+        where = "a reachable pair" if needs_hop[i, j] else "the diagonal or an unreachable pair"
+        raise ValidationError(f"next hop of ({i}, {j}) is {nxt[i, j]} on {where}")
+    i, j = np.nonzero(needs_hop)
+    h = nxt[i, j]
+    edge = (h >= 0) & (h < n) & (h != i)
+    h_safe = np.where(edge, h, 0)
+    first = weights[i, h_safe]
+    edge &= np.isfinite(first)
+    with np.errstate(invalid="ignore"):
+        ok = edge & np.isclose(first + dist[h_safe, j], dist[i, j])
+    if not ok.all():
+        t = np.flatnonzero(~ok)[0]
+        raise ValidationError(
+            f"next hop of ({i[t]}, {j[t]}) is {h[t]}, which does not start a "
+            f"shortest path (distance {dist[i[t], j[t]]!r})"
+        )

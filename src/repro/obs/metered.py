@@ -133,13 +133,17 @@ class MeteredBackend(KernelBackend):
         b_cols: Sequence[np.ndarray],
         semiring: Semiring = MIN_PLUS,
         phase: str = "outer",
+        hops=None,
     ) -> Sequence[Sequence[np.ndarray]]:
         """Forward the whole grid to ``inner``'s grid entry (so a metered
         run keeps the one-native-call path), counting what the per-tile
         loop would have: one call and 2mnk flops per tile under
         ``kernel.srgemm`` and the phase family, and one wall accrual.
         (Flop counts are integers, so the lump sum is bit-identical to
-        the tile-by-tile one.)"""
+        the tile-by-tile one.)  A grid with next hops takes the default
+        loop, which counts each tile under ``kernel.srgemm_paths``."""
+        if hops is not None:
+            return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
         entry = validate_grid(c_tiles, a_rows, b_cols, phase)
         calls = len(a_rows) * len(b_cols)
         if not calls:
@@ -155,11 +159,11 @@ class MeteredBackend(KernelBackend):
             self.inner.srgemm_grid, c_tiles, a_rows, b_cols, semiring=semiring, phase=phase
         )
 
-    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops=None) -> np.ndarray:
         """Forwarded so the inner backend's native closure survives
         metering; the closure is not a product, so no flop family
         counts it - only the wall accrual."""
-        return self._timed(self.inner.fw_closure, blk, semiring=semiring)
+        return self._timed(self.inner.fw_closure, blk, semiring=semiring, hops=hops)
 
     def srgemm_accumulate_paths(
         self,

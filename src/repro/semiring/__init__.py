@@ -32,12 +32,7 @@ from .kernels import (
     srgemm_outer,
     srgemm_panel,
 )
-from .path_kernels import (
-    NO_HOP,
-    fw_inplace_paths,
-    init_next_hops,
-    srgemm_accumulate_paths,
-)
+from .path_kernels import NO_HOP, init_next_hops
 from .minplus import (
     INF,
     MAX_MIN,
@@ -79,8 +74,6 @@ __all__ = [
     "dc_floyd_warshall",
     "NO_HOP",
     "init_next_hops",
-    "srgemm_accumulate_paths",
-    "fw_inplace_paths",
     "KernelBackend",
     "get_backend",
     "registered_backends",

@@ -20,6 +20,13 @@ The contract
   next-hop pointers.
 * ``fw_closure(blk)`` - DiagUpdate: the in-place Floyd-Warshall closure
   of the pivot block (default: ``closure.fw_inplace``).
+* ``hops=`` on ``srgemm_grid`` and ``fw_closure`` - the hop operand: a
+  path-tracking solve makes the same calls as a distances-only one,
+  with the next-hop blocks beside the distances ((min,+) only).  The
+  default runs ``srgemm_accumulate_paths`` per tile, row-major, and the
+  closure with next hops; a backend without a native hop kernel (every
+  shipped one, and both wrappers) hands such a call to the default, so
+  the per-tile path entry stays the one a wrapper guards and counts.
 
 Aliasing contract
 -----------------
@@ -387,6 +394,7 @@ class KernelBackend:
         b_cols: Sequence[np.ndarray],
         semiring: Semiring = MIN_PLUS,
         phase: str = "outer",
+        hops: Optional[Tuple[Sequence[Sequence[np.ndarray]], Sequence[np.ndarray]]] = None,
     ) -> Sequence[Sequence[np.ndarray]]:
         """Grid product ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` in place
         over ``nr × nc`` independent tiles; returns ``c_tiles``.
@@ -395,8 +403,21 @@ class KernelBackend:
         per-tile entry the grid stands for.  No operand may alias a
         tile and tiles must be pairwise disjoint (see the module docs);
         under that contract the visiting order is unobservable.
+
+        ``hops = (c_hop_tiles, a_hop_rows)``, of the grid's shape, makes
+        it the (min,+) product that also updates each tile's next hops:
+        :meth:`srgemm_accumulate_paths` per tile, in row-major order.
         """
         entry = getattr(self, validate_grid(c_tiles, a_rows, b_cols, phase))
+        if hops is not None:
+            c_hops, a_hops = hops
+            validate_grid(c_hops, a_hops, b_cols, phase)
+            if semiring is not MIN_PLUS:
+                raise ValueError(f"next hops need the (min,+) semiring, got {semiring.name}")
+            for a, a_nxt, c_row, c_nxt_row in zip(a_rows, a_hops, c_tiles, c_hops):
+                for b, c, c_nxt in zip(b_cols, c_row, c_nxt_row):
+                    self.srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b)
+            return c_tiles
         for a, c_row in zip(a_rows, c_tiles):
             for b, c in zip(b_cols, c_row):
                 entry(c, a, b, semiring=semiring)
@@ -422,15 +443,36 @@ class KernelBackend:
         return self.srgemm_panel(panel, panel.copy(), diag, semiring=semiring)
 
     # -- DiagUpdate closure -----------------------------------------------------
-    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+    def fw_closure(
+        self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Floyd-Warshall closure of one square block, in place; returns
         ``blk``.  The default *is* :func:`repro.semiring.closure.fw_inplace`
         (``blk ← blk ⊕ blk[:, k] ⊗ blk[k, :]`` for each ``k``, every sweep
         reading the pre-sweep row and column ``k``); an override must
-        produce its bits."""
-        from ..closure import fw_inplace  # closure imports the registry
+        produce its bits.
 
-        return fw_inplace(blk, semiring=semiring)
+        With ``hops`` (the block's next-hop pointers, global vertex ids)
+        the closure is (min,+) and carries them: where a sweep strictly
+        improves ``blk[r, c]`` through ``k``, ``hops[r, c]`` becomes
+        ``hops[r, k]``, the first hop toward ``k``."""
+        if hops is None:
+            from ..closure import fw_inplace  # closure imports the registry
+
+            return fw_inplace(blk, semiring=semiring)
+        n = blk.shape[0]
+        if blk.shape != (n, n) or hops.shape != (n, n):
+            raise ValueError(f"square blocks required, got {blk.shape} / {hops.shape}")
+        if semiring is not MIN_PLUS:
+            raise ValueError(f"next hops need the (min,+) semiring, got {semiring.name}")
+        for k in range(n):
+            via = blk[:, k, None] + blk[None, k, :]
+            better = via < blk
+            if not better.any():
+                continue
+            blk[better] = via[better]
+            hops[better] = np.broadcast_to(hops[:, k, None], (n, n))[better]
+        return blk
 
     # -- guard entries -------------------------------------------------------
     def tile_sums(

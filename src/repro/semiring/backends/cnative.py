@@ -701,11 +701,15 @@ class CNativeBackend(TiledBackend):
         b_cols: Sequence[np.ndarray],
         semiring: Semiring = MIN_PLUS,
         phase: str = "outer",
+        hops=None,
     ) -> Sequence[Sequence[np.ndarray]]:
         validate_grid(c_tiles, a_rows, b_cols, phase)
-        if self._native_grid(c_tiles, a_rows, b_cols, semiring):
+        # There is no native hop kernel: a grid with next hops takes the default.
+        if hops is None and self._native_grid(c_tiles, a_rows, b_cols, semiring):
             return c_tiles
-        return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+        return super().srgemm_grid(
+            c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops
+        )
 
     # -- guard entries -------------------------------------------------------
     def tile_sums(
@@ -761,12 +765,12 @@ class CNativeBackend(TiledBackend):
         )
         return rows, cols
 
-    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops=None) -> np.ndarray:
         n = blk.shape[0]
         covered = blk.ndim == 2 and blk.shape[1] == n and n > 0 and blk.flags.writeable
-        unit = self._unit_for(semiring, blk.dtype) if covered else None
+        unit = self._unit_for(semiring, blk.dtype) if covered and hops is None else None
         if unit is None:
-            return super().fw_closure(blk, semiring=semiring)
+            return super().fw_closure(blk, semiring=semiring, hops=hops)
         # A block of a larger matrix is a strided view: stage it like a
         # non-contiguous accumulator.
         d = blk if blk.flags.c_contiguous else np.ascontiguousarray(blk)

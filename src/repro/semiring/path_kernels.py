@@ -1,9 +1,12 @@
-"""(min,+) kernels that carry next-hop pointers.
+"""Next-hop pointers for (min,+) path tracking.
 
 These back *distributed shortest-path generation* (the paper's first
 future-work item): every distance update also updates a parallel
 next-hop matrix, so paths come out of the distributed sweep itself
-rather than from post-processing.
+rather than from post-processing.  The updates are the kernel waist's
+hop operand (``hops=`` on ``KernelBackend.srgemm_grid`` and
+``fw_closure``); this module holds the pointers' sentinel and their
+initial value.
 
 The update rule: when ``C[r, c]`` improves via intermediate ``t``
 (i.e. ``A[r, t] + B[t, c] < C[r, c]``), the first hop of the new best
@@ -12,25 +15,13 @@ need the *left* operand's next-hop block only.  In the blocked
 algorithm that means the column panels (and the diagonal) carry their
 pointer blocks over the wire, while row panels travel as distances
 only; the asymmetry is visible in the communication accounting.
-
-All kernels are (min,+)-specific: argmin tracking has no meaning for a
-general semiring ``⊕``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from .backends import KernelBackend, get_backend
-
-__all__ = [
-    "NO_HOP",
-    "init_next_hops",
-    "srgemm_accumulate_paths",
-    "fw_inplace_paths",
-]
+__all__ = ["NO_HOP", "init_next_hops"]
 
 #: Sentinel for "no next hop" (same vertex, or unreachable).
 NO_HOP = -1
@@ -51,46 +42,3 @@ def init_next_hops(weights: np.ndarray, col_offset: int = 0) -> np.ndarray:
         np.int64(NO_HOP),
     )
     return np.ascontiguousarray(nxt)
-
-
-def srgemm_accumulate_paths(
-    c: np.ndarray,
-    c_nxt: np.ndarray,
-    a: np.ndarray,
-    a_nxt: np.ndarray,
-    b: np.ndarray,
-    k_chunk: Optional[int] = None,
-    backend: Union[str, KernelBackend, None] = None,
-) -> np.ndarray:
-    """Fused ``C ← C ⊕ A ⊗ B`` that also updates ``C``'s next hops.
-
-    Wherever the product improves ``C[r, c]`` through intermediate
-    ``t``, sets ``c_nxt[r, c] = a_nxt[r, t*]`` for the minimizing
-    ``t*``.  Strict improvement only, so existing (equally good) paths
-    are kept - updates stay idempotent, as the blocked schedules
-    require.  Dispatches to the selected kernel backend; all backends
-    run path numerics in the operand dtype and chunk the k dimension
-    with the shared tuner, so hop choices are backend-invariant.
-    """
-    return get_backend(backend).srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b, k_chunk=k_chunk)
-
-
-def fw_inplace_paths(dist: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Classic Floyd-Warshall on one block, carrying next hops.
-
-    The block is treated as a closed subproblem (the DiagUpdate):
-    intermediates are the block's own vertices, and ``nxt`` entries are
-    global ids, so relabeling is not needed.
-    """
-    n = dist.shape[0]
-    if dist.shape != (n, n) or nxt.shape != (n, n):
-        raise ValueError(f"square blocks required, got {dist.shape} / {nxt.shape}")
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        better = via < dist
-        if not better.any():
-            continue
-        dist[better] = via[better]
-        # First hop toward k's path: column k of nxt, broadcast per row.
-        nxt[better] = np.broadcast_to(nxt[:, k, None], (n, n))[better]
-    return dist

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import ArtifactError, ConfigurationError, NegativeCycleError, QueryError
 from ..semiring.minplus import INF
+from .query import check_vertex
 
 __all__ = ["RankOneUpdater", "ArtifactPatcher"]
 
@@ -110,8 +111,8 @@ class RankOneUpdater:
 
     # -- internals --------------------------------------------------------
     def _check_edge(self, u, v, weight) -> tuple[int, int, float]:
-        u = self.engine._check_vertex(u, "edge source")
-        v = self.engine._check_vertex(v, "edge target")
+        u = check_vertex(u, self.engine.n, "edge source")
+        v = check_vertex(v, self.engine.n, "edge target")
         try:
             weight = float(weight)
         except (TypeError, ValueError):

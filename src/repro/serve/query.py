@@ -25,9 +25,21 @@ import numpy as np
 from ..errors import ArtifactError, QueryError
 from ..semiring.minplus import SEMIRINGS
 
-__all__ = ["QueryEngine", "BatchQuery"]
+__all__ = ["QueryEngine", "BatchQuery", "check_vertex"]
 
 PairLike = Union[Tuple[int, int], Sequence[int]]
+
+
+def check_vertex(v, n: int, what: str = "vertex") -> int:
+    """``v`` as the int id of a vertex of an ``n``-vertex graph; a
+    non-integer (bools included) or a value outside ``[0, n)`` is a
+    :class:`~repro.errors.QueryError`."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise QueryError(f"{what} must be an integer vertex id, got {v!r}")
+    v = int(v)
+    if not (0 <= v < n):
+        raise QueryError(f"{what} {v} outside vertex range [0, {n})")
+    return v
 
 
 def _as_index_array(values, n: int, what: str) -> np.ndarray:
@@ -104,18 +116,10 @@ class QueryEngine:
         self.cache.invalidate((bi, bj))
 
     # -- scalar / vector reads --------------------------------------------
-    def _check_vertex(self, v, what: str) -> int:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise QueryError(f"{what} must be an integer vertex id, got {v!r}")
-        v = int(v)
-        if not (0 <= v < self.n):
-            raise QueryError(f"{what} {v} outside vertex range [0, {self.n})")
-        return v
-
     def distance(self, s, t) -> float:
         """d(s, t): one tile, one scalar."""
-        s = self._check_vertex(s, "source")
-        t = self._check_vertex(t, "target")
+        s = check_vertex(s, self.n, "source")
+        t = check_vertex(t, self.n, "target")
         b = self.block_size
         tile = self.block(s // b, t // b)
         if self.metrics is not None:
@@ -124,7 +128,7 @@ class QueryEngine:
 
     def row(self, s) -> np.ndarray:
         """d(s, :) assembled from one block row."""
-        s = self._check_vertex(s, "source")
+        s = check_vertex(s, self.n, "source")
         b = self.block_size
         bi, local = s // b, s % b
         return np.concatenate(
@@ -133,7 +137,7 @@ class QueryEngine:
 
     def col(self, t) -> np.ndarray:
         """d(:, t) assembled from one block column."""
-        t = self._check_vertex(t, "target")
+        t = check_vertex(t, self.n, "target")
         b = self.block_size
         bj, local = t // b, t % b
         return np.concatenate(
@@ -178,7 +182,7 @@ class QueryEngine:
         distance with ties broken by vertex id - deterministic for any
         tie structure.  Returns fewer than k when fewer are reachable."""
         self.require_min_plus("k_nearest")
-        s = self._check_vertex(s, "source")
+        s = check_vertex(s, self.n, "source")
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or int(k) < 1:
             raise QueryError(f"k must be a positive integer, got {k!r}")
         k = int(k)

@@ -95,7 +95,10 @@ class ChecksummedBackend(KernelBackend):
         b_cols: Sequence[np.ndarray],
         semiring: Semiring = MIN_PLUS,
         phase: str = "outer",
+        hops=None,
     ) -> Sequence[Sequence[np.ndarray]]:
+        if hops is not None:  # the default's loop guards each tile's path entry
+            return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
         return self.runtime.accumulate_grid(c_tiles, a_rows, b_cols, semiring, phase)
 
     def panel_row_update(
@@ -108,10 +111,10 @@ class ChecksummedBackend(KernelBackend):
     ) -> np.ndarray:
         return self.runtime.panel_update(panel, diag, "col", semiring)
 
-    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+    def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops=None) -> np.ndarray:
         # Guarded at the call site (VerifyRuntime.wrap_closure): checksums
         # do not distribute over the closure.
-        return self.inner.fw_closure(blk, semiring=semiring)
+        return self.inner.fw_closure(blk, semiring=semiring, hops=hops)
 
     def srgemm_accumulate_paths(
         self,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import solve
-from repro.errors import NegativeCycleError, ValidationError
+from repro.errors import NegativeCycleError, QueryError, ValidationError, exit_code_for
 from repro.extensions import (
     NO_HOP,
     IncrementalApsp,
@@ -64,6 +64,26 @@ class TestPathsFromFw:
         bad = np.array([[NO_HOP, 0], [1, NO_HOP]])
         with pytest.raises(ValidationError):
             reconstruct_path(bad, 0, 1)
+        # ... or names a vertex the graph does not have.
+        with pytest.raises(ValidationError, match="vertex 5 of 2"):
+            reconstruct_path(np.array([[NO_HOP, 5], [0, NO_HOP]]), 0, 1)
+
+    @pytest.mark.parametrize("src,dst", [(-1, 3), (3, -1), (8, 3), (3, 8), (1.0, 3), (True, 3)])
+    def test_bad_vertex_is_a_query_error(self, src, dst):
+        """A negative id used to wrap (``(-1, 3)`` traced ``[-1, 5, 3]``
+        through a vertex that does not exist); the rest were bare
+        IndexErrors."""
+        w = erdos_renyi(8, 0.5, seed=1)
+        _, nxt = floyd_warshall_with_paths(w)
+        with pytest.raises(QueryError, match=r"\[0, 8\)|integer vertex id") as err:
+            reconstruct_path(nxt, src, dst)
+        assert exit_code_for(err.value) == 18
+
+    @pytest.mark.parametrize("path", [[-1, 3], [3, 8], [0, 2.0]])
+    def test_path_length_rejects_bad_vertex(self, path):
+        w = erdos_renyi(8, 0.5, seed=1)
+        with pytest.raises(QueryError):
+            path_length(w, path)
 
 
 class TestNextHopFromDistances:

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.cli import main
-from repro.core.blocked import blocked_fw, blocked_fw_paths
+from repro.core.blocked import blocked_fw
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.machine import SUMMIT, CostModel, SimGPU
 from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS, srgemm, srgemm_accumulate
@@ -385,11 +385,17 @@ class TestPathKernels:
         np.fill_diagonal(w, 0.0)
         return w, b
 
-    def test_blocked_fw_paths_backend_invariant(self):
+    def test_one_rank_paths_backend_invariant(self):
         w, b = self._paths_case()
-        dist_ref, nxt_ref = blocked_fw_paths(w, b, backend="reference")
+
+        def one_rank(name):
+            res = repro.solve(w, block_size=b, n_nodes=1, ranks_per_node=1,
+                              track_paths=True, kernel_backend=name)
+            return res.dist, res.next_hops
+
+        dist_ref, nxt_ref = one_rank("reference")
         for name in available_backends():
-            dist, nxt = blocked_fw_paths(w, b, backend=name)
+            dist, nxt = one_rank(name)
             # Hop pointers must be bitwise invariant: every backend
             # derives k-chunk boundaries from the shared tuner and path
             # numerics never take the reduced-precision route.

@@ -395,7 +395,8 @@ class TestPanelGrid:
             want = [p.copy() for p in panels]
             for p in want:
                 getattr(backend, f"panel_{axis}_update")(p, diag, semiring=sr)
-            panel_grid(ctx, panels, diag, axis)
+            state = SimpleNamespace(ctx=ctx, blocks=dict(enumerate(panels)), nxt=None)
+            panel_grid(state, list(range(len(panels))), diag, axis)
             for got, expected in zip(panels, want):
                 np.testing.assert_array_equal(got, expected, err_msg=f"{name} {axis}")
 

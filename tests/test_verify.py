@@ -770,8 +770,8 @@ class _CorruptingCNative(CNativeBackend):
 
     target = None
 
-    def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer"):
-        super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+    def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer", hops=None):
+        super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
         if any(c is self.target for c_row in c_tiles for c in c_row):
             self.target[1, 2] = -1.0
         return c_tiles
