@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..semiring.backends import get_backend
-from ..semiring.closure import check_no_negative_cycle, closure_by_squaring
+from ..semiring.closure import check_no_negative_cycle
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .distribution import block_slice, pad_to_blocks
 
@@ -29,7 +29,6 @@ def blocked_fw(
     weights: np.ndarray,
     block_size: int,
     semiring: Semiring = MIN_PLUS,
-    diag_via_squaring: bool = False,
     check_negative_cycles: bool = True,
     backend=None,
 ) -> np.ndarray:
@@ -42,18 +41,13 @@ def blocked_fw(
         convention its diagonal should be the semiring one).
     block_size:
         Block size ``b``; the input is padded if ``b`` does not divide n.
-    diag_via_squaring:
-        Use the GPU formulation of the diagonal update (paper Eq. 4,
-        ``ceil(log2 b)`` squarings) instead of the classic k-loop.
-        Results are identical for zero-diagonal inputs; this flag exists
-        so tests can pin that equivalence.
     backend:
         SrGemm kernel backend (name or instance); ``None`` resolves the
         default (``REPRO_SRGEMM_BACKEND`` / ``reference``).
     """
     padded, n = pad_to_blocks(np.asarray(weights), block_size, semiring)
     dist = np.array(padded, dtype=semiring.dtype, copy=True)
-    blocked_fw_inplace(dist, block_size, semiring, diag_via_squaring, backend=backend)
+    blocked_fw_inplace(dist, block_size, semiring, backend=backend)
     dist = dist[:n, :n]
     if check_negative_cycles and semiring is MIN_PLUS:
         check_no_negative_cycle(dist)
@@ -64,7 +58,6 @@ def blocked_fw_inplace(
     dist: np.ndarray,
     b: int,
     semiring: Semiring = MIN_PLUS,
-    diag_via_squaring: bool = False,
     backend=None,
 ) -> np.ndarray:
     """Algorithm 2 on a block-divisible matrix, in place."""
@@ -78,28 +71,25 @@ def blocked_fw_inplace(
     for k in range(nb):
         kk = block_slice(b, k, k)
         # --- Diagonal update -------------------------------------------
-        if diag_via_squaring:
-            dist[kk] = closure_by_squaring(dist[kk], semiring=semiring, backend=kernels)
-        else:
-            kernels.fw_closure(dist[kk], semiring=semiring)
+        kernels.fw_closure(dist[kk], semiring=semiring)
         # The wide panels below include block (k,k) itself, so the
         # closed diagonal is snapshotted once (b x b) to keep the
         # panel-update operands alias-free; updating block (k,k) along
         # with the panel is harmless (⊕ idempotent, diag closed) and
         # matches what a GPU implementation does to stay uniform.
         diag = dist[kk].copy()
+        row = dist[k * b : (k + 1) * b, :]
+        col = dist[:, k * b : (k + 1) * b]
         # --- Panel update ----------------------------------------------
         # Row panel: A(k, j) ← A(k, j) ⊕ A(k, k) ⊗ A(k, j), all j at
-        # once (one wide fused SrGemm, like the aggregated GPU kernel);
-        # the backend owns the panel-aliasing snapshot.
-        kernels.panel_row_update(dist[k * b : (k + 1) * b, :], diag, semiring=semiring)
-        kernels.panel_col_update(dist[:, k * b : (k + 1) * b], diag, semiring=semiring)
+        # once (one wide SrGemm, like the aggregated GPU kernel); each
+        # panel is also an operand, so a whole-panel copy stands in.
+        kernels.srgemm_grid([[row]], [diag], [row.copy()], semiring=semiring, phase="panel")
+        kernels.srgemm_grid([[col]], [col.copy()], [diag], semiring=semiring, phase="panel")
         # --- Min-plus outer product ----------------------------------------
-        colk = dist[:, k * b : (k + 1) * b].copy()
-        rowk = dist[k * b : (k + 1) * b, :].copy()
         # Zero out the k-th block row/col contribution to itself: the
         # outer product must not re-update the panels with stale data -
         # but since ⊕ is idempotent and the panels are already closed
         # over block k, a full-matrix update is both correct and simpler.
-        kernels.srgemm_outer(dist, colk, rowk, semiring=semiring)
+        kernels.srgemm_grid([[dist]], [col.copy()], [row.copy()], semiring=semiring, phase="outer")
     return dist

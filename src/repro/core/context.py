@@ -351,8 +351,7 @@ def panel_grid(state: RankState, keys: list, diag, axis: str) -> None:
     the pivot column (n x 1); ``diag`` is the diagonal :func:`payload`.
     Each block is both accumulator and operand, so a copy ``S`` of each
     (with its next hops, where it is the left operand) is the alias-free
-    operand - the product ``TiledBackend.panel_row_update`` /
-    ``_col_update`` computes per block, through the same tile kernel."""
+    operand."""
     if axis == "row":
         snaps = [state.blocks[key].copy() for key in keys]
         grid_update(state, [keys], [diag], snaps, "panel")

@@ -265,7 +265,8 @@ def _outer_tiles(
                 a = np.vstack([col_panel[i] for i in rows])
                 bmat = np.hstack([row_panel[j] for j in cols])
                 x = semiring.zeros((a.shape[0], bmat.shape[1]), dtype=a.dtype)
-                return ctx.backend.srgemm_outer(x, a, bmat, semiring=semiring)
+                ctx.backend.srgemm_grid([[x]], [a], [bmat], semiring=semiring, phase="outer")
+                return x
 
             clean_compute = compute
             if oog_bits:

@@ -187,7 +187,10 @@ def oog_srgemm_plan(
 
             def compute(i0=i0, i1=i1, j0=j0, j1=j1):
                 x = semiring.zeros((i1 - i0, j1 - j0), dtype=c.dtype)
-                return kernels.srgemm_outer(x, a[i0:i1], b[:, j0:j1], semiring=semiring)
+                kernels.srgemm_grid(
+                    [[x]], [a[i0:i1]], [b[:, j0:j1]], semiring=semiring, phase="outer"
+                )
+                return x
 
             def apply(x, i0=i0, i1=i1, j0=j0, j1=j1):
                 semiring.plus(c[i0:i1, j0:j1], x, out=c[i0:i1, j0:j1])

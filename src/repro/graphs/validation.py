@@ -84,7 +84,18 @@ def check_apsp_invariants(weights: np.ndarray, dist: np.ndarray) -> None:
     1. ``dist <= weights`` elementwise (a direct edge is a path);
     2. zero diagonal (no negative cycles assumed);
     3. triangle inequality ``dist[i,j] <= dist[i,k] + dist[k,j]``;
-    4. idempotence: one more relaxation sweep changes nothing.
+    4. idempotence: one more relaxation sweep changes nothing;
+    5. the lower bound: ``dist`` is a fixed point of the Bellman
+       equation ``D = I ⊕ W' ⊗ D`` over (min,+), ``W'`` being
+       ``weights`` without its diagonal - every finite ``dist[i, j]``
+       off the diagonal is realised by a first edge ``i -> k`` and
+       ``dist[k, j]``, and every unreachable pair stays unreachable.
+       Checks 1-4 bound ``dist`` from above only, so ``dist == 0``
+       passed them.
+
+    Necessary for a correct result; sufficient only when every cycle
+    has positive weight (a zero-weight cycle admits fixed points below
+    the true distances).  Raises :class:`ValidationError`.
     """
     if not np.all(dist <= weights + 1e-9):
         raise ValidationError("distance exceeds direct edge weight somewhere")
@@ -100,6 +111,34 @@ def check_apsp_invariants(weights: np.ndarray, dist: np.ndarray) -> None:
         np.minimum(relaxed, relaxed[:, k, None] + relaxed[None, k, :], out=relaxed)
     if not np.allclose(np.where(np.isinf(dist), 0, dist), np.where(np.isinf(relaxed), 0, relaxed)):
         raise ValidationError("APSP result is not a fixed point of relaxation")
+    _check_bellman_fixed_point(weights, dist)
+
+
+def _check_bellman_fixed_point(weights: np.ndarray, dist: np.ndarray) -> None:
+    """Check 5 of :func:`check_apsp_invariants`: ``I ⊕ W' ⊗ D``, as ``n``
+    rank-1 sweeps in O(n²) memory, has ``dist``'s finite entries and,
+    on them, its values."""
+    n = dist.shape[0]
+    step = np.array(weights, dtype=np.float64)
+    np.fill_diagonal(step, np.inf)
+    bellman = np.full((n, n), np.inf)
+    np.fill_diagonal(bellman, 0.0)
+    for k in range(n):
+        np.minimum(bellman, step[:, k, None] + dist[None, k, :], out=bellman)
+    finite = np.isfinite(dist)
+    if not np.array_equal(finite, np.isfinite(bellman)):
+        i, j = np.argwhere(finite != np.isfinite(bellman))[0]
+        raise ValidationError(
+            f"reachability of ({i}, {j}) disagrees with its neighbours': "
+            f"dist {dist[i, j]!r}, best first edge gives {bellman[i, j]!r}"
+        )
+    close = np.isclose(dist, bellman) | ~finite
+    if not close.all():
+        i, j = np.argwhere(~close)[0]
+        raise ValidationError(
+            f"dist[{i}, {j}] = {dist[i, j]!r} is not realised by any path: "
+            f"the best first edge gives {bellman[i, j]!r}"
+        )
 
 
 def check_next_hops(weights: np.ndarray, dist: np.ndarray, nxt: np.ndarray) -> None:

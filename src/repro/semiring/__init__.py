@@ -13,6 +13,7 @@ from .backends import (
     registered_backends,
     tune_kernel_tiling,
 )
+from .backends.base import srgemm_flops
 from .closure import (
     check_no_negative_cycle,
     closure_by_squaring,
@@ -20,17 +21,6 @@ from .closure import (
     floyd_warshall,
     fw_inplace,
     squaring_steps,
-)
-from .kernels import (
-    eltwise_plus,
-    panel_col_update,
-    panel_row_update,
-    srgemm,
-    srgemm_accumulate,
-    srgemm_diag,
-    srgemm_flops,
-    srgemm_outer,
-    srgemm_panel,
 )
 from .path_kernels import NO_HOP, init_next_hops
 from .minplus import (
@@ -57,15 +47,7 @@ __all__ = [
     "PLUS_TIMES",
     "SEMIRINGS",
     "weight_matrix_is_valid",
-    "srgemm",
-    "srgemm_accumulate",
-    "srgemm_diag",
-    "srgemm_panel",
-    "srgemm_outer",
     "srgemm_flops",
-    "eltwise_plus",
-    "panel_row_update",
-    "panel_col_update",
     "fw_inplace",
     "floyd_warshall",
     "closure_by_squaring",

@@ -10,64 +10,45 @@ distributed rank programs and the ooGSrGemm offload pipeline alike.
 
 The contract
 ------------
-* ``srgemm(a, b)`` - fresh-output product ``A ⊗ B``.
-* ``srgemm_accumulate(c, a, b)`` - fused in-place ``C ← C ⊕ A ⊗ B``,
-  the shape of every update in blocked Floyd-Warshall (Alg. 2).
-* ``panel_row_update(panel, diag)`` / ``panel_col_update(panel, diag)``
-  - the self-referential PanelUpdates ``P ← P ⊕ D ⊗ P`` and
-  ``P ← P ⊕ P ⊗ D``.
-* ``srgemm_accumulate_paths(...)`` - the (min,+) variant that carries
-  next-hop pointers.
-* ``fw_closure(blk)`` - DiagUpdate: the in-place Floyd-Warshall closure
-  of the pivot block (default: ``closure.fw_inplace``).
-* ``hops=`` on ``srgemm_grid`` and ``fw_closure`` - the hop operand: a
-  path-tracking solve makes the same calls as a distances-only one,
-  with the next-hop blocks beside the distances ((min,+) only).  The
-  default runs ``srgemm_accumulate_paths`` per tile, row-major, and the
-  closure with next hops; a backend without a native hop kernel (every
-  shipped one, and both wrappers) hands such a call to the default, so
-  the per-tile path entry stays the one a wrapper guards and counts.
+Every caller reaches the kernels through two entries, the *waist*:
+
+* ``srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops=None)``
+  - ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` in place over an ``nr × nc``
+  grid of independent accumulator tiles: a rank's OuterUpdate or
+  look-ahead strip, a PanelUpdate, one ooG tile (a 1 x 1 grid).  The
+  paper runs one SrGemm for all three Floyd-Warshall phases, so
+  ``phase`` (``"diag"`` / ``"panel"`` / ``"outer"``) is a validated
+  label, not a kernel choice: the metered family ``kernel.srgemm_{phase}``
+  and the guard's escalation ``op`` are named from it.
+* ``fw_closure(blk, semiring, hops=None)`` - DiagUpdate: the in-place
+  Floyd-Warshall closure of the pivot block (default:
+  ``closure.fw_inplace``).
+
+A backend implements the per-tile ``srgemm_accumulate(c, a, b)``
+(fused in-place ``C ← C ⊕ A ⊗ B``).  The default grid loops it per
+tile; a backend may override the grid (``cnative``: one native call),
+the closure and the two guard entries below.  A wrapper (metering,
+checksums) overrides the grid and the closure and nothing else.
+
+``hops=`` makes either entry the (min,+) product that also carries
+next-hop pointers: a path-tracking solve makes the same calls as a
+distances-only one, with the next-hop blocks beside the distances.  The
+default runs ``srgemm_accumulate_paths`` per tile, row-major, and the
+closure with next hops.
+
+``srgemm(a, b)`` (the fresh product), ``panel_row_update`` /
+``panel_col_update`` (``P ← P ⊕ D ⊗ P`` / ``P ← P ⊕ P ⊗ D`` on a
+whole-panel copy) and ``srgemm_diag`` / ``srgemm_panel`` /
+``srgemm_outer`` are one-tile grids over the waist, defined here only;
+``benchmarks/e2e`` reads the last five names off a backend.
 
 Aliasing contract
 -----------------
-``srgemm_accumulate`` may assume that neither ``a`` nor ``b`` shares
-memory with ``c``; behaviour under overlap is undefined.  The panel
-updates are exactly the two places the blocked algorithm violates that
-(the panel is simultaneously the accumulator and one operand), so
-*they* own the aliasing problem: a backend must snapshot, per output
-tile, **no more than the operand slice that tile still needs to read**
-before overwriting it.  The base implementation snapshots the whole
-panel (always correct); the tiled backend narrows the snapshot to one
-k-slice stripe per output stripe, bounding the copy by the byte budget
-instead of the panel size.
-
-Phase-specialized entry points
-------------------------------
-Blocked Floyd-Warshall touches the kernel waist in three distinct
-roles (paper Alg. 2): the *diagonal* update (inherently serial in
-``k``), the *panel* updates along the pivot row/column, and the bulk
-*outer-product* MinPlus updates.  ``srgemm_diag`` / ``srgemm_panel`` /
-``srgemm_outer`` expose those roles so a multi-stage backend can swap
-in a kernel shaped for each phase; all three default to the fused
-``srgemm_accumulate`` path, so single-kernel backends participate
-unchanged.  Call sites (``core/executor.py``, ``core/blocked.py``,
-``core/oog_srgemm.py``, ``semiring/closure.py``) dispatch per phase,
-and the verify/obs wrappers forward each entry to the matching inner
-entry so specialization survives composition.
-
-Grid entry
-----------
-``srgemm_grid(c_tiles, a_rows, b_cols, phase=...)`` is the batched
-form of the phase entries: ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` over an
-``nr × nc`` grid of *independent* accumulator tiles - what one rank's
-OuterUpdate (or look-ahead panel strip) does inside a single simulated
-kernel launch.  The default is the loop over the per-tile phase entry,
-so every backend and wrapper is total over it; a backend that can run
-the whole grid in one native call overrides it (``cnative``).  The
-aliasing contract extends tile-wise: no operand may share memory with
-any tile, and tiles must be pairwise disjoint.  That disjointness, plus
-the exactness of a comparison ⊕, is why the order tiles are visited in
-cannot change the result.
+No operand of a grid may share memory with any of its tiles, and tiles
+must be pairwise disjoint; behaviour under overlap is undefined.  That
+disjointness, plus the exactness of a comparison ⊕, is why the order
+tiles are visited in cannot change the result.  A caller whose
+accumulator is also an operand (a PanelUpdate) passes a copy.
 
 Guard entries
 -------------
@@ -122,10 +103,12 @@ from .tuning import KernelTiling, kernel_byte_budget, tune_kernel_tiling
 __all__ = [
     "KernelBackend",
     "OperandList",
-    "GRID_PHASE_ENTRIES",
+    "GRID_PHASES",
+    "srgemm_flops",
     "validate_pair",
     "validate_accumulate",
     "validate_grid",
+    "grid_hop_tiles",
     "stack_tiles",
     "stack_checksums",
     "predicted_accumulate_grid",
@@ -134,13 +117,14 @@ __all__ = [
 #: Stacked row and column ⊕-sums: ``(rows (T, m), cols (T, n))``.
 Sums = Tuple[np.ndarray, np.ndarray]
 
-#: ``phase`` of :meth:`KernelBackend.srgemm_grid` -> the per-tile entry
-#: the default implementation (and every fallback) loops over.
-GRID_PHASE_ENTRIES = {
-    "diag": "srgemm_diag",
-    "panel": "srgemm_panel",
-    "outer": "srgemm_outer",
-}
+#: The ``phase`` labels of :meth:`KernelBackend.srgemm_grid`.
+GRID_PHASES = ("diag", "panel", "outer")
+
+
+def srgemm_flops(m: int, n: int, k: int) -> int:
+    """Flop count of one SrGemm, counting ``⊕`` and ``⊗`` as one flop
+    each - the ``2mnk`` convention the paper uses throughout §4.5."""
+    return 2 * m * n * k
 
 
 def validate_pair(a: np.ndarray, b: np.ndarray) -> None:
@@ -160,13 +144,12 @@ def validate_accumulate(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def validate_grid(c_tiles, a_rows, b_cols, phase: str) -> str:
-    """Structure checks shared by every ``srgemm_grid``: one tile row
-    per row operand, one tile per column operand in each row.  Returns
-    the name of the per-tile entry ``phase`` selects.  (Per-tile shapes
-    are checked by whatever runs the tile.)"""
-    entry = GRID_PHASE_ENTRIES.get(phase)
-    if entry is None:
-        raise ValueError(f"unknown grid phase {phase!r}; expected one of {sorted(GRID_PHASE_ENTRIES)}")
+    """Structure checks shared by every ``srgemm_grid``: a known phase,
+    one tile row per row operand, one tile per column operand in each
+    row.  Returns the grid's kernel family, ``srgemm_{phase}``.
+    (Per-tile shapes are checked by whatever runs the tile.)"""
+    if phase not in GRID_PHASES:
+        raise ValueError(f"unknown grid phase {phase!r}; expected one of {sorted(GRID_PHASES)}")
     if len(c_tiles) != len(a_rows):
         raise ValueError(f"grid has {len(c_tiles)} tile rows for {len(a_rows)} row operands")
     for i, c_row in enumerate(c_tiles):
@@ -174,7 +157,23 @@ def validate_grid(c_tiles, a_rows, b_cols, phase: str) -> str:
             raise ValueError(
                 f"grid row {i} has {len(c_row)} tiles for {len(b_cols)} column operands"
             )
-    return entry
+    return f"srgemm_{phase}"
+
+
+def grid_hop_tiles(c_tiles, a_rows, b_cols, semiring: Semiring, phase: str, hops):
+    """The tiles of a grid with next hops, checked, in row-major order:
+    ``(c, c_nxt, a, a_nxt, b)`` per tile, ``hops = (c_hop_tiles,
+    a_hop_rows)`` of the grid's shape."""
+    c_hops, a_hops = hops
+    validate_grid(c_tiles, a_rows, b_cols, phase)
+    validate_grid(c_hops, a_hops, b_cols, phase)
+    if semiring is not MIN_PLUS:
+        raise ValueError(f"next hops need the (min,+) semiring, got {semiring.name}")
+    return [
+        (c, c_nxt, a, a_nxt, b)
+        for a, a_nxt, c_row, c_nxt_row in zip(a_rows, a_hops, c_tiles, c_hops)
+        for b, c, c_nxt in zip(b_cols, c_row, c_nxt_row)
+    ]
 
 
 class OperandList(list):
@@ -312,23 +311,7 @@ class KernelBackend:
             return np.result_type(*[o.dtype for o in operands]).itemsize
         return 8
 
-    # -- the SrGemm contract -------------------------------------------------
-    def srgemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        """Return ``A ⊗ B`` as a fresh array."""
-        validate_pair(a, b)
-        m, k = a.shape
-        n = b.shape[1]
-        out = semiring.zeros((m, n), dtype=np.result_type(a.dtype, b.dtype))
-        if k == 0:
-            return out
-        return self.srgemm_accumulate(out, a, b, semiring=semiring, k_chunk=k_chunk)
-
+    # -- the kernel waist ----------------------------------------------------
     def srgemm_accumulate(
         self,
         c: np.ndarray,
@@ -337,55 +320,15 @@ class KernelBackend:
         semiring: Semiring = MIN_PLUS,
         k_chunk: Optional[int] = None,
     ) -> np.ndarray:
-        """In-place fused ``C ← C ⊕ A ⊗ B``; returns ``c``.
+        """The per-tile kernel: in-place fused ``C ← C ⊕ A ⊗ B``;
+        returns ``c``.  What a backend implements and the default grid
+        loops over; wrappers do not implement it.
 
         ``a`` and ``b`` must not alias ``c`` (see the module docs).
         ``k_chunk`` overrides the auto-tuned inner chunk where the
         backend uses one.
         """
-        raise NotImplementedError
-
-    # -- phase-specialized entry points --------------------------------------
-    # Each defaults to the fused path; multi-stage backends override the
-    # ones they specialize.  All share srgemm_accumulate's signature,
-    # shape checks, and aliasing contract.
-    def srgemm_diag(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        """DiagUpdate-phase product (pivot-block closure steps);
-        inherently serial in ``k``."""
-        return self.srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
-
-    def srgemm_panel(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        """PanelUpdate-phase product (pivot row/column panels).  The
-        *non-aliased* product step; the aliasing dance stays inside
-        ``panel_row_update`` / ``panel_col_update``, which snapshot and
-        then call this entry."""
-        return self.srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
-
-    def srgemm_outer(
-        self,
-        c: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        semiring: Semiring = MIN_PLUS,
-        k_chunk: Optional[int] = None,
-    ) -> np.ndarray:
-        """MinPlus outer-product phase - the bulk of the flops and the
-        most profitable phase to specialize."""
-        return self.srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
+        raise NotImplementedError(f"{type(self).__name__} has no per-tile kernel")
 
     def srgemm_grid(
         self,
@@ -399,29 +342,48 @@ class KernelBackend:
         """Grid product ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]`` in place
         over ``nr × nc`` independent tiles; returns ``c_tiles``.
 
-        ``phase`` (``"diag"`` / ``"panel"`` / ``"outer"``) names the
-        per-tile entry the grid stands for.  No operand may alias a
-        tile and tiles must be pairwise disjoint (see the module docs);
-        under that contract the visiting order is unobservable.
+        ``phase`` (``"diag"`` / ``"panel"`` / ``"outer"``) labels the
+        Floyd-Warshall phase the grid belongs to.  No operand may alias
+        a tile and tiles must be pairwise disjoint (see the module
+        docs); under that contract the visiting order is unobservable.
+        The default is :meth:`srgemm_accumulate` per tile.
 
         ``hops = (c_hop_tiles, a_hop_rows)``, of the grid's shape, makes
         it the (min,+) product that also updates each tile's next hops:
         :meth:`srgemm_accumulate_paths` per tile, in row-major order.
         """
-        entry = getattr(self, validate_grid(c_tiles, a_rows, b_cols, phase))
         if hops is not None:
-            c_hops, a_hops = hops
-            validate_grid(c_hops, a_hops, b_cols, phase)
-            if semiring is not MIN_PLUS:
-                raise ValueError(f"next hops need the (min,+) semiring, got {semiring.name}")
-            for a, a_nxt, c_row, c_nxt_row in zip(a_rows, a_hops, c_tiles, c_hops):
-                for b, c, c_nxt in zip(b_cols, c_row, c_nxt_row):
-                    self.srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b)
+            for tile in grid_hop_tiles(c_tiles, a_rows, b_cols, semiring, phase, hops):
+                self.srgemm_accumulate_paths(*tile)
             return c_tiles
+        validate_grid(c_tiles, a_rows, b_cols, phase)
         for a, c_row in zip(a_rows, c_tiles):
             for b, c in zip(b_cols, c_row):
-                entry(c, a, b, semiring=semiring)
+                self.srgemm_accumulate(c, a, b, semiring=semiring)
         return c_tiles
+
+    # -- one-tile grids --------------------------------------------------------
+    def srgemm(self, a: np.ndarray, b: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        """Return ``A ⊗ B`` as a fresh array."""
+        validate_pair(a, b)
+        out = semiring.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a.dtype, b.dtype))
+        if a.shape[1]:
+            self.srgemm_grid([[out]], [a], [b], semiring=semiring)
+        return out
+
+    def _one_tile(self, phase: str, c, a, b, semiring: Semiring) -> np.ndarray:
+        self.srgemm_grid([[c]], [a], [b], semiring=semiring, phase=phase)
+        return c
+
+    # ``benchmarks/e2e`` reads these five names off a backend.
+    def srgemm_diag(self, c, a, b, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        return self._one_tile("diag", c, a, b, semiring)
+
+    def srgemm_panel(self, c, a, b, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        return self._one_tile("panel", c, a, b, semiring)
+
+    def srgemm_outer(self, c, a, b, semiring: Semiring = MIN_PLUS) -> np.ndarray:
+        return self._one_tile("outer", c, a, b, semiring)
 
     def panel_row_update(
         self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
@@ -430,8 +392,7 @@ class KernelBackend:
         multiplies from the left; paper Alg. 2, PanelUpdate)."""
         if diag.shape[0] != diag.shape[1] or diag.shape[1] != panel.shape[0]:
             raise ValueError(f"diag {diag.shape} incompatible with row panel {panel.shape}")
-        # Full-panel snapshot: always alias-safe, at panel-sized cost.
-        return self.srgemm_panel(panel, diag, panel.copy(), semiring=semiring)
+        return self._one_tile("panel", panel, diag, panel.copy(), semiring)
 
     def panel_col_update(
         self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
@@ -440,7 +401,7 @@ class KernelBackend:
         multiplies from the right)."""
         if diag.shape[0] != diag.shape[1] or panel.shape[1] != diag.shape[0]:
             raise ValueError(f"diag {diag.shape} incompatible with column panel {panel.shape}")
-        return self.srgemm_panel(panel, panel.copy(), diag, semiring=semiring)
+        return self._one_tile("panel", panel, panel.copy(), diag, semiring)
 
     # -- DiagUpdate closure -----------------------------------------------------
     def fw_closure(

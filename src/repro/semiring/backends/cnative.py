@@ -32,8 +32,8 @@ the flag ladder (``_RUNGS``) pins ``-mprefer-vector-width=512``; on an
 AVX2 or older target that preference is capped at what the ISA has,
 which is the width its row is sized for.  ``m % MR`` / ``n % NR`` edges
 run a plain ``i / t / j`` remainder loop.  DiagUpdate, PanelUpdate and
-OuterUpdate products are all this one body; the phase entries of the
-waist reach it through ``srgemm_accumulate``.
+OuterUpdate products are all this one body, whatever ``phase`` a grid
+names.
 
 The vectorizer is fragile about micro-tile shape when left to its own
 heuristics (docs/KERNELS.md §2 has the table: the same source went
@@ -638,7 +638,7 @@ class CNativeBackend(TiledBackend):
             return True
         a_c = np.ascontiguousarray(a)
         b_c = np.ascontiguousarray(b)
-        # Panel stripes hand us column-slice views; the C kernel needs a
+        # Column panels are column-slice views; the C kernel needs a
         # contiguous accumulator, so stage through a copy and write back.
         c_c = c if c.flags.c_contiguous else np.ascontiguousarray(c)
         # Addresses are taken per call, never cached: checkpoint restore
@@ -680,8 +680,6 @@ class CNativeBackend(TiledBackend):
         unit.grid(c_ptrs, a_ptrs, b_ptrs, len(a_rows), len(b_cols), m, n, k)
         return True
 
-    # The phase entries are inherited: each is ``srgemm_accumulate``, so
-    # diag, panel and outer products all run the one native body.
     def srgemm_accumulate(
         self,
         c: np.ndarray,
@@ -705,8 +703,14 @@ class CNativeBackend(TiledBackend):
     ) -> Sequence[Sequence[np.ndarray]]:
         validate_grid(c_tiles, a_rows, b_cols, phase)
         # There is no native hop kernel: a grid with next hops takes the default.
-        if hops is None and self._native_grid(c_tiles, a_rows, b_cols, semiring):
-            return c_tiles
+        if hops is None:
+            # One tile: the tile entry marshals less than the pointer-array
+            # call (which loops the same srgemm_tile, so the bits agree).
+            if len(a_rows) == 1 and len(b_cols) == 1:
+                self.srgemm_accumulate(c_tiles[0][0], a_rows[0], b_cols[0], semiring=semiring)
+                return c_tiles
+            if self._native_grid(c_tiles, a_rows, b_cols, semiring):
+                return c_tiles
         return super().srgemm_grid(
             c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops
         )

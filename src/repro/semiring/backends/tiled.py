@@ -98,44 +98,3 @@ class TiledBackend(KernelBackend):
                     times(a[i0:i1, kk : kk + 1], b[kk, j0:j1], out=sv)
                     plus(c_tile, sv, out=c_tile)
         return c
-
-    # -- alias-narrow panel updates -----------------------------------------
-    # The panel is both the accumulator C and one operand; each output
-    # stripe only ever reads the operand slice with the same column
-    # (row update) or row (col update) extent, so the snapshot narrows
-    # from the whole panel to one (k, tile) stripe bounded by half the
-    # byte budget.  Stripes are independent: stripe i's reads never
-    # touch stripe j's writes, so the result is identical to the
-    # full-copy formulation.
-
-    def panel_row_update(
-        self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
-    ) -> np.ndarray:
-        if diag.shape[0] != diag.shape[1] or diag.shape[1] != panel.shape[0]:
-            raise ValueError(f"diag {diag.shape} incompatible with row panel {panel.shape}")
-        k, n = panel.shape
-        if k == 0 or n == 0:
-            return panel
-        budget = self.resolved_byte_budget()
-        tile_n = max(1, min(n, (budget // 2) // max(1, k * panel.dtype.itemsize)))
-        for j0 in range(0, n, tile_n):
-            j1 = min(j0 + tile_n, n)
-            stripe = panel[:, j0:j1].copy()  # the k-slice this stripe reads
-            self.srgemm_panel(panel[:, j0:j1], diag, stripe, semiring=semiring)
-        return panel
-
-    def panel_col_update(
-        self, panel: np.ndarray, diag: np.ndarray, semiring: Semiring = MIN_PLUS
-    ) -> np.ndarray:
-        if diag.shape[0] != diag.shape[1] or panel.shape[1] != diag.shape[0]:
-            raise ValueError(f"diag {diag.shape} incompatible with column panel {panel.shape}")
-        m, k = panel.shape
-        if k == 0 or m == 0:
-            return panel
-        budget = self.resolved_byte_budget()
-        tile_m = max(1, min(m, (budget // 2) // max(1, k * panel.dtype.itemsize)))
-        for i0 in range(0, m, tile_m):
-            i1 = min(i0 + tile_m, m)
-            stripe = panel[i0:i1, :].copy()  # the k-slice this stripe reads
-            self.srgemm_panel(panel[i0:i1, :], stripe, diag, semiring=semiring)
-        return panel

@@ -12,9 +12,7 @@ picks block sizes and grids for a machine and shares no logic with it.)
 The reference backend derives its k-chunk so the ``(m, k_chunk, n)``
 broadcast temporary stays under the budget, and the tiled backend
 derives its ``(m, n)`` tile so the accumulation scratch stays under
-half the budget (the other half is headroom for the alias snapshot the
-panel updates take - see the aliasing contract in
-:class:`repro.semiring.backends.base.KernelBackend`).
+half the budget.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import NegativeCycleError
-from .kernels import srgemm, srgemm_accumulate, srgemm_diag
+from .backends import get_backend
 from .minplus import MIN_PLUS, Semiring
 
 __all__ = [
@@ -98,15 +98,17 @@ def closure_by_squaring(
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape[1] != n:
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
+    kernels = get_backend(backend)
     out = semiring.plus(dist, semiring.eye(n, dtype=dist.dtype))
     if steps is None:
         steps = squaring_steps(n)
     for _ in range(steps):
         # out ← out ⊕ out ⊗ out; with I ⊆ out the ⊕ with the old value
         # is implied, but accumulating keeps the kernel shape uniform.
-        # The squaring chain is the DiagUpdate phase, so it goes through
-        # the k-serial diag entry of the backend.
-        out = srgemm_diag(out.copy(), out, out, semiring=semiring, backend=backend)
+        # The squaring chain is the DiagUpdate phase.
+        square = out.copy()
+        kernels.srgemm_grid([[square]], [out], [out], semiring=semiring, phase="diag")
+        out = square
     return out
 
 
@@ -141,13 +143,13 @@ def dc_floyd_warshall(
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
     if base_size < 1:
         raise ValueError(f"base_size must be >= 1, got {base_size}")
-    _dc_closure(dist, base_size, semiring)
+    _dc_closure(dist, base_size, semiring, get_backend())
     if check_negative_cycles and semiring is MIN_PLUS:
         check_no_negative_cycle(dist)
     return dist
 
 
-def _dc_closure(a: np.ndarray, base: int, sr: Semiring) -> None:
+def _dc_closure(a: np.ndarray, base: int, sr: Semiring, kernels) -> None:
     n = a.shape[0]
     if n <= base:
         fw_inplace(a, semiring=sr)
@@ -155,14 +157,14 @@ def _dc_closure(a: np.ndarray, base: int, sr: Semiring) -> None:
     h = n // 2
     a11, a12 = a[:h, :h], a[:h, h:]
     a21, a22 = a[h:, :h], a[h:, h:]
-    _dc_closure(a11, base, sr)
-    a12[:] = sr.plus(a12, srgemm(a11, a12, semiring=sr))
-    a21[:] = sr.plus(a21, srgemm(a21, a11, semiring=sr))
-    srgemm_accumulate(a22, a21, a12, semiring=sr)
-    _dc_closure(a22, base, sr)
-    a12[:] = sr.plus(a12, srgemm(a12, a22, semiring=sr))
-    a21[:] = sr.plus(a21, srgemm(a22, a21, semiring=sr))
-    srgemm_accumulate(a11, a12, a21, semiring=sr)
+    _dc_closure(a11, base, sr, kernels)
+    a12[:] = sr.plus(a12, kernels.srgemm(a11, a12, semiring=sr))
+    a21[:] = sr.plus(a21, kernels.srgemm(a21, a11, semiring=sr))
+    kernels.srgemm_grid([[a22]], [a21], [a12], semiring=sr)
+    _dc_closure(a22, base, sr, kernels)
+    a12[:] = sr.plus(a12, kernels.srgemm(a12, a22, semiring=sr))
+    a21[:] = sr.plus(a21, kernels.srgemm(a22, a21, semiring=sr))
+    kernels.srgemm_grid([[a11]], [a12], [a21], semiring=sr)
 
 
 def check_no_negative_cycle(dist: np.ndarray) -> None:

@@ -5,8 +5,8 @@ the tropical semiring (its §2.3): ``x ⊕ y = min(x, y)`` and
 ``x ⊗ y = x + y``, with ``⊕``-identity ``+inf`` and ``⊗``-identity
 ``0``.  The cuASR kernel the paper builds on supports other semirings
 too, so we expose a small generic :class:`Semiring` abstraction and
-ship the common instances; everything in :mod:`repro.semiring.kernels`
-is generic over it.
+ship the common instances; every kernel backend in
+:mod:`repro.semiring.backends` is generic over it.
 """
 
 from __future__ import annotations

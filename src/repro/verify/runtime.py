@@ -172,27 +172,23 @@ class VerifyRuntime:
             guard.row, guard.col = actual
 
     # -- guarded kernels (called from ChecksummedBackend) --------------------
-    def accumulate(
-        self, c, a, b, semiring: Semiring, k_chunk=None, entry: str = "srgemm_accumulate"
-    ) -> np.ndarray:
-        """Guarded fused/phase product.  ``entry`` names the inner
-        backend method to invoke (``srgemm_accumulate`` or one of the
-        phase-specialized ``srgemm_diag``/``srgemm_panel``/
-        ``srgemm_outer``), so phase specialization survives the verify
-        wrapper; the checksum algebra is entry-invariant, and repair
-        always goes through the reference fused kernel (exact
-        equivalent for comparison-⊕ semirings)."""
+    def accumulate(self, c, a, b, semiring: Semiring, phase: str) -> np.ndarray:
+        """Guarded one-tile product: the inner backend runs it as a
+        one-tile ``phase`` grid, and a mismatch escalates as
+        ``srgemm_{phase}``.  Repair always goes through the reference
+        fused kernel (exact equivalent for comparison-⊕ semirings)."""
+        op = f"srgemm_{phase}"
         guard = self._tiles.get(id(c))
         pre = block_checksums(c, semiring)
-        self._precheck(guard, pre, entry)
+        self._precheck(guard, pre, op)
         c_pre = c.copy()
         predicted = predicted_accumulate(pre, a, b, semiring, self.inner.compute_dtype)
-        getattr(self.inner, entry)(c, a, b, semiring=semiring, k_chunk=k_chunk)
+        self.inner.srgemm_grid([[c]], [a], [b], semiring=semiring, phase=phase)
         self._count("ops_checked")
         actual = block_checksums(c, semiring)
         if not checksums_match(predicted, actual):
             self._count("sdc_detected")
-            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, entry)
+            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, op)
         if guard is not None:
             guard.row, guard.col = actual
         else:
@@ -223,23 +219,23 @@ class VerifyRuntime:
         whose snapshot fits ``inner.resolved_byte_budget()``.  A grid
         whose tiles, row operands or column operands are not each of one
         shape and dtype takes the per-tile guarded loop instead."""
-        entry = validate_grid(c_tiles, a_rows, b_cols, phase)
+        op = validate_grid(c_tiles, a_rows, b_cols, phase)
         tiles = [c for c_row in c_tiles for c in c_row]
         if not tiles:
             return c_tiles
         if not (uniform_tiles(tiles) and uniform_tiles(a_rows) and uniform_tiles(b_cols)):
             for a, c_row in zip(a_rows, c_tiles):
                 for b, c in zip(b_cols, c_row):
-                    self.accumulate(c, a, b, semiring, entry=entry)
+                    self.accumulate(c, a, b, semiring, phase)
             return c_tiles
         step = max(1, self.inner.resolved_byte_budget() // (len(b_cols) * tiles[0].nbytes))
         b_cols = OperandList(b_cols)
         for r0 in range(0, len(a_rows), step):
             band = slice(r0, r0 + step)
-            self._accumulate_band(c_tiles[band], a_rows[band], b_cols, semiring, phase, entry)
+            self._accumulate_band(c_tiles[band], a_rows[band], b_cols, semiring, phase, op)
         return c_tiles
 
-    def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, entry) -> None:
+    def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, op) -> None:
         """One guarded cycle over a uniform grid (a band of whole tile
         rows of the caller's).  Both array passes are the inner backend's
         guard entries, so a native backend checks at kernel speed; the
@@ -262,7 +258,7 @@ class VerifyRuntime:
             stack_tiles([g.col if g is not None else c for g, c in zip(guards, pre_col)]),
         )
         for t in np.flatnonzero(checksums_mismatch(stored, pre)):
-            self._precheck(guards[t], (pre_row[t], pre_col[t]), entry)
+            self._precheck(guards[t], (pre_row[t], pre_col[t]), op)
         predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
         inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
         self._count("ops_checked", len(tiles))
@@ -273,7 +269,7 @@ class VerifyRuntime:
             i, j = divmod(int(t), len(b_cols))
             repaired[int(t)] = self._repair_accumulate(
                 guards[t], tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
-                semiring, entry,
+                semiring, op,
             )
         # Per-tile sums are views into this band's stacked sums.
         for t, (c, guard, row, col) in enumerate(zip(tiles, guards, *actual)):
@@ -287,8 +283,9 @@ class VerifyRuntime:
         """Localized repair: rebuild the flagged tile from its operands
         with the reference backend, then re-verify against a full-width
         prediction (the reference never narrows, so the reduced-precision
-        prediction no longer applies).  ``op`` is the guarded entry the
-        mismatch was caught in, named by a persisting escalation."""
+        prediction no longer applies).  ``op`` is the guarded product the
+        mismatch was caught in (``srgemm_{phase}``), named by a
+        persisting escalation."""
         np.copyto(c, c_pre)
         self.reference.srgemm_accumulate(c, a, b, semiring=semiring)
         predicted = predicted_accumulate(pre, a, b, semiring, None)
@@ -304,7 +301,7 @@ class VerifyRuntime:
             )
         return actual
 
-    def accumulate_paths(self, c, c_nxt, a, a_nxt, b, k_chunk=None) -> np.ndarray:
+    def accumulate_paths(self, c, c_nxt, a, a_nxt, b) -> np.ndarray:
         # Path kernels always run at operand width (base-class contract),
         # so predictions skip the compute-dtype cast.  Next-hop blocks are
         # not checksummed — see the detection-limits note in docs/FAULTS.md.
@@ -315,7 +312,7 @@ class VerifyRuntime:
         c_pre = c.copy()
         nxt_pre = c_nxt.copy()
         predicted = predicted_accumulate(pre, a, b, semiring, None)
-        self.inner.srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b, k_chunk=k_chunk)
+        self.inner.srgemm_grid([[c]], [a], [b], semiring, hops=([[c_nxt]], [a_nxt]))
         self._count("ops_checked")
         actual = block_checksums(c, semiring)
         if not checksums_match(predicted, actual):
@@ -335,31 +332,6 @@ class VerifyRuntime:
         if guard is not None:
             guard.row, guard.col = actual
         return c
-
-    def panel_update(self, panel, diag, axis: str, semiring: Semiring) -> np.ndarray:
-        """Guarded in-place panel update (``axis`` is ``"row"`` or
-        ``"col"``).  The pre-op snapshot doubles as the alias-free
-        operand for both the prediction and the repair."""
-        guard = self._tiles.get(id(panel))
-        pre = block_checksums(panel, semiring)
-        op = f"panel_{axis}_update"
-        self._precheck(guard, pre, op)
-        p_pre = panel.copy()
-        if axis == "row":
-            operands = (diag, p_pre)
-            self.inner.panel_row_update(panel, diag, semiring=semiring)
-        else:
-            operands = (p_pre, diag)
-            self.inner.panel_col_update(panel, diag, semiring=semiring)
-        self._count("ops_checked")
-        predicted = predicted_accumulate(pre, *operands, semiring, self.inner.compute_dtype)
-        actual = block_checksums(panel, semiring)
-        if not checksums_match(predicted, actual):
-            self._count("sdc_detected")
-            actual = self._repair_accumulate(guard, panel, p_pre, pre, *operands, semiring, op)
-        if guard is not None:
-            guard.row, guard.col = actual
-        return panel
 
     def wrap_closure(self, blk: np.ndarray, fn: Callable[[], None]) -> Callable[[], None]:
         """Guard a DiagUpdate closure (FW on the pivot block).  Checksums

@@ -137,11 +137,6 @@ class TestBlockedFw:
     def test_matches_naive_blocked(self, dense24):
         assert np.allclose(blocked_fw(dense24, 8), naive_blocked_fw(dense24, 8))
 
-    def test_diag_via_squaring_equivalent(self, dense24):
-        a = blocked_fw(dense24, 6, diag_via_squaring=False)
-        b = blocked_fw(dense24, 6, diag_via_squaring=True)
-        assert np.allclose(a, b)
-
     def test_banded_long_paths(self):
         w = banded_graph(40, 2, seed=5)
         assert np.allclose(blocked_fw(w, 8), scipy_floyd_warshall(w))

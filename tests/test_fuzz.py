@@ -483,17 +483,21 @@ def make_planted_backend():
     ``min`` accumulate, unlike an inflated one which a later relaxation
     can silently repair.
     """
+    from repro.semiring import MIN_PLUS
     from repro.semiring.backends import ReferenceBackend
 
     class _Planted(ReferenceBackend):
         name = "planted-corrupt"
         rtol = 0.0
 
-        def srgemm_outer(self, c, a, b, *args, **kwargs):
-            out = super().srgemm_outer(c, a, b, *args, **kwargs)
-            if np.isfinite(c[0, 0]) and c[0, 0] > 0:
-                c[0, 0] *= 0.75  # silent SDC: path shorter than possible
-            return out
+        def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer",
+                        hops=None):
+            super().srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
+            if phase == "outer":  # every outer-product tile
+                for c in (c for c_row in c_tiles for c in c_row):
+                    if np.isfinite(c[0, 0]) and c[0, 0] > 0:
+                        c[0, 0] *= 0.75  # silent SDC: path shorter than possible
+            return c_tiles
 
     return _Planted()
 

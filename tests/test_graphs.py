@@ -230,6 +230,43 @@ class TestValidationHelpers:
         with pytest.raises(ValidationError):
             check_apsp_invariants(dense24, bad)
 
+    def test_invariants_reject_all_zero(self):
+        # The upper-bound checks alone accept dist == 0 for any graph.
+        w = erdos_renyi(12, 0.4, seed=1)
+        with pytest.raises(ValidationError, match="not realised by any path"):
+            check_apsp_invariants(w, np.zeros_like(w))
+
+    def test_invariants_reject_unreachable_pair_made_finite(self):
+        # Vertex 0 has no in-edge and 3 no out-edge, so a finite d(0, 3)
+        # breaks no triangle: only the lower bound sees it.
+        w = erdos_renyi(12, 0.12, seed=0)
+        d = scipy_floyd_warshall(w)
+        assert np.isinf(d[0, 3])
+        bad = d.copy()
+        bad[0, 3] = 5.0
+        with pytest.raises(ValidationError, match="reachability"):
+            check_apsp_invariants(w, bad)
+
+    def test_invariants_reject_a_lowered_entry(self):
+        # No shortest path continues through (0, 4), so lowering it breaks
+        # no triangle: only the lower bound sees it.
+        w = erdos_renyi(12, 0.4, seed=1)
+        d = scipy_floyd_warshall(w)
+        bad = d.copy()
+        bad[0, 4] -= 0.01
+        with pytest.raises(ValidationError, match=r"dist\[0, 4\]"):
+            check_apsp_invariants(w, bad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_invariants_accept_scipy_with_negative_edges(self, seed):
+        # Potential-shifted weights: negative edges, no negative cycle.
+        w = erdos_renyi(20, 0.3, seed=seed)
+        phi = np.random.default_rng(seed).uniform(0.0, 5.0, 20)
+        shifted = w + phi[:, None] - phi[None, :]
+        np.fill_diagonal(shifted, 0.0)
+        assert (shifted < 0).any()
+        check_apsp_invariants(shifted, scipy_floyd_warshall(shifted))
+
 
 class TestWeightValidation:
     """NaN / -inf weights are rejected at load and generation time."""

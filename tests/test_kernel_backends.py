@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.core.blocked import blocked_fw
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.machine import SUMMIT, CostModel, SimGPU
-from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS, srgemm, srgemm_accumulate
+from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
 from repro.semiring.backends import (
     DEFAULT_KERNEL_BYTE_BUDGET,
     ENV_BACKEND,
@@ -119,9 +119,10 @@ class TestRegistry:
                 assert backend.unavailable_reason, name
 
     def test_kernels_module_honors_backend_argument(self):
+        # The flat kernel module is gone: a product is asked of a backend.
         a, b, _ = _operands(4, 5, 3, MIN_PLUS)
-        ref = srgemm(a, b, backend="reference")
-        tld = srgemm(a, b, backend="tiled")
+        ref = get_backend("reference").srgemm(a, b)
+        tld = get_backend("tiled").srgemm(a, b)
         np.testing.assert_array_equal(ref, tld)
 
 
@@ -248,8 +249,8 @@ class TestPanelUpdates:
                 np.testing.assert_allclose(got, want, rtol=max(backend.rtol, 1e-9), err_msg=name)
 
     def test_stripe_snapshot_matches_full_copy(self):
-        # A budget so small every stripe is one column: the narrowest
-        # possible snapshot must still equal the full-panel-copy result.
+        # A budget so small every kernel tile is one column: the product
+        # against the whole-panel copy must still equal the formula.
         rng = np.random.default_rng(11)
         panel = rng.uniform(0, 10, (8, 23))
         diag = rng.uniform(0, 10, (8, 8))

@@ -115,7 +115,7 @@ class TestMeteredBackend:
         a, b = rng.random((4, 6)), rng.random((6, 5))
         c = np.full((4, 5), np.inf)
         expect = np.min(a[:, :, None] + b[None, :, :], axis=1)
-        metered.srgemm_accumulate(c, a, b)
+        metered.srgemm_grid([[c]], [a], [b])
         np.testing.assert_allclose(c, expect)
         assert reg.value("kernel.srgemm.calls") == 1
         assert reg.value("kernel.srgemm.flops") == 2 * 4 * 5 * 6

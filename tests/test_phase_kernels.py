@@ -1,20 +1,19 @@
-"""Phase-specialized kernel entry points and wrapper composition.
+"""The kernel waist - ``srgemm_grid(phase=...)`` and ``fw_closure`` -
+and wrapper composition.
 
-The blocked schedule dispatches three distinct product shapes —
-DiagUpdate (``srgemm_diag``), PanelUpdate (``srgemm_panel``) and the
-MinPlus outer product (``srgemm_outer``) — and every backend may
-specialize each independently.  The numerical contract is unchanged:
-for comparison-⊕ semirings every phase entry of every backend must be
-bit-identical to the reference fused kernel, and the observability /
+The blocked schedule runs three Floyd-Warshall phases - DiagUpdate,
+PanelUpdate and the MinPlus outer product - through one grid entry
+whose ``phase`` is a label (the metered family ``kernel.srgemm_{phase}``).
+For comparison-⊕ semirings a grid of every phase, on every backend, must
+be bit-identical to the reference fused kernel, and the observability /
 verification wrappers (:class:`MeteredBackend`,
-:class:`ChecksummedBackend`) must compose over the phase entries
-transparently, alone or stacked.
+:class:`ChecksummedBackend`) must compose over it transparently, alone
+or stacked.
 
-The grid entry (``srgemm_grid``) is the batched form of those phase
-entries; its contract is that it is *unobservable*: every backend, and
+The grid's contract is that it is *unobservable*: every backend, and
 every wrapper stack, must produce the bits (and the counters) of the
-per-tile loop it stands for, whichever path - one native call or the
-fallback loop - the backend takes for a given set of operands.
+loop of one-tile grids it stands for, whichever path - one native call
+or the fallback loop - the backend takes for a given set of operands.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.core.context import panel_grid
 from repro.graphs import banded_graph, ring_of_cliques
 from repro.obs.metered import MeteredBackend
 from repro.obs.metrics import MetricsRegistry
-from repro.semiring import MIN_PLUS, SEMIRINGS, srgemm_diag, srgemm_outer, srgemm_panel
+from repro.semiring import MIN_PLUS, SEMIRINGS
 from repro.semiring.backends import (
     CNativeBackend,
     ReferenceBackend,
@@ -43,12 +42,23 @@ from repro.semiring.backends import (
     get_backend,
 )
 from repro.semiring.backends import cnative as cnative_mod
-from repro.semiring.backends.base import GRID_PHASE_ENTRIES, KernelBackend
+from repro.semiring.backends.base import GRID_PHASES, KernelBackend
 from repro.semiring.closure import closure_by_squaring, floyd_warshall, fw_inplace
 from repro.verify.backend import ChecksummedBackend
 from repro.verify.runtime import VerifyRuntime
 
+#: Kernel families: a one-tile grid of each phase, and of the grid's
+#: default phase (``srgemm_accumulate``, the per-tile kernel it runs).
 PHASES = ["srgemm_accumulate", "srgemm_diag", "srgemm_panel", "srgemm_outer"]
+
+#: The names kept on every backend as one-tile grids, by phase.
+KEPT_NAMES = {
+    "srgemm_diag": "diag",
+    "srgemm_panel": "panel",
+    "srgemm_outer": "outer",
+    "panel_row_update": "panel",
+    "panel_col_update": "panel",
+}
 
 #: Comparison-⊕ semirings: exact under any association, so bit identity
 #: is required from every backend whose rtol is 0.
@@ -63,6 +73,15 @@ def _operands(m, n, k, semiring, seed=0):
     if semiring.dtype is not None and np.dtype(semiring.dtype).kind == "b":
         return a > 5, b > 5, c > 5
     return a, b, c
+
+
+def _product(backend, family, c, a, b, semiring=MIN_PLUS):
+    """``C ← C ⊕ A ⊗ B`` in place as a one-tile grid of ``family``'s
+    phase (the default phase for ``srgemm_accumulate``); returns ``c``."""
+    phase = family.removeprefix("srgemm_")
+    kwargs = {} if phase == "accumulate" else {"phase": phase}
+    backend.srgemm_grid([[c]], [a], [b], semiring=semiring, **kwargs)
+    return c
 
 
 def _sparse_block(n, seed=0):
@@ -82,7 +101,7 @@ class TestPhaseEquivalence:
         a, b, c = _operands(17, 13, 9, sr)
         expected = get_backend("reference").srgemm_accumulate(c.copy(), a, b, semiring=sr)
         for name, backend in available_backends().items():
-            got = getattr(backend, phase)(c.copy(), a, b, semiring=sr)
+            got = _product(backend, phase, c.copy(), a, b, semiring=sr)
             if backend.rtol == 0.0:
                 np.testing.assert_array_equal(got, expected, err_msg=f"{name}.{phase}")
             else:
@@ -99,28 +118,20 @@ class TestPhaseEquivalence:
         for name, backend in available_backends().items():
             if backend.rtol != 0.0:
                 continue
-            got = getattr(backend, phase)(w.copy(), w, w)
+            got = _product(backend, phase, w.copy(), w, w)
             np.testing.assert_array_equal(got, expected, err_msg=f"{name}.{phase}")
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_phase_entries_honor_k_chunk(self, phase):
+        # A grid of any phase is the per-tile kernel at any k_chunk.
         a, b, c = _operands(9, 9, 9, MIN_PLUS)
         for name, backend in available_backends().items():
-            full = getattr(backend, phase)(c.copy(), a, b)
-            chunked = getattr(backend, phase)(c.copy(), a, b, k_chunk=2)
+            full = _product(backend, phase, c.copy(), a, b)
+            chunked = backend.srgemm_accumulate(c.copy(), a, b, k_chunk=2)
             np.testing.assert_array_equal(full, chunked, err_msg=f"{name}.{phase}")
 
-    def test_module_facades_dispatch_backend(self):
-        a, b, c = _operands(8, 8, 8, MIN_PLUS)
-        want = get_backend("reference").srgemm_accumulate(c.copy(), a, b)
-        for fn in (srgemm_diag, srgemm_panel, srgemm_outer):
-            for name in available_backends():
-                got = fn(c.copy(), a, b, backend=name)
-                if get_backend(name).rtol == 0.0:
-                    np.testing.assert_array_equal(got, want, err_msg=f"{fn.__name__}/{name}")
-
     def test_closure_by_squaring_backend_invariant(self):
-        # The squaring chain dispatches srgemm_diag; every exact backend
+        # The squaring chain is diag-phase grids; every exact backend
         # must reproduce the reference chain bit-for-bit.  (FW itself
         # associates path sums differently, so it is only an allclose
         # oracle here.)
@@ -161,9 +172,9 @@ class TestWrapperComposition:
             if inner.rtol != 0.0:
                 continue  # f32 path: allclose-only contract, checked below
             wrapped = _wrap(wrapper, inner)
-            got = getattr(wrapped, phase)(c.copy(), a, b)
+            got = _product(wrapped, phase, c.copy(), a, b)
             np.testing.assert_array_equal(got, expected_uv, err_msg=f"{wrapper}({name}).{phase}")
-            got = getattr(wrapped, phase)(w.copy(), w, w)
+            got = _product(wrapped, phase, w.copy(), w, w)
             np.testing.assert_array_equal(got, expected_inf, err_msg=f"{wrapper}({name}).{phase}")
 
     @pytest.mark.parametrize("wrapper", ["checksummed", "metered", "stacked"])
@@ -173,7 +184,7 @@ class TestWrapperComposition:
         expected = get_backend("reference").srgemm_accumulate(c.copy(), a, b)
         wrapped = _wrap(wrapper, inner)
         for phase in PHASES:
-            got = getattr(wrapped, phase)(c.copy(), a, b)
+            got = _product(wrapped, phase, c.copy(), a, b)
             np.testing.assert_allclose(got, expected, rtol=inner.rtol, err_msg=phase)
 
     def test_wrappers_preserve_identity_contract(self):
@@ -192,20 +203,18 @@ class TestWrapperComposition:
         reg = MetricsRegistry()
         metered = MeteredBackend(reg, get_backend("reference"))
         a, b, c = _operands(8, 8, 8, MIN_PLUS)
-        metered.srgemm_accumulate(c.copy(), a, b)
-        metered.srgemm_diag(c.copy(), a, b)
-        metered.srgemm_panel(c.copy(), a, b)
-        metered.srgemm_outer(c.copy(), a, b)
-        metered.srgemm_outer(c.copy(), a, b)
+        metered.srgemm(a, b)  # the fresh product: a one-tile outer grid
+        for phase in PHASES[1:] + ["srgemm_outer"]:
+            _product(metered, phase, c.copy(), a, b)
         flat = reg.flat()
-        # Aggregate family counts every product, fused or phased...
+        # Aggregate family counts every product...
         assert flat["kernel.srgemm.calls"] == 5
-        # ...phase families additionally split the dispatch.
+        # ...phase families additionally split them, by the grid's phase.
         assert flat["kernel.srgemm_diag.calls"] == 1
         assert flat["kernel.srgemm_panel.calls"] == 1
-        assert flat["kernel.srgemm_outer.calls"] == 2
+        assert flat["kernel.srgemm_outer.calls"] == 3
         assert flat["kernel.flops"] == 5 * 2.0 * 8 * 8 * 8
-        assert flat["kernel.srgemm_outer.flops"] == 2 * 2.0 * 8 * 8 * 8
+        assert flat["kernel.srgemm_outer.flops"] == 3 * 2.0 * 8 * 8 * 8
         # Physical wall time accrues (the profile sweep's speed signal).
         assert flat["kernel.wall_seconds"] > 0.0
 
@@ -214,9 +223,37 @@ class TestWrapperComposition:
         wrapped = ChecksummedBackend(runtime)
         a, b, c = _operands(12, 12, 12, MIN_PLUS, seed=9)
         for phase in PHASES:
-            getattr(wrapped, phase)(c.copy(), a, b)
+            _product(wrapped, phase, c.copy(), a, b)
         assert runtime.counters["ops_checked"] == len(PHASES)
         assert runtime.counters.get("sdc_detected", 0) == 0
+
+    @pytest.mark.parametrize("wrapper", [None, "checksummed", "metered", "stacked"])
+    def test_kept_names_are_one_tile_grids(self, wrapper):
+        """The five names ``benchmarks/e2e`` reads off a backend are the
+        one-tile grid of their phase (a panel update against a copy of
+        the panel), bits and counters, on every backend, bare or wrapped."""
+        diag, _, _ = _operands(8, 8, 8, MIN_PLUS, seed=6)
+        a, b, c = _operands(8, 8, 8, MIN_PLUS, seed=7)
+        for backend_name, inner in available_backends().items():
+            for name, phase in KEPT_NAMES.items():
+                kept = inner if wrapper is None else _wrap(wrapper, inner)
+                grid = inner if wrapper is None else _wrap(wrapper, inner)
+                got, want = c.copy(), c.copy()
+                if name == "panel_row_update":
+                    kept.panel_row_update(got, diag)
+                    grid.srgemm_grid([[want]], [diag], [want.copy()], phase=phase)
+                elif name == "panel_col_update":
+                    kept.panel_col_update(got, diag)
+                    grid.srgemm_grid([[want]], [want.copy()], [diag], phase=phase)
+                else:
+                    assert getattr(kept, name)(got, a, b) is got
+                    grid.srgemm_grid([[want]], [a], [b], phase=phase)
+                msg = f"{wrapper}({backend_name}).{name}"
+                np.testing.assert_array_equal(got, want, err_msg=msg)
+                if wrapper is not None:
+                    assert TestGridWrapperComposition._counters(kept) == (
+                        TestGridWrapperComposition._counters(grid)
+                    ), msg
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +262,6 @@ class TestWrapperComposition:
 
 #: The semirings ``cnative`` compiles (the grid's one-call path).
 COMPILED_SEMIRINGS = ["min_plus", "max_plus", "max_min", "min_max"]
-GRID_PHASES = sorted(GRID_PHASE_ENTRIES)
 GRID_SHAPES = [(3, 4), (1, 5), (5, 1), (1, 1)]
 
 
@@ -252,12 +288,12 @@ def _copy_tiles(c_tiles):
 
 
 def _tile_loop(backend, c_tiles, a_rows, b_cols, semiring, phase):
-    """The per-tile loop a grid call stands for; returns fresh tiles."""
+    """The loop of one-tile grids a grid call stands for; returns fresh
+    tiles."""
     out = _copy_tiles(c_tiles)
-    entry = getattr(backend, GRID_PHASE_ENTRIES[phase])
     for a, c_row in zip(a_rows, out):
         for b, c in zip(b_cols, c_row):
-            entry(c, a, b, semiring=semiring)
+            backend.srgemm_grid([[c]], [a], [b], semiring=semiring, phase=phase)
     return out
 
 
@@ -267,6 +303,19 @@ def _assert_tiles_equal(got, want, msg):
         assert len(g_row) == len(w_row), msg
         for g, w in zip(g_row, w_row):
             np.testing.assert_array_equal(g, w, err_msg=msg)
+
+
+def _grid_sizes(monkeypatch, backend):
+    """Records the tile count of every grid call on ``backend``."""
+    sizes = []
+    grid_entry = backend.srgemm_grid
+
+    def spy(c_tiles, *args, **kwargs):
+        sizes.append(sum(len(c_row) for c_row in c_tiles))
+        return grid_entry(c_tiles, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "srgemm_grid", spy)
+    return sizes
 
 
 class _CallSpy:
@@ -354,8 +403,8 @@ needs_cnative = pytest.mark.skipif(
 )
 
 
-#: A byte budget below one 8 x 8 panel block: the per-tile panel updates
-#: of the tiled backends then snapshot and update it stripe by stripe.
+#: A byte budget below one 8 x 8 panel block: the tiled kernels then cut
+#: each block into tiles narrower than the block.
 SUB_PANEL_BUDGET = 256
 
 _BUDGETED = {
@@ -444,7 +493,7 @@ class TestCNativeGridPaths:
     def _run(self, monkeypatch, c_tiles, a_rows, b_cols, phase="outer"):
         """Grid call on cnative; returns (result tiles, per-tile calls)."""
         backend = get_backend("cnative")
-        spy = _CallSpy(monkeypatch, backend, GRID_PHASE_ENTRIES[phase])
+        spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         got = backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, phase=phase)
         want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
         _assert_tiles_equal(got, want, "cnative grid")
@@ -486,11 +535,19 @@ class TestCNativeGridPaths:
                  for i in range(2)]
         assert not views[0][0].flags.c_contiguous
         backend = get_backend("cnative")
-        spy = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         backend.srgemm_grid(views, a_rows, b_cols)
         assert spy.calls == 4
         want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
         np.testing.assert_array_equal(parent, np.block(want))
+
+    def test_one_tile_grid_takes_the_tile_entry(self, monkeypatch):
+        # Only the grid's size decides: one tile marshals less through
+        # the tile entry than through the pointer arrays.
+        backend = get_backend("cnative")
+        native = _CallSpy(monkeypatch, backend, "_native_grid")
+        _, calls = self._run(monkeypatch, *_grid(1, 1))
+        assert (native.calls, calls) == (0, 1)
 
     def test_async_solve_makes_no_per_tile_outer_calls(self, monkeypatch):
         w = repro.graphs.uniform_random_dense(128, seed=12)
@@ -499,10 +556,13 @@ class TestCNativeGridPaths:
         )
         want = repro.solve(w, config.replace(kernel_backend="reference"))
         backend = get_backend("cnative")
-        outer = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        tile = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         grid = _CallSpy(monkeypatch, backend, "_native_grid")
+        sizes = _grid_sizes(monkeypatch, backend)
         got = repro.solve(w, config)
-        assert outer.calls == 0
+        # A one-tile grid takes the tile entry; every other is one native call.
+        assert tile.calls == sizes.count(1)
+        assert grid.calls == len(sizes) - sizes.count(1)
         # OuterUpdate + the two look-ahead strips, per rank per iteration.
         assert grid.calls > 8
         np.testing.assert_array_equal(got.dist, want.dist)
@@ -554,9 +614,9 @@ class TestCNativeMicroKernel:
                     want = [reference.srgemm_accumulate(x.copy(), y, b, semiring=sr)
                             for x, y in ((c, a), (c2, a2), (blank, a))]
                     np.testing.assert_array_equal(
-                        backend.srgemm_outer(c.copy(), a, b, semiring=sr), want[0], err_msg=msg)
+                        _product(backend, "srgemm_outer", c.copy(), a, b, sr), want[0], err_msg=msg)
                     np.testing.assert_array_equal(
-                        backend.srgemm_diag(blank.copy(), a, b, semiring=sr), want[2], err_msg=msg)
+                        _product(backend, "srgemm_diag", blank.copy(), a, b, sr), want[2], err_msg=msg)
                     got = backend.srgemm_grid([[c.copy()], [c2.copy()]], [a, a2], [b], semiring=sr)
                     _assert_tiles_equal(got, [[want[0]], [want[1]]], msg)
 
@@ -569,7 +629,7 @@ class TestCNativeMicroKernel:
         parent[:, 2 : n + 2] = c
         stripe = parent[:, 2 : n + 2]
         assert not stripe.flags.c_contiguous
-        assert backend.srgemm_panel(stripe, a, b, semiring=sr) is stripe
+        assert _product(backend, "srgemm_panel", stripe, a, b, sr) is stripe
         np.testing.assert_array_equal(stripe, reference.srgemm_accumulate(c.copy(), a, b, semiring=sr))
         assert (parent[:, :2] == 77).all() and (parent[:, n + 2 :] == 77).all()
 
@@ -583,7 +643,7 @@ class TestCNativeMicroKernel:
         c_tiles = [[_edge_operands(m, n, k, sr, dtype, seed=10 * i + j)[2] for j in range(4)]
                    for i in range(3)]
         want = _tile_loop(reference, c_tiles, a_rows, b_cols, sr, "outer")
-        spy = _CallSpy(monkeypatch, backend, "srgemm_outer")
+        spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         _assert_tiles_equal(
             backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, semiring=sr), want, sr_name)
         assert spy.calls == 0
@@ -760,7 +820,7 @@ class TestCNativeKernelCache:
             np.testing.assert_array_equal(armed.dist, want.dist)
             assert self._cached(tmp_path) == ["guard-min_plus-f64", "srgemm-min_plus-f64"]
         a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
-        backend.srgemm_outer(c, a, b, semiring=SEMIRINGS["max_min"])
+        _product(backend, "srgemm_outer", c, a, b, SEMIRINGS["max_min"])
         assert self._cached(tmp_path) == [
             "guard-min_plus-f64", "srgemm-max_min-f32", "srgemm-min_plus-f64",
         ]
@@ -795,8 +855,9 @@ class TestCNativeKernelCache:
             first_pair = len(spawned)
             # Another pair: degraded already, so no second warning or spawn.
             a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
-            want = get_backend("reference").srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
-            got = backend.srgemm_outer(c.copy(), a, b, semiring=SEMIRINGS["max_min"])
+            max_min = SEMIRINGS["max_min"]
+            want = _product(get_backend("reference"), "srgemm_outer", c.copy(), a, b, max_min)
+            got = _product(backend, "srgemm_outer", c.copy(), a, b, max_min)
             np.testing.assert_array_equal(got, want)
         assert len(caught) == 1
         assert len(spawned) == first_pair
@@ -820,7 +881,8 @@ class TestCNativeKernelCache:
             "warnings.simplefilter('error')\n"
             "backend = get_backend('cnative')\n"
             "tile = np.ones((8, 8))\n"
-            "out = backend.srgemm_outer(np.full((8, 8), 3.0), tile, tile)\n"
+            "out = np.full((8, 8), 3.0)\n"
+            "backend.srgemm_grid([[out]], [tile], [tile])\n"
             "assert (out == 2.0).all()\n"
             "print('native' if backend._units else 'tiled')\n"
         )
@@ -884,7 +946,7 @@ class TestGridWrapperComposition:
     @needs_cnative
     def test_metered_keeps_the_one_call_path_checksummed_too(self, monkeypatch):
         inner = get_backend("cnative")
-        per_tile = [_CallSpy(monkeypatch, inner, entry) for entry in PHASES]
+        per_tile = _CallSpy(monkeypatch, inner, "srgemm_accumulate")
         native = _CallSpy(monkeypatch, inner, "_native_grid")
         grid = _CallSpy(monkeypatch, inner, "srgemm_grid")
         c_tiles, a_rows, b_cols = _grid(3, 2)
@@ -894,7 +956,7 @@ class TestGridWrapperComposition:
         checked = _wrap("checksummed", inner)
         checked.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
         assert (grid.calls, native.calls) == (2, 2)
-        assert [spy.calls for spy in per_tile] == [0, 0, 0, 0]
+        assert per_tile.calls == 0
         assert checked.runtime.counters == {"ops_checked": 6}
 
     @needs_cnative
@@ -906,29 +968,29 @@ class TestGridWrapperComposition:
         want = repro.solve(w, config)
         backend = get_backend("cnative")
         native = _CallSpy(monkeypatch, backend, "_native_grid")
-        # Per-tile calls made while a grid call is on the stack (panel
-        # updates and the look-ahead diag legitimately call them outside).
+        # Per-tile calls made while a grid of several tiles is on the stack
+        # (a one-tile grid takes the tile entry).
         calls = {"grid": 0, "tile_in_grid": 0}
         in_grid = []
         grid_entry = backend.srgemm_grid
 
-        def grid_spy(*args, **kwargs):
-            calls["grid"] += 1
-            in_grid.append(True)
+        def grid_spy(c_tiles, *args, **kwargs):
+            several = sum(len(c_row) for c_row in c_tiles) > 1
+            calls["grid"] += several
+            in_grid.append(several)
             try:
-                return grid_entry(*args, **kwargs)
+                return grid_entry(c_tiles, *args, **kwargs)
             finally:
                 in_grid.pop()
 
         monkeypatch.setattr(backend, "srgemm_grid", grid_spy)
-        for entry in ("srgemm_outer", "srgemm_panel"):
-            tile_entry = getattr(backend, entry)
+        tile_entry = backend.srgemm_accumulate
 
-            def tile_spy(*args, _tile_entry=tile_entry, **kwargs):
-                calls["tile_in_grid"] += bool(in_grid)
-                return _tile_entry(*args, **kwargs)
+        def tile_spy(*args, **kwargs):
+            calls["tile_in_grid"] += any(in_grid)
+            return tile_entry(*args, **kwargs)
 
-            monkeypatch.setattr(backend, entry, tile_spy)
+        monkeypatch.setattr(backend, "srgemm_accumulate", tile_spy)
         got = repro.solve(
             w, config.replace(verify="checksum", obs=repro.ObsSinks(metrics=True))
         )

@@ -37,7 +37,7 @@ from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
 from repro.semiring.backends import CNativeBackend, available_backends, get_backend
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import (
-    GRID_PHASE_ENTRIES,
+    GRID_PHASES,
     KernelBackend,
     predicted_accumulate_grid,
 )
@@ -467,7 +467,7 @@ def _tile_loop(vrt, tiles, a_rows, b_cols, semiring, phase):
     """The per-tile guarded loop a guarded grid stands for."""
     for a, c_row in zip(a_rows, tiles):
         for b, c in zip(b_cols, c_row):
-            vrt.accumulate(c, a, b, semiring, entry=GRID_PHASE_ENTRIES[phase])
+            vrt.accumulate(c, a, b, semiring, phase)
 
 
 def _assert_same_array(got, want, msg):
@@ -499,8 +499,8 @@ def _assert_same_state(got, want, msg):
 class _CorruptsTarget(ReferenceBackend):
     """Reference numerics, except that the product into ``target`` (by
     identity) comes out with one entry pushed below every true value -
-    a downward flip both min-checksums see.  Every phase entry and both
-    panel updates of the reference funnel into ``srgemm_accumulate``."""
+    a downward flip both min-checksums see.  Every grid of the
+    reference, one-tile ones included, funnels into ``srgemm_accumulate``."""
 
     target = None
 
@@ -566,7 +566,7 @@ class TestGuardedGrid:
         inner, sr = get_backend(backend), SEMIRINGS[sr_name]
         if backend == "cnative":  # the guard's passes must be the native entries
             native, numpy_calls = _spy_native_guard(monkeypatch, inner, sr, dtype)
-        for phase in GRID_PHASE_ENTRIES:
+        for phase in GRID_PHASES:
             for nr, nc in GRID_SHAPES:
                 msg = f"{backend} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
                 c_tiles, a_rows, b_cols = _grid_case(nr, nc, dtype)
@@ -585,7 +585,7 @@ class TestGuardedGrid:
         if backend == "cnative":
             # Per phase and shape: two registrations, then per grid pass
             # the pre-op and post-op sums and one prediction.
-            cases = len(GRID_PHASE_ENTRIES) * len(GRID_SHAPES)
+            cases = len(GRID_PHASES) * len(GRID_SHAPES)
             assert native == {"sums": cases * (2 + 2 * 2), "predict": cases * 2}
             assert numpy_calls == []
 
@@ -641,13 +641,18 @@ class TestGuardedGrid:
             c_tiles, a_rows, b_cols = _grid_case(3, 2)
             c_tiles[1][1] = c_tiles[1][1].astype(np.float32)
         inner = ReferenceBackend()
-        grid_calls = _spy(monkeypatch, inner, "srgemm_grid")
-        tile_calls = _spy(monkeypatch, inner, "srgemm_outer")
         looped, gridded = _guarded(inner, c_tiles), _guarded(inner, c_tiles)
         _tile_loop(*looped, a_rows, b_cols, MIN_PLUS, "outer")
-        del tile_calls[:]
+        grid_shapes = []
+        grid_entry = inner.srgemm_grid
+
+        def grid_spy(c_tiles, *args, **kwargs):
+            grid_shapes.append((len(c_tiles), len(c_tiles[0])))
+            return grid_entry(c_tiles, *args, **kwargs)
+
+        monkeypatch.setattr(inner, "srgemm_grid", grid_spy)
         ChecksummedBackend(gridded[0]).srgemm_grid(gridded[1], a_rows, b_cols)
-        assert (len(grid_calls), len(tile_calls)) == (0, 6)
+        assert grid_shapes == [(1, 1)] * 6  # one guarded one-tile grid per tile
         _assert_same_state(gridded, looped, case)
 
     def test_small_byte_budget_walks_row_bands(self, monkeypatch):
@@ -703,8 +708,9 @@ class TestGuardedGrid:
     )
     def test_persisting_mismatch_names_the_op_that_ran(self, op):
         """Inner result *and* reference repair corrupt: the escalation
-        carries the guarded entry that was called, not the fused kernel
-        the repair happens to use."""
+        carries the phase of the guarded grid that ran (a panel update is
+        a one-tile panel grid), not the fused kernel the repair happens
+        to use."""
         c_tiles, a_rows, b_cols = _grid_case(2, 2, inf=False)
         inner = _CorruptsTarget()
         vrt, tiles = _guarded(inner, c_tiles)
@@ -721,7 +727,7 @@ class TestGuardedGrid:
         with pytest.raises(SilentCorruptionError, match="persisted after reference repair") as info:
             vrt.raise_pending()
         assert (info.value.rank, info.value.block) == (2, (1, 0))
-        assert info.value.op == op.removeprefix("grid:")
+        assert info.value.op == ("srgemm_panel" if "panel" in op else "srgemm_outer")
 
     @pytest.mark.parametrize("variant", ["baseline", "async", "offload"])
     def test_verified_solve_on_the_default_backend(self, w48, oracle, variant):
