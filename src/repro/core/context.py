@@ -6,11 +6,13 @@ A :class:`FwContext` holds everything common to one distributed run
 configuration); a :class:`RankState` holds one rank's view
 (its communicators, its blocks, its GPU binding).  The actual rank
 *programs* are schedule-IR op streams (:mod:`repro.core.schedule`)
-lowered by the single executor (:mod:`repro.core.executor`); the
-operation generators here (:func:`diag_update`, :func:`diag_bcast`,
-:func:`panel_update_row` / ``_col``, :func:`panel_bcast`,
-:func:`outer_update`) are the building blocks that lowering composes,
-mirroring the paper's kernel decomposition (its §2.5.2 list).
+lowered by the single executor (:mod:`repro.core.executor`), which
+writes each op's body once and lets a residency policy stage it.  The
+pieces here are what those bodies compose: the numerics closures
+(:func:`diag_update`, :func:`panel_grid`, :func:`grid_update`), the
+collectives (:func:`diag_bcast`, :func:`panel_bcast`) and the
+GPU-resident :func:`outer_update` kernel, mirroring the paper's kernel
+decomposition (its §2.5.2 list).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..mpi.collectives import bcast_tree
 from ..mpi.comm import Comm, SimMPI
 from ..mpi.policy import BcastPolicy
 from ..semiring.backends import KernelBackend, get_backend
-from ..semiring.closure import squaring_steps
 from ..semiring.minplus import Semiring
 from ..sim.engine import Environment, Event
 from ..sim.trace import Tracer
@@ -50,8 +51,6 @@ __all__ = [
     "diag_update",
     "diag_bcast",
     "panel_grid",
-    "panel_update_row",
-    "panel_update_col",
     "panel_bcast",
     "outer_update",
 ]
@@ -236,7 +235,7 @@ def maybe(ctx: FwContext, fn):
     return fn if ctx.config.compute_numerics else None
 
 
-def _is_empty(ctx: FwContext, blk: np.ndarray) -> bool:
+def is_empty(ctx: FwContext, blk: np.ndarray) -> bool:
     """True when a block carries no information (all entries are the
     semiring ⊕-identity), so products with it are identities and it
     need not travel or be multiplied."""
@@ -290,14 +289,10 @@ def grid_update(state: RankState, keys: list, a_payloads: list, b_cols: list, ph
     )
 
 
-def diag_update(state: RankState, k: int) -> Event:
-    """Enqueue DiagUpdate(k) on the owner's GPU (or host) and return
-    the completion event.  Caller must own block (k, k).
-
-    GPU path: ``ceil(log2 b_virtual)`` SrGemm squarings (paper §4.2,
-    Eq. 4) charged as kernel time; the physical computation runs the
-    equivalent in-place Floyd-Warshall closure.
-    """
+def diag_update(state: RankState, k: int):
+    """DiagUpdate(k)'s numerics, as a closure: the in-place
+    Floyd-Warshall closure of the owner's block (k, k), next hops
+    included on a tracked run.  Caller must own block (k, k)."""
     ctx = state.ctx
     blk, hops = _split(payload(state, (k, k)))
 
@@ -308,15 +303,7 @@ def diag_update(state: RankState, k: int) -> Event:
         # Checksums do not distribute over the O(b³) closure; the guard
         # checks the pivot block's stored sums and monotonicity instead.
         fn = ctx.verify.wrap_closure(blk, fn)
-
-    if ctx.config.diag_on_gpu:
-        b_virt = max(2, int(round(ctx.cost.v(ctx.b))))
-        duration = ctx.cost.diag_update_gpu_time(ctx.b, squaring_steps(b_virt))
-        return state.stream.kernel_time(duration, f"DiagUpdate({k})", maybe(ctx, fn))
-    # Host path: a plain process performing the timed host FW.
-    return ctx.env.process(
-        state.host.fw_diag_host(ctx.b, f"DiagUpdate({k})", maybe(ctx, fn)), name=f"r{state.me}.diag{k}"
-    )
+    return fn
 
 
 def diag_bcast(state: RankState, k: int, diag):
@@ -360,57 +347,6 @@ def panel_grid(state: RankState, keys: list, diag, axis: str) -> None:
         grid_update(state, [[key] for key in keys], snaps, [_split(diag)[0]], "panel")
 
 
-def panel_update_row(state: RankState, k: int, diag) -> Optional[Event]:
-    """Enqueue PanelUpdate of the k-th block row on this rank:
-    ``A(k,j) ← A(k,j) ⊕ A(k,k) ⊗ A(k,j)`` for all local j ≠ k, as one
-    aggregated wide kernel (one :func:`panel_grid` call).  Returns the
-    completion event (None if no local blocks)."""
-    ctx = state.ctx
-    cols = state.local_cols(exclude=(k,))
-    if ctx.config.exploit_sparsity:
-        cols = [j for j in cols if not _is_empty(ctx, state.blocks[(k, j)])]
-    if not cols:
-        return None
-    b = ctx.b
-
-    def fn():
-        panel_grid(state, [(k, j) for j in cols], diag, "row")
-
-    return state.stream.kernel(
-        b,
-        b * len(cols),
-        b,
-        f"PanelUpdateRow({k})",
-        maybe(ctx, fn),
-        cost_scale=ctx.backend.modeled_cost_scale,
-    )
-
-
-def panel_update_col(state: RankState, k: int, diag) -> Optional[Event]:
-    """Enqueue PanelUpdate of the k-th block column:
-    ``A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)`` for all local i ≠ k, as one
-    aggregated wide kernel."""
-    ctx = state.ctx
-    rows = state.local_rows(exclude=(k,))
-    if ctx.config.exploit_sparsity:
-        rows = [i for i in rows if not _is_empty(ctx, state.blocks[(i, k)])]
-    if not rows:
-        return None
-    b = ctx.b
-
-    def fn():
-        panel_grid(state, [(i, k) for i in rows], diag, "col")
-
-    return state.stream.kernel(
-        b * len(rows),
-        b,
-        b,
-        f"PanelUpdateCol({k})",
-        maybe(ctx, fn),
-        cost_scale=ctx.backend.modeled_cost_scale,
-    )
-
-
 def panel_bcast(state: RankState, k: int):
     """Generator: PanelBcast(k).
 
@@ -437,7 +373,7 @@ def panel_bcast(state: RankState, k: int):
         row_payload = {
             j: state.blocks[(k, j)]
             for j in state.local_cols(exclude=(k,))
-            if not (sparse and _is_empty(ctx, state.blocks[(k, j)]))
+            if not (sparse and is_empty(ctx, state.blocks[(k, j)]))
         }
     col_payload = None
     if state.in_col(k):
@@ -446,7 +382,7 @@ def panel_bcast(state: RankState, k: int):
         col_payload = {
             i: payload(state, (i, k))
             for i in state.local_rows(exclude=(k,))
-            if not (sparse and _is_empty(ctx, state.blocks[(i, k)]))
+            if not (sparse and is_empty(ctx, state.blocks[(i, k)]))
         }
 
     policy = ctx.bcast_policy

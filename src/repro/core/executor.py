@@ -3,9 +3,11 @@
 :func:`execute_schedule` replaces the three hand-written rank programs
 (baseline / pipelined / offload).  It walks the op lists emitted by a
 :class:`~repro.core.schedule.SchedulePolicy` and dispatches each typed
-op to a small handler; residency-dependent ops (where the distance
-matrix lives: HBM vs host DRAM) go through a :class:`ResidencyPolicy`,
-and ``PanelBcast`` goes through the context's
+op to a small handler, which is that op's one body for both
+residencies.  Where the distance matrix lives (HBM vs host DRAM) is a
+:class:`ResidencyPolicy`: it stages a body's kernel operands
+(:meth:`ResidencyPolicy.launch`) and runs OuterUpdate (a stream kernel
+or the ooGSrGemm pipeline); ``PanelBcast`` goes through the context's
 :class:`~repro.mpi.policy.BcastPolicy`.  The named variants are just
 policy combinations (the :data:`repro.core.variants.VARIANTS` table).
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults.checkpoint import checkpoint_hook
+from ..semiring.closure import squaring_steps
 from ..sim.engine import Event
 from ..sim.trace import OP_CATEGORY_PREFIX
 from . import schedule as ir
@@ -38,12 +41,11 @@ from .context import (
     diag_bcast,
     diag_update,
     grid_update,
+    is_empty,
     maybe,
     outer_update,
     panel_bcast,
     panel_grid,
-    panel_update_col,
-    panel_update_row,
     payload,
 )
 from .oog_srgemm import TileTask, run_oog_pipeline
@@ -56,155 +58,6 @@ __all__ = [
     "HOST_RESIDENT",
     "execute_schedule",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Shared row/col-parameterized kernel helpers
-# ---------------------------------------------------------------------------
-
-
-def _lookahead_fill(state: RankState, k: int, axis: str, row_panel, col_panel, idxs=()):
-    """Numerics of a look-ahead kernel (either residency), as one grid
-    product: block (k+1, k+1) (``axis="diag"``, a 1 x 1 grid in the diag
-    phase), or the (k+1) block row (``"row"``, 1 x nc) or column
-    (``"col"``, nr x 1) over local indices ``idxs`` in the panel phase."""
-    k1 = k + 1
-    if axis == "diag":
-        return lambda: grid_update(state, [[(k1, k1)]], [col_panel[k1]], [row_panel[k1]], "diag")
-    if axis == "row":
-        return lambda: grid_update(
-            state, [[(k1, j) for j in idxs]], [col_panel[k1]], [row_panel[j] for j in idxs], "panel"
-        )
-    return lambda: grid_update(
-        state, [[(i, k1)] for i in idxs], [col_panel[i] for i in idxs], [row_panel[k1]], "panel"
-    )
-
-
-def _lookahead_diag(state: RankState, k: int, row_panel, col_panel):
-    """Kernel: apply OuterUpdate(k) to block (k+1, k+1) only."""
-    ctx = state.ctx
-    fn = _lookahead_fill(state, k, "diag", row_panel, col_panel)
-    return state.stream.kernel(
-        ctx.b,
-        ctx.b,
-        ctx.b,
-        f"LookaheadDiag({k + 1})",
-        maybe(ctx, fn),
-        cost_scale=ctx.backend.modeled_cost_scale,
-    )
-
-
-def _lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_panel):
-    """Kernel: apply OuterUpdate(k) to the (k+1) block row or column
-    (local index ∉ {k, k+1}):
-
-    * ``axis="row"``: ``A(k+1,j) ⊕= A(k+1,k) ⊗ A(k,j)``
-    * ``axis="col"``: ``A(i,k+1) ⊕= A(i,k) ⊗ A(k,k+1)``
-    """
-    ctx = state.ctx
-    b = ctx.b
-    if axis == "row":
-        idxs = state.local_cols(exclude=(k, k + 1))
-        if ctx.config.exploit_sparsity:
-            idxs = [j for j in idxs if j in row_panel]
-    else:
-        idxs = state.local_rows(exclude=(k, k + 1))
-        if ctx.config.exploit_sparsity:
-            idxs = [i for i in idxs if i in col_panel]
-    if not idxs:
-        return None
-
-    fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
-    if axis == "row":
-        m, n = b, b * len(idxs)
-        label = f"LookaheadRow({k + 1})"
-    else:
-        m, n = b * len(idxs), b
-        label = f"LookaheadCol({k + 1})"
-
-    return state.stream.kernel(
-        m, n, b, label, maybe(ctx, fn), cost_scale=ctx.backend.modeled_cost_scale
-    )
-
-
-def _staged_panel_update(state: RankState, k: int, axis: ir.Axis, diag: np.ndarray):
-    """Generator: PanelUpdate with host<->device staging; completes when
-    the updated panel is back on the host (ready to broadcast)."""
-    ctx = state.ctx
-    b = ctx.b
-    idxs = state.local_cols(exclude=(k,)) if axis == "row" else state.local_rows(exclude=(k,))
-    if not idxs:
-        return
-    s = state.stream
-    s.h2d(b, b, label=f"h2d:diag{k}")
-    if axis == "row":
-        s.h2d(b, b * len(idxs), label=f"h2d:rowpanel{k}")
-
-        def fn():
-            panel_grid(state, [(k, j) for j in idxs], diag, "row")
-
-        m, n = b, b * len(idxs)
-        label = f"PanelUpdateRow({k})"
-    else:
-        s.h2d(b * len(idxs), b, label=f"h2d:colpanel{k}")
-
-        def fn():
-            panel_grid(state, [(i, k) for i in idxs], diag, "col")
-
-        m, n = b * len(idxs), b
-        label = f"PanelUpdateCol({k})"
-    s.kernel(m, n, b, label, maybe(ctx, fn), cost_scale=ctx.backend.modeled_cost_scale)
-    if axis == "row":
-        s.d2h(b, b * len(idxs), label=f"d2h:rowpanel{k}")
-    else:
-        s.d2h(b * len(idxs), b, label=f"d2h:colpanel{k}")
-    yield s.synchronize()
-
-
-def _staged_lookahead_diag(state: RankState, k: int, row_panel, col_panel) -> None:
-    """Host-resident look-ahead fill-in of block (k+1, k+1): stage the
-    two pivot-panel pieces plus the target block up, run the (b,b,b)
-    SrGemm, return the result.  Enqueue-only: the staged DiagUpdate(k+1)
-    that always follows synchronizes the stream."""
-    ctx = state.ctx
-    b = ctx.b
-    s = state.stream
-    fn = _lookahead_fill(state, k, "diag", row_panel, col_panel)
-    s.h2d(b, 3 * b, label=f"h2d:lookahead_diag{k + 1}")
-    s.kernel(b, b, b, f"LookaheadDiag({k + 1})", maybe(ctx, fn),
-             cost_scale=ctx.backend.modeled_cost_scale)
-    s.d2h(b, b, label=f"d2h:lookahead_diag{k + 1}")
-
-
-def _staged_lookahead_panel(state: RankState, k: int, axis: ir.Axis, row_panel, col_panel):
-    """Host-resident look-ahead update of the (k+1) block row/column:
-    stage the panel strip and its pivot pieces, run the aggregated
-    SrGemm, land the strip back on the host.  Returns the d2h event
-    (None if no local blocks)."""
-    ctx = state.ctx
-    b = ctx.b
-    s = state.stream
-    if axis == "row":
-        idxs = state.local_cols(exclude=(k, k + 1))
-        if not idxs:
-            return None
-        fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
-        # Target strip + the A(k,j) operand strip up; updated strip down.
-        s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
-        s.h2d(2 * b, b * len(idxs), label=f"h2d:lookahead_row{k + 1}")
-        s.kernel(b, b * len(idxs), b, f"LookaheadRow({k + 1})", maybe(ctx, fn),
-                 cost_scale=ctx.backend.modeled_cost_scale)
-        return s.d2h(b, b * len(idxs), label=f"d2h:lookahead_row{k + 1}")
-
-    idxs = state.local_rows(exclude=(k, k + 1))
-    if not idxs:
-        return None
-    fn = _lookahead_fill(state, k, axis, row_panel, col_panel, idxs)
-    s.h2d(b, b, label=f"h2d:lookahead_diag_piece{k + 1}")
-    s.h2d(b * len(idxs), 2 * b, label=f"h2d:lookahead_col{k + 1}")
-    s.kernel(b * len(idxs), b, b, f"LookaheadCol({k + 1})", maybe(ctx, fn),
-             cost_scale=ctx.backend.modeled_cost_scale)
-    return s.d2h(b * len(idxs), b, label=f"d2h:lookahead_col{k + 1}")
 
 
 def _chunks(items: list, size: int) -> list:
@@ -325,9 +178,10 @@ def _outer_tiles(
 
 class ResidencyPolicy:
     """Where the local distance matrix lives - and therefore what a
-    rank charges for it and how each residency-dependent op lowers.
-    The op methods are generators run inside the executor's rank
-    program."""
+    rank charges for it and how a kernel's operands reach the device.
+    A policy stages; it does not lower: each op's body (index set,
+    shape, label, numerics) is written once, in its executor handler,
+    and hands its kernel to :meth:`launch`."""
 
     name: str = "abstract"
 
@@ -340,25 +194,26 @@ class ResidencyPolicy:
         :class:`~repro.api.SolveConfig`."""
         raise NotImplementedError
 
-    def diag_update(self, state: RankState, k: int):
-        """DiagUpdate(k) on the owner; completes before returning."""
+    def launch(self, state: RankState, enqueue, up: list, down: list) -> Event:
+        """Run one kernel on the rank's main stream: ``enqueue()``
+        submits it and returns its event; ``up`` / ``down`` are the
+        ``(rows, cols, label)`` operands it reads and results it writes.
+        Returns the event after which the results are where the matrix
+        lives."""
         raise NotImplementedError
 
-    def panel_update(self, state: RankState, k: int, axis: ir.Axis, diag, wait: bool, env):
-        raise NotImplementedError
-
-    def lookahead_diag(self, state: RankState, k: int, env):
-        raise NotImplementedError
-
-    def lookahead_panel(self, state: RankState, k: int, axis: ir.Axis, env):
-        raise NotImplementedError
+    def panel_waits(self, wait: bool) -> bool:
+        """Does a PanelUpdate block the rank program?  As the schedule
+        says (``wait``), unless the residency needs the panel landed
+        before its broadcast."""
+        return wait
 
     def outer_update(self, state: RankState, k: int, wait: bool, env):
         raise NotImplementedError
 
 
 class GpuResident(ResidencyPolicy):
-    """Distance matrix in HBM: ops are plain stream kernels."""
+    """Distance matrix in HBM: kernels are plain stream kernels."""
 
     name = "gpu"
 
@@ -374,33 +229,8 @@ class GpuResident(ResidencyPolicy):
             hbm *= 3
         return hbm, 0
 
-    def diag_update(self, state, k):
-        yield diag_update(state, k)
-
-    def panel_update(self, state, k, axis, diag, wait, env):
-        ev = (
-            panel_update_row(state, k, diag)
-            if axis == "row"
-            else panel_update_col(state, k, diag)
-        )
-        if wait:
-            if ev is not None:
-                yield ev
-        else:
-            env.panel_evs.append(ev)
-
-    def lookahead_diag(self, state, k, env):
-        if (k + 1) in env.col_panel and (k + 1) in env.row_panel:
-            _lookahead_diag(state, k, env.row_panel, env.col_panel)
-        yield from ()
-
-    def lookahead_panel(self, state, k, axis, env):
-        have = (k + 1) in (env.col_panel if axis == "row" else env.row_panel)
-        if have:
-            env.lookahead_evs.append(
-                _lookahead_panel(state, k, axis, env.row_panel, env.col_panel)
-            )
-        yield from ()
+    def launch(self, state, enqueue, up, down):
+        return enqueue()
 
     def outer_update(self, state, k, wait, env):
         ev = outer_update(state, k, env.row_panel, env.col_panel, env.skip_rows, env.skip_cols)
@@ -413,12 +243,12 @@ class GpuResident(ResidencyPolicy):
 
 
 class HostResident(ResidencyPolicy):
-    """Me-ParallelFw (§4.3): distance matrix in host DRAM.  DiagUpdate
-    and PanelUpdate stage operands up and results back; OuterUpdate
-    streams the matrix through the ooGSrGemm pipeline.  Look-ahead ops
-    stage the (k+1) strips the same way, which is what lets the
-    look-ahead schedule compose with offload (pipelined Me-ParallelFw -
-    the combination the paper never evaluates)."""
+    """Me-ParallelFw (§4.3): distance matrix in host DRAM.  Every
+    kernel stages its operands up and its results back; OuterUpdate
+    streams the matrix through the ooGSrGemm pipeline.  Staged
+    look-ahead kernels are what let the look-ahead schedule compose
+    with offload (pipelined Me-ParallelFw - the combination the paper
+    never evaluates)."""
 
     name = "host"
 
@@ -433,30 +263,18 @@ class HostResident(ResidencyPolicy):
         )
         return hbm, int(cost.bytes_of(rows * b, cols * b))
 
-    def diag_update(self, state, k):
-        b = state.ctx.b
-        state.stream.h2d(b, b, label=f"h2d:diag{k}")
-        diag_update(state, k)  # enqueues the squaring-chain kernel
-        state.stream.d2h(b, b, label=f"d2h:diag{k}")
-        yield state.stream.synchronize()
+    def launch(self, state, enqueue, up, down):
+        s = state.stream
+        for rows, cols, label in up:
+            s.h2d(rows, cols, label=label)
+        ev = enqueue()
+        for rows, cols, label in down:
+            ev = s.d2h(rows, cols, label=label)
+        return ev
 
-    def panel_update(self, state, k, axis, diag, wait, env):
-        # Staging ends in a stream synchronize either way, so the wait
-        # flag is moot: the panel must be host-side before its bcast.
-        yield from _staged_panel_update(state, k, axis, diag)
-
-    def lookahead_diag(self, state, k, env):
-        if (k + 1) in env.col_panel and (k + 1) in env.row_panel:
-            _staged_lookahead_diag(state, k, env.row_panel, env.col_panel)
-        yield from ()
-
-    def lookahead_panel(self, state, k, axis, env):
-        have = (k + 1) in (env.col_panel if axis == "row" else env.row_panel)
-        if have:
-            env.lookahead_evs.append(
-                _staged_lookahead_panel(state, k, axis, env.row_panel, env.col_panel)
-            )
-        yield from ()
+    def panel_waits(self, wait):
+        # The updated panel must be back on the host before its bcast.
+        return True
 
     def outer_update(self, state, k, wait, env):
         ctx = state.ctx
@@ -516,11 +334,42 @@ def _op_checkpoint(state, residency, env, op):
         vrt.sentinel_check(state.me, op.k)
 
 
+def _kernel(state: RankState, m: int, n: int, label: str, fn):
+    """The enqueue of one SrGemm-shaped ``(m, n, b)`` main-stream kernel
+    running ``fn`` (not on a hollow run)."""
+    ctx = state.ctx
+    return lambda: state.stream.kernel(
+        m, n, ctx.b, label, maybe(ctx, fn), cost_scale=ctx.backend.modeled_cost_scale
+    )
+
+
 def _op_diag_update(state, residency, env, op):
     env.diag = None
-    if state.owns_diag(op.k):
-        yield from residency.diag_update(state, op.k)
-        env.diag = payload(state, (op.k, op.k))
+    if not state.owns_diag(op.k):
+        return
+    ctx, k, b = state.ctx, op.k, state.ctx.b
+    label = f"DiagUpdate({k})"
+    fn = maybe(ctx, diag_update(state, k))
+    if ctx.config.diag_on_gpu:
+        # ceil(log2 b_virtual) SrGemm squarings (§4.2, Eq. 4), charged
+        # as kernel time; the numerics are the equivalent closure.
+        b_virt = max(2, int(round(ctx.cost.v(b))))
+        duration = ctx.cost.diag_update_gpu_time(b, squaring_steps(b_virt))
+        yield residency.launch(
+            state,
+            lambda: state.stream.kernel_time(duration, label, fn),
+            up=[(b, b, f"h2d:diag{k}")],
+            down=[(b, b, f"d2h:diag{k}")],
+        )
+    else:
+        # The host FW works on the block where it lands, unstaged, and
+        # only once the stream work that writes it (a look-ahead fill-in,
+        # a staged result) is done.
+        yield state.stream.synchronize()
+        yield ctx.env.process(
+            state.host.fw_diag_host(b, label, fn), name=f"r{state.me}.diag{k}"
+        )
+    env.diag = payload(state, (k, k))
 
 
 def _op_diag_bcast(state, residency, env, op):
@@ -529,24 +378,45 @@ def _op_diag_bcast(state, residency, env, op):
 
 
 def _op_panel_update(state, residency, env, op):
-    if op.axis == "row":
-        if not state.in_row(op.k):
+    """``A(k,j) ← A(k,j) ⊕ A(k,k) ⊗ A(k,j)`` over the local j ≠ k (or
+    the column form down the pivot column) as one aggregated wide
+    kernel (one :func:`panel_grid` call)."""
+    ctx, k, axis, b = state.ctx, op.k, op.axis, state.ctx.b
+    if axis == "row":
+        if not state.in_row(k):
             return
         if op.record_skip:
-            env.skip_rows = (op.k,)
+            env.skip_rows = (k,)
+        keys = [(k, j) for j in state.local_cols(exclude=(k,))]
     else:
-        if not state.in_col(op.k):
+        if not state.in_col(k):
             return
         if op.record_skip:
-            env.skip_cols = (op.k,)
-    yield from residency.panel_update(state, op.k, op.axis, env.diag, op.wait, env)
+            env.skip_cols = (k,)
+        keys = [(i, k) for i in state.local_rows(exclude=(k,))]
+    if ctx.config.exploit_sparsity:
+        keys = [key for key in keys if not is_empty(ctx, state.blocks[key])]
+    if not keys:
+        return
+    m, n = (b, b * len(keys)) if axis == "row" else (b * len(keys), b)
+    diag = env.diag
+    ev = residency.launch(
+        state,
+        _kernel(state, m, n, f"PanelUpdate{axis.title()}({k})",
+                lambda: panel_grid(state, keys, diag, axis)),
+        up=[(b, b, f"h2d:diag{k}"), (m, n, f"h2d:{axis}panel{k}")],
+        down=[(m, n, f"d2h:{axis}panel{k}")],
+    )
+    if residency.panel_waits(op.wait):
+        yield ev
+    else:
+        env.panel_evs.append(ev)
 
 
 def _op_wait_panel_updates(state, residency, env, op):
     evs, env.panel_evs = env.panel_evs, []
     for ev in evs:
-        if ev is not None:
-            yield ev
+        yield ev
 
 
 def _op_panel_bcast(state, residency, env, op):
@@ -554,14 +424,67 @@ def _op_panel_bcast(state, residency, env, op):
 
 
 def _op_lookahead_diag(state, residency, env, op):
-    if state.owns_diag(op.k + 1):
-        yield from residency.lookahead_diag(state, op.k, env)
+    """Apply OuterUpdate(k) to block (k+1, k+1) only: a 1 x 1 grid in
+    the diag phase.  Not waited for - DiagUpdate(k+1) follows it on the
+    same stream."""
+    k1, b = op.k + 1, state.ctx.b
+    row_panel, col_panel = env.row_panel, env.col_panel
+    if state.owns_diag(k1) and k1 in col_panel and k1 in row_panel:
+        residency.launch(
+            state,
+            _kernel(state, b, b, f"LookaheadDiag({k1})", lambda: grid_update(
+                state, [[(k1, k1)]], [col_panel[k1]], [row_panel[k1]], "diag")),
+            up=[(b, 3 * b, f"h2d:lookahead_diag{k1}")],
+            down=[(b, b, f"d2h:lookahead_diag{k1}")],
+        )
+    yield from ()
 
 
 def _op_lookahead_panel(state, residency, env, op):
-    in_panel = state.in_row(op.k + 1) if op.axis == "row" else state.in_col(op.k + 1)
-    if in_panel:
-        yield from residency.lookahead_panel(state, op.k, op.axis, env)
+    """Apply OuterUpdate(k) to the local (k+1) block row or column
+    (local index ∉ {k, k+1}) as one grid in the panel phase:
+
+    * ``axis="row"``: ``A(k+1,j) ⊕= A(k+1,k) ⊗ A(k,j)`` (1 x n)
+    * ``axis="col"``: ``A(i,k+1) ⊕= A(i,k) ⊗ A(k,k+1)`` (n x 1)
+    """
+    ctx, k, axis, b = state.ctx, op.k, op.axis, state.ctx.b
+    k1 = k + 1
+    row_panel, col_panel = env.row_panel, env.col_panel
+    if axis == "row":
+        if not (state.in_row(k1) and k1 in col_panel):
+            return
+        idxs = state.local_cols(exclude=(k, k1))
+        if ctx.config.exploit_sparsity:
+            idxs = [j for j in idxs if j in row_panel]
+        m, n = b, b * len(idxs)
+
+        def fn():
+            grid_update(state, [[(k1, j) for j in idxs]], [col_panel[k1]],
+                        [row_panel[j] for j in idxs], "panel")
+
+        strip = (2 * b, n)  # the target strip and its A(k, j) operands
+    else:
+        if not (state.in_col(k1) and k1 in row_panel):
+            return
+        idxs = state.local_rows(exclude=(k, k1))
+        if ctx.config.exploit_sparsity:
+            idxs = [i for i in idxs if i in col_panel]
+        m, n = b * len(idxs), b
+
+        def fn():
+            grid_update(state, [[(i, k1)] for i in idxs], [col_panel[i] for i in idxs],
+                        [row_panel[k1]], "panel")
+
+        strip = (m, 2 * b)
+    if not idxs:
+        return
+    env.lookahead_evs.append(residency.launch(
+        state,
+        _kernel(state, m, n, f"Lookahead{axis.title()}({k1})", fn),
+        up=[(b, b, f"h2d:lookahead_diag_piece{k1}"), (*strip, f"h2d:lookahead_{axis}{k1}")],
+        down=[(m, n, f"d2h:lookahead_{axis}{k1}")],
+    ))
+    yield from ()
 
 
 def _op_wait_lookahead(state, residency, env, op):
@@ -571,8 +494,7 @@ def _op_wait_lookahead(state, residency, env, op):
         # enqueue time; the look-ahead fill-in must have landed first
         # (stale emptiness would drop blocks).
         for ev in evs:
-            if ev is not None:
-                yield ev
+            yield ev
 
 
 def _op_outer_update(state, residency, env, op):

@@ -70,6 +70,10 @@ FAULT_CLASSES = (
     "memflip",
 )
 
+#: Probability a scenario runs DiagUpdate on the host
+#: (``diag_on_gpu=False``, §4.2's host Floyd-Warshall).
+P_HOST_DIAG = 0.15
+
 #: (n_nodes, ranks_per_node) shapes that place cleanly for every
 #: variant (rank counts 1, 2, 4, 6, 8).
 CLUSTER_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (2, 3), (3, 2), (2, 4))
@@ -196,6 +200,7 @@ class ScenarioGenerator:
             ),
             instrument=True,
             check_determinism=bool(rng.random() < cfg.p_determinism),
+            diag_on_gpu=bool(rng.random() >= P_HOST_DIAG),
             jobs=jobs,
             resilience=resilience,
             deadline=deadline,

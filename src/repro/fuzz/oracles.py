@@ -336,6 +336,9 @@ class OracleSuite:
             or outcome.measurement is None
             or scenario.fault_specs
             or not outcome.makespan
+            # Eq. 1 models the GPU DiagUpdate; a host FW run is outside
+            # it, so it is neither judged nor pooled.
+            or not scenario.diag_on_gpu
         ):
             return []
         from ..api import resolve_machine

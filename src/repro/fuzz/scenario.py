@@ -117,6 +117,8 @@ class Scenario:
     fault_seed: int = 0
     verify: str = "off"
     exploit_sparsity: bool = False
+    #: False runs DiagUpdate as §4.2's host Floyd-Warshall.
+    diag_on_gpu: bool = True
     #: Arm the MetricsRegistry + span tracer (feeds the perf oracle).
     instrument: bool = True
     #: Double-run digest comparison (oracle family 2) for this scenario.
@@ -163,8 +165,11 @@ class Scenario:
         out = dataclasses.asdict(self)
         out["graph"] = {k: v for k, v in out["graph"].items() if v is not None}
         out["fault_specs"] = list(self.fault_specs)
-        # Fleet fields are omitted at their defaults so every pre-fleet
-        # scenario keeps its content-addressed id (corpus stability).
+        # Fleet fields and later axes are omitted at their defaults so
+        # every older scenario keeps its content-addressed id (corpus
+        # stability).
+        if self.diag_on_gpu:
+            del out["diag_on_gpu"]
         if self.jobs == 1:
             del out["jobs"]
         if self.resilience is None:
@@ -244,6 +249,7 @@ class Scenario:
             fault_seed=self.fault_seed,
             verify=self.verify,
             exploit_sparsity=self.exploit_sparsity,
+            diag_on_gpu=self.diag_on_gpu,
             trace=self.instrument,
             obs=ObsSinks(metrics=self.instrument),
         )
@@ -269,5 +275,6 @@ class Scenario:
             f"{self.scenario_id}: {self.graph.kind} n={self.graph.n} b={self.block_size} "
             f"{self.variant} backend={self.kernel_backend or 'default'} "
             f"{self.machine} {self.n_nodes}x{self.ranks_per_node} "
-            f"faults=[{faults}] verify={self.verify}{fleet}"
+            f"faults=[{faults}] verify={self.verify}"
+            f"{'' if self.diag_on_gpu else ' host-diag'}{fleet}"
         )

@@ -12,7 +12,7 @@ until a fixpoint:
 4. simplify the execution: fleet reductions first (one job, no
    deadline, no resilience policy), then fewer ranks, simpler variant
    (toward ``baseline``), reference backend, verify off, determinism
-   check off.
+   check off, sparsity off, DiagUpdate back on the GPU.
 
 Each candidate is re-run through the *same* oracle predicate, so the
 minimized scenario provably still fails for the same reason - that is
@@ -199,6 +199,7 @@ def shrink(
             ("verify-off", s.replace(verify="off")),
             ("no-determinism", s.replace(check_determinism=False)),
             ("no-sparsity", s.replace(exploit_sparsity=False)),
+            ("diag-on-gpu", s.replace(diag_on_gpu=True)),
         ):
             if attempt(name, cand):
                 progress = True

@@ -364,6 +364,39 @@ class TestShrinker:
 
 
 # ---------------------------------------------------------------------------
+# the diag_on_gpu axis (§4.2's host DiagUpdate)
+# ---------------------------------------------------------------------------
+
+
+class TestHostDiagAxis:
+    def test_default_keeps_the_scenario_id(self):
+        sc = small_scenario()
+        assert "diag_on_gpu" not in sc.to_dict()
+        host = sc.replace(diag_on_gpu=False)
+        assert host.to_dict()["diag_on_gpu"] is False
+        assert host.scenario_id != sc.scenario_id
+        assert Scenario.from_dict(json.loads(json.dumps(host.to_dict()))) == host
+        assert host.to_solve_config().diag_on_gpu is False
+        assert sc.to_solve_config().diag_on_gpu is True
+
+    def test_drawn_host_diag_scenarios_pass_the_oracles(self):
+        gen = ScenarioGenerator(seed=7)
+        host = [sc for sc in (gen.draw() for _ in range(80)) if not sc.diag_on_gpu]
+        lookahead = [sc for sc in host if sc.variant != "baseline"]
+        assert lookahead
+        suite = OracleSuite()
+        for sc in lookahead[:4]:
+            assert not suite.check(sc, run_scenario(sc)), sc.describe()
+
+    def test_shrinker_restores_the_gpu_diag_unless_it_matters(self):
+        sc = small_scenario(diag_on_gpu=False)
+        restored = shrink(sc, lambda c: True)
+        assert restored.scenario.diag_on_gpu
+        assert "diag-on-gpu" in [name for name, _ in restored.steps]
+        assert not shrink(sc, lambda c: not c.diag_on_gpu).scenario.diag_on_gpu
+
+
+# ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------
 

@@ -8,7 +8,10 @@ makespans) to runs recorded on the commit before the refactor, the new
 ``start_k`` must be validated and resumable at {0, mid, nb} for every
 variant, and a crash + checkpoint restart must recover bit-exactly
 under the new executor (the CI schedule-equivalence job runs this
-module).
+module).  ``tests/data/lowering_pins.json`` holds each (variant, case)'s
+makespan and ordered-span digest, recorded before each op got one
+body for both residencies; and a host DiagUpdate
+(``diag_on_gpu=False``) must match the oracle on every variant.
 """
 
 from __future__ import annotations
@@ -363,3 +366,114 @@ def test_crash_checkpoint_resume_smoke(variant):
     assert faulty.fault_counters["faults.crashes"] >= 1
     assert faulty.fault_counters["faults.restarts"] >= 1
     assert faulty.dist.tobytes() == clean.dist.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Host DiagUpdate (diag_on_gpu=False, §4.2's host FW) on every variant:
+# the closure reads the pivot block only after the rank's stream work
+# that writes it has landed
+# ---------------------------------------------------------------------------
+
+HOST_DIAG_KW = dict(block_size=16, n_nodes=2, ranks_per_node=2, diag_on_gpu=False)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_host_diag_update_matches_oracle(variant, seed):
+    w = uniform_random_dense(96, seed=seed)
+    result = solve(w, variant=variant, validate=True, **HOST_DIAG_KW)
+    assert np.allclose(result.dist, scipy_floyd_warshall(w))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_host_diag_update_starts_after_the_stream(variant):
+    """Every host ``DiagUpdate`` span starts no earlier than the end of
+    every span its rank's GPU began before it."""
+    w = uniform_random_dense(96, seed=0)
+    config = SolveConfig(variant=variant, trace=True, **HOST_DIAG_KW)
+    spans = solve(w, config).tracer.spans
+    rp = plan_run(w, config, SUMMIT)
+    gpus = SUMMIT.node.gpus_per_node
+    host_diags = [s for s in spans if s.category == "DiagUpdate"]
+    assert len(host_diags) == rp.nb
+    for d in host_diags:
+        k = int(d.label[len("DiagUpdate("):-1])
+        owner = rp.grid.owner(k, k)
+        gpu = f"node{rp.placement.node_of(owner)}.gpu{rp.placement.local_index(owner) % gpus}."
+        assert d.actor == f"node{rp.placement.node_of(owner)}.host"
+        earlier = [s for s in spans if s.actor.startswith(gpu) and s.start <= d.start]
+        late = [s for s in earlier if s.end > d.start]
+        assert not late, f"{d.label} starts at {d.start} under {late}"
+
+
+# ---------------------------------------------------------------------------
+# Lowering pins: the makespan and the ordered span timeline of every
+# (variant, case), so a reordered event shows even when makespans tie
+# ---------------------------------------------------------------------------
+
+LOWERING_PINS_PATH = Path(__file__).parent / "data" / "lowering_pins.json"
+PIN_KW = dict(block_size=8, n_nodes=2, ranks_per_node=2)
+GPU_RESIDENT_VARIANTS = ["baseline", "pipelined", "reordering", "async"]
+#: The supervisor pins' residency-switching plan: rank 2 runs out of
+#: HBM at k=3 and the run lands on the offload residency.
+OOM_DEGRADE = ["oom:rank=2,k=3", "policy:ckpt=2,restarts=3"]
+
+
+def _pin_weights(kind: str) -> np.ndarray:
+    if kind == "hollow":
+        return np.zeros((24, 24), dtype=np.float32)
+    w = uniform_random_dense(40, seed=0)
+    if kind == "holed":
+        # Vertices 32.. are unreachable from the rest: all-infinite
+        # blocks that exploit_sparsity skips for the whole run.
+        w[:32, 32:] = np.inf
+    return w
+
+
+def _lowering_cases() -> dict[str, tuple[str, dict]]:
+    """Pin id (``<variant>/<case>``, so ``-k <variant>`` selects it) ->
+    (weights kind, solve keywords)."""
+    cases = {}
+    for v in ALL_VARIANTS:
+        cases[f"{v}/real"] = ("real", dict(variant=v, **PIN_KW))
+        cases[f"{v}/real-checksum"] = ("real", dict(variant=v, verify="checksum", **PIN_KW))
+        cases[f"{v}/hollow"] = ("hollow", dict(variant=v, **HOLLOW_KW))
+    for v in GPU_RESIDENT_VARIANTS:
+        cases[f"{v}/sparse"] = ("holed", dict(variant=v, exploit_sparsity=True, **PIN_KW))
+    for v in ("baseline", "pipelined"):
+        cases[f"{v}/oom-degrade"] = ("real", dict(variant=v, fault_plan=OOM_DEGRADE, **PIN_KW))
+    return cases
+
+
+def spans_sha(tracer) -> str:
+    """SHA-256 of the tracer's spans in recording order."""
+    h = hashlib.sha256()
+    for s in tracer.spans:
+        h.update(f"{s.actor}|{s.category}|{s.label}|{s.start!r}|{s.end!r}\n".encode())
+    return h.hexdigest()
+
+
+def _lowering_record(case: str) -> dict:
+    kind, kw = _lowering_cases()[case]
+    result = solve(_pin_weights(kind), trace=True, **kw)
+    return {"elapsed": result.report.elapsed, "spans": spans_sha(result.tracer)}
+
+
+@pytest.fixture(scope="module")
+def lowering_pins():
+    import json
+
+    return json.loads(LOWERING_PINS_PATH.read_text())
+
+
+@pytest.mark.parametrize("case", list(_lowering_cases()))
+def test_lowering_pin(lowering_pins, case):
+    assert _lowering_record(case) == lowering_pins[case]
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/test_schedule_ir.py
+    import json
+
+    recorded = {case: _lowering_record(case) for case in _lowering_cases()}
+    LOWERING_PINS_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} pins -> {LOWERING_PINS_PATH}")
