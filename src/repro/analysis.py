@@ -152,7 +152,7 @@ def hop_counts(next_hops: np.ndarray) -> np.ndarray:
     """Edge counts of the shortest paths encoded by a next-hop matrix
     (``result.next_hops`` of ``repro.solve(..., track_paths=True)`` on
     any grid, one rank included, or the unblocked oracle
-    :func:`repro.extensions.floyd_warshall_with_paths`); -1 where
+    ``repro.graphs.floyd_warshall(w, hops=True)``); -1 where
     unreachable, 0 on the diagonal."""
     nxt = np.asarray(next_hops)
     n = nxt.shape[0]

@@ -41,10 +41,10 @@ from ..errors import (
     GpuOutOfMemory,
     RankFailure,
     SilentCorruptionError,
-    ValidationError,
     VerificationError,
 )
 from ..faults import CheckpointStore, FaultInjector, FaultPlan, FaultRuntime, resolve_fault_plan
+from ..graphs.oracle import certify
 from ..machine.cluster import SimCluster
 from ..machine.cost import CostModel
 from ..machine.spec import MachineSpec
@@ -55,7 +55,6 @@ from ..semiring.minplus import MIN_PLUS, SEMIRINGS, Semiring
 from ..sim.engine import Environment, Interrupt
 from ..sim.trace import Tracer
 from ..verify.runtime import VERIFY_MODES
-from .blocked import blocked_fw
 from .context import FwContext, RankState
 from .distribution import collect, distribute, pad_to_blocks
 from .executor import HOST_RESIDENT, ResidencyPolicy, execute_schedule
@@ -452,7 +451,8 @@ def build_result(
     elapsed: float,
 ) -> ApspResult:
     """Assemble the :class:`ApspResult` of a completed simulated run:
-    gather + negative-cycle check, oracle validation, PerfReport,
+    gather + negative-cycle check, certification against the
+    independent oracle (:func:`repro.graphs.oracle.certify`), PerfReport,
     verification certificate and the finalized metrics catalog."""
     obs, tracer = ctx.obs, ctx.tracer
     injector = None if ctx.faults is None else ctx.faults.injector
@@ -467,26 +467,7 @@ def build_result(
         if config.check_negative_cycles and semiring is MIN_PLUS:
             check_no_negative_cycle(dist)
     if config.validate:
-        # The oracle runs on the *unwrapped* kernel: same numerics,
-        # minus the checksumming (its temporaries are untracked anyway)
-        # and minus the metering (oracle flops are not the run's work).
-        if ctx.verify is not None:
-            oracle_backend = ctx.verify.inner
-        else:
-            oracle_backend = ctx.backend.inner if obs is not None else ctx.backend
-        oracle = blocked_fw(
-            rp.w, rp.b, semiring=semiring, check_negative_cycles=False,
-            backend=oracle_backend,
-        )
-        if not np.allclose(dist, oracle, equal_nan=True):
-            bad = int(np.sum(~np.isclose(dist, oracle, equal_nan=True)))
-            raise ValidationError(
-                f"distributed result differs from sequential oracle in {bad} entries"
-            )
-        if next_hops is not None:
-            from ..graphs.validation import check_next_hops
-
-            check_next_hops(rp.w, dist, next_hops)
+        certify(rp.w, dist, next_hops, semiring)
 
     # The context's residency differs from the plan's only after OOM
     # degradation (see _degrade_to_offload).

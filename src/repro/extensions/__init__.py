@@ -1,10 +1,10 @@
 """Extensions implementing the paper's stated future work:
-distributed shortest-path generation and incremental Floyd-Warshall."""
+distributed shortest-path generation and incremental Floyd-Warshall.
+Their oracle is :mod:`repro.graphs.oracle`."""
 
 from .incremental import IncrementalApsp
 from .paths import (
     NO_HOP,
-    floyd_warshall_with_paths,
     next_hop_from_distances,
     path_length,
     reconstruct_path,
@@ -12,7 +12,6 @@ from .paths import (
 
 __all__ = [
     "IncrementalApsp",
-    "floyd_warshall_with_paths",
     "next_hop_from_distances",
     "reconstruct_path",
     "path_length",

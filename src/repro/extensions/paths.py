@@ -1,16 +1,16 @@
 """Shortest-path *generation* (the paper's first future-work item).
 
-Two complementary tools:
+The distributed solve carries next hops itself (``track_paths``); the
+tools here work from its output:
 
-* :func:`floyd_warshall_with_paths` - Floyd-Warshall that also carries
-  a next-hop matrix, so paths come out of the sweep directly.  It is
-  unblocked and independent of the kernel backends: the oracle the
-  distributed ``track_paths`` solve is tested against.
-* :func:`next_hop_from_distances` / :func:`reconstruct_path` - rebuild
-  next-hops from *any* valid distance matrix plus the weights.  This is
-  the piece that composes with the distributed solver: run
-  :func:`repro.solve` for the distances, then generate paths locally
-  without having had to carry parent matrices through the cluster.
+* :func:`next_hop_from_distances` - rebuild next-hops from *any* valid
+  distance matrix plus the weights, so :func:`repro.solve` can produce
+  distances alone and paths are generated locally afterwards;
+* :func:`reconstruct_path` / :func:`path_length` - walk a next-hop
+  matrix and price the walk.
+
+The unblocked Floyd-Warshall-with-hops oracle that ``track_paths`` is
+tested against is :func:`repro.graphs.oracle.floyd_warshall`.
 """
 
 from __future__ import annotations
@@ -24,36 +24,11 @@ from ..semiring.path_kernels import NO_HOP
 from ..serve.query import check_vertex
 
 __all__ = [
-    "floyd_warshall_with_paths",
     "next_hop_from_distances",
     "reconstruct_path",
     "path_length",
     "NO_HOP",
 ]
-
-
-def floyd_warshall_with_paths(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Floyd-Warshall carrying next-hop pointers.
-
-    Returns ``(dist, nxt)`` where ``nxt[i, j]`` is the vertex following
-    ``i`` on a shortest i->j path (or :data:`NO_HOP`).
-    """
-    n = weights.shape[0]
-    dist = np.array(weights, dtype=np.float64, copy=True)
-    nxt = np.full((n, n), NO_HOP, dtype=np.int64)
-    finite = np.isfinite(dist)
-    cols = np.arange(n, dtype=np.int64)
-    for i in range(n):
-        nxt[i, finite[i]] = cols[finite[i]]
-        nxt[i, i] = NO_HOP
-    for k in range(n):
-        via = dist[:, k, None] + dist[None, k, :]
-        better = via < dist
-        dist = np.where(better, via, dist)
-        # New best path i -> j goes i -> ... -> k -> ... -> j, so the
-        # first hop is i's first hop toward k.
-        nxt = np.where(better, nxt[:, k, None], nxt)
-    return dist, nxt
 
 
 def next_hop_from_distances(weights: np.ndarray, dist: np.ndarray) -> np.ndarray:

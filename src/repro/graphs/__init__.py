@@ -1,4 +1,6 @@
-"""Graph generators, IO, reference algorithms and validation oracles."""
+"""Graph generators, IO, input checking, and the APSP oracles
+(:mod:`repro.graphs.oracle`: unblocked Floyd-Warshall, Johnson, and the
+certificate ``validate=True`` runs)."""
 
 from .generators import (
     banded_graph,
@@ -10,20 +12,18 @@ from .generators import (
     uniform_random_dense,
 )
 from .io import load_edge_list, load_matrix, save_edge_list, save_matrix
-from .reference_algorithms import (
-    apsp_dijkstra,
+from .oracle import (
+    assert_matches_oracle,
     bellman_ford,
+    certify,
+    check_next_hops,
     dijkstra,
     estimated_fw_ops,
     estimated_johnson_ops,
+    floyd_warshall,
     johnson,
 )
-from .validation import (
-    assert_matches_oracle,
-    check_apsp_invariants,
-    scipy_floyd_warshall,
-    validate_weights,
-)
+from .validation import validate_weights
 
 __all__ = [
     "uniform_random_dense",
@@ -37,14 +37,14 @@ __all__ = [
     "load_matrix",
     "save_edge_list",
     "load_edge_list",
+    "floyd_warshall",
     "dijkstra",
     "bellman_ford",
     "johnson",
-    "apsp_dijkstra",
     "estimated_johnson_ops",
     "estimated_fw_ops",
-    "scipy_floyd_warshall",
+    "certify",
     "assert_matches_oracle",
-    "check_apsp_invariants",
+    "check_next_hops",
     "validate_weights",
 ]

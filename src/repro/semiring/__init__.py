@@ -3,7 +3,9 @@
 This subpackage is the numerical heart of the reproduction: the
 semiring abstraction (paper §2.3), the SrGemm matrix-product kernels
 the GPU model executes (paper §2.6/§4.1), Floyd-Warshall on one block,
-and the closure-by-squaring DiagUpdate (paper Eq. 4).
+and the closure-by-squaring DiagUpdate (paper Eq. 4).  No APSP oracle
+lives here: those are :mod:`repro.graphs.oracle`, which shares no code
+with these kernels.
 """
 
 from .backends import (
@@ -17,8 +19,6 @@ from .backends.base import srgemm_flops
 from .closure import (
     check_no_negative_cycle,
     closure_by_squaring,
-    dc_floyd_warshall,
-    floyd_warshall,
     fw_inplace,
     squaring_steps,
 )
@@ -49,11 +49,9 @@ __all__ = [
     "weight_matrix_is_valid",
     "srgemm_flops",
     "fw_inplace",
-    "floyd_warshall",
     "closure_by_squaring",
     "squaring_steps",
     "check_no_negative_cycle",
-    "dc_floyd_warshall",
     "NO_HOP",
     "init_next_hops",
     "KernelBackend",

@@ -3,7 +3,7 @@
 Two routines implement the paper's *DiagUpdate*:
 
 * :func:`fw_inplace` - the classic k-loop Floyd-Warshall (vectorized
-  over i,j), used on the host and as correctness oracle.
+  over i,j), the default ``fw_closure`` kernel.
 * :func:`closure_by_squaring` - the paper's GPU formulation (its Eq. 4):
   the transitive closure expressed as a ⊕-sum of matrix powers,
   computed with ``ceil(log2 b)`` SrGemm squarings.  Asymptotically more
@@ -24,11 +24,9 @@ from .minplus import MIN_PLUS, Semiring
 
 __all__ = [
     "fw_inplace",
-    "floyd_warshall",
     "closure_by_squaring",
     "squaring_steps",
     "check_no_negative_cycle",
-    "dc_floyd_warshall",
 ]
 
 
@@ -53,20 +51,6 @@ def fw_inplace(
     if check_negative_cycles and semiring is MIN_PLUS:
         check_no_negative_cycle(dist)
     return dist
-
-
-def floyd_warshall(
-    weights: np.ndarray,
-    semiring: Semiring = MIN_PLUS,
-    check_negative_cycles: bool = True,
-) -> np.ndarray:
-    """Out-of-place Floyd-Warshall on a weight matrix.
-
-    The standard APSP entry point for a single in-memory matrix; the
-    distributed drivers in :mod:`repro.core` compute the same result.
-    """
-    dist = np.array(weights, dtype=semiring.dtype, copy=True)
-    return fw_inplace(dist, semiring=semiring, check_negative_cycles=check_negative_cycles)
 
 
 def squaring_steps(n: int) -> int:
@@ -110,61 +94,6 @@ def closure_by_squaring(
         kernels.srgemm_grid([[square]], [out], [out], semiring=semiring, phase="diag")
         out = square
     return out
-
-
-def dc_floyd_warshall(
-    weights: np.ndarray,
-    base_size: int = 64,
-    semiring: Semiring = MIN_PLUS,
-    check_negative_cycles: bool = True,
-) -> np.ndarray:
-    """Divide-and-conquer APSP (R-Kleene), the recursive formulation
-    behind the communication-avoiding 2.5D algorithms the paper's
-    related work discusses (Solomonik et al.).
-
-    Recursively splits the matrix in two and expresses the closure as
-    two half-size closures plus six semiring GEMMs::
-
-        A11 ← closure(A11)
-        A12 ← A11 ⊗ A12;          A21 ← A21 ⊗ A11
-        A22 ← A22 ⊕ A21 ⊗ A12
-        A22 ← closure(A22)
-        A12 ← A12 ⊗ A22;          A21 ← A22 ⊗ A21
-        A11 ← A11 ⊕ A12 ⊗ A21
-
-    Same O(n³) work as Floyd-Warshall but GEMM-dominated at every
-    level - which is why it maps well to fast-matmul hardware, and why
-    the paper's blocked FW (its Algorithm 2) keeps the same kernel
-    shape while exposing the pipeline structure the DC form lacks.
-    """
-    dist = np.array(weights, dtype=semiring.dtype, copy=True)
-    n = dist.shape[0]
-    if dist.ndim != 2 or dist.shape[1] != n:
-        raise ValueError(f"distance matrix must be square, got {dist.shape}")
-    if base_size < 1:
-        raise ValueError(f"base_size must be >= 1, got {base_size}")
-    _dc_closure(dist, base_size, semiring, get_backend())
-    if check_negative_cycles and semiring is MIN_PLUS:
-        check_no_negative_cycle(dist)
-    return dist
-
-
-def _dc_closure(a: np.ndarray, base: int, sr: Semiring, kernels) -> None:
-    n = a.shape[0]
-    if n <= base:
-        fw_inplace(a, semiring=sr)
-        return
-    h = n // 2
-    a11, a12 = a[:h, :h], a[:h, h:]
-    a21, a22 = a[h:, :h], a[h:, h:]
-    _dc_closure(a11, base, sr, kernels)
-    a12[:] = sr.plus(a12, kernels.srgemm(a11, a12, semiring=sr))
-    a21[:] = sr.plus(a21, kernels.srgemm(a21, a11, semiring=sr))
-    kernels.srgemm_grid([[a22]], [a21], [a12], semiring=sr)
-    _dc_closure(a22, base, sr, kernels)
-    a12[:] = sr.plus(a12, kernels.srgemm(a12, a22, semiring=sr))
-    a21[:] = sr.plus(a21, kernels.srgemm(a22, a21, semiring=sr))
-    kernels.srgemm_grid([[a11]], [a12], [a21], semiring=sr)
 
 
 def check_no_negative_cycle(dist: np.ndarray) -> None:

@@ -1,8 +1,8 @@
-"""Deliberately-naive reference implementations.
+"""The deliberately-naive product oracle.
 
-Pure triple loops, used only as oracles in the test suite (and to make
-the vectorized kernels' semantics unambiguous).  Never call these on
-anything large.
+A pure triple loop, used only by the test suite to make the vectorized
+kernels' semantics unambiguous.  Never call it on anything large.  The
+APSP oracles are :mod:`repro.graphs.oracle`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from .minplus import MIN_PLUS, Semiring
 
-__all__ = ["naive_srgemm", "naive_floyd_warshall", "naive_blocked_fw"]
+__all__ = ["naive_srgemm"]
 
 
 def naive_srgemm(a: np.ndarray, b: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
@@ -28,67 +28,3 @@ def naive_srgemm(a: np.ndarray, b: np.ndarray, semiring: Semiring = MIN_PLUS) ->
                 acc = semiring.plus(acc, semiring.times(a[i, kk], b[kk, j]))
             out[i, j] = acc
     return out
-
-
-def naive_floyd_warshall(weights: np.ndarray, semiring: Semiring = MIN_PLUS) -> np.ndarray:
-    """Triple-loop Floyd-Warshall, exactly the paper's Algorithm 1."""
-    dist = np.array(weights, dtype=semiring.dtype, copy=True)
-    n = dist.shape[0]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                dist[i, j] = semiring.plus(
-                    dist[i, j], semiring.times(dist[i, k], dist[k, j])
-                )
-    return dist
-
-
-def naive_blocked_fw(
-    weights: np.ndarray, block: int, semiring: Semiring = MIN_PLUS
-) -> np.ndarray:
-    """Blocked Floyd-Warshall (paper Algorithm 2) written block-by-block
-    with the naive kernels; oracle for :mod:`repro.core.blocked`.
-
-    ``block`` must divide the matrix order.
-    """
-    from .closure import fw_inplace  # vectorized FW is fine for the oracle's diag
-
-    dist = np.array(weights, dtype=semiring.dtype, copy=True)
-    n = dist.shape[0]
-    if n % block:
-        raise ValueError(f"block {block} does not divide n={n}")
-    nb = n // block
-
-    def blk(i: int, j: int) -> tuple[slice, slice]:
-        return (
-            slice(i * block, (i + 1) * block),
-            slice(j * block, (j + 1) * block),
-        )
-
-    for k in range(nb):
-        kk = blk(k, k)
-        # Diagonal update
-        fw_inplace(dist[kk], semiring=semiring)
-        dkk = dist[kk]
-        # Panel update (row then column)
-        for j in range(nb):
-            if j == k:
-                continue
-            r = blk(k, j)
-            dist[r] = semiring.plus(dist[r], naive_srgemm(dkk, dist[r], semiring))
-        for i in range(nb):
-            if i == k:
-                continue
-            c = blk(i, k)
-            dist[c] = semiring.plus(dist[c], naive_srgemm(dist[c], dkk, semiring))
-        # Min-plus outer product
-        for i in range(nb):
-            for j in range(nb):
-                if i == k or j == k:
-                    continue
-                t = blk(i, j)
-                dist[t] = semiring.plus(
-                    dist[t],
-                    naive_srgemm(dist[blk(i, k)[0], blk(i, k)[1]], dist[blk(k, j)[0], blk(k, j)[1]], semiring),
-                )
-    return dist

@@ -442,7 +442,7 @@ class VerifyRuntime:
         with a collected (min,+) result, append a residual audit: a
         seeded sampled triangle-inequality check plus per-source
         comparison against Bellman-Ford from
-        :mod:`repro.graphs.reference_algorithms`."""
+        :mod:`repro.graphs.oracle`."""
         cert = {
             "mode": self.mode,
             "blocks_tracked": self.counters.get("blocks_tracked", 0),
@@ -461,7 +461,7 @@ class VerifyRuntime:
         return cert
 
     def _residual_audit(self, dist: np.ndarray, weights: np.ndarray) -> dict:
-        from ..graphs.reference_algorithms import bellman_ford
+        from ..graphs.oracle import bellman_ford
 
         n = dist.shape[0]
         rng = np.random.default_rng([self.seed, 0xAB_F7])

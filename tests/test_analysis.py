@@ -23,9 +23,8 @@ from repro.analysis import (
 )
 from repro import solve
 from repro.errors import ValidationError
-from repro.extensions import floyd_warshall_with_paths
-from repro.graphs import erdos_renyi, grid_road_network
-from repro.semiring import INF, floyd_warshall
+from repro.graphs import erdos_renyi, floyd_warshall, grid_road_network
+from repro.semiring import INF
 
 
 def to_nx(weights: np.ndarray) -> nx.DiGraph:
@@ -110,7 +109,7 @@ class TestAgainstNetworkx:
 class TestHopCounts:
     def test_hops_from_tracked_paths(self):
         w = grid_road_network(3, 4, seed=1)
-        dist, nxt = floyd_warshall_with_paths(w)
+        dist, nxt = floyd_warshall(w, hops=True)
         hops = hop_counts(nxt)
         g = to_nx(w)
         # Hop count along the weighted shortest path == its edge count.
@@ -128,7 +127,7 @@ class TestHopCounts:
         w = np.full((4, 4), INF)
         np.fill_diagonal(w, 0)
         w[0, 1] = 1.0
-        _, nxt = floyd_warshall_with_paths(w)
+        _, nxt = floyd_warshall(w, hops=True)
         hops = hop_counts(nxt)
         assert hops[0, 1] == 1
         assert hops[1, 0] == -1

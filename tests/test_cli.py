@@ -72,9 +72,9 @@ class TestCommands:
         )
         assert rc == 0
         dist = load_matrix(outp)
-        from repro.graphs import scipy_floyd_warshall
+        from repro.graphs import floyd_warshall
 
-        assert np.allclose(dist, scipy_floyd_warshall(w))
+        assert np.allclose(dist, floyd_warshall(w))
 
     def test_tune(self, capsys):
         rc = main(["tune", "--n", "300000", "--nodes", "64", "--ranks-per-node", "12"])

@@ -13,8 +13,8 @@ from repro.errors import ConfigurationError, GpuOutOfMemory
 from repro.graphs import (
     banded_graph,
     grid_road_network,
+    floyd_warshall,
     ring_of_cliques,
-    scipy_floyd_warshall,
     uniform_random_dense,
 )
 from repro.machine import SUMMIT, scaled_down
@@ -25,7 +25,7 @@ ALL_VARIANTS = ["baseline", "pipelined", "reordering", "async", "offload"]
 
 def check(w, ref=None, **kw):
     result = solve(w, **kw)
-    ref = scipy_floyd_warshall(w) if ref is None else ref
+    ref = floyd_warshall(w) if ref is None else ref
     mask = np.isfinite(ref)
     assert np.allclose(result.dist[mask], ref[mask])
     assert np.array_equal(np.isinf(result.dist), np.isinf(ref))
@@ -226,7 +226,7 @@ class TestMemoryWall:
         w = uniform_random_dense(32, seed=0)
         res = solve(w, variant="offload", block_size=8, n_nodes=1, ranks_per_node=2,
                     machine=tiny, mx_blocks=1, nx_blocks=1, n_streams=1)
-        assert np.allclose(res.dist, scipy_floyd_warshall(w))
+        assert np.allclose(res.dist, floyd_warshall(w))
 
     def test_gpu_peak_reported(self, dense24):
         res = solve(dense24, variant="baseline", block_size=4, n_nodes=2,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +14,11 @@ from repro.errors import ConfigurationError, NegativeCycleError
 from repro.graphs import (
     banded_graph,
     erdos_renyi,
+    floyd_warshall,
     ring_of_cliques,
-    scipy_floyd_warshall,
     uniform_random_dense,
 )
-from repro.semiring import INF, MAX_MIN, OR_AND, floyd_warshall
-from repro.semiring.reference import naive_blocked_fw
+from repro.semiring import INF, MAX_MIN, OR_AND
 
 
 class TestPadding:
@@ -124,26 +124,26 @@ class TestDistributeCollect:
 class TestBlockedFw:
     @pytest.mark.parametrize("b", [1, 3, 5, 8, 24, 30])
     def test_matches_scipy(self, dense24, b):
-        assert np.allclose(blocked_fw(dense24, b), scipy_floyd_warshall(dense24))
+        assert np.allclose(blocked_fw(dense24, b), csgraph.floyd_warshall(dense24))
 
     @pytest.mark.parametrize("b", [4, 7])
     def test_sparse_with_unreachable(self, sparse30, b):
         got = blocked_fw(sparse30, b)
-        ref = scipy_floyd_warshall(sparse30)
+        ref = floyd_warshall(sparse30)
         mask = np.isfinite(ref)
         assert np.allclose(got[mask], ref[mask])
         assert np.array_equal(np.isinf(got), np.isinf(ref))
 
-    def test_matches_naive_blocked(self, dense24):
-        assert np.allclose(blocked_fw(dense24, 8), naive_blocked_fw(dense24, 8))
+    def test_matches_unblocked_oracle(self, dense24):
+        assert np.allclose(blocked_fw(dense24, 8), floyd_warshall(dense24))
 
     def test_banded_long_paths(self):
         w = banded_graph(40, 2, seed=5)
-        assert np.allclose(blocked_fw(w, 8), scipy_floyd_warshall(w))
+        assert np.allclose(blocked_fw(w, 8), floyd_warshall(w))
 
     def test_ring_of_cliques(self):
         w = ring_of_cliques(4, 5)
-        assert np.allclose(blocked_fw(w, 4), scipy_floyd_warshall(w))
+        assert np.allclose(blocked_fw(w, 4), floyd_warshall(w))
 
     def test_negative_cycle_detected(self):
         w = np.array([[0.0, 1.0], [-3.0, 0.0]])
@@ -166,7 +166,7 @@ class TestBlockedFw:
         assert out[0, 2] == 4.0  # widest path 0->1->2
 
     def test_block_larger_than_matrix(self, dense24):
-        assert np.allclose(blocked_fw(dense24, 64), scipy_floyd_warshall(dense24))
+        assert np.allclose(blocked_fw(dense24, 64), floyd_warshall(dense24))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ConfigurationError):

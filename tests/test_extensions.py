@@ -13,22 +13,21 @@ from repro.errors import NegativeCycleError, QueryError, ValidationError, exit_c
 from repro.extensions import (
     NO_HOP,
     IncrementalApsp,
-    floyd_warshall_with_paths,
     next_hop_from_distances,
     path_length,
     reconstruct_path,
 )
-from repro.graphs import erdos_renyi, grid_road_network
-from repro.semiring import INF, floyd_warshall
+from repro.graphs import erdos_renyi, floyd_warshall, grid_road_network
+from repro.semiring import INF
 
 
 class TestPathsFromFw:
     def test_distances_match_plain_fw(self, sparse30):
-        dist, _ = floyd_warshall_with_paths(sparse30)
+        dist, _ = floyd_warshall(sparse30, hops=True)
         assert np.allclose(dist, floyd_warshall(sparse30), equal_nan=True)
 
     def test_paths_are_valid_and_optimal(self, sparse30):
-        dist, nxt = floyd_warshall_with_paths(sparse30)
+        dist, nxt = floyd_warshall(sparse30, hops=True)
         n = sparse30.shape[0]
         for i in range(n):
             for j in range(n):
@@ -42,14 +41,14 @@ class TestPathsFromFw:
                     assert path_length(sparse30, path) == pytest.approx(dist[i, j])
 
     def test_trivial_path(self, dense24):
-        _, nxt = floyd_warshall_with_paths(dense24)
+        _, nxt = floyd_warshall(dense24, hops=True)
         assert reconstruct_path(nxt, 3, 3) == [3]
 
     def test_unreachable_is_none(self):
         w = np.full((3, 3), INF)
         np.fill_diagonal(w, 0)
         w[0, 1] = 1.0
-        _, nxt = floyd_warshall_with_paths(w)
+        _, nxt = floyd_warshall(w, hops=True)
         assert reconstruct_path(nxt, 1, 2) is None
         assert nxt[1, 2] == NO_HOP
 
@@ -74,7 +73,7 @@ class TestPathsFromFw:
         through a vertex that does not exist); the rest were bare
         IndexErrors."""
         w = erdos_renyi(8, 0.5, seed=1)
-        _, nxt = floyd_warshall_with_paths(w)
+        _, nxt = floyd_warshall(w, hops=True)
         with pytest.raises(QueryError, match=r"\[0, 8\)|integer vertex id") as err:
             reconstruct_path(nxt, src, dst)
         assert exit_code_for(err.value) == 18
@@ -100,7 +99,7 @@ class TestNextHopFromDistances:
                 assert path_length(w, path) == pytest.approx(dist[i, j])
 
     def test_matches_carried_pointers(self, sparse30):
-        dist, _ = floyd_warshall_with_paths(sparse30)
+        dist, _ = floyd_warshall(sparse30, hops=True)
         nxt = next_hop_from_distances(sparse30, dist)
         n = sparse30.shape[0]
         for i in range(n):
@@ -232,7 +231,7 @@ class TestIncrementalApsp:
         inc.batch_update(ups)
         assert inc.recomputes - before <= 1
         assert np.allclose(
-            inc.dist, floyd_warshall(inc.weights, check_negative_cycles=False),
+            inc.dist, floyd_warshall(inc.weights),
             equal_nan=True,
         )
 
@@ -256,6 +255,6 @@ class TestIncrementalApsp:
             else:
                 inc.remove_edge(int(u), int(v))
         assert np.allclose(
-            inc.dist, floyd_warshall(inc.weights, check_negative_cycles=False),
+            inc.dist, floyd_warshall(inc.weights),
             equal_nan=True,
         )

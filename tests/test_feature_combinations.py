@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import solve
 from repro.extensions import path_length, reconstruct_path
-from repro.graphs import banded_graph, ring_of_cliques, scipy_floyd_warshall
+from repro.graphs import banded_graph, floyd_warshall, ring_of_cliques
 
 
 def everything_on(w, variant="async", **kw):
@@ -38,7 +38,7 @@ class TestAllFlagsTogether:
     def test_correct_distances(self, variant):
         w = banded_graph(30, 3, seed=4)
         res = everything_on(w, variant)
-        ref = scipy_floyd_warshall(w)
+        ref = floyd_warshall(w)
         assert np.allclose(
             np.where(np.isinf(res.dist), -1, res.dist),
             np.where(np.isinf(ref), -1, ref),
@@ -67,7 +67,7 @@ class TestAllFlagsTogether:
     def test_property_all_flags_match_oracle(self, seed, n):
         w = banded_graph(n, 2, seed=seed)
         res = everything_on(w)
-        ref = scipy_floyd_warshall(w)
+        ref = floyd_warshall(w)
         assert np.allclose(
             np.where(np.isinf(res.dist), -1, res.dist),
             np.where(np.isinf(ref), -1, ref),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import solve
-from repro.graphs import scipy_floyd_warshall
+from repro.graphs import floyd_warshall
 from repro.machine import (
     FRONTIER_LIKE,
     MACHINES,
@@ -62,7 +62,7 @@ class TestModelPortability:
 class TestEndToEndOnOtherMachines:
     @pytest.mark.parametrize("machine", [FRONTIER_LIKE, WORKSTATION])
     def test_all_variants_correct(self, machine, dense24):
-        ref = scipy_floyd_warshall(dense24)
+        ref = floyd_warshall(dense24)
         nodes = min(2, machine.max_nodes)
         for variant in ("baseline", "async", "offload"):
             res = solve(dense24, variant=variant, block_size=4, n_nodes=nodes,

@@ -7,17 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SolveConfig, solve
 from repro.errors import ConfigurationError, ValidationError
-from repro.extensions import (
-    floyd_warshall_with_paths,
-    path_length,
-    reconstruct_path,
-)
-from repro.graphs import erdos_renyi, grid_road_network, scipy_floyd_warshall
+from repro.extensions import path_length, reconstruct_path
+from repro.graphs import erdos_renyi, floyd_warshall, grid_road_network
 from repro.obs import MetricsRegistry
 from repro.obs.metered import MeteredBackend
 from repro.semiring import (
@@ -128,7 +125,7 @@ class TestPathKernels:
     def test_fw_closure_hops_matches_reference(self, sparse30):
         """The closure with next hops is the unblocked oracle on one
         block, on every backend and through both wrappers."""
-        ref_dist, ref_nxt = floyd_warshall_with_paths(sparse30)
+        ref_dist, ref_nxt = floyd_warshall(sparse30, hops=True)
         for name, backend in available_backends().items():
             for wrapper, kernels in _wrapped(backend).items():
                 dist = sparse30.copy()
@@ -176,7 +173,7 @@ class TestBlockedFwPaths:
     @pytest.mark.parametrize("b", [3, 5, 10, 30])
     def test_distances_match_scipy(self, sparse30, b):
         dist, _ = one_rank(sparse30, b)
-        ref = scipy_floyd_warshall(sparse30)
+        ref = csgraph.floyd_warshall(sparse30)
         assert np.allclose(np.where(np.isinf(dist), -1, dist),
                            np.where(np.isinf(ref), -1, ref))
 

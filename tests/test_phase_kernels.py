@@ -30,7 +30,7 @@ import pytest
 
 import repro
 from repro.core.context import panel_grid
-from repro.graphs import banded_graph, ring_of_cliques
+from repro.graphs import banded_graph, floyd_warshall, ring_of_cliques
 from repro.obs.metered import MeteredBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MIN_PLUS, SEMIRINGS
@@ -43,7 +43,7 @@ from repro.semiring.backends import (
 )
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import GRID_PHASES, KernelBackend
-from repro.semiring.closure import closure_by_squaring, floyd_warshall, fw_inplace
+from repro.semiring.closure import closure_by_squaring, fw_inplace
 from repro.verify.backend import ChecksummedBackend
 from repro.verify.runtime import VerifyRuntime
 

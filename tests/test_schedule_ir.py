@@ -50,7 +50,7 @@ from repro.errors import ConfigurationError
 from repro.extensions.paths import path_length, reconstruct_path
 from repro.faults import CheckpointStore, FaultPlan
 from repro.faults.injector import FaultInjector, FaultRuntime
-from repro.graphs import scipy_floyd_warshall, uniform_random_dense
+from repro.graphs import floyd_warshall, uniform_random_dense
 from repro.machine import SUMMIT, CostModel, SimCluster
 from repro.mpi.comm import SimMPI
 from repro.semiring.path_kernels import NO_HOP
@@ -110,7 +110,7 @@ class TestVariantMatrix:
     def test_matches_reference_and_recorded_bits(self, variant, seed):
         w = uniform_random_dense(30, seed=seed)
         result = solve(w, variant=variant, **REAL_KW)
-        ref = scipy_floyd_warshall(w)
+        ref = floyd_warshall(w)
         assert np.allclose(result.dist, ref)
         # Bit-exact across all six variants and vs the pre-refactor runs.
         assert dist_sha(result.dist) == RECORDED_DIST_SHA[seed]
@@ -147,7 +147,7 @@ def test_next_matrix_matches_reference(variant):
     w = uniform_random_dense(18, seed=4)
     result = solve(w, variant=variant, block_size=3, n_nodes=2,
                    ranks_per_node=2, track_paths=True)
-    ref = scipy_floyd_warshall(w)
+    ref = floyd_warshall(w)
     assert np.allclose(result.dist, ref)
     nxt = result.next_hops
     n = w.shape[0]
@@ -382,7 +382,7 @@ HOST_DIAG_KW = dict(block_size=16, n_nodes=2, ranks_per_node=2, diag_on_gpu=Fals
 def test_host_diag_update_matches_oracle(variant, seed):
     w = uniform_random_dense(96, seed=seed)
     result = solve(w, variant=variant, validate=True, **HOST_DIAG_KW)
-    assert np.allclose(result.dist, scipy_floyd_warshall(w))
+    assert np.allclose(result.dist, floyd_warshall(w))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import NegativeCycleError
+from repro.graphs import floyd_warshall
 from repro.semiring import (
     INF,
     MAX_MIN,
@@ -19,14 +20,13 @@ from repro.semiring import (
     PLUS_TIMES,
     SEMIRINGS,
     closure_by_squaring,
-    floyd_warshall,
     fw_inplace,
     get_backend,
     srgemm_flops,
     squaring_steps,
     weight_matrix_is_valid,
 )
-from repro.semiring.reference import naive_floyd_warshall, naive_srgemm
+from repro.semiring.reference import naive_srgemm
 
 
 def finite_matrices(max_side=6):
@@ -195,14 +195,19 @@ class TestPanelUpdates:
         assert np.array_equal(MIN_PLUS.plus(a, b), [1.0, 2.0])
 
 
+def closure(w, check_negative_cycles=True):
+    """The solver's one-block closure on a copy of ``w``."""
+    return fw_inplace(np.array(w, dtype=np.float64), check_negative_cycles=check_negative_cycles)
+
+
 class TestClosure:
     def test_fw_matches_naive(self, dense24):
-        assert np.allclose(floyd_warshall(dense24), naive_floyd_warshall(dense24))
+        assert np.allclose(closure(dense24), floyd_warshall(dense24))
 
     def test_fw_matches_scipy(self, sparse30):
-        from repro.graphs import scipy_floyd_warshall
+        import scipy.sparse.csgraph as csgraph
 
-        assert np.allclose(floyd_warshall(sparse30), scipy_floyd_warshall(sparse30))
+        assert np.allclose(closure(sparse30), csgraph.floyd_warshall(sparse30))
 
     def test_fw_inplace_returns_same_array(self, dense24):
         arr = dense24.copy()
@@ -247,12 +252,12 @@ class TestClosure:
             [[0.0, 1.0, INF], [INF, 0.0, -5.0], [2.0, INF, 0.0]]
         )
         with pytest.raises(NegativeCycleError) as exc:
-            floyd_warshall(w)
+            closure(w)
         assert exc.value.value < 0
 
     def test_negative_edges_without_cycle_ok(self):
         w = np.array([[0.0, -1.0, INF], [INF, 0.0, -2.0], [INF, INF, 0.0]])
-        dist = floyd_warshall(w)
+        dist = closure(w)
         assert dist[0, 2] == -3.0
 
     def test_disconnected_components(self):
@@ -260,7 +265,7 @@ class TestClosure:
         np.fill_diagonal(w, 0.0)
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 2.0
-        dist = floyd_warshall(w)
+        dist = closure(w)
         assert dist[0, 1] == 1.0
         assert dist[0, 2] == INF
 
@@ -277,8 +282,8 @@ class TestClosure:
     def test_fw_idempotent_property(self, w):
         """FW(FW(A)) = FW(A): the closure is a fixed point."""
         np.fill_diagonal(w, 0.0)
-        once = floyd_warshall(w, check_negative_cycles=False)
-        twice = floyd_warshall(once, check_negative_cycles=False)
+        once = closure(w, check_negative_cycles=False)
+        twice = closure(once, check_negative_cycles=False)
         assert np.allclose(once, twice)
 
     @given(finite_matrices(5), st.integers(0, 10**6))
@@ -288,63 +293,6 @@ class TestClosure:
         np.fill_diagonal(w, 0.0)
         n = w.shape[0]
         perm = np.random.default_rng(seed).permutation(n)
-        direct = floyd_warshall(w, check_negative_cycles=False)[np.ix_(perm, perm)]
-        relabeled = floyd_warshall(w[np.ix_(perm, perm)], check_negative_cycles=False)
+        direct = closure(w, check_negative_cycles=False)[np.ix_(perm, perm)]
+        relabeled = closure(w[np.ix_(perm, perm)], check_negative_cycles=False)
         assert np.allclose(direct, relabeled)
-
-
-class TestDivideAndConquer:
-    """R-Kleene: the recursive closure behind the communication-avoiding
-    2.5D algorithms in the paper's related work."""
-
-    @pytest.mark.parametrize("base", [1, 3, 8, 64])
-    def test_matches_fw(self, sparse30, base):
-        from repro.semiring import dc_floyd_warshall
-
-        got = dc_floyd_warshall(sparse30, base_size=base)
-        ref = floyd_warshall(sparse30)
-        assert np.allclose(got, ref, equal_nan=True)
-
-    def test_odd_sizes(self, rng):
-        from repro.semiring import dc_floyd_warshall
-
-        for n in (5, 17, 31):
-            w = rng.uniform(1, 9, (n, n))
-            np.fill_diagonal(w, 0.0)
-            assert np.allclose(dc_floyd_warshall(w, base_size=4), floyd_warshall(w))
-
-    def test_other_semirings(self, rng):
-        from repro.semiring import dc_floyd_warshall
-
-        cap = rng.uniform(1, 100, (12, 12))
-        np.fill_diagonal(cap, INF)
-        got = dc_floyd_warshall(cap, base_size=3, semiring=MAX_MIN,
-                                check_negative_cycles=False)
-        ref = fw_inplace(np.array(cap), semiring=MAX_MIN)
-        assert np.allclose(got, ref)
-
-    def test_negative_cycle_detected(self):
-        from repro.semiring import dc_floyd_warshall
-
-        w = np.array([[0.0, 1.0], [-3.0, 0.0]])
-        with pytest.raises(NegativeCycleError):
-            dc_floyd_warshall(w, base_size=1)
-
-    def test_validation(self):
-        from repro.semiring import dc_floyd_warshall
-
-        with pytest.raises(ValueError):
-            dc_floyd_warshall(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            dc_floyd_warshall(np.zeros((2, 2)), base_size=0)
-
-    @given(finite_matrices(6))
-    @settings(max_examples=20, deadline=None)
-    def test_property_equals_fw(self, w):
-        from repro.semiring import dc_floyd_warshall
-
-        np.fill_diagonal(w, 0.0)
-        assert np.allclose(
-            dc_floyd_warshall(w, base_size=2, check_negative_cycles=False),
-            floyd_warshall(w, check_negative_cycles=False),
-        )

@@ -14,9 +14,9 @@ from repro.errors import ConfigurationError
 from repro.graphs import (
     banded_graph,
     erdos_renyi,
+    floyd_warshall,
     grid_road_network,
     ring_of_cliques,
-    scipy_floyd_warshall,
 )
 from repro.semiring import INF
 
@@ -36,7 +36,7 @@ def run(w, variant="baseline", sparse=True, **kw):
 
 
 def assert_correct(res, w):
-    ref = scipy_floyd_warshall(w)
+    ref = floyd_warshall(w)
     assert np.allclose(
         np.where(np.isinf(res.dist), -1, res.dist), np.where(np.isinf(ref), -1, ref)
     )
@@ -83,7 +83,7 @@ class TestCorrectness:
         for i in range(n - 1):  # a single path through all vertices
             w[i, i + 1] = 1.0
         res = run(w, "async", block_size=5)
-        ref = scipy_floyd_warshall(w)
+        ref = floyd_warshall(w)
         assert np.allclose(np.where(np.isinf(res.dist), -1, res.dist),
                            np.where(np.isinf(ref), -1, ref))
         # Upper triangle fully filled in.

@@ -8,7 +8,7 @@ import pytest
 
 from repro import solve
 from repro.errors import ConfigurationError
-from repro.graphs import scipy_floyd_warshall, uniform_random_dense
+from repro.graphs import floyd_warshall, uniform_random_dense
 from repro.machine import SUMMIT, CostModel, SimCluster
 from repro.mpi import SimMPI, bcast_ring_segmented
 from repro.sim import Environment
@@ -149,7 +149,7 @@ class TestSegmentedRing:
 
     def test_end_to_end_variant_with_segments(self):
         w = uniform_random_dense(24, seed=5)
-        ref = scipy_floyd_warshall(w)
+        ref = floyd_warshall(w)
         for seg in (2, 4):
             res = solve(w, variant="async", block_size=4, n_nodes=2,
                         ranks_per_node=3, ring_segments=seg)
