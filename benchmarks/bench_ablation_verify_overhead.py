@@ -4,7 +4,7 @@ Verification (docs/FAULTS.md) is free in *simulated* time by
 construction - the checksum algebra runs inside the existing kernel
 closures and adds no events - so the interesting cost is physical:
 wall-clock spent taking, predicting and re-taking min-checksums around
-every guarded SrGemm.  Two backends: ``reference``, whose guard passes
+every guarded SrGemm.  Two backends: ``tiled``, whose guard passes
 are the waist's NumPy defaults, and ``cnative``, whose guard unit runs
 them natively beside its kernel.
 
@@ -33,7 +33,7 @@ from repro.graphs import uniform_random_dense
 
 N = 192
 BLOCKS = (8, 16, 32, 64)
-BACKENDS = ("reference", "cnative")
+BACKENDS = ("tiled", "cnative")
 NODES = 2
 RPN = 2
 MODES = ("off", "checksum", "full")

@@ -11,7 +11,7 @@ Precedence for environment-configurable knobs is **explicit argument >
 environment variable > built-in default**:
 
 * ``SolveConfig(kernel_backend=...)`` beats ``$REPRO_SRGEMM_BACKEND``
-  beats ``"reference"``;
+  beats ``"cnative"``, else ``"tiled"`` on a host with no C compiler;
 * ``SolveConfig(fault_plan=...)`` beats ``$REPRO_FAULT_PLAN`` beats
   no plan.
 
@@ -78,7 +78,7 @@ class SolveConfig:
     #: (fill-in re-checked every iteration).  Requires real numerics.
     exploit_sparsity: bool = False
     #: SrGemm kernel backend name; None defers to
-    #: ``$REPRO_SRGEMM_BACKEND`` then ``"reference"`` (see
+    #: ``$REPRO_SRGEMM_BACKEND``, then ``"cnative"``, else ``"tiled"`` (see
     #: :meth:`from_env` for materializing that precedence).
     kernel_backend: Optional[str] = None
 

@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--density", type=float, default=1.0, help="edge probability")
     solve.add_argument("--scale", type=float, default=1.0, help="virtual/physical dim scale")
     solve.add_argument("--validate", action="store_true",
-                       help="have the result certified against an independent oracle "
+                       help="compare the result with the unblocked Floyd-Warshall oracle "
                             "(an O(n^3) NumPy pass whatever the kernel backend)")
     solve.add_argument("--trace", action="store_true", help="print a per-category time breakdown")
     solve.add_argument("--output", type=str, default=None, help="save distances to .npz")
@@ -106,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="NAME",
-        help="SrGemm kernel backend: reference, cnative, tiled or tiled-f32 "
+        help="SrGemm kernel backend: cnative, tiled or tiled-f32 "
         "(see `repro-apsp backends`); default: $REPRO_SRGEMM_BACKEND, else "
-        "'reference'",
+        "'cnative', else 'tiled'",
     )
     solve.add_argument(
         "--faults",
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbuild.add_argument(
         "--kernel-backend", type=str, default=None, metavar="NAME",
         help="SrGemm kernel backend for the solve (default: "
-        "$REPRO_SRGEMM_BACKEND, else 'reference')",
+        "$REPRO_SRGEMM_BACKEND, else 'cnative', else 'tiled')",
     )
     sbuild.add_argument(
         "--overwrite", action="store_true",
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     supdate.add_argument(
         "--kernel-backend", type=str, default=None, metavar="NAME",
         help="SrGemm backend for any escalated re-solve (default: "
-        "$REPRO_SRGEMM_BACKEND, else 'reference')",
+        "$REPRO_SRGEMM_BACKEND, else 'cnative', else 'tiled')",
     )
     supdate.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",

@@ -9,7 +9,7 @@ In-memory, single process, vectorized.  This is simultaneously:
 
 All SrGemm work dispatches through the pluggable kernel backends of
 :mod:`repro.semiring.backends`; pass ``backend=`` to pick one, or rely
-on ``REPRO_SRGEMM_BACKEND`` / ``reference``.
+on ``REPRO_SRGEMM_BACKEND`` / ``cnative``, else ``tiled``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def blocked_fw(
         Block size ``b``; the input is padded if ``b`` does not divide n.
     backend:
         SrGemm kernel backend (name or instance); ``None`` resolves the
-        default (``REPRO_SRGEMM_BACKEND`` / ``reference``).
+        default (``REPRO_SRGEMM_BACKEND`` / ``cnative``, else ``tiled``).
     """
     padded, n = pad_to_blocks(np.asarray(weights), block_size, semiring)
     dist = np.array(padded, dtype=semiring.dtype, copy=True)

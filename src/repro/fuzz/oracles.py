@@ -4,9 +4,9 @@ Five families, per the paper's correctness story (bit-exact tropical
 replay) and the repo's fitted perf model:
 
 1. **equivalence** - the distance matrix must byte-match a clean
-   single-rank reference solve of the same graph at the same block
-   size (variant/backends/faults/verification must all be invisible in
-   the result);
+   single-rank reference solve (``tiled`` backend) of the same graph
+   at the same block size (variant/backends/faults/verification must
+   all be invisible in the result);
 2. **resilience** - the retry-determinism oracle for fleet scenarios
    (multi-job and/or self-healing-armed, :mod:`repro.sched.resilience`):
    every job that ends DONE must byte-match the clean single-rank
@@ -122,7 +122,7 @@ class OracleSuite:
             SolveConfig(
                 variant="baseline",
                 block_size=block_size,
-                kernel_backend="reference",
+                kernel_backend="tiled",
                 machine=machine,
                 n_nodes=1,
                 ranks_per_node=1,

@@ -11,7 +11,7 @@ until a fixpoint:
 3. shrink the block size toward the small end;
 4. simplify the execution: fleet reductions first (one job, no
    deadline, no resilience policy), then fewer ranks, simpler variant
-   (toward ``baseline``), reference backend, verify off, determinism
+   (toward ``baseline``), ``tiled`` backend, verify off, determinism
    check off, sparsity off, DiagUpdate back on the GPU.
 
 Each candidate is re-run through the *same* oracle predicate, so the
@@ -195,7 +195,7 @@ def shrink(
             ("shrink-ranks", s.replace(n_nodes=1, ranks_per_node=1)),
             ("shrink-ranks", s.replace(n_nodes=1, ranks_per_node=min(2, s.ranks_per_node))),
             ("simplify-variant", s.replace(variant=_SIMPLER_VARIANT.get(s.variant, s.variant))),
-            ("reference-backend", s.replace(kernel_backend="reference")),
+            ("tiled-backend", s.replace(kernel_backend="tiled")),
             ("verify-off", s.replace(verify="off")),
             ("no-determinism", s.replace(check_determinism=False)),
             ("no-sparsity", s.replace(exploit_sparsity=False)),

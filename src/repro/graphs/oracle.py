@@ -12,12 +12,9 @@ the APSP of ``weights``?":
 * :func:`johnson` - one Bellman-Ford reweighting pass plus Dijkstra
   from every source: the sparse / negative-edge oracle, and the
   algorithm the paper's §6 weighs Floyd-Warshall against;
-* :func:`certify` - the check ``validate=True`` runs.  Under (min,+)
-  with a zero diagonal and every off-diagonal edge positive, every
-  cycle is positive and ``D = I ⊕ W' ⊗ D`` (``W'``: ``weights``
-  without its diagonal) has exactly one solution, the APSP; ``dist``
-  must be that fixed point.  Every other input (a zero or negative
-  edge, another semiring) is compared against :func:`floyd_warshall`.
+* :func:`certify` - the check ``validate=True`` runs: ``dist`` is
+  compared against :func:`floyd_warshall` on every input and every
+  semiring (an O(n³) NumPy pass, independent of the kernel backend).
 """
 
 from __future__ import annotations
@@ -50,11 +47,13 @@ def floyd_warshall(weights: np.ndarray, semiring: Semiring = MIN_PLUS, hops: boo
     """Unblocked Floyd-Warshall over ``semiring``.
 
     Each ``k`` is one vectorised rank-1 update, ``dist ← dist ⊕
-    dist[:, k] ⊗ dist[k, :]``.  With ``hops=True`` returns ``(dist,
-    nxt)``: where the path through ``k`` changed ``dist[i, j]``, its
-    first hop is ``i``'s first hop toward ``k``; :data:`NO_HOP` marks
-    the diagonal and the pairs without a path.  Negative cycles are not
-    detected: they show as a negative diagonal.
+    dist[:, k] ⊗ dist[k, :]``, applied in place once the candidates are
+    in a scratch buffer (no array is allocated per ``k``).  With
+    ``hops=True`` returns ``(dist, nxt)``: where the path through ``k``
+    changed ``dist[i, j]``, its first hop is ``i``'s first hop toward
+    ``k``; :data:`NO_HOP` marks the diagonal and the pairs without a
+    path.  Negative cycles are not detected: they show as a negative
+    diagonal.
     """
     dist = np.array(weights, dtype=semiring.dtype, copy=True)
     n = dist.shape[0]
@@ -63,11 +62,12 @@ def floyd_warshall(weights: np.ndarray, semiring: Semiring = MIN_PLUS, hops: boo
     if hops:
         nxt = np.where(dist != semiring.zero, np.arange(n, dtype=np.int64), NO_HOP)
         np.fill_diagonal(nxt, NO_HOP)
+    cand = np.empty_like(dist)
     for k in range(n):
-        new = semiring.plus(dist, semiring.times(dist[:, k, None], dist[None, k, :]))
+        semiring.times(dist[:, k, None], dist[None, k, :], out=cand)
         if hops:
-            nxt = np.where(new != dist, nxt[:, k, None], nxt)
-        dist = new
+            nxt = np.where(semiring.plus(dist, cand) != dist, nxt[:, k, None], nxt)
+        semiring.plus(dist, cand, out=dist)
     return (dist, nxt) if hops else dist
 
 
@@ -184,61 +184,16 @@ def certify(
     ``semiring`` APSP of ``weights`` and ``nxt`` (if given; (min,+)
     next hops) starts a shortest path for every reachable pair.
 
-    Both routes accept ``np.isclose``'s default tolerance, which holds
-    for a float32 kernel: the fixed point (see the module docstring)
-    when it is unique, :func:`floyd_warshall` otherwise.
+    The comparison against :func:`floyd_warshall` accepts
+    ``np.isclose``'s default tolerance, which holds for a float32
+    kernel.
     """
     w = np.asarray(weights)
     if dist.shape != w.shape:
         raise ValidationError(f"shape mismatch: {dist.shape} vs weights {w.shape}")
-    off = ~np.eye(w.shape[0], dtype=bool)
-    # Positive edges make every cycle positive, so the fixed point is
-    # unique.  The diagonal must be zero too: a sweep keeps a positive
-    # self-loop's weight on the diagonal, where ``I ⊕ ...`` puts 0.
-    if (
-        semiring is MIN_PLUS
-        and np.all(np.diagonal(w) == 0)
-        and np.all(w[off & np.isfinite(w)] > 0)
-    ):
-        _check_fixed_point(w, dist)
-    else:
-        assert_matches_oracle(dist, floyd_warshall(w, semiring), rtol=1e-5, atol=1e-8)
+    assert_matches_oracle(dist, floyd_warshall(w, semiring), rtol=1e-5, atol=1e-8)
     if nxt is not None:
         check_next_hops(w, dist, nxt)
-
-
-def _check_fixed_point(weights: np.ndarray, dist: np.ndarray) -> None:
-    """``I ⊕ W' ⊗ D``, as ``n`` rank-1 sweeps in O(n²) memory, has
-    ``dist``'s finite entries and, on them, its values.  Every other
-    entry must be +inf: with positive edges, -inf or NaN is never a
-    distance."""
-    n = dist.shape[0]
-    invalid = ~(np.isfinite(dist) | np.isposinf(dist))
-    if invalid.any():
-        i, j = np.argwhere(invalid)[0]
-        raise ValidationError(
-            f"dist[{i}, {j}] = {float(dist[i, j])!r} is neither a path length nor +inf"
-        )
-    step = np.array(weights, dtype=np.float64)
-    np.fill_diagonal(step, np.inf)
-    bellman = np.full((n, n), np.inf)
-    np.fill_diagonal(bellman, 0.0)
-    for k in range(n):
-        np.minimum(bellman, step[:, k, None] + dist[None, k, :], out=bellman)
-    finite = np.isfinite(dist)
-    if not np.array_equal(finite, np.isfinite(bellman)):
-        i, j = np.argwhere(finite != np.isfinite(bellman))[0]
-        raise ValidationError(
-            f"reachability of ({i}, {j}) disagrees with its neighbours': "
-            f"dist {dist[i, j]!r}, best first edge gives {bellman[i, j]!r}"
-        )
-    close = np.isclose(dist, bellman) | ~finite
-    if not close.all():
-        i, j = np.argwhere(~close)[0]
-        raise ValidationError(
-            f"dist[{i}, {j}] = {float(dist[i, j])!r} is not realised by any path: "
-            f"the best first edge gives {float(bellman[i, j])!r}"
-        )
 
 
 def assert_matches_oracle(
@@ -255,7 +210,7 @@ def assert_matches_oracle(
         i, j = bad[0]
         raise ValidationError(
             f"{len(bad)} mismatching entries; first at ({i}, {j}): "
-            f"{dist[i, j]!r} vs oracle {oracle[i, j]!r}"
+            f"dist[{i}, {j}] = {dist[i, j]!r} vs oracle {oracle[i, j]!r}"
         )
 
 

@@ -12,20 +12,18 @@ Shipped backends
 Each one stays for a reason a caller or a test supplies
 (docs/KERNELS.md §2 has the measurement).
 
-``reference``
-    The chunked 3-D broadcast kernel: the equivalence oracle every
-    other backend is tested against, and the builtin default.
 ``cnative``
     Register-blocked C kernel, one translation unit per (semiring,
     dtype) compiled at first use with the system ``cc``/``gcc``/``clang``
     (ctypes); unavailable when no compiler is on PATH.  The fast path
-    every benchmark runs.
+    every benchmark runs, and the default wherever it is available.
 ``tiled``
     Cache-blocked 2-D tiling with in-place accumulation, bounded by a
     byte budget (the default-budget analogue of CUTLASS tile staging).
-    The only kernel on a host without ``cc``, and ``cnative``'s own
-    fallback (``or_and`` / ``plus_times``, ragged grids, a failed
-    compile).
+    Full width, pure NumPy and always available: the default on a host
+    without ``cc``, ``cnative``'s own fallback (``or_and`` /
+    ``plus_times``, ragged grids, a failed compile), and the kernel the
+    ABFT repair and the fuzzer's reference solve run.
 ``tiled-f32``
     The tiled kernel with an opt-in float32 compute path (~2x
     memory-bandwidth saving, documented ``rtol = 1e-5``): the one
@@ -34,7 +32,8 @@ Each one stays for a reason a caller or a test supplies
 Selection precedence
 --------------------
 explicit ``kernel_backend=`` / ``backend=`` argument  >
-``REPRO_SRGEMM_BACKEND`` environment variable  >  ``"reference"``.
+``REPRO_SRGEMM_BACKEND`` environment variable  >  ``"cnative"`` where
+it is available, else ``"tiled"``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import numpy as np
 from ...errors import BackendUnavailableError, ConfigurationError
 from .base import KernelBackend
 from .cnative import CNativeBackend
-from .reference import ReferenceBackend
 from .tiled import TiledBackend
 from .tuning import (
     DEFAULT_KERNEL_BYTE_BUDGET,
@@ -59,7 +57,6 @@ from .tuning import (
 
 __all__ = [
     "KernelBackend",
-    "ReferenceBackend",
     "TiledBackend",
     "CNativeBackend",
     "KernelTiling",
@@ -68,7 +65,6 @@ __all__ = [
     "DEFAULT_KERNEL_BYTE_BUDGET",
     "ENV_BYTE_BUDGET",
     "ENV_BACKEND",
-    "BUILTIN_DEFAULT_BACKEND",
     "register_backend",
     "registered_backends",
     "available_backends",
@@ -78,9 +74,6 @@ __all__ = [
 
 #: Environment variable selecting the default backend by name.
 ENV_BACKEND = "REPRO_SRGEMM_BACKEND"
-
-#: Fallback when neither the API nor the environment chooses.
-BUILTIN_DEFAULT_BACKEND = "reference"
 
 _REGISTRY: dict[str, KernelBackend] = {}
 
@@ -107,8 +100,12 @@ def available_backends() -> dict[str, KernelBackend]:
 
 
 def default_backend_name() -> str:
-    """The name :func:`get_backend` resolves when given no name."""
-    return os.environ.get(ENV_BACKEND) or BUILTIN_DEFAULT_BACKEND
+    """The name :func:`get_backend` resolves when given no name:
+    ``$REPRO_SRGEMM_BACKEND``, else ``"cnative"`` when it is available
+    (a C compiler is on PATH), else ``"tiled"``."""
+    return os.environ.get(ENV_BACKEND) or (
+        "cnative" if _REGISTRY["cnative"].available else "tiled"
+    )
 
 
 def get_backend(name: Union[str, KernelBackend, None] = None) -> KernelBackend:
@@ -133,7 +130,6 @@ def get_backend(name: Union[str, KernelBackend, None] = None) -> KernelBackend:
 
 
 # -- built-in registrations --------------------------------------------------
-register_backend(ReferenceBackend())
 register_backend(TiledBackend())
 register_backend(TiledBackend(compute_dtype=np.float32))  # "tiled-f32"
 register_backend(CNativeBackend())

@@ -83,10 +83,11 @@ replaces block arrays cannot meet a stale pointer.
 
 Equivalence contract
 --------------------
-For float64 inputs a backend must match the reference backend
-*bit-for-bit* on every comparison-⊕ semiring (min/max are exact, and
-any association of an exact idempotent reduction yields the same
-value).  For non-idempotent ⊕ (``plus_times``) the association order
+For float64 inputs a backend must match the naive triple loop
+(:func:`repro.semiring.reference.naive_srgemm`) and every other
+full-width backend *bit-for-bit* on every comparison-⊕ semiring
+(min/max are exact, and any association of an exact idempotent
+reduction yields the same value).  For non-idempotent ⊕ (``plus_times``) the association order
 may differ, so results are only ``allclose``.  A backend with a
 reduced-precision compute path advertises its tolerance via ``rtol``.
 """
@@ -268,7 +269,7 @@ class KernelBackend:
     #: the operand dtype).  Advertised so call sites can reason about
     #: precision and the cost layer about bandwidth.
     compute_dtype: Optional[np.dtype] = None
-    #: Relative tolerance versus the reference backend (0.0 = exact on
+    #: Relative tolerance versus a full-width backend (0.0 = exact on
     #: comparison-⊕ semirings; nonzero for reduced-precision paths).
     rtol: float = 0.0
     #: Multiplier applied to modeled SrGemm kernel durations by the

@@ -89,7 +89,7 @@ Correctness notes:
   would miscompile the relaxation.
 * The select is the unconditional ``(cand BETTER cur) ? cand : cur``
   everywhere, so micro-tile, remainder loop and closure produce the
-  reference backend's bits under any blocking.
+  ``tiled`` backend's bits under any blocking.
 * Every array's shape, dtype and layout is checked in Python before any
   pointer is taken.  The C kernels require C-contiguous operands; a
   non-contiguous accumulator (panel stripes are column slices) is

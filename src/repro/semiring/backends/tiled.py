@@ -11,14 +11,14 @@ tile is accumulated **in place** with rank-1 updates
     C_tile  ← C_tile ⊕ scratch          (in-place, no reduction pass)
 
 so the only temporary is one scratch tile that stays cache-resident.
-Against the reference backend this roughly halves memory traffic and
-removes all slab allocation churn (measured ~2-2.5x at b=256 float64;
-see ``benchmarks/results/ablation_kernel_backends.txt``).
+Against the chunked-broadcast formulation this roughly halves memory
+traffic and removes all slab allocation churn (measured ~2-2.5x at
+b=256 float64; see ``benchmarks/results/ablation_kernel_backends.txt``).
 
 The optional float32 compute path (registered as ``tiled-f32``) casts
 float operands to float32 before the product loop, halving bandwidth
 again.  Accumulation still lands in the caller's array dtype; the
-documented tolerance versus the float64 reference is ``rtol = 1e-5``
+documented tolerance versus the float64 path is ``rtol = 1e-5``
 (each candidate ``a + b`` suffers one float32 rounding, and a
 comparison-⊕ may then pick a neighbouring near-tie).  Path-tracking
 kernels always run in the operand dtype - hop pointers must not depend

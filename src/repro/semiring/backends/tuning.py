@@ -9,10 +9,10 @@ no dependencies beyond the standard library and :mod:`repro.errors`.
 (The model tuner of the paper's §3.4.2, :mod:`repro.perfmodel.tuning`,
 picks block sizes and grids for a machine and shares no logic with it.)
 
-The reference backend derives its k-chunk so the ``(m, k_chunk, n)``
-broadcast temporary stays under the budget, and the tiled backend
-derives its ``(m, n)`` tile so the accumulation scratch stays under
-half the budget.
+The path kernel (``srgemm_accumulate_paths``) derives its k-chunk so
+the ``(m, k_chunk, n)`` broadcast temporary stays under the budget, and
+the tiled backend derives its ``(m, n)`` tile so the accumulation
+scratch stays under half the budget.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 #: Default bound on any single kernel temporary: 8 MiB keeps the
-#: working set inside a typical L2/L3 slice, and gives the reference
-#: backend a k-chunk of 64 at the 128x128 float64 blocks the test suite
-#: favours (128 * 64 * 128 * 8 B = 8 MiB).
+#: working set inside a typical L2/L3 slice, and gives the path kernel
+#: a k-chunk of 64 at the 128x128 float64 blocks the test suite favours
+#: (128 * 64 * 128 * 8 B = 8 MiB).
 DEFAULT_KERNEL_BYTE_BUDGET = 8 * 1024 * 1024
 
 #: Environment override for the budget (bytes).
@@ -77,8 +77,9 @@ class KernelTiling:
         budget.
     k_chunk:
         Inner-dimension chunk for backends that materialize an
-        ``(m, k_chunk, n)`` broadcast temporary (the reference
-        backend); sized so that temporary stays within the budget.
+        ``(m, k_chunk, n)`` broadcast temporary (the path kernel,
+        ``srgemm_accumulate_paths``); sized so that temporary stays
+        within the budget.
     byte_budget:
         The resolved budget the sizes were derived from.
     """

@@ -8,8 +8,8 @@ default** precedence for environment-configurable knobs:
 * ``ServeConfig(cache_bytes=...)`` beats ``$REPRO_SERVE_CACHE_BYTES``
   beats the 64 MiB default;
 * ``ServeConfig(kernel_backend=...)`` beats ``$REPRO_SRGEMM_BACKEND``
-  beats ``"reference"`` (used by the incremental patch / re-solve
-  path, never by reads).
+  beats ``"cnative"``, else ``"tiled"`` (used by the incremental
+  patch / re-solve path, never by reads).
 
 Observability attaches through the same shared
 :class:`~repro.obs.sinks.ObsSinks` as ``SolveConfig`` - one validation

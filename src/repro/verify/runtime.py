@@ -4,7 +4,7 @@ One :class:`VerifyRuntime` is shared by every simulated rank of a run
 (blocks are rank-private, so guards never contend).  It tracks each
 resident distance block's row/col ``⊕``-checksums, validates every
 checksummed kernel call, repairs flagged tiles in place from their
-operands via the reference backend, and — when repair is impossible —
+operands via the full-width ``tiled`` kernel, and — when repair is impossible —
 *defers* escalation: the runtime records a pending
 :class:`~repro.errors.SilentCorruptionError` and the executor raises it
 at the next op boundary of the detecting rank program.  Raising inside
@@ -87,7 +87,8 @@ class VerifyRuntime:
         self.sentinel_samples = int(sentinel_samples)
         self.audit_triples = int(audit_triples)
         self.audit_sources = int(audit_sources)
-        self.reference = get_backend("reference")
+        #: The repair kernel: full width, pure NumPy, always available.
+        self.reference = get_backend("tiled")
         self.counters: Dict[str, int] = {}
         self._tiles: Dict[int, _Guard] = {}
         self._rank_ids: Dict[int, List[int]] = {}
@@ -175,8 +176,8 @@ class VerifyRuntime:
     def accumulate(self, c, a, b, semiring: Semiring, phase: str) -> np.ndarray:
         """Guarded one-tile product: the inner backend runs it as a
         one-tile ``phase`` grid, and a mismatch escalates as
-        ``srgemm_{phase}``.  Repair always goes through the reference
-        fused kernel (exact equivalent for comparison-⊕ semirings)."""
+        ``srgemm_{phase}``.  Repair always goes through the full-width
+        ``tiled`` kernel (exact equivalent for comparison-⊕ semirings)."""
         op = f"srgemm_{phase}"
         guard = self._tiles.get(id(c))
         pre = block_checksums(c, semiring)
@@ -281,8 +282,8 @@ class VerifyRuntime:
 
     def _repair_accumulate(self, guard, c, c_pre, pre, a, b, semiring, op: str) -> Checksums:
         """Localized repair: rebuild the flagged tile from its operands
-        with the reference backend, then re-verify against a full-width
-        prediction (the reference never narrows, so the reduced-precision
+        with the ``tiled`` backend, then re-verify against a full-width
+        prediction (``tiled`` never narrows, so the reduced-precision
         prediction no longer applies).  ``op`` is the guarded product the
         mismatch was caught in (``srgemm_{phase}``), named by a
         persisting escalation."""

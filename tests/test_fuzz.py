@@ -47,7 +47,7 @@ def small_scenario(**overrides):
         graph=GraphSpec(kind="uniform", n=12, seed=3),
         variant="async",
         block_size=4,
-        kernel_backend="reference",
+        kernel_backend="tiled",
         machine="workstation",
         n_nodes=1,
         ranks_per_node=2,
@@ -136,7 +136,7 @@ class TestGenerator:
 
     def test_bit_exact_pool_excludes_f32(self):
         assert "tiled-f32" not in bit_exact_backends()
-        assert "reference" in bit_exact_backends()
+        assert "tiled" in bit_exact_backends()
 
     def test_coverage_bias_prefers_cold_cells(self):
         cov = CoverageMap()
@@ -517,12 +517,9 @@ def make_planted_backend():
     can silently repair.
     """
     from repro.semiring import MIN_PLUS
-    from repro.semiring.backends import ReferenceBackend
+    from repro.semiring.backends import TiledBackend
 
-    class _Planted(ReferenceBackend):
-        name = "planted-corrupt"
-        rtol = 0.0
-
+    class _Planted(TiledBackend):
         def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer",
                         hops=None):
             super().srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
@@ -532,7 +529,7 @@ def make_planted_backend():
                         c[0, 0] *= 0.75  # silent SDC: path shorter than possible
             return c_tiles
 
-    return _Planted()
+    return _Planted(name="planted-corrupt")
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ updates, the byte-budget auto-tuner, and the modeled-cost hook."""
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import repro
 from repro.cli import main
 from repro.core.blocked import blocked_fw
 from repro.errors import BackendUnavailableError, ConfigurationError
+from repro.graphs import uniform_random_dense
 from repro.machine import SUMMIT, CostModel, SimGPU
 from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
 from repro.semiring.backends import (
@@ -23,7 +25,6 @@ from repro.semiring.backends import (
     ENV_BACKEND,
     ENV_BYTE_BUDGET,
     KernelBackend,
-    ReferenceBackend,
     TiledBackend,
     available_backends,
     default_backend_name,
@@ -33,6 +34,7 @@ from repro.semiring.backends import (
     registered_backends,
     tune_kernel_tiling,
 )
+from repro.semiring.reference import naive_srgemm
 from repro.sim.engine import Environment
 
 #: Bit-identity holds for comparison-⊕ semirings (min/max are exact
@@ -40,10 +42,15 @@ from repro.sim.engine import Environment
 #: different order, so only allclose.
 EXACT_SEMIRINGS = [name for name, sr in SEMIRINGS.items() if sr.idempotent_plus]
 
-#: Names that were registered once; none may resolve (ISSUE 21).
-RETIRED_BACKENDS = ["tensor", "compiled", "compiled-ms", "cupy"]
+#: Names that were registered once; none may resolve.
+RETIRED_BACKENDS = ["tensor", "compiled", "compiled-ms", "cupy", "reference"]
 
 SHAPES = [(1, 1, 1), (3, 5, 2), (8, 8, 8), (2, 7, 9), (4, 6, 0), (17, 3, 11)]
+
+
+def _naive_accumulate(c, a, b, semiring=MIN_PLUS):
+    """``C ⊕ A ⊗ B`` from the triple-loop product oracle."""
+    return semiring.plus(c, naive_srgemm(a, b, semiring))
 
 
 def _operands(m, n, k, semiring, seed=0):
@@ -60,12 +67,12 @@ class TestRegistry:
     def test_builtin_registrations(self):
         # Equality on purpose: a backend is added by editing this set,
         # next to the measurement that justifies it (docs/KERNELS.md §2).
-        assert set(registered_backends()) == {"reference", "tiled", "tiled-f32", "cnative"}
+        assert set(registered_backends()) == {"tiled", "tiled-f32", "cnative"}
 
     @pytest.mark.parametrize("name", RETIRED_BACKENDS)
     def test_retired_name_rejected(self, name, monkeypatch, capsys):
         w = np.zeros((8, 8))
-        listing = "cnative.*reference.*tiled.*tiled-f32"
+        listing = "cnative.*tiled.*tiled-f32"
         with pytest.raises(ConfigurationError, match=listing) as exc:
             repro.solve(w, repro.SolveConfig(block_size=4, kernel_backend=name))
         assert not isinstance(exc.value, BackendUnavailableError)
@@ -79,16 +86,38 @@ class TestRegistry:
         monkeypatch.setenv(ENV_BACKEND, "tensor")
         assert main(["backends"]) == 2
         out, err = capsys.readouterr()
-        assert [line.split()[0] for line in out.splitlines()[:4]] == sorted(registered_backends())
+        rows = out.splitlines()[: len(registered_backends())]
+        assert [line.split()[0] for line in rows] == sorted(registered_backends())
         assert ENV_BACKEND in err and "tensor" in err
         monkeypatch.setenv(ENV_BACKEND, "tiled")
         assert main(["backends"]) == 0
         assert "* tiled " in capsys.readouterr().out
 
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_follows_cnative_availability(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert default_backend_name() == "reference"
-        assert get_backend().name == "reference"
+        cnative = registered_backends()["cnative"]
+        want = "cnative" if cnative.available else "tiled"
+        assert default_backend_name() == want
+        assert get_backend().name == want
+        monkeypatch.setattr(cnative, "available", True)
+        assert default_backend_name() == "cnative"
+        monkeypatch.setattr(cnative, "available", False)
+        assert default_backend_name() == "tiled"
+
+    def test_default_solve_without_a_compiler(self, monkeypatch):
+        # A host with no C compiler resolves an unnamed backend to tiled,
+        # silently, with the bits the default gives where cnative runs.
+        monkeypatch.delenv(ENV_BACKEND, raising=False)
+        w = uniform_random_dense(48, seed=2)
+        config = repro.SolveConfig(block_size=12, n_nodes=1, ranks_per_node=4)
+        cnative = registered_backends()["cnative"]
+        want = repro.solve(w, config.replace(kernel_backend=default_backend_name())).dist
+        monkeypatch.setattr(cnative, "available", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # An unavailable cnative would raise BackendUnavailableError.
+            got = repro.solve(w, config)
+        np.testing.assert_array_equal(got.dist, want)
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "tiled")
@@ -96,7 +125,7 @@ class TestRegistry:
         assert get_backend().name == "tiled"
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(ConfigurationError, match="reference"):
+        with pytest.raises(ConfigurationError, match="cnative.*tiled.*tiled-f32"):
             get_backend("no-such-backend")
 
     def test_instance_passes_through(self):
@@ -105,7 +134,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend(ReferenceBackend())
+            register_backend(TiledBackend())
 
     def test_unnamed_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -121,9 +150,8 @@ class TestRegistry:
     def test_kernels_module_honors_backend_argument(self):
         # The flat kernel module is gone: a product is asked of a backend.
         a, b, _ = _operands(4, 5, 3, MIN_PLUS)
-        ref = get_backend("reference").srgemm(a, b)
         tld = get_backend("tiled").srgemm(a, b)
-        np.testing.assert_array_equal(ref, tld)
+        np.testing.assert_array_equal(tld, naive_srgemm(a, b))
 
 
 class TestBackendEquivalence:
@@ -133,8 +161,7 @@ class TestBackendEquivalence:
         sr = SEMIRINGS[sr_name]
         m, n, k = shape
         a, b, c = _operands(m, n, k, sr)
-        reference = get_backend("reference")
-        expected = reference.srgemm_accumulate(c.copy(), a, b, semiring=sr)
+        expected = _naive_accumulate(c, a, b, sr)
         for name, backend in available_backends().items():
             got = backend.srgemm_accumulate(c.copy(), a, b, semiring=sr)
             if backend.rtol == 0.0 and sr.idempotent_plus:
@@ -147,7 +174,7 @@ class TestBackendEquivalence:
     def test_srgemm_matches_reference(self, sr_name):
         sr = SEMIRINGS[sr_name]
         a, b, _ = _operands(6, 7, 5, sr)
-        expected = get_backend("reference").srgemm(a, b, semiring=sr)
+        expected = naive_srgemm(a, b, sr)
         for name, backend in available_backends().items():
             got = backend.srgemm(a, b, semiring=sr)
             rtol = max(backend.rtol, 1e-9)
@@ -158,10 +185,10 @@ class TestBackendEquivalence:
 
     def test_plus_times_allclose_only(self):
         # Non-idempotent ⊕: association order differs between the
-        # reduce-then-add reference and the per-rank-1 tiled updates,
-        # so the contract is allclose, not bit identity.
+        # triple loop and the per-rank-1 tiled updates, so the contract
+        # is allclose, not bit identity.
         a, b, c = _operands(6, 6, 6, PLUS_TIMES)
-        ref = get_backend("reference").srgemm_accumulate(c.copy(), a, b, semiring=PLUS_TIMES)
+        ref = _naive_accumulate(c, a, b, PLUS_TIMES)
         tld = get_backend("tiled").srgemm_accumulate(c.copy(), a, b, semiring=PLUS_TIMES)
         np.testing.assert_allclose(tld, ref, rtol=1e-12)
 
@@ -172,14 +199,14 @@ class TestBackendEquivalence:
         f32 = get_backend("tiled-f32")
         assert f32.compute_dtype == np.float32
         assert f32.rtol == 1e-5
-        ref = get_backend("reference").srgemm(a, b)
+        ref = naive_srgemm(a, b)
         got = f32.srgemm(a, b)
         assert got.dtype == np.float64  # accumulator keeps operand dtype
         np.testing.assert_allclose(got, ref, rtol=f32.rtol)
 
     def test_f32_backend_leaves_bool_semirings_exact(self):
         a, b, c = _operands(5, 5, 5, SEMIRINGS["or_and"])
-        ref = get_backend("reference").srgemm_accumulate(c.copy(), a, b, semiring=SEMIRINGS["or_and"])
+        ref = _naive_accumulate(c, a, b, SEMIRINGS["or_and"])
         got = get_backend("tiled-f32").srgemm_accumulate(c.copy(), a, b, semiring=SEMIRINGS["or_and"])
         np.testing.assert_array_equal(got, ref)
 
@@ -194,7 +221,7 @@ class TestBackendEquivalence:
         # Force many tiny tiles/stripes; results must not change.
         a, b, c = _operands(13, 11, 7, MIN_PLUS)
         small = TiledBackend(byte_budget=256, name="tiled-tiny")
-        expected = get_backend("reference").srgemm_accumulate(c.copy(), a, b)
+        expected = _naive_accumulate(c, a, b)
         np.testing.assert_array_equal(small.srgemm_accumulate(c.copy(), a, b), expected)
 
     @settings(max_examples=25, deadline=None)
@@ -208,7 +235,7 @@ class TestBackendEquivalence:
         w[rng.uniform(size=(n, n)) < 0.3] = np.inf
         np.fill_diagonal(w, 0.0)
         b = max(1, n // 2)
-        expected = blocked_fw(w, b, backend="reference", check_negative_cycles=False)
+        expected = blocked_fw(w, b, backend="tiled", check_negative_cycles=False)
         for name, backend in available_backends().items():
             got = blocked_fw(w, b, backend=name, check_negative_cycles=False)
             if backend.rtol == 0.0:
@@ -225,7 +252,7 @@ class TestPanelUpdates:
         panel = np.ascontiguousarray(panel)  # (6, 17)
         a, _, _ = _operands(6, 1, 6, sr, seed=4)
         diag = np.ascontiguousarray(a.reshape(6, 6))
-        want = sr.plus(panel, get_backend("reference").srgemm(diag, panel, semiring=sr))
+        want = sr.plus(panel, naive_srgemm(diag, panel, sr))
         for name, backend in available_backends().items():
             got = backend.panel_row_update(panel.copy(), diag, semiring=sr)
             if backend.rtol == 0.0 and sr.idempotent_plus:
@@ -240,7 +267,7 @@ class TestPanelUpdates:
         panel = np.ascontiguousarray(panel.reshape(17, 6))
         a, _, _ = _operands(6, 1, 6, sr, seed=6)
         diag = np.ascontiguousarray(a.reshape(6, 6))
-        want = sr.plus(panel, get_backend("reference").srgemm(panel, diag, semiring=sr))
+        want = sr.plus(panel, naive_srgemm(panel, diag, sr))
         for name, backend in available_backends().items():
             got = backend.panel_col_update(panel.copy(), diag, semiring=sr)
             if backend.rtol == 0.0 and sr.idempotent_plus:
@@ -255,10 +282,10 @@ class TestPanelUpdates:
         panel = rng.uniform(0, 10, (8, 23))
         diag = rng.uniform(0, 10, (8, 8))
         tiny = TiledBackend(byte_budget=2 * 8 * panel.dtype.itemsize, name="tiled-stripe1")
-        want = MIN_PLUS.plus(panel, get_backend("reference").srgemm(diag, panel))
+        want = MIN_PLUS.plus(panel, naive_srgemm(diag, panel))
         np.testing.assert_array_equal(tiny.panel_row_update(panel.copy(), diag), want)
         panel_c = np.ascontiguousarray(panel.T)
-        want_c = MIN_PLUS.plus(panel_c, get_backend("reference").srgemm(panel_c, diag))
+        want_c = MIN_PLUS.plus(panel_c, naive_srgemm(panel_c, diag))
         np.testing.assert_array_equal(tiny.panel_col_update(panel_c.copy(), diag), want_c)
 
     def test_shape_validation(self):
@@ -278,6 +305,7 @@ class TestByteBudget:
         assert t.byte_budget == DEFAULT_KERNEL_BYTE_BUDGET
 
     def test_reference_slab_within_budget(self):
+        # The (m, k_chunk, n) slab the path kernel materializes.
         for m, n, k in [(64, 64, 64), (256, 256, 256), (1000, 3, 77), (5, 999, 2)]:
             for itemsize in (4, 8):
                 t = tune_kernel_tiling(m, n, k, itemsize)
@@ -359,10 +387,9 @@ class TestByteBudget:
 
     def test_reference_exceeds_small_budget_baseline(self):
         # Sanity check that the measurement above is meaningful: the
-        # reference kernel pinned to one full-k slab blows through the
-        # same budget.
+        # broadcast formulation, one full-k (m, k, n) slab, blows through
+        # the same budget.
         budget = 1 << 20
-        backend = ReferenceBackend(byte_budget=budget)
         rng = np.random.default_rng(0)
         a = rng.uniform(0, 10, (256, 256))
         b = rng.uniform(0, 10, (256, 256))
@@ -371,7 +398,7 @@ class TestByteBudget:
         try:
             base, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            backend.srgemm_accumulate(c, a, b, k_chunk=256)
+            MIN_PLUS.plus(c, MIN_PLUS.plus_reduce(a[:, :, None] + b[None, :, :], axis=1), out=c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -394,7 +421,7 @@ class TestPathKernels:
                               track_paths=True, kernel_backend=name)
             return res.dist, res.next_hops
 
-        dist_ref, nxt_ref = one_rank("reference")
+        dist_ref, nxt_ref = one_rank("tiled")
         for name in available_backends():
             dist, nxt = one_rank(name)
             # Hop pointers must be bitwise invariant: every backend
@@ -411,7 +438,7 @@ class TestPathKernels:
         a = rng.uniform(0, 5, (7, 4))
         a_nxt = rng.integers(0, 7, (7, 4)).astype(np.int64)
         b = rng.uniform(0, 5, (4, 7))
-        ref = get_backend("reference")
+        ref = get_backend("tiled")
         c1, n1 = c.copy(), c_nxt.copy()
         c2, n2 = c.copy(), c_nxt.copy()
         f32.srgemm_accumulate_paths(c1, n1, a, a_nxt, b)
@@ -492,9 +519,7 @@ class TestDriverIntegration:
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 10, (12, 12))
         b = rng.uniform(0, 10, (12, 12))
-        expected = MIN_PLUS.plus(
-            np.zeros((12, 12)), get_backend("reference").srgemm(a, b)
-        )
+        expected = MIN_PLUS.plus(np.zeros((12, 12)), naive_srgemm(a, b))
         for name in available_backends():
             c = np.zeros((12, 12))
             env = Environment()

@@ -95,18 +95,18 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         reg.histogram("h").observe(5.0)
-        reg.label("backend", "reference")
+        reg.label("backend", "tiled")
         flat = reg.flat()
         assert flat["a"] == 2.0
         assert flat["h.count"] == 1.0 and flat["h.sum"] == 5.0
         parsed = json.loads(reg.to_json())
-        assert parsed["labels"]["backend"] == "reference"
+        assert parsed["labels"]["backend"] == "tiled"
         assert parsed["metrics"]["a"]["kind"] == "counter"
 
 
 class TestMeteredBackend:
     def test_counts_flops_and_is_numerically_transparent(self):
-        inner = get_backend("reference")
+        inner = get_backend("tiled")
         reg = MetricsRegistry()
         metered = MeteredBackend(reg, inner)
         assert metered.name == inner.name

@@ -27,7 +27,7 @@ from repro.graphs import (
     uniform_random_dense,
 )
 from repro.semiring import INF, MAX_MIN, MIN_PLUS
-from repro.semiring.backends import ReferenceBackend
+from repro.semiring.backends import TiledBackend
 
 
 def make_dropping_backend(name, phases):
@@ -35,7 +35,7 @@ def make_dropping_backend(name, phases):
     (``A[:, :-1] ⊗ B[:-1, :]``) in the given phases: a kernel bug that
     hits a re-solve on the same kernel exactly as it hits the run."""
 
-    class _Dropping(ReferenceBackend):
+    class _Dropping(TiledBackend):
         def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer",
                         hops=None):
             if phase in phases:
@@ -43,8 +43,7 @@ def make_dropping_backend(name, phases):
                 b_cols = [b[:-1, :] for b in b_cols]
             return super().srgemm_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
 
-    _Dropping.name = name
-    return _Dropping()
+    return _Dropping(name=name)
 
 
 @pytest.fixture

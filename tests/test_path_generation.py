@@ -25,7 +25,7 @@ from repro.semiring import (
     get_backend,
     init_next_hops,
 )
-from repro.semiring.backends import ReferenceBackend
+from repro.semiring.backends import TiledBackend
 from repro.verify import ChecksummedBackend, VerifyRuntime
 
 
@@ -145,7 +145,7 @@ class TestPathKernels:
         b_cols = [rng.uniform(0, 10, (k, n)) for _ in range(nc)]
         c_tiles = [[rng.uniform(5, 15, (m, n)) for _ in range(nc)] for _ in range(nr)]
         c_hops = [[np.full((m, n), NO_HOP) for _ in range(nc)] for _ in range(nr)]
-        ref = get_backend("reference")
+        ref = get_backend("tiled")
         want = [[c.copy() for c in row] for row in c_tiles]
         want_hops = [[h.copy() for h in row] for row in c_hops]
         for i in range(nr):
@@ -264,8 +264,8 @@ class TestDistributedPathGeneration:
         assert tracked.report.gpu_peak_bytes > 2 * plain.report.gpu_peak_bytes
 
 
-class _DropsHops(ReferenceBackend):
-    """Reference numerics, except that every tracked product leaves its
+class _DropsHops(TiledBackend):
+    """Tiled numerics, except that every tracked product leaves its
     tile's first entry without a next hop (distances stay right)."""
 
     def srgemm_accumulate_paths(self, c, c_nxt, a, a_nxt, b, k_chunk=None):

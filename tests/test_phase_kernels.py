@@ -5,7 +5,7 @@ The blocked schedule runs three Floyd-Warshall phases - DiagUpdate,
 PanelUpdate and the MinPlus outer product - through one grid entry
 whose ``phase`` is a label (the metered family ``kernel.srgemm_{phase}``).
 For comparison-⊕ semirings a grid of every phase, on every backend, must
-be bit-identical to the reference fused kernel, and the observability /
+be bit-identical to the naive triple loop, and the observability /
 verification wrappers (:class:`MeteredBackend`,
 :class:`ChecksummedBackend`) must compose over it transparently, alone
 or stacked.
@@ -36,7 +36,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MIN_PLUS, SEMIRINGS
 from repro.semiring.backends import (
     CNativeBackend,
-    ReferenceBackend,
     TiledBackend,
     available_backends,
     get_backend,
@@ -44,6 +43,7 @@ from repro.semiring.backends import (
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import GRID_PHASES, KernelBackend
 from repro.semiring.closure import closure_by_squaring, fw_inplace
+from repro.semiring.reference import naive_srgemm
 from repro.verify.backend import ChecksummedBackend
 from repro.verify.runtime import VerifyRuntime
 
@@ -99,7 +99,7 @@ class TestPhaseEquivalence:
     def test_backend_phase_matrix_matches_reference(self, sr_name, phase):
         sr = SEMIRINGS[sr_name]
         a, b, c = _operands(17, 13, 9, sr)
-        expected = get_backend("reference").srgemm_accumulate(c.copy(), a, b, semiring=sr)
+        expected = sr.plus(c, naive_srgemm(a, b, sr))
         for name, backend in available_backends().items():
             got = _product(backend, phase, c.copy(), a, b, semiring=sr)
             if backend.rtol == 0.0:
@@ -114,7 +114,7 @@ class TestPhaseEquivalence:
         # Tropical identity element: unreachable entries must survive
         # every specialized code path (no fast-math reassociation).
         w = _sparse_block(24, seed=3)
-        expected = get_backend("reference").srgemm_accumulate(w.copy(), w, w)
+        expected = MIN_PLUS.plus(w, naive_srgemm(w, w))
         for name, backend in available_backends().items():
             if backend.rtol != 0.0:
                 continue
@@ -132,11 +132,11 @@ class TestPhaseEquivalence:
 
     def test_closure_by_squaring_backend_invariant(self):
         # The squaring chain is diag-phase grids; every exact backend
-        # must reproduce the reference chain bit-for-bit.  (FW itself
+        # must reproduce the tiled chain bit-for-bit.  (FW itself
         # associates path sums differently, so it is only an allclose
         # oracle here.)
         w = _sparse_block(20, seed=7)
-        expected = closure_by_squaring(w, backend="reference")
+        expected = closure_by_squaring(w, backend="tiled")
         np.testing.assert_allclose(expected, floyd_warshall(w), rtol=1e-12)
         for name, backend in available_backends().items():
             got = closure_by_squaring(w, backend=name)
@@ -166,8 +166,8 @@ class TestWrapperComposition:
     def test_wrapped_backends_stay_bit_exact(self, wrapper, phase):
         w = _sparse_block(16, seed=1)
         a, b, c = _operands(16, 16, 16, MIN_PLUS, seed=2)
-        expected_uv = get_backend("reference").srgemm_accumulate(c.copy(), a, b)
-        expected_inf = get_backend("reference").srgemm_accumulate(w.copy(), w, w)
+        expected_uv = MIN_PLUS.plus(c, naive_srgemm(a, b))
+        expected_inf = MIN_PLUS.plus(w, naive_srgemm(w, w))
         for name, inner in available_backends().items():
             if inner.rtol != 0.0:
                 continue  # f32 path: allclose-only contract, checked below
@@ -181,7 +181,7 @@ class TestWrapperComposition:
     def test_wrapped_f32_stays_allclose(self, wrapper):
         inner = get_backend("tiled-f32")
         a, b, c = _operands(16, 16, 16, MIN_PLUS, seed=4)
-        expected = get_backend("reference").srgemm_accumulate(c.copy(), a, b)
+        expected = MIN_PLUS.plus(c, naive_srgemm(a, b))
         wrapped = _wrap(wrapper, inner)
         for phase in PHASES:
             got = _product(wrapped, phase, c.copy(), a, b)
@@ -201,7 +201,7 @@ class TestWrapperComposition:
 
     def test_metered_phase_counter_families(self):
         reg = MetricsRegistry()
-        metered = MeteredBackend(reg, get_backend("reference"))
+        metered = MeteredBackend(reg, get_backend("tiled"))
         a, b, c = _operands(8, 8, 8, MIN_PLUS)
         metered.srgemm(a, b)  # the fresh product: a one-tile outer grid
         for phase in PHASES[1:] + ["srgemm_outer"]:
@@ -338,10 +338,10 @@ class TestGridEntry:
     @pytest.mark.parametrize("sr_name", COMPILED_SEMIRINGS)
     def test_grid_matches_per_tile_loop(self, sr_name, dtype, phase):
         sr = SEMIRINGS[sr_name]
-        reference = get_backend("reference")
+        tiled = get_backend("tiled")
         for nr, nc in GRID_SHAPES:
             c_tiles, a_rows, b_cols = _grid(nr, nc, dtype)
-            want_ref = _tile_loop(reference, c_tiles, a_rows, b_cols, sr, phase)
+            want_ref = _tile_loop(tiled, c_tiles, a_rows, b_cols, sr, phase)
             for name, backend in available_backends().items():
                 msg = f"{name} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
                 got = _copy_tiles(c_tiles)
@@ -350,7 +350,7 @@ class TestGridEntry:
                 _assert_tiles_equal(
                     got, _tile_loop(backend, c_tiles, a_rows, b_cols, sr, phase), msg
                 )
-                # ...which for exact backends are the reference's bits.
+                # ...which for exact backends are the tiled loop's bits.
                 if backend.rtol == 0.0:
                     _assert_tiles_equal(got, want_ref, msg)
 
@@ -361,14 +361,14 @@ class TestGridEntry:
         for name, backend in available_backends().items():
             assert backend.srgemm_grid(c_tiles, a_rows, b_cols) == c_tiles, name
         reg = MetricsRegistry()
-        MeteredBackend(reg, get_backend("reference")).srgemm_grid(c_tiles, a_rows, b_cols)
+        MeteredBackend(reg, get_backend("tiled")).srgemm_grid(c_tiles, a_rows, b_cols)
         assert not any(key.startswith("kernel.") for key in reg.flat())  # as the empty loop
 
     def test_uncovered_semiring_takes_the_loop(self):
         # plus_times is not compiled: only allclose, and only via the loop.
         sr = SEMIRINGS["plus_times"]
         c_tiles, a_rows, b_cols = _grid(2, 3, inf=False)
-        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, sr, "outer")
+        want = _tile_loop(get_backend("tiled"), c_tiles, a_rows, b_cols, sr, "outer")
         for name, backend in available_backends().items():
             got = backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, semiring=sr)
             for g_row, w_row in zip(got, want):
@@ -408,7 +408,6 @@ needs_cnative = pytest.mark.skipif(
 SUB_PANEL_BUDGET = 256
 
 _BUDGETED = {
-    "reference": lambda budget: ReferenceBackend(byte_budget=budget),
     "tiled": lambda budget: TiledBackend(byte_budget=budget),
     "tiled-f32": lambda budget: TiledBackend(compute_dtype=np.float32, byte_budget=budget),
     "cnative": lambda budget: CNativeBackend(byte_budget=budget),
@@ -454,12 +453,12 @@ class TestPanelGrid:
     def test_sparse_solve_matches_the_dense_reference_solve(self, name, variant):
         """``exploit_sparsity`` drops empty panel blocks from the grid
         (the staged offload panels take every block); what is left is
-        the dense reference solve, bit for bit on the exact backends."""
+        the dense solve on ``tiled``, bit for bit on the exact backends."""
         if name not in available_backends():
             pytest.skip(f"{name} backend unavailable")
         config = repro.SolveConfig(variant=variant, block_size=5, n_nodes=2, ranks_per_node=2)
         for w in (ring_of_cliques(5, 8), banded_graph(40, 2, seed=1)):
-            want = repro.solve(w, config.replace(kernel_backend="reference")).dist
+            want = repro.solve(w, config.replace(kernel_backend="tiled")).dist
             got = repro.solve(w, config.replace(
                 exploit_sparsity=variant != "offload", kernel_backend=name,
             )).dist
@@ -495,7 +494,7 @@ class TestCNativeGridPaths:
         backend = get_backend("cnative")
         spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         got = backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, phase=phase)
-        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
+        want = _tile_loop(get_backend("tiled"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
         _assert_tiles_equal(got, want, "cnative grid")
         return got, spy.calls
 
@@ -538,7 +537,7 @@ class TestCNativeGridPaths:
         spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         backend.srgemm_grid(views, a_rows, b_cols)
         assert spy.calls == 4
-        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
+        want = _tile_loop(get_backend("tiled"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
         np.testing.assert_array_equal(parent, np.block(want))
 
     def test_one_tile_grid_takes_the_tile_entry(self, monkeypatch):
@@ -554,7 +553,7 @@ class TestCNativeGridPaths:
         config = repro.SolveConfig(
             variant="async", block_size=16, kernel_backend="cnative", n_nodes=2, ranks_per_node=2
         )
-        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        want = repro.solve(w, config.replace(kernel_backend="tiled"))
         backend = get_backend("cnative")
         tile = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         grid = _CallSpy(monkeypatch, backend, "_native_grid")
@@ -590,7 +589,7 @@ def _edge_operands(m, n, k, sr, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("sr_name", COMPILED_SEMIRINGS)
 class TestCNativeMicroKernel:
-    """The register-blocked kernel is the reference's bits at every
+    """The register-blocked kernel is the tiled kernel's bits at every
     ``m % MR`` / ``n % NR`` edge, through the per-tile entries and the
     grid entry alike."""
 
@@ -599,10 +598,10 @@ class TestCNativeMicroKernel:
         sr = SEMIRINGS[sr_name]
         backend = get_backend("cnative")
         mr, nr = backend._unit_for(sr, np.dtype(dtype)).micro_tile
-        return sr, backend, get_backend("reference"), mr, nr
+        return sr, backend, get_backend("tiled"), mr, nr
 
     def test_every_edge_shape_matches_reference(self, sr_name, dtype):
-        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        sr, backend, tiled, mr, nr = self._setup(sr_name, dtype)
         dims = sorted({1, mr - 1, mr, mr + 1, nr - 1, nr, nr + 1, 2 * nr + 3, 129} - {0})
         for m in dims:
             for n in dims:
@@ -611,7 +610,7 @@ class TestCNativeMicroKernel:
                     a, b, c = _edge_operands(m, n, k, sr, dtype, seed=1)
                     a2, _, c2 = _edge_operands(m, n, k, sr, dtype, seed=2)
                     blank = np.full_like(c, sr.zero)  # an all-identity accumulator
-                    want = [reference.srgemm_accumulate(x.copy(), y, b, semiring=sr)
+                    want = [tiled.srgemm_accumulate(x.copy(), y, b, semiring=sr)
                             for x, y in ((c, a), (c2, a2), (blank, a))]
                     np.testing.assert_array_equal(
                         _product(backend, "srgemm_outer", c.copy(), a, b, sr), want[0], err_msg=msg)
@@ -622,7 +621,7 @@ class TestCNativeMicroKernel:
 
     def test_non_contiguous_accumulator_is_staged_and_written_back(self, sr_name, dtype):
         # A panel stripe: a column slice of a wider matrix.
-        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        sr, backend, tiled, mr, nr = self._setup(sr_name, dtype)
         m, n, k = 2 * mr + 1, 2 * nr + 3, 7  # micro-tiles and both edges
         a, b, c = _edge_operands(m, n, k, sr, dtype, seed=3)
         parent = np.full((m, n + 5), 77, dtype=dtype)
@@ -630,19 +629,19 @@ class TestCNativeMicroKernel:
         stripe = parent[:, 2 : n + 2]
         assert not stripe.flags.c_contiguous
         assert _product(backend, "srgemm_panel", stripe, a, b, sr) is stripe
-        np.testing.assert_array_equal(stripe, reference.srgemm_accumulate(c.copy(), a, b, semiring=sr))
+        np.testing.assert_array_equal(stripe, tiled.srgemm_accumulate(c.copy(), a, b, semiring=sr))
         assert (parent[:, :2] == 77).all() and (parent[:, n + 2 :] == 77).all()
 
     def test_edge_only_grid(self, sr_name, dtype, monkeypatch):
         # Tiles narrower than NR and shorter than MR: no micro-tile at
         # all, still one native call.
-        sr, backend, reference, mr, nr = self._setup(sr_name, dtype)
+        sr, backend, tiled, mr, nr = self._setup(sr_name, dtype)
         m, n, k = mr - 1, nr - 1, 7
         a_rows = [_edge_operands(m, n, k, sr, dtype, seed=i)[0] for i in range(3)]
         b_cols = [_edge_operands(m, n, k, sr, dtype, seed=i)[1] for i in range(4)]
         c_tiles = [[_edge_operands(m, n, k, sr, dtype, seed=10 * i + j)[2] for j in range(4)]
                    for i in range(3)]
-        want = _tile_loop(reference, c_tiles, a_rows, b_cols, sr, "outer")
+        want = _tile_loop(tiled, c_tiles, a_rows, b_cols, sr, "outer")
         spy = _CallSpy(monkeypatch, backend, "srgemm_accumulate")
         _assert_tiles_equal(
             backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols, semiring=sr), want, sr_name)
@@ -702,7 +701,7 @@ class TestClosureEntry:
             variant="async", block_size=16, kernel_backend="cnative", n_nodes=2,
             ranks_per_node=2, verify=verify,
         )
-        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        want = repro.solve(w, config.replace(kernel_backend="tiled"))
         spy = _CallSpy(monkeypatch, get_backend("cnative"), "fw_closure")
         got = repro.solve(w, config)
         assert spy.calls == 64 // 16
@@ -710,7 +709,7 @@ class TestClosureEntry:
         assert got.makespan == want.makespan
         np.testing.assert_array_equal(
             repro.core.blocked_fw(w, 16, backend="cnative"),
-            repro.core.blocked_fw(w, 16, backend="reference"),
+            repro.core.blocked_fw(w, 16, backend="tiled"),
         )
         assert spy.calls == 2 * (64 // 16)
 
@@ -735,7 +734,7 @@ class TestCNativeKernelCache:
 
     def _exact(self, backend):
         c_tiles, a_rows, b_cols = _grid(2, 2)
-        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
+        want = _tile_loop(get_backend("tiled"), c_tiles, a_rows, b_cols, MIN_PLUS, "outer")
         _assert_tiles_equal(backend.srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols), want, "")
         _assert_tiles_equal(_tile_loop(backend, c_tiles, a_rows, b_cols, MIN_PLUS, "outer"), want, "")
 
@@ -810,7 +809,7 @@ class TestCNativeKernelCache:
         w = repro.graphs.uniform_random_dense(32, seed=3)
         config = repro.SolveConfig(variant="async", block_size=8, n_nodes=1, ranks_per_node=2)
         got = repro.solve(w, config.replace(kernel_backend=backend))
-        want = repro.solve(w, config.replace(kernel_backend="reference"))
+        want = repro.solve(w, config.replace(kernel_backend="tiled"))
         np.testing.assert_array_equal(got.dist, want.dist)
         # An unarmed solve compiles no guard unit...
         assert self._cached(tmp_path) == ["srgemm-min_plus-f64"]
@@ -856,7 +855,7 @@ class TestCNativeKernelCache:
             # Another pair: degraded already, so no second warning or spawn.
             a, b, c = (x.astype(np.float32) for x in _operands(9, 9, 9, MIN_PLUS))
             max_min = SEMIRINGS["max_min"]
-            want = _product(get_backend("reference"), "srgemm_outer", c.copy(), a, b, max_min)
+            want = _product(get_backend("tiled"), "srgemm_outer", c.copy(), a, b, max_min)
             got = _product(backend, "srgemm_outer", c.copy(), a, b, max_min)
             np.testing.assert_array_equal(got, want)
         assert len(caught) == 1
@@ -918,7 +917,7 @@ class TestGridWrapperComposition:
     @pytest.mark.parametrize("phase", GRID_PHASES)
     def test_wrapped_grid_matches_wrapped_tile_loop(self, wrapper, phase):
         c_tiles, a_rows, b_cols = _grid(3, 2, b=12)
-        want = _tile_loop(get_backend("reference"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
+        want = _tile_loop(get_backend("tiled"), c_tiles, a_rows, b_cols, MIN_PLUS, phase)
         for name, inner in available_backends().items():
             if inner.rtol != 0.0:
                 continue
@@ -933,7 +932,7 @@ class TestGridWrapperComposition:
     def test_metered_grid_counts_tiles_in_phase_family(self):
         reg = MetricsRegistry()
         c_tiles, a_rows, b_cols = _grid(3, 2)
-        MeteredBackend(reg, get_backend("reference")).srgemm_grid(
+        MeteredBackend(reg, get_backend("tiled")).srgemm_grid(
             c_tiles, a_rows, b_cols, phase="panel"
         )
         flat = reg.flat()

@@ -363,7 +363,7 @@ class TestBackendsPinned:
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_point_queries_bit_identical_per_backend(self, tmp_path, backend):
         """Serving answers must be the solver's bytes for every kernel
-        backend, not just the reference one."""
+        backend, not just the default one."""
         w = erdos_renyi(24, 0.4, seed=9)
         res = repro.solve(w, variant="async", block_size=8,
                           kernel_backend=backend, **CLUSTER)
@@ -816,9 +816,9 @@ class TestServeConfig:
 
     def test_backend_env_precedence(self):
         cfg = ServeConfig.from_env(
-            {"REPRO_SRGEMM_BACKEND": "tiled"}, kernel_backend="reference"
+            {"REPRO_SRGEMM_BACKEND": "tiled"}, kernel_backend="cnative"
         )
-        assert cfg.kernel_backend == "reference"
+        assert cfg.kernel_backend == "cnative"
         assert ServeConfig.from_env(
             {"REPRO_SRGEMM_BACKEND": "tiled"}
         ).kernel_backend == "tiled"
@@ -897,7 +897,7 @@ class TestIncrementalExtension:
         from repro.extensions import IncrementalApsp
 
         w = erdos_renyi(12, 0.5, seed=1)
-        ref = IncrementalApsp(w, block_size=4, backend="reference")
+        ref = IncrementalApsp(w, block_size=4, backend="tiled")
         for name in sorted(available_backends()):
             other = IncrementalApsp(w, block_size=4, backend=name)
             if "f32" in name:  # reduced-precision backend, by design

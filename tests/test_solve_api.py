@@ -188,8 +188,8 @@ class TestFromEnvPrecedence:
 
     def test_backend_explicit_beats_env(self):
         env = {"REPRO_SRGEMM_BACKEND": "tiled"}
-        cfg = SolveConfig.from_env(environ=env, kernel_backend="reference")
-        assert cfg.kernel_backend == "reference"
+        cfg = SolveConfig.from_env(environ=env, kernel_backend="cnative")
+        assert cfg.kernel_backend == "cnative"
 
     def test_backend_env_beats_default(self):
         cfg = SolveConfig.from_env(environ={"REPRO_SRGEMM_BACKEND": "tiled"})
@@ -197,7 +197,7 @@ class TestFromEnvPrecedence:
 
     def test_backend_default_when_unset(self):
         cfg = SolveConfig.from_env(environ={})
-        assert cfg.kernel_backend is None  # engine resolves "reference"
+        assert cfg.kernel_backend is None  # engine resolves "cnative", else "tiled"
 
     ENV_PLAN = json.dumps(
         {"message_faults": [{"kind": "drop", "src": 0, "dst": 1, "nth": 1}]}

@@ -34,14 +34,13 @@ from repro.errors import (
 from repro.faults import FaultPlan, MemoryFault
 from repro.graphs import uniform_random_dense
 from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
-from repro.semiring.backends import CNativeBackend, available_backends, get_backend
+from repro.semiring.backends import CNativeBackend, TiledBackend, available_backends, get_backend
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import (
     GRID_PHASES,
     KernelBackend,
     predicted_accumulate_grid,
 )
-from repro.semiring.backends.reference import ReferenceBackend
 from repro.verify import (
     ChecksummedBackend,
     VerifyRuntime,
@@ -105,7 +104,7 @@ class TestChecksumAlgebra:
             b = self._rand(rng, (8, 8), inf_frac)
             pre = block_checksums(c, MIN_PLUS)
             predicted = predicted_accumulate(pre, a, b, MIN_PLUS)
-            get_backend("reference").srgemm_accumulate(c, a, b, MIN_PLUS)
+            get_backend("tiled").srgemm_accumulate(c, a, b, MIN_PLUS)
             assert checksums_match(predicted, block_checksums(c, MIN_PLUS))
 
     def test_prediction_catches_any_downward_flip(self):
@@ -117,7 +116,7 @@ class TestChecksumAlgebra:
         b = self._rand(rng, (6, 6))
         pre = block_checksums(c, MIN_PLUS)
         predicted = predicted_accumulate(pre, a, b, MIN_PLUS)
-        get_backend("reference").srgemm_accumulate(c, a, b, MIN_PLUS)
+        get_backend("tiled").srgemm_accumulate(c, a, b, MIN_PLUS)
         for i in range(6):
             for j in range(6):
                 saved = c[i, j]
@@ -361,7 +360,7 @@ class TestSentinel:
     a non-extremal entry (masked in both min-reductions)."""
 
     def _runtime(self, blocks):
-        vrt = VerifyRuntime("full", get_backend("reference"), semiring=MIN_PLUS, seed=5)
+        vrt = VerifyRuntime("full", get_backend("tiled"), semiring=MIN_PLUS, seed=5)
         vrt.register_rank(0, blocks)
         return vrt
 
@@ -391,7 +390,7 @@ class TestSentinel:
         vrt.raise_pending()  # no-op
 
     def test_checksum_mode_samples_nothing(self):
-        vrt = VerifyRuntime("checksum", get_backend("reference"), semiring=MIN_PLUS)
+        vrt = VerifyRuntime("checksum", get_backend("tiled"), semiring=MIN_PLUS)
         vrt.register_rank(0, {(0, 0): np.ones((4, 4))})
         vrt.sentinel_check(0, 0)
         assert vrt.counters.get("sentinel_samples", 0) == 0
@@ -409,7 +408,7 @@ class TestSentinel:
             blocks = {
                 (t // 2, t % 2): rng.uniform(1.0, 9.0, size=sh) for t, sh in enumerate(shapes)
             }
-            vrt = VerifyRuntime(mode, get_backend("reference"), semiring=MIN_PLUS, seed=5)
+            vrt = VerifyRuntime(mode, get_backend("tiled"), semiring=MIN_PLUS, seed=5)
             vrt.register_rank(3, blocks)
             assert vrt.counters["blocks_tracked"] == 4
             for key, arr in blocks.items():
@@ -496,11 +495,11 @@ def _assert_same_state(got, want, msg):
             _assert_same_array(g_sums[1], w_sums[1], msg)
 
 
-class _CorruptsTarget(ReferenceBackend):
-    """Reference numerics, except that the product into ``target`` (by
+class _CorruptsTarget(TiledBackend):
+    """Tiled numerics, except that the product into ``target`` (by
     identity) comes out with one entry pushed below every true value -
-    a downward flip both min-checksums see.  Every grid of the
-    reference, one-tile ones included, funnels into ``srgemm_accumulate``."""
+    a downward flip both min-checksums see.  Every grid of the tiled
+    backend, one-tile ones included, funnels into ``srgemm_accumulate``."""
 
     target = None
 
@@ -557,7 +556,7 @@ def _spy_native_guard(monkeypatch, backend, sr, dtype):
 class TestGuardedGrid:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
-    @pytest.mark.parametrize("backend", ["reference", "tiled", "tiled-f32", "cnative"])
+    @pytest.mark.parametrize("backend", ["tiled", "tiled-f32", "cnative"])
     def test_grid_is_the_per_tile_guarded_loop_bit_for_bit(
         self, backend, sr_name, dtype, monkeypatch
     ):
@@ -592,7 +591,7 @@ class TestGuardedGrid:
     def test_one_corrupt_tile_is_found_and_repaired_alone(self):
         nr, nc = 3, 4
         c_tiles, a_rows, b_cols = _grid_case(nr, nc)
-        want = get_backend("reference").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        want = get_backend("tiled").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
         inner = _CorruptsTarget()
         faulty = _copy_tiles(c_tiles)
         inner.target = faulty[1][2]
@@ -614,7 +613,7 @@ class TestGuardedGrid:
 
     def test_at_rest_flip_flags_that_block_and_defers(self):
         c_tiles, a_rows, b_cols = _grid_case(3, 4, inf=False)
-        vrt, tiles = _guarded(get_backend("reference"), c_tiles)
+        vrt, tiles = _guarded(get_backend("tiled"), c_tiles)
         vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
         tiles[2][1][3, 4] *= -1.0  # resident corruption between two grids
         vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)  # returns: escalation is deferred
@@ -640,7 +639,7 @@ class TestGuardedGrid:
         else:
             c_tiles, a_rows, b_cols = _grid_case(3, 2)
             c_tiles[1][1] = c_tiles[1][1].astype(np.float32)
-        inner = ReferenceBackend()
+        inner = TiledBackend()
         looped, gridded = _guarded(inner, c_tiles), _guarded(inner, c_tiles)
         _tile_loop(*looped, a_rows, b_cols, MIN_PLUS, "outer")
         grid_shapes = []
@@ -661,10 +660,10 @@ class TestGuardedGrid:
         its own guarded cycle around its own inner grid call."""
         nr, nc = 4, 3
         c_tiles, a_rows, b_cols = _grid_case(nr, nc)
-        whole = _guarded(ReferenceBackend(), c_tiles)
+        whole = _guarded(TiledBackend(), c_tiles)
         whole[0].accumulate_grid(whole[1], a_rows, b_cols, MIN_PLUS)
         for budget, bands in ((1, nr), (2 * nc * 8 * 8 * 8, 2), (nr * nc * 8 * 8 * 8, 1)):
-            inner = ReferenceBackend(byte_budget=budget)
+            inner = TiledBackend(byte_budget=budget)
             grid_calls = _spy(monkeypatch, inner, "srgemm_grid")
             banded = _guarded(inner, c_tiles)
             banded[0].accumulate_grid(banded[1], a_rows, b_cols, MIN_PLUS)
@@ -790,7 +789,7 @@ class TestNativeGuard:
     def test_native_entries_equal_the_numpy_defaults(self, sr_name, dtype, monkeypatch):
         sr, backend = SEMIRINGS[sr_name], get_backend("cnative")
         native, numpy_calls = _spy_native_guard(monkeypatch, backend, sr, dtype)
-        numpy_default = ReferenceBackend()  # the base class's entries
+        numpy_default = TiledBackend()  # the base class's entries
         mixing_ok = sr_name in ("max_min", "min_max")  # ⊗ selects: no inf - inf
         rng = np.random.default_rng(7)
         nr, nc = 2, 3
@@ -816,14 +815,14 @@ class TestNativeGuard:
                         _assert_same_array(g, w, msg)
         cases = len(EDGE_DIMS) ** 2
         assert native == {"sums": 2 * cases, "predict": cases * len(EDGE_DIMS)}
-        # The reference calls above, and nothing of cnative's, took NumPy.
+        # The default-entry calls above, and nothing of cnative's, took NumPy.
         assert numpy_calls.count("tile_sums") == 2 * cases
         assert numpy_calls.count("predict_sums") == cases * len(EDGE_DIMS)
 
     def test_corrupt_tile_of_a_native_grid_is_found_and_repaired_alone(self, monkeypatch):
         nr, nc = 3, 4
         c_tiles, a_rows, b_cols = _grid_case(nr, nc)
-        want = get_backend("reference").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        want = get_backend("tiled").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
         inner = _CorruptingCNative()
         native, numpy_calls = _spy_native_guard(monkeypatch, inner, MIN_PLUS, np.float64)
         vrt, tiles = _guarded(inner, c_tiles)
@@ -911,7 +910,7 @@ class TestCertificate:
         """Feeding the audit a corrupted matrix must fail the
         certificate - this is the end-of-run net under everything
         else."""
-        vrt = VerifyRuntime("full", get_backend("reference"), semiring=MIN_PLUS, seed=0)
+        vrt = VerifyRuntime("full", get_backend("tiled"), semiring=MIN_PLUS, seed=0)
         bad = oracle.copy()
         # Inflate a random half of the entries: a uniform row/column
         # shift would cancel out of the triangle slack, a random
