@@ -18,12 +18,13 @@ point queries never pay for a solve again:
     update path (:mod:`repro.serve.incremental`); without it the
     artifact is read-only.
 
-Reads are memory-mapped (``np.memmap``) so a server over a matrix much
-larger than RAM touches only the pages a query needs; every block's
-CRC32 is verified on its first load and a mismatch *refuses* the block
-(:class:`~repro.errors.ArtifactError`, exit code 17) - the store would
-rather answer nothing than answer wrong.  Round trips are bit-exact
-for every dtype: blocks are raw bytes, never re-encoded.
+Reads are one read per miss; only tiles a query touches are read, so
+a server over a matrix much larger than RAM holds just the tiles its
+cache admits.  Every block's CRC32 is verified on its first load and a
+mismatch *refuses* the block (:class:`~repro.errors.ArtifactError`,
+exit code 17) - the store would rather answer nothing than answer
+wrong.  Round trips are bit-exact for every dtype: blocks are raw
+bytes, never re-encoded.
 
 ``save_artifact`` / ``load_artifact`` are the module-level entry
 points; :meth:`repro.core.driver.ApspResult.save` is the method-form
@@ -82,13 +83,15 @@ class Artifact:
     """One persisted APSP solve, lazily readable block by block.
 
     Construct via :func:`load_artifact` / :func:`save_artifact`, not
-    directly.  Blocks load as read-only arrays; pass ``mmap=False`` to
-    force materialized reads (e.g. when the caller will hold many
-    blocks and the OS page cache churns).
+    directly.  A block loads as a read-only array over the bytes of
+    one read of its file; only tiles a query touches are read.
     """
 
     def __init__(self, path: Path, manifest: dict):
         self.path = Path(path)
+        # A plain string ending in a separator: every cache miss appends
+        # one file name to it, at a tenth of the cost of a pathlib join.
+        self._blocks_dir = os.path.join(self.path, BLOCKS_DIR, "")
         self.manifest = manifest
         self.n: int = int(manifest["n"])
         self.dtype = np.dtype(manifest["dtype"])
@@ -140,17 +143,19 @@ class Artifact:
         entry = self._blocks[(bi, bj)]
         return entry["rows"] * entry["cols"] * self.dtype.itemsize
 
-    def _block_path(self, digest: str) -> Path:
-        return self.path / BLOCKS_DIR / f"{digest}.blk"
+    def _block_path(self, digest: str) -> str:
+        return f"{self._blocks_dir}{digest}.blk"
 
-    def load_block(
-        self, bi: int, bj: int, *, mmap: bool = True, verify: bool = True
-    ) -> np.ndarray:
-        """The (bi, bj) tile as a read-only ``(rows, cols)`` array.
+    def load_block(self, bi: int, bj: int, *, verify: bool = True) -> np.ndarray:
+        """The (bi, bj) tile as a read-only ``(rows, cols)`` array over
+        the bytes of one read of its block file.
 
-        The first load of each distinct content hash verifies its CRC32
-        (and, on mismatch, refuses with :class:`ArtifactError`);
-        subsequent loads of the same content skip the scan.
+        The read asks for one byte more than the tile holds, so a file
+        of the wrong length is refused without a ``stat`` (``fstat``
+        runs only to word the refusal).  The first load of each
+        distinct content hash verifies its CRC32 (and, on mismatch,
+        refuses with :class:`ArtifactError`); subsequent loads of the
+        same content skip the scan.
         """
         entry = self._blocks.get((bi, bj))
         if entry is None:
@@ -158,26 +163,29 @@ class Artifact:
                 self.path, f"block ({bi}, {bj}) outside the {self.nb}x{self.nb} grid"
             )
         digest = entry["hash"]
-        path = self._block_path(digest)
         shape = (entry["rows"], entry["cols"])
         nbytes = shape[0] * shape[1] * self.dtype.itemsize
         try:
-            size = path.stat().st_size
-        except OSError:
-            raise ArtifactError(self.path, f"block file {path.name} is missing") from None
-        if size != nbytes:
-            raise ArtifactError(
-                self.path,
-                f"block ({bi}, {bj}) file {path.name} holds {size} bytes, "
-                f"expected {nbytes}",
-            )
-        if mmap:
-            data = np.memmap(path, dtype=self.dtype, mode="r", shape=shape)
-        else:
-            data = np.fromfile(path, dtype=self.dtype).reshape(shape)
-            data.setflags(write=False)
+            fd = os.open(self._block_path(digest), os.O_RDONLY)
+        except FileNotFoundError:
+            raise ArtifactError(self.path, f"block file {digest}.blk is missing") from None
+        try:
+            raw = os.read(fd, nbytes + 1)
+            while len(raw) < nbytes:  # one read stops short of 2 GiB on Linux
+                more = os.read(fd, nbytes + 1 - len(raw))
+                if not more:
+                    break
+                raw += more
+            if len(raw) != nbytes:
+                raise ArtifactError(
+                    self.path,
+                    f"block ({bi}, {bj}) file {digest}.blk holds "
+                    f"{os.fstat(fd).st_size} bytes, expected {nbytes}",
+                )
+        finally:
+            os.close(fd)
         if verify and digest not in self._verified:
-            crc = zlib.crc32(data.tobytes())
+            crc = zlib.crc32(raw)
             if crc != entry["crc32"]:
                 raise ArtifactError(
                     self.path,
@@ -185,7 +193,7 @@ class Artifact:
                     f"(stored {entry['crc32']}, computed {crc}); refusing to serve it",
                 )
             self._verified.add(digest)
-        return data
+        return np.frombuffer(raw, dtype=self.dtype).reshape(shape)
 
     def dist(self) -> np.ndarray:
         """Materialize the full n x n distance matrix (tests, re-solve
@@ -195,7 +203,7 @@ class Artifact:
         for (bi, bj), entry in self._blocks.items():
             out[
                 bi * b : bi * b + entry["rows"], bj * b : bj * b + entry["cols"]
-            ] = self.load_block(bi, bj, mmap=False)
+            ] = self.load_block(bi, bj)
         return out
 
     def load_graph(self) -> np.ndarray:
@@ -240,7 +248,7 @@ class Artifact:
         if digest == entry["hash"]:
             return
         path = self._block_path(digest)
-        if not path.exists():
+        if not os.path.exists(path):
             _atomic_write_bytes(path, payload)
         entry["hash"] = digest
         entry["crc32"] = zlib.crc32(payload)
@@ -372,7 +380,7 @@ class MemoryArtifact:
         rows, cols = _block_shape(self.n, self.block_size, bi, bj)
         return rows * cols * self.dtype.itemsize
 
-    def load_block(self, bi: int, bj: int, *, mmap: bool = True, verify: bool = True) -> np.ndarray:
+    def load_block(self, bi: int, bj: int, *, verify: bool = True) -> np.ndarray:
         si, sj = self._slices(bi, bj)
         view = self._dist[si, sj]
         view.setflags(write=False)
@@ -418,16 +426,16 @@ class MemoryArtifact:
         )
 
 
-def _atomic_write(path: Path, write: Callable[[BinaryIO], Any]) -> None:
+def _atomic_write(path: PathLike, write: Callable[[BinaryIO], Any]) -> None:
     """``write(fh)`` into a temp file beside ``path``, then rename it
     over ``path``: a failed write leaves the old file as it was."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as fh:
         write(fh)
     os.replace(tmp, path)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write_bytes(path: PathLike, payload: bytes) -> None:
     _atomic_write(path, lambda fh: fh.write(payload))
 
 

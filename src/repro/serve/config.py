@@ -44,9 +44,8 @@ class ServeConfig:
     cache_bytes: Optional[int] = None
 
     # -- reads ------------------------------------------------------------
-    #: Memory-map block files (out-of-core reads) instead of
-    #: materializing them eagerly.
-    mmap: bool = True
+    # A cache miss is one read of one block file; only tiles a query
+    # touches are read.
     #: Verify each block's CRC32 on its first load; a mismatch refuses
     #: the block (:class:`~repro.errors.ArtifactError`, exit 17).
     verify_blocks: bool = True

@@ -67,11 +67,9 @@ def _as_index_array(values, n: int, what: str) -> np.ndarray:
 class QueryEngine:
     """Tile-decomposed reads over one artifact through one cache."""
 
-    def __init__(self, artifact, cache, *, mmap: bool = True,
-                 verify: bool = True, metrics=None):
+    def __init__(self, artifact, cache, *, verify: bool = True, metrics=None):
         self.artifact = artifact
         self.cache = cache
-        self.mmap = mmap
         self.verify = verify
         self.metrics = metrics
         self.n = artifact.n
@@ -100,17 +98,13 @@ class QueryEngine:
 
     # -- tile access ------------------------------------------------------
     def block(self, bi: int, bj: int) -> np.ndarray:
-        """Tile (bi, bj) through the cache (materialized on admit, so
-        the byte budget measures real resident memory, not mmap
-        fictions)."""
+        """Tile (bi, bj) through the cache: one read per miss; only
+        tiles a query touches are read, and the byte budget counts the
+        bytes each read holds in memory."""
         return self.cache.get((bi, bj), lambda: self._load(bi, bj))
 
     def _load(self, bi: int, bj: int) -> np.ndarray:
-        data = self.artifact.load_block(bi, bj, mmap=self.mmap, verify=self.verify)
-        if isinstance(data, np.memmap):
-            data = np.array(data)  # lift out-of-core pages into the cache tier
-            data.setflags(write=False)
-        return data
+        return self.artifact.load_block(bi, bj, verify=self.verify)
 
     def invalidate(self, bi: int, bj: int) -> None:
         self.cache.invalidate((bi, bj))

@@ -60,11 +60,7 @@ class QueryServer:
             self.metrics.gauge("serve.block_size").set(artifact.block_size)
         self.cache = BlockCache(config.effective_cache_bytes, metrics=self.metrics)
         self.engine = QueryEngine(
-            artifact,
-            self.cache,
-            mmap=config.mmap,
-            verify=config.verify_blocks,
-            metrics=self.metrics,
+            artifact, self.cache, verify=config.verify_blocks, metrics=self.metrics
         )
         self.patcher = ArtifactPatcher(
             artifact,
@@ -193,8 +189,8 @@ def serve(source: Any, config: Optional[ServeConfig] = None, *,
     ``source`` may be:
 
     * a path to an artifact directory (:func:`repro.serve.save_artifact`
-      / :meth:`~repro.core.driver.ApspResult.save`) - out-of-core,
-      memory-mapped reads;
+      / :meth:`~repro.core.driver.ApspResult.save`) - out-of-core:
+      one read per miss; only tiles a query touches are read;
     * an :class:`~repro.serve.Artifact` already loaded;
     * an :class:`~repro.core.driver.ApspResult` or bare distance
       matrix - served from memory, no disk involved (``graph=`` /

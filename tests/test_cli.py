@@ -238,6 +238,39 @@ class TestExitCodes:
         assert _exit_code_for(ArtifactError("p", "bad")) == 17
         assert _exit_code_for(QueryError("x")) == 18
 
+    def test_every_error_class_has_its_own_code_row_and_doc_line(self):
+        # Each ReproError subclass, at any depth: an exit code no other
+        # class (nor the generic 1) has, its own row in the mapping, and
+        # a line with that code in the module docstring's table.
+        import inspect
+        import re
+
+        import repro.errors as errors
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = set(subclasses(errors.ReproError))
+        rows = dict(errors._EXIT_CODE_TABLE)
+        doc = {name: int(code) for name, code
+               in re.findall(r"^(\w+) +(\d+)$", errors.__doc__, re.M)}
+        codes = {}
+        for cls in sorted(classes, key=lambda c: c.__name__):
+            # One 0 per required argument builds any of them.
+            params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+            required = [p for p in params
+                        if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+            code = errors.exit_code_for(cls(*[0] * len(required)))
+            assert rows.get(cls) == code, cls.__name__
+            assert doc.get(cls.__name__) == code, cls.__name__
+            codes[cls.__name__] = code
+        assert len(classes) >= 17
+        assert 1 not in codes.values()
+        assert len(set(codes.values())) == len(codes), codes
+        assert errors.exit_code_for(errors.ReproError("x")) == 1
+
 
 class TestServeQueryCLI:
     @pytest.fixture()

@@ -169,6 +169,80 @@ class TestCorruption:
         assert srv.distance(0, 39) == res.dist[0, 39]
 
 
+def _block_file(path, key):
+    """The block file that holds tile ``key`` of the artifact at ``path``."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    for bi, bj, digest, *_ in manifest["blocks"]:
+        if (bi, bj) == key:
+            return path / "blocks" / f"{digest}.blk"
+    raise KeyError(key)
+
+
+class TestReadPath:
+    """A cache miss is one read of one block file: what it hands back,
+    and what it refuses."""
+
+    def test_miss_is_a_plain_read_only_tile(self, artifact_dir, solved):
+        _, res = solved
+        srv = repro.serve(artifact_dir, cache_bytes=16 * 16 * res.dist.itemsize)
+        # (2, 1) is a ragged 8 x 16 edge tile; the one-tile budget evicts
+        # (0, 0) for it, so the second (0, 0) is a miss again.
+        for bi, bj in [(0, 0), (2, 1), (0, 0)]:
+            misses = srv.cache.misses
+            tile = srv.engine.block(bi, bj)
+            assert srv.cache.misses == misses + 1
+            assert type(tile) is np.ndarray  # a plain array, not an np.memmap
+            assert not tile.flags.writeable and tile.flags.c_contiguous
+            assert tile.tobytes() == _block_file(artifact_dir, (bi, bj)).read_bytes()
+            np.testing.assert_array_equal(
+                tile, res.dist[bi * 16 : (bi + 1) * 16, bj * 16 : (bj + 1) * 16]
+            )
+            with pytest.raises(ValueError):
+                tile[0, 0] = 0.0
+
+    @pytest.mark.parametrize("damage", ["truncate", "extend", "delete"])
+    def test_wrong_length_or_missing_file_is_refused(self, artifact_dir, damage):
+        from repro.cli import main
+
+        art = load_artifact(artifact_dir)
+        art.load_block(1, 1)  # verified: a CRC that checked out once is not re-run
+        blk = _block_file(artifact_dir, (1, 1))
+        size = blk.stat().st_size
+        if damage == "truncate":
+            blk.write_bytes(blk.read_bytes()[:-1])
+            reason = f"holds {size - 1} bytes, expected {size}"
+        elif damage == "extend":
+            blk.write_bytes(blk.read_bytes() + b"\0")
+            reason = f"holds {size + 1} bytes, expected {size}"
+        else:
+            blk.unlink()
+            reason = f"block file {blk.name} is missing"
+        with pytest.raises(ArtifactError, match=reason):
+            art.load_block(1, 1)
+        with pytest.raises(ArtifactError, match=reason):
+            art.dist()
+        assert main(["query", str(artifact_dir), "--pair", "16,16"]) == 17
+        assert art.load_block(0, 0).shape == (16, 16)  # the rest still reads
+
+    def test_flipped_byte_in_unread_block_is_refused_by_crc(self, artifact_dir, solved):
+        from repro.errors import exit_code_for
+
+        _, res = solved
+        srv = repro.serve(artifact_dir)
+        assert srv.distance(0, 0) == res.dist[0, 0]
+        blk = _block_file(artifact_dir, (2, 2))
+        raw = bytearray(blk.read_bytes())
+        raw[5] ^= 0x10
+        blk.write_bytes(bytes(raw))
+        for _ in range(2):  # a refused block is never marked verified
+            with pytest.raises(ArtifactError, match="CRC32") as err:
+                srv.distance(39, 39)
+            assert exit_code_for(err.value) == 17
+        assert (2, 2) not in srv.cache
+        assert srv.cache.misses == 3
+        assert srv.distance(0, 39) == res.dist[0, 39]
+
+
 class TestBlockCache:
     def test_hit_miss_accounting(self):
         cache = BlockCache(1 << 20)
