@@ -5,8 +5,9 @@ queries at interactive latency".  This package closes that gap:
 
 * :mod:`~repro.serve.artifact` - persistent solve artifacts: the
   distance matrix at rest as a content-addressed block directory with
-  per-block CRC32, memory-mapped out-of-core reads, and the run
-  certificate / solve provenance in the manifest;
+  per-block CRC32, one read per cache miss, the run certificate / solve
+  provenance in the manifest, and edge updates committed as rows of
+  the manifest's edit log;
 * :mod:`~repro.serve.cache` - a byte-budgeted LRU block cache
   (``serve.cache.*`` metrics);
 * :mod:`~repro.serve.query` - the query engine: ``distance``,

@@ -6,8 +6,9 @@ point queries never pay for a solve again:
 ``manifest.json``
     The header: format version, matrix shape/dtype/block size, the run
     certificate and solve provenance carried over from the
-    :class:`~repro.core.driver.ApspResult`, and the block table - one
-    ``[bi, bj, sha256, crc32, rows, cols]`` row per tile.
+    :class:`~repro.core.driver.ApspResult`, the block table - one
+    ``[bi, bj, sha256, crc32, rows, cols]`` row per tile - and the edit
+    log - one ``[u, v, w]`` row per accepted edge change, oldest first.
 ``blocks/<sha256>.blk``
     Raw C-contiguous bytes of one ``b x b`` tile (ragged at the edge),
     *content-addressed*: the filename is the SHA-256 of the bytes, so
@@ -16,7 +17,8 @@ point queries never pay for a solve again:
 ``graph.npz`` (optional)
     The weight matrix the solve consumed, enabling the incremental
     update path (:mod:`repro.serve.incremental`); without it the
-    artifact is read-only.
+    artifact is read-only.  The current graph is this payload with the
+    edit log replayed over it in order.
 
 Reads are one read per miss; only tiles a query touches are read, so
 a server over a matrix much larger than RAM holds just the tiles its
@@ -26,6 +28,22 @@ exit code 17) - the store would rather answer nothing than answer
 wrong.  Round trips are bit-exact for every dtype: blocks are raw
 bytes, never re-encoded.
 
+Writes commit in one place, :meth:`Artifact.flush`: new tiles go to
+new content files and accepted edge changes to the in-memory log, and
+one atomic rename of ``manifest.json`` then repoints the tiles and
+appends the log rows together.  A block file the commit no longer
+references is kept as a *spare*: the next new tile renames it to its
+temp name and overwrites it instead of creating a file, so a stream of
+updates makes no new inodes (creating files slows down as files churn,
+and that made update latency swing from run to run);
+:meth:`Artifact.close` deletes the spares.  ``graph.npz`` is rewritten
+only to compact the log - after that rename, once the log holds more than
+``n`` rows - so it folds committed rows only, and replaying them again
+over the new payload changes nothing (each row assigns a weight).  A
+failure at any point leaves the directory the old artifact or the new
+one.  Version 1 manifests (no edit log) read as version 2 with an
+empty log; builds that predate the log refuse version 2 with exit 17.
+
 ``save_artifact`` / ``load_artifact`` are the module-level entry
 points; :meth:`repro.core.driver.ApspResult.save` is the method-form
 sugar.  :class:`MemoryArtifact` adapts an in-memory result to the same
@@ -34,9 +52,11 @@ interface so ``repro.serve(result)`` needs no disk at all.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import warnings
 import zlib
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Optional, Union
@@ -56,7 +76,10 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "repro-apsp-artifact"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+#: Manifest versions this build reads: version 1 predates the edit log
+#: and reads as version 2 with an empty one.
+READABLE_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 BLOCKS_DIR = "blocks"
 GRAPH_NAME = "graph.npz"
@@ -98,16 +121,17 @@ class Artifact:
         self.block_size: int = int(manifest["block_size"])
         self.nb: int = int(manifest["nb"])
         #: (bi, bj) -> {"hash", "crc32", "rows", "cols"}
-        self._blocks: dict[tuple[int, int], dict] = {}
-        for bi, bj, digest, crc, rows, cols in manifest["blocks"]:
-            self._blocks[(int(bi), int(bj))] = {
-                "hash": digest,
-                "crc32": int(crc),
-                "rows": int(rows),
-                "cols": int(cols),
-            }
+        self._blocks = _block_table(manifest["blocks"])
+        #: The edit log, oldest first: the committed rows, then any
+        #: logged since the last flush (copied: ``manifest`` stays the
+        #: committed state).
+        self._edits: list[list] = list(manifest.get("edits", ()))
         #: Content hashes whose CRC already checked out in this process.
         self._verified: set[str] = set()
+        #: Digests of block files no committed row references, kept for
+        #: reuse: a tile rewrite renames a spare and overwrites it rather
+        #: than creating a file (creates slow down under churn on ext4).
+        self._spares: dict[str, None] = {}
         self._graph_cache: Optional[np.ndarray] = None
         self._manifest_dirty = False
 
@@ -207,7 +231,9 @@ class Artifact:
         return out
 
     def load_graph(self) -> np.ndarray:
-        """The weight matrix the solve consumed (mutable copy, cached)."""
+        """The current weight matrix: ``graph.npz`` with the edit log
+        replayed over it in order (cached; change it through
+        :meth:`log_edit`)."""
         if self._graph_cache is None:
             path = self.path / GRAPH_NAME
             if not path.exists():
@@ -223,6 +249,8 @@ class Artifact:
                     self.path,
                     f"graph payload shape {graph.shape} does not match n={self.n}",
                 )
+            for u, v, w in self._edits:
+                graph[u, v] = w
             self._graph_cache = graph
         return self._graph_cache
 
@@ -248,43 +276,110 @@ class Artifact:
         if digest == entry["hash"]:
             return
         path = self._block_path(digest)
-        if not os.path.exists(path):
-            _atomic_write_bytes(path, payload)
+        if digest in self._spares:
+            del self._spares[digest]  # spares keep their bytes: live again
+        elif not os.path.exists(path):
+            spare = self._block_path(self._spares.popitem()[0]) if self._spares else None
+            _atomic_write(path, lambda fh: fh.write(payload), reuse=spare)
         entry["hash"] = digest
         entry["crc32"] = zlib.crc32(payload)
         self._verified.add(digest)
         self._manifest_dirty = True
 
+    def log_edit(self, u: int, v: int, weight: float) -> None:
+        """Set edge (u, v) to ``weight`` in the graph and append the
+        ``[u, v, weight]`` row to the edit log; the row persists on
+        :meth:`flush`, in the same rename as the tiles."""
+        self.load_graph()[u, v] = weight
+        self._edits.append([u, v, weight])
+        self._manifest_dirty = True
+
     def rewrite_graph(self, weights: np.ndarray) -> None:
-        """Replace the graph payload (after edge updates)."""
+        """Compact the edit log: write ``weights`` - the current graph,
+        :meth:`load_graph` - as ``graph.npz`` (temp file, then rename)
+        and empty the log.
+
+        Refused while anything is uncommitted, so only committed rows
+        are folded.  Until the next flush drops them, the manifest on
+        disk still lists the folded rows, and replaying them over the
+        new payload yields the same graph.
+        """
         if weights.shape != (self.n, self.n):
             raise ArtifactError(
                 self.path, f"graph must be ({self.n}, {self.n}), got {weights.shape}"
             )
+        if self._manifest_dirty:
+            raise ArtifactError(
+                self.path, "flush before compacting: the edit log holds uncommitted rows"
+            )
         _atomic_write(
             self.path / GRAPH_NAME, lambda fh: np.savez_compressed(fh, weights=weights)
         )
-        self._graph_cache = np.array(weights)
+        self._graph_cache = weights
+        self._edits = []
+        self._manifest_dirty = True
 
     def flush(self) -> None:
-        """Persist the manifest (atomically) and drop unreferenced
-        block files left behind by rewrites."""
+        """Commit: write the manifest - block table and edit log - in
+        one atomic rename, keep the block files it no longer references
+        as spares (up to one per tile; the rest are deleted), then
+        compact the log if it holds more than ``n`` rows.
+
+        A failed compaction only warns: the update is committed, the
+        log stays, and the next flush tries again.
+        """
         if not self._manifest_dirty:
             return
-        self.manifest["blocks"] = [
-            [bi, bj, e["hash"], e["crc32"], e["rows"], e["cols"]]
-            for (bi, bj), e in sorted(self._blocks.items())
-        ]
-        _atomic_write_bytes(
-            self.path / MANIFEST_NAME,
-            json.dumps(self.manifest, indent=2, sort_keys=True).encode(),
+        manifest = dict(
+            self.manifest,
+            version=ARTIFACT_VERSION,
+            blocks=[
+                [bi, bj, e["hash"], e["crc32"], e["rows"], e["cols"]]
+                for (bi, bj), e in sorted(self._blocks.items())
+            ],
+            edits=list(self._edits),
         )
-        live = {e["hash"] for e in self._blocks.values()}
-        blocks_dir = self.path / BLOCKS_DIR
-        for stale in blocks_dir.glob("*.blk"):
-            if stale.stem not in live:
-                stale.unlink(missing_ok=True)
+        _atomic_write_bytes(
+            self.path / MANIFEST_NAME, json.dumps(manifest, sort_keys=True).encode()
+        )
+        self.manifest = manifest
         self._manifest_dirty = False
+        live = {e["hash"] for e in self._blocks.values()}
+        for stale in (self.path / BLOCKS_DIR).glob("*.blk"):
+            if stale.stem in live or stale.stem in self._spares:
+                continue
+            if len(self._spares) < len(self._blocks):
+                self._spares[stale.stem] = None
+            else:
+                stale.unlink(missing_ok=True)
+        if len(self._edits) > self.n:
+            try:
+                self.rewrite_graph(self.load_graph())
+            except OSError as exc:
+                warnings.warn(
+                    f"{self.path}: compacting the edit log into {GRAPH_NAME} "
+                    f"failed ({exc}); the log stays and the next flush retries",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+
+    def discard(self) -> None:
+        """Forget everything since the last commit - tile rewrites, log
+        rows, the cached graph - so this object is again what is on
+        disk (block files written since are swept by the next flush)."""
+        self._blocks = _block_table(self.manifest["blocks"])
+        self._edits = list(self.manifest.get("edits", ()))
+        self._graph_cache = None
+        self._manifest_dirty = False
+
+    def close(self) -> None:
+        """Flush, then delete the spare block files: at rest the
+        directory holds only the files the manifest references."""
+        self.flush()
+        for digest in self._spares:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._block_path(digest))
+        self._spares.clear()
 
     def describe(self) -> str:
         unique = len({e["hash"] for e in self._blocks.values()})
@@ -294,7 +389,8 @@ class Artifact:
             f"  n={self.n} dtype={self.dtype.name} block_size={self.block_size} "
             f"grid={self.nb}x{self.nb}",
             f"  blocks: {len(self._blocks)} ({unique} unique, {total} logical bytes)",
-            f"  graph payload: {'yes' if self.has_graph else 'no'}",
+            f"  graph payload: "
+            + (f"yes, {len(self._edits)} logged edit(s)" if self.has_graph else "no"),
             f"  content id: {self.content_id[:16]}...",
         ]
         solve = self.solve_header
@@ -312,8 +408,9 @@ class MemoryArtifact:
     """The :class:`Artifact` reading interface over an in-memory
     distance matrix, so ``repro.serve(result)`` works without disk.
 
-    Rewrites mutate the held matrix; :meth:`flush` is a no-op (there is
-    nothing at rest to persist).
+    Rewrites and logged edits mutate the held matrices; :meth:`flush`
+    and :meth:`discard` are no-ops (there is nothing at rest to commit
+    or to fall back to).
     """
 
     path = "<memory>"
@@ -408,14 +505,16 @@ class MemoryArtifact:
             )
         self._dist[si, sj] = data
 
-    def rewrite_graph(self, weights: np.ndarray) -> None:
-        if weights.shape != (self.n, self.n):
-            raise ArtifactError(
-                self.path, f"graph must be ({self.n}, {self.n}), got {weights.shape}"
-            )
-        self._graph = np.array(weights, copy=True)
+    def log_edit(self, u: int, v: int, weight: float) -> None:
+        self.load_graph()[u, v] = weight
 
     def flush(self) -> None:
+        pass
+
+    def discard(self) -> None:
+        pass
+
+    def close(self) -> None:
         pass
 
     def describe(self) -> str:
@@ -426,13 +525,49 @@ class MemoryArtifact:
         )
 
 
-def _atomic_write(path: PathLike, write: Callable[[BinaryIO], Any]) -> None:
+def _block_table(rows) -> dict[tuple[int, int], dict]:
+    return {
+        (int(bi), int(bj)): {
+            "hash": digest, "crc32": int(crc), "rows": int(r), "cols": int(c)
+        }
+        for bi, bj, digest, crc, r, c in rows
+    }
+
+
+def _atomic_write(path: PathLike, write: Callable[[BinaryIO], Any], *,
+                  reuse: Optional[str] = None) -> None:
     """``write(fh)`` into a temp file beside ``path``, then rename it
-    over ``path``: a failed write leaves the old file as it was."""
+    over ``path``: a failed write or rename leaves the old file as it
+    was, and no temp file.  ``reuse`` names a garbage file that becomes
+    the temp file (renamed, overwritten, truncated) instead of a new
+    one; if it is gone or not writable, a new file is made."""
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        write(fh)
-    os.replace(tmp, path)
+    try:
+        fh = _take_spare(reuse, tmp) if reuse is not None else None
+        reused = fh is not None
+        if not reused:
+            fh = open(tmp, "wb")
+        with fh:
+            write(fh)
+            if reused:
+                fh.truncate()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _take_spare(spare: str, tmp: str) -> Optional[BinaryIO]:
+    """``spare`` renamed to ``tmp`` and open for overwriting, or None
+    (leaving no ``tmp``) when it is gone or cannot be written."""
+    try:
+        os.replace(spare, tmp)
+        return open(tmp, "r+b")
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return None
 
 
 def _atomic_write_bytes(path: PathLike, payload: bytes) -> None:
@@ -544,9 +679,10 @@ def save_artifact(
         "certificate": certificate,
         "solve": solve or {},
         "blocks": rows_table,
+        "edits": [],
     }
     _atomic_write_bytes(
-        target / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True).encode()
+        target / MANIFEST_NAME, json.dumps(manifest, sort_keys=True).encode()
     )
     return Artifact(target, manifest)
 
@@ -564,15 +700,18 @@ def load_artifact(path: PathLike) -> Artifact:
         raise ArtifactError(path, f"unreadable manifest: {exc}") from None
     if manifest.get("format") != ARTIFACT_FORMAT:
         raise ArtifactError(path, f"not a {ARTIFACT_FORMAT} manifest")
-    if manifest.get("version") != ARTIFACT_VERSION:
+    version = manifest.get("version")
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise ArtifactError(
             path,
             f"unsupported artifact version {manifest.get('version')!r} "
-            f"(this build reads version {ARTIFACT_VERSION})",
+            f"(this build reads versions {', '.join(map(str, READABLE_VERSIONS))})",
         )
     for key in ("n", "dtype", "block_size", "nb", "blocks"):
         if key not in manifest:
             raise ArtifactError(path, f"manifest is missing {key!r}")
+    if not isinstance(manifest.get("edits", []), list):
+        raise ArtifactError(path, "manifest 'edits' is not a list")
     try:
         np.dtype(manifest["dtype"])
     except TypeError:
@@ -596,4 +735,15 @@ def load_artifact(path: PathLike) -> Artifact:
                 f"block ({bi}, {bj}) shape {(entry['rows'], entry['cols'])} "
                 f"inconsistent with n={n}, b={b}",
             )
+    for row in artifact._edits:
+        # A row is what RankOneUpdater accepts: two vertices and a
+        # weight that is neither NaN nor -inf.
+        if not (
+            isinstance(row, list)
+            and len(row) == 3
+            and all(type(i) is int and 0 <= i < n for i in row[:2])
+            and type(row[2]) in (int, float)
+            and -np.inf < row[2]
+        ):
+            raise ArtifactError(path, f"malformed edit-log row {row!r}")
     return artifact

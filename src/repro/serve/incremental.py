@@ -21,13 +21,24 @@ artifact interface (:class:`~repro.serve.Artifact` on disk,
   close a negative cycle raises
   :class:`~repro.errors.NegativeCycleError`, and the store (tiles, graph,
   cached graph array) is exactly what it was.  A refusal inside a batch
-  commits the updates before it and applies nothing after.
+  commits the updates before it and applies nothing after;
+* a batch **commits once**: each accepted change is logged as one
+  ``[u, v, w]`` row (:meth:`~repro.serve.Artifact.log_edit`) and one
+  :meth:`~repro.serve.Artifact.flush` at the end of the batch, after
+  the re-solve if one ran, commits the rewritten tiles and the rows in
+  one manifest rename; nothing re-compresses ``graph.npz`` per update.
+  Any failure but a refusal - a failed block write, re-solve or
+  flush - discards the whole batch
+  (:meth:`~repro.serve.Artifact.discard`) and propagates, so memory
+  and disk both keep the last commit.
 
 Two thin subclasses say how a re-solve is obtained:
-:class:`ArtifactPatcher` (here) submits one
-:class:`~repro.sched.ClusterScheduler` job configured from the
-artifact's own solve header; :class:`repro.extensions.IncrementalApsp`
-runs ``blocked_fw`` over an in-memory store.  Counters surface as
+:class:`ArtifactPatcher` (here) submits one job to a
+:class:`~repro.sched.ClusterScheduler` configured from the artifact's
+own solve header - a fresh private one per re-solve unless the caller
+passed one, so no finished re-solve outlives its update;
+:class:`repro.extensions.IncrementalApsp` runs ``blocked_fw`` over an
+in-memory store.  Counters surface as
 ``serve.incremental.*`` metrics, and the two are pinned bit-exact
 against each other and against a fresh solve by
 ``tests/test_serve.py::TestIncremental::test_cross_store_equivalence``.
@@ -78,11 +89,13 @@ class RankOneUpdater:
     def batch_update(self, updates: Iterable[tuple[int, int, float]]) -> int:
         """Apply many edge updates, coalescing re-solves: decreases are
         absorbed immediately, increases are staged, and at most *one*
-        re-solve runs at the end.  Returns the number of updates that
-        needed it (0 = everything took the fast path).  A refused update
-        raises with every update before it committed."""
+        re-solve runs at the end, before the batch's one commit.
+        Returns the number of updates that needed it (0 = everything
+        took the fast path).  A refused update raises with every update
+        before it committed; any other failure commits none of them."""
         self.engine.require_min_plus("an edge update")
-        graph = self.artifact.load_graph()
+        art = self.artifact
+        graph = art.load_graph()
         expensive = 0
         edited = False
         try:
@@ -100,13 +113,19 @@ class RankOneUpdater:
                     expensive += 1
                 else:
                     self._count("fast_updates")
-                graph[u, v] = weight  # accepted: only now may the graph change
+                art.log_edit(u, v, weight)  # accepted: only now may the graph change
                 edited = True
-        finally:  # also on a refusal: the prefix before it is committed
-            if expensive:
-                self._recompute(graph)
-            elif edited:
-                self.artifact.rewrite_graph(graph)
+        except (QueryError, NegativeCycleError):
+            # A refusal is raised before its update writes anything, so
+            # the prefix before it is whole: commit it.
+            if edited:
+                self._commit(graph, expensive)
+            raise
+        except BaseException:
+            self._forget()  # a write may have stopped half way through a patch
+            raise
+        if edited:
+            self._commit(graph, expensive)
         return expensive
 
     # -- internals --------------------------------------------------------
@@ -155,7 +174,6 @@ class RankOneUpdater:
             art.rewrite_block(bi, bj, np.minimum(tile, candidate).astype(art.dtype))
             self.engine.invalidate(bi, bj)
             dirtied += 1
-        art.flush()
         self._count("dirty_blocks", dirtied)
 
     def _edge_on_some_path(self, u: int, v: int, old_weight: float) -> bool:
@@ -172,6 +190,23 @@ class RankOneUpdater:
                 return True
         return False
 
+    def _commit(self, graph: np.ndarray, expensive: int) -> None:
+        """End a batch: the one re-solve if an increase staged it, then
+        one flush.  On any failure nothing of the batch is committed,
+        and the store and the cache forget it too."""
+        try:
+            if expensive:
+                self._recompute(graph)
+            self.artifact.flush()
+        except BaseException:
+            self._forget()
+            raise
+
+    def _forget(self) -> None:
+        """Drop the uncommitted batch from the store and the cache."""
+        self.artifact.discard()
+        self.engine.cache.clear()
+
     def _recompute(self, graph: np.ndarray) -> None:
         """The patch is invalid: re-solve the updated graph and rewrite
         every changed tile from the result."""
@@ -180,8 +215,6 @@ class RankOneUpdater:
         for bi, bj, si, sj in self._tiles():
             art.rewrite_block(bi, bj, np.ascontiguousarray(dist[si, sj]))
             self.engine.invalidate(bi, bj)
-        art.rewrite_graph(graph)
-        art.flush()
         self._count("recomputes")
 
     def _solve(self, graph: np.ndarray) -> np.ndarray:
@@ -190,7 +223,12 @@ class RankOneUpdater:
 
 class ArtifactPatcher(RankOneUpdater):
     """The updater behind :class:`~repro.serve.QueryServer`: an invalid
-    patch is re-solved by one job on the cluster scheduler."""
+    patch is re-solved by one job on the cluster scheduler.
+
+    ``scheduler`` is the caller's to keep, history and all; without
+    one, each re-solve builds its own, which (with its job, weights,
+    plan and result) is garbage once the re-solve returns.
+    """
 
     def __init__(self, artifact, engine, *, metrics=None,
                  kernel_backend: Optional[str] = None, scheduler=None):
@@ -235,10 +273,9 @@ class ArtifactPatcher(RankOneUpdater):
         if self.kernel_backend is not None:
             fields["kernel_backend"] = self.kernel_backend
         config = SolveConfig(**fields)
-        if self._scheduler is None:
+        scheduler = self._scheduler
+        if scheduler is None:
             from ..sched import ClusterScheduler
 
-            self._scheduler = ClusterScheduler(
-                machine=config.machine, n_nodes=config.n_nodes
-            )
-        return self._scheduler.submit(graph, config, name="serve-resolve").result().dist
+            scheduler = ClusterScheduler(machine=config.machine, n_nodes=config.n_nodes)
+        return scheduler.submit(graph, config, name="serve-resolve").result().dist

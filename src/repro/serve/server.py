@@ -14,7 +14,8 @@ the serving sibling of ``repro.solve(...) -> ApspResult``:
   ``metrics_out`` on :meth:`~QueryServer.close`.
 
 The server is a context manager; closing flushes the artifact manifest
-(after incremental rewrites) and the metrics sink.
+(after incremental rewrites), deletes the artifact's spare block files
+and writes the metrics sink.
 """
 
 from __future__ import annotations
@@ -163,10 +164,11 @@ class QueryServer:
             raise ConfigurationError("query server is closed")
 
     def close(self) -> None:
-        """Flush the artifact manifest and write the metrics sink."""
+        """Flush the artifact manifest, delete its spare block files and
+        write the metrics sink."""
         if self._closed:
             return
-        self.artifact.flush()
+        self.artifact.close()
         if self.metrics is not None and self.config.obs.metrics_out is not None:
             payload = {"serve": self.stats()}
             payload.update(self.metrics.as_dict())
@@ -204,7 +206,7 @@ def serve(source: Any, config: Optional[ServeConfig] = None, *,
 
     ``scheduler`` optionally names the shared
     :class:`~repro.sched.ClusterScheduler` that invalidating edge
-    updates re-solve on (a private one is built on demand otherwise).
+    updates re-solve on (otherwise each re-solve builds a private one).
     """
     if config is None:
         config = ServeConfig()

@@ -323,6 +323,23 @@ class TestServeQueryCLI:
         assert rc == 0
         assert "d(0, 9) = 0.0001" in capsys.readouterr().out
 
+    def test_info_counts_logged_edits(self, artifact, capsys):
+        assert main(["serve", "update", str(artifact), "--edge", "0,9,0.0001",
+                     "--edge", "3,4,0.0002"]) == 0
+        capsys.readouterr()
+        assert main(["serve", "info", str(artifact)]) == 0
+        assert "graph payload: yes, 2 logged edit(s)" in capsys.readouterr().out
+
+    def test_unreadable_version_exits_17(self, artifact, capsys):
+        import json
+
+        manifest = artifact / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = 3
+        manifest.write_text(json.dumps(doc))
+        assert main(["serve", "info", str(artifact)]) == 17
+        assert "unsupported artifact version 3" in capsys.readouterr().err
+
     def test_update_resolve_with_malformed_budget_exits_2(self, artifact, capsys, monkeypatch):
         # Raising a tight edge escalates to a re-solve, which reads the budget.
         assert main(["serve", "update", str(artifact), "--edge", "0,5,0.001"]) == 0

@@ -9,8 +9,11 @@ solver's bytes, it never re-derives them.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,10 +115,11 @@ class TestArtifactRoundTrip:
     def test_load_rejects_wrong_version(self, tmp_path):
         save_artifact(np.zeros((4, 4)), tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        manifest["version"] = 99
-        (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="version"):
-            load_artifact(tmp_path / "a")
+        for version in (0, 99):
+            manifest["version"] = version
+            (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(ArtifactError, match=f"version {version} .*versions 1, 2"):
+                load_artifact(tmp_path / "a")
 
 
 class TestCorruption:
@@ -868,6 +872,368 @@ class TestIncremental:
             "fast_updates": 0, "recomputes": 0, "dirty_blocks": 0}
         np.testing.assert_array_equal(srv.artifact.load_graph(), w)
         np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), res.dist)
+
+
+def _solve8(w):
+    return repro.solve(w, variant="async", block_size=8, **CLUSTER).dist
+
+
+def _rank_one(dist, u, v, c):
+    return np.minimum(dist, dist[:, u, None] + (c + dist[None, v, :]))
+
+
+def _manifest(path):
+    return json.loads((path / "manifest.json").read_text())
+
+
+def _carrying_edge(w):
+    """The cheapest edge is the shortest path between its ends, so
+    raising it invalidates the patch and re-solves."""
+    real = np.where(np.eye(len(w), dtype=bool), np.inf, w)
+    return tuple(map(int, np.unravel_index(np.argmin(real), real.shape)))
+
+
+def _torn_savez(file, **arrays):
+    fh = open(file, "wb") if isinstance(file, (str, os.PathLike)) else file
+    fh.write(b"PK\x03\x04 half a zip")
+    fh.flush()
+    raise OSError("disk full")
+
+
+@pytest.fixture()
+def saved30(tmp_path):
+    """A 30-vertex artifact with its graph, 8 x 8 tiles (ragged edge)."""
+    w = erdos_renyi(30, 0.3, seed=6)
+    res = repro.solve(w, variant="async", block_size=8, **CLUSTER)
+    path = tmp_path / "art"
+    res.save(path, block_size=8, graph=w)
+    return w, res, path
+
+
+class TestEditLog:
+    """An accepted edge change is one ``[u, v, w]`` row in the
+    manifest's edit log; ``graph.npz`` is rewritten only to compact it."""
+
+    def test_updates_log_rows_and_leave_graph_npz_alone(self, saved30):
+        w, _, path = saved30
+        graph_npz = (path / "graph.npz").read_bytes()
+        doc = _manifest(path)
+        assert (doc["version"], doc["edits"]) == (2, [])
+        u, v = _carrying_edge(w)
+        w2 = w.copy()
+        w2[0, 17], w2[u, v] = 1e-3, 512.0
+        with repro.serve(path) as srv:
+            assert srv.update_edge(0, 17, 1e-3) is True      # rank-1 patch
+            assert _manifest(path)["edits"] == [[0, 17, 1e-3]]
+            assert srv.update_edge(u, v, 512.0) is False     # re-solve
+            assert _manifest(path)["edits"] == [[0, 17, 1e-3], [u, v, 512.0]]
+        assert (path / "graph.npz").read_bytes() == graph_npz
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.load_graph(), w2)
+        np.testing.assert_array_equal(reopened.dist(), _solve8(w2))
+
+    def test_a_batch_is_one_manifest_rename(self, saved30, monkeypatch):
+        w, _, path = saved30
+        renamed = []
+        real = os.replace
+
+        def replace(src, dst):
+            renamed.append(os.path.basename(os.fspath(dst)))
+            real(src, dst)
+
+        srv = repro.serve(path)
+        monkeypatch.setattr(os, "replace", replace)
+        batch = [(0, 17, 1e-3), (4, 9, 2e-3), (*_carrying_edge(w), 512.0), (3, 21, 0.03)]
+        assert srv.batch_update(batch) == 1
+        assert renamed.count("manifest.json") == 1
+        assert "graph.npz" not in renamed
+        assert renamed[-1] == "manifest.json"  # tile files first, the commit last
+        assert len(_manifest(path)["edits"]) == 4
+
+    def test_more_than_n_rows_fold_into_graph_npz(self, saved30):
+        w, _, path = saved30
+        n = len(w)
+        pairs = [tuple(map(int, p)) for p in np.argwhere(~np.eye(n, dtype=bool))][: n + 1]
+        graph_npz = (path / "graph.npz").read_bytes()
+        expected = w.copy()
+        with repro.serve(path) as srv:
+            for k, (u, v) in enumerate(pairs):
+                assert srv.insert_edge(u, v, 1e-3) is True
+                expected[u, v] = min(expected[u, v], 1e-3)
+                if k < n:  # n rows: not yet more than n
+                    assert len(_manifest(path)["edits"]) == k + 1
+                    assert (path / "graph.npz").read_bytes() == graph_npz
+            # The (n + 1)-th row was committed, then the log folded.
+            with np.load(path / "graph.npz") as folded:
+                np.testing.assert_array_equal(folded["weights"], expected)
+            # Until the next flush the manifest still lists the folded
+            # rows; replaying them over the new payload changes nothing.
+            assert len(_manifest(path)["edits"]) == n + 1
+            np.testing.assert_array_equal(load_artifact(path).load_graph(), expected)
+            assert "0 logged edit(s)" in srv.describe()
+        assert _manifest(path)["edits"] == []
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.load_graph(), expected)
+        np.testing.assert_allclose(reopened.dist(), _solve8(expected), rtol=1e-12)
+
+    def test_version_1_reads_as_version_2_and_is_rewritten(self, saved30):
+        w, res, path = saved30
+        doc = _manifest(path)
+        doc["version"] = 1
+        del doc["edits"]
+        (path / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        np.testing.assert_array_equal(load_artifact(path).load_graph(), w)
+        with repro.serve(path) as srv:
+            assert srv.distance(0, 17) == res.dist[0, 17]
+            assert srv.k_nearest(0, 3) == repro.serve(res).k_nearest(0, 3)
+            assert _manifest(path)["version"] == 1  # reads write nothing
+            assert srv.update_edge(0, 17, 1e-3) is True
+        doc = _manifest(path)
+        assert (doc["version"], doc["edits"]) == (2, [[0, 17, 1e-3]])
+        np.testing.assert_array_equal(
+            load_artifact(path).dist(), _rank_one(res.dist, 0, 17, 1e-3))
+
+    @pytest.mark.parametrize(
+        "row", [[0, 30, 1.0], [0, 1], ["0", 1, 1.0], [0, 1, "1.0"], [0, 1, None],
+                [0, 1, float("nan")], [0, 1, -float("inf")], {"u": 0}])
+    def test_malformed_edit_rows_are_refused(self, saved30, row):
+        _, _, path = saved30
+        doc = _manifest(path)
+        doc["edits"] = [[2, 3, 0.5], row]
+        (path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="malformed edit-log row"):
+            load_artifact(path)
+
+    def test_describe_counts_logged_edits(self, saved30):
+        _, _, path = saved30
+        assert "graph payload: yes, 0 logged edit(s)" in load_artifact(path).describe()
+        with repro.serve(path) as srv:
+            srv.batch_update([(0, 17, 1e-3), (4, 9, 2e-3)])
+            assert "graph payload: yes, 2 logged edit(s)" in srv.describe()
+        assert "2 logged edit(s)" in load_artifact(path).describe()
+
+
+class TestCommitPoints:
+    """Kill-points of an update: the manifest rename or the compaction's
+    ``savez_compressed`` fails on each write path.  Reopened, the
+    directory is exactly the old artifact or the new one, tiles and
+    graph, and its distances solve its own graph."""
+
+    @staticmethod
+    def _fail_manifest_rename(monkeypatch):
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(os.fspath(dst)) == "manifest.json":
+                raise OSError("disk full")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    @pytest.mark.parametrize("point", ["manifest-rename", "compaction-savez"])
+    @pytest.mark.parametrize("route", ["decrease", "resolve", "compaction"])
+    def test_failure_leaves_the_old_or_the_new_artifact(
+            self, saved30, monkeypatch, route, point):
+        w, _, path = saved30
+        n = len(w)
+        if route == "compaction":  # n rows in the log: the next update folds it
+            fill = [(0, v, min(0.25, float(w[0, v]))) for v in range(1, n)]
+            with repro.serve(path) as srv:
+                srv.batch_update(fill + [(1, 0, min(0.25, float(w[1, 0])))])
+            assert len(_manifest(path)["edits"]) == n
+        old = load_artifact(path)
+        old_dist, old_graph = old.dist(), old.load_graph().copy()
+        u, v, c = (0, 17, 1e-3) if route != "resolve" else (*_carrying_edge(w), 512.0)
+        new_graph = old_graph.copy()
+        new_graph[u, v] = c
+        new_dist = _solve8(new_graph) if route == "resolve" else _rank_one(old_dist, u, v, c)
+        graph_npz = (path / "graph.npz").read_bytes()
+
+        if point == "manifest-rename":
+            self._fail_manifest_rename(monkeypatch)
+        else:
+            monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        with repro.serve(path) as srv:
+            if point == "manifest-rename":
+                with pytest.raises(OSError, match="disk full"):
+                    srv.update_edge(u, v, c)
+                # The live server forgot the batch as well.
+                np.testing.assert_array_equal(srv.submatrix(range(n), range(n)), old_dist)
+                np.testing.assert_array_equal(srv.artifact.load_graph(), old_graph)
+            elif route == "compaction":  # committed; only the fold failed
+                with pytest.warns(RuntimeWarning, match="compacting the edit log"):
+                    assert srv.update_edge(u, v, c) is True
+            else:  # no compaction is due, so savez never runs
+                assert srv.update_edge(u, v, c) is (route == "decrease")
+        monkeypatch.undo()
+
+        committed = point == "compaction-savez"
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.dist(), new_dist if committed else old_dist)
+        np.testing.assert_array_equal(
+            reopened.load_graph(), new_graph if committed else old_graph)
+        np.testing.assert_allclose(
+            reopened.dist(), _solve8(reopened.load_graph()), rtol=1e-12)
+        assert (path / "graph.npz").read_bytes() == graph_npz
+        assert not list(path.rglob("*.tmp"))
+        if route == "compaction" and committed:
+            # The log stayed; the next commit folds it.
+            assert len(_manifest(path)["edits"]) == n + 1
+            with repro.serve(path) as srv:
+                assert srv.update_edge(4, 9, 2e-3) is True
+            new_graph[4, 9] = 2e-3
+            assert _manifest(path)["edits"] == []
+            with np.load(path / "graph.npz") as folded:
+                np.testing.assert_array_equal(folded["weights"], new_graph)
+
+    def test_disk_full_during_update_edge(self, saved30, monkeypatch):
+        """A decrease once wrote ``graph.npz`` after flushing its tiles,
+        so a full disk left d(0, 17) patched with the graph's (0, 17)
+        unchanged.  A decrease now writes no graph at all."""
+        _, _, path = saved30
+        monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        with repro.serve(path) as srv:
+            assert srv.update_edge(0, 17, 1e-3) is True
+        monkeypatch.undo()
+        reopened = load_artifact(path)
+        assert reopened.load_graph()[0, 17] == reopened.dist()[0, 17] == 1e-3
+        np.testing.assert_allclose(
+            reopened.dist(), _solve8(reopened.load_graph()), rtol=1e-12)
+
+    def test_no_resolve_outlives_its_update(self, saved30, monkeypatch):
+        """Each re-solve's scheduler, job and result are garbage once
+        its update returns (a cached private scheduler kept every one:
+        13.5 MiB per re-solve at n=768)."""
+        from repro.sched import JobHandle
+
+        results = []
+        real = JobHandle.result
+
+        def result(handle):
+            out = real(handle)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(JobHandle, "result", result)
+        _, _, path = saved30
+        with repro.serve(path) as srv:
+            for k in range(5):
+                edge = _carrying_edge(srv.artifact.load_graph())
+                assert srv.update_edge(*edge, 512.0) is False
+                gc.collect()
+                assert len(results) == k + 1
+                assert all(ref() is None for ref in results)
+
+
+def _block_inodes(path):
+    return {f.stem: f.stat().st_ino for f in (path / "blocks").glob("*.blk")}
+
+
+class TestSpareBlocks:
+    """A block file the last commit stopped referencing is kept as a
+    spare, and the next new tile is written into it instead of into a
+    new file, so a stream of updates creates no inodes; ``close()``
+    deletes the spares."""
+
+    @staticmethod
+    def _tiles(path):
+        """A full tile and a ragged one, each with bytes no other tile
+        shares (so rewriting it frees its file)."""
+        rows = _manifest(path)["blocks"]
+        count = Counter(row[2] for row in rows)
+        unique = [row for row in rows if count[row[2]] == 1]
+        full = next(r for r in unique if r[4] == r[5] == 8)
+        ragged = next(r for r in unique if r[5] < 8)
+        return full, ragged
+
+    def test_a_new_tile_reuses_a_spare_file(self, saved30):
+        _, _, path = saved30
+        full, ragged = self._tiles(path)
+        before = _block_inodes(path)
+        art = load_artifact(path)
+        art.rewrite_block(full[0], full[1], art.load_block(full[0], full[1]) + 1.0)
+        art.flush()
+        assert full[2] in _block_inodes(path)  # kept as a spare, not deleted
+        patched = art.load_block(ragged[0], ragged[1]) + 1.0
+        art.rewrite_block(ragged[0], ragged[1], patched)
+        art.flush()
+        row = next(r for r in _manifest(path)["blocks"] if r[:2] == ragged[:2])
+        # The 8 x 8 spare now holds the 8 x 6 tile, truncated to size.
+        assert _block_inodes(path)[row[2]] == before[full[2]]
+        np.testing.assert_array_equal(
+            load_artifact(path).load_block(ragged[0], ragged[1]), patched)
+        art.close()
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+
+    def test_a_vanished_spare_falls_back_to_a_new_file(self, saved30):
+        _, _, path = saved30
+        full, ragged = self._tiles(path)
+        art = load_artifact(path)
+        art.rewrite_block(full[0], full[1], art.load_block(full[0], full[1]) + 1.0)
+        art.flush()
+        (path / "blocks" / f"{full[2]}.blk").unlink()  # the one spare
+        patched = art.load_block(ragged[0], ragged[1]) + 1.0
+        art.rewrite_block(ragged[0], ragged[1], patched)
+        art.close()
+        np.testing.assert_array_equal(
+            load_artifact(path).load_block(ragged[0], ragged[1]), patched)
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+        assert not list(path.rglob("*.tmp"))
+
+    def test_a_spare_holding_the_bytes_is_taken_as_is(self, saved30):
+        _, _, path = saved30
+        full, _ = self._tiles(path)
+        inode = _block_inodes(path)[full[2]]
+        art = load_artifact(path)
+        original = np.array(art.load_block(full[0], full[1]))
+        art.rewrite_block(full[0], full[1], original + 1.0)
+        art.flush()
+        art.rewrite_block(full[0], full[1], original)  # back: no write
+        art.close()
+        assert full in _manifest(path)["blocks"]
+        assert _block_inodes(path)[full[2]] == inode
+        np.testing.assert_array_equal(load_artifact(path).load_block(full[0], full[1]), original)
+
+    def test_updates_create_files_only_past_the_spares(self, saved30):
+        w, _, path = saved30
+        nb = _manifest(path)["nb"]
+        with repro.serve(path) as srv:
+            assert srv.update_edge(*_carrying_edge(w), 512.0) is False
+            for k in range(1, 8):
+                files = _block_inodes(path)
+                spares = len(files) - len({r[2] for r in _manifest(path)["blocks"]})
+                dirty = srv.stats()["incremental"]["dirty_blocks"]
+                assert srv.update_edge(0, 3 * k, 1e-3 * k) is True
+                written = srv.stats()["incremental"]["dirty_blocks"] - dirty
+                created = set(_block_inodes(path).values()) - set(files.values())
+                assert len(created) <= max(0, written - spares)
+                assert len(_block_inodes(path)) <= 2 * nb * nb  # one spare per tile at most
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+        reopened = load_artifact(path)
+        np.testing.assert_allclose(
+            reopened.dist(), _solve8(reopened.load_graph()), rtol=1e-12)
+
+    def test_failed_write_into_a_spare_keeps_the_last_commit(self, saved30, monkeypatch):
+        _, _, path = saved30
+        with repro.serve(path) as srv:
+            assert srv.update_edge(0, 17, 1e-3) is True
+            committed = load_artifact(path).dist()
+            real = os.replace
+
+            def replace(src, dst):
+                if os.fspath(dst).endswith(".blk"):
+                    raise OSError("disk full")
+                real(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+            with pytest.raises(OSError, match="disk full"):
+                srv.update_edge(4, 9, 2e-3)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), committed)
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.dist(), committed)
+        assert reopened.load_graph()[4, 9] != 2e-3
+        assert not list(path.rglob("*.tmp"))
 
 
 class TestServeConfig:
