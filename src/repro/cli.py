@@ -380,10 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="block-cache budget (default: $REPRO_SERVE_CACHE_BYTES or 64 MiB)",
     )
     query.add_argument(
-        "--no-verify", action="store_true",
-        help="skip per-block CRC32 verification on first load",
-    )
-    query.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",
         help="write serve.* metrics (cache hits/misses, query counts) as JSON",
     )
@@ -901,7 +897,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     config = ServeConfig.from_env(
         cache_bytes=args.cache_bytes,
-        verify_blocks=not args.no_verify,
         obs=ObsSinks(metrics_out=args.metrics_out),
     )
     did_anything = False
@@ -951,17 +946,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exit_code_for(exc: Exception) -> int:
-    """Distinct, stable exit codes per failure class so scripts (and
-    the CI fault matrix) can tell *why* a run failed.  The table lives
-    in :mod:`repro.errors` (shared with the fuzzer's classifier)."""
-    from .errors import exit_code_for
-
-    return exit_code_for(exc)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from .errors import ReproError
+    from .errors import ReproError, exit_code_for
 
     args = build_parser().parse_args(argv)
     handlers = {
@@ -981,7 +967,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exit_code_for(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

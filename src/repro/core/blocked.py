@@ -1,11 +1,12 @@
 """Sequential blocked Floyd-Warshall (paper Algorithm 2).
 
-In-memory, single process, vectorized.  This is simultaneously:
-
-* the oracle every distributed variant is verified against,
-* the single-rank fast path of the public :func:`repro.solve` API, and
-* the reference structure (DiagUpdate / PanelUpdate / MinPlus outer
-  product) that the distributed rank programs mirror step for step.
+In-memory, single process, vectorized: the reference structure
+(DiagUpdate / PanelUpdate / MinPlus outer product) that the distributed
+rank programs mirror step for step, with no simulated machine around
+it.  :class:`repro.extensions.IncrementalApsp` re-solves with it.  It
+is not the oracle (that is :mod:`repro.graphs.oracle`, which shares no
+kernel with any solver), and :func:`repro.solve` never calls it: a
+one-rank solve runs the same supervised rank program as any other.
 
 All SrGemm work dispatches through the pluggable kernel backends of
 :mod:`repro.semiring.backends`; pass ``backend=`` to pick one, or rely

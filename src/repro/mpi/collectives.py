@@ -161,18 +161,14 @@ def bcast_ring(
     payload: Any = None,
     tag: int = 0,
     nbytes: Optional[float] = None,
-    async_relay: bool = True,
 ):
     """Generator: ring broadcast; returns ``(payload, relay_event)``.
 
-    The message travels root -> root+1 -> ... -> root-1.  With
-    ``async_relay`` (default) each process enqueues its forward with
-    ``isend`` and returns immediately, so computation proceeds while
-    the NIC relays; ``relay_event`` fires when this process's forward
-    has left the node (roots/last member get an already-fired event).
-    With ``async_relay=False`` the relay is blocking, which makes the
-    collective behave like a store-and-forward chain (useful as an
-    ablation).
+    The message travels root -> root+1 -> ... -> root-1.  Each process
+    enqueues its forward with ``isend`` and returns immediately, so
+    computation proceeds while the NIC relays; ``relay_event`` fires
+    when this process's forward has left the node (the last member, or
+    a lone root, gets an already-fired event).
     """
     _check_user_tag(tag)
     size, me = comm.size, comm.rank
@@ -181,13 +177,7 @@ def bcast_ring(
         payload = yield from recv_with_retry(comm, (me - 1) % size, tag)
     done: Event
     if rel != size - 1 and size > 1:
-        nxt = (me + 1) % size
-        if async_relay:
-            done = comm.isend(nxt, payload, tag=tag, nbytes=nbytes)
-        else:
-            yield from comm.send(nxt, payload, tag=tag, nbytes=nbytes)
-            done = comm.env.event()
-            done.succeed()
+        done = comm.isend((me + 1) % size, payload, tag=tag, nbytes=nbytes)
     else:
         done = comm.env.event()
         done.succeed()

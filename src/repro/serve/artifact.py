@@ -170,7 +170,7 @@ class Artifact:
     def _block_path(self, digest: str) -> str:
         return f"{self._blocks_dir}{digest}.blk"
 
-    def load_block(self, bi: int, bj: int, *, verify: bool = True) -> np.ndarray:
+    def load_block(self, bi: int, bj: int) -> np.ndarray:
         """The (bi, bj) tile as a read-only ``(rows, cols)`` array over
         the bytes of one read of its block file.
 
@@ -208,7 +208,7 @@ class Artifact:
                 )
         finally:
             os.close(fd)
-        if verify and digest not in self._verified:
+        if digest not in self._verified:
             crc = zlib.crc32(raw)
             if crc != entry["crc32"]:
                 raise ArtifactError(
@@ -255,9 +255,10 @@ class Artifact:
         return self._graph_cache
 
     # -- writes (incremental patching) ------------------------------------
-    def rewrite_block(self, bi: int, bj: int, data: np.ndarray) -> None:
+    def rewrite_block(self, bi: int, bj: int, data: np.ndarray) -> np.ndarray:
         """Replace tile (bi, bj) with new contents (content-addressed:
-        writes one new block file, repoints the manifest row).  The
+        writes one new block file, repoints the manifest row) and return
+        the stored tile, read-only, as :meth:`load_block` would.  The
         manifest itself persists on :meth:`flush`."""
         entry = self._blocks.get((bi, bj))
         if entry is None:
@@ -272,9 +273,10 @@ class Artifact:
                 f"got {data.shape} {data.dtype}",
             )
         payload = np.ascontiguousarray(data).tobytes()
+        tile = np.frombuffer(payload, dtype=self.dtype).reshape(expected)
         digest = hashlib.sha256(payload).hexdigest()
         if digest == entry["hash"]:
-            return
+            return tile
         path = self._block_path(digest)
         if digest in self._spares:
             del self._spares[digest]  # spares keep their bytes: live again
@@ -285,6 +287,7 @@ class Artifact:
         entry["crc32"] = zlib.crc32(payload)
         self._verified.add(digest)
         self._manifest_dirty = True
+        return tile
 
     def log_edit(self, u: int, v: int, weight: float) -> None:
         """Set edge (u, v) to ``weight`` in the graph and append the
@@ -477,7 +480,7 @@ class MemoryArtifact:
         rows, cols = _block_shape(self.n, self.block_size, bi, bj)
         return rows * cols * self.dtype.itemsize
 
-    def load_block(self, bi: int, bj: int, *, verify: bool = True) -> np.ndarray:
+    def load_block(self, bi: int, bj: int) -> np.ndarray:
         si, sj = self._slices(bi, bj)
         view = self._dist[si, sj]
         view.setflags(write=False)
@@ -495,7 +498,7 @@ class MemoryArtifact:
             )
         return self._graph
 
-    def rewrite_block(self, bi: int, bj: int, data: np.ndarray) -> None:
+    def rewrite_block(self, bi: int, bj: int, data: np.ndarray) -> np.ndarray:
         si, sj = self._slices(bi, bj)
         if data.shape != self._dist[si, sj].shape or data.dtype != self.dtype:
             raise ArtifactError(
@@ -504,6 +507,7 @@ class MemoryArtifact:
                 f"{self._dist[si, sj].shape} {self.dtype}, got {data.shape} {data.dtype}",
             )
         self._dist[si, sj] = data
+        return self.load_block(bi, bj)
 
     def log_edit(self, u: int, v: int, weight: float) -> None:
         self.load_graph()[u, v] = weight

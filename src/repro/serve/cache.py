@@ -72,29 +72,27 @@ class BlockCache:
             self.oversize += 1
             if self._metrics is not None:
                 self._metrics.counter("serve.cache.oversize").inc()
-            return
-        while self._bytes + nbytes > self.capacity_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= int(evicted.nbytes)
-            self.evictions += 1
-            if self._metrics is not None:
-                self._metrics.counter("serve.cache.evictions").inc()
-        self._entries[key] = data
-        self._bytes += nbytes
+        else:
+            while self._bytes + nbytes > self.capacity_bytes and self._entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= int(evicted.nbytes)
+                self.evictions += 1
+                if self._metrics is not None:
+                    self._metrics.counter("serve.cache.evictions").inc()
+            self._entries[key] = data
+            self._bytes += nbytes
         if self._metrics is not None:
             self._metrics.gauge("serve.cache.bytes").set(self._bytes)
             self._metrics.gauge("serve.cache.blocks").set(len(self._entries))
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one key (after a block rewrite); True when it was held."""
+    def put(self, key: Hashable, data: np.ndarray) -> None:
+        """Hold ``data`` as ``key``'s entry (after a block rewrite),
+        replacing any held one; admitted like a loaded tile, so an
+        oversize one is dropped and counted."""
         entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._bytes -= int(entry.nbytes)
-        if self._metrics is not None:
-            self._metrics.gauge("serve.cache.bytes").set(self._bytes)
-            self._metrics.gauge("serve.cache.blocks").set(len(self._entries))
-        return True
+        if entry is not None:
+            self._bytes -= int(entry.nbytes)
+        self._admit(key, data)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -43,13 +43,6 @@ class ServeConfig:
     #: ``$REPRO_SERVE_CACHE_BYTES`` then 64 MiB.
     cache_bytes: Optional[int] = None
 
-    # -- reads ------------------------------------------------------------
-    # A cache miss is one read of one block file; only tiles a query
-    # touches are read.
-    #: Verify each block's CRC32 on its first load; a mismatch refuses
-    #: the block (:class:`~repro.errors.ArtifactError`, exit 17).
-    verify_blocks: bool = True
-
     # -- queries ----------------------------------------------------------
     #: Pairs answered per :meth:`~repro.serve.BatchQuery.poll` step of
     #: an async batch.

@@ -171,8 +171,7 @@ class RankOneUpdater:
             tile = self.engine.block(bi, bj)
             if not np.any(candidate < tile):
                 continue
-            art.rewrite_block(bi, bj, np.minimum(tile, candidate).astype(art.dtype))
-            self.engine.invalidate(bi, bj)
+            self.engine.write(bi, bj, np.minimum(tile, candidate).astype(art.dtype))
             dirtied += 1
         self._count("dirty_blocks", dirtied)
 
@@ -213,8 +212,7 @@ class RankOneUpdater:
         art = self.artifact
         dist = np.asarray(self._solve(graph), dtype=art.dtype)
         for bi, bj, si, sj in self._tiles():
-            art.rewrite_block(bi, bj, np.ascontiguousarray(dist[si, sj]))
-            self.engine.invalidate(bi, bj)
+            self.engine.write(bi, bj, np.ascontiguousarray(dist[si, sj]))
         self._count("recomputes")
 
     def _solve(self, graph: np.ndarray) -> np.ndarray:

@@ -67,10 +67,9 @@ def _as_index_array(values, n: int, what: str) -> np.ndarray:
 class QueryEngine:
     """Tile-decomposed reads over one artifact through one cache."""
 
-    def __init__(self, artifact, cache, *, verify: bool = True, metrics=None):
+    def __init__(self, artifact, cache, *, metrics=None):
         self.artifact = artifact
         self.cache = cache
-        self.verify = verify
         self.metrics = metrics
         self.n = artifact.n
         self.block_size = artifact.block_size
@@ -104,10 +103,12 @@ class QueryEngine:
         return self.cache.get((bi, bj), lambda: self._load(bi, bj))
 
     def _load(self, bi: int, bj: int) -> np.ndarray:
-        return self.artifact.load_block(bi, bj, verify=self.verify)
+        return self.artifact.load_block(bi, bj)
 
-    def invalidate(self, bi: int, bj: int) -> None:
-        self.cache.invalidate((bi, bj))
+    def write(self, bi: int, bj: int, tile: np.ndarray) -> None:
+        """Rewrite tile (bi, bj) in the artifact and cache the stored
+        tile, so the next read of it is a hit, not a read-back."""
+        self.cache.put((bi, bj), self.artifact.rewrite_block(bi, bj, tile))
 
     # -- scalar / vector reads --------------------------------------------
     def distance(self, s, t) -> float:

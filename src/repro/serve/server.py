@@ -60,9 +60,7 @@ class QueryServer:
             self.metrics.gauge("serve.n").set(artifact.n)
             self.metrics.gauge("serve.block_size").set(artifact.block_size)
         self.cache = BlockCache(config.effective_cache_bytes, metrics=self.metrics)
-        self.engine = QueryEngine(
-            artifact, self.cache, verify=config.verify_blocks, metrics=self.metrics
-        )
+        self.engine = QueryEngine(artifact, self.cache, metrics=self.metrics)
         self.patcher = ArtifactPatcher(
             artifact,
             self.engine,

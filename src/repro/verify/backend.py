@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..semiring.backends.base import KernelBackend, grid_hop_tiles
+from ..semiring.backends.base import KernelBackend
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .runtime import VerifyRuntime
 
@@ -33,8 +33,11 @@ class ChecksummedBackend(KernelBackend):
     arrays around **one** ``inner.srgemm_grid`` call, so a verified
     solve keeps the inner backend's one-call grid; a flagged tile is
     still repaired on its own.  A grid that is not uniform in shape and
-    dtype takes the guarded cycle tile by tile instead, and a grid with
-    next hops runs the guarded path product tile by tile, row-major."""
+    dtype takes the guarded cycle tile by tile instead.  A grid with next
+    hops takes the same cycle: the hop tiles are snapshotted beside the
+    distance tiles, the sums are predicted at operand width (path
+    kernels never narrow) and a flagged tile is repaired with its next
+    hops."""
 
     available = True
 
@@ -57,11 +60,7 @@ class ChecksummedBackend(KernelBackend):
         phase: str = "outer",
         hops=None,
     ) -> Sequence[Sequence[np.ndarray]]:
-        if hops is None:
-            return self.runtime.accumulate_grid(c_tiles, a_rows, b_cols, semiring, phase)
-        for tile in grid_hop_tiles(c_tiles, a_rows, b_cols, semiring, phase, hops):
-            self.runtime.accumulate_paths(*tile)
-        return c_tiles
+        return self.runtime.accumulate_grid(c_tiles, a_rows, b_cols, semiring, phase, hops)
 
     def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops=None) -> np.ndarray:
         # Guarded at the call site (VerifyRuntime.wrap_closure): checksums

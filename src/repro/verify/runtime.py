@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import SilentCorruptionError
 from ..semiring.backends import get_backend
-from ..semiring.backends.base import OperandList, stack_tiles, validate_grid
+from ..semiring.backends.base import OperandList, grid_hop_tiles, stack_tiles, validate_grid
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .checksums import (
     Checksums,
@@ -173,23 +173,32 @@ class VerifyRuntime:
             guard.row, guard.col = actual
 
     # -- guarded kernels (called from ChecksummedBackend) --------------------
-    def accumulate(self, c, a, b, semiring: Semiring, phase: str) -> np.ndarray:
+    def accumulate(self, c, a, b, semiring: Semiring, phase: str, hops=None) -> np.ndarray:
         """Guarded one-tile product: the inner backend runs it as a
         one-tile ``phase`` grid, and a mismatch escalates as
         ``srgemm_{phase}``.  Repair always goes through the full-width
-        ``tiled`` kernel (exact equivalent for comparison-⊕ semirings)."""
+        ``tiled`` kernel (exact equivalent for comparison-⊕ semirings).
+
+        ``hops = (c_nxt, a_nxt)`` makes it the (min,+) product that also
+        updates ``c``'s next hops.  Path kernels run at operand width,
+        so the prediction skips the compute-dtype cast."""
         op = f"srgemm_{phase}"
         guard = self._tiles.get(id(c))
         pre = block_checksums(c, semiring)
         self._precheck(guard, pre, op)
         c_pre = c.copy()
-        predicted = predicted_accumulate(pre, a, b, semiring, self.inner.compute_dtype)
-        self.inner.srgemm_grid([[c]], [a], [b], semiring=semiring, phase=phase)
+        width = self.inner.compute_dtype if hops is None else None
+        predicted = predicted_accumulate(pre, a, b, semiring, width)
+        hop = None if hops is None else (hops[0], hops[0].copy(), hops[1])
+        self.inner.srgemm_grid(
+            [[c]], [a], [b], semiring=semiring, phase=phase,
+            hops=None if hops is None else ([[hops[0]]], [hops[1]]),
+        )
         self._count("ops_checked")
         actual = block_checksums(c, semiring)
         if not checksums_match(predicted, actual):
             self._count("sdc_detected")
-            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, op)
+            actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, op, hop)
         if guard is not None:
             guard.row, guard.col = actual
         else:
@@ -203,11 +212,13 @@ class VerifyRuntime:
         b_cols: Sequence[np.ndarray],
         semiring: Semiring,
         phase: str = "outer",
+        hops=None,
     ) -> Sequence[Sequence[np.ndarray]]:
         """Guarded grid product: what :meth:`accumulate` does for one
         tile, for every tile of ``C[i][j] ← C[i][j] ⊕ A[i] ⊗ B[j]``, in a
         constant number of array operations around **one**
-        ``inner.srgemm_grid`` call.
+        ``inner.srgemm_grid`` call.  ``hops = (c_hop_tiles, a_hop_rows)``,
+        of the grid's shape, carries next hops through the same cycle.
 
         Every tile is still pre-compared against its stored sums,
         snapshotted, predicted, post-compared and individually
@@ -215,28 +226,40 @@ class VerifyRuntime:
         in row-major order, then all post-op compares in row-major
         order (the first recorded escalation wins, as everywhere).
 
-        The snapshot is a kernel temporary like any other (DESIGN
-        decision 6): the grid is walked in bands of whole tile rows
-        whose snapshot fits ``inner.resolved_byte_budget()``.  A grid
-        whose tiles, row operands or column operands are not each of one
-        shape and dtype takes the per-tile guarded loop instead."""
+        The snapshot (distance tiles, and hop tiles beside them) is a
+        kernel temporary like any other (DESIGN decision 6): the grid is
+        walked in bands of whole tile rows whose snapshot fits
+        ``inner.resolved_byte_budget()``.  A grid whose tiles, row
+        operands or column operands are not each of one shape and dtype
+        takes the one-tile guarded cycle per tile instead."""
         op = validate_grid(c_tiles, a_rows, b_cols, phase)
         tiles = [c for c_row in c_tiles for c in c_row]
         if not tiles:
             return c_tiles
-        if not (uniform_tiles(tiles) and uniform_tiles(a_rows) and uniform_tiles(b_cols)):
-            for a, c_row in zip(a_rows, c_tiles):
-                for b, c in zip(b_cols, c_row):
-                    self.accumulate(c, a, b, semiring, phase)
+        hop_tiles = [] if hops is None else [
+            cell[1] for cell in grid_hop_tiles(c_tiles, a_rows, b_cols, semiring, phase, hops)
+        ]
+        if not (
+            uniform_tiles(tiles) and uniform_tiles(a_rows) and uniform_tiles(b_cols)
+            and (hops is None or uniform_tiles(hop_tiles))
+        ):
+            for i, (a, c_row) in enumerate(zip(a_rows, c_tiles)):
+                for j, (b, c) in enumerate(zip(b_cols, c_row)):
+                    hop = None if hops is None else (hops[0][i][j], hops[1][i])
+                    self.accumulate(c, a, b, semiring, phase, hop)
             return c_tiles
-        step = max(1, self.inner.resolved_byte_budget() // (len(b_cols) * tiles[0].nbytes))
+        tile_bytes = tiles[0].nbytes + (hop_tiles[0].nbytes if hop_tiles else 0)
+        step = max(1, self.inner.resolved_byte_budget() // (len(b_cols) * tile_bytes))
         b_cols = OperandList(b_cols)
         for r0 in range(0, len(a_rows), step):
             band = slice(r0, r0 + step)
-            self._accumulate_band(c_tiles[band], a_rows[band], b_cols, semiring, phase, op)
+            band_hops = None if hops is None else (hops[0][band], hops[1][band])
+            self._accumulate_band(
+                c_tiles[band], a_rows[band], b_cols, semiring, phase, op, band_hops
+            )
         return c_tiles
 
-    def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, op) -> None:
+    def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, op, hops) -> None:
         """One guarded cycle over a uniform grid (a band of whole tile
         rows of the caller's).  Both array passes are the inner backend's
         guard entries, so a native backend checks at kernel speed; the
@@ -260,17 +283,24 @@ class VerifyRuntime:
         )
         for t in np.flatnonzero(checksums_mismatch(stored, pre)):
             self._precheck(guards[t], (pre_row[t], pre_col[t]), op)
-        predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
-        inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase)
+        if hops is None:
+            predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
+        else:
+            # Path kernels run at operand width: predict at full width.
+            hop_tiles = [h for h_row in hops[0] for h in h_row]
+            hop_snap = stack_tiles(hop_tiles)
+            predicted = self.reference.predict_sums(pre, a_rows, b_cols, semiring)
+        inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
         self._count("ops_checked", len(tiles))
         _, actual = inner.tile_sums(tiles, semiring)
         repaired = {}
         for t in np.flatnonzero(checksums_mismatch(predicted, actual)):
             self._count("sdc_detected")
             i, j = divmod(int(t), len(b_cols))
+            hop = None if hops is None else (hop_tiles[t], hop_snap[t], hops[1][i])
             repaired[int(t)] = self._repair_accumulate(
                 guards[t], tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
-                semiring, op,
+                semiring, op, hop,
             )
         # Per-tile sums are views into this band's stacked sums.
         for t, (c, guard, row, col) in enumerate(zip(tiles, guards, *actual)):
@@ -280,15 +310,24 @@ class VerifyRuntime:
             else:
                 self._transient[id(c)] = sums
 
-    def _repair_accumulate(self, guard, c, c_pre, pre, a, b, semiring, op: str) -> Checksums:
+    def _repair_accumulate(
+        self, guard, c, c_pre, pre, a, b, semiring, op: str, hop=None
+    ) -> Checksums:
         """Localized repair: rebuild the flagged tile from its operands
         with the ``tiled`` backend, then re-verify against a full-width
         prediction (``tiled`` never narrows, so the reduced-precision
         prediction no longer applies).  ``op`` is the guarded product the
         mismatch was caught in (``srgemm_{phase}``), named by a
-        persisting escalation."""
+        persisting escalation.  ``hop = (c_nxt, c_nxt_pre, a_nxt)``
+        restores the tile's next hops too and repairs with the path
+        kernel."""
         np.copyto(c, c_pre)
-        self.reference.srgemm_accumulate(c, a, b, semiring=semiring)
+        if hop is None:
+            self.reference.srgemm_accumulate(c, a, b, semiring=semiring)
+        else:
+            c_nxt, c_nxt_pre, a_nxt = hop
+            np.copyto(c_nxt, c_nxt_pre)
+            self.reference.srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b)
         predicted = predicted_accumulate(pre, a, b, semiring, None)
         actual = block_checksums(c, semiring)
         if checksums_match(predicted, actual):
@@ -301,38 +340,6 @@ class VerifyRuntime:
                 op,
             )
         return actual
-
-    def accumulate_paths(self, c, c_nxt, a, a_nxt, b) -> np.ndarray:
-        # Path kernels always run at operand width (base-class contract),
-        # so predictions skip the compute-dtype cast.  Next-hop blocks are
-        # not checksummed — see the detection-limits note in docs/FAULTS.md.
-        semiring = MIN_PLUS
-        guard = self._tiles.get(id(c))
-        pre = block_checksums(c, semiring)
-        self._precheck(guard, pre, "srgemm_accumulate_paths")
-        c_pre = c.copy()
-        nxt_pre = c_nxt.copy()
-        predicted = predicted_accumulate(pre, a, b, semiring, None)
-        self.inner.srgemm_grid([[c]], [a], [b], semiring, hops=([[c_nxt]], [a_nxt]))
-        self._count("ops_checked")
-        actual = block_checksums(c, semiring)
-        if not checksums_match(predicted, actual):
-            self._count("sdc_detected")
-            np.copyto(c, c_pre)
-            np.copyto(c_nxt, nxt_pre)
-            self.reference.srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b)
-            actual = block_checksums(c, semiring)
-            if checksums_match(predicted, actual):
-                self._count("repaired")
-            else:
-                self._flag(
-                    "path-kernel checksum mismatch persisted after reference repair",
-                    guard,
-                    "srgemm_accumulate_paths",
-                )
-        if guard is not None:
-            guard.row, guard.col = actual
-        return c
 
     def wrap_closure(self, blk: np.ndarray, fn: Callable[[], None]) -> Callable[[], None]:
         """Guard a DiagUpdate closure (FW on the pivot block).  Checksums

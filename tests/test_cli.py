@@ -202,7 +202,6 @@ class TestExitCodes:
         assert "rank" in capsys.readouterr().err
 
     def test_mapping_is_ordered_most_specific_first(self):
-        from repro.cli import _exit_code_for
         from repro.errors import (
             BackendUnavailableError,
             CheckpointError,
@@ -213,30 +212,31 @@ class TestExitCodes:
             RankFailure,
             ReproError,
             ValidationError,
+            exit_code_for,
         )
 
-        assert _exit_code_for(ConfigurationError("x")) == 2
-        assert _exit_code_for(ValidationError("x")) == 3
-        assert _exit_code_for(NegativeCycleError(0, -1.0)) == 4
-        assert _exit_code_for(GpuOutOfMemory(100, 10, 50)) == 5
+        assert exit_code_for(ConfigurationError("x")) == 2
+        assert exit_code_for(ValidationError("x")) == 3
+        assert exit_code_for(NegativeCycleError(0, -1.0)) == 4
+        assert exit_code_for(GpuOutOfMemory(100, 10, 50)) == 5
         # BackendUnavailableError subclasses ConfigurationError but keeps
         # its own code.
-        assert _exit_code_for(BackendUnavailableError("cnative", "no C compiler")) == 6
-        assert _exit_code_for(CommTimeoutError("x", rank=0, src=1, tag=2)) == 7
-        assert _exit_code_for(RankFailure("x")) == 8
-        assert _exit_code_for(CheckpointError("x")) == 9
-        assert _exit_code_for(ReproError("x")) == 1
+        assert exit_code_for(BackendUnavailableError("cnative", "no C compiler")) == 6
+        assert exit_code_for(CommTimeoutError("x", rank=0, src=1, tag=2)) == 7
+        assert exit_code_for(RankFailure("x")) == 8
+        assert exit_code_for(CheckpointError("x")) == 9
+        assert exit_code_for(ReproError("x")) == 1
         # FaultPlanError subclasses ConfigurationError but keeps its own
         # code, and InternalError marks unexpected (non-Repro) bugs.
         from repro.errors import FaultPlanError, InternalError
 
-        assert _exit_code_for(FaultPlanError("x")) == 13
-        assert _exit_code_for(InternalError(ValueError("boom"))) == 14
+        assert exit_code_for(FaultPlanError("x")) == 13
+        assert exit_code_for(InternalError(ValueError("boom"))) == 14
         # The serving layer's failure classes (docs/SERVING.md).
         from repro.errors import ArtifactError, QueryError
 
-        assert _exit_code_for(ArtifactError("p", "bad")) == 17
-        assert _exit_code_for(QueryError("x")) == 18
+        assert exit_code_for(ArtifactError("p", "bad")) == 17
+        assert exit_code_for(QueryError("x")) == 18
 
     def test_every_error_class_has_its_own_code_row_and_doc_line(self):
         # Each ReproError subclass, at any depth: an exit code no other

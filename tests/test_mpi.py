@@ -239,16 +239,6 @@ class TestBroadcasts:
         results = self.run_collective(env, size, fn)
         assert all(results[r] == "token" for r in range(size))
 
-    def test_ring_bcast_sync_relay(self, env, size):
-        def fn(comm, rank):
-            payload = [1, 2, 3] if rank == 0 else None
-            got, relay = yield from bcast_ring(comm, 0, payload, tag=3, async_relay=False)
-            assert relay.triggered
-            return got
-
-        results = self.run_collective(env, size, fn)
-        assert all(results[r] == [1, 2, 3] for r in range(size))
-
     def test_barrier_synchronizes(self, env, size):
         reach = {}
 

@@ -166,12 +166,6 @@ class TestCorruption:
         monkeypatch.undo()
         np.testing.assert_array_equal(load_artifact(artifact_dir).load_graph(), w)
 
-    def test_verification_can_be_disabled(self, artifact_dir, solved):
-        # verify_blocks=False serves whatever bytes are on disk.
-        _, res = solved
-        srv = repro.serve(artifact_dir, verify_blocks=False)
-        assert srv.distance(0, 39) == res.dist[0, 39]
-
 
 def _block_file(path, key):
     """The block file that holds tile ``key`` of the artifact at ``path``."""
@@ -288,12 +282,24 @@ class TestBlockCache:
         assert cache.stats()["oversize"] == 1
         assert cache.resident_bytes == 0
 
-    def test_invalidate(self):
-        cache = BlockCache(1 << 20)
-        cache.get("a", lambda: np.zeros(8))
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.resident_bytes == 0
+    def test_put(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        tile_bytes = np.zeros((8, 8)).nbytes  # 512
+        cache = BlockCache(tile_bytes * 2, metrics=MetricsRegistry())
+        old, new, big = np.zeros((8, 8)), np.ones((8, 8)), np.zeros((64, 64))
+        cache.get("a", lambda: old)
+        cache.put("a", new)  # replaces: the bytes of one tile, not two
+        assert cache.get("a", lambda: old) is new
+        assert cache.resident_bytes == tile_bytes and len(cache) == 1
+        cache.put("b", old)  # a new key is admitted, no load counted
+        assert cache.resident_bytes == 2 * tile_bytes
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+        cache.put("a", big)  # oversize: the stale entry goes, the new one is not held
+        assert "a" not in cache and cache.stats()["oversize"] == 1
+        assert cache.resident_bytes == tile_bytes
+        gauges = cache._metrics.flat()
+        assert (gauges["serve.cache.bytes"], gauges["serve.cache.blocks"]) == (tile_bytes, 1)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -509,6 +515,44 @@ class TestIncremental:
         assert stats["fast_updates"] == 1
         assert stats["recomputes"] == 0
         assert 0 < stats["dirty_blocks"] <= 16
+
+    def test_rewritten_tiles_are_read_from_the_cache(self, tmp_path, monkeypatch):
+        """A rewrite lands in the cache: re-reading every tile a decrease
+        rewrote is a hit, never a read of the file just written."""
+        n, b = 30, 8
+        w = np.ceil(erdos_renyi(n, 0.3, seed=6) * 64) / 64  # every (min,+) sum exact
+        res = repro.solve(w, variant="async", block_size=b, **CLUSTER)
+        path = tmp_path / "art"
+        res.save(path, block_size=b, graph=w)
+        srv = repro.serve(path, ServeConfig(obs=repro.ObsSinks(metrics=True)))
+        written, loads = [], []
+        rewrite, load = Artifact.rewrite_block, Artifact.load_block
+
+        def spy_rewrite(self, bi, bj, data):
+            written.append((bi, bj))
+            return rewrite(self, bi, bj, data)
+
+        def spy_load(self, bi, bj):
+            loads.append((bi, bj))
+            return load(self, bi, bj)
+
+        monkeypatch.setattr(Artifact, "rewrite_block", spy_rewrite)
+        monkeypatch.setattr(Artifact, "load_block", spy_load)
+        assert srv.update_edge(0, 17, 0.015625) is True
+        assert written
+        w[0, 17] = 0.015625
+        fresh = repro.solve(w, variant="async", block_size=b, **CLUSTER).dist
+        misses, read = srv.metrics.flat()["serve.cache.misses"], len(loads)
+        for bi, bj in written:
+            tile = srv.engine.block(bi, bj)
+            assert not tile.flags.writeable
+            np.testing.assert_array_equal(tile, fresh[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b])
+        assert srv.metrics.flat()["serve.cache.misses"] == misses
+        assert len(loads) == read
+        everything = np.arange(n)
+        np.testing.assert_array_equal(srv.submatrix(everything, everything), fresh)
+        srv.close()
+        np.testing.assert_array_equal(repro.serve(path).submatrix(everything, everything), fresh)
 
     def test_noop_increase_is_fast(self, tmp_path):
         w, res, srv, path = self._served(tmp_path)

@@ -23,17 +23,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cli import _exit_code_for
 from repro import solve
 from repro.errors import (
     ConfigurationError,
     SilentCorruptionError,
     ValidationError,
     VerificationError,
+    exit_code_for,
 )
 from repro.faults import FaultPlan, MemoryFault
 from repro.graphs import uniform_random_dense
-from repro.semiring import MIN_PLUS, PLUS_TIMES, SEMIRINGS
+from repro.semiring import MIN_PLUS, NO_HOP, PLUS_TIMES, SEMIRINGS
 from repro.semiring.backends import CNativeBackend, TiledBackend, available_backends, get_backend
 from repro.semiring.backends import cnative as cnative_mod
 from repro.semiring.backends.base import (
@@ -462,11 +462,22 @@ def _guarded(inner, c_tiles, semiring=MIN_PLUS, tracked=lambda i, j: True):
     return vrt, tiles
 
 
-def _tile_loop(vrt, tiles, a_rows, b_cols, semiring, phase):
+def _hop_case(c_tiles, a_rows, seed=0):
+    """``(c_hop_tiles, a_hop_rows)`` for a grid: next hops of the
+    accumulators start unknown, the row operands' are random vertices."""
+    rng = np.random.default_rng(seed)
+    return (
+        [[np.full(c.shape, NO_HOP) for c in c_row] for c_row in c_tiles],
+        [rng.integers(0, 50, a.shape) for a in a_rows],
+    )
+
+
+def _tile_loop(vrt, tiles, a_rows, b_cols, semiring, phase, hops=None):
     """The per-tile guarded loop a guarded grid stands for."""
-    for a, c_row in zip(a_rows, tiles):
-        for b, c in zip(b_cols, c_row):
-            vrt.accumulate(c, a, b, semiring, phase)
+    for i, (a, c_row) in enumerate(zip(a_rows, tiles)):
+        for j, (b, c) in enumerate(zip(b_cols, c_row)):
+            hop = None if hops is None else (hops[0][i][j], hops[1][i])
+            vrt.accumulate(c, a, b, semiring, phase, hop)
 
 
 def _assert_same_array(got, want, msg):
@@ -498,8 +509,10 @@ def _assert_same_state(got, want, msg):
 class _CorruptsTarget(TiledBackend):
     """Tiled numerics, except that the product into ``target`` (by
     identity) comes out with one entry pushed below every true value -
-    a downward flip both min-checksums see.  Every grid of the tiled
-    backend, one-tile ones included, funnels into ``srgemm_accumulate``."""
+    a downward flip both min-checksums see - and, with next hops, a
+    wrong hop there.  Every grid of the tiled backend, one-tile ones
+    included, funnels into ``srgemm_accumulate`` (with next hops,
+    ``srgemm_accumulate_paths``)."""
 
     target = None
 
@@ -507,6 +520,12 @@ class _CorruptsTarget(TiledBackend):
         super().srgemm_accumulate(c, a, b, semiring=semiring, k_chunk=k_chunk)
         if c is self.target:
             c[1, 2] = -1.0
+        return c
+
+    def srgemm_accumulate_paths(self, c, c_nxt, a, a_nxt, b, k_chunk=None):
+        super().srgemm_accumulate_paths(c, c_nxt, a, a_nxt, b, k_chunk=k_chunk)
+        if c is self.target:
+            c[1, 2], c_nxt[1, 2] = -1.0, 99
         return c
 
 
@@ -607,6 +626,67 @@ class TestGuardedGrid:
             for j in range(nc):
                 np.testing.assert_array_equal(tiles[i][j], want[i][j])
                 assert np.array_equal(tiles[i][j], faulty[i][j]) == ((i, j) != (1, 2))
+                guard = vrt._tiles[id(tiles[i][j])]
+                want_sums = block_checksums(want[i][j], MIN_PLUS)
+                assert checksums_match((guard.row, guard.col), want_sums)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("backend", ["tiled", "tiled-f32", "cnative"])
+    def test_hop_grid_is_the_per_tile_guarded_loop_bit_for_bit(self, backend, dtype):
+        """A grid with next hops takes the same cycle as one without:
+        bit for bit the one-tile guarded cycle with hops per tile -
+        distances, next hops, stored sums, counters - on a narrowing
+        backend too (path kernels run at operand width, and so does
+        their prediction)."""
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend unavailable")
+        inner = get_backend(backend)
+        for nr, nc in GRID_SHAPES:
+            msg = f"{backend} {np.dtype(dtype).name} {nr}x{nc}"
+            c_tiles, a_rows, b_cols = _grid_case(nr, nc, dtype)
+            c_hops, a_hops = _hop_case(c_tiles, a_rows)
+            tracked = lambda i, j: (i + j) % 3 != 1  # noqa: E731
+            looped = _guarded(inner, c_tiles, MIN_PLUS, tracked)
+            gridded = _guarded(inner, c_tiles, MIN_PLUS, tracked)
+            loop_hops, grid_hops = _copy_tiles(c_hops), _copy_tiles(c_hops)
+            for phase in ("panel", "outer"):  # second pass: the first's sums are the baseline
+                _tile_loop(*looped, a_rows, b_cols, MIN_PLUS, phase, (loop_hops, a_hops))
+                gridded[0].accumulate_grid(
+                    gridded[1], a_rows, b_cols, MIN_PLUS, phase, (grid_hops, a_hops)
+                )
+                _assert_same_state(gridded, looped, msg)
+                for g_row, w_row in zip(grid_hops, loop_hops):
+                    for g, w in zip(g_row, w_row):
+                        _assert_same_array(g, w, msg)
+            assert gridded[0].counters["ops_checked"] == 2 * nr * nc, msg
+            assert set(gridded[0].counters) == {"blocks_tracked", "ops_checked"}, msg
+            gridded[0].raise_pending()
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one-band", "band-per-row"])
+    def test_corrupt_tile_of_a_hop_grid_is_repaired_alone(self, budget, monkeypatch):
+        """One inner grid call per band carries the next hops, and a
+        tile the inner kernel corrupts is repaired alone - distances and
+        next hops - by the path kernel, bit-exact to the clean product."""
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        c_hops, a_hops = _hop_case(c_tiles, a_rows)
+        want, want_hops = _copy_tiles(c_tiles), _copy_tiles(c_hops)
+        get_backend("tiled").srgemm_grid(want, a_rows, b_cols, hops=(want_hops, a_hops))
+        inner = _CorruptsTarget(byte_budget=budget)
+        vrt, tiles = _guarded(inner, c_tiles)
+        hops = _copy_tiles(c_hops)
+        inner.target = tiles[1][2]
+        grid_calls = _spy(monkeypatch, inner, "srgemm_grid")
+        ChecksummedBackend(vrt).srgemm_grid(tiles, a_rows, b_cols, hops=(hops, a_hops))
+        vrt.raise_pending()  # repaired in place: nothing escalates
+        assert len(grid_calls) == (1 if budget is None else nr)
+        assert vrt.counters == {
+            "blocks_tracked": nr * nc, "ops_checked": nr * nc, "sdc_detected": 1, "repaired": 1,
+        }
+        for i in range(nr):
+            for j in range(nc):
+                np.testing.assert_array_equal(tiles[i][j], want[i][j])
+                np.testing.assert_array_equal(hops[i][j], want_hops[i][j])
                 guard = vrt._tiles[id(tiles[i][j])]
                 want_sums = block_checksums(want[i][j], MIN_PLUS)
                 assert checksums_match((guard.row, guard.col), want_sums)
@@ -932,9 +1012,9 @@ class TestCertificate:
 # ---------------------------------------------------------------------------
 class TestErrors:
     def test_exit_codes(self):
-        assert _exit_code_for(SilentCorruptionError("x")) == 10
-        assert _exit_code_for(VerificationError("x")) == 11
-        assert _exit_code_for(ValidationError("x")) == 3
+        assert exit_code_for(SilentCorruptionError("x")) == 10
+        assert exit_code_for(VerificationError("x")) == 11
+        assert exit_code_for(ValidationError("x")) == 3
 
     def test_verification_error_is_a_validation_error(self):
         assert issubclass(VerificationError, ValidationError)
