@@ -872,9 +872,10 @@ def _cmd_serve_update(args: argparse.Namespace) -> int:
         stats = server.stats()["incremental"]
     fast = stats["fast_updates"]
     print(
-        f"{len(updates)} update(s): {fast} fast (O(n^2) patch, "
-        f"{stats['dirty_blocks']} tile(s) rewritten), "
-        f"{stats['recomputes']} re-solve(s) covering {expensive} update(s)"
+        f"{len(updates)} update(s): {fast} fast (O(n^2) patch), "
+        f"{stats['repairs']} repair(s), {stats['recomputes']} re-solve(s) "
+        f"covering {expensive} update(s); {stats['dirty_blocks']} tile(s) "
+        f"rewritten by patches and repairs"
     )
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")

@@ -6,8 +6,10 @@ Maintains an APSP solution under edge updates:
   update: a cheaper edge (u, v, c) can only create paths through it,
   so ``dist' = dist ⊕ dist[:, u] ⊗ (c ⊗ dist[v, :])`` - one rank-1
   (min,+) outer product;
-* weight *increases* and deletions may invalidate arbitrarily many
-  paths; they are detected and answered with a (blocked) recompute.
+* weight *increases* and deletions may invalidate many paths; the
+  pairs they broke are found and repaired by two (min,+) products
+  and a closure over the broken columns, and a (blocked) recompute
+  answers an increase that broke too much to repair.
 
 The algorithm itself - validation, classification, batch coalescing,
 the refuse-before-write negative-cycle check, the counters - is
@@ -43,8 +45,8 @@ class IncrementalApsp(RankOneUpdater):
     """An APSP solution that tracks a mutating graph.
 
     ``update_edge`` / ``insert_edge`` / ``remove_edge`` /
-    ``batch_update`` and the ``fast_updates`` / ``recomputes`` counters
-    are the updater's.  Bad vertices or weights raise
+    ``batch_update`` and the ``fast_updates`` / ``repairs`` /
+    ``recomputes`` counters are the updater's.  Bad vertices or weights raise
     :class:`~repro.errors.QueryError` (a ``ValueError``) and a negative
     cycle :class:`~repro.errors.NegativeCycleError`, both with
     ``weights`` and ``dist`` untouched.
@@ -58,14 +60,15 @@ class IncrementalApsp(RankOneUpdater):
     block_size:
         Tile size for the store and the blocked recompute path.
     backend:
-        SrGemm kernel backend (name or instance) for recomputes;
+        SrGemm kernel backend (name or instance) for repairs and
+        recomputes (the updater's ``kernel_backend``);
         ``None`` resolves through the :mod:`repro.semiring.backends`
         registry (``REPRO_SRGEMM_BACKEND`` et al.), exactly like
         :func:`repro.core.blocked_fw`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; updates
-        increment ``serve.incremental.fast_updates`` /
-        ``serve.incremental.recomputes`` / ``.dirty_blocks``.
+        increment ``serve.incremental.fast_updates`` / ``.repairs`` /
+        ``.recomputes`` / ``.dirty_blocks``.
     """
 
     def __init__(self, weights: np.ndarray, block_size: int = 64, *,
@@ -77,16 +80,17 @@ class IncrementalApsp(RankOneUpdater):
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got {w.shape}")
         self.block_size = block_size
-        self.backend = backend
-        store = MemoryArtifact(self._solve(w).astype(dtype, copy=False),
+        dist = blocked_fw(w, min(block_size, len(w)), backend=backend)
+        store = MemoryArtifact(dist.astype(dtype, copy=False),
                                block_size=min(block_size, len(w)), graph=w)
-        super().__init__(store, QueryEngine(store, BlockCache()), metrics=metrics)
+        super().__init__(store, QueryEngine(store, BlockCache()), metrics=metrics,
+                         kernel_backend=backend)
 
     def _solve(self, graph: np.ndarray) -> np.ndarray:
         """A blocked recompute (the kernels work in the semiring's own
         dtype; callers cast back to the tracked one)."""
         return blocked_fw(graph, min(self.block_size, len(graph)),
-                          backend=self.backend)
+                          backend=self.kernel_backend)
 
     @property
     def n(self) -> int:

@@ -35,8 +35,10 @@ appends the log rows together.  A block file the commit no longer
 references is kept as a *spare*: the next new tile renames it to its
 temp name and overwrites it instead of creating a file, so a stream of
 updates makes no new inodes (creating files slows down as files churn,
-and that made update latency swing from run to run);
-:meth:`Artifact.close` deletes the spares.  ``graph.npz`` is rewritten
+and that made update latency swing from run to run).  A commit finds
+such files among the digests its rewrites released, without listing
+``blocks/``; :meth:`Artifact.close` deletes the spares and any orphan
+a crashed writer left.  ``graph.npz`` is rewritten
 only to compact the log - after that rename, once the log holds more than
 ``n`` rows - so it folds committed rows only, and replaying them again
 over the new payload changes nothing (each row assigns a weight).  A
@@ -132,6 +134,13 @@ class Artifact:
         #: reuse: a tile rewrite renames a spare and overwrites it rather
         #: than creating a file (creates slow down under churn on ext4).
         self._spares: dict[str, None] = {}
+        #: Digests that may have lost their last reference since the last
+        #: commit - each rewritten tile's old hash and new one (a
+        #: discarded batch leaves its files behind) - so that a commit
+        #: finds its garbage without listing ``blocks/``.
+        self._released: dict[str, None] = {}
+        #: Set by the first tile rewrite: only a writer sweeps ``blocks/``.
+        self._wrote = False
         self._graph_cache: Optional[np.ndarray] = None
         self._manifest_dirty = False
 
@@ -277,6 +286,9 @@ class Artifact:
         digest = hashlib.sha256(payload).hexdigest()
         if digest == entry["hash"]:
             return tile
+        self._released[entry["hash"]] = None
+        self._released[digest] = None
+        self._wrote = True
         path = self._block_path(digest)
         if digest in self._spares:
             del self._spares[digest]  # spares keep their bytes: live again
@@ -326,7 +338,9 @@ class Artifact:
         """Commit: write the manifest - block table and edit log - in
         one atomic rename, keep the block files it no longer references
         as spares (up to one per tile; the rest are deleted), then
-        compact the log if it holds more than ``n`` rows.
+        compact the log if it holds more than ``n`` rows.  The files
+        it no longer references are among the digests the rewrites
+        since the last commit released; ``blocks/`` is not listed.
 
         A failed compaction only warns: the update is committed, the
         log stays, and the next flush tries again.
@@ -348,13 +362,15 @@ class Artifact:
         self.manifest = manifest
         self._manifest_dirty = False
         live = {e["hash"] for e in self._blocks.values()}
-        for stale in (self.path / BLOCKS_DIR).glob("*.blk"):
-            if stale.stem in live or stale.stem in self._spares:
+        for stale in self._released:
+            if stale in live or stale in self._spares:
                 continue
             if len(self._spares) < len(self._blocks):
-                self._spares[stale.stem] = None
+                self._spares[stale] = None
             else:
-                stale.unlink(missing_ok=True)
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._block_path(stale))
+        self._released.clear()
         if len(self._edits) > self.n:
             try:
                 self.rewrite_graph(self.load_graph())
@@ -369,20 +385,29 @@ class Artifact:
     def discard(self) -> None:
         """Forget everything since the last commit - tile rewrites, log
         rows, the cached graph - so this object is again what is on
-        disk (block files written since are swept by the next flush)."""
+        disk (the block files written since stay released, and the next
+        commit keeps or deletes them)."""
         self._blocks = _block_table(self.manifest["blocks"])
         self._edits = list(self.manifest.get("edits", ()))
         self._graph_cache = None
         self._manifest_dirty = False
 
     def close(self) -> None:
-        """Flush, then delete the spare block files: at rest the
-        directory holds only the files the manifest references."""
+        """Flush, then, if this object rewrote a tile, delete every
+        block file the manifest does not reference - the spares, and
+        any orphan a crashed process left - so that at rest the
+        directory holds only those files.  The one listing of
+        ``blocks/``; a reader never deletes."""
         self.flush()
-        for digest in self._spares:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self._block_path(digest))
+        if self._wrote:
+            live = {e["hash"] for e in self._blocks.values()}
+            for entry in os.scandir(self._blocks_dir):
+                digest, ext = os.path.splitext(entry.name)
+                if ext == ".blk" and digest not in live:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(entry.path)
         self._spares.clear()
+        self._released.clear()
 
     def describe(self) -> str:
         unique = len({e["hash"] for e in self._blocks.values()})

@@ -10,10 +10,20 @@ artifact interface (:class:`~repro.serve.Artifact` on disk,
   outer product - ``dist' = dist ⊕ dist[:, u] ⊗ (c ⊗ dist[v, :])`` -
   applied tile by tile in the store dtype, and **only dirtied tiles are
   rewritten** (content-addressing makes an unchanged tile a no-op);
-* a weight *increase* / deletion first checks, in float64, whether any
-  shortest path actually used the edge (one read-only sweep); if none
-  did the update is free, otherwise the patch is *invalid* and one
-  re-solve replaces every tile;
+* a weight *increase* / deletion first finds, in float64, the set A of
+  pairs some shortest path of which used the edge at its old weight:
+  by subpath optimality the candidate rows are the i whose path to v
+  runs through it (``d(i,u) + w == d(i,v)``, over one tile column) and
+  the candidate columns the j whose path from u does, so only that
+  submatrix is tested.  An empty A is free.  Otherwise A is
+  *repaired* on the kernel waist: with S and T the rows and columns of
+  A, ``R = dist[S, :]`` with the broken entries at +inf and ``W'`` the
+  updated graph, ``X = (R ⊗ W'[:, T]) ⊗ closure(W'[T, T])`` is exact at
+  every pair of A (the last unbroken vertex on an optimal path seeds
+  it, and every vertex after it lies in T), and only those pairs, in
+  only the tiles holding them, are written.  Past a fixed share of n³
+  (:data:`RESOLVE_SHARE`), or once a re-solve is staged in the batch,
+  one re-solve replaces every tile instead;
 * an update is **refused before anything is written**: bad vertices or
   weights, or an artifact solved under a semiring other than (min,+)
   (the patch arithmetic below is (min,+) only), raise
@@ -27,11 +37,13 @@ artifact interface (:class:`~repro.serve.Artifact` on disk,
   :meth:`~repro.serve.Artifact.flush` at the end of the batch, after
   the re-solve if one ran, commits the rewritten tiles and the rows in
   one manifest rename; nothing re-compresses ``graph.npz`` per update.
-  Any failure but a refusal - a failed block write, re-solve or
+  Any failure but a refusal - a failed block write, repair, re-solve or
   flush - discards the whole batch
   (:meth:`~repro.serve.Artifact.discard`) and propagates, so memory
   and disk both keep the last commit.
 
+Repairs run on the kernel backend the updater names
+(``kernel_backend``, resolved by :func:`~repro.semiring.backends.get_backend`).
 Two thin subclasses say how a re-solve is obtained:
 :class:`ArtifactPatcher` (here) submits one job to a
 :class:`~repro.sched.ClusterScheduler` configured from the artifact's
@@ -39,8 +51,8 @@ own solve header - a fresh private one per re-solve unless the caller
 passed one, so no finished re-solve outlives its update;
 :class:`repro.extensions.IncrementalApsp` runs ``blocked_fw`` over an
 in-memory store.  Counters surface as
-``serve.incremental.*`` metrics, and the two are pinned bit-exact
-against each other and against a fresh solve by
+``serve.incremental.*`` metrics, and the two are pinned against each
+other and against a fresh solve - bit for bit on dyadic weights - by
 ``tests/test_serve.py::TestIncremental::test_cross_store_equivalence``.
 """
 
@@ -51,28 +63,47 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from ..errors import ArtifactError, ConfigurationError, NegativeCycleError, QueryError
+from ..semiring.backends import get_backend
 from ..semiring.minplus import INF
 from .query import check_vertex
 
-__all__ = ["RankOneUpdater", "ArtifactPatcher"]
+__all__ = ["RankOneUpdater", "ArtifactPatcher", "RESOLVE_SHARE"]
+
+#: A repair of the broken set A costs |S|·n·|T| + |T|³ + |S|·|T|²
+#: (min,+) operations (S, T: the rows and columns of A); past this share
+#: of the n³ of a re-solve, the increase re-solves instead.  Measured on
+#: a 2-core Xeon at n = 768 (64-row tiles, cnative), over 20 increases
+#: from 0.0005 to 1.3 n³: a repair with its commit took about
+#: 5 ms + 88 ms per n³ of work (6 ms at 0.004 n³, 50 ms at 0.55 n³,
+#: 117 ms at 1.3 n³) and a re-solve with its commit 49-87 ms, so the two
+#: meet near 0.65 n³; at 0.5 a repair is no slower than the fastest
+#: re-solve.  Halving an edge and restoring it, as the serve-update
+#: workload does, breaks about 0.001 n³.
+RESOLVE_SHARE = 0.5
 
 
 class RankOneUpdater:
     """Applies edge updates to an artifact through a query engine;
-    subclasses provide ``_solve(graph) -> dist`` for invalid patches."""
+    subclasses provide ``_solve(graph) -> dist`` for the increases a
+    repair does not cover.  ``kernel_backend`` (a name, an instance or
+    None for the default) runs the repairs."""
 
-    def __init__(self, artifact, engine, *, metrics=None):
+    def __init__(self, artifact, engine, *, metrics=None, kernel_backend=None):
         self.artifact = artifact
         self.engine = engine
         self.metrics = metrics
+        self.kernel_backend = kernel_backend
         self.fast_updates = 0
+        self.repairs = 0
         self.recomputes = 0
         self.dirty_blocks = 0
 
     # -- public update surface --------------------------------------------
     def update_edge(self, u: int, v: int, weight: float) -> bool:
-        """Set the weight of edge (u, v); True when the O(n²) tile
-        patch sufficed, False when a re-solve ran."""
+        """Set the weight of edge (u, v); True when no shortest path
+        was invalidated (the O(n²) tile patch, or a free increase),
+        False when one was and the broken pairs were repaired or the
+        graph re-solved."""
         return self.batch_update([(u, v, weight)]) == 0
 
     def insert_edge(self, u: int, v: int, weight: float) -> bool:
@@ -82,21 +113,24 @@ class RankOneUpdater:
             u, v, min(weight, float(self.artifact.load_graph()[u, v])))
 
     def remove_edge(self, u: int, v: int) -> bool:
-        """Delete an edge (set to +inf); re-solves if it carried any
-        shortest path."""
+        """Delete an edge (set to +inf); repairs the pairs it carried
+        (or re-solves, past the crossover) if it carried any."""
         return self.update_edge(u, v, INF)
 
     def batch_update(self, updates: Iterable[tuple[int, int, float]]) -> int:
-        """Apply many edge updates, coalescing re-solves: decreases are
-        absorbed immediately, increases are staged, and at most *one*
-        re-solve runs at the end, before the batch's one commit.
-        Returns the number of updates that needed it (0 = everything
-        took the fast path).  A refused update raises with every update
-        before it committed; any other failure commits none of them."""
+        """Apply many edge updates with one commit: decreases are
+        absorbed and increases repaired where they occur, and an
+        increase past the crossover stages the batch's one re-solve,
+        which runs at the end and covers every increase after it.
+        Returns the number of updates that invalidated a shortest path
+        (0 = everything took the fast path).  A refused update raises
+        with every update before it committed; any other failure
+        commits none of them."""
         self.engine.require_min_plus("an edge update")
         art = self.artifact
         graph = art.load_graph()
         expensive = 0
+        resolve = False
         edited = False
         try:
             for u, v, weight in updates:
@@ -106,26 +140,33 @@ class RankOneUpdater:
                         raise NegativeCycleError(u, weight)
                     continue  # shortens no simple path: a no-op, not counted
                 old = float(graph[u, v])
+                broken = None
                 if weight <= old:
                     self._absorb_decrease(u, v, weight)
-                    self._count("fast_updates")
-                elif self._edge_on_some_path(u, v, old):
-                    expensive += 1
                 else:
+                    broken = self._broken_pairs(u, v, old)
+                if broken is None:
                     self._count("fast_updates")
+                else:
+                    expensive += 1
+                    # Once a re-solve is staged the tiles are stale: it
+                    # covers this increase too.
+                    resolve = resolve or self._past_crossover(*broken[:2])
+                    if not resolve:
+                        self._repair(u, v, weight, graph, *broken)
                 art.log_edit(u, v, weight)  # accepted: only now may the graph change
                 edited = True
         except (QueryError, NegativeCycleError):
             # A refusal is raised before its update writes anything, so
             # the prefix before it is whole: commit it.
             if edited:
-                self._commit(graph, expensive)
+                self._commit(graph, resolve)
             raise
         except BaseException:
             self._forget()  # a write may have stopped half way through a patch
             raise
         if edited:
-            self._commit(graph, expensive)
+            self._commit(graph, resolve)
         return expensive
 
     # -- internals --------------------------------------------------------
@@ -175,26 +216,122 @@ class RankOneUpdater:
             dirtied += 1
         self._count("dirty_blocks", dirtied)
 
-    def _edge_on_some_path(self, u: int, v: int, old_weight: float) -> bool:
-        """Did any pair's shortest distance equal a route through
-        (u, v) at its old weight?  Read-only tile sweep."""
-        if not np.isfinite(old_weight):
-            return False
-        col_u = self.engine.col(u).astype(np.float64)
-        shifted = old_weight + self.engine.row(v).astype(np.float64)
-        for bi, bj, si, sj in self._tiles():
-            tile = np.asarray(self.engine.block(bi, bj), dtype=np.float64)
-            via = col_u[si, None] + shifted[None, sj]
-            if bool(np.any(np.isclose(via, tile) & np.isfinite(tile))):
-                return True
-        return False
+    def _broken_pairs(self, u: int, v: int, old_weight: float):
+        """The pairs (i, j) whose shortest distance equals a route
+        through (u, v) at its old weight, tested in float64: ``(S, T,
+        mask, dist[S, :])`` - the rows and columns holding them, the
+        |S| x |T| mask of the pairs and the rows of the store - or None
+        when there are none.  Read-only.
 
-    def _commit(self, graph: np.ndarray, expensive: int) -> None:
+        Such a pair's path to v, and its path from u, run through the
+        edge too (subpath optimality), so only rows with
+        ``d(i,u) + w == d(i,v)`` and columns with ``w + d(v,j) ==
+        d(u,j)`` are tested.  ``isclose`` over-approximates A, which is
+        safe: a pair that did not break repairs to its old value.  The
+        diagonal never breaks (the empty path uses no edge).
+        """
+        if not np.isfinite(old_weight):
+            return None
+        eng = self.engine
+        col_u, col_v = eng.col(u).astype(np.float64), eng.col(v).astype(np.float64)
+        row_u, row_v = eng.row(u).astype(np.float64), eng.row(v).astype(np.float64)
+        rows = np.flatnonzero(np.isclose(col_u + old_weight, col_v) & np.isfinite(col_v))
+        cols = np.flatnonzero(np.isclose(old_weight + row_v, row_u) & np.isfinite(row_u))
+        if not (rows.size and cols.size):
+            return None
+        reach = self._dist_rows(rows)
+        dist = reach[:, cols].astype(np.float64)
+        via = col_u[rows, None] + (old_weight + row_v[None, cols])
+        mask = np.isclose(via, dist) & np.isfinite(dist) & (rows[:, None] != cols[None, :])
+        keep_rows, keep_cols = mask.any(axis=1), mask.any(axis=0)
+        if not keep_rows.any():
+            return None
+        return (rows[keep_rows], cols[keep_cols], mask[np.ix_(keep_rows, keep_cols)],
+                reach[keep_rows])
+
+    def _dist_rows(self, rows: np.ndarray) -> np.ndarray:
+        """dist[rows, :] in the store dtype, gathered one block row at a
+        time (``rows`` sorted)."""
+        art = self.artifact
+        b = art.block_size
+        out = np.empty((len(rows), art.n), dtype=art.dtype)
+        bounds = np.searchsorted(rows, np.arange(art.nb + 1) * b)
+        for bi in range(art.nb):
+            lo, hi = bounds[bi], bounds[bi + 1]
+            if lo < hi:
+                local = rows[lo:hi] - bi * b
+                out[lo:hi] = np.concatenate(
+                    [self.engine.block(bi, bj)[local] for bj in range(art.nb)], axis=1)
+        return out
+
+    def _past_crossover(self, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Would :meth:`_repair` - the seed product, the closure over T
+        and the product through it - cost more (min,+) operations than
+        :data:`RESOLVE_SHARE` of a re-solve's n³?"""
+        n, s, t = self.artifact.n, len(rows), len(cols)
+        return s * n * t + t ** 3 + s * t * t > RESOLVE_SHARE * n ** 3
+
+    def _repair(self, u: int, v: int, weight: float, graph: np.ndarray,
+                rows: np.ndarray, cols: np.ndarray, mask: np.ndarray,
+                reach: np.ndarray) -> None:
+        """Recompute the broken pairs ``(rows, cols)[mask]`` of an
+        increase of (u, v) to ``weight`` and rewrite the tiles whose
+        values changed; ``reach`` is ``dist[rows, :]``, overwritten.
+
+        ``seed = R ⊗ W'[:, T]`` relaxes one edge out of every unbroken
+        pair (R: ``reach`` with the broken pairs at +inf) and
+        ``seed ⊗ closure(W'[T, T])`` finishes each path inside T.  An
+        optimal new path from i to a broken j leaves its last unbroken
+        vertex k - whose distance the increase left alone - into
+        vertices that all lie in T, so both products together are exact
+        at every broken pair.
+        """
+        art = self.artifact
+        backend = get_backend(self.kernel_backend)
+        # The byte budget is configuration, as in a solve: a malformed
+        # $REPRO_SRGEMM_BYTE_BUDGET is a ConfigurationError here too.
+        backend.resolved_byte_budget()
+        broken_i, broken_j = np.nonzero(mask)
+        reach[broken_i, cols[broken_j]] = INF
+        into = graph[:, cols].astype(art.dtype)  # W'[:, T]: the edge at its new weight
+        into[u, cols == v] = weight
+        inside = into[cols]  # W'[T, T], a fresh array
+        np.fill_diagonal(inside, 0)
+        backend.fw_closure(inside)
+        fixed = backend.srgemm(backend.srgemm(reach, into), inside)
+        self._write_pairs(rows[broken_i], cols[broken_j],
+                          fixed[broken_i, broken_j].astype(art.dtype))
+        self._count("repairs")
+
+    def _write_pairs(self, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> None:
+        """Set dist[src, dst] = values, rewriting only the tiles that
+        hold a pair whose value changed."""
+        b, nb = self.artifact.block_size, self.artifact.nb
+        bi, bj = src // b, dst // b
+        tile_id = bi * nb + bj
+        order = np.argsort(tile_id, kind="stable")
+        ids = tile_id[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        dirtied = 0
+        for a, z in zip(starts, np.r_[starts[1:], len(ids)]):
+            idx = order[a:z]
+            ti, tj = int(bi[idx[0]]), int(bj[idx[0]])
+            local = (src[idx] - ti * b, dst[idx] - tj * b)
+            tile = self.engine.block(ti, tj)
+            if np.array_equal(tile[local], values[idx]):
+                continue
+            tile = np.array(tile)
+            tile[local] = values[idx]
+            self.engine.write(ti, tj, tile)
+            dirtied += 1
+        self._count("dirty_blocks", dirtied)
+
+    def _commit(self, graph: np.ndarray, resolve: bool) -> None:
         """End a batch: the one re-solve if an increase staged it, then
         one flush.  On any failure nothing of the batch is committed,
         and the store and the cache forget it too."""
         try:
-            if expensive:
+            if resolve:
                 self._recompute(graph)
             self.artifact.flush()
         except BaseException:
@@ -207,8 +344,8 @@ class RankOneUpdater:
         self.engine.cache.clear()
 
     def _recompute(self, graph: np.ndarray) -> None:
-        """The patch is invalid: re-solve the updated graph and rewrite
-        every changed tile from the result."""
+        """Too much broke to repair: re-solve the updated graph and
+        rewrite every changed tile from the result."""
         art = self.artifact
         dist = np.asarray(self._solve(graph), dtype=art.dtype)
         for bi, bj, si, sj in self._tiles():
@@ -220,8 +357,9 @@ class RankOneUpdater:
 
 
 class ArtifactPatcher(RankOneUpdater):
-    """The updater behind :class:`~repro.serve.QueryServer`: an invalid
-    patch is re-solved by one job on the cluster scheduler.
+    """The updater behind :class:`~repro.serve.QueryServer`: an
+    increase past the repair crossover is re-solved by one job on the
+    cluster scheduler.
 
     ``scheduler`` is the caller's to keep, history and all; without
     one, each re-solve builds its own, which (with its job, weights,
@@ -230,8 +368,7 @@ class ArtifactPatcher(RankOneUpdater):
 
     def __init__(self, artifact, engine, *, metrics=None,
                  kernel_backend: Optional[str] = None, scheduler=None):
-        super().__init__(artifact, engine, metrics=metrics)
-        self.kernel_backend = kernel_backend
+        super().__init__(artifact, engine, metrics=metrics, kernel_backend=kernel_backend)
         self._scheduler = scheduler
 
     # Bound in this class's own namespace as well: benchmarks/e2e patches

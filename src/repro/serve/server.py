@@ -7,8 +7,8 @@ the serving sibling of ``repro.solve(...) -> ApspResult``:
   :meth:`~QueryServer.k_nearest`, :meth:`~QueryServer.submatrix`, and
   the ``submit()``-consistent async :meth:`~QueryServer.submit_batch`;
 * writes: :meth:`~QueryServer.update_edge` /
-  :meth:`~QueryServer.batch_update` through the incremental patch path
-  (only for artifacts saved with their graph);
+  :meth:`~QueryServer.batch_update` through the incremental patch and
+  repair path (only for artifacts saved with their graph);
 * observability: ``serve.*`` metrics when the config's
   :class:`~repro.obs.sinks.ObsSinks` is armed, written to
   ``metrics_out`` on :meth:`~QueryServer.close`.
@@ -117,9 +117,11 @@ class QueryServer:
 
     # -- incremental updates ----------------------------------------------
     def update_edge(self, u: int, v: int, weight: float) -> bool:
-        """Set edge (u, v) to ``weight``; True when the O(n²) patch
-        sufficed, False when a re-solve was scheduled (see
-        docs/SERVING.md on the economics)."""
+        """Set edge (u, v) to ``weight``; True when no shortest path
+        was invalidated (a decrease's O(n²) patch, or an increase off
+        every shortest path), False when an increase broke some: the
+        broken pairs are repaired in place, or past the crossover the
+        graph is re-solved (see docs/SERVING.md on the economics)."""
         self._check_open()
         return self.patcher.update_edge(u, v, weight)
 
@@ -148,6 +150,7 @@ class QueryServer:
             "cache": self.cache_stats(),
             "incremental": {
                 "fast_updates": self.patcher.fast_updates,
+                "repairs": self.patcher.repairs,
                 "recomputes": self.patcher.recomputes,
                 "dirty_blocks": self.patcher.dirty_blocks,
             },
@@ -203,8 +206,9 @@ def serve(source: Any, config: Optional[ServeConfig] = None, *,
         d = server.distance(4, 2048)
 
     ``scheduler`` optionally names the shared
-    :class:`~repro.sched.ClusterScheduler` that invalidating edge
-    updates re-solve on (otherwise each re-solve builds a private one).
+    :class:`~repro.sched.ClusterScheduler` that edge increases too
+    large to repair re-solve on (otherwise each re-solve builds a
+    private one).
     """
     if config is None:
         config = ServeConfig()

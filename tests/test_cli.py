@@ -341,7 +341,7 @@ class TestServeQueryCLI:
         assert "unsupported artifact version 3" in capsys.readouterr().err
 
     def test_update_resolve_with_malformed_budget_exits_2(self, artifact, capsys, monkeypatch):
-        # Raising a tight edge escalates to a re-solve, which reads the budget.
+        # Raising a tight edge runs the kernel (a repair), which reads the budget.
         assert main(["serve", "update", str(artifact), "--edge", "0,5,0.001"]) == 0
         capsys.readouterr()
         monkeypatch.setenv("REPRO_SRGEMM_BYTE_BUDGET", "abc")

@@ -148,7 +148,7 @@ class TestIncrementalApsp:
         assert inc.distance(0, 3) == 3.0
         assert inc.update_edge(1, 2, 100.0) is False  # on the 0->3 path
         assert inc.distance(0, 3) == 10.0
-        assert inc.recomputes == 1
+        assert (inc.repairs, inc.recomputes) == (1, 0)
 
     def test_remove_edge(self):
         w = np.full((3, 3), INF)

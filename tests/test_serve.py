@@ -21,6 +21,7 @@ import pytest
 import repro
 from repro.errors import ArtifactError, ConfigurationError, NegativeCycleError, QueryError
 from repro.graphs import erdos_renyi, uniform_random_dense
+from repro.semiring import INF
 from repro.semiring.backends import available_backends
 from repro.serve import (
     Artifact,
@@ -30,6 +31,7 @@ from repro.serve import (
     load_artifact,
     save_artifact,
 )
+from repro.serve import incremental
 
 CLUSTER = dict(n_nodes=2, ranks_per_node=2)
 
@@ -574,10 +576,27 @@ class TestIncremental:
         w2 = w.copy()
         w2[u, v] = 1e5
         ref = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
-        np.testing.assert_array_equal(
-            repro.serve(path).submatrix(range(30), range(30)), ref
+        # The broken pairs are repaired, summed in another order than a
+        # fresh solve: the rank-1 patch's tolerance (the dyadic twin
+        # below is bit-exact).
+        np.testing.assert_allclose(
+            repro.serve(path).submatrix(range(30), range(30)), ref, rtol=1e-12
         )
-        assert srv.stats()["incremental"]["recomputes"] == 1
+        assert srv.stats()["incremental"]["repairs"] == 1
+        assert srv.stats()["incremental"]["recomputes"] == 0
+
+    def test_invalidating_increase_repairs_bit_exact_on_dyadic_weights(self, tmp_path):
+        w = np.ceil(erdos_renyi(30, 0.3, seed=6) * 64) / 64  # every (min,+) sum exact
+        res = repro.solve(w, variant="async", block_size=8, **CLUSTER)
+        path = tmp_path / "art"
+        res.save(path, block_size=8, graph=w)
+        u, v = _carrying_edge(w)
+        with repro.serve(path) as srv:
+            assert srv.update_edge(u, v, 1e5) is False
+            stats = srv.stats()["incremental"]
+        assert (stats["repairs"], stats["recomputes"]) == (1, 0)
+        w[u, v] = 1e5
+        np.testing.assert_array_equal(load_artifact(path).dist(), _solve8(w))
 
     def test_remove_and_reinsert(self, tmp_path):
         w, res, srv, path = self._served(tmp_path)
@@ -650,8 +669,10 @@ class TestIncremental:
         solvers agree to the ULP, not the bit.  With weights on a 1/64
         grid every (min,+) sum is exact, so all three must then agree
         bit for bit with each other and with a fresh solve; with generic
-        weights the two servers still must, and the dense one to the
-        dtype's tolerance.
+        weights the two servers still must, the dense one and a fresh
+        solve to the dtype's tolerance (a repaired pair sums in another
+        order), and after a re-solve the servers match a fresh solve
+        bit for bit.
         """
         from repro.extensions import IncrementalApsp
 
@@ -686,8 +707,9 @@ class TestIncremental:
                 assert dense.dirty_blocks == disk.patcher.dirty_blocks
                 np.testing.assert_array_equal(served, fresh())
             else:
-                np.testing.assert_allclose(
-                    dense.dist, served, rtol=1e-12 if dtype == np.float64 else 1e-6)
+                rtol = 1e-12 if dtype == np.float64 else 1e-6
+                np.testing.assert_allclose(dense.dist, served, rtol=rtol)
+                np.testing.assert_allclose(served, fresh(), rtol=rtol)
                 if resolved:
                     np.testing.assert_array_equal(served, fresh())
             return served
@@ -720,22 +742,32 @@ class TestIncremental:
         check()
         assert dense.recomputes == 0 and dense.fast_updates == 5
         u, v = carrying()
-        assert apply("update_edge", u, v, 512.0) is False               # invalidating
-        check(resolved=True)
+        assert apply("update_edge", u, v, 512.0) is False               # repaired
+        check()
+        assert (dense.repairs, dense.recomputes) == (1, 0)
+        # The next cheapest edge broke 61 pairs spread over 27 of the 30
+        # columns: the closure over them alone is 0.73 n³, past the crossover.
         assert apply("remove_edge", *carrying()) is False
         dist = check(resolved=True)
+        assert (dense.repairs, dense.recomputes) == (1, 1)
         slack = edges(dense.weights > dist + 0.5)
         (fu, fv), (cu, cv) = slack[-1], carrying()
         batch = [
             (3, 21, 0.03125),                                           # decrease
             (7, 7, 0.0),                                                # self-loop
-            (cu, cv, 768.0),                                            # staged increase
+            (cu, cv, 768.0),                                            # repaired in place
             (fu, fv, float(dense.weights[fu, fv]) + 2.0),               # free increase
             (22, 4, 0.0625),                                            # decrease
         ]
         assert apply("batch_update", batch) == 1
+        check()
+        assert (dense.fast_updates, dense.repairs, dense.recomputes) == (8, 2, 1)
+        hub = _hub_updates(n, 9, 13)                                    # 59 decreases
+        assert apply("batch_update", hub) == 0
+        check()
+        assert apply("update_edge", 9, 13, 1.0) is False                # past the crossover
         check(resolved=True)
-        assert (dense.fast_updates, dense.recomputes) == (8, 3)
+        assert (dense.fast_updates, dense.repairs, dense.recomputes) == (8 + 59, 2, 2)
         assert apply("update_edge", 11, 2, 0.125) is True               # patch after it
         final = check()
         disk.close()
@@ -770,7 +802,7 @@ class TestIncremental:
             assert srv.artifact.load_graph()[0, 17] == 1e-3  # cached graph too
             np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), base)
         assert srv.stats()["incremental"] == {
-            "fast_updates": 0, "recomputes": 0, "dirty_blocks": 0}
+            "fast_updates": 0, "repairs": 0, "recomputes": 0, "dirty_blocks": 0}
         srv.close()
         # Nothing was written: same files, same bytes, same answers.
         assert self._files(path) == before
@@ -788,10 +820,11 @@ class TestIncremental:
         ref = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
-    def test_oom_degraded_solve_artifact_can_resolve(self, tmp_path):
+    def test_oom_degraded_solve_artifact_can_resolve(self, tmp_path, monkeypatch):
         """The solve header records the variant the run *landed on*, so
         an artifact saved from an OOM-degraded solve re-solves (it used
         to die on ``unknown variant 'baseline->offload'``)."""
+        monkeypatch.setattr(incremental, "RESOLVE_SHARE", 0.0)  # every increase re-solves
         w = uniform_random_dense(48, seed=0)
         shape = dict(block_size=6, n_nodes=2, ranks_per_node=3)
         res = repro.solve(w, variant="baseline", **shape,
@@ -882,7 +915,8 @@ class TestIncremental:
         with pytest.raises(NegativeCycleError):
             srv.batch_update(prefix + [(9, 4, -1e6), (1, 2, 1e-3)])
         assert srv.stats()["incremental"]["fast_updates"] == 2
-        assert srv.stats()["incremental"]["recomputes"] == int(staged)
+        assert srv.stats()["incremental"]["repairs"] == int(staged)
+        assert srv.stats()["incremental"]["recomputes"] == 0
         srv.close()
         # On disk: exactly the prefix, in the graph and in the tiles.
         w2 = w.copy()
@@ -891,14 +925,14 @@ class TestIncremental:
                 w2[u, v] = c
         reopened = load_artifact(path)
         np.testing.assert_array_equal(reopened.load_graph(), w2)
-        if staged:
-            expected = repro.solve(w2, variant="async", block_size=8, **CLUSTER).dist
+        if staged:  # repaired: the rank-1 patch's tolerance
+            np.testing.assert_allclose(reopened.dist(), _solve8(w2), rtol=1e-12)
         else:
             expected = res.dist
             for u, v, c in ((0, 17, 1e-3), (4, 9, 2e-3)):
                 expected = np.minimum(
                     expected, expected[:, u, None] + (c + expected[None, v, :]))
-        np.testing.assert_array_equal(reopened.dist(), expected)
+            np.testing.assert_array_equal(reopened.dist(), expected)
 
     @pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory"])
     def test_self_loop_rule(self, tmp_path, on_disk):
@@ -913,7 +947,7 @@ class TestIncremental:
         with pytest.raises(NegativeCycleError):
             srv.batch_update([(3, 3, 1.0), (4, 4, -0.5)])
         assert srv.stats()["incremental"] == {
-            "fast_updates": 0, "recomputes": 0, "dirty_blocks": 0}
+            "fast_updates": 0, "repairs": 0, "recomputes": 0, "dirty_blocks": 0}
         np.testing.assert_array_equal(srv.artifact.load_graph(), w)
         np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), res.dist)
 
@@ -928,6 +962,14 @@ def _rank_one(dist, u, v, c):
 
 def _manifest(path):
     return json.loads((path / "manifest.json").read_text())
+
+
+def _hub_updates(n, u, v, c=0.015625):
+    """Edges of weight ``c`` into u, out of v and from u to v: nearly
+    every pair's shortest path then runs through (u, v), so raising it
+    breaks too much to repair and re-solves."""
+    return ([(i, u, c) for i in range(n) if i != u]
+            + [(v, j, c) for j in range(n) if j != v] + [(u, v, c)])
 
 
 def _carrying_edge(w):
@@ -954,6 +996,161 @@ def saved30(tmp_path):
     return w, res, path
 
 
+def _reweighted(seed, dtype, dyadic, n=30):
+    """An erdos_renyi graph shifted by vertex potentials p, w(i, j) +
+    p(i) - p(j): some edges go negative, every cycle keeps its positive
+    weight.  ``dyadic`` keeps every weight and (min,+) sum exact."""
+    rng = np.random.default_rng(seed)
+    w = erdos_renyi(n, 0.3, seed=seed)
+    if dyadic:
+        w = np.ceil(w * 64) / 64
+        p = rng.integers(0, 6, n).astype(float)
+    else:
+        p = rng.uniform(0.0, 6.0, n)
+    return (w + p[:, None] - p[None, :]).astype(dtype)
+
+
+def _open_updater(kind, w, tmp_path):
+    """The same stream runs through the three stores: the updater
+    behind an on-disk server, an in-memory server, IncrementalApsp."""
+    from repro.extensions import IncrementalApsp
+
+    if kind == "dense":
+        return IncrementalApsp(w, block_size=8)
+    res = repro.solve(w, variant="async", block_size=8, **CLUSTER)
+    if kind == "memory":
+        return repro.serve(res, graph=w, block_size=8).patcher
+    res.save(tmp_path / "art", block_size=8, graph=w)
+    return repro.serve(tmp_path / "art").patcher
+
+
+def _on_path_edges(updater):
+    """Edges that are themselves a shortest path between their ends:
+    raising one breaks at least that pair."""
+    w, d = updater.artifact.load_graph(), updater.artifact.dist()
+    tight = np.isfinite(w) & (w == d) & ~np.eye(len(w), dtype=bool)
+    return [(int(u), int(v)) for u, v in np.argwhere(tight)]
+
+
+class TestRepair:
+    """An increase on a shortest path repairs exactly the broken pairs
+    (the set A) on the kernel waist, and re-solves past the crossover.
+
+    30 vertices in 8 x 8 tiles (ragged edge), some negative weights.
+    Dyadic weights make every (min,+) sum exact, so a repair must then
+    equal a fresh solve bit for bit; generic ones sum in another order
+    and must agree to the dtype's tolerance.
+    """
+
+    @pytest.mark.parametrize("weights", ["dyadic", "generic"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_random_on_path_increases(self, tmp_path, monkeypatch, kind, dtype, weights):
+        exact = weights == "dyadic"
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        w = _reweighted(41, dtype, exact)
+        assert (w < 0).any()
+        updater = _open_updater(kind, w, tmp_path)
+        seen = []
+        real = incremental.RankOneUpdater._broken_pairs
+
+        def broken_pairs(self, *args):
+            found = real(self, *args)
+            seen.append(found)
+            return found
+
+        monkeypatch.setattr(incremental.RankOneUpdater, "_broken_pairs", broken_pairs)
+        rng = np.random.default_rng(7)
+        n = len(w)
+        for step in range(8):
+            edges = _on_path_edges(updater)
+            u, v = edges[rng.integers(len(edges))]
+            old = float(updater.artifact.load_graph()[u, v])
+            raised = INF if step % 3 == 2 else old + (
+                float(rng.integers(1, 8)) if exact else float(rng.uniform(0.5, 8.0)))
+            before = updater.artifact.dist()
+            assert updater.update_edge(u, v, raised) is False
+            after = updater.artifact.dist()
+            fresh = _solve8(updater.artifact.load_graph())
+            rows, cols, mask, _ = seen[-1]
+            broken = np.zeros((n, n), dtype=bool)
+            broken[np.ix_(rows, cols)] = mask
+            # Outside A the bits are the old ones; every pair a fresh
+            # solve moves lies in A.
+            np.testing.assert_array_equal(after[~broken], before[~broken])
+            moved = ~np.isclose(fresh, before, rtol=rtol, atol=0)
+            assert not (moved & ~broken).any(), np.argwhere(moved & ~broken)
+            if exact:
+                np.testing.assert_array_equal(after, fresh)
+            else:
+                np.testing.assert_allclose(after, fresh, rtol=rtol)
+        assert updater.repairs + updater.recomputes == 8
+        assert updater.repairs >= 4
+
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_a_zero_weight_cycle_keeps_the_empty_path(self, tmp_path, kind):
+        """d(3, 3) = 0 is the empty path, which uses no edge, though the
+        zero-weight cycle 3 -> 7 -> 3 through the raised edge ties it.
+        The two are a component of their own, so the repair is small."""
+        w = np.ceil(erdos_renyi(30, 0.3, seed=5) * 64) / 64
+        w[[3, 7], :] = w[:, [3, 7]] = np.inf
+        w[3, 7] = w[7, 3] = w[3, 3] = w[7, 7] = 0.0
+        updater = _open_updater(kind, w, tmp_path)
+        assert updater.update_edge(3, 7, 1.0) is False
+        assert updater.repairs == 1
+        w[3, 7] = 1.0
+        np.testing.assert_array_equal(updater.artifact.dist(), _solve8(w))
+
+    # The hub edges are 1/64, so these two run on non-negative weights
+    # (a 1/64 edge beside a negative one could close a negative cycle).
+
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_a_hub_edge_past_the_crossover_re_solves(self, tmp_path, kind):
+        w = np.ceil(erdos_renyi(30, 0.3, seed=5) * 64) / 64
+        updater = _open_updater(kind, w, tmp_path)
+        n = updater.artifact.n
+        assert updater.batch_update(_hub_updates(n, 9, 13)) == 0
+        assert updater.update_edge(9, 13, 1.0) is False
+        assert (updater.repairs, updater.recomputes) == (0, 1)
+        np.testing.assert_array_equal(
+            updater.artifact.dist(), _solve8(updater.artifact.load_graph()))
+
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_a_repair_then_a_staged_resolve_in_one_batch(self, tmp_path, kind):
+        w = np.ceil(erdos_renyi(30, 0.3, seed=5) * 64) / 64
+        updater = _open_updater(kind, w, tmp_path)
+        n = len(w)
+        u, v = _on_path_edges(updater)[0]
+        batch = [(u, v, float(w[u, v]) + 3.0)]                  # repaired in place
+        batch += _hub_updates(n, 9, 13)                         # decreases
+        batch += [(9, 13, 1.0)]                                 # stages the re-solve
+        batch += [(4, 9, 2.0),                                  # a spoke: covered by it
+                  (3, 21, 0.03125)]                             # absorbed, then re-solved
+        assert updater.batch_update(batch) == 3
+        assert (updater.repairs, updater.recomputes) == (1, 1)
+        final = w.copy()
+        for a, b, c in batch:
+            final[a, b] = c
+        np.testing.assert_array_equal(updater.artifact.load_graph(), final)
+        np.testing.assert_array_equal(updater.artifact.dist(), _solve8(final))
+
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_a_refusal_after_a_repair_commits_the_prefix(self, tmp_path, kind):
+        w = _reweighted(5, np.float64, True)
+        updater = _open_updater(kind, w, tmp_path)
+        u, v = _on_path_edges(updater)[0]
+        prefix = [(u, v, float(w[u, v]) + 3.0), (4, 9, 0.015625)]
+        with pytest.raises(NegativeCycleError):
+            updater.batch_update(prefix + [(9, 4, -1e6), (1, 2, 0.015625)])
+        assert (updater.fast_updates, updater.repairs, updater.recomputes) == (1, 1, 0)
+        expected = w.copy()
+        for a, b, c in prefix:
+            expected[a, b] = c
+        store = load_artifact(tmp_path / "art") if kind == "disk" else updater.artifact
+        np.testing.assert_array_equal(store.load_graph(), expected)
+        np.testing.assert_array_equal(store.dist(), _solve8(expected))
+
+
 class TestEditLog:
     """An accepted edge change is one ``[u, v, w]`` row in the
     manifest's edit log; ``graph.npz`` is rewritten only to compact it."""
@@ -969,12 +1166,12 @@ class TestEditLog:
         with repro.serve(path) as srv:
             assert srv.update_edge(0, 17, 1e-3) is True      # rank-1 patch
             assert _manifest(path)["edits"] == [[0, 17, 1e-3]]
-            assert srv.update_edge(u, v, 512.0) is False     # re-solve
+            assert srv.update_edge(u, v, 512.0) is False     # repair
             assert _manifest(path)["edits"] == [[0, 17, 1e-3], [u, v, 512.0]]
         assert (path / "graph.npz").read_bytes() == graph_npz
         reopened = load_artifact(path)
         np.testing.assert_array_equal(reopened.load_graph(), w2)
-        np.testing.assert_array_equal(reopened.dist(), _solve8(w2))
+        np.testing.assert_allclose(reopened.dist(), _solve8(w2), rtol=1e-12)
 
     def test_a_batch_is_one_manifest_rename(self, saved30, monkeypatch):
         w, _, path = saved30
@@ -1075,11 +1272,13 @@ class TestCommitPoints:
         monkeypatch.setattr(os, "replace", replace)
 
     @pytest.mark.parametrize("point", ["manifest-rename", "compaction-savez"])
-    @pytest.mark.parametrize("route", ["decrease", "resolve", "compaction"])
+    @pytest.mark.parametrize("route", ["decrease", "resolve", "compaction", "repair"])
     def test_failure_leaves_the_old_or_the_new_artifact(
             self, saved30, monkeypatch, route, point):
         w, _, path = saved30
         n = len(w)
+        if route == "resolve":
+            monkeypatch.setattr(incremental, "RESOLVE_SHARE", 0.0)  # every increase re-solves
         if route == "compaction":  # n rows in the log: the next update folds it
             fill = [(0, v, min(0.25, float(w[0, v]))) for v in range(1, n)]
             with repro.serve(path) as srv:
@@ -1087,10 +1286,11 @@ class TestCommitPoints:
             assert len(_manifest(path)["edits"]) == n
         old = load_artifact(path)
         old_dist, old_graph = old.dist(), old.load_graph().copy()
-        u, v, c = (0, 17, 1e-3) if route != "resolve" else (*_carrying_edge(w), 512.0)
+        increase = route in ("resolve", "repair")
+        u, v, c = (*_carrying_edge(w), 512.0) if increase else (0, 17, 1e-3)
         new_graph = old_graph.copy()
         new_graph[u, v] = c
-        new_dist = _solve8(new_graph) if route == "resolve" else _rank_one(old_dist, u, v, c)
+        new_dist = _solve8(new_graph) if increase else _rank_one(old_dist, u, v, c)
         graph_npz = (path / "graph.npz").read_bytes()
 
         if point == "manifest-rename":
@@ -1113,7 +1313,11 @@ class TestCommitPoints:
 
         committed = point == "compaction-savez"
         reopened = load_artifact(path)
-        np.testing.assert_array_equal(reopened.dist(), new_dist if committed else old_dist)
+        if committed and route == "repair":  # summed in another order than a solve
+            np.testing.assert_allclose(reopened.dist(), new_dist, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(
+                reopened.dist(), new_dist if committed else old_dist)
         np.testing.assert_array_equal(
             reopened.load_graph(), new_graph if committed else old_graph)
         np.testing.assert_allclose(
@@ -1150,6 +1354,7 @@ class TestCommitPoints:
         13.5 MiB per re-solve at n=768)."""
         from repro.sched import JobHandle
 
+        monkeypatch.setattr(incremental, "RESOLVE_SHARE", 0.0)  # every increase re-solves
         results = []
         real = JobHandle.result
 
@@ -1167,6 +1372,45 @@ class TestCommitPoints:
                 gc.collect()
                 assert len(results) == k + 1
                 assert all(ref() is None for ref in results)
+
+
+    def test_a_failed_tile_write_mid_repair_discards_the_batch(self, saved30, monkeypatch):
+        """The repair's second tile write fails: the decrease before it
+        in the batch and the repair's first tile are both forgotten."""
+        w, _, path = saved30
+        n = len(w)
+        old = load_artifact(path)
+        old_dist, old_graph = old.dist(), old.load_graph().copy()
+        state = {"repairing": False, "writes": 0}
+        repair, rewrite = incremental.RankOneUpdater._repair, Artifact.rewrite_block
+
+        def spy_repair(self, *args):
+            state["repairing"] = True
+            return repair(self, *args)
+
+        def failing_rewrite(self, bi, bj, data):
+            if state["repairing"]:
+                state["writes"] += 1
+                if state["writes"] == 2:
+                    raise OSError("disk full")
+            return rewrite(self, bi, bj, data)
+
+        monkeypatch.setattr(incremental.RankOneUpdater, "_repair", spy_repair)
+        monkeypatch.setattr(Artifact, "rewrite_block", failing_rewrite)
+        with repro.serve(path) as srv:
+            with pytest.raises(OSError, match="disk full"):
+                srv.batch_update([(0, 17, 1e-3), (*_carrying_edge(w), 512.0)])
+            assert state["writes"] == 2
+            assert srv.stats()["incremental"]["repairs"] == 0
+            np.testing.assert_array_equal(srv.submatrix(range(n), range(n)), old_dist)
+            np.testing.assert_array_equal(srv.artifact.load_graph(), old_graph)
+        monkeypatch.undo()
+        reopened = load_artifact(path)
+        np.testing.assert_array_equal(reopened.dist(), old_dist)
+        np.testing.assert_array_equal(reopened.load_graph(), old_graph)
+        assert _manifest(path)["edits"] == []
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+        assert not list(path.rglob("*.tmp"))
 
 
 def _block_inodes(path):
@@ -1256,6 +1500,55 @@ class TestSpareBlocks:
         reopened = load_artifact(path)
         np.testing.assert_allclose(
             reopened.dist(), _solve8(reopened.load_graph()), rtol=1e-12)
+
+    def test_a_commit_does_not_list_blocks(self, saved30, monkeypatch):
+        """A commit finds the files it stopped referencing among the
+        digests its rewrites released; it never lists ``blocks/``."""
+        import pathlib
+
+        w, _, path = saved30
+
+        def listing(*args, **kwargs):
+            raise AssertionError("blocks/ listed during an update")
+
+        with repro.serve(path) as srv:
+            monkeypatch.setattr(pathlib.Path, "glob", listing)
+            monkeypatch.setattr(os, "scandir", listing)
+            monkeypatch.setattr(os, "listdir", listing)
+            assert srv.update_edge(0, 17, 1e-3) is True
+            assert srv.update_edge(*_carrying_edge(w), 512.0) is False
+            assert srv.update_edge(4, 9, 2e-3) is True
+            monkeypatch.undo()
+            files = _block_inodes(path)
+            live = {r[2] for r in _manifest(path)["blocks"]}
+            assert live <= set(files)
+            assert len(files) - len(live) == len(srv.artifact._spares)
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+
+    def test_close_sweeps_orphans_and_discarded_writes(self, saved30, monkeypatch):
+        """Files a discarded batch wrote are released to the next
+        commit; an orphan a crashed process left is deleted by the next
+        writer's close, and never by a reader's."""
+        _, _, path = saved30
+        orphan = path / "blocks" / f"{'0' * 64}.blk"
+        orphan.write_bytes(b"left by a crashed update")
+        with repro.serve(path) as srv:
+            srv.distance(0, 17)
+        assert orphan.exists()  # a reader deletes nothing
+        with repro.serve(path) as srv:
+            TestCommitPoints._fail_manifest_rename(monkeypatch)
+            with pytest.raises(OSError, match="disk full"):
+                srv.update_edge(0, 17, 1e-3)
+            monkeypatch.undo()
+            stray = set(_block_inodes(path)) - {r[2] for r in _manifest(path)["blocks"]}
+            assert stray - {orphan.stem}  # the discarded batch's tiles
+            assert srv.update_edge(4, 9, 2e-3) is True
+            nb = _manifest(path)["nb"]
+            assert len(_block_inodes(path)) <= 2 * nb * nb + 1
+        assert not orphan.exists()
+        assert set(_block_inodes(path)) == {r[2] for r in _manifest(path)["blocks"]}
+        reopened = load_artifact(path)
+        assert reopened.load_graph()[4, 9] == 2e-3 and reopened.load_graph()[0, 17] != 1e-3
 
     def test_failed_write_into_a_spare_keeps_the_last_commit(self, saved30, monkeypatch):
         _, _, path = saved30
