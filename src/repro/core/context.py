@@ -33,7 +33,7 @@ from ..semiring.backends import KernelBackend, get_backend
 from ..semiring.minplus import Semiring
 from ..sim.engine import Environment, Event
 from ..sim.trace import Tracer
-from .distribution import LocalBlocks
+from .distribution import LocalBlocks, RankBlocks
 from .placement import RankPlacement
 
 if TYPE_CHECKING:
@@ -173,6 +173,9 @@ class RankState:
         self.ctx = ctx
         self.me = me
         self.row, self.col = ctx.grid.coords(me)
+        #: The rank's blocks: a :class:`RankBlocks` (views of its local
+        #: matrix; what every driver-built state holds), or any map of
+        #: block arrays, whose grids take the list path.
         self.blocks = blocks
         #: Next-hop pointer blocks (same keys as ``blocks``) when the
         #: run tracks paths; None otherwise.
@@ -275,12 +278,17 @@ def _hop_operand(state: RankState, keys: list, a_payloads: list) -> tuple:
 def grid_update(state: RankState, keys: list, a_payloads: list, b_cols: list, phase: str) -> None:
     """``A(key) ← A(key) ⊕ A_i ⊗ B_j`` over a grid of this rank's blocks
     (``keys``: one row of block keys per row operand, one key per
-    column operand in each; each row operand a :func:`payload`) as
-    **one** kernel-waist call, next hops included on a tracked run."""
+    column operand in each, an outer product of block rows and block
+    columns; each row operand a :func:`payload`) as **one**
+    kernel-waist call, next hops included on a tracked run.
+    Blocks of a local matrix reach the waist by position, as a
+    :class:`~repro.semiring.backends.base.TileGrid`."""
     ctx = state.ctx
+    blocks = state.blocks
     a_rows, hops = _hop_operand(state, keys, a_payloads)
     ctx.backend.srgemm_grid(
-        [[state.blocks[key] for key in row] for row in keys],
+        blocks.grid(keys) if isinstance(blocks, RankBlocks)
+        else [[blocks[key] for key in row] for row in keys],
         a_rows,
         b_cols,
         semiring=ctx.semiring,

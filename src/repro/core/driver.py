@@ -56,7 +56,7 @@ from ..sim.engine import Environment, Interrupt
 from ..sim.trace import Tracer
 from ..verify.runtime import VERIFY_MODES
 from .context import FwContext, RankState
-from .distribution import collect, distribute, pad_to_blocks
+from .distribution import RankBlocks, collect, distribute, pad_to_blocks
 from .executor import HOST_RESIDENT, ResidencyPolicy, execute_schedule
 from .grid import ProcessGrid, near_square_factors
 from .placement import (
@@ -241,7 +241,7 @@ class RunPlan:
 
     def distribute(self) -> None:
         """Scatter the padded matrix (and next-hop pointers) into
-        per-rank local blocks; idempotent."""
+        per-rank local matrices; idempotent."""
         if self.locals_ is not None:
             return
         self.locals_ = distribute(self.padded, self.b, self.grid)
@@ -402,8 +402,9 @@ def make_state_builders(
     """The per-rank state construction / teardown closures of a run.
 
     ``build_states(blocks_by_rank, nxt_by_rank)`` constructs every
-    :class:`RankState` and charges the HBM / host-DRAM footprint of the
-    context's *current* residency
+    :class:`RankState`, each rank's blocks in one local matrix
+    (:class:`~repro.core.distribution.RankBlocks`), and charges the
+    HBM / host-DRAM footprint of the context's *current* residency
     (:meth:`~repro.core.executor.ResidencyPolicy.footprint`), rolling
     the partial charges back on :class:`~repro.errors.GpuOutOfMemory`.
     ``teardown_states(states)`` releases the charges.
@@ -419,9 +420,16 @@ def make_state_builders(
                 state.dram_charged = 0
 
     def build_states(blocks_by_rank, nxt_by_rank) -> list[RankState]:
+        grid, nb = rp.grid, rp.nb
         states = [
-            RankState(ctx, r, blocks_by_rank[r],
-                      nxt=None if nxt_by_rank is None else nxt_by_rank[r])
+            RankState(
+                ctx, r,
+                # A restored checkpoint is copied into a new local matrix.
+                RankBlocks.gather(
+                    blocks_by_rank[r], grid.local_block_rows(r, nb), grid.local_block_cols(r, nb)
+                ),
+                nxt=None if nxt_by_rank is None else nxt_by_rank[r],
+            )
             for r in range(rp.n_ranks)
         ]
         try:

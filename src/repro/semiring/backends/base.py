@@ -50,6 +50,22 @@ disjointness, plus the exactness of a comparison ⊕, is why the order
 tiles are visited in cannot change the result.  A caller whose
 accumulator is also an operand (a PanelUpdate) passes a copy.
 
+Positional grids
+----------------
+A grid over one rank's own blocks arrives as a :class:`TileGrid`: the
+rank's local matrix (one C-contiguous ``(rows, cols, m, n)`` slab) and
+the ``(nr, nc)`` positions of the grid's tiles in it.  It is a sequence
+of rows that yields the rank's stored tile objects, so any loop over a
+list grid runs it unchanged; ``TileGrid.flat`` is its tiles in
+row-major order as :class:`SlabTiles`, a sequence that also carries the
+slab and the positions.  A backend may address the tiles from the slab
+instead (``cnative``: every address from the slab's base in one array
+op).  Such addresses are taken per call and never kept: a checkpoint
+restore builds a new slab.  The aliasing rule holds unchanged: a
+``TileGrid`` names each position at most once, and no caller passes one
+of its tiles as an operand (row and column operands are snapshots, other
+ranks' blocks, or blocks outside the grid).
+
 Guard entries
 -------------
 The ABFT guard (:mod:`repro.verify`) checks a grid product by
@@ -94,6 +110,7 @@ reduced-precision compute path advertises its tolerance via ``rtol``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,6 +121,8 @@ from .tuning import KernelTiling, kernel_byte_budget, tune_kernel_tiling
 __all__ = [
     "KernelBackend",
     "OperandList",
+    "SlabTiles",
+    "TileGrid",
     "GRID_PHASES",
     "srgemm_flops",
     "validate_pair",
@@ -153,6 +172,12 @@ def validate_grid(c_tiles, a_rows, b_cols, phase: str) -> str:
         raise ValueError(f"unknown grid phase {phase!r}; expected one of {sorted(GRID_PHASES)}")
     if len(c_tiles) != len(a_rows):
         raise ValueError(f"grid has {len(c_tiles)} tile rows for {len(a_rows)} row operands")
+    if isinstance(c_tiles, TileGrid):
+        if c_tiles.index.shape[1] != len(b_cols):
+            raise ValueError(
+                f"grid rows have {c_tiles.index.shape[1]} tiles for {len(b_cols)} column operands"
+            )
+        return f"srgemm_{phase}"
     for i, c_row in enumerate(c_tiles):
         if len(c_row) != len(b_cols):
             raise ValueError(
@@ -194,10 +219,69 @@ class OperandList(list):
         return rows
 
 
+class SlabTiles(SequenceABC):
+    """Tiles of one slab by position: ``slab`` is a C-contiguous array
+    whose two trailing axes are the tile, ``index`` the tiles' flat
+    positions over its leading axes, and ``tiles`` the slab's stored
+    tile objects in position order.  Indexing and iteration yield those
+    objects (never fresh slices: the ABFT guard keys tiles by ``id``).
+    Positions are ``uintp``, so addresses derive from them without a
+    cast."""
+
+    __slots__ = ("slab", "index", "tiles")
+
+    def __init__(self, slab: np.ndarray, index: np.ndarray, tiles: list):
+        self.slab, self.index, self.tiles = slab, index, tiles
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return SlabTiles(self.slab, self.index[t], self.tiles)
+        return self.tiles[self.index[t]]
+
+    def __iter__(self):
+        return map(self.tiles.__getitem__, self.index.tolist())
+
+
+class TileGrid(SequenceABC):
+    """An ``nr × nc`` grid of one slab's tiles by position (see the
+    module docs): ``index`` is ``(nr, nc)`` flat positions, ``tiles`` as
+    in :class:`SlabTiles`.  Rows are lists of the stored tile objects; a
+    slice is a band of whole rows, itself a ``TileGrid``."""
+
+    __slots__ = ("slab", "index", "tiles")
+
+    def __init__(self, slab: np.ndarray, index: np.ndarray, tiles: list):
+        self.slab, self.index, self.tiles = slab, index, tiles
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TileGrid(self.slab, self.index[i], self.tiles)
+        return [self.tiles[t] for t in self.index[i].tolist()]
+
+    def __iter__(self):
+        tiles = self.tiles
+        return ([tiles[t] for t in row] for row in self.index.tolist())
+
+    @property
+    def flat(self) -> SlabTiles:
+        """The grid's tiles in row-major order."""
+        return SlabTiles(self.slab, self.index.ravel(), self.tiles)
+
+
 # -- the guard entries' NumPy formulation -------------------------------------
 def stack_tiles(arrs: Sequence[np.ndarray]) -> np.ndarray:
     """A fresh ``(T, *shape)`` copy of ``T`` arrays of one shape and
-    dtype (tiles, or their per-tile checksums)."""
+    dtype (tiles, or their per-tile checksums); of :class:`SlabTiles`,
+    one gather from the slab."""
+    if isinstance(arrs, SlabTiles):
+        slab = arrs.slab
+        return slab.reshape(-1, *slab.shape[-2:])[arrs.index]
     return np.concatenate(arrs).reshape(len(arrs), *arrs[0].shape)
 
 

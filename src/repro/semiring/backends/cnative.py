@@ -115,7 +115,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..minplus import MIN_PLUS, Semiring
-from .base import OperandList, validate_accumulate, validate_grid
+from .base import OperandList, SlabTiles, validate_accumulate, validate_grid
 from .tiled import TiledBackend
 
 __all__ = ["CNativeBackend", "find_c_compiler", "ENV_CNATIVE_CACHE"]
@@ -534,16 +534,32 @@ def _bind_guard(lib: ctypes.CDLL, dtype: np.dtype) -> _GuardUnit:
     return _GuardUnit(sums, predict)
 
 
+def _address(arr: np.ndarray) -> int:
+    """Base address of a writable array, through the buffer export
+    (``arr.ctypes.data`` builds a helper object: 2-3x the cost)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+
+
 def _pointers(arrays, shape: tuple, dtype: np.dtype) -> Optional[np.ndarray]:
     """The arrays' base addresses as the ``void *[]`` a unit takes (a
-    ``uintp`` array; pass its ``ctypes.data``), or None unless every
+    ``uintp`` array; pass its :func:`_address`), or None unless every
     array is a ``carray`` (C-contiguous, aligned, writeable - what the
-    writable buffer export below needs) of ``shape`` and ``dtype``.  An
-    :class:`~.base.OperandList` keeps the result, and the next entry it
-    is handed to reuses it instead of checking and taking addresses
-    again.  ``arr.ctypes.data`` would do but builds a helper object per
-    array: 1.0 us against 0.27 us here, which is most of what a grid
-    call spends per tile."""
+    writable buffer export below needs) of ``shape`` and ``dtype``.
+
+    :class:`~.base.SlabTiles` (a positional grid's tiles) take every
+    address from the slab's base in one array op.  That is done per
+    call and never kept: a checkpoint restore builds a new slab, and a
+    stale address is a silent wrong answer.  Any other list costs about
+    1 us per array (the checks plus the buffer export; ``arr.ctypes.data``
+    would add a helper object each), which is most of what a list grid
+    call spends per tile.  An :class:`~.base.OperandList` keeps the
+    result, and the next entry it is handed to reuses it instead of
+    checking and taking addresses again."""
+    if isinstance(arrays, SlabTiles):
+        slab = arrays.slab
+        if slab.shape[-2:] != shape or slab.dtype != dtype or not slab.flags.carray:
+            return None
+        return arrays.index * slab.strides[-3] + _address(slab)
     key = (shape, dtype)
     bound = getattr(arrays, "bound", None)
     if bound is not None and bound[0] == key:
@@ -642,8 +658,11 @@ class CNativeBackend(TiledBackend):
         # contiguous accumulator, so stage through a copy and write back.
         c_c = c if c.flags.c_contiguous else np.ascontiguousarray(c)
         # Addresses are taken per call, never cached: checkpoint restore
-        # replaces block arrays, and a stale address is a silent wrong
-        # answer.  a_c / b_c / c_c stay referenced until the call returns.
+        # builds a new local matrix, and a stale address is a silent wrong
+        # answer.  An operand may be read-only (a served tile), which the
+        # buffer export of _address refuses, so these go through
+        # ``ctypes.data`` (a helper object per array).  a_c / b_c / c_c
+        # stay referenced until the call returns.
         unit.tile(c_c.ctypes.data, a_c.ctypes.data, b_c.ctypes.data, m, n, k)
         if c_c is not c:
             np.copyto(c, c_c)
@@ -676,7 +695,7 @@ class CNativeBackend(TiledBackend):
         unit = self._unit_for(semiring, dtype)
         if unit is None:
             return False
-        a_ptrs, b_ptrs, c_ptrs = (ptrs.ctypes.data for ptrs in pointers)
+        a_ptrs, b_ptrs, c_ptrs = (_address(ptrs) for ptrs in pointers)
         unit.grid(c_ptrs, a_ptrs, b_ptrs, len(a_rows), len(b_cols), m, n, k)
         return True
 
@@ -733,8 +752,8 @@ class CNativeBackend(TiledBackend):
         snap = np.empty((count, m, n), dtype) if snapshot else None
         rows, cols = np.empty((count, m), dtype), np.empty((count, n), dtype)
         unit.sums(
-            ptrs.ctypes.data, count, m, n,
-            None if snap is None else snap.ctypes.data, rows.ctypes.data, cols.ctypes.data,
+            _address(ptrs), count, m, n,
+            None if snap is None else _address(snap), _address(rows), _address(cols),
         )
         return snap, (rows, cols)
 
@@ -763,9 +782,9 @@ class CNativeBackend(TiledBackend):
         rows, cols = np.empty((nr * nc, m), dtype), np.empty((nr * nc, n), dtype)
         scratch = np.empty(nr * k * (m + 1) + nc * k, dtype)
         unit.predict(
-            a_ptrs.ctypes.data, b_ptrs.ctypes.data, nr, nc, m, n, k,
-            pre[0].ctypes.data, pre[1].ctypes.data,
-            rows.ctypes.data, cols.ctypes.data, scratch.ctypes.data,
+            _address(a_ptrs), _address(b_ptrs), nr, nc, m, n, k,
+            _address(pre[0]), _address(pre[1]),
+            _address(rows), _address(cols), _address(scratch),
         )
         return rows, cols
 
@@ -779,7 +798,7 @@ class CNativeBackend(TiledBackend):
         # non-contiguous accumulator.
         d = blk if blk.flags.c_contiguous else np.ascontiguousarray(blk)
         scratch = np.empty(2 * n, dtype=blk.dtype)
-        unit.closure(d.ctypes.data, scratch.ctypes.data, n)
+        unit.closure(_address(d), _address(scratch), n)
         if d is not blk:
             np.copyto(blk, d)
         return blk

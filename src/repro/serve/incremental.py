@@ -82,6 +82,14 @@ __all__ = ["RankOneUpdater", "ArtifactPatcher", "RESOLVE_SHARE"]
 RESOLVE_SHARE = 0.5
 
 
+def _empty_path(dist_line: np.ndarray, i: int) -> None:
+    """Set entry ``i`` of a row or column of ``dist`` to the empty path
+    (at most 0), in place.  A solve keeps ``d(i, i) = min(w[i, i],
+    shortest cycle)``, which is positive where the graph's diagonal is,
+    but a route that starts or ends at ``i`` may use no edge there."""
+    dist_line[i] = min(dist_line[i], 0)
+
+
 class RankOneUpdater:
     """Applies edge updates to an artifact through a query engine;
     subclasses provide ``_solve(graph) -> dist`` for the increases a
@@ -199,6 +207,8 @@ class RankOneUpdater:
         art = self.artifact
         col_u = self.engine.col(u).astype(art.dtype, copy=False)  # pre-update snapshots
         row_v = self.engine.row(v).astype(art.dtype, copy=False)
+        _empty_path(col_u, u)
+        _empty_path(row_v, v)
         shifted = (np.asarray(c, dtype=art.dtype) + row_v).astype(art.dtype)
         # The candidate matrix's diagonal: every cycle through the new
         # edge.  A negative one refuses the update before any tile moves.
@@ -227,14 +237,17 @@ class RankOneUpdater:
         edge too (subpath optimality), so only rows with
         ``d(i,u) + w == d(i,v)`` and columns with ``w + d(v,j) ==
         d(u,j)`` are tested.  ``isclose`` over-approximates A, which is
-        safe: a pair that did not break repairs to its old value.  The
-        diagonal never breaks (the empty path uses no edge).
+        safe: a pair that did not break repairs to its old value.  A
+        diagonal pair breaks only where ``w[i, i] > 0``: elsewhere
+        ``d(i, i)`` is the empty path, which uses no edge.
         """
         if not np.isfinite(old_weight):
             return None
         eng = self.engine
         col_u, col_v = eng.col(u).astype(np.float64), eng.col(v).astype(np.float64)
         row_u, row_v = eng.row(u).astype(np.float64), eng.row(v).astype(np.float64)
+        _empty_path(col_u, u)
+        _empty_path(row_v, v)
         rows = np.flatnonzero(np.isclose(col_u + old_weight, col_v) & np.isfinite(col_v))
         cols = np.flatnonzero(np.isclose(old_weight + row_v, row_u) & np.isfinite(row_u))
         if not (rows.size and cols.size):
@@ -242,7 +255,9 @@ class RankOneUpdater:
         reach = self._dist_rows(rows)
         dist = reach[:, cols].astype(np.float64)
         via = col_u[rows, None] + (old_weight + row_v[None, cols])
-        mask = np.isclose(via, dist) & np.isfinite(dist) & (rows[:, None] != cols[None, :])
+        cycles = np.diagonal(self.artifact.load_graph())[rows] > 0
+        mask = (np.isclose(via, dist) & np.isfinite(dist)
+                & ((rows[:, None] != cols[None, :]) | cycles[:, None]))
         keep_rows, keep_cols = mask.any(axis=1), mask.any(axis=0)
         if not keep_rows.any():
             return None
@@ -293,6 +308,7 @@ class RankOneUpdater:
         backend.resolved_byte_budget()
         broken_i, broken_j = np.nonzero(mask)
         reach[broken_i, cols[broken_j]] = INF
+        reach[np.arange(len(rows)), rows] = 0  # every route may start empty
         into = graph[:, cols].astype(art.dtype)  # W'[:, T]: the edge at its new weight
         into[u, cols == v] = weight
         inside = into[cols]  # W'[T, T], a fresh array

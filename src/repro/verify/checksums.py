@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..semiring.backends.base import predicted_accumulate_grid
+from ..semiring.backends.base import SlabTiles, predicted_accumulate_grid
 from ..semiring.minplus import Semiring
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "predicted_accumulate",
     "predicted_merge",
     "uniform_tiles",
-    "checksums_mismatch",
+    "mismatched_tiles",
 ]
 
 Checksums = Tuple[np.ndarray, np.ndarray]
@@ -98,14 +98,24 @@ def predicted_merge(pre: Checksums, x: np.ndarray, semiring: Semiring) -> Checks
 # -- stacked (grid) forms ----------------------------------------------------
 def uniform_tiles(arrs: Sequence[np.ndarray]) -> bool:
     """True when ``arrs`` are non-empty 2-D arrays of one shape and one
-    dtype - what the guard entries (``KernelBackend.tile_sums``) need."""
+    dtype - what the guard entries (``KernelBackend.tile_sums``) need.
+    One slab's tiles are uniform by construction."""
+    if isinstance(arrs, SlabTiles):
+        return arrs.slab.shape[-1] * arrs.slab.shape[-2] > 0
     first = arrs[0]
     sig = (first.shape, first.dtype)
     return first.ndim == 2 and first.size > 0 and all((x.shape, x.dtype) == sig for x in arrs)
 
 
-def checksums_mismatch(expected: Checksums, actual: Checksums) -> np.ndarray:
-    """Per-tile :func:`checksums_match` over stacked checksums: a
-    ``(T,)`` mask, True where tile ``t``'s sums disagree (exact
-    comparison, as there)."""
-    return (expected[0] != actual[0]).any(axis=1) | (expected[1] != actual[1]).any(axis=1)
+def mismatched_tiles(expected: Checksums, actual: Checksums) -> np.ndarray:
+    """Per-tile :func:`checksums_match` over stacked checksums: the
+    indices ``t``, ascending, of the tiles whose sums disagree (exact
+    comparison, as there).  One whole-array test first, so a clean
+    grid (nearly every one) skips the per-tile pass."""
+    rows_differ, cols_differ = expected[0] != actual[0], expected[1] != actual[1]
+    if not (rows_differ.any() or cols_differ.any()):
+        return _NO_TILES
+    return np.flatnonzero(rows_differ.any(axis=1) | cols_differ.any(axis=1))
+
+
+_NO_TILES = np.empty(0, dtype=np.intp)

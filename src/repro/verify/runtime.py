@@ -2,7 +2,8 @@
 
 One :class:`VerifyRuntime` is shared by every simulated rank of a run
 (blocks are rank-private, so guards never contend).  It tracks each
-resident distance block's row/col ``⊕``-checksums, validates every
+resident distance block's row/col ``⊕``-checksums - stored per rank in
+two sum tables, one row per block - validates every
 checksummed kernel call, repairs flagged tiles in place from their
 operands via the full-width ``tiled`` kernel, and — when repair is impossible —
 *defers* escalation: the runtime records a pending
@@ -32,13 +33,19 @@ import numpy as np
 
 from ..errors import SilentCorruptionError
 from ..semiring.backends import get_backend
-from ..semiring.backends.base import OperandList, grid_hop_tiles, stack_tiles, validate_grid
+from ..semiring.backends.base import (
+    OperandList,
+    TileGrid,
+    grid_hop_tiles,
+    stack_tiles,
+    validate_grid,
+)
 from ..semiring.minplus import MIN_PLUS, Semiring
 from .checksums import (
     Checksums,
     block_checksums,
     checksums_match,
-    checksums_mismatch,
+    mismatched_tiles,
     predicted_accumulate,
     predicted_merge,
     uniform_tiles,
@@ -52,7 +59,10 @@ VERIFY_MODES = ("off", "checksum", "full")
 
 @dataclass
 class _Guard:
-    """Verification state of one tracked (resident) distance block."""
+    """Verification state of one tracked (resident) distance block.
+    ``row`` / ``col`` are its rows of the rank's sum tables (its own
+    arrays when the rank's blocks differ in shape), written in place
+    (:meth:`store`)."""
 
     rank: int
     key: Tuple[int, int]
@@ -63,6 +73,9 @@ class _Guard:
     # last readings at those positions.
     sent_pos: Optional[np.ndarray] = None
     sent_vals: Optional[np.ndarray] = None
+
+    def store(self, sums: Checksums) -> None:
+        self.row[...], self.col[...] = sums
 
 
 class VerifyRuntime:
@@ -92,6 +105,11 @@ class VerifyRuntime:
         self.counters: Dict[str, int] = {}
         self._tiles: Dict[int, _Guard] = {}
         self._rank_ids: Dict[int, List[int]] = {}
+        #: id(slab) -> (slab, row-sum table, col-sum table) of each rank
+        #: registered with a local matrix; table row t is the block at
+        #: the slab's flat position t.
+        self._slabs: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._rank_slab: Dict[int, int] = {}
         self._transient: Dict[int, Checksums] = {}
         self._escalate: Optional[SilentCorruptionError] = None
 
@@ -106,13 +124,23 @@ class VerifyRuntime:
         """(Re)register a rank's resident blocks: record their current
         checksums and, in ``full`` mode, seed the sentinel baselines.
         Called at every rank program build, so restarts re-anchor on the
-        restored arrays."""
+        restored arrays.  Uniform blocks' sums go into two tables, one
+        row per block in key order; the blocks of a local matrix
+        (``blocks.tiles``, positional) are in key order already, and a
+        grid of them reads and writes its sums by position."""
         for old_id in self._rank_ids.pop(rank, []):
             self._tiles.pop(old_id, None)
+        self._slabs.pop(self._rank_slab.pop(rank, None), None)
         keys = sorted(blocks)
-        arrs = [blocks[key] for key in keys]
-        if arrs and uniform_tiles(arrs):
-            sums = zip(*self.inner.tile_sums(arrs, self.semiring)[1])
+        slab_tiles = getattr(blocks, "tiles", None)
+        arrs = [blocks[key] for key in keys] if slab_tiles is None else slab_tiles
+        if len(arrs) and uniform_tiles(arrs):
+            tables = self.inner.tile_sums(arrs, self.semiring)[1]
+            sums = zip(*tables)
+            if slab_tiles is not None:
+                slab = slab_tiles.slab
+                self._slabs[id(slab)] = (slab, *tables)
+                self._rank_slab[rank] = id(slab)
         else:
             sums = (block_checksums(arr, self.semiring) for arr in arrs)
         ids: List[int] = []
@@ -170,7 +198,7 @@ class VerifyRuntime:
                 guard,
                 op,
             )
-            guard.row, guard.col = actual
+            guard.store(actual)
 
     # -- guarded kernels (called from ChecksummedBackend) --------------------
     def accumulate(self, c, a, b, semiring: Semiring, phase: str, hops=None) -> np.ndarray:
@@ -200,7 +228,7 @@ class VerifyRuntime:
             self._count("sdc_detected")
             actual = self._repair_accumulate(guard, c, c_pre, pre, a, b, semiring, op, hop)
         if guard is not None:
-            guard.row, guard.col = actual
+            guard.store(actual)
         else:
             self._transient[id(c)] = actual
         return c
@@ -231,10 +259,16 @@ class VerifyRuntime:
         walked in bands of whole tile rows whose snapshot fits
         ``inner.resolved_byte_budget()``.  A grid whose tiles, row
         operands or column operands are not each of one shape and dtype
-        takes the one-tile guarded cycle per tile instead."""
+        takes the one-tile guarded cycle per tile instead.  A positional
+        grid (:class:`~repro.semiring.backends.base.TileGrid`) of a
+        registered local matrix keeps its stored sums in the rank's
+        tables: one gather before the product, one scatter after."""
         op = validate_grid(c_tiles, a_rows, b_cols, phase)
-        tiles = [c for c_row in c_tiles for c in c_row]
-        if not tiles:
+        if isinstance(c_tiles, TileGrid):
+            tiles = c_tiles.flat
+        else:
+            tiles = [c for c_row in c_tiles for c in c_row]
+        if not len(tiles):
             return c_tiles
         hop_tiles = [] if hops is None else [
             cell[1] for cell in grid_hop_tiles(c_tiles, a_rows, b_cols, semiring, phase, hops)
@@ -268,21 +302,37 @@ class VerifyRuntime:
         inner = self.inner
         # Each operand list is handed to several entries: let the backend
         # keep what it derives from one (cnative: its pointer array).
-        c_tiles, a_rows = OperandList.grid(c_tiles), OperandList(a_rows)
-        tiles = c_tiles.flat
-        guards = [self._tiles.get(id(c)) for c in tiles]
+        a_rows = OperandList(a_rows)
+        tables = self._slabs.get(id(c_tiles.slab)) if isinstance(c_tiles, TileGrid) else None
+        if tables is not None:
+            # Tiles of a registered local matrix: every one is tracked,
+            # and its stored sums are its tables' rows at its position.
+            tiles = c_tiles.flat
+            _, row_table, col_table = tables
+            guards = None
+        else:
+            c_tiles = OperandList.grid(c_tiles)
+            tiles = c_tiles.flat
+            guards = [self._tiles.get(id(c)) for c in tiles]
+
+        def guard_of(t):
+            return self._tiles.get(id(tiles[t])) if guards is None else guards[t]
+
         # The snapshot (the repair pre-image) is taken in the pass that
         # takes the pre-op sums.
         snap, pre = inner.tile_sums(tiles, semiring, snapshot=True)
         pre_row, pre_col = pre
         # Pre-op: stored sums against contents (an untracked tile stands
         # in for itself); the exact per-tile verdict stays _precheck's.
-        stored = (
-            stack_tiles([g.row if g is not None else r for g, r in zip(guards, pre_row)]),
-            stack_tiles([g.col if g is not None else c for g, c in zip(guards, pre_col)]),
-        )
-        for t in np.flatnonzero(checksums_mismatch(stored, pre)):
-            self._precheck(guards[t], (pre_row[t], pre_col[t]), op)
+        if guards is None:
+            stored = (row_table[tiles.index], col_table[tiles.index])
+        else:
+            stored = (
+                stack_tiles([g.row if g is not None else r for g, r in zip(guards, pre_row)]),
+                stack_tiles([g.col if g is not None else c for g, c in zip(guards, pre_col)]),
+            )
+        for t in mismatched_tiles(stored, pre):
+            self._precheck(guard_of(t), (pre_row[t], pre_col[t]), op)
         if hops is None:
             predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
         else:
@@ -293,22 +343,24 @@ class VerifyRuntime:
         inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
         self._count("ops_checked", len(tiles))
         _, actual = inner.tile_sums(tiles, semiring)
-        repaired = {}
-        for t in np.flatnonzero(checksums_mismatch(predicted, actual)):
+        act_row, act_col = actual
+        for t in mismatched_tiles(predicted, actual):
             self._count("sdc_detected")
             i, j = divmod(int(t), len(b_cols))
             hop = None if hops is None else (hop_tiles[t], hop_snap[t], hops[1][i])
-            repaired[int(t)] = self._repair_accumulate(
-                guards[t], tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
+            act_row[t], act_col[t] = self._repair_accumulate(
+                guard_of(t), tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
                 semiring, op, hop,
             )
-        # Per-tile sums are views into this band's stacked sums.
-        for t, (c, guard, row, col) in enumerate(zip(tiles, guards, *actual)):
-            sums = repaired.get(t, (row, col))
+        if guards is None:
+            row_table[tiles.index], col_table[tiles.index] = act_row, act_col
+            return
+        # An untracked tile's sums are views into this band's stacked sums.
+        for c, guard, row, col in zip(tiles, guards, act_row, act_col):
             if guard is not None:
-                guard.row, guard.col = sums
+                guard.store((row, col))
             else:
-                self._transient[id(c)] = sums
+                self._transient[id(c)] = (row, col)
 
     def _repair_accumulate(
         self, guard, c, c_pre, pre, a, b, semiring, op: str, hop=None
@@ -362,7 +414,7 @@ class VerifyRuntime:
                     "diag_update",
                 )
             if guard is not None:
-                guard.row, guard.col = block_checksums(blk, semiring)
+                guard.store(block_checksums(blk, semiring))
 
         return wrapped
 
@@ -410,7 +462,7 @@ class VerifyRuntime:
             else:
                 self._flag("ooG merge checksum mismatch persisted", guard, "oog_merge")
         if guard is not None:
-            guard.row, guard.col = actual
+            guard.store(actual)
 
     # -- monotonicity sentinel -----------------------------------------------
     def sentinel_check(self, rank: int, k: int) -> None:

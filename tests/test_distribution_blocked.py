@@ -82,7 +82,8 @@ class TestDistributeCollect:
 
     def test_collect_detects_misplaced_block(self, dense24):
         g = ProcessGrid(2, 2)
-        parts = distribute(dense24, 6, g)
+        # A rank's local matrix refuses item changes: edit plain copies.
+        parts = [dict(p) for p in distribute(dense24, 6, g)]
         blk = parts[0].pop((0, 0))
         parts[1][(0, 0)] = blk  # wrong owner
         with pytest.raises(ConfigurationError):
@@ -90,7 +91,7 @@ class TestDistributeCollect:
 
     def test_collect_detects_missing_block(self, dense24):
         g = ProcessGrid(2, 2)
-        parts = distribute(dense24, 6, g)
+        parts = [dict(p) for p in distribute(dense24, 6, g)]
         parts[0].pop((0, 0))
         with pytest.raises(ConfigurationError):
             collect(parts, 24, 6, g)

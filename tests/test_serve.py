@@ -952,8 +952,12 @@ class TestIncremental:
         np.testing.assert_array_equal(srv.submatrix(range(30), range(30)), res.dist)
 
 
+def _solve_result8(w):
+    return repro.solve(w, variant="async", block_size=8, **CLUSTER)
+
+
 def _solve8(w):
-    return repro.solve(w, variant="async", block_size=8, **CLUSTER).dist
+    return _solve_result8(w).dist
 
 
 def _rank_one(dist, u, v, c):
@@ -1149,6 +1153,46 @@ class TestRepair:
         store = load_artifact(tmp_path / "art") if kind == "disk" else updater.artifact
         np.testing.assert_array_equal(store.load_graph(), expected)
         np.testing.assert_array_equal(store.dist(), _solve8(expected))
+
+
+class TestPositiveDiagonal:
+    """A solve keeps ``d(i, i) = min(w[i, i], shortest cycle)``, which is
+    positive where the graph's diagonal is; a route through an updated
+    edge may still start at its tail or end at its head with no edge."""
+
+    def test_a_decrease_out_of_a_positive_diagonal_vertex(self):
+        w = erdos_renyi(20, 0.3, seed=1)
+        np.fill_diagonal(w, 5.0)
+        srv = repro.serve(_solve_result8(w), graph=w, block_size=8)
+        srv.update_edge(0, 7, 0.01)
+        w[0, 7] = 0.01
+        fresh = _solve8(w)
+        assert srv.distance(0, 7) == fresh[0, 7] == 0.01
+        np.testing.assert_allclose(srv.patcher.artifact.dist(), fresh, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["disk", "memory", "dense"])
+    def test_a_random_update_stream_is_a_fresh_solve(self, tmp_path, kind):
+        """Decreases (a new or halved edge) alternate with increases of
+        edges on shortest paths; dyadic weights keep every sum exact."""
+        rng = np.random.default_rng(44)
+        n = 30
+        w = np.ceil(erdos_renyi(n, 0.3, seed=9) * 64) / 64
+        np.fill_diagonal(w, rng.integers(1, 8, n) / 4)
+        updater = _open_updater(kind, w, tmp_path)
+        for step in range(12):
+            if step % 2 == 0:
+                u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                old = float(w[u, v])
+                weight = old / 2 if np.isfinite(old) else float(rng.integers(1, 16)) / 64
+            else:
+                edges = _on_path_edges(updater)
+                u, v = edges[rng.integers(len(edges))]
+                weight = INF if step % 3 == 0 else float(w[u, v]) + float(rng.integers(1, 8))
+            updater.update_edge(u, v, weight)
+            w[u, v] = weight
+            np.testing.assert_array_equal(updater.artifact.dist(), _solve8(w), err_msg=str(step))
+        assert updater.repairs >= 3
+        assert (np.diagonal(updater.artifact.dist()) > 0).all()
 
 
 class TestEditLog:

@@ -36,9 +36,11 @@ from repro.graphs import uniform_random_dense
 from repro.semiring import MIN_PLUS, NO_HOP, PLUS_TIMES, SEMIRINGS
 from repro.semiring.backends import CNativeBackend, TiledBackend, available_backends, get_backend
 from repro.semiring.backends import cnative as cnative_mod
+from repro.core.distribution import RankBlocks
 from repro.semiring.backends.base import (
     GRID_PHASES,
     KernelBackend,
+    OperandList,
     predicted_accumulate_grid,
 )
 from repro.verify import (
@@ -572,6 +574,39 @@ def _spy_native_guard(monkeypatch, backend, sr, dtype):
     return native, numpy_calls
 
 
+def _slab_guarded(inner, c_tiles, semiring=MIN_PLUS, slab=True):
+    """A fresh checksum-mode runtime whose rank 2 holds copies of
+    ``c_tiles`` as its blocks ``(i + 1, j + 1)``, every block tracked,
+    with one more block row and column in front: registered as one
+    local matrix (``slab``; the guard keeps the sums in its tables) or as
+    a plain map of copies.  Returns ``(runtime, tiles, grid)``, ``grid``
+    the positional form of ``tiles`` (None for the plain map)."""
+    nr, nc = len(c_tiles), len(c_tiles[0])
+    first = c_tiles[0][0]
+    local = np.full((nr + 1, nc + 1, *first.shape), 4.0, dtype=first.dtype)
+    for i, c_row in enumerate(c_tiles):
+        for j, c in enumerate(c_row):
+            local[i + 1, j + 1] = c
+    blocks = RankBlocks(local, range(nr + 1), range(nc + 1))
+    if not slab:
+        blocks = {key: blk.copy() for key, blk in blocks.items()}
+    vrt = VerifyRuntime("checksum", inner, semiring=semiring)
+    vrt.register_rank(2, blocks)
+    keys = [[(i + 1, j + 1) for j in range(nc)] for i in range(nr)]
+    tiles = [[blocks[key] for key in row] for row in keys]
+    return vrt, tiles, (blocks.grid(keys) if slab else None)
+
+
+def _no_list_band(monkeypatch):
+    """Fail any guarded band that falls back to looking guards up tile
+    by tile (the list path's first step)."""
+
+    def refuse(cls, c_tiles):
+        raise AssertionError("a registered local matrix took the list path")
+
+    monkeypatch.setattr(OperandList, "grid", classmethod(refuse))
+
+
 class TestGuardedGrid:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
@@ -707,6 +742,104 @@ class TestGuardedGrid:
         vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
         vrt.raise_pending()
         assert vrt.counters["sdc_detected"] == 1 and vrt.counters["ops_checked"] == 36
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
+    @pytest.mark.parametrize("backend", ["tiled", "tiled-f32", "cnative"])
+    def test_table_backed_grid_is_the_per_tile_guarded_loop(self, backend, sr_name, dtype,
+                                                            monkeypatch):
+        """A positional grid over a registered local matrix keeps its
+        sums in the rank's tables: tiles, stored sums and counters are
+        the per-tile guarded loop's, bit for bit, and every stored sum
+        is its table row."""
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend unavailable")
+        inner, sr = get_backend(backend), SEMIRINGS[sr_name]
+        if backend == "cnative":
+            _, numpy_calls = _spy_native_guard(monkeypatch, inner, sr, dtype)
+        _no_list_band(monkeypatch)
+        for phase in GRID_PHASES:
+            for nr, nc in GRID_SHAPES:
+                msg = f"{backend} {sr_name} {np.dtype(dtype).name} {phase} {nr}x{nc}"
+                c_tiles, a_rows, b_cols = _grid_case(nr, nc, dtype)
+                looped = _slab_guarded(inner, c_tiles, sr, slab=False)
+                gridded = _slab_guarded(inner, c_tiles, sr)
+                for _ in range(2):  # second pass: sums stored by the first are the baseline
+                    _tile_loop(*looped[:2], a_rows, b_cols, sr, phase)
+                    out = gridded[0].accumulate_grid(gridded[2], a_rows, b_cols, sr, phase)
+                    assert out is gridded[2]
+                    _assert_same_state(gridded[:2], looped[:2], msg)
+                vrt = gridded[0]
+                (_, row_table, col_table), = vrt._slabs.values()
+                for guard in vrt._tiles.values():
+                    assert np.shares_memory(guard.row, row_table), msg
+                    assert np.shares_memory(guard.col, col_table), msg
+                assert vrt.counters["ops_checked"] == 2 * nr * nc, msg
+                vrt.raise_pending()
+        if backend == "cnative":
+            assert numpy_calls == []
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one-band", "band-per-row"])
+    def test_table_backed_corrupt_tile_is_repaired_alone(self, budget, monkeypatch):
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        want = get_backend("tiled").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        _no_list_band(monkeypatch)
+        results = []
+        for slab in (True, False):
+            inner = _CorruptsTarget(byte_budget=budget)
+            vrt, tiles, grid = _slab_guarded(inner, c_tiles, slab=slab)
+            inner.target = tiles[1][2]
+            if slab:
+                vrt.accumulate_grid(grid, a_rows, b_cols, MIN_PLUS)
+            else:
+                _tile_loop(vrt, tiles, a_rows, b_cols, MIN_PLUS, "outer")
+            vrt.raise_pending()  # repaired in place: nothing escalates
+            assert vrt.counters == {
+                "blocks_tracked": (nr + 1) * (nc + 1), "ops_checked": nr * nc,
+                "sdc_detected": 1, "repaired": 1,
+            }
+            for i in range(nr):
+                for j in range(nc):
+                    np.testing.assert_array_equal(tiles[i][j], want[i][j])
+                    guard = vrt._tiles[id(tiles[i][j])]
+                    assert checksums_match((guard.row, guard.col),
+                                           block_checksums(want[i][j], MIN_PLUS))
+            results.append((vrt, tiles))
+        _assert_same_state(*results, "repair")
+
+    def test_table_backed_flags_in_row_major_order(self, monkeypatch):
+        """At-rest flips in two blocks between two grids: both flag, in
+        the per-tile loop's order, and the first names the escalation."""
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc, inf=False)
+        _no_list_band(monkeypatch)
+        raised, states = [], []
+        for slab in (True, False):
+            vrt, tiles, grid = _slab_guarded(get_backend("tiled"), c_tiles, slab=slab)
+
+            def run():
+                if slab:
+                    vrt.accumulate_grid(grid, a_rows, b_cols, MIN_PLUS, "panel")
+                else:
+                    _tile_loop(vrt, tiles, a_rows, b_cols, MIN_PLUS, "panel")
+
+            run()
+            tiles[2][1][3, 4] *= -1.0
+            tiles[0][3][5, 0] *= -1.0
+            run()
+            with pytest.raises(SilentCorruptionError, match="resident corruption") as info:
+                vrt.raise_pending()
+            raised.append((info.value.rank, info.value.block, info.value.op))
+            assert vrt.counters == {
+                "blocks_tracked": (nr + 1) * (nc + 1), "ops_checked": 2 * nr * nc,
+                "sdc_detected": 2, "escalated": 2,
+            }
+            run()  # resynced: the same upsets are not re-detected
+            vrt.raise_pending()
+            states.append((vrt, tiles))
+        assert raised == [(2, (1, 4), "srgemm_panel")] * 2
+        _assert_same_state(*states, "flags")
 
     @pytest.mark.parametrize("case", ["ragged", "mixed-dtype"])
     def test_non_uniform_grid_takes_the_per_tile_guarded_path(self, case, monkeypatch):
