@@ -173,10 +173,12 @@ class RankState:
         self.ctx = ctx
         self.me = me
         self.row, self.col = ctx.grid.coords(me)
-        #: The rank's blocks: a :class:`RankBlocks` (views of its local
-        #: matrix; what every driver-built state holds), or any map of
-        #: block arrays, whose grids take the list path.
-        self.blocks = blocks
+        #: The rank's blocks as views of its local matrix, a
+        #: :class:`RankBlocks`; a map of block arrays (a restored
+        #: checkpoint) is copied into a new one.  A map that is not this
+        #: rank's whole set of b x b blocks stays as it is, and its grids
+        #: take the list path.
+        self.blocks = RankBlocks.gather(blocks, self.local_rows(), self.local_cols())
         #: Next-hop pointer blocks (same keys as ``blocks``) when the
         #: run tracks paths; None otherwise.
         self.nxt = nxt

@@ -93,6 +93,19 @@ class RankBlocks(Mapping):
         index = rows[:, None] * len(self.cols) + cols
         return TileGrid(self.slab, index, self.tiles.tiles)
 
+    def region(self, rows, cols) -> tuple:
+        """The blocks ``rows x cols`` (each in the slab's order) as an
+        index into ``slab``'s two leading axes: two slices when the
+        positions on each axis are one run (``slab[region]`` is then a
+        view), else an ``np.ix_`` pair (a gather to read, a scatter to
+        write back)."""
+        row_pos, col_pos = self._row_pos, self._col_pos
+        p0, p1 = row_pos[rows[0]], row_pos[rows[-1]]
+        q0, q1 = col_pos[cols[0]], col_pos[cols[-1]]
+        if p1 - p0 == len(rows) - 1 and q1 - q0 == len(cols) - 1:
+            return slice(p0, p1 + 1), slice(q0, q1 + 1)
+        return np.ix_([row_pos[i] for i in rows], [col_pos[j] for j in cols])
+
     def __getitem__(self, key) -> np.ndarray:
         return self._views[key]
 

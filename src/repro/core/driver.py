@@ -56,7 +56,7 @@ from ..sim.engine import Environment, Interrupt
 from ..sim.trace import Tracer
 from ..verify.runtime import VERIFY_MODES
 from .context import FwContext, RankState
-from .distribution import RankBlocks, collect, distribute, pad_to_blocks
+from .distribution import collect, distribute, pad_to_blocks
 from .executor import HOST_RESIDENT, ResidencyPolicy, execute_schedule
 from .grid import ProcessGrid, near_square_factors
 from .placement import (
@@ -420,16 +420,8 @@ def make_state_builders(
                 state.dram_charged = 0
 
     def build_states(blocks_by_rank, nxt_by_rank) -> list[RankState]:
-        grid, nb = rp.grid, rp.nb
         states = [
-            RankState(
-                ctx, r,
-                # A restored checkpoint is copied into a new local matrix.
-                RankBlocks.gather(
-                    blocks_by_rank[r], grid.local_block_rows(r, nb), grid.local_block_cols(r, nb)
-                ),
-                nxt=None if nxt_by_rank is None else nxt_by_rank[r],
-            )
+            RankState(ctx, r, blocks_by_rank[r], nxt=None if nxt_by_rank is None else nxt_by_rank[r])
             for r in range(rp.n_ranks)
         ]
         try:

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults.checkpoint import checkpoint_hook
+from ..semiring.backends.base import TileGrid
 from ..semiring.closure import squaring_steps
 from ..sim.engine import Event
 from ..sim.trace import OP_CATEGORY_PREFIX
@@ -60,10 +61,6 @@ __all__ = [
 ]
 
 
-def _chunks(items: list, size: int) -> list:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def _observed_oog(obs, pipe):
     """Generator wrapper: run the ooGSrGemm pipeline and fold its
     :class:`~repro.core.oog_srgemm.OogStats` into the metrics registry
@@ -90,7 +87,14 @@ def _outer_tiles(
 
     Local block rows/cols (excluding k and already-updated look-ahead
     panels) are grouped into chunks of mx_blocks x nx_blocks; panel
-    pieces are h2d'd on first use, keyed per (iteration, side, chunk)."""
+    pieces are h2d'd on first use, keyed per (iteration, side, chunk).
+
+    The product is one grid over a positional staging stack of every
+    chunk's b x b tiles, ``(R, C, b, b)`` for the R x C blocks updated,
+    with the operands the GPU-resident OuterUpdate takes; the first
+    chunk to compute runs it, and each chunk's compute returns its
+    ``(nr, nc, b, b)`` part.  A chunk's apply merges that part into the
+    rank's local matrix with one ⊕."""
     ctx = state.ctx
     cfg = ctx.config
     b = ctx.b
@@ -98,68 +102,93 @@ def _outer_tiles(
     vrt = ctx.verify
     rt = ctx.faults
     # Pending target=oog memflip for this (rank, k): corrupts the first
-    # tile's staged buffer between compute and apply, modeling an upset
-    # during the d2h transfer / host residence of the product.
+    # chunk's staged product between compute and apply, modeling an
+    # upset during the d2h transfer / host residence of the product.
     oog_bits = 0
     if rt is not None and rt.injector.plan.memory_faults:
         oog_bits = rt.injector.take_oog_flip(state.me, k)
-    row_chunks = _chunks(state.local_rows(exclude=(k, *skip_rows)), cfg.mx_blocks)
-    col_chunks = _chunks(state.local_cols(exclude=(k, *skip_cols)), cfg.nx_blocks)
+    rows = state.local_rows(exclude=(k, *skip_rows))
+    cols = state.local_cols(exclude=(k, *skip_cols))
+    blocks = state.blocks
+    staged: list = []  # the staging grid, once computed
+
+    def product(grid: TileGrid, grid_rows: list, grid_cols: list) -> None:
+        a_rows = [col_panel[i] for i in grid_rows]
+        b_cols = [row_panel[j] for j in grid_cols]
+        ctx.backend.srgemm_grid(grid, a_rows, b_cols, semiring=semiring, phase="outer")
+
+    def staging() -> TileGrid:
+        # Whichever chunk's kernel completes first runs the grid.
+        if not staged:
+            dtype = col_panel[rows[0]].dtype
+            stack = semiring.zeros((len(rows), len(cols), b, b), dtype=dtype)
+            index = np.arange(stack.shape[0] * stack.shape[1], dtype=np.uintp)
+            grid = TileGrid(stack, index.reshape(stack.shape[:2]), list(stack.reshape(-1, b, b)))
+            product(grid, rows, cols)
+            staged.append(grid)
+        return staged[0]
+
+    def chunk_grid(rs: slice, cs: slice) -> TileGrid:
+        grid = staging()
+        return TileGrid(grid.slab, grid.index[rs, cs], grid.tiles)
+
     tiles: list[TileTask] = []
-    for ci, rows in enumerate(row_chunks):
-        for cj, cols in enumerate(col_chunks):
+    for ci, r0 in enumerate(range(0, len(rows), cfg.mx_blocks)):
+        rs = slice(r0, r0 + cfg.mx_blocks)
+        for cj, c0 in enumerate(range(0, len(cols), cfg.nx_blocks)):
+            cs = slice(c0, c0 + cfg.nx_blocks)
+            chunk_rows, chunk_cols = rows[rs], cols[cs]
             h2d = []
             if cj == 0:
-                h2d.append(((k, "A", ci), b * len(rows), b))
+                h2d.append(((k, "A", ci), b * len(chunk_rows), b))
             if ci == 0:
-                h2d.append(((k, "B", cj), b, b * len(cols)))
+                h2d.append(((k, "B", cj), b, b * len(chunk_cols)))
 
-            def compute(rows=rows, cols=cols):
-                a = np.vstack([col_panel[i] for i in rows])
-                bmat = np.hstack([row_panel[j] for j in cols])
-                x = semiring.zeros((a.shape[0], bmat.shape[1]), dtype=a.dtype)
-                ctx.backend.srgemm_grid([[x]], [a], [bmat], semiring=semiring, phase="outer")
-                return x
+            def compute(rs=rs, cs=cs):
+                return staging().slab[rs, cs]
 
-            clean_compute = compute
             if oog_bits:
 
-                def compute(base=clean_compute, bits=oog_bits):
+                def compute(base=compute, bits=oog_bits):
                     x = base()
                     inj = ctx.faults.injector
-                    if inj.flip_entries(x, bits):
+                    # (nr, b, nc, b) ravels as the chunk's (nr·b, nc·b) product.
+                    if inj.flip_entries(x.transpose(0, 2, 1, 3), bits):
                         inj.count("faults.oog_flips")
                     return x
 
-                oog_bits = 0  # one upset per fault, on the first tile
+                oog_bits = 0  # one upset per fault, on the first chunk
 
             if vrt is None:
 
-                def apply(x, rows=rows, cols=cols):
-                    for ri, i in enumerate(rows):
-                        for rj, j in enumerate(cols):
-                            blk = state.blocks[(i, j)]
-                            semiring.plus(
-                                blk, x[ri * b : (ri + 1) * b, rj * b : (rj + 1) * b], out=blk
-                            )
+                def apply(x, chunk_rows=chunk_rows, chunk_cols=chunk_cols):
+                    slab, at = blocks.slab, blocks.region(chunk_rows, chunk_cols)
+                    if isinstance(at[0], slice):
+                        dst = slab[at]
+                        semiring.plus(dst, x, out=dst)
+                    else:
+                        slab[at] = semiring.plus(slab[at], x)
 
             else:
-                # The clean compute closure is retained for localized
-                # repair: a corrupted staged tile is simply re-executed.
 
-                def apply(x, rows=rows, cols=cols, recompute=clean_compute):
-                    x = vrt.verify_staged(x, recompute=recompute)
-                    for ri, i in enumerate(rows):
-                        for rj, j in enumerate(cols):
-                            vrt.guarded_merge(
-                                state.blocks[(i, j)],
-                                x[ri * b : (ri + 1) * b, rj * b : (rj + 1) * b],
-                            )
+                def recompute(rs=rs, cs=cs, chunk_rows=chunk_rows, chunk_cols=chunk_cols):
+                    # Localized repair: the chunk's tiles re-run as one
+                    # guarded grid, in place.
+                    chunk = chunk_grid(rs, cs)
+                    chunk.slab[rs, cs] = semiring.zero
+                    product(chunk, chunk_rows, chunk_cols)
+
+                def apply(x, rs=rs, cs=cs, chunk_rows=chunk_rows, chunk_cols=chunk_cols,
+                          recompute=recompute):
+                    vrt.verify_staged(chunk_grid(rs, cs).flat, recompute=recompute)
+                    for ri, i in enumerate(chunk_rows):
+                        for rj, j in enumerate(chunk_cols):
+                            vrt.guarded_merge(blocks[(i, j)], x[ri, rj])
 
             tiles.append(
                 TileTask(
-                    m=b * len(rows),
-                    n=b * len(cols),
+                    m=b * len(chunk_rows),
+                    n=b * len(chunk_cols),
                     k=b,
                     h2d=h2d,
                     compute=maybe(ctx, compute),

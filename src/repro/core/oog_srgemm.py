@@ -16,10 +16,19 @@ The cost behaviour (§4.5): with 1 stream the time per tile is
 ``t0 + t1 + t2``; with 2 streams ``min over pairings``; with >= 3
 streams ``max(t0, t1, t2)`` - reproduced by the simulation because the
 engine resources serialize exactly those stages.
+
+The pipeline times the tiles and runs whatever numerics a
+:class:`TileTask` carries.  The offload OuterUpdate's tasks
+(``core/executor.py::_outer_tiles``) share one staging grid: the first
+tile's compute runs the whole rank-iteration's product as one
+``srgemm_grid`` over b x b tiles, each tile's compute returns its part,
+and its apply merges that part with one ⊕.  :func:`oog_srgemm_plan`, the
+standalone path behind Figures 5 and 6, computes each tile on its own.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -102,6 +111,12 @@ def run_oog_pipeline(
     streams = [gpu.stream(f"{label}.s{r}", tracer=tracer) for r in range(n_streams)]
     h2d_done: dict[object, Event] = {}
     d2h_events: list[Optional[Event]] = [None] * len(tiles)
+    # Virtual sizes, once per distinct shape (a pipeline has a handful);
+    # the same values are summed in the same order.
+    bytes_of = functools.lru_cache(maxsize=None)(cost.bytes_of)
+    flops_of = functools.lru_cache(maxsize=None)(
+        lambda m, n, k: 2.0 * cost.v(m) * cost.v(n) * cost.v(k)
+    )
 
     def enqueue(t: int) -> None:
         tile = tiles[t]
@@ -112,7 +127,7 @@ def run_oog_pipeline(
             if ev is None:
                 ev = stream.h2d(rows, cols, label=f"h2d:{key}")
                 h2d_done[key] = ev
-                stats.h2d_bytes_virtual += cost.bytes_of(rows, cols)
+                stats.h2d_bytes_virtual += bytes_of(rows, cols)
             deps.append(ev)
         kev = stream.kernel(
             tile.m,
@@ -123,12 +138,12 @@ def run_oog_pipeline(
             after=deps,
             cost_scale=tile.cost_scale,
         )
-        stats.flops_virtual += 2.0 * cost.v(tile.m) * cost.v(tile.n) * cost.v(tile.k)
+        stats.flops_virtual += flops_of(tile.m, tile.n, tile.k)
         # The d2h op's value is the kernel's result (the X buffer).
         d2h_events[t] = stream.d2h(
             tile.m, tile.n, label=f"d2h:{tile.label}", fn=lambda kev=kev: kev.value
         )
-        stats.d2h_bytes_virtual += cost.bytes_of(tile.m, tile.n)
+        stats.d2h_bytes_virtual += bytes_of(tile.m, tile.n)
         stats.tiles += 1
 
     # Prime one tile per stream, then consume in initiation order,

@@ -18,8 +18,9 @@ check when unarmed:
 
 Reliability protocol
 --------------------
-Every armed send carries a per-(src, dst) *sequence number* and a
-CRC32 *checksum* over its payload.  The injector retains a pristine
+Every armed send carries a per-(src, dst) *sequence number*, and,
+when the plan holds a message fault (the only fault that corrupts a
+payload in flight), a CRC32 *checksum* over its payload.  The injector retains a pristine
 copy of the most recent message per (dst, src, tag); a receiver whose
 :func:`~repro.mpi.collectives.recv_with_retry` times out (or detects a
 checksum mismatch) calls :meth:`request_retransmit`, which charges a

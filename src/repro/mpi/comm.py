@@ -86,7 +86,8 @@ def _copy_payload(payload: Any) -> Any:
 def payload_checksum(payload: Any) -> int:
     """CRC32 over a payload's structure and ndarray bytes.
 
-    Armed sends stamp this on the envelope; the retry wrapper in
+    Sends under a plan with message faults stamp this on the
+    envelope; the retry wrapper in
     :mod:`repro.mpi.collectives` recomputes it on receipt, so injected
     bit-flips are detected and the pristine copy re-requested."""
     crc = 0
@@ -168,7 +169,9 @@ class SimMPI:
         checksum = None
         if injector is not None:
             seq = injector.next_seq(src, dst)
-            checksum = payload_checksum(buffered)
+            if injector.plan.message_faults:
+                # Only a message fault can corrupt a payload in flight.
+                checksum = payload_checksum(buffered)
         yield from self.cluster.transfer(
             src_node,
             dst_node,

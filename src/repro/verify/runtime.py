@@ -419,24 +419,29 @@ class VerifyRuntime:
         return wrapped
 
     # -- ooGSrGemm staging ---------------------------------------------------
-    def verify_staged(self, x: np.ndarray, recompute: Optional[Callable] = None) -> np.ndarray:
-        """Validate a staged ooG product tile against the checksums taken
-        when it was computed (corruption window: d2h transfer + host
-        residence).  A flagged tile is repaired by re-running its retained
-        compute closure; the recomputed tile is itself checksummed."""
-        recorded = self._transient.pop(id(x), None)
-        if recorded is None:
-            return x
-        if checksums_match(recorded, block_checksums(x, self.semiring)):
-            return x
+    def verify_staged(self, tiles: Sequence[np.ndarray], recompute: Optional[Callable] = None) -> None:
+        """Validate a staged ooG chunk - its tile objects, the entries of
+        its staging grid - against the checksums taken when they were
+        computed (corruption window: d2h transfer + host residence).  A
+        chunk with a flagged tile counts one detection and is repaired
+        whole by its retained compute closure, which re-runs the chunk
+        in place as one guarded grid."""
+        semiring = self.semiring
+        flagged = False
+        for x in tiles:
+            recorded = self._transient.pop(id(x), None)
+            if recorded is not None and not checksums_match(recorded, block_checksums(x, semiring)):
+                flagged = True
+        if not flagged:
+            return
         self._count("sdc_detected")
         if recompute is None:
             self._flag("staged ooG tile corrupted and no compute closure retained")
-            return x
-        x2 = recompute()
-        self._transient.pop(id(x2), None)  # verified inside the guarded compute
+            return
+        recompute()
+        for x in tiles:
+            self._transient.pop(id(x), None)  # verified inside the guarded compute
         self._count("repaired")
-        return x2
 
     def guarded_merge(self, blk: np.ndarray, xs: np.ndarray) -> None:
         """Guarded ooG apply step ``blk ← blk ⊕ xs`` (``xs`` was verified

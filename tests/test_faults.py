@@ -208,6 +208,34 @@ class TestInjectionPrimitives:
         assert r.fault_counters["faults.retransmits"] == 1
         assert np.array_equal(r.dist, oracle["baseline"])
 
+    def test_payload_crcs_only_under_message_faults(self, w48, oracle, monkeypatch):
+        """A send stamps a payload CRC only when the plan holds a message
+        fault: a checkpoint-only plan computes none, and a corruption
+        plan still catches its corrupted copy by the CRC."""
+        from repro.mpi import collectives, comm
+
+        calls = []
+        real = comm.payload_checksum
+
+        def spy(payload):
+            calls.append(1)
+            return real(payload)
+
+        monkeypatch.setattr(comm, "payload_checksum", spy)
+        monkeypatch.setattr(collectives, "payload_checksum", spy)
+        r = run(w48, "baseline", fault_plan=["policy:ckpt=2"])
+        assert r.fault_counters["faults.checkpoints"] > 0
+        assert not calls
+        assert np.array_equal(r.dist, oracle["baseline"])
+        r = run(
+            w48,
+            "baseline",
+            fault_plan=["corrupt:src=0,dst=1,nth=1,bits=8", "policy:timeout=5e-4"],
+        )
+        assert calls
+        assert r.fault_counters["faults.checksum_mismatches"] == 1
+        assert np.array_equal(r.dist, oracle["baseline"])
+
     def test_duplicate_suppressed(self, w48, oracle):
         r = run(w48, "async", fault_plan=["dup:src=0,dst=1,nth=1"])
         assert r.fault_counters["faults.duplicated"] == 1
