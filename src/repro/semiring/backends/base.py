@@ -69,18 +69,26 @@ ranks' blocks, or blocks outside the grid).
 Guard entries
 -------------
 The ABFT guard (:mod:`repro.verify`) checks a grid product by
-``⊕``-checksums, and both of its array passes are on the waist so a
-backend can run them natively:
+``⊕``-checksums.  Its work on a band of a grid is on the waist, so a
+backend can run it natively:
 
+* ``guard_band(c_tiles, a_rows, b_cols, stored, ...)`` - one guarded
+  band: the tiles' pre-op sums and a stacked copy of them (the repair
+  pre-image), their compare with the stored sums (:class:`StoredSums`),
+  the predicted post-op sums, the product, the post-op sums and their
+  compare with the prediction.  A band with no flag returns None, its
+  post-op sums written to the stored sums; a flagged one returns all of
+  them and one flag byte per tile (:class:`GuardBand`).
 * ``tile_sums(tiles, snapshot=...)`` - the stacked row and column
-  ``⊕``-sums of uniform tiles, plus (on request) a stacked copy of them,
-  the guard's repair pre-image;
+  ``⊕``-sums of uniform tiles, plus (on request) a stacked copy of them;
 * ``predict_sums(pre, a_rows, b_cols)`` - the sums every tile of
   ``C[i][j] ⊕ A[i] ⊗ B[j]`` must have, from the pre-op sums, without
   forming the product (why that is exact: :mod:`repro.verify.checksums`).
 
-The defaults are the NumPy formulation (:func:`stack_checksums`,
-:func:`predicted_accumulate_grid`); predictions run at the backend's
+The default ``guard_band`` is ``tile_sums``, ``predict_sums``,
+``srgemm_grid`` and ``tile_sums`` again; the defaults of those two are the
+NumPy formulation (:func:`stack_checksums`,
+:func:`predicted_accumulate_grid`), and predictions run at the backend's
 ``compute_dtype``, as its kernels do.  An override must return values
 equal (``==``) to the defaults': a comparison ``⊕`` only ever picks one
 of its operands, so any reduction order gives them.
@@ -88,7 +96,7 @@ of its operands, so any reduction order gives them.
 Operand lists
 -------------
 A caller that hands one list of arrays to several entries in a row -
-the guard, within one band: the tiles to ``tile_sums``, ``srgemm_grid``
+the default ``guard_band``: the tiles to ``tile_sums``, ``srgemm_grid``
 and ``tile_sums`` again, the operands to ``predict_sums`` and
 ``srgemm_grid`` - may pass an :class:`OperandList` (for a grid's tiles,
 :meth:`OperandList.grid`).  A backend may keep what it derived from the
@@ -111,7 +119,7 @@ reduced-precision compute path advertises its tolerance via ``rtol``.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,6 +140,8 @@ __all__ = [
     "stack_tiles",
     "stack_checksums",
     "predicted_accumulate_grid",
+    "StoredSums",
+    "GuardBand",
 ]
 
 #: Stacked row and column ⊕-sums: ``(rows (T, m), cols (T, n))``.
@@ -344,6 +354,48 @@ def predicted_accumulate_grid(
     )
 
 
+class StoredSums(NamedTuple):
+    """The sums a guarded band's tiles are checked against, and where a
+    clean band's post-op sums go: tile ``t``'s are row ``index[t]`` of
+    ``rows`` ``(*, m)`` and ``cols`` ``(*, n)`` (``index`` None: row
+    ``t``).  ``tracked`` (None: every tile) marks the tiles that have
+    stored sums; an untracked tile stands in for itself."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    index: Optional[np.ndarray] = None
+    tracked: Optional[np.ndarray] = None
+
+    def of_tiles(self) -> Sums:
+        if self.index is None:
+            return self.rows, self.cols
+        return self.rows[self.index], self.cols[self.index]
+
+    def store(self, sums: Sums) -> None:
+        index = slice(None) if self.index is None else self.index
+        self.rows[index], self.cols[index] = sums
+
+
+class GuardBand(NamedTuple):
+    """What :meth:`KernelBackend.guard_band` returns for a flagged band:
+    the snapshot ``(T, m, n)`` and the pre-op, predicted and post-op
+    sums, tiles in row-major order, and ``flags``, one byte per tile
+    (bit 0: its pre-op sums differ from the stored ones; bit 1: its
+    post-op sums differ from the prediction)."""
+
+    snap: np.ndarray
+    pre: Sums
+    predicted: Sums
+    actual: Sums
+    flags: np.ndarray
+
+
+def _differ(want: Sums, got: Sums) -> np.ndarray:
+    """Per tile of stacked sums: True where any row or column sum
+    differs (exact comparison)."""
+    return (want[0] != got[0]).any(axis=1) | (want[1] != got[1]).any(axis=1)
+
+
 class KernelBackend:
     """Base class / default implementations for SrGemm backends."""
 
@@ -548,6 +600,49 @@ class KernelBackend:
         return predicted_accumulate_grid(
             pre, stack_tiles(a_rows), stack_tiles(b_cols), semiring, self.compute_dtype
         )
+
+    def guard_band(
+        self,
+        c_tiles,
+        a_rows: Sequence[np.ndarray],
+        b_cols: Sequence[np.ndarray],
+        stored: StoredSums,
+        semiring: Semiring = MIN_PLUS,
+        phase: str = "outer",
+        hops=None,
+    ) -> Optional[GuardBand]:
+        """One guarded band (see the module docs): ``c_tiles`` is a
+        uniform grid with a row-major ``flat`` (a :class:`TileGrid` or an
+        :meth:`OperandList.grid`), row and column operands each of one
+        shape and dtype.  ``hops`` (as in :meth:`srgemm_grid`) carries
+        next hops through the product, and the prediction is then made at
+        operand width, as path kernels compute."""
+        snap, pre = self.tile_sums(c_tiles.flat, semiring, snapshot=True)
+        if hops is None:
+            predicted = self.predict_sums(pre, a_rows, b_cols, semiring)
+        else:
+            predicted = predicted_accumulate_grid(
+                pre, stack_tiles(a_rows), stack_tiles(b_cols), semiring
+            )
+        flags = _differ(stored.of_tiles(), pre)
+        if stored.tracked is not None:
+            flags &= stored.tracked
+        return self._close_band(
+            c_tiles, a_rows, b_cols, stored, semiring, phase, hops,
+            GuardBand(snap, pre, predicted, None, flags.view(np.uint8)),
+        )
+
+    def _close_band(self, c_tiles, a_rows, b_cols, stored, semiring, phase, hops, band):
+        """The post-op half of :meth:`guard_band`, after ``band``'s
+        pre-op sums, snapshot, prediction and pre-op flags: the product,
+        the post-op sums and their compare, and a clean band's store."""
+        self.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
+        _, actual = self.tile_sums(c_tiles.flat, semiring)
+        flags = band.flags | (_differ(band.predicted, actual).view(np.uint8) << 1)
+        if flags.any():
+            return band._replace(actual=actual, flags=flags)
+        stored.store(actual)
+        return None
 
     # -- path tracking -------------------------------------------------------
     def srgemm_accumulate_paths(

@@ -65,15 +65,16 @@ with other flags, by another compiler or for another CPU is never
 reused: in a cache shared between hosts a foreign-ISA object would be a
 SIGILL, not a fallback.
 
-The ABFT guard's two passes (``tile_sums`` / ``predict_sums`` on the
+The ABFT guard's entries (``guard_band`` and ``tile_sums`` on the
 waist) come from a second unit per pair, ``guard-<semiring>-<f64|f32>-
-<hash>.so`` (``guard_sums``, ``guard_predict``): the same ``#define``
+<hash>.so`` (``guard_band``, ``guard_sums``): the same ``#define``
 lines in front of its own body, built by the same machinery at ``-O1``
-(its ``omp simd`` loops run as fast as at ``-O3``, and it compiles in
-60 % of the time) and only when a checksummed run first asks for it, so the
-kernel units' text - and every unarmed compile - is what it was without
-it.  It reads tiles in place through a pointer array and writes the
-repair snapshot in the pass that takes the pre-op sums.
+and only when a checksummed run first asks for it, so the kernel units'
+text - and every unarmed compile - is what it was without it.  A clean
+guarded band is one call: it reads tiles in place through a pointer
+array, writes the repair snapshot in the pass that takes the pre-op
+sums, and runs the prediction's two small products and the grid
+product through the kernel unit's ``srgemm_tile``, passed by address.
 
 Concurrency rule: the source goes to the compiler on stdin and the
 object is written to a ``mkstemp`` name in the cache directory, then
@@ -115,7 +116,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..minplus import MIN_PLUS, Semiring
-from .base import OperandList, SlabTiles, validate_accumulate, validate_grid
+from .base import (
+    GuardBand,
+    OperandList,
+    SlabTiles,
+    StoredSums,
+    validate_accumulate,
+    validate_grid,
+)
 from .tiled import TiledBackend
 
 __all__ = ["CNativeBackend", "find_c_compiler", "ENV_CNATIVE_CACHE"]
@@ -278,8 +286,46 @@ void srgemm_closure(void *restrict dv, void *restrict scratch, long n) {
 
 _GUARD_BODY = r"""
 #include <string.h>
+#include <stddef.h>
 
 #define SELECT(cand, cur) (((cand) BETTER (cur)) ? (cand) : (cur))
+
+/* The kernel unit's srgemm_tile, c (m x n) (+)= a (m x k) (x) b (k x n),
+   reached by address: this unit is compiled apart from it. */
+typedef void (*tile_fn)(void *, const void *, const void *, long, long, long);
+
+/* The row reduction's clause.  GCC starts each lane of a min/max clause
+   at the infinity of its side (infinities are honoured: no fast-math).
+   Other compilers may start it at the largest finite value, which would
+   win over a row of infinities; they take a user reduction whose every
+   lane starts from the original value instead ((+) is idempotent, so it
+   needs no identity element; GCC runs it at 2/3 the speed). */
+#if defined(__GNUC__) && !defined(__clang__)
+#define ROW_REDUCTION reduction(RED : acc)
+#else
+#pragma omp declare reduction(sel : T : omp_out = SELECT(omp_in, omp_out)) \
+    initializer(omp_priv = omp_orig)
+#define ROW_REDUCTION reduction(sel : acc)
+#endif
+
+/* row[i] = (+)_j x[i, j] and col[j] = (+)_i x[i, j] over a C-contiguous
+   m x n array, in one pass.  Each row's reduction is a vector loop whose
+   lanes are independent chains (one serial chain per row was
+   latency-bound); j starts at 0, so a row of whole vectors has no
+   scalar tail. */
+static void sums_of(const T *restrict x, long m, long n, T *restrict row, T *restrict col) {
+    memcpy(col, x, (size_t)n * sizeof(T));
+    for (long i = 0; i < m; i++) {
+        const T *restrict src = x + i * n;
+        T acc = src[0];
+        #pragma omp simd ROW_REDUCTION
+        for (long j = 0; j < n; j++) {
+            col[j] = SELECT(src[j], col[j]);
+            acc = SELECT(src[j], acc);
+        }
+        row[i] = acc;
+    }
+}
 
 /* rows[t*m + i] = (+)_j tile_t[i, j] and cols[t*n + j] = (+)_i tile_t[i, j]
    for count C-contiguous m x n tiles, read in place; with snap not NULL
@@ -288,80 +334,130 @@ void guard_sums(const void *const *tiles, long count, long m, long n,
                 void *snapv, void *rowsv, void *colsv) {
     T *snap = snapv, *rows = rowsv, *cols = colsv;
     for (long t = 0; t < count; t++) {
-        const T *restrict tile = tiles[t];
-        T *restrict row = rows + t * m;
-        T *restrict col = cols + t * n;
+        const T *tile = tiles[t];
         if (snap) memcpy(snap + t * m * n, tile, (size_t)(m * n) * sizeof(T));
-        for (long j = 0; j < n; j++) col[j] = tile[j];
-        for (long i = 0; i < m; i++) {
-            const T *restrict src = tile + i * n;
-            #pragma omp simd
-            for (long j = 0; j < n; j++) col[j] = SELECT(src[j], col[j]);
-            T acc = src[0];
-            for (long j = 1; j < n; j++) acc = SELECT(src[j], acc);
-            row[i] = acc;
-        }
-    }
-}
-
-/* out[q] = out[q] (+) x (x) v[q] for q < len: one step of a prediction
-   (both use it: (x) commutes in every compiled semiring).  Out of line,
-   so the unit has one vectorized loop body to compile, not two. */
-static __attribute__((noinline)) void fold(T *restrict out, const T *restrict v, T x, long len) {
-    #pragma omp simd
-    for (long q = 0; q < len; q++) {
-        T y = v[q];
-        T cand = (CAND);
-        out[q] = SELECT(cand, out[q]);
+        sums_of(tile, m, n, rows + t * m, cols + t * n);
     }
 }
 
 /* Predicted sums of c[i][j] (+)= a[i] (x) b[j] over an nr x nc grid of
-   (m, n, k) tiles, tile t = i*nc + j, from their pre-op sums:
+   (m, n, k) tiles, tile t = i*nc + j, from their pre-op sums, the a[i]
+   stacked in as (nr x m x k) and the b[j] in bs (nc x k x n):
      rows[t*m + r] = pre_rows[t*m + r] (+) (+)_s a[i][r, s] (x) rowsum(b[j])[s]
      cols[t*n + q] = pre_cols[t*n + q] (+) (+)_s colsum(a[i])[s] (x) b[j][s, q]
-   scratch holds nr*k*(m + 1) + nc*k elements: each a[i] transposed (the
-   row prediction then runs along contiguous memory), the colsums of the
-   a[i] and the rowsums of the b[j]. */
-void guard_predict(const void *const *av, const void *const *bv, long nr, long nc,
-                   long m, long n, long k, const void *pre_rowsv, const void *pre_colsv,
-                   void *rowsv, void *colsv, void *scratch) {
-    const T *pre_rows = pre_rowsv, *pre_cols = pre_colsv;
-    T *rows = rowsv, *cols = colsv;
-    T *at = scratch;            /* nr x (k x m) */
-    T *ca = at + nr * k * m;    /* nr x k */
-    T *rb = ca + nr * k;        /* nc x k */
+   run as two small products through tile ((x) commutes in every compiled
+   semiring): grid row i's row sums, an nc x m block, are
+   rowsums(b) (nc x k) (x) a[i]^T (k x m), and all column sums, an
+   nr x (nc*n) block, are colsums(a) (nr x k) (x) [b[0] .. b[nc-1]]
+   (k x nc*n).  scratch holds nr*k*(m + 1) + nc*k*(n + 1) + m + n
+   elements. */
+static void predict(tile_fn tile, const T *as, const T *bs, long nr, long nc,
+                    long m, long n, long k,
+                    const T *pre_rows, const T *pre_cols, T *rows, T *cols, T *scratch) {
+    T *at = scratch;            /* nr x (k x m): a[i] transposed */
+    T *ca = at + nr * k * m;    /* nr x k: colsums of a[i] */
+    T *rb = ca + nr * k;        /* nc x k: rowsums of b[j] */
+    T *bw = rb + nc * k;        /* k x (nc*n): the b[j] side by side */
+    T *unused = bw + k * nc * n;  /* the other sums of a[i] / b[j] */
     for (long i = 0; i < nr; i++) {
-        const T *a = av[i];
-        for (long s = 0; s < k; s++) {
-            T acc = a[s];
-            for (long r = 0; r < m; r++) {
-                acc = SELECT(a[r * k + s], acc);
-                at[(i * k + s) * m + r] = a[r * k + s];
-            }
-            ca[i * k + s] = acc;
-        }
+        const T *a = as + i * m * k;
+        sums_of(a, m, k, unused, ca + i * k);
+        for (long r = 0; r < m; r++)
+            for (long s = 0; s < k; s++) at[(i * k + s) * m + r] = a[r * k + s];
     }
     for (long j = 0; j < nc; j++) {
-        const T *b = bv[j];
-        for (long s = 0; s < k; s++) {
-            T acc = b[s * n];
-            for (long q = 1; q < n; q++) acc = SELECT(b[s * n + q], acc);
-            rb[j * k + s] = acc;
+        const T *b = bs + j * k * n;
+        sums_of(b, k, n, rb + j * k, unused);
+        for (long s = 0; s < k; s++)
+            memcpy(bw + (s * nc + j) * n, b + s * n, (size_t)n * sizeof(T));
+    }
+    memcpy(rows, pre_rows, (size_t)(nr * nc * m) * sizeof(T));
+    memcpy(cols, pre_cols, (size_t)(nr * nc * n) * sizeof(T));
+    for (long i = 0; i < nr; i++) tile(rows + i * nc * m, rb, at + i * k * m, nc, m, k);
+    tile(cols, ca, bw, nr, nc * n, k);
+}
+
+/* Per-tile verdicts: flags[t] |= bit where the m row sums or n column
+   sums of tile t differ (==: a selective (+) never rounds).  Returns the
+   number of tiles that differ. */
+static long compare(const T *want_rows, const T *want_cols, const size_t *index,
+                    const unsigned char *tracked, const T *rows, const T *cols,
+                    long count, long m, long n, unsigned char bit, unsigned char *flags) {
+    long differ = 0;
+    for (long t = 0; t < count; t++) {
+        if (tracked && !tracked[t]) continue;
+        size_t w = index ? index[t] : (size_t)t;
+        const T *wr = want_rows + w * m, *wc = want_cols + w * n;
+        const T *r = rows + t * m, *c = cols + t * n;
+        int bad = 0;
+        for (long i = 0; i < m; i++) bad |= wr[i] != r[i];
+        for (long j = 0; j < n; j++) bad |= wc[j] != c[j];
+        if (bad) {
+            flags[t] |= bit;
+            differ++;
         }
     }
+    return differ;
+}
+
+/* One guarded band: c[i*nc + j] (+)= a[i] (x) b[j] over an nr x nc grid
+   of (m, n, k) tiles, checked by (+)-sums; the a[i] are stacked in as
+   (nr x m x k), the b[j] in bs (nc x k x n).  work holds, in order, the
+   snapshot (T*m*n), the pre-op row and column sums (T*m, T*n), the
+   predicted ones, the post-op ones and predict's scratch.  Tile t's
+   stored sums are rows index[t] of stored_rows / stored_cols (index
+   NULL: row t); tracked (NULL: every tile) says which tiles have any -
+   an untracked tile stands in for itself.
+
+   Each tile's snapshot and pre-op sums are taken, its product run
+   through tile and its post-op sums taken; the pre-op sums are compared
+   with the stored sums (flags bit 0), the post-op sums predicted from
+   the pre-op sums and the operands (neither of which the products
+   touch) and compared with the taken ones (bit 1).  A band with no flag
+   writes its post-op sums to the stored rows.  With product 0 the entry
+   returns after the prediction: the caller runs the product and the
+   post-op half.
+   Returns the number of failed compares: 0 is a clean band. */
+long guard_band(tile_fn tile, long product, void *const *c, const void *asv,
+                const void *bsv, long nr, long nc, long m, long n, long k,
+                void *stored_rowsv, void *stored_colsv, const size_t *index,
+                const unsigned char *tracked, void *workv, unsigned char *flags) {
+    long count = nr * nc;
+    const T *as = asv, *bs = bsv;
+    T *stored_rows = stored_rowsv, *stored_cols = stored_colsv;
+    T *snap = workv;
+    T *pre_rows = snap + count * m * n, *pre_cols = pre_rows + count * m;
+    T *pred_rows = pre_cols + count * n, *pred_cols = pred_rows + count * m;
+    T *act_rows = pred_cols + count * n, *act_cols = act_rows + count * m;
+    T *scratch = act_cols + count * n;
+    memset(flags, 0, (size_t)count);
+    /* Tile by tile, so each tile is read from memory once: snapshot and
+       pre-op sums, product, post-op sums. */
     for (long i = 0; i < nr; i++) {
         for (long j = 0; j < nc; j++) {
             long t = i * nc + j;
-            T *row = rows + t * m, *col = cols + t * n;
-            for (long r = 0; r < m; r++) row[r] = pre_rows[t * m + r];
-            for (long q = 0; q < n; q++) col[q] = pre_cols[t * n + q];
-            for (long s = 0; s < k; s++) {
-                fold(row, at + (i * k + s) * m, rb[j * k + s], m);
-                fold(col, (const T *)bv[j] + s * n, ca[i * k + s], n);
+            T *ct = c[t];
+            memcpy(snap + t * m * n, ct, (size_t)(m * n) * sizeof(T));
+            sums_of(ct, m, n, pre_rows + t * m, pre_cols + t * n);
+            if (product) {
+                tile(ct, as + i * m * k, bs + j * k * n, m, n, k);
+                sums_of(ct, m, n, act_rows + t * m, act_cols + t * n);
             }
         }
     }
+    long flagged = compare(stored_rows, stored_cols, index, tracked, pre_rows, pre_cols,
+                           count, m, n, 1, flags);
+    predict(tile, as, bs, nr, nc, m, n, k, pre_rows, pre_cols, pred_rows, pred_cols, scratch);
+    if (!product) return flagged;
+    flagged += compare(pred_rows, pred_cols, NULL, NULL, act_rows, act_cols,
+                       count, m, n, 2, flags);
+    if (flagged) return flagged;
+    for (long t = 0; t < count; t++) {
+        size_t w = index ? index[t] : (size_t)t;
+        memcpy(stored_rows + w * m, act_rows + t * m, (size_t)m * sizeof(T));
+        memcpy(stored_cols + w * n, act_cols + t * n, (size_t)n * sizeof(T));
+    }
+    return 0;
 }
 """
 
@@ -395,15 +491,24 @@ def _unit_source(semiring_name: str, dtype: np.dtype) -> str:
 
 
 def _guard_source(semiring_name: str, dtype: np.dtype) -> str:
-    """The guard unit of one (semiring, dtype) pair."""
-    return "\n".join(_defines(semiring_name, dtype)) + "\n" + _GUARD_BODY
+    """The guard unit of one (semiring, dtype) pair; ``RED`` names ``⊕``
+    as an OpenMP reduction."""
+    red = "min" if _SEMIRING_OPS[semiring_name][1] == "<" else "max"
+    lines = [*_defines(semiring_name, dtype), f"#define RED {red}"]
+    return "\n".join(lines) + "\n" + _GUARD_BODY
 
 
 #: Unit kinds: file-name prefix -> (the text of a pair's unit, its
-#: optimization level).  The guard's loops are plain ``omp simd`` loops,
-#: as fast at ``-O1`` as at ``-O3``, where the unit compiles in 60 % of
-#: the time - a cost the first armed solve pays.
-_KINDS = {"srgemm": (_unit_source, "-O3"), "guard": (_guard_source, "-O1")}
+#: optimization flags).  The guard's loops are plain ``omp simd`` loops
+#: and its products run in the kernel unit, so ``-O1`` serves it, where
+#: the unit compiles in about half the time of ``-O3`` - a cost the
+#: first armed solve pays.  Without ``-ftree-vectorize`` the row
+#: reduction's vector loop keeps a scalar epilogue per row, and a b=16
+#: band takes 2.4x as long.
+_KINDS = {
+    "srgemm": (_unit_source, ("-O3",)),
+    "guard": (_guard_source, ("-O1", "-ftree-vectorize")),
+}
 
 
 def _cache_dir() -> str:
@@ -442,7 +547,7 @@ def _compile_unit(
     cc: str, probe: str, semiring_name: str, dtype: np.dtype, kind: str = "srgemm"
 ) -> ctypes.CDLL:
     """Compile (or reuse) one pair's shared object of ``kind`` and load it."""
-    unit_source, opt = _KINDS[kind]
+    unit_source, opts = _KINDS[kind]
     source = unit_source(semiring_name, dtype)
     cache = _cache_dir()
     os.makedirs(cache, exist_ok=True)
@@ -453,7 +558,7 @@ def _compile_unit(
         fd, tmp_path = tempfile.mkstemp(dir=cache, suffix=".tmp")
         os.close(fd)
         try:
-            base = [opt, "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
+            base = [*opts, "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-"]
             for flags in _RUNGS:
                 rung = f'-DSRGEMM_RUNG="{" ".join(flags)}"'  # what srgemm_rung() reports
                 proc = subprocess.run(
@@ -476,6 +581,7 @@ class _Unit(NamedTuple):
     them."""
 
     tile: object  # (c, a, b, m, n, k)
+    tile_address: int  # srgemm_tile's address, which the guard unit calls
     grid: object  # (c[], a[], b[], nr, nc, m, n, k)
     closure: object  # (d, scratch[2n], n)
     target: str  # vector target the unit was compiled for
@@ -513,25 +619,32 @@ def _bind(lib: ctypes.CDLL, dtype: np.dtype) -> _Unit:
         text.restype, text.argtypes = ctypes.c_char_p, []
     name = target().decode()
     shape = _target_row(name)[1][_DTYPES[dtype][0]]
-    return _Unit(tile, grid, closure, name, rung().decode(), shape)
+    address = ctypes.cast(tile, ctypes.c_void_p).value
+    return _Unit(tile, address, grid, closure, name, rung().decode(), shape)
 
 
 class _GuardUnit(NamedTuple):
     """One pair's bound guard entries (addresses, as in :class:`_Unit`)."""
 
     sums: object  # (tiles[], count, m, n, snap | NULL, rows, cols)
-    predict: object  # (a[], b[], nr, nc, m, n, k, pre_rows, pre_cols, rows, cols, scratch)
+    # (tile fn, product, c[], a stack, b stack, nr, nc, m, n, k,
+    #  stored rows, stored cols, index | NULL, tracked | NULL, work, flags)
+    band: object
 
 
 def _bind_guard(lib: ctypes.CDLL, dtype: np.dtype) -> _GuardUnit:
     try:
-        sums, predict = lib.guard_sums, lib.guard_predict
+        sums, band = lib.guard_sums, lib.guard_band
     except AttributeError as exc:
         raise RuntimeError(f"cnative guard library lacks a symbol: {exc}") from None
-    sums.restype = predict.restype = None
+    sums.restype = None
     sums.argtypes = [ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 3
-    predict.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 5 + [ctypes.c_void_p] * 5
-    return _GuardUnit(sums, predict)
+    band.restype = ctypes.c_long
+    band.argtypes = (
+        [ctypes.c_void_p, ctypes.c_long] + [ctypes.c_void_p] * 3 + [ctypes.c_long] * 5
+        + [ctypes.c_void_p] * 6
+    )
+    return _GuardUnit(sums, band)
 
 
 def _address(arr: np.ndarray) -> int:
@@ -757,36 +870,98 @@ class CNativeBackend(TiledBackend):
         )
         return snap, (rows, cols)
 
-    def predict_sums(
+    def guard_band(
         self,
-        pre,
+        c_tiles,
         a_rows: Sequence[np.ndarray],
         b_cols: Sequence[np.ndarray],
+        stored: StoredSums,
         semiring: Semiring = MIN_PLUS,
-    ):
-        a0, b0 = a_rows[0], b_cols[0]
-        dtype, nr, nc = a0.dtype, len(a_rows), len(b_cols)
-        unit = None
-        if a0.ndim == 2 and b0.ndim == 2 and a0.size > 0 and b0.size > 0:
-            (m, k), n = a0.shape, b0.shape[1]
-            a_ptrs = _pointers(a_rows, (m, k), dtype)
-            b_ptrs = _pointers(b_cols, (k, n), dtype)
-            pre_ok = all(
-                sums.shape == (nr * nc, width) and sums.dtype == dtype and sums.flags.carray
-                for sums, width in zip(pre, (m, n))
-            )
-            if a_ptrs is not None and b_ptrs is not None and pre_ok:
-                unit = self._guard_for(semiring, dtype)
-        if unit is None:
-            return super().predict_sums(pre, a_rows, b_cols, semiring=semiring)
-        rows, cols = np.empty((nr * nc, m), dtype), np.empty((nr * nc, n), dtype)
-        scratch = np.empty(nr * k * (m + 1) + nc * k, dtype)
-        unit.predict(
-            _address(a_ptrs), _address(b_ptrs), nr, nc, m, n, k,
-            _address(pre[0]), _address(pre[1]),
-            _address(rows), _address(cols), _address(scratch),
+        phase: str = "outer",
+        hops=None,
+    ) -> Optional[GuardBand]:
+        """The whole band in one call into the guard unit, which runs the
+        prediction's two products and the grid product through the kernel
+        unit's ``srgemm_tile``.  A backend whose :meth:`srgemm_grid` is
+        replaced (a subclass's planted fault, a test's call spy) keeps
+        its product: the call stops after the prediction, and the product
+        and the post-op half run as in the default.  A grid with next
+        hops, or one the units do not cover, takes the default."""
+        own_product = self._own_product()
+        band = False if hops is not None else self._native_band(
+            c_tiles, a_rows, b_cols, stored, semiring, own_product
         )
-        return rows, cols
+        if band is False:
+            return super().guard_band(c_tiles, a_rows, b_cols, stored, semiring, phase, hops)
+        if own_product:
+            return band
+        return self._close_band(c_tiles, a_rows, b_cols, stored, semiring, phase, None, band)
+
+    def _own_product(self) -> bool:
+        """True when :meth:`srgemm_grid` is this class's own."""
+        return getattr(self.srgemm_grid, "__func__", None) is CNativeBackend.srgemm_grid
+
+    def _native_band(
+        self, c_tiles, a_rows, b_cols, stored: StoredSums, semiring: Semiring, own_product: bool
+    ):
+        """:meth:`guard_band` through the guard unit (without the product
+        and the post-op half unless ``own_product``): a :class:`GuardBand`,
+        None for a clean band, or False when the units do not cover the
+        band.  Nothing is written before every array has been checked."""
+        a0, b0 = a_rows[0], b_cols[0]
+        dtype = a0.dtype
+        if a0.ndim != 2 or b0.ndim != 2:
+            return False
+        (m, k), n = a0.shape, b0.shape[1]
+        nr, nc = len(a_rows), len(b_cols)
+        c_ptrs = _pointers(c_tiles.flat, (m, n), dtype)
+        covered = (
+            m and n and k and c_ptrs is not None
+            and all(a.shape == (m, k) for a in a_rows) and all(b.shape == (k, n) for b in b_cols)
+            and all(
+                x.ndim == 2 and x.shape[1] == width and x.dtype == dtype and x.flags.carray
+                for x, width in ((stored.rows, m), (stored.cols, n))
+            )
+        )
+        if not covered:
+            return False
+        # The operands are read only: one contiguous copy of each list
+        # costs less than checking and taking every array's address.
+        a_stack, b_stack = np.concatenate(a_rows), np.concatenate(b_cols)
+        if not a_stack.dtype == b_stack.dtype == dtype:
+            return False
+        unit = self._unit_for(semiring, dtype)
+        guard = self._guard_for(semiring, dtype) if unit is not None else None
+        if guard is None:
+            return False
+        count = nr * nc
+        # The work buffer's layout is guard_band's: snapshot, pre-op,
+        # predicted and post-op sums, then the prediction's scratch.
+        sizes = (count * m * n, count * m, count * n, count * m, count * n, count * m, count * n)
+        work = np.empty(sum(sizes) + nr * k * (m + 1) + nc * k * (n + 1) + m + n, dtype)
+        flags = np.empty(count, np.uint8)
+        index, tracked = (
+            None if x is None else np.ascontiguousarray(x, x_type)
+            for x, x_type in ((stored.index, np.uintp), (stored.tracked, np.bool_))
+        )
+        failed = guard.band(
+            unit.tile_address, own_product, _address(c_ptrs), _address(a_stack),
+            _address(b_stack), nr, nc, m, n, k,
+            _address(stored.rows), _address(stored.cols),
+            None if index is None else _address(index),
+            None if tracked is None else _address(tracked),
+            _address(work), _address(flags),
+        )
+        if own_product and not failed:
+            return None
+        snap, pre_r, pre_c, pred_r, pred_c, act_r, act_c, _ = np.split(work, np.cumsum(sizes))
+        return GuardBand(
+            snap.reshape(count, m, n),
+            (pre_r.reshape(count, m), pre_c.reshape(count, n)),
+            (pred_r.reshape(count, m), pred_c.reshape(count, n)),
+            (act_r.reshape(count, m), act_c.reshape(count, n)) if own_product else None,
+            flags,
+        )
 
     def fw_closure(self, blk: np.ndarray, semiring: Semiring = MIN_PLUS, hops=None) -> np.ndarray:
         n = blk.shape[0]

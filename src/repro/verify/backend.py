@@ -30,9 +30,10 @@ class ChecksummedBackend(KernelBackend):
     ``srgemm_grid`` runs that cycle over the whole grid at once
     (:meth:`~repro.verify.runtime.VerifyRuntime.accumulate_grid`): the
     tiles' checksums are taken, predicted and compared as stacked
-    arrays around **one** ``inner.srgemm_grid`` call, so a verified
-    solve keeps the inner backend's one-call grid; a flagged tile is
-    still repaired on its own.  A grid that is not uniform in shape and
+    arrays around one product per band, in one ``inner.guard_band``
+    call (over ``cnative``, one native call), so a verified solve keeps
+    the inner backend's one-call grid; a flagged tile is still repaired
+    on its own.  A grid that is not uniform in shape and
     dtype takes the guarded cycle tile by tile instead.  A grid with next
     hops takes the same cycle: the hop tiles are snapshotted beside the
     distance tiles, the sums are predicted at operand width (path

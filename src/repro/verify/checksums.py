@@ -22,10 +22,12 @@ accumulate at full width.  Predictions replicate that pipeline via the
 casts them, reduced at compute width, and only then ``⊕``-combined
 with the full-width pre-checksums (the f32→f64 upcast is exact).
 
-The stacked (grid) forms are the kernel waist's guard entries,
-``KernelBackend.tile_sums`` / ``predict_sums``, whose NumPy defaults
-live in :mod:`repro.semiring.backends.base` so that a backend can run
-them natively; this module keeps the per-tile forms.
+The stacked (grid) forms are the kernel waist's guard entries: one
+guarded band is ``KernelBackend.guard_band``, by default
+``tile_sums`` / ``predict_sums`` around the product, whose NumPy
+defaults live in :mod:`repro.semiring.backends.base` so that a backend
+can run them natively (``cnative``: the whole band in one native call);
+this module keeps the per-tile forms.
 
 Detection limit: a min-checksum only sees a row/column's *extremal*
 entry.  An upward flip of a non-extremal entry leaves every checksum
@@ -50,7 +52,6 @@ __all__ = [
     "predicted_accumulate",
     "predicted_merge",
     "uniform_tiles",
-    "mismatched_tiles",
 ]
 
 Checksums = Tuple[np.ndarray, np.ndarray]
@@ -105,17 +106,3 @@ def uniform_tiles(arrs: Sequence[np.ndarray]) -> bool:
     first = arrs[0]
     sig = (first.shape, first.dtype)
     return first.ndim == 2 and first.size > 0 and all((x.shape, x.dtype) == sig for x in arrs)
-
-
-def mismatched_tiles(expected: Checksums, actual: Checksums) -> np.ndarray:
-    """Per-tile :func:`checksums_match` over stacked checksums: the
-    indices ``t``, ascending, of the tiles whose sums disagree (exact
-    comparison, as there).  One whole-array test first, so a clean
-    grid (nearly every one) skips the per-tile pass."""
-    rows_differ, cols_differ = expected[0] != actual[0], expected[1] != actual[1]
-    if not (rows_differ.any() or cols_differ.any()):
-        return _NO_TILES
-    return np.flatnonzero(rows_differ.any(axis=1) | cols_differ.any(axis=1))
-
-
-_NO_TILES = np.empty(0, dtype=np.intp)

@@ -35,6 +35,7 @@ from ..errors import SilentCorruptionError
 from ..semiring.backends import get_backend
 from ..semiring.backends.base import (
     OperandList,
+    StoredSums,
     TileGrid,
     grid_hop_tiles,
     stack_tiles,
@@ -45,7 +46,6 @@ from .checksums import (
     Checksums,
     block_checksums,
     checksums_match,
-    mismatched_tiles,
     predicted_accumulate,
     predicted_merge,
     uniform_tiles,
@@ -295,10 +295,13 @@ class VerifyRuntime:
 
     def _accumulate_band(self, c_tiles, a_rows, b_cols, semiring, phase, op, hops) -> None:
         """One guarded cycle over a uniform grid (a band of whole tile
-        rows of the caller's).  Both array passes are the inner backend's
-        guard entries, so a native backend checks at kernel speed; the
-        product in between is still ``inner.srgemm_grid``, which is what
-        the sums check."""
+        rows of the caller's) as one ``inner.guard_band`` call - on a
+        native backend, one native call: pre-op sums and snapshot, their
+        compare with the stored sums, prediction, product, post-op sums
+        and their compare; a clean band's sums are stored by it.  A
+        flagged band is settled here from what the call returns: every
+        pre-op verdict (:meth:`_precheck`) in row-major order, then every
+        repair in row-major order."""
         inner = self.inner
         # Each operand list is handed to several entries: let the backend
         # keep what it derives from one (cnative: its pointer array).
@@ -310,57 +313,62 @@ class VerifyRuntime:
             tiles = c_tiles.flat
             _, row_table, col_table = tables
             guards = None
+            stored = StoredSums(row_table, col_table, tiles.index)
         else:
             c_tiles = OperandList.grid(c_tiles)
             tiles = c_tiles.flat
             guards = [self._tiles.get(id(c)) for c in tiles]
+            stored = self._stacked_sums(guards, tiles[0])
 
         def guard_of(t):
             return self._tiles.get(id(tiles[t])) if guards is None else guards[t]
 
-        # The snapshot (the repair pre-image) is taken in the pass that
-        # takes the pre-op sums.
-        snap, pre = inner.tile_sums(tiles, semiring, snapshot=True)
-        pre_row, pre_col = pre
-        # Pre-op: stored sums against contents (an untracked tile stands
-        # in for itself); the exact per-tile verdict stays _precheck's.
-        if guards is None:
-            stored = (row_table[tiles.index], col_table[tiles.index])
-        else:
-            stored = (
-                stack_tiles([g.row if g is not None else r for g, r in zip(guards, pre_row)]),
-                stack_tiles([g.col if g is not None else c for g, c in zip(guards, pre_col)]),
-            )
-        for t in mismatched_tiles(stored, pre):
-            self._precheck(guard_of(t), (pre_row[t], pre_col[t]), op)
-        if hops is None:
-            predicted = inner.predict_sums(pre, a_rows, b_cols, semiring)
-        else:
-            # Path kernels run at operand width: predict at full width.
+        if hops is not None:
             hop_tiles = [h for h_row in hops[0] for h in h_row]
             hop_snap = stack_tiles(hop_tiles)
-            predicted = self.reference.predict_sums(pre, a_rows, b_cols, semiring)
-        inner.srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
+        band = inner.guard_band(c_tiles, a_rows, b_cols, stored, semiring, phase, hops)
         self._count("ops_checked", len(tiles))
-        _, actual = inner.tile_sums(tiles, semiring)
-        act_row, act_col = actual
-        for t in mismatched_tiles(predicted, actual):
-            self._count("sdc_detected")
-            i, j = divmod(int(t), len(b_cols))
-            hop = None if hops is None else (hop_tiles[t], hop_snap[t], hops[1][i])
-            act_row[t], act_col[t] = self._repair_accumulate(
-                guard_of(t), tiles[t], snap[t], (pre_row[t], pre_col[t]), a_rows[i], b_cols[j],
-                semiring, op, hop,
-            )
-        if guards is None:
-            row_table[tiles.index], col_table[tiles.index] = act_row, act_col
-            return
-        # An untracked tile's sums are views into this band's stacked sums.
+        if band is None:  # clean: the post-op sums are stored
+            if guards is None:
+                return
+            act_row, act_col = stored.rows, stored.cols
+        else:
+            act_row, act_col = band.actual
+            pre_row, pre_col = band.pre
+            for t in np.flatnonzero(band.flags & 1):
+                self._precheck(guard_of(t), (pre_row[t], pre_col[t]), op)
+            for t in np.flatnonzero(band.flags & 2):
+                self._count("sdc_detected")
+                i, j = divmod(int(t), len(b_cols))
+                hop = None if hops is None else (hop_tiles[t], hop_snap[t], hops[1][i])
+                act_row[t], act_col[t] = self._repair_accumulate(
+                    guard_of(t), tiles[t], band.snap[t], (pre_row[t], pre_col[t]),
+                    a_rows[i], b_cols[j], semiring, op, hop,
+                )
+            if guards is None:
+                stored.store((act_row, act_col))
+                return
+            # An untracked tile's sums are views into a copy of this
+            # band's stacked sums, not into the snapshot's buffer.
+            act_row, act_col = act_row.copy(), act_col.copy()
         for c, guard, row, col in zip(tiles, guards, act_row, act_col):
             if guard is not None:
                 guard.store((row, col))
             else:
                 self._transient[id(c)] = (row, col)
+
+    @staticmethod
+    def _stacked_sums(guards, tile) -> StoredSums:
+        """The stored sums of a list band's tiles, stacked; an untracked
+        tile's rows are left unset and masked out."""
+        (m, n), dtype = tile.shape, tile.dtype
+        blank = (np.empty(m, dtype), np.empty(n, dtype))
+        tracked = np.array([g is not None for g in guards])
+        return StoredSums(
+            stack_tiles([blank[0] if g is None else g.row for g in guards]),
+            stack_tiles([blank[1] if g is None else g.col for g in guards]),
+            tracked=None if tracked.all() else tracked,
+        )
 
     def _repair_accumulate(
         self, guard, c, c_pre, pre, a, b, semiring, op: str, hop=None
@@ -421,18 +429,18 @@ class VerifyRuntime:
     # -- ooGSrGemm staging ---------------------------------------------------
     def verify_staged(self, tiles: Sequence[np.ndarray], recompute: Optional[Callable] = None) -> None:
         """Validate a staged ooG chunk - its tile objects, the entries of
-        its staging grid - against the checksums taken when they were
-        computed (corruption window: d2h transfer + host residence).  A
-        chunk with a flagged tile counts one detection and is repaired
-        whole by its retained compute closure, which re-runs the chunk
-        in place as one guarded grid."""
-        semiring = self.semiring
-        flagged = False
-        for x in tiles:
-            recorded = self._transient.pop(id(x), None)
-            if recorded is not None and not checksums_match(recorded, block_checksums(x, semiring)):
-                flagged = True
-        if not flagged:
+        its uniform staging grid - against the checksums taken when they
+        were computed (corruption window: d2h transfer + host residence),
+        with one ``inner.tile_sums`` pass over the chunk.  A chunk with a
+        flagged tile counts one detection and is repaired whole by its
+        retained compute closure, which re-runs the chunk in place as one
+        guarded grid."""
+        recorded = [self._transient.pop(id(x), None) for x in tiles]
+        known = [t for t, sums in enumerate(recorded) if sums is not None]
+        if not known:
+            return
+        _, (rows, cols) = self.inner.tile_sums(tiles, self.semiring)
+        if all(checksums_match(recorded[t], (rows[t], cols[t])) for t in known):
             return
         self._count("sdc_detected")
         if recompute is None:

@@ -18,6 +18,9 @@ deferred escalation, the non-uniform fallback and the row-band walk).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import itertools
 import warnings
 
 import numpy as np
@@ -41,6 +44,7 @@ from repro.semiring.backends.base import (
     GRID_PHASES,
     KernelBackend,
     OperandList,
+    StoredSums,
     predicted_accumulate_grid,
 )
 from repro.verify import (
@@ -545,9 +549,9 @@ def _spy(monkeypatch, obj, name):
 
 def _spy_native_guard(monkeypatch, backend, sr, dtype):
     """Count calls into ``backend``'s compiled guard entries for one
-    (semiring, dtype) pair, and record every fall-back to the NumPy
-    defaults on the base class."""
-    native = {"sums": 0, "predict": 0}
+    (semiring, dtype) pair - the sums pass and the band - and record
+    every fall-back to the NumPy defaults on the base class."""
+    native = {"sums": 0, "band": 0}
     unit = backend._guard_for(sr, np.dtype(dtype))
     assert unit is not None, "guard unit did not compile"
 
@@ -560,7 +564,7 @@ def _spy_native_guard(monkeypatch, backend, sr, dtype):
 
     monkeypatch.setitem(
         backend._guards, (sr.name, np.dtype(dtype)),
-        unit._replace(sums=counted("sums", unit.sums), predict=counted("predict", unit.predict)),
+        unit._replace(sums=counted("sums", unit.sums), band=counted("band", unit.band)),
     )
     numpy_calls = []
     for entry in ("tile_sums", "predict_sums"):
@@ -636,10 +640,10 @@ class TestGuardedGrid:
                 assert set(gridded[0].counters) == {"blocks_tracked", "ops_checked"}, msg
                 gridded[0].raise_pending()
         if backend == "cnative":
-            # Per phase and shape: two registrations, then per grid pass
-            # the pre-op and post-op sums and one prediction.
+            # Per phase and shape: two registrations, then one band per
+            # grid pass.
             cases = len(GRID_PHASES) * len(GRID_SHAPES)
-            assert native == {"sums": cases * (2 + 2 * 2), "predict": cases * 2}
+            assert native == {"sums": cases * 2, "band": cases * 2}
             assert numpy_calls == []
 
     def test_one_corrupt_tile_is_found_and_repaired_alone(self):
@@ -962,7 +966,7 @@ class TestGuardedGrid:
 
 
 # ---------------------------------------------------------------------------
-# The native guard unit (cnative's tile_sums / predict_sums)
+# The native guard unit (cnative's guard_band / tile_sums)
 # ---------------------------------------------------------------------------
 needs_cnative = pytest.mark.skipif(
     "cnative" not in available_backends(), reason="no C compiler on PATH"
@@ -984,15 +988,107 @@ def _edge_matrix(rng, shape, sr, dtype, both_infs):
 
 class _CorruptingCNative(CNativeBackend):
     """The native kernel, except that the grid product leaves one entry
-    of ``target`` (by identity) below every true value."""
+    of ``target`` (by identity) beyond every true value: ``fault`` is
+    the entry and its value.  Its guarded bands run the native band up
+    to the prediction, then this product."""
 
     target = None
+    fault = ((1, 2), -1.0)
 
     def srgemm_grid(self, c_tiles, a_rows, b_cols, semiring=MIN_PLUS, phase="outer", hops=None):
         super().srgemm_grid(c_tiles, a_rows, b_cols, semiring=semiring, phase=phase, hops=hops)
         if any(c is self.target for c_row in c_tiles for c in c_row):
-            self.target[1, 2] = -1.0
+            self.target[self.fault[0]] = self.fault[1]
         return c_tiles
+
+
+class _ComposedCNative(_CorruptingCNative):
+    """The composed guard cycle over the native entries: the base
+    class's ``guard_band`` (``tile_sums``, ``predict_sums``,
+    ``srgemm_grid``, ``tile_sums``)."""
+
+    guard_band = KernelBackend.guard_band
+
+
+#: ``srgemm_tile``'s C signature, for a tile callback handed to the band.
+_TILE_FN = ctypes.CFUNCTYPE(
+    None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ctypes.c_long, ctypes.c_long, ctypes.c_long,
+)
+
+
+@contextlib.contextmanager
+def _planted_in_band(backend, sr, target, fault):
+    """Within the block, ``backend``'s guard band runs its products
+    through a tile callback: the real ``srgemm_tile``, then, when the
+    product is into ``target`` (by address), ``fault = (entry, value)``
+    is set in it."""
+    key = (sr.name, target.dtype)
+    unit = backend._unit_for(sr, target.dtype)
+    entry = ctypes.c_double if target.dtype == np.float64 else ctypes.c_float
+    offset = int(np.ravel_multi_index(fault[0], target.shape)) * target.itemsize
+    address = target.__array_interface__["data"][0]
+
+    @_TILE_FN
+    def tile(c, a, b, m, n, k):
+        unit.tile(c, a, b, m, n, k)
+        if c == address:
+            entry.from_address(c + offset).value = fault[1]
+
+    backend._units[key] = unit._replace(tile_address=ctypes.cast(tile, ctypes.c_void_p).value)
+    try:
+        yield
+    finally:
+        backend._units[key] = unit
+
+
+def _band_case(c_tiles, sr, table):
+    """``(grid, stored, tiles)`` for a direct call of the band entry on
+    private copies of ``c_tiles``: on the table path a positional grid
+    over a slab with one more block row and column in front, its stored
+    sums the slab's tables; on the list path the tiles themselves, tile
+    (0, 1) untracked."""
+    nr, nc = len(c_tiles), len(c_tiles[0])
+    first = c_tiles[0][0]
+    tiled = TiledBackend()
+    if table:
+        local = np.full((nr + 1, nc + 1, *first.shape), 4.0, dtype=first.dtype)
+        for i, c_row in enumerate(c_tiles):
+            for j, c in enumerate(c_row):
+                local[i + 1, j + 1] = c
+        blocks = RankBlocks(local, range(nr + 1), range(nc + 1))
+        grid = blocks.grid([[(i + 1, j + 1) for j in range(nc)] for i in range(nr)])
+        _, (rows, cols) = tiled.tile_sums(blocks.tiles, sr)
+        return grid, StoredSums(rows, cols, grid.flat.index), [list(row) for row in grid]
+    grid = OperandList.grid(_copy_tiles(c_tiles))
+    _, (rows, cols) = tiled.tile_sums(grid.flat, sr)
+    tracked = np.ones(nr * nc, dtype=bool)
+    tracked[1] = False
+    return grid, StoredSums(rows, cols, tracked=tracked), list(grid)
+
+
+def _assert_same_band(got, want, msg):
+    """Two ``(GuardBand or None, StoredSums, tiles)`` triples agree bit
+    for bit."""
+    (g_band, g_stored, g_tiles), (w_band, w_stored, w_tiles) = got, want
+    assert (g_band is None) == (w_band is None), msg
+    if w_band is not None:
+        _assert_same_array(g_band.snap, w_band.snap, msg)
+        for name in ("pre", "predicted", "actual"):
+            for g, w in zip(getattr(g_band, name), getattr(w_band, name)):
+                _assert_same_array(g, w, f"{msg} {name}")
+        _assert_same_array(g_band.flags, w_band.flags, f"{msg} flags")
+    _assert_same_array(g_stored.rows, w_stored.rows, f"{msg} stored rows")
+    _assert_same_array(g_stored.cols, w_stored.cols, f"{msg} stored cols")
+    for g_row, w_row in zip(g_tiles, w_tiles):
+        for g, w in zip(g_row, w_row):
+            _assert_same_array(g, w, f"{msg} tiles")
+
+
+def _beyond(sr):
+    """A value beyond every distance in ``⊕``'s direction: every sum of a
+    row or column holding it becomes it."""
+    return -sr.zero
 
 
 @needs_cnative
@@ -1000,6 +1096,8 @@ class TestNativeGuard:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
     def test_native_entries_equal_the_numpy_defaults(self, sr_name, dtype, monkeypatch):
+        """The native sums pass, and the band's prediction (two products
+        through the kernel unit), equal the NumPy defaults."""
         sr, backend = SEMIRINGS[sr_name], get_backend("cnative")
         native, numpy_calls = _spy_native_guard(monkeypatch, backend, sr, dtype)
         numpy_default = TiledBackend()  # the base class's entries
@@ -1022,17 +1120,108 @@ class TestNativeGuard:
                     msg = f"{sr_name} {np.dtype(dtype).name} predict ({m}, {n}, {k})"
                     a_rows = [_edge_matrix(rng, (m, k), sr, dtype, mixing_ok) for _ in range(nr)]
                     b_cols = [_edge_matrix(rng, (k, n), sr, dtype, mixing_ok) for _ in range(nc)]
-                    got = backend.predict_sums(want, a_rows, b_cols, sr)
+                    grid = OperandList.grid([[t.copy() for t in tiles[i * nc:(i + 1) * nc]]
+                                             for i in range(nr)])
+                    # Stored sums that match nothing: the band is flagged
+                    # and returns what it computed.
+                    stored = StoredSums(*(np.full_like(x, np.nan) for x in want))
+                    got = backend.guard_band(grid, a_rows, b_cols, stored, sr).predicted
                     expect = numpy_default.predict_sums(want, a_rows, b_cols, sr)
                     for g, w in zip(got, expect):
                         _assert_same_array(g, w, msg)
         cases = len(EDGE_DIMS) ** 2
-        assert native == {"sums": 2 * cases, "predict": cases * len(EDGE_DIMS)}
+        assert native == {"sums": 2 * cases, "band": cases * len(EDGE_DIMS)}
         # The default-entry calls above, and nothing of cnative's, took NumPy.
         assert numpy_calls.count("tile_sums") == 2 * cases
         assert numpy_calls.count("predict_sums") == cases * len(EDGE_DIMS)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("sr_name", COMPARISON_SEMIRINGS)
+    def test_band_entry_is_the_composed_cycle_bit_for_bit(self, sr_name, dtype, monkeypatch):
+        """The one-call band equals the composed four-call cycle -
+        snapshot, pre-op, predicted and post-op sums, flags, stored sums
+        and tiles - on the table and the list path, clean and with a
+        planted at-rest flip (bit 0) and a planted post-op fault (bit 1,
+        through a tile callback on the native side); and a guarded grid
+        over either escalates and repairs the same, in the same order."""
+        sr = SEMIRINGS[sr_name]
+        native, composed = CNativeBackend(), _ComposedCNative()
+        counts, numpy_calls = _spy_native_guard(monkeypatch, native, sr, dtype)
+        rng = np.random.default_rng(11)
+        nr, nc = 2, 3
+        bands = 0
+
+        def run(backend, target, fn):
+            """``fn()`` on ``backend`` with, when ``target`` is given, the
+            post-op fault planted in it (the native side: in the band)."""
+            if target is None or backend is composed:
+                composed.target = target
+                try:
+                    return fn()
+                finally:
+                    composed.target = None
+            with _planted_in_band(native, sr, target, composed.fault):
+                return fn()
+
+        for m, n, k in itertools.product(EDGE_DIMS, repeat=3):
+            c_tiles = [[_edge_matrix(rng, (m, n), sr, dtype, False) for _ in range(nc)]
+                       for _ in range(nr)]
+            # No operand holds _beyond(sr), so no true sum is it and a
+            # planted one always shows.
+            a_rows = [_edge_matrix(rng, (m, k), sr, dtype, False) for _ in range(nr)]
+            b_cols = [_edge_matrix(rng, (k, n), sr, dtype, False) for _ in range(nc)]
+            composed.fault = ((m - 1, n - 1), _beyond(sr))
+            for table, planted in itertools.product((True, False), (False, True)):
+                msg = f"{sr_name} {np.dtype(dtype).name} ({m}, {n}, {k}) table={table} {planted}"
+                # The entry itself.
+                bands_run, states = [], []
+                for backend in (native, composed):
+                    grid, stored, tiles = _band_case(c_tiles, sr, table)
+                    if planted:
+                        tiles[1][2][0, 0] = _beyond(sr)  # at rest: its stored sums are stale
+                    band = run(backend, tiles[0][1] if planted else None,
+                               lambda: backend.guard_band(grid, a_rows, b_cols, stored, sr))
+                    bands_run.append((band, stored, tiles))
+                _assert_same_band(*bands_run, msg)
+                band = bands_run[0][0]
+                if planted:
+                    assert band.flags.tolist() == [0, 2, 0, 0, 0, 1], msg
+                else:
+                    assert band is None, msg
+                # A guarded grid over it: counters, repairs, escalation order.
+                for backend in (native, composed):
+                    if table:
+                        vrt, tiles, grid = _slab_guarded(backend, c_tiles, sr)
+                    else:
+                        vrt, tiles = _guarded(backend, c_tiles, sr, lambda i, j: (i, j) != (0, 1))
+                        grid = tiles
+                    vrt.accumulate_grid(grid, a_rows, b_cols, sr, "panel")  # stores the sums
+                    if planted:
+                        tiles[1][2][0, 0] = _beyond(sr)
+                    run(backend, tiles[0][1] if planted else None,
+                        lambda: vrt.accumulate_grid(grid, a_rows, b_cols, sr, "outer"))
+                    escalation, vrt._escalate = vrt._escalate, None
+                    states.append((vrt, tiles, escalation))
+                (g_vrt, g_tiles, g_esc), (w_vrt, w_tiles, w_esc) = states
+                _assert_same_state((g_vrt, g_tiles), (w_vrt, w_tiles), msg)
+                if planted:
+                    assert g_vrt.counters["sdc_detected"] == 2, msg
+                    assert (g_vrt.counters["repaired"], g_vrt.counters["escalated"]) == (1, 1), msg
+                    assert (str(g_esc), g_esc.rank, g_esc.block, g_esc.op) == (
+                        str(w_esc), w_esc.rank, w_esc.block, w_esc.op
+                    ), msg
+                    assert "resident corruption" in str(g_esc), msg
+                    assert (g_esc.block, g_esc.op) == ((2, 3) if table else (1, 2), "srgemm_outer")
+                else:
+                    assert g_esc is None and w_esc is None, msg
+                bands += 3  # the entry, then two guarded grids
+        # Every NumPy prediction was the composed side's.
+        assert counts["band"] == numpy_calls.count("predict_sums") == bands
+
     def test_corrupt_tile_of_a_native_grid_is_found_and_repaired_alone(self, monkeypatch):
+        """A subclass that replaces the grid product (the fault) runs the
+        native band up to the prediction, then its product and one native
+        post-op sums pass."""
         nr, nc = 3, 4
         c_tiles, a_rows, b_cols = _grid_case(nr, nc)
         want = get_backend("tiled").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
@@ -1045,7 +1234,33 @@ class TestNativeGuard:
         assert vrt.counters == {
             "blocks_tracked": nr * nc, "ops_checked": nr * nc, "sdc_detected": 1, "repaired": 1,
         }
-        assert native == {"sums": 3, "predict": 1} and numpy_calls == []
+        # Registration, the band, the post-op pass.
+        assert native == {"sums": 2, "band": 1} and numpy_calls == []
+        for i in range(nr):
+            for j in range(nc):
+                np.testing.assert_array_equal(tiles[i][j], want[i][j])
+                guard = vrt._tiles[id(tiles[i][j])]
+                assert checksums_match((guard.row, guard.col), block_checksums(want[i][j], MIN_PLUS))
+
+    def test_corrupt_tile_planted_in_the_native_band_is_found_and_repaired_alone(
+        self, monkeypatch
+    ):
+        """The same fault planted inside the one native call (a tile
+        callback that corrupts the product into one tile): found by the
+        band's own compare and repaired alone."""
+        nr, nc = 3, 4
+        c_tiles, a_rows, b_cols = _grid_case(nr, nc)
+        want = get_backend("tiled").srgemm_grid(_copy_tiles(c_tiles), a_rows, b_cols)
+        inner = CNativeBackend()
+        native, numpy_calls = _spy_native_guard(monkeypatch, inner, MIN_PLUS, np.float64)
+        vrt, tiles = _guarded(inner, c_tiles)
+        with _planted_in_band(inner, MIN_PLUS, tiles[1][2], ((1, 2), -1.0)):
+            vrt.accumulate_grid(tiles, a_rows, b_cols, MIN_PLUS)
+        vrt.raise_pending()  # repaired in place: nothing escalates
+        assert vrt.counters == {
+            "blocks_tracked": nr * nc, "ops_checked": nr * nc, "sdc_detected": 1, "repaired": 1,
+        }
+        assert native == {"sums": 1, "band": 1} and numpy_calls == []
         for i in range(nr):
             for j in range(nc):
                 np.testing.assert_array_equal(tiles[i][j], want[i][j])
@@ -1068,7 +1283,7 @@ class TestNativeGuard:
             vrt.raise_pending()
         want = (2, (2, 1), f"srgemm_{phase}")
         assert (info.value.rank, info.value.block, info.value.op) == want
-        assert native["sums"] == 1 + 2 * 2 and numpy_calls == []
+        assert native == {"sums": 1, "band": 2} and numpy_calls == []
 
     def test_failed_guard_compile_warns_once_and_guards_through_numpy(
         self, tmp_path, monkeypatch, w48
